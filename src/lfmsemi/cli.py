@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,17 +24,13 @@ from .embedding import (
     EMBEDDABLE,
     INCONCLUSIVE,
     build_semigroup,
-    embed_elliptic_split,
-    embed_elliptic_u0,
-    embed_parabolic,
-    embed_hyperbolic,
+    certify,
+    conditions_for,
     is_automorphism,
 )
 from .errors import LfmError
 from .maps import (
     BALL,
-    ELLIPTIC,
-    PARABOLIC,
     SIEGEL,
     BallMap,
     SiegelMap,
@@ -42,23 +39,13 @@ from .maps import (
     domain_margin,
     unitary_index,
 )
-from .normal_forms import (
-    conjugation_residual,
-    elliptic_split,
-    elliptic_u0,
-    hyperbolic_conditions,
-    hyperbolic_normal_form,
-    parabolic_conditions,
-    parabolic_normal_form,
-    siegel_conditions,
-)
-from .verify import SamplerCfg, verify_family
+from .normal_forms import conjugation_residual, normal_form
+from .verify import DEFAULT_TOLS, SamplerCfg, verify_family
 
 SCHEMA_VERSION = 1
 
 TOL_PROFILES = {
-    "default": {"law": 1e-8, "self_map": 1e-9, "time_one": 1e-8,
-                "generator": 1e-5, "identity": 1e-10},
+    "default": DEFAULT_TOLS,
     "strict": {"law": 1e-9, "self_map": 1e-10, "time_one": 1e-9,
                "generator": 1e-6, "identity": 1e-11},
 }
@@ -96,6 +83,21 @@ def _matrix_in(value, where: str) -> np.ndarray:
         raise SpecError(f"{where}: expected a matrix of [re, im] pairs")
     return np.array([[_complex_in(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
                      for i, row in enumerate(value)], dtype=complex)
+
+
+def _json_option(text: str, option: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{option}: invalid JSON: {exc.msg}")
+
+
+def _times_in(value) -> tuple:
+    if not (isinstance(value, list) and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
+            for t in value)):
+        raise SpecError(f"--t: expected a JSON list of finite numbers, got {value!r}")
+    return tuple(value)
 
 
 def to_jsonable(x):
@@ -208,12 +210,13 @@ def run_pipeline(spec_obj: dict, seed: int = 20250808, tol_profile: str = "defau
                     "dw_point": cls.dw_point,
                     "delta": cls.delta,
                 }
-                if cls.kind == ELLIPTIC:
+                if cls.interior_fixed_points:
                     entry["unitary_index"] = unitary_index(
                         f, fixed_point=cls.interior_fixed_points[0])
                 report["stages"]["classify"] = to_jsonable(entry)
             elif stage == "normal_form":
-                nf, conditions = _normal_form_for(f, cls, report["stages"]["classify"])
+                nf = normal_form(f, cls, report["stages"]["classify"].get("unitary_index"))
+                conditions = conditions_for(nf)
                 entry = {
                     "status": "ok",
                     "form_kind": nf.form_kind,
@@ -224,7 +227,7 @@ def run_pipeline(spec_obj: dict, seed: int = 20250808, tol_profile: str = "defau
                 }
                 report["stages"]["normal_form"] = to_jsonable(entry)
             elif stage == "embed":
-                cert = _certificate_for(nf, seed)
+                cert = certify(nf, SamplerCfg(seed=seed, count=2000))
                 entry = {
                     "status": "ok",
                     "verdict": cert.verdict,
@@ -255,7 +258,7 @@ def run_pipeline(spec_obj: dict, seed: int = 20250808, tol_profile: str = "defau
                         "status": "skipped", "reason": "no semigroup built"}
                     continue
                 cfg = SamplerCfg(seed=seed, count=60, domain=sg.domain)
-                reports = verify_family(sg, cfg)
+                reports = verify_family(sg, cfg, tols=tols)
                 report["stages"]["verify"] = to_jsonable({
                     "status": "ok",
                     "checks": [_check_entry(r) for r in reports],
@@ -267,36 +270,6 @@ def run_pipeline(spec_obj: dict, seed: int = 20250808, tol_profile: str = "defau
             break
     report["exit_status"] = _exit_status(report, cert)
     return report
-
-
-def _normal_form_for(f, cls, classify_entry):
-    if cls.kind == ELLIPTIC:
-        if classify_entry["unitary_index"] >= 1:
-            nf = elliptic_split(f)
-            return nf, []
-        nf = elliptic_u0(f)
-        return nf, []
-    if cls.kind == PARABOLIC:
-        nf = parabolic_normal_form(f)
-        return nf, parabolic_conditions(nf)
-    nf = hyperbolic_normal_form(f)
-    return nf, hyperbolic_conditions(nf)
-
-
-def _certificate_for(nf, seed: int):
-    from .normal_forms import (
-        FORM_ELLIPTIC_SPLIT,
-        FORM_ELLIPTIC_U0,
-        FORM_PARABOLIC,
-    )
-
-    if nf.form_kind == FORM_ELLIPTIC_SPLIT:
-        return embed_elliptic_split(nf)
-    if nf.form_kind == FORM_ELLIPTIC_U0:
-        return embed_elliptic_u0(nf, sampler=SamplerCfg(seed=seed, count=2000))
-    if nf.form_kind == FORM_PARABOLIC:
-        return embed_parabolic(nf)
-    return embed_hyperbolic(nf)
 
 
 def _check_entry(r):
@@ -457,11 +430,11 @@ def main(argv=None) -> int:
         spec_obj = _read_spec(args.spec)
         t_grid = (0.0, 0.25, 0.5, 1.0, 2.0)
         z0 = None
-        if getattr(args, "t", None) is not None and hasattr(args, "t"):
-            t_grid = tuple(json.loads(args.t))
+        if getattr(args, "t", None) is not None:
+            t_grid = _times_in(_json_option(args.t, "--t"))
         if getattr(args, "z0", None):
-            z0 = np.array([complex(p[0], p[1]) for p in json.loads(args.z0)])
-    except (SpecError, ValueError, json.JSONDecodeError) as exc:
+            z0 = _vector_in(_json_option(args.z0, "--z0"), "--z0")
+    except (SpecError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT_ERROR
     report = run_pipeline(spec_obj, seed=args.seed, tol_profile=args.tol_profile,
@@ -469,9 +442,8 @@ def main(argv=None) -> int:
     if getattr(args, "csv", None):
         semi = report["stages"].get("semigroup", {})
         if semi.get("status") == "ok":
-            dim = len(semi["trajectory"][0][1:]) // 2
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(trajectory_csv(semi["trajectory"], dim))
+                fh.write(trajectory_csv(semi["trajectory"], len(semi["trajectory_start"])))
     if args.output:
         _dump_report(report, args.output)
     if args.output != "-":

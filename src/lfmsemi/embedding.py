@@ -11,14 +11,24 @@ documented branch-search bound), so a failed margin yields
 ``condition_fails``.  The parabolic and hyperbolic criteria are
 sufficient only; failed hypotheses yield ``inconclusive`` - the map may
 still embed.
+
+The case table ``_CASES``, keyed by ``NormalForm.form_kind``, holds for
+each of the four normal-form cases its checked conditions, its embedding
+criterion, the family name and domain its certificates carry, and the
+family's ``at(t)`` and generator.  ``at(t)`` applies the case's
+normal-map builder from :mod:`lfmsemi.normal_forms` to the time-t
+parameters.  :func:`certify`, :func:`build_semigroup`,
+:meth:`SemigroupFamily.at` and :func:`generator` look the case up there,
+so a fifth case adds one row (and its reducer in ``normal_forms``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,14 +40,7 @@ from .linalg import (
     mat_log_principal,
     schur_form,
 )
-from .maps import (
-    BallMap,
-    ELLIPTIC,
-    PARABOLIC,
-    SiegelMap,
-    classify,
-    unitary_index,
-)
+from .maps import BALL, SIEGEL, BallMap, Classification, SiegelMap
 from .normal_forms import (
     FORM_ELLIPTIC_SPLIT,
     FORM_ELLIPTIC_U0,
@@ -45,10 +48,12 @@ from .normal_forms import (
     FORM_PARABOLIC,
     Condition,
     NormalForm,
-    elliptic_split,
-    elliptic_u0,
-    hyperbolic_normal_form,
-    parabolic_normal_form,
+    hyperbolic_conditions,
+    normal_form,
+    parabolic_conditions,
+    siegel_normal_map,
+    split_normal_map,
+    u0_normal_map,
 )
 
 EMBEDDABLE = "embeddable"
@@ -181,6 +186,15 @@ class EmbeddingCertificate:
     generator_data: Optional[dict]
     target: Optional[object] = None  # the map the built family reproduces at t = 1
     notes: str = ""
+    family: Optional[str] = None  # the SemigroupFamily case the data builds
+
+
+def _certificate(nf: NormalForm, verdict: str, criterion_id: str, margins: list,
+                 data: Optional[dict] = None, target=None, notes: str = ""):
+    """A certificate for nf's case; the target defaults to nf's normal map."""
+    return EmbeddingCertificate(verdict, criterion_id, margins, data,
+                                nf.normal_map if target is None else target, notes,
+                                _CASES[nf.form_kind].family)
 
 
 @dataclass(frozen=True)
@@ -193,10 +207,7 @@ class SemigroupFamily:
     target: Optional[object] = None
 
     def at(self, t: float):
-        return _family_at(self, float(t))
-
-    def generator_matrix_free(self):
-        return generator(self)
+        return _case(_FAMILIES, self.case_kind).at(self.parameters, float(t))
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +343,8 @@ def embed_elliptic_split(nf: NormalForm, branch_search: int = BRANCH_BOUND) -> E
     theta = np.angle(lam).real.astype(float)
     if a1.size == 0:
         data = {"theta": theta, "M": np.zeros((0, 0), dtype=complex), "u": len(theta)}
-        return EmbeddingCertificate(
-            EMBEDDABLE, "elliptic_split_dissipative_log",
-            [Condition("unitary_part", 0.0, True)], data, nf.normal_map,
-        )
+        return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log",
+                            [Condition("unitary_part", 0.0, True)], data)
     candidates = log_candidates(a1, branch_search)
     margins = []
     for idx, m in enumerate(candidates):
@@ -345,13 +354,10 @@ def embed_elliptic_split(nf: NormalForm, branch_search: int = BRANCH_BOUND) -> E
                                  res.margin <= 1e-10))
         if res.margin <= 1e-10 and left < 0:
             data = {"theta": theta, "M": m, "u": len(theta)}
-            return EmbeddingCertificate(
-                EMBEDDABLE, "elliptic_split_dissipative_log", margins, data,
-                nf.normal_map,
-                notes=f"dissipative logarithm found (candidate {idx})",
-            )
-    return EmbeddingCertificate(
-        CONDITION_FAILS, "elliptic_split_dissipative_log", margins, None, nf.normal_map,
+            return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log", margins,
+                                data, notes=f"dissipative logarithm found (candidate {idx})")
+    return _certificate(
+        nf, CONDITION_FAILS, "elliptic_split_dissipative_log", margins,
         notes=f"no dissipative logarithm among {len(candidates)} candidates "
               f"(branch bound {branch_search})",
     )
@@ -400,11 +406,8 @@ def embed_elliptic_u0(nf: NormalForm, sampler=None,
                                  margin >= -1e-10))
         if margin >= -1e-10:
             data = {"M": m, "delta": delta}
-            return EmbeddingCertificate(
-                EMBEDDABLE, "elliptic_u0_generator_positivity", margins, data,
-                nf.normal_map,
-                notes=f"candidate {idx}: min condition margin {margin:.3e}",
-            )
+            return _certificate(nf, EMBEDDABLE, "elliptic_u0_generator_positivity", margins,
+                                data, notes=f"candidate {idx}: min condition margin {margin:.3e}")
         witness = _u0_witness(m, delta, zeta, quad_margin, mixed_margin, points, sample_vals)
         if witness is not None:
             best_witness = witness
@@ -412,10 +415,8 @@ def embed_elliptic_u0(nf: NormalForm, sampler=None,
             f"(branch bound {branch_search})"
     if best_witness is not None:
         notes += f"; witness z = {np.array2string(best_witness, precision=6)}"
-    return EmbeddingCertificate(
-        CONDITION_FAILS, "elliptic_u0_generator_positivity", margins, None,
-        nf.normal_map, notes=notes,
-    )
+    return _certificate(nf, CONDITION_FAILS, "elliptic_u0_generator_positivity", margins,
+                        notes=notes)
 
 
 def _u0_expression(m: np.ndarray, delta: float, zs: np.ndarray) -> np.ndarray:
@@ -467,95 +468,75 @@ def _diagonalize_normal(a: np.ndarray, tol: float = 1e-10):
     return form.unitary.conj().T, np.diag(t).copy()
 
 
+def _w_eigenbasis(nf: NormalForm, criterion_id: str):
+    """(D, V, eigenvalues): the unimodular (v-) diagonal of a Siegel normal
+    form and its contraction (w-) block in a unitary eigenbasis, V = None
+    for an empty block; or an inconclusive certificate when the block is
+    not normal, since the sufficient criteria need it diagonal."""
+    _, q, r = nf.parameters["block_split"]
+    d_diag = np.atleast_1d(nf.parameters["D"]) if q else np.zeros(0, dtype=complex)
+    if not r:
+        return d_diag, None, np.zeros(0, dtype=complex)
+    basis = _diagonalize_normal(nf.parameters["A"])
+    if basis is None:
+        return _certificate(
+            nf, INCONCLUSIVE, criterion_id,
+            [Condition("contraction_block_normal", -1.0, False)],
+            notes="contraction block is not normal; the sufficient criterion does not apply",
+        )
+    return (d_diag,) + basis
+
+
 def embed_parabolic(nf: NormalForm) -> EmbeddingCertificate:
     """Translation-budget criterion Im b - |a|^2 >= <Theta c, c> for the
     parabolic normal form with a normal contraction block."""
     _expect_form(nf, FORM_PARABOLIC)
-    p, q, r = nf.parameters["block_split"]
-    a_vec = nf.parameters["a"]
-    d_diag = np.atleast_1d(nf.parameters["D"]) if q else np.zeros(0, dtype=complex)
-    a_block = nf.parameters["A"]
-    c_vec = nf.parameters["c"]
-    b = complex(nf.parameters["b"])
+    blocks = _w_eigenbasis(nf, "parabolic_theta_budget")
+    if isinstance(blocks, EmbeddingCertificate):
+        return blocks
+    d_diag, v, lam_diag = blocks
+    a_vec, c_vec, b = nf.parameters["a"], nf.parameters["c"], complex(nf.parameters["b"])
     target = nf.normal_map
-    if r:
-        diag = _diagonalize_normal(a_block)
-        if diag is None:
-            return EmbeddingCertificate(
-                INCONCLUSIVE, "parabolic_theta_budget",
-                [Condition("contraction_block_normal", -1.0, False)], None, target,
-                notes="contraction block is not normal; the sufficient criterion "
-                      "does not apply",
-            )
-        v, lam_diag = diag
+    if v is not None:
         c_vec = v.conj().T @ c_vec
-        target = _rebuild_parabolic_map(p, q, r, a_vec, d_diag, lam_diag, c_vec, b)
-    else:
-        lam_diag = np.zeros(0, dtype=complex)
-    theta = theta_parabolic(lam_diag) if r else np.zeros(0)
+        target = siegel_normal_map(1.0, a_vec, d_diag, np.diag(lam_diag), c_vec,
+                                   np.zeros(len(c_vec)), b)
+    theta = theta_parabolic(lam_diag)
     budget = float(b.imag - np.vdot(a_vec, a_vec).real - np.sum(theta * np.abs(c_vec) ** 2))
     margins = [Condition("translation_budget", budget, budget >= -MARGIN_TOL)]
     if budget < -MARGIN_TOL:
-        return EmbeddingCertificate(
-            INCONCLUSIVE, "parabolic_theta_budget", margins, None, target,
-            notes="sufficient condition fails; the map may still be embeddable",
-        )
+        return _certificate(nf, INCONCLUSIVE, "parabolic_theta_budget", margins, target=target,
+                            notes="sufficient condition fails; the map may still be embeddable")
     data = {
         "a": a_vec,
         "theta_D": np.angle(d_diag).astype(float),
-        "m_diag": np.array([_log_principal(mu) for mu in lam_diag], dtype=complex)
-        if r else np.zeros(0, dtype=complex),
+        "m_diag": np.array([_log_principal(mu) for mu in lam_diag], dtype=complex),
         "c": c_vec,
         "alpha": complex(b.real, b.imag - float(np.vdot(a_vec, a_vec).real)),
-        "split": (p, q, r),
+        "split": nf.parameters["block_split"],
     }
-    return EmbeddingCertificate(EMBEDDABLE, "parabolic_theta_budget", margins, data, target)
-
-
-def _rebuild_parabolic_map(p, q, r, a_vec, d_diag, lam_diag, c_vec, b) -> SiegelMap:
-    k = p + q + r
-    m = np.zeros((k, k), dtype=complex)
-    m[:p, :p] = np.eye(p)
-    m[p:p + q, p:p + q] = np.diag(d_diag)
-    m[p + q:, p + q:] = np.diag(lam_diag)
-    return SiegelMap(
-        1.0,
-        np.concatenate([a_vec, np.zeros(q), c_vec]),
-        b,
-        m,
-        np.concatenate([a_vec, np.zeros(q + r)]),
-        block_split=(p, q, r),
-    )
+    return _certificate(nf, EMBEDDABLE, "parabolic_theta_budget", margins, data, target)
 
 
 def embed_hyperbolic(nf: NormalForm) -> EmbeddingCertificate:
     """Coefficient-budget criterion Im b >= <Theta c, c> (+ resonant
     translation weights) for the hyperbolic normal form."""
     _expect_form(nf, FORM_HYPERBOLIC)
-    p, q, r = nf.parameters["block_split"]
+    blocks = _w_eigenbasis(nf, "hyperbolic_theta_budget")
+    if isinstance(blocks, EmbeddingCertificate):
+        return blocks
+    d_diag, v, lam_diag = blocks
+    p = nf.parameters["block_split"][0]
     lam = float(nf.parameters["lam"])
-    d_diag = np.atleast_1d(nf.parameters["D"]) if q else np.zeros(0, dtype=complex)
-    a_block = nf.parameters["A"]
-    c_vec = nf.parameters["c"]
-    c_res = nf.parameters["c_res"]
+    c_vec, c_res = nf.parameters["c"], nf.parameters["c_res"]
     b = complex(nf.parameters["b"])
     target = nf.normal_map
-    if r:
-        diag = _diagonalize_normal(a_block)
-        if diag is None:
-            return EmbeddingCertificate(
-                INCONCLUSIVE, "hyperbolic_theta_budget",
-                [Condition("contraction_block_normal", -1.0, False)], None, target,
-                notes="contraction block is not normal; the sufficient criterion "
-                      "does not apply",
-            )
-        v, lam_diag = diag
+    if v is not None:
         c_vec = v.conj().T @ c_vec
         c_res = v.conj().T @ c_res
-        target = _rebuild_hyperbolic_map(p, q, r, lam, d_diag, lam_diag, c_vec, c_res, b)
-    else:
-        lam_diag = np.zeros(0, dtype=complex)
-    theta = theta_hyperbolic(lam, lam_diag) if r else np.zeros(0)
+        target = siegel_normal_map(lam, np.zeros(p), d_diag, np.diag(lam_diag), c_vec, c_res,
+                                   b, math.sqrt(lam))
+    theta = theta_hyperbolic(lam, lam_diag)
     budget = float(
         b.imag
         - np.sum(theta * np.abs(c_vec) ** 2)
@@ -563,76 +544,36 @@ def embed_hyperbolic(nf: NormalForm) -> EmbeddingCertificate:
     )
     margins = [Condition("coefficient_budget", budget, budget >= -MARGIN_TOL)]
     if budget < -MARGIN_TOL:
-        return EmbeddingCertificate(
-            INCONCLUSIVE, "hyperbolic_theta_budget", margins, None, target,
-            notes="sufficient condition fails; the map may still be embeddable",
-        )
+        return _certificate(nf, INCONCLUSIVE, "hyperbolic_theta_budget", margins, target=target,
+                            notes="sufficient condition fails; the map may still be embeddable")
     data = {
         "lam": lam,
         "theta_D": np.angle(d_diag).astype(float),
-        "m_diag": np.array([_log_principal(mu) for mu in lam_diag], dtype=complex)
-        if r else np.zeros(0, dtype=complex),
+        "m_diag": np.array([_log_principal(mu) for mu in lam_diag], dtype=complex),
         "c": c_vec,
         "c_res": c_res,
         "b": b,
-        "split": (p, q, r),
+        "split": nf.parameters["block_split"],
     }
-    return EmbeddingCertificate(EMBEDDABLE, "hyperbolic_theta_budget", margins, data, target)
-
-
-def _rebuild_hyperbolic_map(p, q, r, lam, d_diag, lam_diag, c_vec, c_res, b) -> SiegelMap:
-    k = p + q + r
-    m = np.zeros((k, k), dtype=complex)
-    m[:p, :p] = np.eye(p)
-    m[p:p + q, p:p + q] = np.diag(d_diag)
-    m[p + q:, p + q:] = np.diag(lam_diag)
-    return SiegelMap(
-        lam,
-        np.concatenate([np.zeros(p + q), c_vec]),
-        b,
-        math.sqrt(lam) * m,
-        np.concatenate([np.zeros(p + q), c_res]),
-        block_split=(p, q, r),
-    )
+    return _certificate(nf, EMBEDDABLE, "hyperbolic_theta_budget", margins, data, target)
 
 
 # ---------------------------------------------------------------------------
 # dimension 2 and automorphisms
 
 
-def embed_dim2(f: BallMap) -> EmbeddingCertificate:
-    """Embedding decision for self-maps of the two-dimensional ball,
-    dispatching on the catalogue of normal forms (scalar w-block)."""
+def embed_dim2(f: BallMap, cls: Optional[Classification] = None) -> EmbeddingCertificate:
+    """Embedding decision for self-maps of the two-dimensional ball; the
+    Siegel cases are labelled by the catalogue of normal forms (scalar
+    w-block)."""
     if f.dim != 2:
         raise DomainError("embed_dim2 expects a map of the two-dimensional ball")
-    cls = classify(f)
-    if cls.kind == ELLIPTIC:
-        cert = embed_map(f)
+    nf = normal_form(f, cls)
+    cert = certify(nf)
+    label = _case(_CASES, nf.form_kind).dim2_label
+    if label is None:
         return cert
-    if cls.kind == PARABOLIC:
-        nf = parabolic_normal_form(f)
-        cert = embed_parabolic(nf)
-        p, q, r = nf.parameters["block_split"]
-        if r == 1:
-            label = "dim2_parabolic_psi1"
-        elif q == 1:
-            label = "dim2_parabolic_psi2"
-        else:
-            label = "dim2_parabolic_psi3"
-        return _relabel(cert, label)
-    nf = hyperbolic_normal_form(f)
-    cert = embed_hyperbolic(nf)
-    _, _, r = nf.parameters["block_split"]
-    if r == 1 and abs(nf.parameters["c_res"][0]) > 0:
-        label = "dim2_hyperbolic_psi2"
-    else:
-        label = "dim2_hyperbolic_psi1"
-    return _relabel(cert, label)
-
-
-def _relabel(cert: EmbeddingCertificate, criterion_id: str) -> EmbeddingCertificate:
-    return EmbeddingCertificate(cert.verdict, criterion_id, cert.margins,
-                                cert.generator_data, cert.target, cert.notes)
+    return dataclasses.replace(cert, criterion_id=label(nf.parameters))
 
 
 def is_automorphism(f: BallMap, tol: float = 1e-8, count: int = 200) -> bool:
@@ -654,92 +595,138 @@ def embed_automorphism(f: BallMap) -> EmbeddingCertificate:
         raise NumericError(
             f"automorphism unexpectedly failed its criterion: {cert.notes}"
         )
-    return _relabel(cert, "automorphism_" + cert.criterion_id)
+    return dataclasses.replace(cert, criterion_id="automorphism_" + cert.criterion_id)
 
 
-def embed_map(f: BallMap):
-    """Classify, normalize and run the matching embedding criterion."""
-    cls = classify(f)
-    if cls.kind == ELLIPTIC:
-        u = unitary_index(f, fixed_point=cls.interior_fixed_points[0])
-        if u >= 1:
-            return embed_elliptic_split(elliptic_split(f))
-        return embed_elliptic_u0(elliptic_u0(f))
-    if cls.kind == PARABOLIC:
-        return embed_parabolic(parabolic_normal_form(f))
-    return embed_hyperbolic(hyperbolic_normal_form(f))
+def embed_map(f: BallMap, cls: Optional[Classification] = None) -> EmbeddingCertificate:
+    """Normalize f (classifying it unless the caller passes its
+    classification) and run the embedding criterion of its case."""
+    return certify(normal_form(f, cls))
+
+
+def certify(nf: NormalForm, sampler=None) -> EmbeddingCertificate:
+    """Run the embedding criterion of nf's case; *sampler* gives the seeded
+    points of the criteria that sample (the u0 generator positivity)."""
+    return _case(_CASES, nf.form_kind).criterion(nf, sampler)
+
+
+def conditions_for(nf: NormalForm) -> list:
+    """The checked normal-form conditions of nf's case (none for the
+    elliptic forms)."""
+    return _case(_CASES, nf.form_kind).conditions(nf)
 
 
 # ---------------------------------------------------------------------------
-# semigroup construction
+# semigroup families, one section per case: at(t) applies the case's
+# normal-map builder to the time-t parameters
 
 
-def build_semigroup(cert: EmbeddingCertificate) -> SemigroupFamily:
-    """Materialize the closed-form family licensed by an embeddable
-    certificate; ``at(1)`` reproduces the certificate's target map."""
-    if cert.verdict != EMBEDDABLE or cert.generator_data is None:
-        raise DomainError("build_semigroup requires an embeddable certificate")
-    data = cert.generator_data
-    if cert.criterion_id.endswith("elliptic_split_dissipative_log"):
-        return SemigroupFamily("elliptic_split", dict(data), "ball", cert.target)
-    if cert.criterion_id.endswith("elliptic_u0_generator_positivity"):
-        return SemigroupFamily("elliptic_u0", dict(data), "ball", cert.target)
-    if "parabolic" in cert.criterion_id:
-        return SemigroupFamily("parabolic", dict(data), "siegel", cert.target)
-    if "hyperbolic" in cert.criterion_id:
-        return SemigroupFamily("hyperbolic", dict(data), "siegel", cert.target)
-    raise DomainError(f"certificate {cert.criterion_id} carries no constructor")
+def _split_at(d: dict, t: float) -> BallMap:
+    m = d["M"]
+    return split_normal_map(np.exp(1j * t * d["theta"]), mat_exp(t * m) if m.size else m)
 
 
-def _family_at(sg: SemigroupFamily, t: float):
-    d = sg.parameters
-    if sg.case_kind == "elliptic_split":
-        theta, m = d["theta"], d["M"]
-        u = len(theta)
-        n = u + m.shape[0]
-        amat = np.zeros((n, n), dtype=complex)
-        amat[:u, :u] = np.diag(np.exp(1j * t * theta))
-        if m.size:
-            amat[u:, u:] = mat_exp(t * m)
-        return BallMap(amat, np.zeros(n), np.zeros(n), 1.0)
-    if sg.case_kind == "elliptic_u0":
-        m, delta = d["M"], d["delta"]
-        n = m.shape[0]
-        at = mat_exp(t * m)
-        e1 = np.zeros(n, dtype=complex)
-        e1[0] = 1.0
-        c = delta * ((at.conj().T - np.eye(n)) @ e1)
-        return BallMap(at, np.zeros(n), c, 1.0)
-    if sg.case_kind == "parabolic":
-        a, theta_d, m_diag, c, alpha = d["a"], d["theta_D"], d["m_diag"], d["c"], d["alpha"]
-        p, q, r = d["split"]
-        c_path = _cocycle_ratio(np.conj(m_diag), t) * c if r else np.zeros(0, dtype=complex)
-        a_coef = np.concatenate([t * a, np.zeros(q), c_path])
-        b_t = t * alpha + 1j * t * t * float(np.vdot(a, a).real)
-        mm = _diag_blocks(np.ones(p), np.exp(1j * t * theta_d), np.exp(t * m_diag))
-        trans = np.concatenate([t * a, np.zeros(q + r)])
-        return SiegelMap(1.0, a_coef, b_t, mm, trans, block_split=(p, q, r))
-    if sg.case_kind == "hyperbolic":
-        lam = d["lam"]
-        theta_d, m_diag, c, c_res, b = d["theta_D"], d["m_diag"], d["c"], d["c_res"], d["b"]
-        p, q, r = d["split"]
-        log_lam = math.log(lam)
-        lam_t = math.exp(t * log_lam)
-        sq = math.sqrt(lam)
-        sq_t = math.exp(0.5 * t * log_lam)
-        if r:
-            a_factor = (lam_t - sq_t * np.exp(t * np.conj(m_diag))) / (lam - sq * np.exp(np.conj(m_diag)))
-            a_path = a_factor * c
-            res_path = _cocycle_ratio(0.5 * log_lam + m_diag, t) * c_res
-        else:
-            a_path = np.zeros(0, dtype=complex)
-            res_path = np.zeros(0, dtype=complex)
-        a_coef = np.concatenate([np.zeros(p + q), a_path])
-        b_t = (_expm1c(complex(t * log_lam)) / _expm1c(complex(log_lam))).real * b
-        mm = sq_t * _diag_blocks(np.ones(p), np.exp(1j * t * theta_d), np.exp(t * m_diag))
-        trans = np.concatenate([np.zeros(p + q), res_path])
-        return SiegelMap(lam_t, a_coef, b_t, mm, trans, block_split=(p, q, r))
-    raise DomainError(f"unknown family kind {sg.case_kind}")
+def _split_generator(d: dict):
+    theta, m = d["theta"], d["M"]
+    u = len(theta)
+    n = u + m.shape[0]
+    gen = np.zeros((n, n), dtype=complex)
+    gen[:u, :u] = np.diag(1j * theta)
+    gen[u:, u:] = m
+    return lambda z: gen @ np.asarray(z, dtype=complex)
+
+
+def _u0_at(d: dict, t: float) -> BallMap:
+    return u0_normal_map(mat_exp(t * d["M"]), d["delta"])
+
+
+def _u0_generator(d: dict):
+    m, delta = d["M"], d["delta"]
+
+    def gen_u0(z):
+        z = np.asarray(z, dtype=complex)
+        mz = m @ z
+        return mz - delta * mz[0] * z
+
+    return gen_u0
+
+
+def _parabolic_at(d: dict, t: float) -> SiegelMap:
+    a, m_diag = d["a"], d["m_diag"]
+    c_path = _cocycle_ratio(np.conj(m_diag), t) * d["c"]
+    b_t = t * d["alpha"] + 1j * t * t * float(np.vdot(a, a).real)
+    return siegel_normal_map(1.0, t * a, np.exp(1j * t * d["theta_D"]),
+                             np.diag(np.exp(t * m_diag)), c_path, np.zeros(len(m_diag)), b_t)
+
+
+def _parabolic_generator(d: dict):
+    a, theta_d, m_diag, c, alpha = d["a"], d["theta_D"], d["m_diag"], d["c"], d["alpha"]
+    p, q, r = d["split"]
+    cdot0 = (_cocycle_rate(np.conj(m_diag)) * c) if r else np.zeros(0, dtype=complex)
+
+    def gen_parabolic(z):
+        z = np.asarray(z, dtype=complex)
+        u_part = z[1:1 + p]
+        v_part = z[1 + p:1 + p + q]
+        w_part = z[1 + p + q:]
+        gz = alpha + 2j * (np.vdot(a, u_part) if p else 0.0) \
+            + 2j * (np.vdot(cdot0, w_part) if r else 0.0)
+        return np.concatenate([[gz], a, 1j * theta_d * v_part, m_diag * w_part])
+
+    return gen_parabolic
+
+
+def _parabolic_dim2_label(prm: dict) -> str:
+    _, q, r = prm["block_split"]
+    return "dim2_parabolic_psi" + ("1" if r == 1 else "2" if q == 1 else "3")
+
+
+def _hyperbolic_at(d: dict, t: float) -> SiegelMap:
+    lam, m_diag = d["lam"], d["m_diag"]
+    log_lam = math.log(lam)
+    lam_t = math.exp(t * log_lam)
+    sq_t = math.exp(0.5 * t * log_lam)
+    a_factor = (lam_t - sq_t * np.exp(t * np.conj(m_diag))) / \
+        (lam - math.sqrt(lam) * np.exp(np.conj(m_diag)))
+    a_path = a_factor * d["c"]
+    res_path = _cocycle_ratio(0.5 * log_lam + m_diag, t) * d["c_res"]
+    b_t = (_expm1c(complex(t * log_lam)) / _expm1c(complex(log_lam))).real * d["b"]
+    return siegel_normal_map(lam_t, np.zeros(d["split"][0]), np.exp(1j * t * d["theta_D"]),
+                             np.diag(np.exp(t * m_diag)), a_path, res_path, b_t, sq_t)
+
+
+def _hyperbolic_generator(d: dict):
+    lam = d["lam"]
+    theta_d, m_diag, c, c_res, b = d["theta_D"], d["m_diag"], d["c"], d["c_res"], d["b"]
+    p, q, r = d["split"]
+    log_lam = math.log(lam)
+    if r:
+        adot0 = (log_lam / 2.0 - np.conj(m_diag)) / (lam - math.sqrt(lam) * np.exp(np.conj(m_diag))) * c
+        resdot0 = _cocycle_rate(0.5 * log_lam + m_diag) * c_res
+    else:
+        adot0 = np.zeros(0, dtype=complex)
+        resdot0 = np.zeros(0, dtype=complex)
+    bdot0 = log_lam / (lam - 1.0) * b
+
+    def gen_hyperbolic(z):
+        z = np.asarray(z, dtype=complex)
+        u_part = z[1:1 + p]
+        v_part = z[1 + p:1 + p + q]
+        w_part = z[1 + p + q:]
+        gz = log_lam * z[0] + (2j * np.vdot(adot0, w_part) if r else 0.0) + bdot0
+        return np.concatenate([
+            [gz],
+            0.5 * log_lam * u_part,
+            (0.5 * log_lam + 1j * theta_d) * v_part,
+            (0.5 * log_lam + m_diag) * w_part + resdot0,
+        ])
+
+    return gen_hyperbolic
+
+
+def _hyperbolic_dim2_label(prm: dict) -> str:
+    psi2 = prm["block_split"][2] == 1 and abs(prm["c_res"][0]) > 0
+    return "dim2_hyperbolic_psi2" if psi2 else "dim2_hyperbolic_psi1"
 
 
 def _cocycle_ratio(eps: np.ndarray, t: float) -> np.ndarray:
@@ -763,79 +750,66 @@ def _cocycle_rate(eps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _diag_blocks(*parts) -> np.ndarray:
-    vals = np.concatenate([np.atleast_1d(np.asarray(p, dtype=complex)) for p in parts])
-    return np.diag(vals)
-
-
 # ---------------------------------------------------------------------------
-# infinitesimal generators
+# the case table
+
+
+@dataclass(frozen=True)
+class _Case:
+    """What one normal-form case contributes after its reduction.
+
+    ``conditions`` and ``criterion`` are lambdas that call the module-level
+    functions by name, so that rebinding one of those (as a tracer does)
+    takes effect."""
+
+    family: str  # SemigroupFamily.case_kind of the case's certificates
+    domain: str  # where the family acts
+    conditions: Callable  # NormalForm -> checked normal-form conditions
+    criterion: Callable  # (NormalForm, sampler) -> EmbeddingCertificate
+    at: Callable  # (generator data, t) -> the map at time t
+    generator: Callable  # generator data -> infinitesimal generator
+    dim2_label: Optional[Callable] = None  # parameters -> dimension-2 catalogue name
+
+
+_CASES = {
+    FORM_ELLIPTIC_SPLIT: _Case(
+        "elliptic_split", BALL, lambda nf: [],
+        lambda nf, sampler: embed_elliptic_split(nf), _split_at, _split_generator),
+    FORM_ELLIPTIC_U0: _Case(
+        "elliptic_u0", BALL, lambda nf: [],
+        lambda nf, sampler: embed_elliptic_u0(nf, sampler=sampler), _u0_at, _u0_generator),
+    FORM_PARABOLIC: _Case(
+        "parabolic", SIEGEL, lambda nf: parabolic_conditions(nf),
+        lambda nf, sampler: embed_parabolic(nf), _parabolic_at, _parabolic_generator,
+        _parabolic_dim2_label),
+    FORM_HYPERBOLIC: _Case(
+        "hyperbolic", SIEGEL, lambda nf: hyperbolic_conditions(nf),
+        lambda nf, sampler: embed_hyperbolic(nf), _hyperbolic_at, _hyperbolic_generator,
+        _hyperbolic_dim2_label),
+}
+_FAMILIES = {case.family: case for case in _CASES.values()}
+
+
+def _case(table: dict, kind: str) -> _Case:
+    if kind not in table:
+        raise DomainError(f"unknown case kind {kind}")
+    return table[kind]
+
+
+def build_semigroup(cert: EmbeddingCertificate) -> SemigroupFamily:
+    """Materialize the closed-form family licensed by an embeddable
+    certificate; ``at(1)`` reproduces the certificate's target map."""
+    if cert.verdict != EMBEDDABLE or cert.generator_data is None:
+        raise DomainError("build_semigroup requires an embeddable certificate")
+    if cert.family not in _FAMILIES:
+        raise DomainError(f"certificate {cert.criterion_id} carries no constructor")
+    return SemigroupFamily(cert.family, dict(cert.generator_data),
+                           _FAMILIES[cert.family].domain, cert.target)
 
 
 def generator(sg: SemigroupFamily):
     """Closed-form infinitesimal generator G with d(phi_t)/dt = G o phi_t."""
-    d = sg.parameters
-    if sg.case_kind == "elliptic_split":
-        theta, m = d["theta"], d["M"]
-        u = len(theta)
-        n = u + m.shape[0]
-        gen = np.zeros((n, n), dtype=complex)
-        gen[:u, :u] = np.diag(1j * theta)
-        if m.size:
-            gen[u:, u:] = m
-        return lambda z: gen @ np.asarray(z, dtype=complex)
-    if sg.case_kind == "elliptic_u0":
-        m, delta = d["M"], d["delta"]
-
-        def gen_u0(z):
-            z = np.asarray(z, dtype=complex)
-            mz = m @ z
-            return mz - delta * mz[0] * z
-
-        return gen_u0
-    if sg.case_kind == "parabolic":
-        a, theta_d, m_diag, c, alpha = d["a"], d["theta_D"], d["m_diag"], d["c"], d["alpha"]
-        p, q, r = d["split"]
-        cdot0 = (_cocycle_rate(np.conj(m_diag)) * c) if r else np.zeros(0, dtype=complex)
-
-        def gen_parabolic(z):
-            z = np.asarray(z, dtype=complex)
-            u_part = z[1:1 + p]
-            v_part = z[1 + p:1 + p + q]
-            w_part = z[1 + p + q:]
-            gz = alpha + 2j * (np.vdot(a, u_part) if p else 0.0) \
-                + 2j * (np.vdot(cdot0, w_part) if r else 0.0)
-            return np.concatenate([[gz], a, 1j * theta_d * v_part, m_diag * w_part])
-
-        return gen_parabolic
-    if sg.case_kind == "hyperbolic":
-        lam = d["lam"]
-        theta_d, m_diag, c, c_res, b = d["theta_D"], d["m_diag"], d["c"], d["c_res"], d["b"]
-        p, q, r = d["split"]
-        log_lam = math.log(lam)
-        if r:
-            adot0 = (log_lam / 2.0 - np.conj(m_diag)) / (lam - math.sqrt(lam) * np.exp(np.conj(m_diag))) * c
-            resdot0 = _cocycle_rate(0.5 * log_lam + m_diag) * c_res
-        else:
-            adot0 = np.zeros(0, dtype=complex)
-            resdot0 = np.zeros(0, dtype=complex)
-        bdot0 = log_lam / (lam - 1.0) * b
-
-        def gen_hyperbolic(z):
-            z = np.asarray(z, dtype=complex)
-            u_part = z[1:1 + p]
-            v_part = z[1 + p:1 + p + q]
-            w_part = z[1 + p + q:]
-            gz = log_lam * z[0] + (2j * np.vdot(adot0, w_part) if r else 0.0) + bdot0
-            return np.concatenate([
-                [gz],
-                0.5 * log_lam * u_part,
-                (0.5 * log_lam + 1j * theta_d) * v_part,
-                (0.5 * log_lam + m_diag) * w_part + resdot0,
-            ])
-
-        return gen_hyperbolic
-    raise DomainError(f"unknown family kind {sg.case_kind}")
+    return _case(_FAMILIES, sg.case_kind).generator(sg.parameters)
 
 
 def _expect_form(nf: NormalForm, kind: str) -> None:

@@ -7,6 +7,16 @@ map.  Chains are lists of :class:`~lfmsemi.maps.ProjMap`; their
 composition s (first element applied first) satisfies
 ``normal_map = s o f o s^-1`` pointwise.
 
+There are four cases, one per ``FORM_*`` kind.  :func:`normal_form` is
+the one place that branches on a :class:`~lfmsemi.maps.Classification`
+to pick the reducer; the reducers take the caller's classification
+instead of classifying again.  Each case builds its normal map from its
+parameters with one builder (:func:`split_normal_map`,
+:func:`u0_normal_map`, :func:`siegel_normal_map`), which the semigroup
+families of :mod:`lfmsemi.embedding` reuse for their time-t maps.  A
+fifth case adds its reducer and builder here, its branch in
+:func:`normal_form`, and its row in ``embedding._CASES``.
+
 Block conventions on the Siegel side: the w-coordinates of an affine
 self-map split into a u-block (block matrix eigenvalue 1), a v-block
 (unimodular eigenvalues != 1, diagonal D) and a w-block (strict
@@ -16,6 +26,7 @@ contraction A), any of which may be empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +42,7 @@ from .linalg import (
 )
 from .maps import (
     BallMap,
+    Classification,
     ELLIPTIC,
     HYPERBOLIC,
     PARABOLIC,
@@ -117,13 +129,53 @@ def _require(value: float, tol: float, what: str) -> None:
         raise NumericError(f"{what} = {value:.3e} exceeds tolerance {tol:.1e}")
 
 
+def normal_form(f: BallMap, cls: Optional[Classification] = None,
+                unitary: Optional[int] = None) -> NormalForm:
+    """Reduce f to the normal form of its case, classifying it first
+    unless the caller passes its classification.
+
+    Elliptic maps split on the unitary index at the fixed point: at least
+    1 gives the unitary split, 0 the (Ahat, delta) form.  A caller that
+    has computed that index passes it as *unitary*.
+    """
+    cls = classify(f) if cls is None else cls
+    if cls.kind == ELLIPTIC:
+        if unitary is None:
+            unitary = unitary_index(f, fixed_point=cls.interior_fixed_points[0])
+        if unitary >= 1:
+            return elliptic_split(f, cls)
+        return elliptic_u0(f, cls)
+    if cls.kind == PARABOLIC:
+        return parabolic_normal_form(f, cls)
+    return hyperbolic_normal_form(f, cls)
+
+
 # ---------------------------------------------------------------------------
 # elliptic forms
 
 
-def _centered(f: BallMap):
+def split_normal_map(lam: np.ndarray, a1: np.ndarray) -> BallMap:
+    """The linear map blockdiag(diag(lam), a1)."""
+    u = len(lam)
+    n = u + a1.shape[0]
+    amat = np.zeros((n, n), dtype=complex)
+    amat[:u, :u] = np.diag(lam)
+    amat[u:, u:] = a1
+    return BallMap(amat, np.zeros(n), np.zeros(n), 1.0)
+
+
+def u0_normal_map(ahat: np.ndarray, delta: float) -> BallMap:
+    """z -> Ahat z / (<z, c> + 1) with c = delta (Ahat^H - I) e1."""
+    n = ahat.shape[0]
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    c = delta * ((ahat.conj().T - np.eye(n)) @ e1)
+    return BallMap(ahat, np.zeros(n), c, 1.0)
+
+
+def _centered(f: BallMap, cls: Optional[Classification]):
     """Move an interior fixed point to the origin; returns (map, chain)."""
-    interior, _ = fixed_points(f)
+    interior = fixed_points(f)[0] if cls is None else cls.interior_fixed_points
     if not interior:
         raise DomainError("map has no interior fixed point")
     z0 = interior[0]
@@ -133,10 +185,10 @@ def _centered(f: BallMap):
     return conjugate(f, mover), [to_proj(mover)]
 
 
-def elliptic_split(f: BallMap) -> NormalForm:
+def elliptic_split(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     """Reduce an elliptic map with unitary index >= 1 to its linear
     (diagonal-unitary, contraction) block form."""
-    g, chain = _centered(f)
+    g, chain = _centered(f, cls)
     u = unitary_index(g, fixed_point=np.zeros(f.dim))
     if u == 0:
         raise WrongFormError("unitary index is 0; use elliptic_u0 instead")
@@ -161,23 +213,18 @@ def elliptic_split(f: BallMap) -> NormalForm:
             raise NumericError("contraction block has operator norm above 1")
     rot = unitary_ball_map(form.unitary)
     chain = chain + [to_proj(rot)]
-    n = f.dim
-    amat = np.zeros((n, n), dtype=complex)
-    amat[:u, :u] = np.diag(lam)
-    amat[u:, u:] = a1
-    normal_map = BallMap(amat, np.zeros(n), np.zeros(n), 1.0)
     return NormalForm(
         FORM_ELLIPTIC_SPLIT,
-        normal_map,
+        split_normal_map(lam, a1),
         chain,
         {"Lambda": lam, "A1": a1, "u": u},
     )
 
 
-def elliptic_u0(f: BallMap) -> NormalForm:
+def elliptic_u0(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     """Reduce an elliptic map with unique fixed point and unitary index 0
     to the (Ahat, delta) denominator form."""
-    g, chain = _centered(f)
+    g, chain = _centered(f, cls)
     u = unitary_index(g, fixed_point=np.zeros(f.dim))
     if u > 0:
         raise WrongFormError("unitary index is positive; use elliptic_split instead")
@@ -202,15 +249,12 @@ def elliptic_u0(f: BallMap) -> NormalForm:
         raise NumericError("contraction matrix has spectral radius too close to 1")
     rot = unitary_ball_map(rot_mat)
     chain = chain + [to_proj(rot)]
-    e1 = np.zeros(f.dim)
-    e1[0] = 1.0
-    c = min(delta, 1.0) * ((ahat.conj().T - np.eye(f.dim)) @ e1)
-    normal_map = BallMap(ahat, np.zeros(f.dim), c, 1.0)
+    delta = min(delta, 1.0)
     return NormalForm(
         FORM_ELLIPTIC_U0,
-        normal_map,
+        u0_normal_map(ahat, delta),
         chain,
-        {"Ahat": ahat, "delta": min(delta, 1.0)},
+        {"Ahat": ahat, "delta": delta},
     )
 
 
@@ -253,10 +297,18 @@ def siegel_reduce(f: BallMap, tol: float = 1e-8) -> SiegelReduction:
     """Transport a non-elliptic map to its affine Siegel form and report
     the self-map conditions."""
     cls = classify(f)
-    if cls.kind == ELLIPTIC:
+    if cls.dw_point is None:
         raise DomainError("siegel_reduce expects a non-elliptic map")
     s, chain = cayley_to_siegel(f, dw_point=cls.dw_point, with_chain=True)
     return SiegelReduction(s, siegel_conditions(s, tol), chain)
+
+
+def _to_siegel(f: BallMap, cls: Optional[Classification], kind: str, who: str):
+    """The affine Siegel form of a map of the given class, with its chain."""
+    cls = classify(f) if cls is None else cls
+    if cls.kind != kind:
+        raise DomainError(f"{who} expects a {kind} map, got {cls.kind}")
+    return cayley_to_siegel(f, dw_point=cls.dw_point, with_chain=True)
 
 
 # ---------------------------------------------------------------------------
@@ -296,32 +348,38 @@ def _split_blocks(m: np.ndarray, one_tol: float = 1e-8):
     return w, p, q, r, d_diag, a_block
 
 
-def _block_matrix(p: int, d_diag: np.ndarray, a_block: np.ndarray) -> np.ndarray:
-    k = p + len(d_diag) + a_block.shape[0]
-    m = np.zeros((k, k), dtype=complex)
+def siegel_normal_map(lam, a, d, w_block, c, c_res, b, scale=None) -> SiegelMap:
+    """The affine map shared by the parabolic and hyperbolic forms,
+    (z, u, v, w) -> (lam z + 2i<u,a> + 2i<w,c> + b, s u + a, s D v, s W w + c_res)
+    with block sizes (len(a), len(d), len(c)); s = *scale*, or 1 when None.
+    """
+    p, q, r = len(a), len(d), len(c)
+    m = np.zeros((p + q + r, p + q + r), dtype=complex)
     m[:p, :p] = np.eye(p)
-    m[p:p + len(d_diag), p:p + len(d_diag)] = np.diag(d_diag)
-    m[p + len(d_diag):, p + len(d_diag):] = a_block
-    return m
+    m[p:p + q, p:p + q] = np.diag(d)
+    m[p + q:, p + q:] = w_block
+    return SiegelMap(
+        lam,
+        np.concatenate([a, np.zeros(q), c]),
+        b,
+        m if scale is None else scale * m,
+        np.concatenate([a, np.zeros(q), c_res]),
+        block_split=(p, q, r),
+    )
 
 
 # ---------------------------------------------------------------------------
 # parabolic normal form
 
 
-def parabolic_normal_form(f: BallMap) -> NormalForm:
+def parabolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     """Reduce a parabolic map to
     (z + 2i<u,a> + 2i<w,c> + b, u + a, D v, A w)."""
-    cls = classify(f)
-    if cls.kind != PARABOLIC:
-        raise DomainError(f"parabolic_normal_form expects a parabolic map, got {cls.kind}")
-    s, chain = cayley_to_siegel(f, dw_point=cls.dw_point, with_chain=True)
+    s, chain = _to_siegel(f, cls, PARABOLIC, "parabolic_normal_form")
     _require(abs(s.lam - 1.0), 1e-6, "parabolic Siegel dilation minus 1")
     w, p, q, r, d_diag, a_block = _split_blocks(s.M)
     if s.M.shape[0]:
-        rot = siegel_unitary_map(w)
-        s = _as_siegel(conjugate(s, rot))
-        chain = chain + [to_proj(rot)]
+        s, chain = _moved(s, chain, siegel_unitary_map(w))
     # remove the v- and w-translations (I - D and I - A are invertible)
     gamma = np.zeros(p + q + r, dtype=complex)
     if q:
@@ -329,9 +387,7 @@ def parabolic_normal_form(f: BallMap) -> NormalForm:
     if r:
         gamma[p + q:] = -np.linalg.solve(np.eye(r) - a_block, s.c[p + q:])
     if q or r:
-        tau = heisenberg_map(gamma, 1j * float(np.vdot(gamma, gamma).real))
-        s = _as_siegel(conjugate(s, tau))
-        chain = chain + [to_proj(tau)]
+        s, chain = _moved(s, chain, heisenberg_map(gamma, 1j * float(np.vdot(gamma, gamma).real)))
     # structural zeros forced by the self-map conditions
     _require(float(np.max(np.abs(s.c[p:]), initial=0.0)), SNAP_TOL,
              "v/w translations after elimination")
@@ -343,15 +399,7 @@ def parabolic_normal_form(f: BallMap) -> NormalForm:
                  "mismatch between u-translation and its pairing coefficient")
     c_vec = s.a[p + q:].copy()
     b = complex(s.b)
-    m_clean = _block_matrix(p, d_diag, a_block)
-    normal_map = SiegelMap(
-        1.0,
-        np.concatenate([a_vec, np.zeros(q), c_vec]),
-        b,
-        m_clean,
-        np.concatenate([a_vec, np.zeros(q + r)]),
-        block_split=(p, q, r),
-    )
+    normal_map = siegel_normal_map(1.0, a_vec, d_diag, a_block, c_vec, np.zeros(r), b)
     params = {"a": a_vec, "D": d_diag, "A": a_block, "c": c_vec, "b": b,
               "block_split": (p, q, r)}
     return NormalForm(FORM_PARABOLIC, normal_map, chain, params)
@@ -387,7 +435,7 @@ def parabolic_conditions(nf: NormalForm, tol: float = 1e-8) -> list:
 # hyperbolic normal form
 
 
-def hyperbolic_normal_form(f: BallMap) -> NormalForm:
+def hyperbolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     """Reduce a hyperbolic map to
     (lam z + 2i<w,c> + b, sqrt(lam) u, sqrt(lam) D v, sqrt(lam) A w [+ c_res]).
 
@@ -397,10 +445,7 @@ def hyperbolic_normal_form(f: BallMap) -> NormalForm:
     diagonal contraction block) keep their translation component,
     reported separately as c_res.
     """
-    cls = classify(f)
-    if cls.kind != HYPERBOLIC:
-        raise DomainError(f"hyperbolic_normal_form expects a hyperbolic map, got {cls.kind}")
-    s, chain = cayley_to_siegel(f, dw_point=cls.dw_point, with_chain=True)
+    s, chain = _to_siegel(f, cls, HYPERBOLIC, "hyperbolic_normal_form")
     _require(abs(s.lam.imag), 1e-8, "imaginary part of the hyperbolic dilation")
     lam = float(s.lam.real)
     if lam <= 1.0 + 1e-9:
@@ -408,9 +453,7 @@ def hyperbolic_normal_form(f: BallMap) -> NormalForm:
     sq = np.sqrt(lam)
     w, p, q, r, d_diag, a_block = _split_blocks(s.M / sq)
     if s.M.shape[0]:
-        rot = siegel_unitary_map(w)
-        s = _as_siegel(conjugate(s, rot))
-        chain = chain + [to_proj(rot)]
+        s, chain = _moved(s, chain, siegel_unitary_map(w))
     # first Heisenberg move: kill the u- and v-translations
     gamma = np.zeros(p + q + r, dtype=complex)
     if p:
@@ -418,9 +461,7 @@ def hyperbolic_normal_form(f: BallMap) -> NormalForm:
     if q:
         gamma[p:p + q] = np.linalg.solve(sq * np.diag(d_diag) - np.eye(q), s.c[p:p + q])
     if p or q:
-        tau = heisenberg_map(gamma, 1j * float(np.vdot(gamma, gamma).real))
-        s = _as_siegel(conjugate(s, tau))
-        chain = chain + [to_proj(tau)]
+        s, chain = _moved(s, chain, heisenberg_map(gamma, 1j * float(np.vdot(gamma, gamma).real)))
     _require(float(np.max(np.abs(s.a[:p + q]), initial=0.0)), SNAP_TOL,
              "u/v coefficients after translation removal")
     # second Heisenberg move on the w-block: convert the translation into
@@ -450,9 +491,7 @@ def hyperbolic_normal_form(f: BallMap) -> NormalForm:
             denom = sq * np.conj(diag[res]) - lam
             gamma3[res] = s.a[p + q:][res] / (-denom)
         full = np.concatenate([np.zeros(p + q, dtype=complex), gamma3])
-        tau2 = heisenberg_map(full, 1j * float(np.vdot(full, full).real))
-        s = _as_siegel(conjugate(s, tau2))
-        chain = chain + [to_proj(tau2)]
+        s, chain = _moved(s, chain, heisenberg_map(full, 1j * float(np.vdot(full, full).real)))
         c_res[res] = s.c[p + q:][res]
         _require(float(np.max(np.abs(s.c[p + q:][nonres]), initial=0.0)), SNAP_TOL,
                  "w-translation after conversion")
@@ -462,15 +501,7 @@ def hyperbolic_normal_form(f: BallMap) -> NormalForm:
     if r:
         c_vec[res] = 0.0
     b = complex(s.b)
-    m_clean = sq * _block_matrix(p, d_diag, a_block)
-    normal_map = SiegelMap(
-        lam,
-        np.concatenate([np.zeros(p + q), c_vec]),
-        b,
-        m_clean,
-        np.concatenate([np.zeros(p + q), c_res]),
-        block_split=(p, q, r),
-    )
+    normal_map = siegel_normal_map(lam, np.zeros(p), d_diag, a_block, c_vec, c_res, b, sq)
     params = {"lam": lam, "b": b, "c": c_vec, "c_res": c_res, "D": d_diag,
               "A": a_block, "block_split": (p, q, r)}
     return NormalForm(FORM_HYPERBOLIC, normal_map, chain, params)
@@ -508,6 +539,11 @@ def hyperbolic_conditions(nf: NormalForm, tol: float = 1e-8) -> list:
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def _moved(s: SiegelMap, chain: list, mover: SiegelMap):
+    """s conjugated by *mover*, and the chain extended by it."""
+    return _as_siegel(conjugate(s, mover)), chain + [to_proj(mover)]
 
 
 def _as_siegel(m) -> SiegelMap:

@@ -34,6 +34,8 @@ TOL_SELF_MAP = 1e-9
 TOL_TIME_ONE = 1e-8
 TOL_GENERATOR = 1e-5
 TOL_IDENTITY = 1e-10
+DEFAULT_TOLS = {"identity": TOL_IDENTITY, "law": TOL_LAW, "self_map": TOL_SELF_MAP,
+                "time_one": TOL_TIME_ONE, "generator": TOL_GENERATOR}
 
 
 @dataclass(frozen=True)
@@ -163,19 +165,23 @@ def check_conjugacy(f, g, s, cfg: SamplerCfg, tol: float = TOL_LAW) -> CheckRepo
 
 
 def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=(0.25, 0.5, 1.0, 1.75),
-                  seed: int = 20250808, count: int = 60) -> list:
+                  seed: int = 20250808, count: int = 60, tols: Optional[dict] = None) -> list:
     """The full battery for a built semigroup family: identity at 0,
-    semigroup law, per-t self-map, time-one match, generator residual."""
+    semigroup law, per-t self-map, time-one match, generator residual.
+
+    *tols* overrides tolerances of :data:`DEFAULT_TOLS` by key.
+    """
     if cfg is None:
         cfg = SamplerCfg(seed=seed, count=count, domain=sg.domain)
+    tol = {**DEFAULT_TOLS, **(tols or {})}
     reports = [
-        check_identity_at_zero(sg, cfg),
-        check_semigroup_law(sg, t_grid, cfg),
-        _family_self_map(sg, t_grid, cfg),
+        check_identity_at_zero(sg, cfg, tol["identity"]),
+        check_semigroup_law(sg, t_grid, cfg, tol["law"]),
+        _family_self_map(sg, t_grid, cfg, tol["self_map"]),
     ]
     if sg.target is not None:
-        reports.append(check_time_one(sg, sg.target, cfg))
-    reports.append(check_generator(sg, cfg))
+        reports.append(check_time_one(sg, sg.target, cfg, tol["time_one"]))
+    reports.append(check_generator(sg, cfg, tol=tol["generator"]))
     return reports
 
 
