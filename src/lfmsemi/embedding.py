@@ -633,7 +633,7 @@ def _split_generator(d: dict):
     gen = np.zeros((n, n), dtype=complex)
     gen[:u, :u] = np.diag(1j * theta)
     gen[u:, u:] = m
-    return lambda z: gen @ np.asarray(z, dtype=complex)
+    return lambda z: np.asarray(z, dtype=complex) @ gen.T
 
 
 def _u0_at(d: dict, t: float) -> BallMap:
@@ -645,8 +645,8 @@ def _u0_generator(d: dict):
 
     def gen_u0(z):
         z = np.asarray(z, dtype=complex)
-        mz = m @ z
-        return mz - delta * mz[0] * z
+        mz = z @ m.T
+        return mz - delta * mz[..., :1] * z
 
     return gen_u0
 
@@ -666,12 +666,12 @@ def _parabolic_generator(d: dict):
 
     def gen_parabolic(z):
         z = np.asarray(z, dtype=complex)
-        u_part = z[1:1 + p]
-        v_part = z[1 + p:1 + p + q]
-        w_part = z[1 + p + q:]
-        gz = alpha + 2j * (np.vdot(a, u_part) if p else 0.0) \
-            + 2j * (np.vdot(cdot0, w_part) if r else 0.0)
-        return np.concatenate([[gz], a, 1j * theta_d * v_part, m_diag * w_part])
+        u_part = z[..., 1:1 + p]
+        v_part = z[..., 1 + p:1 + p + q]
+        w_part = z[..., 1 + p + q:]
+        gz = alpha + 2j * (u_part @ np.conj(a)) + 2j * (w_part @ np.conj(cdot0))
+        return np.concatenate([np.asarray(gz)[..., None], np.broadcast_to(a, u_part.shape),
+                               1j * theta_d * v_part, m_diag * w_part], axis=-1)
 
     return gen_parabolic
 
@@ -710,16 +710,16 @@ def _hyperbolic_generator(d: dict):
 
     def gen_hyperbolic(z):
         z = np.asarray(z, dtype=complex)
-        u_part = z[1:1 + p]
-        v_part = z[1 + p:1 + p + q]
-        w_part = z[1 + p + q:]
-        gz = log_lam * z[0] + (2j * np.vdot(adot0, w_part) if r else 0.0) + bdot0
+        u_part = z[..., 1:1 + p]
+        v_part = z[..., 1 + p:1 + p + q]
+        w_part = z[..., 1 + p + q:]
+        gz = log_lam * z[..., 0] + 2j * (w_part @ np.conj(adot0)) + bdot0
         return np.concatenate([
-            [gz],
+            np.asarray(gz)[..., None],
             0.5 * log_lam * u_part,
             (0.5 * log_lam + 1j * theta_d) * v_part,
             (0.5 * log_lam + m_diag) * w_part + resdot0,
-        ])
+        ], axis=-1)
 
     return gen_hyperbolic
 
@@ -808,7 +808,8 @@ def build_semigroup(cert: EmbeddingCertificate) -> SemigroupFamily:
 
 
 def generator(sg: SemigroupFamily):
-    """Closed-form infinitesimal generator G with d(phi_t)/dt = G o phi_t."""
+    """Closed-form infinitesimal generator G with d(phi_t)/dt = G o phi_t;
+    G takes one point or a (K, N) array of rows."""
     return _case(_FAMILIES, sg.case_kind).generator(sg.parameters)
 
 

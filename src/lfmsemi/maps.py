@@ -79,34 +79,34 @@ def sample_siegel_points(dim: int, count: int = 1000,
                          seed: int = DEFAULT_SAMPLE_SEED, radii=None) -> np.ndarray:
     """Deterministic sample of H^N: Cayley image of the ball sample."""
     zs = sample_ball_points(dim, count, seed, radii)
-    return np.stack([_cayley_point(z) for z in zs])
+    den = 1.0 - zs[:, :1]
+    return np.concatenate([1j * (1.0 + zs[:, :1]) / den, 1j * zs[:, 1:] / den], axis=1)
 
 
-def _cayley_point(z: np.ndarray) -> np.ndarray:
-    z1, zp = z[0], z[1:]
-    den = 1.0 - z1
-    return np.concatenate(([1j * (1.0 + z1) / den], 1j * zp / den))
+def domain_margin(z, domain: str):
+    """Positive inside the domain: 1 - |z| on the ball, Im z1 - |w|^2 on H^N.
 
-
-def _inv_cayley_point(u: np.ndarray) -> np.ndarray:
-    u1, up = u[0], u[1:]
-    den = u1 + 1j
-    return np.concatenate([[(u1 - 1j) / den], 2.0 * up / den])
-
-
-def domain_margin(z: np.ndarray, domain: str) -> float:
-    """Positive inside the domain: 1 - |z| on the ball, Im z1 - |w|^2 on H^N."""
-    z = as_vector(z)
+    One point gives a float, a (K, N) array one margin per row.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
     if domain == BALL:
-        return float(1.0 - np.linalg.norm(z))
-    if domain == SIEGEL:
-        return float(z[0].imag - np.linalg.norm(z[1:]) ** 2)
-    raise DomainError(f"unknown domain {domain!r}")
+        margin = 1.0 - np.linalg.norm(z, axis=-1)
+    elif domain == SIEGEL:
+        margin = z[..., 0].imag - np.linalg.norm(z[..., 1:], axis=-1) ** 2
+    else:
+        raise DomainError(f"unknown domain {domain!r}")
+    return float(margin) if z.ndim == 1 else margin
 
 
-def _check_in_domain(z: np.ndarray, domain: str, slack: float = _SELF_MAP_SLACK) -> None:
-    if domain_margin(z, domain) < -slack:
+def _checked_point(z, dim: int, domain: Optional[str] = None) -> np.ndarray:
+    """z as a vector of the map's dimension, inside *domain* up to the
+    self-map slack when a domain is given."""
+    z = as_vector(z)
+    if len(z) != dim:
+        raise DimensionError(f"point has dimension {len(z)}, map expects {dim}")
+    if domain is not None and domain_margin(z, domain) < -_SELF_MAP_SLACK:
         raise DomainError(f"point {z} lies outside the {domain} domain")
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +137,17 @@ class ProjMap:
         return self.mat.shape[0] - 1
 
     def __call__(self, z) -> np.ndarray:
-        z = as_vector(z)
-        if len(z) != self.dim:
-            raise DimensionError(f"point has dimension {len(z)}, map expects {self.dim}")
-        hom = self.mat @ np.concatenate([z, [1.0]])
-        den = hom[-1]
-        if abs(den) < _POLE_TOL * max(1.0, float(np.max(np.abs(hom)))):
-            raise PoleError(f"denominator vanished at {z}")
-        return hom[:-1] / den
+        return self.eval_many(_checked_point(z, self.dim)[None])[0]
+
+    def eval_many(self, zs: np.ndarray) -> np.ndarray:
+        """Evaluation on a (K, N) array of points; raises :class:`PoleError`
+        when the denominator vanishes at any row."""
+        hom = zs @ self.mat[:, :-1].T + self.mat[:, -1]
+        den = hom[:, -1]
+        pole = np.abs(den) < _POLE_TOL * np.maximum(1.0, np.max(np.abs(hom), axis=1))
+        if np.any(pole):
+            raise PoleError(f"denominator vanished at {zs[np.argmax(pole)]}")
+        return hom[:, :-1] / den[:, None]
 
     def inverse(self) -> "ProjMap":
         try:
@@ -236,14 +239,10 @@ class BallMap:
         return complex(np.vdot(self.C, as_vector(z)) + self.D)
 
     def __call__(self, z) -> np.ndarray:
-        z = as_vector(z)
-        if len(z) != self.dim:
-            raise DimensionError(f"point has dimension {len(z)}, map expects {self.dim}")
-        _check_in_domain(z, BALL)
-        den = self.denominator(z)
-        if abs(den) < _POLE_TOL:
+        z = _checked_point(z, self.dim, BALL)
+        if abs(self.denominator(z)) < _POLE_TOL:
             raise PoleError(f"denominator vanished at {z}")
-        return (self.A @ z + self.B) / den
+        return self.eval_many(z[None])[0]
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on a (K, N) array of points."""
@@ -344,13 +343,7 @@ class SiegelMap:
         return self.M.shape[0] + 1
 
     def __call__(self, z) -> np.ndarray:
-        z = as_vector(z)
-        if len(z) != self.dim:
-            raise DimensionError(f"point has dimension {len(z)}, map expects {self.dim}")
-        _check_in_domain(z, SIEGEL)
-        z1, w = z[0], z[1:]
-        top = self.lam * z1 + 2j * np.vdot(self.a, w) + self.b
-        return np.concatenate([[top], self.M @ w + self.c])
+        return self.eval_many(_checked_point(z, self.dim, SIEGEL)[None])[0]
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         z1 = zs[:, 0]
@@ -466,13 +459,7 @@ def conjugate(f: Map, s: Map) -> Map:
 
 
 def map_points(f: Map, zs: np.ndarray) -> np.ndarray:
-    if isinstance(f, (BallMap, SiegelMap)):
-        return f.eval_many(np.asarray(zs, dtype=complex))
-    return np.stack([f(z) for z in np.asarray(zs, dtype=complex)])
-
-
-def maps_agree(f: Map, g: Map, points: np.ndarray, tol: float = 1e-10) -> bool:
-    return pointwise_distance(f, g, points) <= tol
+    return f.eval_many(np.asarray(zs, dtype=complex))
 
 
 def pointwise_distance(f: Map, g: Map, points: np.ndarray) -> float:
@@ -484,11 +471,7 @@ def pointwise_distance(f: Map, g: Map, points: np.ndarray) -> float:
 def is_identity(f: Map, tol: float = 1e-12) -> bool:
     p = to_proj(f)
     zs = (sample_ball_points if p.domain == BALL else sample_siegel_points)(p.dim, 64)
-    return pointwise_distance(f, _identity_like(p), zs) <= tol
-
-
-def _identity_like(p: ProjMap) -> Map:
-    return identity_ball_map(p.dim) if p.domain == BALL else identity_siegel_map(p.dim)
+    return float(np.max(np.linalg.norm(map_points(f, zs) - zs, axis=1))) <= tol
 
 
 # ---------------------------------------------------------------------------

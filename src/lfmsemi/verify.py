@@ -2,6 +2,12 @@
 
 All checks draw their sample points from a :class:`SamplerCfg`, so a
 fixed seed gives bit-identical reports regardless of execution order.
+Each check evaluates its whole (K, N) sample with ``eval_many`` and
+builds ``at(t)`` once per distinct time.  No point is tested for domain
+membership, so the sampler's domain must match the family's or the map's
+(a mismatch raises :class:`DomainError`), and the ``self_map`` check of
+:func:`verify_family` covers the intermediate points at(t)(z) of the
+semigroup law: a family that leaves its domain fails that check.
 Margins follow one convention: a check passes iff
 ``worst_margin >= -tolerance``.  Domain-membership checks report the
 actual geometric margin (positive inside); equality-style checks report
@@ -20,10 +26,9 @@ from .maps import (
     BALL,
     SIEGEL,
     domain_margin,
-    identity_ball_map,
-    identity_siegel_map,
     sample_ball_points,
     sample_siegel_points,
+    to_proj,
 )
 
 DEFAULT_RADII = (0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 0.95)
@@ -73,57 +78,72 @@ class CheckReport:
                f"(tol {self.tolerance:.1e}, {self.samples_used} samples)"
 
 
-def _report(check_id, margins, points, tol) -> CheckReport:
-    margins = np.asarray(margins, dtype=float)
+def _report(check_id, margins, zs, tol) -> CheckReport:
+    """Report on margins given as one row per map (or time) over the sample
+    *zs*, in evaluation order; the worst point is the sample point of the
+    worst margin."""
+    margins = np.ravel(np.asarray(margins, dtype=float))
     idx = int(np.argmin(margins))
     worst = float(margins[idx])
-    return CheckReport(check_id, worst >= -tol, worst, tol, len(margins),
-                       None if points is None else np.asarray(points)[idx])
+    return CheckReport(check_id, worst >= -tol, worst, tol, margins.size, zs[idx % len(zs)])
+
+
+def _points(cfg: SamplerCfg, dim: int, *sources) -> np.ndarray:
+    """The (K, N) sample of *cfg*, which must be drawn from the domain of
+    every (name, domain) source: checks evaluate whole sample arrays and do
+    not test the domain of each point."""
+    for what, domain in sources:
+        if cfg.domain != domain:
+            raise DomainError(
+                f"sampler domain {cfg.domain!r} does not match the {what} domain {domain!r}"
+            )
+    return cfg.points(dim)
+
+
+def _at_times(sg, times) -> dict:
+    """sg.at(t) for each distinct time, built in order of first appearance."""
+    return {t: sg.at(t) for t in dict.fromkeys(times)}
+
+
+def _deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise distance between two (K, N) image arrays."""
+    return np.linalg.norm(a - b, axis=1)
 
 
 def check_self_map(f, cfg: SamplerCfg, tol: float = TOL_SELF_MAP) -> CheckReport:
     """Worst domain margin of the image: 1 - |f(z)| on the ball,
     Im w1 - |w'|^2 on the half-plane."""
-    dim = f.dim
-    zs = cfg.points(dim)
-    margins = [domain_margin(f(z), cfg.domain) for z in zs]
-    return _report("self_map", margins, zs, tol)
+    zs = _points(cfg, f.dim, ("map", to_proj(f).domain))
+    return _report("self_map", domain_margin(f.eval_many(zs), cfg.domain), zs, tol)
 
 
 def check_semigroup_law(sg, t_grid, cfg: SamplerCfg, tol: float = TOL_LAW) -> CheckReport:
-    """Worst deviation of at(s+t) from at(s) o at(t) over the grid."""
+    """Worst deviation of at(s+t) from at(s) o at(t) over the grid.
+
+    The intermediate images at(t)(z) are not tested for domain membership
+    here; :func:`verify_family` runs the self-map check on them."""
     t_grid = [float(t) for t in t_grid]
-    dim = sg.at(0.0).dim
-    zs = cfg.points(dim)
-    margins, points = [], []
-    for s in t_grid:
-        for t in t_grid:
-            big = sg.at(s + t)
-            first = sg.at(t)
-            second = sg.at(s)
-            for z in zs:
-                dev = float(np.linalg.norm(big(z) - second(first(z))))
-                margins.append(-dev)
-                points.append(z)
-    return _report("semigroup_law", margins, points, tol)
+    pairs = [(s, t) for s in t_grid for t in t_grid]
+    at = _at_times(sg, [u for s, t in pairs for u in (s + t, t, s)])
+    zs = _points(cfg, at[t_grid[0]].dim, ("family", sg.domain))
+    img = {u: m.eval_many(zs) for u, m in at.items()}
+    margins = [-_deviation(img[s + t], at[s].eval_many(img[t])) for s, t in pairs]
+    return _report("semigroup_law", margins, zs, tol)
 
 
 def check_time_one(sg, target_map, cfg: SamplerCfg, tol: float = TOL_TIME_ONE,
                    time: float = 1.0) -> CheckReport:
     """Worst deviation of at(time) from the target map."""
-    dim = target_map.dim
-    zs = cfg.points(dim)
-    at_t = sg.at(time)
-    margins = [-float(np.linalg.norm(at_t(z) - target_map(z))) for z in zs]
+    zs = _points(cfg, target_map.dim, ("family", sg.domain),
+                 ("target", to_proj(target_map).domain))
+    margins = -_deviation(sg.at(time).eval_many(zs), target_map.eval_many(zs))
     return _report("time_one" if time == 1.0 else f"time_{time:g}", margins, zs, tol)
 
 
 def check_identity_at_zero(sg, cfg: SamplerCfg, tol: float = TOL_IDENTITY) -> CheckReport:
-    dim = sg.at(0.0).dim
-    ident = identity_ball_map(dim) if cfg.domain == BALL else identity_siegel_map(dim)
-    report = check_time_one(sg, ident, cfg, tol, time=0.0)
-    return CheckReport("identity_at_zero", report.passed, report.worst_margin,
-                       tol, report.samples_used, report.worst_point)
+    at_0 = sg.at(0.0)
+    zs = _points(cfg, at_0.dim, ("family", sg.domain))
+    return _report("identity_at_zero", -_deviation(at_0.eval_many(zs), zs), zs, tol)
 
 
 def check_generator(sg, cfg: SamplerCfg, h: float = 1e-4, tol: float = TOL_GENERATOR,
@@ -132,35 +152,22 @@ def check_generator(sg, cfg: SamplerCfg, h: float = 1e-4, tol: float = TOL_GENER
     from .embedding import generator
 
     gen = generator(sg)
-    dim = sg.at(0.0).dim
-    zs = cfg.points(dim)
-    margins, points = [], []
-    for t in t_grid:
-        t = max(float(t), h)  # keep the central stencil inside t >= 0
-        plus = sg.at(t + h)
-        minus = sg.at(t - h)
-        at_t = sg.at(t)
-        for z in zs:
-            fd = (plus(z) - minus(z)) / (2.0 * h)
-            margins.append(-float(np.linalg.norm(fd - gen(at_t(z)))))
-            points.append(z)
-    return _report("generator_fd", margins, points, tol)
+    times = [max(float(t), h) for t in t_grid]  # keep the central stencil inside t >= 0
+    at = _at_times(sg, [u for t in times for u in (t + h, t - h, t)])
+    zs = _points(cfg, at[times[0]].dim, ("family", sg.domain))
+    margins = [
+        -_deviation((at[t + h].eval_many(zs) - at[t - h].eval_many(zs)) / (2.0 * h),
+                    gen(at[t].eval_many(zs)))
+        for t in times
+    ]
+    return _report("generator_fd", margins, zs, tol)
 
 
 def check_conjugacy(f, g, s, cfg: SamplerCfg, tol: float = TOL_LAW) -> CheckReport:
     """Worst deviation of s o f from g o s (s transports f onto g)."""
-    from .maps import to_proj
-
     sp = to_proj(s)
-    if cfg.domain != sp.domain:
-        raise DomainError(
-            f"sampler domain {cfg.domain!r} does not match the conjugation "
-            f"source domain {sp.domain!r}"
-        )
-    zs = cfg.points(sp.dim)
-    margins = []
-    for z in zs:
-        margins.append(-float(np.linalg.norm(sp(f(z)) - np.asarray(g(sp(z))))))
+    zs = _points(cfg, sp.dim, ("conjugation source", sp.domain), ("map", to_proj(f).domain))
+    margins = -_deviation(sp.eval_many(f.eval_many(zs)), g.eval_many(sp.eval_many(zs)))
     return _report("conjugacy", margins, zs, tol)
 
 
@@ -186,11 +193,10 @@ def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=(0.25, 0.5, 1.0, 
 
 
 def _family_self_map(sg, t_grid, cfg: SamplerCfg, tol: float = TOL_SELF_MAP) -> CheckReport:
-    zs = cfg.points(sg.at(0.0).dim)
-    margins, points = [], []
-    for t in t_grid:
-        at_t = sg.at(t)
-        for z in zs:
-            margins.append(domain_margin(at_t(z), cfg.domain))
-            points.append(z)
-    return _report("self_map", margins, points, tol)
+    """Worst domain margin of at(t)(z) over the grid: these are also the
+    intermediate points of the semigroup law on the same grid."""
+    t_grid = [float(t) for t in t_grid]
+    at = _at_times(sg, t_grid)
+    zs = _points(cfg, at[t_grid[0]].dim, ("family", sg.domain))
+    margins = [domain_margin(at[t].eval_many(zs), cfg.domain) for t in t_grid]
+    return _report("self_map", margins, zs, tol)
