@@ -97,6 +97,9 @@ def _times_in(value) -> tuple:
             isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
             for t in value)):
         raise SpecError(f"--t: expected a JSON list of finite numbers, got {value!r}")
+    for t in value:
+        if t < 0:
+            raise SpecError(f"--t: time {t!r} is negative; the semigroup is defined for t >= 0")
     return tuple(value)
 
 
@@ -283,13 +286,8 @@ def _check_entry(r):
 
 
 def _default_start(sg) -> np.ndarray:
-    dim = sg.at(0.0).dim
-    if sg.domain == BALL:
-        z = np.zeros(dim, dtype=complex)
-        z[0] = 0.3
-        return z
-    z = np.zeros(dim, dtype=complex)
-    z[0] = 1j
+    z = np.zeros(sg.dim, dtype=complex)
+    z[0] = 0.3 if sg.domain == BALL else 1j
     return z
 
 
@@ -311,7 +309,9 @@ def _exit_status(report, cert) -> int:
 
 
 def emit_trajectory(sg, z0, t_grid) -> list:
-    """Rows (t, coordinates of at(t)(z0)); t must be non-decreasing."""
+    """Rows (t, coordinates of at(t)(z0)); t must be non-decreasing and
+    >= 0.  The family is built on the whole grid with one ``at_many``;
+    z0 is checked once and the denominator at every time."""
     from .errors import DomainError
 
     z0 = np.asarray(z0, dtype=complex)
@@ -320,11 +320,8 @@ def emit_trajectory(sg, z0, t_grid) -> list:
         raise SpecError("trajectory time grid must be non-decreasing")
     if domain_margin(z0, sg.domain) < -1e-9:
         raise DomainError(f"trajectory start {z0} lies outside the {sg.domain} domain")
-    rows = []
-    for t in ts:
-        img = sg.at(t)(z0)
-        rows.append([t] + [x for z in img for x in (float(z.real), float(z.imag))])
-    return rows
+    images = sg.at_many(ts).images(z0).tolist()
+    return [[t] + [x for z in img for x in (z.real, z.imag)] for t, img in zip(ts, images)]
 
 
 def trajectory_csv(rows, dim: int) -> str:

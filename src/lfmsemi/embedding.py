@@ -15,11 +15,12 @@ still embed.
 The case table ``_CASES``, keyed by ``NormalForm.form_kind``, holds for
 each of the four normal-form cases its checked conditions, its embedding
 criterion, the family name and domain its certificates carry, and the
-family's ``at(t)`` and generator.  ``at(t)`` applies the case's
-normal-map builder from :mod:`lfmsemi.normal_forms` to the time-t
-parameters.  :func:`certify`, :func:`build_semigroup`,
-:meth:`SemigroupFamily.at` and :func:`generator` look the case up there,
-so a fifth case adds one row (and its reducer in ``normal_forms``).
+family's stacked builder, generator and dimension.  The builder applies
+the case's stacked normal-map builder from :mod:`lfmsemi.normal_forms`
+to the parameters at every time of a grid.  :func:`certify`,
+:func:`build_semigroup`, :meth:`SemigroupFamily.at_many` and
+:func:`generator` look the case up there, so a fifth case adds one row
+(and its reducer in ``normal_forms``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .linalg import (
     mat_log_principal,
     schur_form,
 )
-from .maps import BALL, SIEGEL, BallMap, Classification, SiegelMap
+from .maps import BALL, SIEGEL, BallMap, BallMapStack, Classification, SiegelMapStack
 from .normal_forms import (
     FORM_ELLIPTIC_SPLIT,
     FORM_ELLIPTIC_U0,
@@ -52,8 +53,9 @@ from .normal_forms import (
     normal_form,
     parabolic_conditions,
     siegel_normal_map,
-    split_normal_map,
-    u0_normal_map,
+    siegel_normal_maps,
+    split_normal_maps,
+    u0_normal_maps,
 )
 
 EMBEDDABLE = "embeddable"
@@ -76,7 +78,9 @@ def _expm1c(z: complex) -> complex:
 
 
 def _expm1c_vec(z: np.ndarray) -> np.ndarray:
-    return np.array([_expm1c(complex(v)) for v in np.atleast_1d(z)], dtype=complex)
+    """:func:`_expm1c` entrywise, keeping the shape of z."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return np.array([_expm1c(v) for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +203,32 @@ def _certificate(nf: NormalForm, verdict: str, criterion_id: str, margins: list,
 
 @dataclass(frozen=True)
 class SemigroupFamily:
-    """Closed-form one-parameter family; ``at(t)`` materializes the map."""
+    """Closed-form one-parameter family; ``at_many(ts)`` materializes the
+    maps on a grid of times, ``at(t)`` one of them."""
 
     case_kind: str
     parameters: dict
     domain: str
     target: Optional[object] = None
 
+    @property
+    def dim(self) -> int:
+        return _case(_FAMILIES, self.case_kind).dim(self.parameters)
+
     def at(self, t: float):
-        return _case(_FAMILIES, self.case_kind).at(self.parameters, float(t))
+        return self.at_many([t])[0]
+
+    def at_many(self, ts):
+        """The maps at the times ts (each t >= 0), built together: a
+        :class:`~lfmsemi.maps.BallMapStack` or
+        :class:`~lfmsemi.maps.SiegelMapStack` whose item i is the map at
+        ts[i]."""
+        ts = np.array(ts, dtype=float, ndmin=1)
+        outside = ts[~(ts >= 0.0)]
+        if outside.size:
+            raise DomainError(f"time {float(outside[0])!r} lies outside t >= 0, "
+                              "where the semigroup is defined")
+        return _case(_FAMILIES, self.case_kind).at_many(self.parameters, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +638,15 @@ def conditions_for(nf: NormalForm) -> list:
 
 
 # ---------------------------------------------------------------------------
-# semigroup families, one section per case: at(t) applies the case's
-# normal-map builder to the time-t parameters
+# semigroup families, one section per case: at_many(ts) applies the case's
+# stacked normal-map builder to the parameters at every time of ts, each
+# map with the bits of its own time's arithmetic
 
 
-def _split_at(d: dict, t: float) -> BallMap:
+def _split_at_many(d: dict, ts: np.ndarray) -> BallMapStack:
     m = d["M"]
-    return split_normal_map(np.exp(1j * t * d["theta"]), mat_exp(t * m) if m.size else m)
+    a1 = mat_exp(ts[:, None, None] * m) if m.size else np.zeros((len(ts), 0, 0))
+    return split_normal_maps(np.exp(1j * ts[:, None] * d["theta"]), a1)
 
 
 def _split_generator(d: dict):
@@ -636,8 +659,8 @@ def _split_generator(d: dict):
     return lambda z: np.asarray(z, dtype=complex) @ gen.T
 
 
-def _u0_at(d: dict, t: float) -> BallMap:
-    return u0_normal_map(mat_exp(t * d["M"]), d["delta"])
+def _u0_at_many(d: dict, ts: np.ndarray) -> BallMapStack:
+    return u0_normal_maps(mat_exp(ts[:, None, None] * d["M"]), d["delta"])
 
 
 def _u0_generator(d: dict):
@@ -651,12 +674,15 @@ def _u0_generator(d: dict):
     return gen_u0
 
 
-def _parabolic_at(d: dict, t: float) -> SiegelMap:
+def _parabolic_at_many(d: dict, ts: np.ndarray) -> SiegelMapStack:
     a, m_diag = d["a"], d["m_diag"]
-    c_path = _cocycle_ratio(np.conj(m_diag), t) * d["c"]
-    b_t = t * d["alpha"] + 1j * t * t * float(np.vdot(a, a).real)
-    return siegel_normal_map(1.0, t * a, np.exp(1j * t * d["theta_D"]),
-                             np.diag(np.exp(t * m_diag)), c_path, np.zeros(len(m_diag)), b_t)
+    c_path = _rows_times(_cocycle_ratio(np.conj(m_diag), ts), d["c"])
+    a2 = float(np.vdot(a, a).real)
+    b_t = [t * d["alpha"] + 1j * t * t * a2 for t in ts.tolist()]
+    return siegel_normal_maps(np.ones(len(ts)), ts[:, None] * a,
+                              np.exp(1j * ts[:, None] * d["theta_D"]),
+                              _diag_stack(np.exp(ts[:, None] * m_diag)), c_path,
+                              np.zeros(c_path.shape), b_t)
 
 
 def _parabolic_generator(d: dict):
@@ -681,18 +707,23 @@ def _parabolic_dim2_label(prm: dict) -> str:
     return "dim2_parabolic_psi" + ("1" if r == 1 else "2" if q == 1 else "3")
 
 
-def _hyperbolic_at(d: dict, t: float) -> SiegelMap:
+def _hyperbolic_at_many(d: dict, ts: np.ndarray) -> SiegelMapStack:
     lam, m_diag = d["lam"], d["m_diag"]
     log_lam = math.log(lam)
-    lam_t = math.exp(t * log_lam)
-    sq_t = math.exp(0.5 * t * log_lam)
-    a_factor = (lam_t - sq_t * np.exp(t * np.conj(m_diag))) / \
+    # lam^t, sqrt(lam)^t and b_t in Python scalar arithmetic, one time at a
+    # time: numpy's complex division can differ from it in the last bit
+    times = ts.tolist()
+    lam_t = np.array([math.exp(t * log_lam) for t in times])
+    sq_t = np.array([math.exp(0.5 * t * log_lam) for t in times])
+    b_ratio = _expm1c(complex(log_lam))
+    b_t = [(_expm1c(complex(t * log_lam)) / b_ratio).real * d["b"] for t in times]
+    a_factor = (lam_t[:, None] - sq_t[:, None] * np.exp(ts[:, None] * np.conj(m_diag))) / \
         (lam - math.sqrt(lam) * np.exp(np.conj(m_diag)))
-    a_path = a_factor * d["c"]
-    res_path = _cocycle_ratio(0.5 * log_lam + m_diag, t) * d["c_res"]
-    b_t = (_expm1c(complex(t * log_lam)) / _expm1c(complex(log_lam))).real * d["b"]
-    return siegel_normal_map(lam_t, np.zeros(d["split"][0]), np.exp(1j * t * d["theta_D"]),
-                             np.diag(np.exp(t * m_diag)), a_path, res_path, b_t, sq_t)
+    res_path = _rows_times(_cocycle_ratio(0.5 * log_lam + m_diag, ts), d["c_res"])
+    return siegel_normal_maps(lam_t, np.zeros((len(ts), d["split"][0])),
+                              np.exp(1j * ts[:, None] * d["theta_D"]),
+                              _diag_stack(np.exp(ts[:, None] * m_diag)),
+                              _rows_times(a_factor, d["c"]), res_path, b_t, sq_t)
 
 
 def _hyperbolic_generator(d: dict):
@@ -729,14 +760,29 @@ def _hyperbolic_dim2_label(prm: dict) -> str:
     return "dim2_hyperbolic_psi2" if psi2 else "dim2_hyperbolic_psi1"
 
 
-def _cocycle_ratio(eps: np.ndarray, t: float) -> np.ndarray:
-    """(exp(t eps) - 1) / (exp(eps) - 1) entrywise, with the t limit at
-    eps = 0 (the resonant translation path)."""
+def _cocycle_ratio(eps: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """(exp(t eps) - 1) / (exp(eps) - 1), one row per time t of ts and one
+    column per entry of eps, with the t limit at eps = 0 (the resonant
+    translation path)."""
     eps = np.atleast_1d(np.asarray(eps, dtype=complex))
-    out = np.full(len(eps), complex(t))
+    out = np.repeat(ts.astype(complex)[:, None], len(eps), axis=1)
     big = np.abs(eps) >= 1e-13
     if np.any(big):
-        out[big] = _expm1c_vec(t * eps[big]) / _expm1c_vec(eps[big])
+        out[:, big] = _expm1c_vec(ts[:, None] * eps[big]) / _expm1c_vec(eps[big])
+    return out
+
+
+def _rows_times(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x * v for a (T, r) array x and an r-vector v, with the bits of one
+    product per row: numpy multiplies a broadcast length-1 column of
+    complex numbers in another loop, which may round differently."""
+    return x * np.tile(v, (len(x), 1))
+
+
+def _diag_stack(v: np.ndarray) -> np.ndarray:
+    """(T, r, r) diagonal matrices from the rows of a (T, r) array."""
+    out = np.zeros(v.shape + v.shape[-1:], dtype=complex)
+    out[:, range(v.shape[1]), range(v.shape[1])] = v
     return out
 
 
@@ -766,26 +812,29 @@ class _Case:
     domain: str  # where the family acts
     conditions: Callable  # NormalForm -> checked normal-form conditions
     criterion: Callable  # (NormalForm, sampler) -> EmbeddingCertificate
-    at: Callable  # (generator data, t) -> the map at time t
+    at_many: Callable  # (generator data, (T,) times) -> the stack of maps at those times
     generator: Callable  # generator data -> infinitesimal generator
+    dim: Callable  # generator data -> dimension of the maps
     dim2_label: Optional[Callable] = None  # parameters -> dimension-2 catalogue name
 
 
 _CASES = {
     FORM_ELLIPTIC_SPLIT: _Case(
         "elliptic_split", BALL, lambda nf: [],
-        lambda nf, sampler: embed_elliptic_split(nf), _split_at, _split_generator),
+        lambda nf, sampler: embed_elliptic_split(nf), _split_at_many, _split_generator,
+        lambda d: len(d["theta"]) + d["M"].shape[0]),
     FORM_ELLIPTIC_U0: _Case(
         "elliptic_u0", BALL, lambda nf: [],
-        lambda nf, sampler: embed_elliptic_u0(nf, sampler=sampler), _u0_at, _u0_generator),
+        lambda nf, sampler: embed_elliptic_u0(nf, sampler=sampler), _u0_at_many,
+        _u0_generator, lambda d: d["M"].shape[0]),
     FORM_PARABOLIC: _Case(
         "parabolic", SIEGEL, lambda nf: parabolic_conditions(nf),
-        lambda nf, sampler: embed_parabolic(nf), _parabolic_at, _parabolic_generator,
-        _parabolic_dim2_label),
+        lambda nf, sampler: embed_parabolic(nf), _parabolic_at_many, _parabolic_generator,
+        lambda d: 1 + sum(d["split"]), _parabolic_dim2_label),
     FORM_HYPERBOLIC: _Case(
         "hyperbolic", SIEGEL, lambda nf: hyperbolic_conditions(nf),
-        lambda nf, sampler: embed_hyperbolic(nf), _hyperbolic_at, _hyperbolic_generator,
-        _hyperbolic_dim2_label),
+        lambda nf, sampler: embed_hyperbolic(nf), _hyperbolic_at_many, _hyperbolic_generator,
+        lambda d: 1 + sum(d["split"]), _hyperbolic_dim2_label),
 }
 _FAMILIES = {case.family: case for case in _CASES.values()}
 

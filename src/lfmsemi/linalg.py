@@ -167,8 +167,16 @@ def pinv(a, rank_tol: float = PINV_RANK_TOL) -> np.ndarray:
 
 
 def mat_exp(m) -> np.ndarray:
-    """Matrix exponential (scaling and squaring, Pade kernel)."""
-    m = as_matrix(m, square=True)
+    """Matrix exponential (scaling and squaring, Pade kernel) of a square
+    matrix, or of every matrix of a (..., n, n) stack; each matrix of a
+    stack gets the same bits as its own call."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim <= 2:
+        m = as_matrix(m, square=True)
+    elif m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise DimensionError(f"expected a stack of square matrices, got shape {m.shape}")
+    elif not np.all(np.isfinite(m)):
+        raise DomainError("matrix entries must be finite")
     result = scipy.linalg.expm(m)
     if not np.all(np.isfinite(result)):
         raise NumericError("matrix exponential overflowed")

@@ -186,6 +186,51 @@ def cayley_transform(dim: int) -> ProjMap:
 # ---------------------------------------------------------------------------
 # ball maps
 
+#: complex entries (maps x sample points x N) per block of the stacked
+#: self-map check, so that a long time grid never holds all its sample images
+_SAMPLE_BLOCK = 1 << 14
+
+
+def _ball_parts(zs: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Numerators (..., K, N) and denominators (..., K) of the maps
+    (a z + b) / (<z, c> + 1) at the K rows of zs, for one map (a, b, c) or
+    a stack of them ((T, N, N), (T, N), (T, N)); every map of a stack gets
+    the bits of its own product."""
+    num = zs @ np.swapaxes(a, -1, -2)
+    num += b[..., None, :]
+    return num, (zs @ np.conj(c)[..., None])[..., 0] + 1.0
+
+
+def _self_map_margins(a, b, c, count: int = 1000) -> np.ndarray:
+    """min over the fixed sample of 1 - |phi_i(z)| for each map i of the
+    stack, computed over blocks of maps as 1 - sqrt(max |num|^2 / |den|^2)."""
+    zs = sample_ball_points(a.shape[-1], count)
+    step = max(1, _SAMPLE_BLOCK // zs.size)
+    margins = np.empty(len(a))
+    for i in range(0, len(a), step):
+        num, den = _ball_parts(zs, a[i:i + step], b[i:i + step], c[i:i + step])
+        parts = num.view(float)
+        ratio = np.einsum("tki,tki->tk", parts, parts) / (den.real ** 2 + den.imag ** 2)
+        margins[i:i + step] = 1.0 - np.sqrt(np.max(ratio, axis=-1))
+    return margins
+
+
+def _require_ball_self_maps(a, b, c) -> None:
+    """The checks of the :class:`BallMap` constructor on a stack of maps
+    with D = 1, map by map in order: |C| < 1, then the fixed sample with
+    the self-map slack.  Raises the error of the first map that fails."""
+    bad_c = np.flatnonzero(np.linalg.norm(c, axis=-1) >= 1.0 - 1e-12)
+    valid = bad_c[0] if bad_c.size else len(c)
+    margins = _self_map_margins(a[:valid], b[:valid], c[:valid])
+    bad = np.flatnonzero(margins < -_SELF_MAP_SLACK)
+    if bad.size:
+        raise DomainError(f"not a self-map of the ball (margin {margins[bad[0]]:.3e})")
+    if valid < len(c):
+        raise DomainError(
+            "denominator invariant violated: need |C| < |D| so that "
+            "<z, C> + D cannot vanish on the closed ball"
+        )
+
 
 @dataclass(frozen=True)
 class BallMap:
@@ -211,19 +256,12 @@ class BallMap:
             raise DimensionError("A, B, C dimensions disagree")
         if abs(d) < _POLE_TOL:
             raise DomainError("denominator vanishes at the origin (D = 0)")
-        a, b, c, d = a / d, b / d, c / np.conj(d), 1.0 + 0.0j
-        if np.linalg.norm(c) >= 1.0 - 1e-12:
-            raise DomainError(
-                "denominator invariant violated: need |C| < |D| so that "
-                "<z, C> + D cannot vanish on the closed ball"
-            )
+        a, b, c = a / d, b / d, c / np.conj(d)
+        _require_ball_self_maps(a[None], b[None], c[None])
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
-        object.__setattr__(self, "D", d)
-        worst = self.self_map_margin()
-        if worst < -_SELF_MAP_SLACK:
-            raise DomainError(f"not a self-map of the ball (margin {worst:.3e})")
+        object.__setattr__(self, "D", 1.0 + 0.0j)
 
     @property
     def dim(self) -> int:
@@ -231,9 +269,7 @@ class BallMap:
 
     def self_map_margin(self, count: int = 1000) -> float:
         """min over the fixed sample of 1 - |phi(z)|."""
-        zs = sample_ball_points(self.dim, count)
-        img = self.eval_many(zs)
-        return float(np.min(1.0 - np.linalg.norm(img, axis=1)))
+        return float(_self_map_margins(self.A[None], self.B[None], self.C[None], count)[0])
 
     def denominator(self, z) -> complex:
         return complex(np.vdot(self.C, as_vector(z)) + self.D)
@@ -246,8 +282,8 @@ class BallMap:
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on a (K, N) array of points."""
-        den = zs @ np.conj(self.C) + self.D
-        return (zs @ self.A.T + self.B) / den[:, None]
+        num, den = _ball_parts(zs, self.A, self.B, self.C)
+        return num / den[:, None]
 
     def to_proj(self) -> ProjMap:
         n = self.dim
@@ -346,10 +382,7 @@ class SiegelMap:
         return self.eval_many(_checked_point(z, self.dim, SIEGEL)[None])[0]
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
-        z1 = zs[:, 0]
-        w = zs[:, 1:]
-        top = self.lam * z1 + 2j * (w @ np.conj(self.a)) + self.b
-        return np.concatenate([top[:, None], w @ self.M.T + self.c], axis=1)
+        return _siegel_images(zs, self.lam, self.a, self.b, self.M, self.c)
 
     def to_proj(self) -> ProjMap:
         n = self.dim
@@ -413,6 +446,108 @@ def siegel_unitary_map(v) -> SiegelMap:
     v = as_matrix(v, square=True)
     k = v.shape[0]
     return SiegelMap(1.0, np.zeros(k), 0.0, v, np.zeros(k))
+
+
+def _siegel_images(zs, lam, a, b, m, c) -> np.ndarray:
+    """Images (..., K, N) of the K rows of zs under the affine maps
+    (z, w) -> (lam z + 2i <w, a> + b, m w + c), for one map or a stack of
+    them (lam and b (T,), a and c (T, k), m (T, k, k)); every map of a
+    stack gets the bits of its own product."""
+    w = zs[:, 1:]
+    top = np.asarray(lam)[..., None] * zs[:, 0] + 2j * (w @ np.conj(a)[..., None])[..., 0] \
+        + np.asarray(b)[..., None]
+    return np.concatenate([top[..., None], w @ np.swapaxes(m, -1, -2) + c[..., None, :]],
+                          axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# stacks of maps: one map per time of a grid
+
+
+@dataclass(frozen=True)
+class BallMapStack:
+    """T ball self-maps (A_i z + B_i) / (<z, C_i> + 1) held as (T, N, N),
+    (T, N) and (T, N) arrays.
+
+    The constructor runs the checks of :class:`BallMap` on every map, the
+    sample check over blocks of maps; item i is that map as a
+    :class:`BallMap`, with the bits of ``BallMap(A[i], B[i], C[i])`` and
+    without a second check.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+
+    def __post_init__(self):
+        a, b, c = (np.asarray(x, dtype=complex) for x in (self.A, self.B, self.C))
+        if a.ndim != 3 or a.shape[1] != a.shape[2] or not b.shape == c.shape == a.shape[:2]:
+            raise DimensionError(f"stack shapes disagree: A {a.shape}, B {b.shape}, C {c.shape}")
+        if not np.all(np.isfinite(a)):
+            raise DomainError("matrix entries must be finite")
+        one = 1.0 + 0.0j  # BallMap's normalisation by D = 1, for the same bits
+        a, b, c = a / one, b / one, c / np.conj(one)
+        _require_ball_self_maps(a, b, c)
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "B", b)
+        object.__setattr__(self, "C", c)
+
+    @property
+    def dim(self) -> int:
+        return self.A.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.A)
+
+    def __getitem__(self, i: int) -> BallMap:
+        f = object.__new__(BallMap)
+        for name, value in zip("ABCD", (self.A[i], self.B[i], self.C[i], 1.0 + 0.0j)):
+            object.__setattr__(f, name, value)
+        return f
+
+    def images(self, z) -> np.ndarray:
+        """(T, N) images of one ball point under every map: the point is
+        checked once, the denominator of every map."""
+        z = _checked_point(z, self.dim, BALL)
+        num, den = _ball_parts(z[None], self.A, self.B, self.C)
+        if np.any(np.abs(den) < _POLE_TOL):
+            raise PoleError(f"denominator vanished at {z}")
+        return (num / den[..., None])[:, 0]
+
+
+@dataclass(frozen=True)
+class SiegelMapStack:
+    """T affine self-maps of H^N held as (T,), (T, k), (T,), (T, k, k) and
+    (T, k) arrays of the :class:`SiegelMap` fields; item i is map i as a
+    :class:`SiegelMap`."""
+
+    lam: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    M: np.ndarray
+    c: np.ndarray
+    block_split: Optional[tuple] = None
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.M)):
+            raise DomainError("matrix entries must be finite")
+
+    @property
+    def dim(self) -> int:
+        return self.M.shape[-1] + 1
+
+    def __len__(self) -> int:
+        return len(self.M)
+
+    def __getitem__(self, i: int) -> SiegelMap:
+        return SiegelMap(self.lam[i], self.a[i], self.b[i], self.M[i], self.c[i],
+                         self.block_split)
+
+    def images(self, z) -> np.ndarray:
+        """(T, N) images of one half-plane point under every map; the point
+        is checked once."""
+        z = _checked_point(z, self.dim, SIEGEL)
+        return _siegel_images(z[None], self.lam, self.a, self.b, self.M, self.c)[:, 0]
 
 
 # ---------------------------------------------------------------------------

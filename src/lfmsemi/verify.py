@@ -3,11 +3,12 @@
 All checks draw their sample points from a :class:`SamplerCfg`, so a
 fixed seed gives bit-identical reports regardless of execution order.
 Each check evaluates its whole (K, N) sample with ``eval_many`` and
-builds ``at(t)`` once per distinct time.  No point is tested for domain
-membership, so the sampler's domain must match the family's or the map's
-(a mismatch raises :class:`DomainError`), and the ``self_map`` check of
-:func:`verify_family` covers the intermediate points at(t)(z) of the
-semigroup law: a family that leaves its domain fails that check.
+builds its maps with one ``at_many`` over its distinct times.  No point
+is tested for domain membership, so the sampler's domain must match the
+family's or the map's (a mismatch raises :class:`DomainError`), and the
+``self_map`` check of :func:`verify_family` covers the intermediate
+points at(t)(z) of the semigroup law: a family that leaves its domain
+fails that check.
 Margins follow one convention: a check passes iff
 ``worst_margin >= -tolerance``.  Domain-membership checks report the
 actual geometric margin (positive inside); equality-style checks report
@@ -101,8 +102,12 @@ def _points(cfg: SamplerCfg, dim: int, *sources) -> np.ndarray:
 
 
 def _at_times(sg, times) -> dict:
-    """sg.at(t) for each distinct time, built in order of first appearance."""
-    return {t: sg.at(t) for t in dict.fromkeys(times)}
+    """The map at each distinct time, from one ``at_many`` over the times
+    in order of first appearance; a family with only ``at(t)`` is built
+    one time at a time."""
+    ts = list(dict.fromkeys(times))
+    at_many = getattr(sg, "at_many", None)
+    return dict(zip(ts, at_many(ts) if at_many else map(sg.at, ts)))
 
 
 def _deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,13 +1,16 @@
 """CLI trajectory options and tolerance profiles: malformed ``--t`` and
-``--z0`` are input errors (exit 3), an empty time grid writes a
-header-only CSV, and ``--tol-profile strict`` reaches the verification."""
+``--z0`` are input errors (exit 3), negative times are rejected by name
+at every entry point, an empty time grid writes a header-only CSV, and
+``--tol-profile strict`` reaches the verification."""
 
 import json
 
 import pytest
 
 from lfmsemi import cli
-from lfmsemi.cli import EXIT_EMBEDDABLE, EXIT_INPUT_ERROR, run_pipeline
+from lfmsemi.cli import EXIT_EMBEDDABLE, EXIT_INPUT_ERROR, parse_map_spec, run_pipeline
+from lfmsemi.embedding import build_semigroup, embed_map
+from lfmsemi.errors import DomainError
 
 # z -> (z + 1/2) / (z/2 + 1), a hyperbolic disk automorphism: its family
 # lives on the half-plane and has a time-one target
@@ -66,6 +69,29 @@ class TestTrajectoryOptions:
         code = cli.main(["semigroup", str(spec_path), "--t", "[]", "--csv", str(csv_path)])
         assert code == EXIT_EMBEDDABLE
         assert csv_path.read_text() == "t,re_1,im_1,re_2,im_2\n"
+
+
+class TestNegativeTimes:
+    """The semigroup is defined for t >= 0 only."""
+
+    def test_cli_rejects_negative_t(self, spec_path, capsys):
+        err = _input_error(capsys, ["semigroup", str(spec_path), "--t", "[-3,-1,0,1]"])
+        assert "--t" in err and "-3" in err
+
+    @pytest.mark.parametrize("spec", [DISK_AUT, HALF_SCALING_2D], ids=["hyperbolic", "elliptic"])
+    def test_pipeline_rejects_negative_t(self, spec):
+        report = run_pipeline(spec, t_grid=(-3.0, -1.0, 0.0, 1.0))
+        stage = report["stages"]["semigroup"]
+        assert stage["status"] == "error" and "time -3.0" in stage["error"]
+        assert report["exit_status"] == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("spec", [DISK_AUT, HALF_SCALING_2D], ids=["hyperbolic", "elliptic"])
+    def test_family_rejects_negative_t(self, spec):
+        sg = build_semigroup(embed_map(parse_map_spec(spec)))
+        with pytest.raises(DomainError, match=r"time -1\.0 "):
+            sg.at_many([0.0, -1.0, -3.0])
+        with pytest.raises(DomainError, match=r"time -0\.5 "):
+            sg.at(-0.5)
 
 
 class TestTolerances:

@@ -1,0 +1,267 @@
+"""Families built on a whole time grid at once.
+
+``SemigroupFamily.at_many(ts)`` builds every map of the grid from stacked
+parameters and checks the elliptic ones with one blocked pass over the
+constructor's fixed sample. These tests pin that item i of the stack has
+the bits of ``at(ts[i])`` and of the per-time formulas, that a stacked
+``mat_exp`` matches one call per matrix, and that a family leaving the
+ball fails with the error and margin of its first failing time.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lfmsemi import cli, maps
+from lfmsemi.cli import emit_trajectory, run_pipeline
+from lfmsemi.embedding import SemigroupFamily, _expm1c
+from lfmsemi.errors import DimensionError, DomainError
+from lfmsemi.linalg import mat_exp
+from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, sample_ball_points
+from lfmsemi.normal_forms import siegel_normal_map, split_normal_map, u0_normal_map
+
+GRID = np.arange(401) / 200.0
+
+
+def _dissipative(rng, n, shift=0.6):
+    """A random n x n matrix with hermitian part <= -shift/2."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.15 * g - shift * np.eye(n)
+
+
+def _family(case, n, rng):
+    """A valid family of the case in dimension n, from its generator data."""
+    if case == "elliptic_split":
+        data = {"theta": rng.uniform(-3, 3, 1), "u": 1,
+                "M": _dissipative(rng, n - 1) if n > 1 else np.zeros((0, 0), dtype=complex)}
+        return SemigroupFamily(case, data, BALL)
+    if case == "elliptic_u0":
+        # Re[delta <Mz, e1> |z|^2 - <Mz, z>] >= 0 on the ball for M = -I + small
+        m = 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) - np.eye(n)
+        return SemigroupFamily(case, {"M": m, "delta": 0.5}, BALL)
+    k = n - 1
+    p = min(k, 1)
+    q = min(k - p, 1)
+    r = k - p - q
+    m_diag = -rng.uniform(0.2, 1.0, r) + 1j * rng.uniform(-2, 2, r)
+    c = 0.3 * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
+    theta_d = rng.uniform(-3, 3, q)
+    if case == "parabolic":
+        data = {"a": 0.3 * (rng.standard_normal(p) + 1j * rng.standard_normal(p)),
+                "theta_D": theta_d, "m_diag": m_diag, "c": c,
+                "alpha": complex(rng.standard_normal(), 2.0), "split": (p, q, r)}
+        return SemigroupFamily(case, data, SIEGEL)
+    data = {"lam": 2.5, "theta_D": theta_d, "m_diag": m_diag - 1.0, "c": c,
+            "c_res": np.zeros(r, dtype=complex), "b": complex(rng.standard_normal(), 1.5),
+            "split": (p, q, r)}
+    return SemigroupFamily(case, data, SIEGEL)
+
+
+def _fields(f):
+    names = ("A", "B", "C", "D") if isinstance(f, BallMap) else ("lam", "a", "b", "M", "c")
+    return [np.asarray(getattr(f, name)) for name in names]
+
+
+def _same_bits(f, g):
+    assert type(f) is type(g)
+    for x, y in zip(_fields(f), _fields(g)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+CASES = ("elliptic_split", "elliptic_u0", "parabolic", "hyperbolic")
+
+
+# dimension 6 gives the Siegel families a w-block of two entries
+@pytest.mark.parametrize("case,n", [(case, n) for case in CASES for n in (1, 2, 3, 4)]
+                         + [("parabolic", 6), ("hyperbolic", 6)])
+def test_at_many_items_are_at(case, n):
+    sg = _family(case, n, np.random.default_rng([n, CASES.index(case)]))
+    stack = sg.at_many(GRID)
+    assert len(stack) == len(GRID) and stack.dim == sg.dim == n
+    for i, t in enumerate(GRID.tolist()):
+        _same_bits(stack[i], sg.at(t))
+
+
+@pytest.mark.parametrize("case", ["elliptic_split", "elliptic_u0"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_elliptic_items_match_per_time_formula(case, n):
+    """Item i has the bits of the normal-map builder applied to the time-t
+    parameters, one time at a time."""
+    sg = _family(case, n, np.random.default_rng([n, 7]))
+    d = sg.parameters
+    stack = sg.at_many(GRID[::8])
+    for i, t in enumerate(GRID[::8].tolist()):
+        if case == "elliptic_u0":
+            ref = u0_normal_map(mat_exp(t * d["M"]), d["delta"])
+        else:
+            m = d["M"]
+            ref = split_normal_map(np.exp(1j * t * d["theta"]), mat_exp(t * m) if m.size else m)
+        _same_bits(stack[i], ref)
+
+
+def _cocycle(eps, t):
+    """(exp(t eps) - 1) / (exp(eps) - 1) at one time t, t at eps = 0."""
+    out = np.full(len(eps), complex(t))
+    big = np.abs(eps) >= 1e-13
+    expm1 = lambda v: np.array([_expm1c(complex(x)) for x in v], dtype=complex)
+    out[big] = expm1(t * eps[big]) / expm1(eps[big])
+    return out
+
+
+def _siegel_at(case, d, t):
+    """The Siegel family at one time t, by the closed forms of one time."""
+    m_diag, theta = d["m_diag"], np.exp(1j * t * d["theta_D"])
+    if case == "parabolic":
+        a = d["a"]
+        b_t = t * d["alpha"] + 1j * t * t * float(np.vdot(a, a).real)
+        return siegel_normal_map(1.0, t * a, theta, np.diag(np.exp(t * m_diag)),
+                                 _cocycle(np.conj(m_diag), t) * d["c"], np.zeros(len(m_diag)),
+                                 b_t)
+    lam = d["lam"]
+    log_lam = math.log(lam)
+    lam_t, sq_t = math.exp(t * log_lam), math.exp(0.5 * t * log_lam)
+    a_path = (lam_t - sq_t * np.exp(t * np.conj(m_diag))) / \
+        (lam - math.sqrt(lam) * np.exp(np.conj(m_diag))) * d["c"]
+    b_t = (_expm1c(complex(t * log_lam)) / _expm1c(complex(log_lam))).real * d["b"]
+    return siegel_normal_map(lam_t, np.zeros(d["split"][0]), theta, np.diag(np.exp(t * m_diag)),
+                             a_path, _cocycle(0.5 * log_lam + m_diag, t) * d["c_res"], b_t, sq_t)
+
+
+@pytest.mark.parametrize("case", ["parabolic", "hyperbolic"])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_siegel_items_match_per_time_formula(case, n):
+    sg = _family(case, n, np.random.default_rng([n, 9]))
+    stack = sg.at_many(GRID[::8])
+    for i, t in enumerate(GRID[::8].tolist()):
+        _same_bits(stack[i], _siegel_at(case, sg.parameters, t))
+
+
+@pytest.mark.parametrize("shape", [(401, 1, 1), (401, 3, 3), (401, 4, 4), (2, 3, 5, 5)])
+def test_stacked_mat_exp_matches_single_calls(shape):
+    rng = np.random.default_rng(shape[-1])
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = mat_exp(m)
+    flat = m.reshape((-1,) + shape[-2:])
+    for got, one in zip(out.reshape(flat.shape), flat):
+        assert got.tobytes() == mat_exp(one).tobytes()
+
+
+def test_stacked_mat_exp_rejects_non_square():
+    with pytest.raises(DimensionError):
+        mat_exp(np.zeros((3, 2, 4)))
+
+
+def _sample_margin(a):
+    """1 - max |A z| over the constructor's fixed sample, computed here."""
+    zs = sample_ball_points(a.shape[0], 1000)
+    return float(np.min(1.0 - np.linalg.norm(zs @ a.T, axis=1)))
+
+
+LEAVING = {"theta": np.array([0.3]), "u": 1, "M": np.diag([1.0, -0.5]).astype(complex)}
+
+
+def _leaving_split():
+    """exp(tM) with M = diag(1, -0.5) is no contraction for t > 0: the maps
+    leave the ball at the time their sample images cross the sphere."""
+    return SemigroupFamily("elliptic_split", LEAVING, BALL)
+
+
+def _first_failure(ts):
+    """Index and margin of the first time whose map fails the sample check."""
+    margins = [_sample_margin(_leaving_a(t)) for t in ts]
+    first = next(i for i, m in enumerate(margins) if m < -1e-9)
+    assert min(margins[first:]) < margins[first]  # a worse time comes later
+    return first, margins[first]
+
+
+def _leaving_a(t):
+    """The matrix of the leaving family at time t, one time at a time."""
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 0] = np.exp(1j * t * LEAVING["theta"])[0]
+    a[1:, 1:] = mat_exp(t * LEAVING["M"])
+    return a
+
+
+def test_blocked_margins_match_per_time_construction():
+    sg = _leaving_split()
+    step = maps._SAMPLE_BLOCK // (1000 * sg.dim)
+    ts = np.linspace(0.0, 0.05, 3 * step + 2)  # several blocks, all inside the ball
+    stack = sg.at_many(ts)
+    margins = maps._self_map_margins(stack.A, stack.B, stack.C)
+    for i, t in enumerate(ts.tolist()):
+        one = BallMap(_leaving_a(t), np.zeros(3), np.zeros(3))
+        assert margins[i] == stack[i].self_map_margin() == one.self_map_margin()
+        # 1 - sqrt(max |num|^2 / |den|^2) against 1 - max |num / den|: a few ulps of 1
+        assert margins[i] == pytest.approx(_sample_margin(_leaving_a(t)),
+                                           abs=8 * np.finfo(float).eps)
+
+
+def test_leaving_family_fails_at_first_failing_time():
+    sg = _leaving_split()
+    step = maps._SAMPLE_BLOCK // (1000 * sg.dim)
+    ts = np.linspace(0.0, 1.0, 201).tolist()
+    index, first = _first_failure(ts)
+    assert index >= 2 * step  # past the first two blocks
+    with pytest.raises(DomainError) as exc:
+        sg.at_many(ts)
+    assert str(exc.value) == f"not a self-map of the ball (margin {first:.3e})"
+    with pytest.raises(DomainError) as one:
+        sg.at(ts[index])
+    assert str(one.value) == str(exc.value)
+
+
+def test_at_many_checks_once(monkeypatch):
+    calls = []
+    check = maps._require_ball_self_maps
+    monkeypatch.setattr(maps, "_require_ball_self_maps",
+                        lambda *args: calls.append(len(args[0])) or check(*args))
+    stack = _family("elliptic_u0", 3, np.random.default_rng(3)).at_many(GRID)
+    assert calls == [len(GRID)]
+    stack[17].eval_many(sample_ball_points(3, 10))
+    assert calls == [len(GRID)]
+
+
+SPLIT_SPEC = {
+    "dimension": 3, "domain": "ball",
+    "A": [[[0.955336489125606, 0.29552020666134], [0.0, 0.0], [0.0, 0.0]],
+          [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]],
+          [[0.0, 0.0], [0.0, 0.0], [0.3, 0.1]]],
+    "B": [[0.0, 0.0]] * 3, "C": [[0.0, 0.0]] * 3, "D": [1.0, 0.0],
+}
+
+
+def test_pipeline_with_leaving_family_exits_3(monkeypatch):
+    monkeypatch.setattr(cli, "build_semigroup", lambda cert: _leaving_split())
+    grid = (0.0, 0.1, 0.25, 0.5, 1.0)
+    report = run_pipeline(SPLIT_SPEC, t_grid=grid)
+    stage = report["stages"]["semigroup"]
+    _, first = _first_failure(grid)
+    assert stage == {"status": "error",
+                     "error": f"not a self-map of the ball (margin {first:.3e})"}
+    assert report["exit_status"] == cli.EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_trajectory_rows_are_per_time_images(case):
+    sg = _family(case, 3, np.random.default_rng(11))
+    z0 = np.array([0.3, 0.1j, -0.2]) if sg.domain == BALL else np.array([2j, 0.1, 0.2j])
+    rows = emit_trajectory(sg, z0, GRID[::10])
+    for row, t in zip(rows, GRID[::10].tolist()):
+        img = sg.at(t)(z0)
+        assert row == [t] + [x for z in img for x in (float(z.real), float(z.imag))]
+
+
+def test_trajectory_checks_start_dimension():
+    sg = _family("parabolic", 3, np.random.default_rng(5))
+    with pytest.raises(DimensionError):
+        emit_trajectory(sg, np.array([2j, 0.1]), [0.0, 1.0])
+
+
+def test_stacks_index_like_single_maps():
+    ball = _family("elliptic_split", 2, np.random.default_rng(2)).at_many([0.5, 1.0])
+    siegel = _family("hyperbolic", 2, np.random.default_rng(2)).at_many([0.5, 1.0])
+    assert isinstance(ball[-1], BallMap) and isinstance(siegel[1], SiegelMap)
+    with pytest.raises(IndexError):
+        ball[2]
+    assert len(_family("parabolic", 2, np.random.default_rng(2)).at_many([])) == 0
