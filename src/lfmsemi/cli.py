@@ -103,9 +103,16 @@ def _times_in(value) -> tuple:
     return tuple(value)
 
 
+#: Python scalars that are already JSON-safe (numpy scalars, even the
+#: float64 subclass of float, take the isinstance chain of to_jsonable)
+_JSON_SCALARS = frozenset({float, int, str, bool, type(None)})
+
+
 def to_jsonable(x):
     """Recursively convert report values into JSON-safe structures;
     complex numbers become [re, im]."""
+    if type(x) in _JSON_SCALARS:
+        return x
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -114,7 +121,7 @@ def to_jsonable(x):
         return [to_jsonable(v) for v in x.tolist()]
     if isinstance(x, (complex, np.complexfloating)):
         return [float(np.real(x)), float(np.imag(x))]
-    if isinstance(x, (np.floating, np.integer)):
+    if isinstance(x, (np.floating, np.integer, np.bool_)):
         return x.item()
     if isinstance(x, (str, int, float, bool)) or x is None:
         return x

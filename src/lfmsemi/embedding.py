@@ -8,9 +8,14 @@ positive.
 
 Verdict semantics: the elliptic criteria are if-and-only-if (up to the
 documented branch-search bound), so a failed margin yields
-``condition_fails``.  The parabolic and hyperbolic criteria are
-sufficient only; failed hypotheses yield ``inconclusive`` - the map may
-still embed.
+``condition_fails``.  Their branch search is lazy: it builds and
+verifies one logarithm at a time and stops at the first that passes.
+A search that its caps cut short (20000 branch combinations or
+``max_candidates`` logarithms) without a passing logarithm is
+incomplete, so its verdict is ``inconclusive``, and its notes say how
+many of the branch combinations were searched.  The parabolic and
+hyperbolic criteria are sufficient only; failed hypotheses yield
+``inconclusive`` - the map may still embed.
 
 The case table ``_CASES``, keyed by ``NormalForm.form_kind``, holds for
 each of the four normal-form cases its checked conditions, its embedding
@@ -28,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -67,6 +73,9 @@ MARGIN_TOL = 1e-12
 
 #: default per-eigenvalue branch bound for matrix-log searches
 BRANCH_BOUND = 3
+
+#: largest x with a finite exp(x) in double precision (about 709.78)
+_EXP_MAX = math.log(sys.float_info.max)
 
 
 def _expm1c(z: complex) -> complex:
@@ -235,12 +244,35 @@ class SemigroupFamily:
 # matrix-log branch search
 
 
+@dataclass
+class _BranchWalk:
+    """How far one branch walk got: ``searched`` of its ``combinations``
+    branch combinations were tried, and ``truncated`` tells whether a cap
+    stopped it with combinations left."""
+
+    searched: int = 0
+    combinations: int = 0
+    truncated: bool = False
+
+
 def log_candidates(a: np.ndarray, bound: int = BRANCH_BOUND, max_candidates: int = 4096):
     """Matrix logarithms of *a*, principal branch first, then eigenvalue
     shifts by 2 pi i k (|k| <= bound) applied per distinct eigenvalue.
 
     Every candidate is verified by exponentiation before being returned;
-    the search is complete only within the branch bound.
+    the search is complete only within the branch bound.  The list holds
+    everything :func:`_iter_log_candidates` yields.
+    """
+    return list(_iter_log_candidates(a, bound, max_candidates))
+
+
+def _iter_log_candidates(a: np.ndarray, bound: int = BRANCH_BOUND,
+                         max_candidates: int = 4096, walk: Optional[_BranchWalk] = None):
+    """The candidates of :func:`log_candidates`, in its order, each built
+    and verified by exponentiation only when the iteration reaches it.
+
+    The walk stops after 20000 branch combinations or *max_candidates*
+    candidates; *walk*, when given, records how far it got.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
@@ -248,30 +280,25 @@ def log_candidates(a: np.ndarray, bound: int = BRANCH_BOUND, max_candidates: int
     if np.min(np.abs(eigs)) <= 1e-12 * max(1.0, float(np.max(np.abs(eigs)))):
         raise DomainError("singular matrix admits no logarithm")
     norm_a = max(1.0, float(np.linalg.norm(a)))
+    walk = _BranchWalk() if walk is None else walk
+    seen = set()  # (trace, norm) keys of the candidates yielded so far
 
-    def verified(m):
-        return float(np.linalg.norm(mat_exp(m) - a)) <= 1e-8 * norm_a
-
-    candidates = []
-    seen = set()
-
-    def push(m):
+    def fresh(m) -> bool:
+        """m is verified and its key is new (and now seen)."""
         key = (round(float(np.trace(m).real), 8), round(float(np.trace(m).imag), 8),
                round(float(np.linalg.norm(m)), 8))
-        if key in seen:
-            return
-        if verified(m):
-            seen.add(key)
-            candidates.append(m)
+        if key in seen or not float(np.linalg.norm(mat_exp(m) - a)) <= 1e-8 * norm_a:
+            return False
+        seen.add(key)
+        return True
 
-    base = None
     try:
         base = mat_log_principal(a)
     except BranchError:
         base = None
+    ks = sorted(range(-bound, bound + 1), key=abs)
     vals, vecs = np.linalg.eig(a)
-    cond = np.linalg.cond(vecs)
-    if cond < 1e8:
+    if np.linalg.cond(vecs) < 1e8:
         # per-cluster branch assignments through the eigenbasis
         clusters = []
         assigned = np.full(n, -1)
@@ -282,23 +309,39 @@ def log_candidates(a: np.ndarray, bound: int = BRANCH_BOUND, max_candidates: int
             assigned[members] = len(clusters)
             clusters.append(members)
         base_logs = np.log(vals)
-        ks = sorted(range(-bound, bound + 1), key=abs)
         inv_vecs = np.linalg.inv(vecs)
+        walk.combinations = len(ks) ** len(clusters)
         for tried, combo in enumerate(itertools.product(ks, repeat=len(clusters))):
-            if tried >= 20000 or len(candidates) >= max_candidates:
+            if tried >= 20000 or len(seen) >= max_candidates:
+                walk.truncated = True
                 break
+            walk.searched = tried + 1
             shift = np.zeros(n, dtype=complex)
             for cluster, k in zip(clusters, combo):
                 shift[cluster] = 2j * np.pi * k
-            push(vecs @ np.diag(base_logs + shift) @ inv_vecs)
+            m = vecs @ np.diag(base_logs + shift) @ inv_vecs
+            if fresh(m):
+                yield m
     elif base is not None:
-        for k in sorted(range(-bound, bound + 1), key=abs):
-            push(base + 2j * np.pi * k * np.eye(n))
-    if base is not None:
-        push(base)
-    if not candidates:
+        walk.combinations = len(ks)
+        for k in ks:
+            walk.searched += 1
+            m = base + 2j * np.pi * k * np.eye(n)
+            if fresh(m):
+                yield m
+    if base is not None and fresh(base):
+        yield base
+    if not seen:
         raise NumericError("no verifiable logarithm candidate found")
-    return candidates
+
+
+def _failed_search(walk: _BranchWalk, notes: str):
+    """Verdict and notes when no candidate of a walk passed: the
+    if-and-only-if criterion fails only when the walk was complete."""
+    if not walk.truncated:
+        return CONDITION_FAILS, notes
+    return INCONCLUSIVE, (f"{notes}; searched {walk.searched} of {walk.combinations} "
+                          "branch combinations")
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +409,9 @@ def embed_elliptic_split(nf: NormalForm, branch_search: int = BRANCH_BOUND) -> E
         data = {"theta": theta, "M": np.zeros((0, 0), dtype=complex), "u": len(theta)}
         return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log",
                             [Condition("unitary_part", 0.0, True)], data)
-    candidates = log_candidates(a1, branch_search)
+    walk = _BranchWalk()
     margins = []
-    for idx, m in enumerate(candidates):
+    for idx, m in enumerate(_iter_log_candidates(a1, branch_search, walk=walk)):
         res = is_dissipative(m)
         left = float(np.max(np.linalg.eigvals(m).real))
         margins.append(Condition(f"dissipativity[candidate {idx}]", -res.margin,
@@ -377,11 +420,10 @@ def embed_elliptic_split(nf: NormalForm, branch_search: int = BRANCH_BOUND) -> E
             data = {"theta": theta, "M": m, "u": len(theta)}
             return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log", margins,
                                 data, notes=f"dissipative logarithm found (candidate {idx})")
-    return _certificate(
-        nf, CONDITION_FAILS, "elliptic_split_dissipative_log", margins,
-        notes=f"no dissipative logarithm among {len(candidates)} candidates "
-              f"(branch bound {branch_search})",
-    )
+    verdict, notes = _failed_search(
+        walk, f"no dissipative logarithm among {len(margins)} candidates "
+              f"(branch bound {branch_search})")
+    return _certificate(nf, verdict, "elliptic_split_dissipative_log", margins, notes=notes)
 
 
 def _u0_condition_margins(m: np.ndarray, delta: float):
@@ -414,11 +456,11 @@ def embed_elliptic_u0(nf: NormalForm, sampler=None,
     _expect_form(nf, FORM_ELLIPTIC_U0)
     ahat = nf.parameters["Ahat"]
     delta = float(nf.parameters["delta"])
-    candidates = log_candidates(ahat, branch_search)
     points = _sampler_points(sampler, ahat.shape[0])
+    walk = _BranchWalk()
     margins = []
     best_witness = None
-    for idx, m in enumerate(candidates):
+    for idx, m in enumerate(_iter_log_candidates(ahat, branch_search, walk=walk)):
         quad_margin, mixed_margin, zeta = _u0_condition_margins(m, delta)
         sample_vals = _u0_expression(m, delta, points)
         sample_margin = float(np.min(sample_vals)) if len(sample_vals) else np.inf
@@ -432,11 +474,12 @@ def embed_elliptic_u0(nf: NormalForm, sampler=None,
         witness = _u0_witness(m, delta, zeta, quad_margin, mixed_margin, points, sample_vals)
         if witness is not None:
             best_witness = witness
-    notes = f"all {len(candidates)} logarithm candidates violate the condition " \
-            f"(branch bound {branch_search})"
+    verdict, notes = _failed_search(
+        walk, f"all {len(margins)} logarithm candidates violate the condition "
+              f"(branch bound {branch_search})")
     if best_witness is not None:
         notes += f"; witness z = {np.array2string(best_witness, precision=6)}"
-    return _certificate(nf, CONDITION_FAILS, "elliptic_u0_generator_positivity", margins,
+    return _certificate(nf, verdict, "elliptic_u0_generator_positivity", margins,
                         notes=notes)
 
 
@@ -710,6 +753,10 @@ def _parabolic_dim2_label(prm: dict) -> str:
 def _hyperbolic_at_many(d: dict, ts: np.ndarray) -> SiegelMapStack:
     lam, m_diag = d["lam"], d["m_diag"]
     log_lam = math.log(lam)
+    beyond = ts[ts * log_lam > _EXP_MAX]
+    if beyond.size:
+        raise NumericError(f"time {float(beyond[0])!r}: t*log(lam) = "
+                           f"{float(beyond[0]) * log_lam:.6g} > 709, so lam^t overflows a double")
     # lam^t, sqrt(lam)^t and b_t in Python scalar arithmetic, one time at a
     # time: numpy's complex division can differ from it in the last bit
     times = ts.tolist()

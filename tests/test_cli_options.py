@@ -1,16 +1,18 @@
 """CLI trajectory options and tolerance profiles: malformed ``--t`` and
-``--z0`` are input errors (exit 3), negative times are rejected by name
-at every entry point, an empty time grid writes a header-only CSV, and
-``--tol-profile strict`` reaches the verification."""
+``--z0`` are input errors (exit 3), negative times and hyperbolic times
+whose lam^t overflows are rejected by name at every entry point, an
+empty time grid writes a header-only CSV, ``--tol-profile strict``
+reaches the verification, and report values keep their JSON types."""
 
 import json
 
+import numpy as np
 import pytest
 
 from lfmsemi import cli
 from lfmsemi.cli import EXIT_EMBEDDABLE, EXIT_INPUT_ERROR, parse_map_spec, run_pipeline
 from lfmsemi.embedding import build_semigroup, embed_map
-from lfmsemi.errors import DomainError
+from lfmsemi.errors import DomainError, NumericError
 
 # z -> (z + 1/2) / (z/2 + 1), a hyperbolic disk automorphism: its family
 # lives on the half-plane and has a time-one target
@@ -92,6 +94,43 @@ class TestNegativeTimes:
             sg.at_many([0.0, -1.0, -3.0])
         with pytest.raises(DomainError, match=r"time -0\.5 "):
             sg.at(-0.5)
+
+
+class TestHyperbolicOverflow:
+    """lam^t of the disk automorphism (lam = 3) overflows a double once
+    t log(lam) > 709, at t > 646."""
+
+    def test_cli_names_the_time(self, tmp_path, capsys):
+        path = tmp_path / "disk.json"
+        path.write_text(json.dumps(DISK_AUT))
+        code = cli.main(["semigroup", str(path), "--t", "[1, 1000]"])
+        out = capsys.readouterr().out
+        assert code == EXIT_INPUT_ERROR
+        assert "time 1000.0" in out and "> 709" in out
+
+    def test_pipeline_records_a_stage_error(self):
+        report = run_pipeline(DISK_AUT, t_grid=(1.0, 1000.0))
+        stage = report["stages"]["semigroup"]
+        assert stage["status"] == "error" and "time 1000.0" in stage["error"]
+        assert report["stages"]["verify"] == {"status": "skipped"}
+        assert report["exit_status"] == EXIT_INPUT_ERROR
+
+    def test_family_names_the_time(self):
+        sg = build_semigroup(embed_map(parse_map_spec(DISK_AUT)))
+        with pytest.raises(NumericError, match=r"time 1000\.0: t\*log\(lam\) = 1098\.61 > 709"):
+            sg.at_many([1.0, 1000.0, 2000.0])
+        assert np.all(np.isfinite(sg.at_many([0.5, 640.0]).images([1j])))
+
+
+class TestReportValues:
+    def test_json_types_kept(self):
+        values = [1.5, np.float64(1.5), 2, np.int64(2), True, np.bool_(False), "x", None,
+                  1 + 2j, np.complex128(3j)]
+        got = cli.to_jsonable({"v": values, "a": np.array([0.25, 0.5])})
+        assert got == {"v": [1.5, 1.5, 2, 2, True, False, "x", None, [1.0, 2.0], [0.0, 3.0]],
+                       "a": [0.25, 0.5]}
+        assert [type(x) for x in got["v"][:8]] == [float, float, int, int, bool, bool, str,
+                                                    type(None)]
 
 
 class TestTolerances:
