@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -28,7 +27,7 @@ from .embedding import (
     conditions_for,
     is_automorphism,
 )
-from .errors import LfmError
+from .errors import DomainError, LfmError
 from .maps import (
     BALL,
     SIEGEL,
@@ -64,10 +63,18 @@ class SpecError(LfmError):
     """Malformed map specification."""
 
 
+def _finite_number(x) -> bool:
+    """x is a number (not a bool) within the range of a double, so not the
+    NaN and Infinity that ``json`` accepts."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max
+
+
 def _complex_in(value, where: str) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
-        raise SpecError(f"{where}: complex numbers must be [re, im] pairs, got {value!r}")
+            and _finite_number(value[0]) and _finite_number(value[1])):
+        raise SpecError(f"{where}: complex numbers must be [re, im] pairs of finite "
+                        f"numbers, got {value!r}")
     return complex(value[0], value[1])
 
 
@@ -93,9 +100,7 @@ def _json_option(text: str, option: str):
 
 
 def _times_in(value) -> tuple:
-    if not (isinstance(value, list) and all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
-            for t in value)):
+    if not (isinstance(value, list) and all(_finite_number(t) for t in value)):
         raise SpecError(f"--t: expected a JSON list of finite numbers, got {value!r}")
     for t in value:
         if t < 0:
@@ -140,7 +145,7 @@ def parse_map_spec(obj: dict):
     if domain not in (BALL, SIEGEL):
         raise SpecError(f"domain: expected 'ball' or 'siegel', got {domain!r}")
     dim = obj.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SpecError("dimension: expected a positive integer")
     try:
         if domain == BALL:
@@ -319,8 +324,6 @@ def emit_trajectory(sg, z0, t_grid) -> list:
     """Rows (t, coordinates of at(t)(z0)); t must be non-decreasing and
     >= 0.  The family is built on the whole grid with one ``at_many``;
     z0 is checked once and the denominator at every time."""
-    from .errors import DomainError
-
     z0 = np.asarray(z0, dtype=complex)
     ts = [float(t) for t in t_grid]
     if any(b < a for a, b in zip(ts, ts[1:])):

@@ -47,7 +47,7 @@ from .linalg import (
     mat_log_principal,
     schur_form,
 )
-from .maps import BALL, SIEGEL, BallMap, BallMapStack, Classification, SiegelMapStack
+from .maps import BALL, SIEGEL, BallMap, Classification, SiegelMap
 from .normal_forms import (
     FORM_ELLIPTIC_SPLIT,
     FORM_ELLIPTIC_U0,
@@ -229,9 +229,8 @@ class SemigroupFamily:
 
     def at_many(self, ts):
         """The maps at the times ts (each t >= 0), built together: a
-        :class:`~lfmsemi.maps.BallMapStack` or
-        :class:`~lfmsemi.maps.SiegelMapStack` whose item i is the map at
-        ts[i]."""
+        stack of T = len(ts) maps, a :class:`~lfmsemi.maps.BallMap` or
+        :class:`~lfmsemi.maps.SiegelMap` whose item i is the map at ts[i]."""
         ts = np.array(ts, dtype=float, ndmin=1)
         outside = ts[~(ts >= 0.0)]
         if outside.size:
@@ -686,7 +685,7 @@ def conditions_for(nf: NormalForm) -> list:
 # map with the bits of its own time's arithmetic
 
 
-def _split_at_many(d: dict, ts: np.ndarray) -> BallMapStack:
+def _split_at_many(d: dict, ts: np.ndarray) -> BallMap:
     m = d["M"]
     a1 = mat_exp(ts[:, None, None] * m) if m.size else np.zeros((len(ts), 0, 0))
     return split_normal_maps(np.exp(1j * ts[:, None] * d["theta"]), a1)
@@ -702,7 +701,7 @@ def _split_generator(d: dict):
     return lambda z: np.asarray(z, dtype=complex) @ gen.T
 
 
-def _u0_at_many(d: dict, ts: np.ndarray) -> BallMapStack:
+def _u0_at_many(d: dict, ts: np.ndarray) -> BallMap:
     return u0_normal_maps(mat_exp(ts[:, None, None] * d["M"]), d["delta"])
 
 
@@ -717,7 +716,7 @@ def _u0_generator(d: dict):
     return gen_u0
 
 
-def _parabolic_at_many(d: dict, ts: np.ndarray) -> SiegelMapStack:
+def _parabolic_at_many(d: dict, ts: np.ndarray) -> SiegelMap:
     a, m_diag = d["a"], d["m_diag"]
     c_path = _rows_times(_cocycle_ratio(np.conj(m_diag), ts), d["c"])
     a2 = float(np.vdot(a, a).real)
@@ -750,7 +749,7 @@ def _parabolic_dim2_label(prm: dict) -> str:
     return "dim2_parabolic_psi" + ("1" if r == 1 else "2" if q == 1 else "3")
 
 
-def _hyperbolic_at_many(d: dict, ts: np.ndarray) -> SiegelMapStack:
+def _hyperbolic_at_many(d: dict, ts: np.ndarray) -> SiegelMap:
     lam, m_diag = d["lam"], d["m_diag"]
     log_lam = math.log(lam)
     beyond = ts[ts * log_lam > _EXP_MAX]

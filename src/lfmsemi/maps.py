@@ -6,7 +6,9 @@ to D = 1), a :class:`SiegelMap` (affine self-map of the half-plane
 H^N = {(z1, w) : Im z1 > |w|^2} fixing infinity), or a raw
 :class:`ProjMap` carrying just the homogeneous (N+1)x(N+1) matrix with
 domain tags.  ProjMap is the common currency for composition, inversion
-and Cayley transport; the typed wrappers add validation.
+and Cayley transport; the typed wrappers add validation.  A BallMap or
+SiegelMap holds one map, or a stack of T maps (one per time of a grid)
+whose fields carry a leading time axis and get the same checks.
 
 Inner products are hermitian with conjugation on the second slot:
 <z, c> = sum_j z_j * conj(c_j).
@@ -28,7 +30,7 @@ from .errors import (
     NumericError,
     PoleError,
 )
-from .linalg import UNIMODULAR_TOL, as_matrix, as_vector
+from .linalg import UNIMODULAR_TOL, as_matrix, as_vector, unimodular_count
 
 BALL = "ball"
 SIEGEL = "siegel"
@@ -218,11 +220,12 @@ def _self_map_margins(a, b, c, count: int = 1000) -> np.ndarray:
 def _require_ball_self_maps(a, b, c) -> None:
     """The checks of the :class:`BallMap` constructor on a stack of maps
     with D = 1, map by map in order: |C| < 1, then the fixed sample with
-    the self-map slack.  Raises the error of the first map that fails."""
+    the self-map slack, which a NaN margin fails.  Raises the error of the
+    first map that fails."""
     bad_c = np.flatnonzero(np.linalg.norm(c, axis=-1) >= 1.0 - 1e-12)
     valid = bad_c[0] if bad_c.size else len(c)
     margins = _self_map_margins(a[:valid], b[:valid], c[:valid])
-    bad = np.flatnonzero(margins < -_SELF_MAP_SLACK)
+    bad = np.flatnonzero(~(margins >= -_SELF_MAP_SLACK))
     if bad.size:
         raise DomainError(f"not a self-map of the ball (margin {margins[bad[0]]:.3e})")
     if valid < len(c):
@@ -232,13 +235,24 @@ def _require_ball_self_maps(a, b, c) -> None:
         )
 
 
+def _stack_size(matrix: np.ndarray) -> int:
+    """The number T of maps of a stack, read off its (T, n, n) matrix field."""
+    if matrix.ndim != 3:
+        raise TypeError("a single map is not a stack of maps")
+    return len(matrix)
+
+
 @dataclass(frozen=True)
 class BallMap:
-    """Self-map (Az + B) / (<z, C> + 1) of the unit ball.
+    """Self-map (Az + B) / (<z, C> + D) of the unit ball, or a stack of T
+    such maps held as (T, N, N), (T, N) and (T, N) arrays with a scalar D.
 
     The constructor normalizes D to 1, requires |C| < 1 so the
     denominator cannot vanish on the closed ball, and verifies the
-    self-map property on a fixed deterministic sample.
+    self-map property on a fixed deterministic sample; a stack gets these
+    checks for every map, the sample check over blocks of maps.  Item i
+    of a stack is map i, with the bits of ``BallMap(A[i], B[i], C[i])``
+    and without a second check.
     """
 
     A: np.ndarray
@@ -247,17 +261,21 @@ class BallMap:
     D: complex = 1.0
 
     def __post_init__(self):
-        a = as_matrix(self.A, square=True)
-        b = as_vector(self.B)
-        c = as_vector(self.C)
+        a, b, c = (np.asarray(x, dtype=complex) for x in (self.A, self.B, self.C))
+        if a.ndim != 3:  # one map: the checks and messages of as_matrix and as_vector
+            a, b, c = as_matrix(a, square=True), as_vector(b), as_vector(c)
+        elif not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+            raise DomainError("entries of A, B and C must be finite")
         d = complex(self.D)
-        n = a.shape[0]
-        if len(b) != n or len(c) != n:
+        if not (a.shape[-1] == a.shape[-2] > 0 and b.shape == c.shape == a.shape[:-1]):
             raise DimensionError("A, B, C dimensions disagree")
+        if not np.isfinite(d):
+            raise DomainError("D must be finite")
         if abs(d) < _POLE_TOL:
             raise DomainError("denominator vanishes at the origin (D = 0)")
         a, b, c = a / d, b / d, c / np.conj(d)
-        _require_ball_self_maps(a[None], b[None], c[None])
+        n = a.shape[-1]
+        _require_ball_self_maps(a.reshape(-1, n, n), b.reshape(-1, n), c.reshape(-1, n))
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
@@ -265,7 +283,27 @@ class BallMap:
 
     @property
     def dim(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-1]
+
+    def __len__(self) -> int:
+        return _stack_size(self.A)
+
+    def __getitem__(self, i: int) -> "BallMap":
+        _stack_size(self.A)  # a single map has no items
+        f = object.__new__(BallMap)
+        for name, value in zip("ABCD", (self.A[i], self.B[i], self.C[i], 1.0 + 0.0j)):
+            object.__setattr__(f, name, value)
+        return f
+
+    def images(self, z) -> np.ndarray:
+        """Images of one ball point under every map, (T, N) for a stack and
+        (N,) for one map: the point is checked once, the denominator of
+        every map."""
+        z = _checked_point(z, self.dim, BALL)
+        num, den = _ball_parts(z[None], self.A, self.B, self.C)
+        if np.any(np.abs(den) < _POLE_TOL):
+            raise PoleError(f"denominator vanished at {z}")
+        return (num / den[..., None])[..., 0, :]
 
     def self_map_margin(self, count: int = 1000) -> float:
         """min over the fixed sample of 1 - |phi(z)|."""
@@ -281,9 +319,10 @@ class BallMap:
         return self.eval_many(z[None])[0]
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on a (K, N) array of points."""
+        """Vectorized evaluation on a (K, N) array of points: (K, N) images,
+        (T, K, N) for a stack."""
         num, den = _ball_parts(zs, self.A, self.B, self.C)
-        return num / den[:, None]
+        return num / den[..., None]
 
     def to_proj(self) -> ProjMap:
         n = self.dim
@@ -340,9 +379,12 @@ def ball_automorphism(a) -> BallMap:
 
 @dataclass(frozen=True)
 class SiegelMap:
-    """Affine self-map of H^N fixing infinity.
+    """Affine self-map of H^N fixing infinity,
 
-    (z, w) -> (lam * z + 2i <w, a> + b, M @ w + c)
+    (z, w) -> (lam * z + 2i <w, a> + b, M @ w + c),
+
+    or a stack of T such maps held as (T,), (T, k), (T,), (T, k, k) and
+    (T, k) arrays of these fields; item i of a stack is map i.
 
     ``block_split`` optionally records sizes (p, q, r) of the u/v/w
     sub-blocks when M is in split form.
@@ -356,17 +398,22 @@ class SiegelMap:
     block_split: Optional[tuple] = field(default=None)
 
     def __post_init__(self):
-        k = np.asarray(self.M).shape[0] if np.asarray(self.M).size else len(as_vector(self.a))
-        m = np.asarray(self.M, dtype=complex).reshape(k, k)
-        if not np.all(np.isfinite(m)):
-            raise DomainError("matrix entries must be finite")
-        a = as_vector(self.a) if k else np.zeros(0, dtype=complex)
-        c = as_vector(self.c) if k else np.zeros(0, dtype=complex)
-        if len(a) != k or len(c) != k:
+        lam, a, b, m, c = (np.asarray(x, dtype=complex)
+                           for x in (self.lam, self.a, self.b, self.M, self.c))
+        lead = lam.shape  # () for one map, (T,) for a stack
+        k = m.shape[-1] if m.ndim else 0
+        if not (len(lead) <= 1 and b.shape == lead and m.shape == lead + (k, k)
+                and a.shape == c.shape == lead + (k,)):
             raise DimensionError("a, c, M dimensions disagree")
-        object.__setattr__(self, "lam", complex(self.lam))
+        if not np.isfinite(m).all():
+            raise DomainError("matrix entries must be finite")
+        if not (np.isfinite(a).all() and np.isfinite(c).all()):
+            raise DomainError("vector entries must be finite")
+        if not (np.isfinite(lam).all() and np.isfinite(b).all()):
+            raise DomainError("lam and b must be finite")
+        object.__setattr__(self, "lam", lam if lead else complex(lam))
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", complex(self.b))
+        object.__setattr__(self, "b", b if lead else complex(b))
         object.__setattr__(self, "M", m)
         object.__setattr__(self, "c", c)
         if self.block_split is not None:
@@ -376,12 +423,27 @@ class SiegelMap:
 
     @property
     def dim(self) -> int:
-        return self.M.shape[0] + 1
+        return self.M.shape[-1] + 1
+
+    def __len__(self) -> int:
+        return _stack_size(self.M)
+
+    def __getitem__(self, i: int) -> "SiegelMap":
+        return SiegelMap(self.lam[i], self.a[i], self.b[i], self.M[i], self.c[i],
+                         self.block_split)
+
+    def images(self, z) -> np.ndarray:
+        """Images of one half-plane point under every map, (T, N) for a
+        stack and (N,) for one map; the point is checked once."""
+        z = _checked_point(z, self.dim, SIEGEL)
+        return _siegel_images(z[None], self.lam, self.a, self.b, self.M, self.c)[..., 0, :]
 
     def __call__(self, z) -> np.ndarray:
         return self.eval_many(_checked_point(z, self.dim, SIEGEL)[None])[0]
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation on a (K, N) array of points: (K, N) images,
+        (T, K, N) for a stack."""
         return _siegel_images(zs, self.lam, self.a, self.b, self.M, self.c)
 
     def to_proj(self) -> ProjMap:
@@ -458,96 +520,6 @@ def _siegel_images(zs, lam, a, b, m, c) -> np.ndarray:
         + np.asarray(b)[..., None]
     return np.concatenate([top[..., None], w @ np.swapaxes(m, -1, -2) + c[..., None, :]],
                           axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# stacks of maps: one map per time of a grid
-
-
-@dataclass(frozen=True)
-class BallMapStack:
-    """T ball self-maps (A_i z + B_i) / (<z, C_i> + 1) held as (T, N, N),
-    (T, N) and (T, N) arrays.
-
-    The constructor runs the checks of :class:`BallMap` on every map, the
-    sample check over blocks of maps; item i is that map as a
-    :class:`BallMap`, with the bits of ``BallMap(A[i], B[i], C[i])`` and
-    without a second check.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        a, b, c = (np.asarray(x, dtype=complex) for x in (self.A, self.B, self.C))
-        if a.ndim != 3 or a.shape[1] != a.shape[2] or not b.shape == c.shape == a.shape[:2]:
-            raise DimensionError(f"stack shapes disagree: A {a.shape}, B {b.shape}, C {c.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("matrix entries must be finite")
-        one = 1.0 + 0.0j  # BallMap's normalisation by D = 1, for the same bits
-        a, b, c = a / one, b / one, c / np.conj(one)
-        _require_ball_self_maps(a, b, c)
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[-1]
-
-    def __len__(self) -> int:
-        return len(self.A)
-
-    def __getitem__(self, i: int) -> BallMap:
-        f = object.__new__(BallMap)
-        for name, value in zip("ABCD", (self.A[i], self.B[i], self.C[i], 1.0 + 0.0j)):
-            object.__setattr__(f, name, value)
-        return f
-
-    def images(self, z) -> np.ndarray:
-        """(T, N) images of one ball point under every map: the point is
-        checked once, the denominator of every map."""
-        z = _checked_point(z, self.dim, BALL)
-        num, den = _ball_parts(z[None], self.A, self.B, self.C)
-        if np.any(np.abs(den) < _POLE_TOL):
-            raise PoleError(f"denominator vanished at {z}")
-        return (num / den[..., None])[:, 0]
-
-
-@dataclass(frozen=True)
-class SiegelMapStack:
-    """T affine self-maps of H^N held as (T,), (T, k), (T,), (T, k, k) and
-    (T, k) arrays of the :class:`SiegelMap` fields; item i is map i as a
-    :class:`SiegelMap`."""
-
-    lam: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    M: np.ndarray
-    c: np.ndarray
-    block_split: Optional[tuple] = None
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.M)):
-            raise DomainError("matrix entries must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.M.shape[-1] + 1
-
-    def __len__(self) -> int:
-        return len(self.M)
-
-    def __getitem__(self, i: int) -> SiegelMap:
-        return SiegelMap(self.lam[i], self.a[i], self.b[i], self.M[i], self.c[i],
-                         self.block_split)
-
-    def images(self, z) -> np.ndarray:
-        """(T, N) images of one half-plane point under every map; the point
-        is checked once."""
-        z = _checked_point(z, self.dim, SIEGEL)
-        return _siegel_images(z[None], self.lam, self.a, self.b, self.M, self.c)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -820,6 +792,4 @@ def unitary_index(f: BallMap, fixed_point: Optional[np.ndarray] = None,
         if not interior:
             raise DomainError("unitary index requires an interior fixed point")
         fixed_point = interior[0]
-    d = f.differential(fixed_point)
-    eigs = np.linalg.eigvals(d)
-    return int(np.sum(np.abs(np.abs(eigs) - 1.0) <= tol))
+    return unimodular_count(np.linalg.eigvals(f.differential(fixed_point)), tol)

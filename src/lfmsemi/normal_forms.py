@@ -12,9 +12,11 @@ the one place that branches on a :class:`~lfmsemi.maps.Classification`
 to pick the reducer; the reducers take the caller's classification
 instead of classifying again.  Each case builds its normal maps from
 stacked parameters with one builder (:func:`split_normal_maps`,
-:func:`u0_normal_maps`, :func:`siegel_normal_maps`), which the semigroup
-families of :mod:`lfmsemi.embedding` apply to a whole grid of times; the
-one-map forms (:func:`split_normal_map` and so on) build a stack of one.
+:func:`u0_normal_maps`, :func:`siegel_normal_maps`), which returns them
+as one stacked :class:`~lfmsemi.maps.BallMap` or
+:class:`~lfmsemi.maps.SiegelMap` and which the semigroup families of
+:mod:`lfmsemi.embedding` apply to a whole grid of times; the one-map
+forms (:func:`split_normal_map` and so on) take item 0 of a stack of one.
 A fifth case adds its reducer and builder here, its branch in
 :func:`normal_form`, and its row in ``embedding._CASES``.
 
@@ -39,18 +41,17 @@ from .linalg import (
     schur_form,
     spectral_norm,
     spectral_radius,
+    unimodular_count,
     unitary_with_first_column,
 )
 from .maps import (
     BallMap,
-    BallMapStack,
     Classification,
     ELLIPTIC,
     HYPERBOLIC,
     PARABOLIC,
     ProjMap,
     SiegelMap,
-    SiegelMapStack,
     ball_automorphism,
     cayley_to_siegel,
     classify,
@@ -157,7 +158,7 @@ def normal_form(f: BallMap, cls: Optional[Classification] = None,
 # elliptic forms
 
 
-def split_normal_maps(lam: np.ndarray, a1: np.ndarray) -> BallMapStack:
+def split_normal_maps(lam: np.ndarray, a1: np.ndarray) -> BallMap:
     """The linear maps blockdiag(diag(lam_i), a1_i), one per row of the
     (T, u) and (T, r, r) stacks."""
     t, u = lam.shape
@@ -166,7 +167,7 @@ def split_normal_maps(lam: np.ndarray, a1: np.ndarray) -> BallMapStack:
     amat[:, range(u), range(u)] = lam
     amat[:, u:, u:] = a1
     zeros = np.zeros((t, n), dtype=complex)
-    return BallMapStack(amat, zeros, zeros)
+    return BallMap(amat, zeros, zeros)
 
 
 def split_normal_map(lam: np.ndarray, a1: np.ndarray) -> BallMap:
@@ -174,14 +175,14 @@ def split_normal_map(lam: np.ndarray, a1: np.ndarray) -> BallMap:
     return split_normal_maps(*_one(lam, a1))[0]
 
 
-def u0_normal_maps(ahat: np.ndarray, delta: float) -> BallMapStack:
+def u0_normal_maps(ahat: np.ndarray, delta: float) -> BallMap:
     """z -> Ahat_i z / (<z, c_i> + 1) with c_i = delta (Ahat_i^H - I) e1, one
     per matrix of the (T, n, n) stack."""
     n = ahat.shape[-1]
     e1 = np.zeros(n)
     e1[0] = 1.0
     c = delta * ((np.conj(np.swapaxes(ahat, -1, -2)) - np.eye(n)) @ e1)
-    return BallMapStack(ahat, np.zeros(c.shape, dtype=complex), c)
+    return BallMap(ahat, np.zeros(c.shape, dtype=complex), c)
 
 
 def u0_normal_map(ahat: np.ndarray, delta: float) -> BallMap:
@@ -344,8 +345,7 @@ def _split_blocks(m: np.ndarray, one_tol: float = 1e-8):
         return np.eye(0, dtype=complex), 0, 0, 0, np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
     form = schur_form(m, sort=lambda lam: abs(abs(lam) - 1) <= UNIMODULAR_TOL)
     t = form.upper_triangular
-    eigs = np.diag(t)
-    nuni = int(np.sum(np.abs(np.abs(eigs) - 1.0) <= UNIMODULAR_TOL))
+    nuni = unimodular_count(np.diag(t))
     _require(float(np.max(np.abs(t[:nuni, nuni:]), initial=0.0)), SNAP_TOL,
              "coupling between unimodular and contraction blocks")
     uni_block = t[:nuni, :nuni]
@@ -369,7 +369,7 @@ def _split_blocks(m: np.ndarray, one_tol: float = 1e-8):
     return w, p, q, r, d_diag, a_block
 
 
-def siegel_normal_maps(lam, a, d, w_block, c, c_res, b, scale=None) -> SiegelMapStack:
+def siegel_normal_maps(lam, a, d, w_block, c, c_res, b, scale=None) -> SiegelMap:
     """The affine maps of :func:`siegel_normal_map`, one per row of the
     stacked parameters: lam, b and scale (T,), a (T, p), d (T, q),
     w_block (T, r, r), c and c_res (T, r)."""
@@ -381,10 +381,10 @@ def siegel_normal_maps(lam, a, d, w_block, c, c_res, b, scale=None) -> SiegelMap
     m[:, range(p, p + q), range(p, p + q)] = d
     m[:, p + q:, p + q:] = w_block
     zeros = np.zeros((t, q))
-    return SiegelMapStack(
-        np.asarray(lam, dtype=complex),
+    return SiegelMap(
+        lam,
         np.concatenate([a, zeros, c], axis=1, dtype=complex),
-        np.asarray(b, dtype=complex),
+        b,
         m if scale is None else scale[:, None, None] * m,
         np.concatenate([a, zeros, c_res], axis=1, dtype=complex),
         block_split=(p, q, r),

@@ -1,0 +1,242 @@
+"""One map class per domain: a BallMap or SiegelMap holds one map or a
+stack of maps with a leading time axis.
+
+These tests pin that a stack built directly with the constructor has the
+items of ``SemigroupFamily.at_many``, bit for bit, that it runs the blocked
+self-map check once, that its shapes and entries are checked as those of
+one map are (NaN in any field is rejected), and that a single map is no
+stack.
+"""
+
+import numpy as np
+import pytest
+
+from lfmsemi import maps
+from lfmsemi.embedding import SemigroupFamily
+from lfmsemi.errors import DimensionError, DomainError
+from lfmsemi.linalg import UNIMODULAR_TOL
+from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, sample_ball_points, unitary_index
+
+TIMES = np.linspace(0.0, 2.0, 41)
+NAN = float("nan")
+
+
+def _family(case, n, rng):
+    """A valid family of the case in dimension n (n >= 3 for the Siegel
+    cases, which then have u-, v- and w-blocks)."""
+    if case == "elliptic_split":
+        g = rng.standard_normal((n - 1, n - 1)) + 1j * rng.standard_normal((n - 1, n - 1))
+        return SemigroupFamily(case, {"theta": np.array([0.7]), "u": 1,
+                                      "M": 0.15 * g - 0.6 * np.eye(n - 1)}, BALL)
+    if case == "elliptic_u0":
+        m = 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) - np.eye(n)
+        return SemigroupFamily(case, {"M": m, "delta": 0.5}, BALL)
+    r = n - 3
+    data = {"theta_D": np.array([1.3]), "m_diag": -rng.uniform(0.2, 1.0, r) + 1j,
+            "c": 0.3 * (rng.standard_normal(r) + 1j * rng.standard_normal(r)),
+            "split": (1, 1, r)}
+    if case == "parabolic":
+        data.update(a=np.array([0.2 - 0.1j]), alpha=0.4 + 2.0j)
+    else:
+        data.update(lam=2.5, c_res=np.zeros(r, dtype=complex), b=0.3 + 1.5j)
+        data["m_diag"] = data["m_diag"] - 1.0
+    return SemigroupFamily(case, data, SIEGEL)
+
+
+def _fields(f):
+    names = ("A", "B", "C", "D") if isinstance(f, BallMap) else ("lam", "a", "b", "M", "c")
+    return [np.asarray(getattr(f, name)) for name in names]
+
+
+def _same_bits(f, g):
+    assert type(f) is type(g)
+    for x, y in zip(_fields(f), _fields(g)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _direct(stack):
+    """The stack rebuilt with the constructor from copies of its arrays."""
+    if isinstance(stack, BallMap):
+        return BallMap(*(np.array(x) for x in (stack.A, stack.B, stack.C)))
+    return SiegelMap(*(np.array(x) for x in (stack.lam, stack.a, stack.b, stack.M, stack.c)),
+                     block_split=stack.block_split)
+
+
+CASES = ("elliptic_split", "elliptic_u0", "parabolic", "hyperbolic")
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("n", [3, 5])
+def test_direct_stack_items_are_at_many_items(case, n):
+    sg = _family(case, n, np.random.default_rng([n, CASES.index(case)]))
+    stack = sg.at_many(TIMES)
+    direct = _direct(stack)
+    assert type(direct) is type(stack) and len(direct) == len(TIMES) and direct.dim == n
+    for i in range(len(TIMES)):
+        _same_bits(direct[i], stack[i])
+    if isinstance(stack, BallMap):  # an item has the bits of its own checked map
+        for i in (0, 17, len(TIMES) - 1):
+            _same_bits(direct[i], BallMap(stack.A[i], stack.B[i], stack.C[i]))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_images_are_item_images(case):
+    sg = _family(case, 4, np.random.default_rng(5))
+    stack = sg.at_many(TIMES)
+    z = np.array([0.2, 0.1j, -0.1, 0.05]) if sg.domain == BALL else np.array([1j, 0.1, 0.2j, 0.0])
+    images = stack.images(z)
+    assert images.shape == (len(TIMES), 4)
+    for i, f in enumerate(stack):
+        assert images[i].tobytes() == f(z).tobytes()
+        assert f.images(z).tobytes() == f(z).tobytes()  # one map: its image of z
+
+
+@pytest.mark.parametrize("case", ["elliptic_split", "elliptic_u0"])
+def test_direct_stack_checks_once(case, monkeypatch):
+    stack = _family(case, 4, np.random.default_rng(2)).at_many(TIMES)
+    calls = []
+    check = maps._require_ball_self_maps
+    monkeypatch.setattr(maps, "_require_ball_self_maps",
+                        lambda *args: calls.append(len(args[0])) or check(*args))
+    direct = _direct(stack)
+    assert calls == [len(TIMES)]
+    direct[3].eval_many(sample_ball_points(4, 10))
+    list(direct)
+    assert calls == [len(TIMES)]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_at_many_of_no_times_is_empty(case):
+    sg = _family(case, 3, np.random.default_rng(1))
+    stack = sg.at_many([])
+    assert len(stack) == 0 and list(stack) == [] and stack.dim == 3
+
+
+def _ball_fields(t=4, n=3):
+    return {"A": 0.5 * np.tile(np.eye(n, dtype=complex), (t, 1, 1)),
+            "B": np.zeros((t, n), dtype=complex), "C": np.zeros((t, n), dtype=complex)}
+
+
+def _siegel_fields(t=4, k=2):
+    return {"lam": np.full(t, 2.0, dtype=complex), "a": np.zeros((t, k), dtype=complex),
+            "b": np.full(t, 1j), "M": 0.5 * np.tile(np.eye(k, dtype=complex), (t, 1, 1)),
+            "c": np.zeros((t, k), dtype=complex)}
+
+
+def _with(fields, name, value):
+    """A copy of the fields with field *name* replaced by *value*."""
+    return {**fields, name: value}
+
+
+def _poisoned(fields, name, value):
+    """A copy of the fields with the first entry of map 2 of *name* set to value."""
+    out = {key: np.array(x) for key, x in fields.items()}
+    out[name][(2,) + (0,) * (out[name].ndim - 1)] = value
+    return out
+
+
+def _item(fields, i):
+    return {key: x[i] for key, x in fields.items()}
+
+
+@pytest.mark.parametrize("name,shape", [("A", (4, 3, 2)), ("A", (4, 2, 2)), ("A", (4, 0, 0)),
+                                        ("B", (4, 2)), ("B", (3, 3)), ("C", (4, 3, 1)),
+                                        ("C", (5, 3))])
+def test_ball_stack_shape_mismatch(name, shape):
+    with pytest.raises(DimensionError):
+        BallMap(**_with(_ball_fields(), name, np.zeros(shape, dtype=complex)))
+
+
+@pytest.mark.parametrize("name,shape", [("lam", (3,)), ("lam", (4, 1)), ("a", (4, 3)),
+                                        ("a", (2,)), ("b", (3,)), ("M", (4, 2, 3)),
+                                        ("M", (4, 3, 3)), ("c", (4, 1)), ("c", (3, 2))])
+def test_siegel_stack_shape_mismatch(name, shape):
+    with pytest.raises(DimensionError):
+        SiegelMap(**_with(_siegel_fields(), name, np.zeros(shape, dtype=complex)))
+
+
+def test_siegel_stack_block_split_must_tile():
+    SiegelMap(**_siegel_fields(), block_split=(1, 0, 1))
+    with pytest.raises(DimensionError):
+        SiegelMap(**_siegel_fields(), block_split=(1, 1, 1))
+
+
+NON_FINITE = [NAN, complex(0.0, NAN), float("inf"), complex(float("-inf"), 0.0)]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", "ABC")
+def test_ball_map_rejects_non_finite_entries(name, value):
+    bad = _poisoned(_ball_fields(), name, value)
+    with pytest.raises(DomainError):
+        BallMap(**bad)
+    with pytest.raises(DomainError):
+        BallMap(**_item(bad, 2))
+    BallMap(**_item(bad, 1))
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_ball_map_rejects_non_finite_denominator(value):
+    # unchecked, a NaN D gives an all-NaN map and an infinite D the constant map 0
+    with pytest.raises(DomainError, match="must be finite"):
+        BallMap([[0.5]], [0], [0], value)
+    with pytest.raises(DomainError, match="must be finite"):
+        BallMap(**_ball_fields(), D=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["lam", "a", "b", "M", "c"])
+def test_siegel_map_rejects_non_finite_entries(name, value):
+    bad = _poisoned(_siegel_fields(), name, value)
+    with pytest.raises(DomainError):
+        SiegelMap(**bad)
+    with pytest.raises(DomainError):
+        SiegelMap(**_item(bad, 2))
+    SiegelMap(**_item(bad, 1))
+
+
+def test_single_map_messages_are_kept():
+    with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+        BallMap([[NAN]], [0], [0])
+    with pytest.raises(DomainError, match="^vector entries must be finite$"):
+        BallMap([[0.5]], [NAN], [0])
+    with pytest.raises(DimensionError, match="^A, B, C dimensions disagree$"):
+        BallMap(np.eye(2) / 2, [0], [0, 0])
+    with pytest.raises(DomainError, match=r"^denominator vanishes at the origin \(D = 0\)$"):
+        BallMap([[0.5]], [0], [0], 0.0)
+    with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+        SiegelMap(2.0, [0.0], 1j, [[NAN]], [0.0])
+    with pytest.raises(DomainError, match="^vector entries must be finite$"):
+        SiegelMap(2.0, [NAN], 1j, [[0.5]], [0.0])
+    with pytest.raises(DimensionError, match="^a, c, M dimensions disagree$"):
+        SiegelMap(2.0, [0.0, 0.0], 1j, [[0.5]], [0.0])
+
+
+def test_nan_sample_margin_fails_the_self_map_check():
+    # the constructor rejects NaN entries first; the sample check must too
+    bad = _poisoned(_ball_fields(), "A", NAN)
+    with pytest.raises(DomainError, match=r"^not a self-map of the ball \(margin nan\)$"):
+        maps._require_ball_self_maps(bad["A"], bad["B"], bad["C"])
+
+
+def test_single_map_is_no_stack():
+    f = BallMap(0.5 * np.eye(2), np.zeros(2), np.zeros(2))
+    g = SiegelMap(2.0, np.zeros(1), 1j, 0.5 * np.eye(1), np.zeros(1))
+    for h in (f, g):
+        with pytest.raises(TypeError):
+            len(h)
+        with pytest.raises(TypeError):
+            h[0]
+    assert isinstance(g.lam, complex) and isinstance(g.b, complex)
+
+
+def test_unitary_index_counts_unimodular_eigenvalues():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 4):
+        for u in range(n + 1):
+            theta = rng.uniform(-3, 3, u)
+            a = np.diag(np.concatenate([np.exp(1j * theta), rng.uniform(0.1, 0.9, n - u)]))
+            f = BallMap(a, np.zeros(n), np.zeros(n))
+            eigs = np.linalg.eigvals(f.differential(np.zeros(n)))
+            assert unitary_index(f, np.zeros(n)) == u == \
+                int(np.sum(np.abs(np.abs(eigs) - 1.0) <= UNIMODULAR_TOL))
