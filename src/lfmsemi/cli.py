@@ -88,6 +88,9 @@ def _vector_in(value, where: str) -> np.ndarray:
 def _matrix_in(value, where: str) -> np.ndarray:
     if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
         raise SpecError(f"{where}: expected a matrix of [re, im] pairs")
+    lengths = sorted({len(row) for row in value})
+    if len(lengths) > 1:
+        raise SpecError(f"{where}: rows must have equal lengths, got lengths {lengths}")
     return np.array([[_complex_in(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
                      for i, row in enumerate(value)], dtype=complex)
 

@@ -6,16 +6,23 @@ continuous one-parameter semigroup of self-maps, returning an
 the closed-form family :class:`SemigroupFamily` when the verdict is
 positive.
 
-Verdict semantics: the elliptic criteria are if-and-only-if (up to the
-documented branch-search bound), so a failed margin yields
-``condition_fails``.  Their branch search is lazy: it builds and
-verifies one logarithm at a time and stops at the first that passes.
-A search that its caps cut short (20000 branch combinations or
-``max_candidates`` logarithms) without a passing logarithm is
-incomplete, so its verdict is ``inconclusive``, and its notes say how
-many of the branch combinations were searched.  The parabolic and
-hyperbolic criteria are sufficient only; failed hypotheses yield
-``inconclusive`` - the map may still embed.
+Verdict semantics: the elliptic criteria are if-and-only-if, so a
+failed margin yields ``condition_fails``.  Both build and verify one
+logarithm at a time and stop at the first that passes.  For a
+diagonalisable A1 the split criterion's search is complete over the
+primary logarithms: after the principal one it tests one logarithm per
+hermitian class inside a proven dissipativity ellipsoid (see "the
+lattice of primary logarithms" below).  A class whose logarithm fails
+its exponentiation check, or an ellipsoid too large to enumerate, makes
+the verdict ``inconclusive``.  (Non-primary logarithms of a derogatory
+A1, an eigenvalue with several Jordan blocks, form a continuum and are
+not searched.)  The u0 criterion walks the branch shifts |k| <=
+``BRANCH_BOUND``; a walk that its caps cut short (20000 branch
+combinations or ``max_candidates`` logarithms) is incomplete, so its
+verdict is ``inconclusive``, and its notes say how many of the branch
+combinations were searched.  The parabolic and hyperbolic criteria are
+sufficient only; failed hypotheses yield ``inconclusive`` - the map may
+still embed.
 
 The case table ``_CASES``, keyed by ``NormalForm.form_kind``, holds for
 each of the four normal-form cases its checked conditions, its embedding
@@ -73,6 +80,9 @@ MARGIN_TOL = 1e-12
 
 #: default per-eigenvalue branch bound for matrix-log searches
 BRANCH_BOUND = 3
+
+#: largest eigenvalue of Herm M at which a logarithm M counts as dissipative
+_DISSIPATIVE_TOL = 1e-10
 
 #: largest x with a finite exp(x) in double precision (about 709.78)
 _EXP_MAX = math.log(sys.float_info.max)
@@ -254,6 +264,51 @@ class _BranchWalk:
     truncated: bool = False
 
 
+def _require_invertible(a: np.ndarray) -> None:
+    eigs = schur_form(a).eigenvalues
+    if np.min(np.abs(eigs)) <= 1e-12 * max(1.0, float(np.max(np.abs(eigs)))):
+        raise DomainError("singular matrix admits no logarithm")
+
+
+def _verified(m: np.ndarray, a: np.ndarray) -> bool:
+    """exp(m) reproduces a to within 1e-8 max(1, |a|)."""
+    return float(np.linalg.norm(mat_exp(m) - a)) <= 1e-8 * max(1.0, float(np.linalg.norm(a)))
+
+
+@dataclass(frozen=True)
+class _Eigenbasis:
+    """a = V diag(vals) V^-1 with a well-conditioned V (cond < 1e8), the
+    eigenvalues grouped into clusters equal to within 1e-8 relative, in
+    order of first appearance.  ``log(k)`` is the primary logarithm
+    L(k) = V diag(log(vals) + 2 pi i k_j on cluster j) V^-1."""
+
+    vecs: np.ndarray
+    inv_vecs: np.ndarray
+    base_logs: np.ndarray
+    clusters: list
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> Optional["_Eigenbasis"]:
+        vals, vecs = np.linalg.eig(a)
+        if not np.linalg.cond(vecs) < 1e8:
+            return None
+        clusters = []
+        assigned = np.full(len(vals), -1)
+        for i in range(len(vals)):
+            if assigned[i] >= 0:
+                continue
+            members = np.nonzero(np.abs(vals - vals[i]) <= 1e-8 * max(1.0, abs(vals[i])))[0]
+            assigned[members] = len(clusters)
+            clusters.append(members)
+        return cls(vecs, np.linalg.inv(vecs), np.log(vals), clusters)
+
+    def log(self, combo) -> np.ndarray:
+        shift = np.zeros(len(self.base_logs), dtype=complex)
+        for cluster, k in zip(self.clusters, combo):
+            shift[cluster] = 2j * np.pi * k
+        return self.vecs @ np.diag(self.base_logs + shift) @ self.inv_vecs
+
+
 def log_candidates(a: np.ndarray, bound: int = BRANCH_BOUND, max_candidates: int = 4096):
     """Matrix logarithms of *a*, principal branch first, then eigenvalue
     shifts by 2 pi i k (|k| <= bound) applied per distinct eigenvalue.
@@ -274,11 +329,7 @@ def _iter_log_candidates(a: np.ndarray, bound: int = BRANCH_BOUND,
     candidates; *walk*, when given, records how far it got.
     """
     a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    eigs = schur_form(a).eigenvalues
-    if np.min(np.abs(eigs)) <= 1e-12 * max(1.0, float(np.max(np.abs(eigs)))):
-        raise DomainError("singular matrix admits no logarithm")
-    norm_a = max(1.0, float(np.linalg.norm(a)))
+    _require_invertible(a)
     walk = _BranchWalk() if walk is None else walk
     seen = set()  # (trace, norm) keys of the candidates yielded so far
 
@@ -286,7 +337,7 @@ def _iter_log_candidates(a: np.ndarray, bound: int = BRANCH_BOUND,
         """m is verified and its key is new (and now seen)."""
         key = (round(float(np.trace(m).real), 8), round(float(np.trace(m).imag), 8),
                round(float(np.linalg.norm(m)), 8))
-        if key in seen or not float(np.linalg.norm(mat_exp(m) - a)) <= 1e-8 * norm_a:
+        if key in seen or not _verified(m, a):
             return False
         seen.add(key)
         return True
@@ -296,36 +347,22 @@ def _iter_log_candidates(a: np.ndarray, bound: int = BRANCH_BOUND,
     except BranchError:
         base = None
     ks = sorted(range(-bound, bound + 1), key=abs)
-    vals, vecs = np.linalg.eig(a)
-    if np.linalg.cond(vecs) < 1e8:
-        # per-cluster branch assignments through the eigenbasis
-        clusters = []
-        assigned = np.full(n, -1)
-        for i in range(n):
-            if assigned[i] >= 0:
-                continue
-            members = np.nonzero(np.abs(vals - vals[i]) <= 1e-8 * max(1.0, abs(vals[i])))[0]
-            assigned[members] = len(clusters)
-            clusters.append(members)
-        base_logs = np.log(vals)
-        inv_vecs = np.linalg.inv(vecs)
-        walk.combinations = len(ks) ** len(clusters)
-        for tried, combo in enumerate(itertools.product(ks, repeat=len(clusters))):
+    eig = _Eigenbasis.of(a)
+    if eig is not None:
+        walk.combinations = len(ks) ** len(eig.clusters)
+        for tried, combo in enumerate(itertools.product(ks, repeat=len(eig.clusters))):
             if tried >= 20000 or len(seen) >= max_candidates:
                 walk.truncated = True
                 break
             walk.searched = tried + 1
-            shift = np.zeros(n, dtype=complex)
-            for cluster, k in zip(clusters, combo):
-                shift[cluster] = 2j * np.pi * k
-            m = vecs @ np.diag(base_logs + shift) @ inv_vecs
+            m = eig.log(combo)
             if fresh(m):
                 yield m
     elif base is not None:
         walk.combinations = len(ks)
         for k in ks:
             walk.searched += 1
-            m = base + 2j * np.pi * k * np.eye(n)
+            m = base + 2j * np.pi * k * np.eye(a.shape[0])
             if fresh(m):
                 yield m
     if base is not None and fresh(base):
@@ -341,6 +378,175 @@ def _failed_search(walk: _BranchWalk, notes: str):
         return CONDITION_FAILS, notes
     return INCONCLUSIVE, (f"{notes}; searched {walk.searched} of {walk.combinations} "
                           "branch combinations")
+
+
+# ---------------------------------------------------------------------------
+# the lattice of primary logarithms
+#
+# The primary logarithms of a = V diag(lam) V^-1 are L(k) = L0 + 2 pi i
+# sum_j k_j P_j, P_j the spectral projector of cluster j, so their
+# hermitian parts H(k) = H0 + sum_j k_j G_j, G_j = Herm(2 pi i P_j), are
+# affine in the integer vector k, and tr G_j = 0.  If H(k) <= tol I, its
+# eigenvalues mu_i <= tol sum to tau = tr H0, so its traceless part
+# H(k) - (tau/n) I = H0 - (tau/n) I + sum_j k_j G_j has squared Frobenius
+# norm sum mu_i^2 - tau^2/n <= (|tau| + n tol)^2 (1 - 1/n): an ellipsoid
+# for the Gram form <G_i, G_j> (inside the cruder bound
+# ||sum_j k_j G_j||_F <= |tau| + ||H0||_F of the triangle inequality).
+# The form vanishes exactly on the k that are constant on each group of
+# clusters whose eigenspaces are orthogonal to every other group's, and
+# those k leave H unchanged; with k = 0 on the first cluster of each group
+# the form is positive definite, and Fincke-Pohst enumeration (Math. Comp.
+# 44, 1985) lists its integer points, one per hermitian class.
+
+#: largest cosine between the eigenspaces of two clusters that counts as
+#: orthogonal
+_ORTHOGONAL_TOL = 1e-10
+
+#: most enumeration nodes the lattice walk visits before it gives up
+_LATTICE_NODES = 100_000
+
+
+def _lattice_shifts(eig: _Eigenbasis, l0: np.ndarray, tol: float):
+    """Branch shifts k (one entry per cluster), one per hermitian class of
+    primary logarithms whose class can hold an L(k) with Herm L(k) <= tol,
+    in the box walk's order (0, -1, 1, -2, ... per cluster) after k = 0,
+    which is left out; None when the ellipsoid holds more than
+    ``_LATTICE_NODES`` enumeration nodes."""
+    count = len(eig.clusters)
+    n = l0.shape[0]
+    gs = np.array([hermitian_part(2j * np.pi * (eig.vecs[:, idx] @ eig.inv_vecs[idx, :]))
+                   for idx in eig.clusters]).reshape(count, -1)
+    # groups of clusters: join two whose eigenspaces are not orthogonal
+    bases = [np.linalg.qr(eig.vecs[:, idx])[0] for idx in eig.clusters]
+    group = list(range(count))
+    for i, j in itertools.combinations(range(count), 2):
+        if np.linalg.norm(bases[i].conj().T @ bases[j], 2) > _ORTHOGONAL_TOL:
+            low, high = sorted((group[i], group[j]))
+            group = [low if g == high else g for g in group]
+    free = [j for j in range(count) if group[j] != j]
+    h0 = hermitian_part(l0)
+    tau = float(np.trace(h0).real)
+    traceless2 = float(np.linalg.norm(h0)) ** 2 - tau * tau / n
+    # rounding slack, relative to the scale of the terms
+    slack = 1e-8 * (abs(tau) + float(np.linalg.norm(h0))) ** 2
+    points = _ellipsoid_points((gs[free].conj() @ gs[free].T).real,
+                               (gs[free].conj() @ h0.ravel()).real,
+                               (abs(tau) + n * tol) ** 2 * (1.0 - 1.0 / n) - traceless2 + slack,
+                               _LATTICE_NODES)
+    if points is None:
+        return None
+    shifts = []
+    for x in points:
+        k = [0] * count
+        for j, v in zip(free, x):
+            k[j] = v
+        if any(k):
+            shifts.append(tuple(k))
+    return sorted(shifts, key=lambda k: [2 * abs(v) - (v < 0) for v in k])
+
+
+def _ellipsoid_points(q: np.ndarray, b: np.ndarray, r2: float, limit: int):
+    """Every integer vector x with x^T q x + 2 b^T x <= r2, q positive
+    definite, by Fincke-Pohst enumeration: with q = R^T R (R upper
+    triangular) and centre c = -q^-1 b, the form is |R (x - c)|^2 <=
+    r2 + c^T q c, and each coordinate, last first, ranges over the
+    interval that the partial sum of squares leaves.  None when q is not
+    numerically positive definite or the walk visits more than *limit*
+    nodes."""
+    d = len(q)
+    if d == 0:
+        return [()]
+    try:
+        r = np.linalg.cholesky(q).T
+    except np.linalg.LinAlgError:
+        return None
+    centre = -np.linalg.solve(q, b)
+    points, x = [], [0] * d
+    nodes = 0
+
+    def descend(i: int, rem: float) -> bool:
+        nonlocal nodes
+        s = float(sum(r[i, j] * (x[j] - centre[j]) for j in range(i + 1, d)))
+        half = math.sqrt(max(rem, 0.0)) / r[i, i]
+        mid = centre[i] - s / r[i, i]
+        if not half < limit:
+            return False
+        for v in range(math.ceil(mid - half), math.floor(mid + half) + 1):
+            nodes += 1
+            if nodes > limit:
+                return False
+            x[i] = v
+            if i == 0:
+                points.append(tuple(x))
+            elif not descend(i - 1, rem - (r[i, i] * (v - centre[i]) + s) ** 2):
+                return False
+        return True
+
+    rem = r2 + float(centre @ q @ centre)
+    if rem < 0:
+        return []
+    return points if descend(d - 1, rem) else None
+
+
+@dataclass
+class _LatticeWalk:
+    """What a lattice search met: ``classes`` hermitian classes inside the
+    dissipativity ellipsoid (k = 0 included), ``unverified`` of them with a
+    logarithm that exponentiation did not confirm, and ``overflow`` when
+    the enumeration gave up."""
+
+    classes: int = 1
+    unverified: int = 0
+    overflow: bool = False
+
+    def failed(self, tested: int):
+        """Verdict and notes when none of the *tested* logarithms passed."""
+        notes = f"no dissipative logarithm among {tested} candidates"
+        if self.overflow:
+            return INCONCLUSIVE, (f"{notes}; the dissipativity ellipsoid holds more than "
+                                  f"{_LATTICE_NODES} enumeration nodes, so its classes "
+                                  "were not searched")
+        notes += (", one per hermitian class of primary logarithms inside the "
+                  "dissipativity ellipsoid")
+        if self.unverified:
+            return INCONCLUSIVE, (f"{notes}; {self.unverified} of {self.classes} classes "
+                                  "had no logarithm verified by exponentiation")
+        return CONDITION_FAILS, notes
+
+
+def _lattice_logs(a: np.ndarray, eig: _Eigenbasis, walk: _LatticeWalk):
+    """L0, then one primary logarithm per further hermitian class inside
+    the dissipativity ellipsoid, each verified by exponentiation; the
+    lattice is set up only when the caller asks for more than L0."""
+    l0 = eig.log([0] * len(eig.clusters))
+    if _verified(l0, a):
+        yield l0
+    else:
+        walk.unverified += 1
+    shifts = _lattice_shifts(eig, l0, _DISSIPATIVE_TOL)
+    if shifts is None:
+        walk.overflow = True
+        return
+    walk.classes += len(shifts)
+    for k in shifts:
+        m = eig.log(k)
+        if _verified(m, a):
+            yield m
+        else:
+            walk.unverified += 1
+
+
+def _principal_log_box(a: np.ndarray, bound: int):
+    """The principal logarithm shifted by 2 pi i k I, |k| <= bound, in the
+    order 0, -1, 1, ..., each verified by exponentiation."""
+    try:
+        base = mat_log_principal(a)
+    except BranchError:
+        return
+    for k in sorted(range(-bound, bound + 1), key=abs):
+        m = base + 2j * np.pi * k * np.eye(a.shape[0])
+        if _verified(m, a):
+            yield m
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +605,16 @@ def sphere_quadratic_min(g_herm: np.ndarray, g_lin: np.ndarray):
 
 
 def embed_elliptic_split(nf: NormalForm, branch_search: int = BRANCH_BOUND) -> EmbeddingCertificate:
-    """Exponential-of-dissipative criterion for the (Lambda, A1) form."""
+    """Exponential-of-dissipative criterion for the (Lambda, A1) form: the
+    map embeds exactly when A1 has a dissipative logarithm.
+
+    Candidate 0 is the principal logarithm L0 = V diag(log lam) V^-1.  When
+    it fails and A1 has a well-conditioned eigenbasis, one logarithm per
+    hermitian class of primary logarithms inside the dissipativity
+    ellipsoid follows (:func:`_lattice_shifts`), so the search is complete over the
+    primary logarithms.  Otherwise the principal logarithm shifted by
+    2 pi i k I, |k| <= *branch_search*, is tested.
+    """
     _expect_form(nf, FORM_ELLIPTIC_SPLIT)
     lam = nf.parameters["Lambda"]
     a1 = nf.parameters["A1"]
@@ -408,20 +623,27 @@ def embed_elliptic_split(nf: NormalForm, branch_search: int = BRANCH_BOUND) -> E
         data = {"theta": theta, "M": np.zeros((0, 0), dtype=complex), "u": len(theta)}
         return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log",
                             [Condition("unitary_part", 0.0, True)], data)
-    walk = _BranchWalk()
+    _require_invertible(a1)
+    eig = _Eigenbasis.of(a1)
+    lattice = _LatticeWalk()
+    candidates = _principal_log_box(a1, branch_search) if eig is None else \
+        _lattice_logs(a1, eig, lattice)
     margins = []
-    for idx, m in enumerate(_iter_log_candidates(a1, branch_search, walk=walk)):
+    for idx, m in enumerate(candidates):
         res = is_dissipative(m)
-        left = float(np.max(np.linalg.eigvals(m).real))
         margins.append(Condition(f"dissipativity[candidate {idx}]", -res.margin,
-                                 res.margin <= 1e-10))
-        if res.margin <= 1e-10 and left < 0:
+                                 res.margin <= _DISSIPATIVE_TOL))
+        if res.margin <= _DISSIPATIVE_TOL and float(np.max(np.linalg.eigvals(m).real)) < 0:
             data = {"theta": theta, "M": m, "u": len(theta)}
             return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log", margins,
                                 data, notes=f"dissipative logarithm found (candidate {idx})")
-    verdict, notes = _failed_search(
-        walk, f"no dissipative logarithm among {len(margins)} candidates "
-              f"(branch bound {branch_search})")
+    if not margins:
+        raise NumericError("no verifiable logarithm candidate found")
+    if eig is None:
+        verdict, notes = CONDITION_FAILS, (f"no dissipative logarithm among {len(margins)} "
+                                           f"candidates (branch bound {branch_search})")
+    else:
+        verdict, notes = lattice.failed(len(margins))
     return _certificate(nf, verdict, "elliptic_split_dissipative_log", margins, notes=notes)
 
 

@@ -1,27 +1,35 @@
-"""The lazy matrix-log branch walk.
+"""Matrix-log branch searches.
 
-``embedding._iter_log_candidates`` builds and verifies one logarithm at a
-time, in the order of the eager search it replaced (kept below as
-``eager_log_candidates``, the reference), and the elliptic criteria stop
-at the first candidate that passes.  A walk cut short by its caps ends in
-``inconclusive``, never in the if-and-only-if verdict ``condition_fails``.
+``embedding._iter_log_candidates``, behind ``log_candidates`` and the u0
+criterion, builds and verifies one logarithm at a time, in the order of
+the eager search it replaced (kept below as ``eager_log_candidates``, the
+reference), and stops at the first candidate that passes; a walk cut
+short by its caps ends in ``inconclusive``, never in the if-and-only-if
+verdict ``condition_fails``.
+
+The split criterion tests L0, then one primary logarithm per hermitian
+class inside the dissipativity ellipsoid.  Its oracle is a brute force
+over every branch shift |k_j| <= 5 whose logarithms and hermitian parts
+are computed in mpmath at 30 digits.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from lfmsemi import embedding as emb
-from lfmsemi.cli import EXIT_INCONCLUSIVE, parse_map_spec, run_pipeline
+from lfmsemi.cli import EXIT_CONDITION_FAILS, EXIT_INCONCLUSIVE, parse_map_spec, run_pipeline
 from lfmsemi.embedding import CONDITION_FAILS, EMBEDDABLE, INCONCLUSIVE, log_candidates
 from lfmsemi.errors import BranchError, DomainError, NumericError
-from lfmsemi.linalg import mat_exp, mat_log_principal, schur_form
+from lfmsemi.linalg import hermitian_part, mat_exp, mat_log_principal, schur_form
 from lfmsemi.normal_forms import normal_form
 from test_golden import _mismatches
 
@@ -136,6 +144,66 @@ def split_form(spec):
     return normal_form(parse_map_spec(spec))
 
 
+def brute_force_tops(a, bound=5):
+    """lambda_max(Herm L(k)) for every primary logarithm
+    L(k) = sum_j (log lam_j + 2 pi i k_j) P_j of a with |k_j| <= bound,
+    P_j the spectral projector of eigenvalue cluster j, and k_0 = 0
+    (adding one integer to every k_j adds a multiple of 2 pi i I to L and
+    leaves Herm L unchanged).  The eigen-decomposition, the logarithms and
+    the hermitian parts are computed in mpmath at 30 digits; each
+    lambda_max is taken in double precision of the rounded matrix, and
+    again in mpmath when it lies within 1e-6 of 0.
+
+    Returns one eigenvalue per cluster, in mpmath's order, and
+    {k: lambda_max} with k in that order."""
+    with mpmath.workdps(30):
+        vals, vecs = mpmath.eig(mpmath.matrix(np.asarray(a).tolist()))
+        inv = vecs ** -1
+        n = len(vals)
+        clusters = []
+        for i in range(n):
+            for cluster in clusters:
+                if abs(vals[i] - vals[cluster[0]]) <= 1e-8 * max(1, abs(vals[i])):
+                    cluster.append(i)
+                    break
+            else:
+                clusters.append([i])
+
+        def outer(i):
+            return vecs[:, i] * inv[i, :]
+
+        def herm(x):
+            return (x + x.H) / 2
+
+        l0 = sum((mpmath.log(vals[i]) * outer(i) for i in range(n)), mpmath.zeros(n))
+        parts = [herm(l0)] + [herm(2j * mpmath.pi * sum((outer(i) for i in c), mpmath.zeros(n)))
+                              for c in clusters]
+        h0, *gs = [np.array(p.tolist(), dtype=complex) for p in parts]
+        ks = [(0,) + k for k in itertools.product(range(-bound, bound + 1),
+                                                   repeat=len(clusters) - 1)]
+        stack = h0 + np.tensordot(np.array(ks, dtype=float), np.array(gs), axes=1)
+        tops = np.linalg.eigvalsh(stack)[:, -1]
+        out = {}
+        for k, top in zip(ks, tops.tolist()):
+            if abs(top) < 1e-6:
+                exact = parts[0] + sum((kj * g for kj, g in zip(k, parts[1:]) if kj),
+                                       mpmath.zeros(n))
+                top = float(max(mpmath.eighe(exact, eigvals_only=True)))
+            out[k] = top
+        return [complex(vals[c[0]]) for c in clusters], out
+
+
+def lattice_shifts(a1):
+    eig = emb._Eigenbasis.of(a1)
+    return emb._lattice_shifts(eig, eig.log([0] * len(eig.clusters)), emb._DISSIPATIVE_TOL)
+
+
+def contraction_block(basis, vals):
+    """basis diag(vals) basis^-1, scaled to norm 0.95 when it is larger."""
+    a = basis @ np.diag(vals) @ np.linalg.inv(basis)
+    return a * min(1.0, 0.95 / np.linalg.norm(a, 2))
+
+
 CASES = [(n, clusters) for n in (1, 2, 3, 4) for clusters in range(1, n + 1)]
 
 
@@ -180,11 +248,18 @@ def test_embeddable_dim8_verifies_one_candidate(monkeypatch):
 def test_condition_fails_counts_every_candidate():
     nf = split_form(json.loads(
         (GOLDEN / "elliptic_split_coupled_condition_fails_ball_n8.json").read_text()))
+    a1 = nf.parameters["A1"]
     cert = emb.embed_elliptic_split(nf)
-    count = len(log_candidates(nf.parameters["A1"]))
+    count = 1 + len(lattice_shifts(a1))  # L0 and one logarithm per further class
     assert cert.verdict == CONDITION_FAILS
-    assert len(cert.margins) == count
-    assert f"no dissipative logarithm among {count} candidates" in cert.notes
+    assert [m.name for m in cert.margins] == [f"dissipativity[candidate {i}]"
+                                              for i in range(count)]
+    assert not any(m.passed for m in cert.margins)
+    assert f"no dissipative logarithm among {count} candidates, one per hermitian class" \
+        in cert.notes
+    _, tops = brute_force_tops(a1)
+    assert len(tops) == 11 ** 3
+    assert min(tops.values()) > 1e-3
 
 
 def test_singular_error_unchanged():
@@ -218,24 +293,173 @@ def test_walk_ending_at_last_combination_is_complete():
     assert cut.truncated and cut.searched < 49
 
 
-def test_truncated_search_is_inconclusive():
-    # five distinct contraction eigenvalues: 7^5 = 16807 branch combinations,
-    # more than the walk verifies before its 4096-candidate cap
+def test_five_cluster_search_is_complete():
+    # five distinct contraction eigenvalues: 7^5 = 16807 branch combinations
+    # in the |k| <= 3 box, more than the box walk verified before its
+    # 4096-candidate cap; the normal clusters are orthogonal to the rest,
+    # so the lattice has a single free coordinate, the coupled pair's
     rng = np.random.default_rng(6)
     normal = np.diag(np.array([0.5, 0.6j, -0.45 + 0.2j]))
     spec = split_spec(rng, 1, [normal, coupled_pair(rng)])
     nf = split_form(spec)
-    assert nf.parameters["A1"].shape == (5, 5)
+    a1 = nf.parameters["A1"]
+    assert a1.shape == (5, 5)
     cert = emb.embed_elliptic_split(nf)
-    assert cert.verdict == INCONCLUSIVE
-    assert len(cert.margins) == 4096
-    searched = re.search(r"searched (\d+) of 16807 branch combinations", cert.notes)
-    assert searched and 4096 <= int(searched.group(1)) < 16807
+    assert cert.verdict == CONDITION_FAILS
+    assert len(cert.margins) == 1 + len(lattice_shifts(a1))
+    assert "searched" not in cert.notes
+    _, tops = brute_force_tops(a1)
+    assert len(tops) == 11 ** 4
+    assert min(tops.values()) > 1e-3
 
     report = run_pipeline(spec, stop_after="embed")
-    assert report["stages"]["embed"]["verdict"] == INCONCLUSIVE
+    assert report["stages"]["embed"]["verdict"] == CONDITION_FAILS
     assert report["stages"]["embed"]["notes"] == cert.notes
-    assert report["exit_status"] == EXIT_INCONCLUSIVE
+    assert report["exit_status"] == EXIT_CONDITION_FAILS
+
+
+def _random_block(rng, wrapped: bool):
+    """A random non-normal contraction with 2 or 3 eigenvalue clusters
+    (clusters of 2 when n = 4 and 2 clusters); with ``wrapped`` the
+    eigenvalue arguments sit near +-pi on alternate clusters, where a
+    shifted branch can beat the principal one."""
+    n = int(rng.integers(2, 5))
+    count = int(rng.integers(2, min(n, 3) + 1))
+    if wrapped:
+        angles = (np.pi - rng.uniform(0.05, 0.6, count)) * np.where(np.arange(count) % 2, 1, -1)
+    else:
+        angles = rng.uniform(-np.pi, np.pi, count)
+    vals = rng.uniform(0.4, 0.9, count) * np.exp(1j * angles)
+    basis = np.eye(n) + rng.uniform(0.02, 0.6) * (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return contraction_block(basis, vals[np.arange(n) % count])
+
+
+def test_lattice_verdict_matches_mpmath_brute_force():
+    rng = np.random.default_rng(2024)
+    outcomes = []
+    for trial in range(24):
+        nf = split_form(split_spec(rng, 1, [_random_block(rng, trial % 2 == 1)]))
+        a1 = nf.parameters["A1"]
+        eigenvalues, tops = brute_force_tops(a1)
+        # far from the 1e-10 acceptance threshold, so rounding cannot decide
+        assert min(abs(t - 1e-10) for t in tops.values()) > 1e-6
+        # every dissipative shift of the brute force lies in a class of the
+        # lattice: the clusters are all joined here, so a class is k up to
+        # a common integer, and the lattice puts k = 0 on its first cluster
+        eig = emb._Eigenbasis.of(a1)
+        assert len(eig.clusters) == len(eigenvalues)
+        order = [int(np.argmin(np.abs(np.array(eigenvalues) - np.exp(eig.base_logs[c[0]]))))
+                 for c in eig.clusters]
+        classes = {(0,) * len(order)} | set(lattice_shifts(a1))
+        for k, top in tops.items():
+            if top <= 1e-10:
+                shift = [k[j] - k[order[0]] for j in order]
+                assert tuple(shift) in classes
+        cert = emb.embed_elliptic_split(nf)
+        assert cert.verdict == (EMBEDDABLE if min(tops.values()) <= 1e-10 else CONDITION_FAILS)
+        if cert.verdict == EMBEDDABLE:
+            m = cert.generator_data["M"]
+            assert float(np.linalg.eigvalsh(hermitian_part(m))[-1]) <= 1e-10
+            assert np.linalg.norm(mat_exp(m) - a1) <= 1e-8
+        outcomes.append("candidate 0" if cert.margins[0].passed else cert.verdict)
+    # every path is exercised: L0 passes, a shifted class passes, none passes
+    assert {outcomes.count(o) > 0 for o in ("candidate 0", EMBEDDABLE, CONDITION_FAILS)} \
+        == {True}
+
+
+def test_ellipsoid_reaches_past_the_old_box():
+    # the coupled pair [[0.3, 0.8], [0, 0.33]] fails at every branch; the
+    # third eigenspace leans on the pair's by a cosine of about 0.02, so
+    # the bound reaches classes whose shifts spread over more than 6,
+    # which no shift with |k_j| <= 3 represents
+    a1 = np.array([[0.3, 0.8, 0.02], [0.0, 0.33, 0.0], [0.0, 0.0, 0.6 * np.exp(-2j)]])
+    nf = split_form(split_spec(np.random.default_rng(3), 1, [a1]))
+    shifts = lattice_shifts(nf.parameters["A1"])
+    far = [k for k in shifts if max(k) - min(k) > 6]
+    assert len(shifts) + 1 == 24 and len(far) == 11
+    cert = emb.embed_elliptic_split(nf)
+    assert cert.verdict == CONDITION_FAILS
+    assert len(cert.margins) == 24
+    assert min(brute_force_tops(nf.parameters["A1"])[1].values()) > 1e-3
+
+
+def test_each_tested_class_verified_once(monkeypatch):
+    # a wrapped pair: L0 fails and the class k = (0, -1) or (0, 1) passes
+    vals = np.array([0.6 * np.exp(-2.9j), 0.7 * np.exp(2.95j)])
+    block = contraction_block(np.array([[1.0, 0.5], [0.0, 1.0]]), vals)
+    nf = split_form(split_spec(np.random.default_rng(5), 1, [block]))
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return mat_exp(m)
+
+    monkeypatch.setattr(emb, "mat_exp", counting)
+    cert = emb.embed_elliptic_split(nf)
+    assert cert.verdict == EMBEDDABLE
+    assert not cert.margins[0].passed and cert.margins[-1].passed
+    assert len(calls) == len(cert.margins) > 1
+    assert np.array_equal(calls[-1], cert.generator_data["M"])
+
+
+def test_lattice_waits_for_candidate_zero(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("lattice set up although L0 passed")
+
+    monkeypatch.setattr(emb, "_lattice_shifts", unexpected)
+    rng = np.random.default_rng(8)
+    cert = emb.embed_elliptic_split(split_form(split_spec(rng, 2, [normal_contraction(rng, 4, 3)])))
+    assert cert.verdict == EMBEDDABLE and len(cert.margins) == 1
+
+
+def test_unverified_class_is_inconclusive(monkeypatch):
+    # a failed exponentiation check leaves its class undecided
+    block = np.array([[0.3, 0.8, 0.02], [0.0, 0.33, 0.0], [0.0, 0.0, 0.6 * np.exp(-2j)]])
+    nf = split_form(split_spec(np.random.default_rng(3), 1, [block]))
+    verified = emb._verified
+    # refuse every logarithm whose trace the shifts moved off L0's
+    principal = float(np.sum(np.angle(np.linalg.eigvals(nf.parameters["A1"]))))
+    monkeypatch.setattr(emb, "_verified", lambda m, a: verified(m, a) and
+                        abs(np.trace(m).imag - principal) < 1.0)
+    cert = emb.embed_elliptic_split(nf)
+    assert cert.verdict == INCONCLUSIVE
+    assert re.search(r"; \d+ of 24 classes had no logarithm verified", cert.notes)
+    assert 1 <= len(cert.margins) < 24
+
+
+def test_nearly_orthogonal_eigenspaces_are_inconclusive():
+    # two eigenspaces at a cosine of 1e-7 make the lattice direction that
+    # shifts them apart so flat that the bound holds about 1e6 classes:
+    # the enumeration gives up, and so does the verdict
+    rng = np.random.default_rng(4)
+    lean = np.array([[1.0, 1e-7], [0.0, 1.0]])
+    nearly_normal = lean @ np.diag([0.5, 0.4j]) @ np.linalg.inv(lean)
+    spec = split_spec(rng, 1, [nearly_normal, coupled_pair(rng)])
+    cert = emb.embed_elliptic_split(split_form(spec))
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.notes == ("no dissipative logarithm among 1 candidates; the dissipativity "
+                          f"ellipsoid holds more than {emb._LATTICE_NODES} enumeration "
+                          "nodes, so its classes were not searched")
+    assert run_pipeline(spec, stop_after="embed")["exit_status"] == EXIT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ellipsoid_points_match_box_enumeration(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        turn = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        q = turn @ np.diag(rng.uniform(0.5, 4.0, dim)) @ turn.T
+        b = rng.standard_normal(dim)
+        r2 = float(rng.uniform(0.5, 20.0))
+        got = emb._ellipsoid_points(q, b, r2, 10 ** 6)
+        centre = -np.linalg.solve(q, b)
+        reach = np.sqrt((r2 + centre @ q @ centre) * np.diag(np.linalg.inv(q)))
+        box = [range(math.floor(c - w) - 1, math.ceil(c + w) + 2) for c, w in zip(centre, reach)]
+        want = [x for x in itertools.product(*box)
+                if np.array(x) @ q @ np.array(x) + 2 * b @ np.array(x) <= r2]
+        assert sorted(got) == sorted(want)
+    assert emb._ellipsoid_points(np.eye(2), np.zeros(2), 1e6, 10) is None
 
 
 NAMES = sorted(p.name[: -len(".report.json")] for p in GOLDEN.glob("*.report.json"))

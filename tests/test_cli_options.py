@@ -2,7 +2,8 @@
 ``--z0`` are input errors (exit 3), negative times and hyperbolic times
 whose lam^t overflows are rejected by name at every entry point, an
 empty time grid writes a header-only CSV, ``--tol-profile strict``
-reaches the verification, and report values keep their JSON types."""
+reaches the verification, report values keep their JSON types, and a
+spec matrix with ragged rows is an input error naming its field."""
 
 import json
 
@@ -10,7 +11,13 @@ import numpy as np
 import pytest
 
 from lfmsemi import cli
-from lfmsemi.cli import EXIT_EMBEDDABLE, EXIT_INPUT_ERROR, parse_map_spec, run_pipeline
+from lfmsemi.cli import (
+    EXIT_EMBEDDABLE,
+    EXIT_INPUT_ERROR,
+    SpecError,
+    parse_map_spec,
+    run_pipeline,
+)
 from lfmsemi.embedding import build_semigroup, embed_map
 from lfmsemi.errors import DomainError, NumericError
 
@@ -147,3 +154,30 @@ class TestTolerances:
                       for c in report["stages"]["verify"]["checks"]}
         assert tolerances == {"identity_at_zero": 1e-10, "semigroup_law": 1e-8,
                               "self_map": 1e-9, "time_one": 1e-8, "generator_fd": 1e-5}
+
+
+class TestRaggedRows:
+    """np.array refuses ragged rows with a bare ValueError; the spec reader
+    reports them as an input error on the field instead."""
+
+    RAGGED_BALL = dict(HALF_SCALING_2D, A=[[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    RAGGED_SIEGEL = {"dimension": 3, "domain": "siegel", "lambda": [1.0, 0.0],
+                     "b": [0.0, 1.0], "a": [[0.0, 0.0], [0.0, 0.0]],
+                     "c": [[0.0, 0.0], [0.0, 0.0]],
+                     "M": [[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]]}
+
+    @pytest.mark.parametrize("spec,field", [(RAGGED_BALL, "A"), (RAGGED_SIEGEL, "M")],
+                             ids=["ball", "siegel"])
+    def test_parse_names_the_field(self, spec, field):
+        with pytest.raises(SpecError, match=rf"^{field}: rows must have equal lengths, "
+                                            r"got lengths \[1, 2\]$"):
+            parse_map_spec(spec)
+
+    def test_cli_exits_with_input_error(self, tmp_path, capsys):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(self.RAGGED_BALL))
+        code = cli.main(["classify", str(path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_INPUT_ERROR
+        assert out.startswith("input error: A: rows must have equal lengths, got lengths [1, 2]\n")
+        assert "stage " not in out  # caught at the input boundary
