@@ -8,21 +8,20 @@ positive.
 
 Verdict semantics: the elliptic criteria are if-and-only-if, so a
 failed margin yields ``condition_fails``.  Both build and verify one
-logarithm at a time and stop at the first that passes.  For a
-diagonalisable A1 the split criterion's search is complete over the
-primary logarithms: after the principal one it tests one logarithm per
-hermitian class inside a proven dissipativity ellipsoid (see "the
-lattice of primary logarithms" below).  A class whose logarithm fails
-its exponentiation check, or an ellipsoid too large to enumerate, makes
-the verdict ``inconclusive``.  (Non-primary logarithms of a derogatory
-A1, an eigenvalue with several Jordan blocks, form a continuum and are
-not searched.)  The u0 criterion walks the branch shifts |k| <=
-``BRANCH_BOUND``; a walk that its caps cut short (20000 branch
-combinations or ``max_candidates`` logarithms) is incomplete, so its
-verdict is ``inconclusive``, and its notes say how many of the branch
-combinations were searched.  The parabolic and hyperbolic criteria are
-sufficient only; failed hypotheses yield ``inconclusive`` - the map may
-still embed.
+logarithm at a time and stop at the first that passes, and both search
+one lattice of primary logarithms (see "the lattice of primary
+logarithms" below): after the principal logarithm, one logarithm per
+class that the criterion cannot tell apart (the hermitian part for the
+split criterion; the hermitian part and delta M^H e1 for the u0
+criterion) inside an ellipsoid that holds every passing class.  The
+search is complete over the primary logarithms.  A class whose
+logarithm fails its exponentiation check, an ellipsoid too large to
+enumerate, or an ill-conditioned eigenbasis (cond V >= 1e8) with several
+eigenvalue clusters makes the verdict ``inconclusive``.  (Non-primary
+logarithms of a derogatory A1, an eigenvalue with several Jordan blocks,
+form a continuum and are not searched.)  The parabolic and hyperbolic
+criteria are sufficient only; failed hypotheses yield ``inconclusive`` -
+the map may still embed.
 
 The case table ``_CASES``, keyed by ``NormalForm.form_kind``, holds for
 each of the four normal-form cases its checked conditions, its embedding
@@ -77,9 +76,6 @@ INCONCLUSIVE = "inconclusive"
 
 #: margin at or above which a criterion counts as satisfied
 MARGIN_TOL = 1e-12
-
-#: default per-eigenvalue branch bound for matrix-log searches
-BRANCH_BOUND = 3
 
 #: largest eigenvalue of Herm M at which a logarithm M counts as dissipative
 _DISSIPATIVE_TOL = 1e-10
@@ -250,137 +246,6 @@ class SemigroupFamily:
 
 
 # ---------------------------------------------------------------------------
-# matrix-log branch search
-
-
-@dataclass
-class _BranchWalk:
-    """How far one branch walk got: ``searched`` of its ``combinations``
-    branch combinations were tried, and ``truncated`` tells whether a cap
-    stopped it with combinations left."""
-
-    searched: int = 0
-    combinations: int = 0
-    truncated: bool = False
-
-
-def _require_invertible(a: np.ndarray) -> None:
-    eigs = schur_form(a).eigenvalues
-    if np.min(np.abs(eigs)) <= 1e-12 * max(1.0, float(np.max(np.abs(eigs)))):
-        raise DomainError("singular matrix admits no logarithm")
-
-
-def _verified(m: np.ndarray, a: np.ndarray) -> bool:
-    """exp(m) reproduces a to within 1e-8 max(1, |a|)."""
-    return float(np.linalg.norm(mat_exp(m) - a)) <= 1e-8 * max(1.0, float(np.linalg.norm(a)))
-
-
-@dataclass(frozen=True)
-class _Eigenbasis:
-    """a = V diag(vals) V^-1 with a well-conditioned V (cond < 1e8), the
-    eigenvalues grouped into clusters equal to within 1e-8 relative, in
-    order of first appearance.  ``log(k)`` is the primary logarithm
-    L(k) = V diag(log(vals) + 2 pi i k_j on cluster j) V^-1."""
-
-    vecs: np.ndarray
-    inv_vecs: np.ndarray
-    base_logs: np.ndarray
-    clusters: list
-
-    @classmethod
-    def of(cls, a: np.ndarray) -> Optional["_Eigenbasis"]:
-        vals, vecs = np.linalg.eig(a)
-        if not np.linalg.cond(vecs) < 1e8:
-            return None
-        clusters = []
-        assigned = np.full(len(vals), -1)
-        for i in range(len(vals)):
-            if assigned[i] >= 0:
-                continue
-            members = np.nonzero(np.abs(vals - vals[i]) <= 1e-8 * max(1.0, abs(vals[i])))[0]
-            assigned[members] = len(clusters)
-            clusters.append(members)
-        return cls(vecs, np.linalg.inv(vecs), np.log(vals), clusters)
-
-    def log(self, combo) -> np.ndarray:
-        shift = np.zeros(len(self.base_logs), dtype=complex)
-        for cluster, k in zip(self.clusters, combo):
-            shift[cluster] = 2j * np.pi * k
-        return self.vecs @ np.diag(self.base_logs + shift) @ self.inv_vecs
-
-
-def log_candidates(a: np.ndarray, bound: int = BRANCH_BOUND, max_candidates: int = 4096):
-    """Matrix logarithms of *a*, principal branch first, then eigenvalue
-    shifts by 2 pi i k (|k| <= bound) applied per distinct eigenvalue.
-
-    Every candidate is verified by exponentiation before being returned;
-    the search is complete only within the branch bound.  The list holds
-    everything :func:`_iter_log_candidates` yields.
-    """
-    return list(_iter_log_candidates(a, bound, max_candidates))
-
-
-def _iter_log_candidates(a: np.ndarray, bound: int = BRANCH_BOUND,
-                         max_candidates: int = 4096, walk: Optional[_BranchWalk] = None):
-    """The candidates of :func:`log_candidates`, in its order, each built
-    and verified by exponentiation only when the iteration reaches it.
-
-    The walk stops after 20000 branch combinations or *max_candidates*
-    candidates; *walk*, when given, records how far it got.
-    """
-    a = np.asarray(a, dtype=complex)
-    _require_invertible(a)
-    walk = _BranchWalk() if walk is None else walk
-    seen = set()  # (trace, norm) keys of the candidates yielded so far
-
-    def fresh(m) -> bool:
-        """m is verified and its key is new (and now seen)."""
-        key = (round(float(np.trace(m).real), 8), round(float(np.trace(m).imag), 8),
-               round(float(np.linalg.norm(m)), 8))
-        if key in seen or not _verified(m, a):
-            return False
-        seen.add(key)
-        return True
-
-    try:
-        base = mat_log_principal(a)
-    except BranchError:
-        base = None
-    ks = sorted(range(-bound, bound + 1), key=abs)
-    eig = _Eigenbasis.of(a)
-    if eig is not None:
-        walk.combinations = len(ks) ** len(eig.clusters)
-        for tried, combo in enumerate(itertools.product(ks, repeat=len(eig.clusters))):
-            if tried >= 20000 or len(seen) >= max_candidates:
-                walk.truncated = True
-                break
-            walk.searched = tried + 1
-            m = eig.log(combo)
-            if fresh(m):
-                yield m
-    elif base is not None:
-        walk.combinations = len(ks)
-        for k in ks:
-            walk.searched += 1
-            m = base + 2j * np.pi * k * np.eye(a.shape[0])
-            if fresh(m):
-                yield m
-    if base is not None and fresh(base):
-        yield base
-    if not seen:
-        raise NumericError("no verifiable logarithm candidate found")
-
-
-def _failed_search(walk: _BranchWalk, notes: str):
-    """Verdict and notes when no candidate of a walk passed: the
-    if-and-only-if criterion fails only when the walk was complete."""
-    if not walk.truncated:
-        return CONDITION_FAILS, notes
-    return INCONCLUSIVE, (f"{notes}; searched {walk.searched} of {walk.combinations} "
-                          "branch combinations")
-
-
-# ---------------------------------------------------------------------------
 # the lattice of primary logarithms
 #
 # The primary logarithms of a = V diag(lam) V^-1 are L(k) = L0 + 2 pi i
@@ -397,6 +262,17 @@ def _failed_search(walk: _BranchWalk, notes: str):
 # those k leave H unchanged; with k = 0 on the first cluster of each group
 # the form is positive definite, and Fincke-Pohst enumeration (Math. Comp.
 # 44, 1985) lists its integer points, one per hermitian class.
+#
+# The u0 criterion depends on a logarithm M through H = Herm M and
+# b = delta M^H e1 only, and b(k) = b0 - 2 pi i delta sum_j k_j P_j^H e1 is
+# affine in k too.  A passing M has H <= tol I, so the ellipsoid above
+# holds, and its mixed term at z = -b/|b| gives |b| <= tol - lambda_min(H)
+# <= |tau| + n tol.  The lattice then enumerates the sum of the two forms
+# within the sum of the two squared radii.  A shift constant on a group g
+# leaves H unchanged but moves b by a multiple of P_g^H e1, so the first
+# cluster of each group with P_g^H e1 != 0 is free as well; the
+# projectors of orthogonal groups are orthogonal, so their P_g^H e1 are
+# independent and the summed form is positive definite.
 
 #: largest cosine between the eigenspaces of two clusters that counts as
 #: orthogonal
@@ -406,16 +282,74 @@ _ORTHOGONAL_TOL = 1e-10
 _LATTICE_NODES = 100_000
 
 
-def _lattice_shifts(eig: _Eigenbasis, l0: np.ndarray, tol: float):
-    """Branch shifts k (one entry per cluster), one per hermitian class of
-    primary logarithms whose class can hold an L(k) with Herm L(k) <= tol,
-    in the box walk's order (0, -1, 1, -2, ... per cluster) after k = 0,
-    which is left out; None when the ellipsoid holds more than
+def _require_invertible(a: np.ndarray) -> None:
+    eigs = schur_form(a).eigenvalues
+    if np.min(np.abs(eigs)) <= 1e-12 * max(1.0, float(np.max(np.abs(eigs)))):
+        raise DomainError("singular matrix admits no logarithm")
+
+
+def _verified(m: np.ndarray, a: np.ndarray) -> bool:
+    """exp(m) reproduces a to within 1e-8 max(1, |a|)."""
+    return float(np.linalg.norm(mat_exp(m) - a)) <= 1e-8 * max(1.0, float(np.linalg.norm(a)))
+
+
+@dataclass(frozen=True)
+class _Eigenbasis:
+    """The primary logarithms L(k) = V (D + 2 pi i diag(k_j on cluster j))
+    V^-1 of a (``log(k)``), k one integer per cluster of eigenvalues equal
+    to within 1e-8 relative, in order of first appearance.  With a
+    well-conditioned eigenbasis (cond V < 1e8) D = diag(log lam);
+    otherwise (``conditioned`` False) V = I and D = mat_log_principal(a),
+    whose shifts are all the primary logarithms only when a has one
+    cluster."""
+
+    vecs: np.ndarray
+    inv_vecs: np.ndarray
+    core: np.ndarray
+    clusters: list
+    conditioned: bool = True
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> Optional["_Eigenbasis"]:
+        """None when the eigenbasis is ill-conditioned and a has no
+        principal logarithm."""
+        vals, vecs = np.linalg.eig(a)
+        clusters = []
+        assigned = np.full(len(vals), -1)
+        for i in range(len(vals)):
+            if assigned[i] >= 0:
+                continue
+            members = np.nonzero(np.abs(vals - vals[i]) <= 1e-8 * max(1.0, abs(vals[i])))[0]
+            assigned[members] = len(clusters)
+            clusters.append(members)
+        if np.linalg.cond(vecs) < 1e8:
+            return cls(vecs, np.linalg.inv(vecs), np.diag(np.log(vals)), clusters)
+        try:
+            principal = mat_log_principal(a)
+        except BranchError:
+            return None
+        eye = np.eye(len(vals), dtype=complex)
+        return cls(eye, eye, principal, clusters, conditioned=False)
+
+    def log(self, combo) -> np.ndarray:
+        shift = np.zeros(len(self.core), dtype=complex)
+        for cluster, k in zip(self.clusters, combo):
+            shift[cluster] = 2j * np.pi * k
+        return self.vecs @ (self.core + np.diag(shift)) @ self.inv_vecs
+
+
+def _lattice_shifts(eig: _Eigenbasis, l0: np.ndarray, tol: float, delta: float = 0.0):
+    """Branch shifts k (one entry per cluster), one per class of primary
+    logarithms with equal Herm L(k) and, for delta != 0, equal
+    delta L(k)^H e1, whose class can hold a logarithm that passes the
+    criterion with tolerance tol (the split criterion at delta = 0, the u0
+    criterion otherwise), in the order 0, -1, 1, -2, ... per cluster after
+    k = 0, which is left out; None when the ellipsoid holds more than
     ``_LATTICE_NODES`` enumeration nodes."""
     count = len(eig.clusters)
     n = l0.shape[0]
-    gs = np.array([hermitian_part(2j * np.pi * (eig.vecs[:, idx] @ eig.inv_vecs[idx, :]))
-                   for idx in eig.clusters]).reshape(count, -1)
+    projectors = [eig.vecs[:, idx] @ eig.inv_vecs[idx, :] for idx in eig.clusters]
+    gs = np.array([hermitian_part(2j * np.pi * p) for p in projectors]).reshape(count, -1)
     # groups of clusters: join two whose eigenspaces are not orthogonal
     bases = [np.linalg.qr(eig.vecs[:, idx])[0] for idx in eig.clusters]
     group = list(range(count))
@@ -423,16 +357,26 @@ def _lattice_shifts(eig: _Eigenbasis, l0: np.ndarray, tol: float):
         if np.linalg.norm(bases[i].conj().T @ bases[j], 2) > _ORTHOGONAL_TOL:
             low, high = sorted((group[i], group[j]))
             group = [low if g == high else g for g in group]
-    free = [j for j in range(count) if group[j] != j]
+    # P_j^H e1, the direction in which a shift of cluster j moves b
+    moves = np.array([p[0].conj() for p in projectors])
+    free = [j for j in range(count) if group[j] != j or delta and np.linalg.norm(
+        sum(moves[i] for i in range(count) if group[i] == j)) > _ORTHOGONAL_TOL]
     h0 = hermitian_part(l0)
     tau = float(np.trace(h0).real)
+    b0 = delta * l0[0].conj()
     traceless2 = float(np.linalg.norm(h0)) ** 2 - tau * tau / n
+    radius = abs(tau) + n * tol
     # rounding slack, relative to the scale of the terms
-    slack = 1e-8 * (abs(tau) + float(np.linalg.norm(h0))) ** 2
-    points = _ellipsoid_points((gs[free].conj() @ gs[free].T).real,
-                               (gs[free].conj() @ h0.ravel()).real,
-                               (abs(tau) + n * tol) ** 2 * (1.0 - 1.0 / n) - traceless2 + slack,
-                               _LATTICE_NODES)
+    slack = 1e-8 * (abs(tau) + float(np.linalg.norm(h0)) + float(np.linalg.norm(b0))) ** 2
+    q = (gs[free].conj() @ gs[free].T).real
+    lin = (gs[free].conj() @ h0.ravel()).real
+    r2 = radius ** 2 * (1.0 - 1.0 / n) - traceless2 + slack
+    if delta:
+        cs = -2j * np.pi * delta * moves[free]
+        q = q + (cs.conj() @ cs.T).real
+        lin = lin + (cs.conj() @ b0).real
+        r2 += radius ** 2 - float(np.linalg.norm(b0)) ** 2
+    points = _ellipsoid_points(q, lin, r2, _LATTICE_NODES)
     if points is None:
         return None
     shifts = []
@@ -490,63 +434,72 @@ def _ellipsoid_points(q: np.ndarray, b: np.ndarray, r2: float, limit: int):
 
 @dataclass
 class _LatticeWalk:
-    """What a lattice search met: ``classes`` hermitian classes inside the
-    dissipativity ellipsoid (k = 0 included), ``unverified`` of them with a
-    logarithm that exponentiation did not confirm, and ``overflow`` when
-    the enumeration gave up."""
+    """What a lattice search met: ``classes`` classes inside the ellipsoid
+    (k = 0 included), ``unverified`` of them with a logarithm that
+    exponentiation did not confirm, ``overflow`` when the enumeration gave
+    up, and ``ill_conditioned`` when an ill-conditioned eigenbasis with
+    several clusters left only L0 to test."""
 
     classes: int = 1
     unverified: int = 0
     overflow: bool = False
+    ill_conditioned: bool = False
 
-    def failed(self, tested: int):
-        """Verdict and notes when none of the *tested* logarithms passed."""
-        notes = f"no dissipative logarithm among {tested} candidates"
+    def failed(self, notes: str, kind: str, ellipsoid: str):
+        """Verdict and notes when none of the tested logarithms passed:
+        *notes* says so, and the classes were one per *kind* inside the
+        *ellipsoid* ellipsoid."""
+        if self.ill_conditioned:
+            return INCONCLUSIVE, (f"{notes}; the eigenbasis has condition number >= 1e8 "
+                                  "and several eigenvalue clusters, so only the principal "
+                                  "logarithm was tested")
         if self.overflow:
-            return INCONCLUSIVE, (f"{notes}; the dissipativity ellipsoid holds more than "
+            return INCONCLUSIVE, (f"{notes}; the {ellipsoid} ellipsoid holds more than "
                                   f"{_LATTICE_NODES} enumeration nodes, so its classes "
                                   "were not searched")
-        notes += (", one per hermitian class of primary logarithms inside the "
-                  "dissipativity ellipsoid")
+        notes += f", one per {kind} of primary logarithms inside the {ellipsoid} ellipsoid"
         if self.unverified:
             return INCONCLUSIVE, (f"{notes}; {self.unverified} of {self.classes} classes "
                                   "had no logarithm verified by exponentiation")
         return CONDITION_FAILS, notes
 
 
-def _lattice_logs(a: np.ndarray, eig: _Eigenbasis, walk: _LatticeWalk):
-    """L0, then one primary logarithm per further hermitian class inside
-    the dissipativity ellipsoid, each verified by exponentiation; the
-    lattice is set up only when the caller asks for more than L0."""
+def _lattice_logs(a: np.ndarray, walk: _LatticeWalk, delta: float = 0.0):
+    """L0, then one primary logarithm per further class of
+    :func:`_lattice_shifts` (delta as there), each verified by
+    exponentiation; the lattice is set up only when the caller asks for
+    more than L0.  Raises NumericError when no logarithm is verified."""
+    a = np.asarray(a, dtype=complex)
+    _require_invertible(a)
+    eig = _Eigenbasis.of(a)
+    if eig is None:
+        raise NumericError("no verifiable logarithm candidate found")
     l0 = eig.log([0] * len(eig.clusters))
     if _verified(l0, a):
         yield l0
     else:
         walk.unverified += 1
-    shifts = _lattice_shifts(eig, l0, _DISSIPATIVE_TOL)
-    if shifts is None:
-        walk.overflow = True
-        return
-    walk.classes += len(shifts)
-    for k in shifts:
+    walk.ill_conditioned = not eig.conditioned and len(eig.clusters) > 1
+    shifts = [] if walk.ill_conditioned else _lattice_shifts(eig, l0, _DISSIPATIVE_TOL, delta)
+    walk.overflow = shifts is None
+    walk.classes += len(shifts or [])
+    for k in shifts or []:
         m = eig.log(k)
         if _verified(m, a):
             yield m
         else:
             walk.unverified += 1
+    if walk.unverified == walk.classes:
+        raise NumericError("no verifiable logarithm candidate found")
 
 
-def _principal_log_box(a: np.ndarray, bound: int):
-    """The principal logarithm shifted by 2 pi i k I, |k| <= bound, in the
-    order 0, -1, 1, ..., each verified by exponentiation."""
-    try:
-        base = mat_log_principal(a)
-    except BranchError:
-        return
-    for k in sorted(range(-bound, bound + 1), key=abs):
-        m = base + 2j * np.pi * k * np.eye(a.shape[0])
-        if _verified(m, a):
-            yield m
+def log_candidates(a: np.ndarray):
+    """The logarithms of *a* that the split criterion tests when none
+    passes: the principal logarithm L0 first, then one primary logarithm
+    per further hermitian class inside the dissipativity ellipsoid
+    (:func:`_lattice_shifts`), each verified by exponentiation.  An
+    ill-conditioned eigenbasis (cond V >= 1e8) gives L0 alone."""
+    return list(_lattice_logs(a, _LatticeWalk()))
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +557,14 @@ def sphere_quadratic_min(g_herm: np.ndarray, g_lin: np.ndarray):
 # elliptic criteria
 
 
-def embed_elliptic_split(nf: NormalForm, branch_search: int = BRANCH_BOUND) -> EmbeddingCertificate:
+def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
     """Exponential-of-dissipative criterion for the (Lambda, A1) form: the
     map embeds exactly when A1 has a dissipative logarithm.
 
-    Candidate 0 is the principal logarithm L0 = V diag(log lam) V^-1.  When
-    it fails and A1 has a well-conditioned eigenbasis, one logarithm per
-    hermitian class of primary logarithms inside the dissipativity
-    ellipsoid follows (:func:`_lattice_shifts`), so the search is complete over the
-    primary logarithms.  Otherwise the principal logarithm shifted by
-    2 pi i k I, |k| <= *branch_search*, is tested.
+    Candidate 0 is the principal logarithm L0.  When it fails, one
+    logarithm per further hermitian class of primary logarithms inside the
+    dissipativity ellipsoid follows (:func:`_lattice_shifts`), so the
+    search is complete over the primary logarithms.
     """
     _expect_form(nf, FORM_ELLIPTIC_SPLIT)
     lam = nf.parameters["Lambda"]
@@ -623,13 +574,9 @@ def embed_elliptic_split(nf: NormalForm, branch_search: int = BRANCH_BOUND) -> E
         data = {"theta": theta, "M": np.zeros((0, 0), dtype=complex), "u": len(theta)}
         return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log",
                             [Condition("unitary_part", 0.0, True)], data)
-    _require_invertible(a1)
-    eig = _Eigenbasis.of(a1)
     lattice = _LatticeWalk()
-    candidates = _principal_log_box(a1, branch_search) if eig is None else \
-        _lattice_logs(a1, eig, lattice)
     margins = []
-    for idx, m in enumerate(candidates):
+    for idx, m in enumerate(_lattice_logs(a1, lattice)):
         res = is_dissipative(m)
         margins.append(Condition(f"dissipativity[candidate {idx}]", -res.margin,
                                  res.margin <= _DISSIPATIVE_TOL))
@@ -637,13 +584,8 @@ def embed_elliptic_split(nf: NormalForm, branch_search: int = BRANCH_BOUND) -> E
             data = {"theta": theta, "M": m, "u": len(theta)}
             return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log", margins,
                                 data, notes=f"dissipative logarithm found (candidate {idx})")
-    if not margins:
-        raise NumericError("no verifiable logarithm candidate found")
-    if eig is None:
-        verdict, notes = CONDITION_FAILS, (f"no dissipative logarithm among {len(margins)} "
-                                           f"candidates (branch bound {branch_search})")
-    else:
-        verdict, notes = lattice.failed(len(margins))
+    verdict, notes = lattice.failed(f"no dissipative logarithm among {len(margins)} candidates",
+                                    "hermitian class", "dissipativity")
     return _certificate(nf, verdict, "elliptic_split_dissipative_log", margins, notes=notes)
 
 
@@ -665,23 +607,25 @@ def _u0_condition_margins(m: np.ndarray, delta: float):
     return quad_margin, mixed_margin, zeta
 
 
-def embed_elliptic_u0(nf: NormalForm, sampler=None,
-                      branch_search: int = BRANCH_BOUND) -> EmbeddingCertificate:
+def embed_elliptic_u0(nf: NormalForm, sampler=None) -> EmbeddingCertificate:
     """Generator-positivity criterion for the (Ahat, delta) form.
 
     For each logarithm candidate M the condition
     Re[delta <Mz,e1> |z|^2 - <Mz,z>] >= 0 on the closed ball is decided
     by the exact two-radius reduction plus seeded sampling; a negative
-    sample is kept as a witness.
+    sample is kept as a witness.  The candidates are L0, then one primary
+    logarithm per further class of (Herm M, delta M^H e1) inside the
+    positivity ellipsoid (:func:`_lattice_shifts`), so the search is
+    complete over the primary logarithms.
     """
     _expect_form(nf, FORM_ELLIPTIC_U0)
     ahat = nf.parameters["Ahat"]
     delta = float(nf.parameters["delta"])
     points = _sampler_points(sampler, ahat.shape[0])
-    walk = _BranchWalk()
+    lattice = _LatticeWalk()
     margins = []
     best_witness = None
-    for idx, m in enumerate(_iter_log_candidates(ahat, branch_search, walk=walk)):
+    for idx, m in enumerate(_lattice_logs(ahat, lattice, delta)):
         quad_margin, mixed_margin, zeta = _u0_condition_margins(m, delta)
         sample_vals = _u0_expression(m, delta, points)
         sample_margin = float(np.min(sample_vals)) if len(sample_vals) else np.inf
@@ -695,9 +639,9 @@ def embed_elliptic_u0(nf: NormalForm, sampler=None,
         witness = _u0_witness(m, delta, zeta, quad_margin, mixed_margin, points, sample_vals)
         if witness is not None:
             best_witness = witness
-    verdict, notes = _failed_search(
-        walk, f"all {len(margins)} logarithm candidates violate the condition "
-              f"(branch bound {branch_search})")
+    verdict, notes = lattice.failed(
+        f"all {len(margins)} logarithm candidates violate the condition",
+        "(Herm M, delta M^H e1) class", "positivity")
     if best_witness is not None:
         notes += f"; witness z = {np.array2string(best_witness, precision=6)}"
     return _certificate(nf, verdict, "elliptic_u0_generator_positivity", margins,

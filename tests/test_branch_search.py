@@ -1,16 +1,15 @@
 """Matrix-log branch searches.
 
-``embedding._iter_log_candidates``, behind ``log_candidates`` and the u0
-criterion, builds and verifies one logarithm at a time, in the order of
-the eager search it replaced (kept below as ``eager_log_candidates``, the
-reference), and stops at the first candidate that passes; a walk cut
-short by its caps ends in ``inconclusive``, never in the if-and-only-if
-verdict ``condition_fails``.
-
-The split criterion tests L0, then one primary logarithm per hermitian
-class inside the dissipativity ellipsoid.  Its oracle is a brute force
-over every branch shift |k_j| <= 5 whose logarithms and hermitian parts
-are computed in mpmath at 30 digits.
+Both elliptic criteria test the principal logarithm L0 first, then one
+primary logarithm per class inside an ellipsoid that holds every passing
+class (``embedding._lattice_shifts``): one per hermitian class for the
+split criterion, one per class of (Herm M, delta M^H e1) for the u0
+criterion.  The split oracle is a brute force over every branch shift
+|k_j| <= 5 whose logarithms and hermitian parts are computed in mpmath at
+30 digits; the u0 oracle is a brute force over |k_j| <= 4 decided by the
+criterion's exact margins.  ``eager_log_candidates``, the box search of
+earlier versions, stays as the reference for the errors of
+``log_candidates``.
 """
 
 from __future__ import annotations
@@ -30,15 +29,16 @@ from lfmsemi.cli import EXIT_CONDITION_FAILS, EXIT_INCONCLUSIVE, parse_map_spec,
 from lfmsemi.embedding import CONDITION_FAILS, EMBEDDABLE, INCONCLUSIVE, log_candidates
 from lfmsemi.errors import BranchError, DomainError, NumericError
 from lfmsemi.linalg import hermitian_part, mat_exp, mat_log_principal, schur_form
-from lfmsemi.normal_forms import normal_form
+from lfmsemi.normal_forms import (FORM_ELLIPTIC_SPLIT, FORM_ELLIPTIC_U0, NormalForm,
+                                  normal_form)
 from test_golden import _mismatches
 
 GOLDEN = Path(__file__).parent / "golden" / "branch_search"
 
 
 def eager_log_candidates(a, bound=3, max_candidates=4096):
-    """The eager search the walk replaced: every candidate is built and
-    verified before the first is returned."""
+    """The eager |k| <= 3 box search of earlier versions: every candidate
+    is built and verified before the first is returned."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     eigs = schur_form(a).eigenvalues
@@ -95,14 +95,6 @@ def random_unitary(rng, n):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def contraction(rng, n, clusters):
-    """A random n x n matrix with ``clusters`` distinct eigenvalues inside
-    the unit disc, repeated in turn, in a random (non-unitary) basis."""
-    vals = rng.uniform(0.3, 0.8, clusters) * np.exp(1j * rng.uniform(-2.5, 2.5, clusters))
-    basis = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return basis @ np.diag(vals[np.arange(n) % clusters]) @ np.linalg.inv(basis)
 
 
 def normal_contraction(rng, n, clusters):
@@ -204,31 +196,6 @@ def contraction_block(basis, vals):
     return a * min(1.0, 0.95 / np.linalg.norm(a, 2))
 
 
-CASES = [(n, clusters) for n in (1, 2, 3, 4) for clusters in range(1, n + 1)]
-
-
-@pytest.mark.parametrize("n,clusters", CASES)
-def test_walk_matches_eager_list_bit_for_bit(n, clusters):
-    rng = np.random.default_rng([n, clusters])
-    for _ in range(3):
-        a = contraction(rng, n, clusters)
-        want = eager_log_candidates(a)
-        for got in (list(emb._iter_log_candidates(a)), log_candidates(a)):
-            assert len(got) == len(want)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
-def test_jordan_like_walk_matches_eager_list():
-    a = np.array([[0.6 + 0.2j, 1.0], [0.0, 0.6 + 0.2j]])
-    assert np.linalg.cond(np.linalg.eig(a)[1]) >= 1e8
-    walk = emb._BranchWalk()
-    got = list(emb._iter_log_candidates(a, walk=walk))
-    want = eager_log_candidates(a)
-    assert len(got) == len(want) == 7
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert (walk.searched, walk.combinations, walk.truncated) == (7, 7, False)
-
-
 def test_embeddable_dim8_verifies_one_candidate(monkeypatch):
     rng = np.random.default_rng(8)
     nf = split_form(split_spec(rng, 4, [normal_contraction(rng, 4, 4)]))
@@ -276,21 +243,6 @@ def test_no_candidate_error_unchanged():
     for search in (log_candidates, eager_log_candidates):
         with pytest.raises(NumericError, match="^no verifiable logarithm candidate found$"):
             search(a)
-
-
-def test_walk_ending_at_last_combination_is_complete():
-    a = np.diag([0.5, 0.3 + 0.1j])
-    complete = emb._BranchWalk()
-    count = len(list(emb._iter_log_candidates(a, walk=complete)))
-    assert (complete.searched, complete.combinations, complete.truncated) == (49, 49, False)
-
-    exact = emb._BranchWalk()
-    assert len(list(emb._iter_log_candidates(a, max_candidates=count, walk=exact))) == count
-    assert (exact.searched, exact.truncated) == (49, False)
-
-    cut = emb._BranchWalk()
-    assert len(list(emb._iter_log_candidates(a, max_candidates=count - 1, walk=cut))) == count - 1
-    assert cut.truncated and cut.searched < 49
 
 
 def test_five_cluster_search_is_complete():
@@ -349,7 +301,7 @@ def test_lattice_verdict_matches_mpmath_brute_force():
         # a common integer, and the lattice puts k = 0 on its first cluster
         eig = emb._Eigenbasis.of(a1)
         assert len(eig.clusters) == len(eigenvalues)
-        order = [int(np.argmin(np.abs(np.array(eigenvalues) - np.exp(eig.base_logs[c[0]]))))
+        order = [int(np.argmin(np.abs(np.array(eigenvalues) - np.exp(np.diag(eig.core)[c[0]]))))
                  for c in eig.clusters]
         classes = {(0,) * len(order)} | set(lattice_shifts(a1))
         for k, top in tops.items():
@@ -462,12 +414,183 @@ def test_ellipsoid_points_match_box_enumeration(dim):
     assert emb._ellipsoid_points(np.eye(2), np.zeros(2), 1e6, 10) is None
 
 
+def test_jordan_fallback_tests_the_principal_logarithm_once():
+    # one eigenvalue cluster past the conditioning cut: every primary
+    # logarithm is L0 + 2 pi i k I, all with L0's hermitian part, so L0
+    # alone decides
+    a1 = np.array([[0.7, 0.51], [0.0, 0.7]], dtype=complex)
+    assert np.linalg.cond(np.linalg.eig(a1)[1]) >= 1e8
+    cert = emb.embed_elliptic_split(NormalForm(FORM_ELLIPTIC_SPLIT, None, [],
+                                               {"Lambda": np.ones(1, dtype=complex), "A1": a1}))
+    assert cert.verdict == CONDITION_FAILS
+    assert [m.name for m in cert.margins] == ["dissipativity[candidate 0]"]
+    assert cert.margins[0].margin == pytest.approx(-0.00761077034698, abs=1e-12)
+    assert len(log_candidates(a1)) == 1
+
+
+def _ill_conditioned_split_spec(a1):
+    """Spec of z -> diag(e^{0.5i}, a1) z.  Unlike ``split_spec`` it turns no
+    basis, so A1 keeps its repeated eigenvalue exactly (a turned Jordan
+    block splits into two clusters with a conditioned eigenbasis)."""
+    n = a1.shape[0] + 1
+    a = np.zeros((n, n), dtype=complex)
+    a[0, 0] = np.exp(0.5j)
+    a[1:, 1:] = a1
+    return {"name": "ill-conditioned split", "dimension": n, "domain": "ball",
+            "A": [[[z.real, z.imag] for z in row] for row in a],
+            "B": [[0.0, 0.0]] * n, "C": [[0.0, 0.0]] * n, "D": [1.0, 0.0]}
+
+
+ILL_CONDITIONED_NOTE = ("no dissipative logarithm among 1 candidates; the eigenbasis has "
+                        "condition number >= 1e8 and several eigenvalue clusters, so only "
+                        "the principal logarithm was tested")
+
+
+def test_ill_conditioned_clusters_are_inconclusive():
+    # a Jordan block beside a second eigenvalue (cond V ~ 7e15, 2 clusters):
+    # the shifts of one cluster against the other are not searched, so a
+    # failing L0 cannot decide the if-and-only-if criterion
+    a1 = np.array([[0.7, 0.51, 0.3], [0.0, 0.7, 0.2], [0.0, 0.0, 0.4j]])
+    assert np.linalg.cond(np.linalg.eig(a1)[1]) >= 1e8
+    cert = emb.embed_elliptic_split(NormalForm(FORM_ELLIPTIC_SPLIT, None, [],
+                                               {"Lambda": np.ones(1, dtype=complex), "A1": a1}))
+    assert cert.verdict == INCONCLUSIVE
+    assert len(cert.margins) == 1 and not cert.margins[0].passed
+    assert cert.notes == ILL_CONDITIONED_NOTE
+    # the same structure scaled into a self-map of the ball, through the CLI
+    a1 = np.array([[0.7, 0.51, 0.03], [0.0, 0.7, 0.02], [0.0, 0.0, 0.4j]])
+    report = run_pipeline(_ill_conditioned_split_spec(a1 / np.linalg.norm(a1, 2)),
+                          stop_after="embed")
+    assert report["stages"]["embed"]["verdict"] == INCONCLUSIVE
+    assert report["stages"]["embed"]["notes"] == ILL_CONDITIONED_NOTE
+    assert report["exit_status"] == EXIT_INCONCLUSIVE
+
+
+def u0_form(ahat, delta):
+    """The u0 normal form with parameters (ahat, delta); the criterion
+    reads only these, so no normal map is built and delta may exceed 1."""
+    return NormalForm(FORM_ELLIPTIC_U0, None, [],
+                      {"Ahat": np.asarray(ahat, dtype=complex), "delta": delta})
+
+
+def u0_brute_force(a, delta, bound=4):
+    """{k: (Herm L(k), delta L(k)^H e1)} for every primary logarithm
+    L(k) = sum_j (log lam_j + 2 pi i k_j) P_j of a with |k_j| <= bound
+    (clusters in the order of ``np.linalg.eig``) that passes the u0
+    condition, decided by the criterion's exact margins
+    min(quad, mixed) >= -1e-10; and the distance of the closest exact
+    margin from that threshold.  A shift whose lambda_max(Herm L) exceeds
+    1e-3, or whose mixed term at z = -b/|b| (at least the mixed margin) lies
+    below -1e-3, fails without its exact margins."""
+    vals, vecs = np.linalg.eig(a)
+    inv = np.linalg.inv(vecs)
+    clusters = []
+    for i in range(len(vals)):
+        for cluster in clusters:
+            if abs(vals[i] - vals[cluster[0]]) <= 1e-8 * max(1.0, abs(vals[i])):
+                cluster.append(i)
+                break
+        else:
+            clusters.append([i])
+    projectors = np.array([vecs[:, c] @ inv[c, :] for c in clusters])
+    l0 = vecs @ np.diag(np.log(vals)) @ inv
+    ks = list(itertools.product(range(-bound, bound + 1), repeat=len(clusters)))
+    logs = l0 + 2j * np.pi * np.tensordot(np.array(ks, dtype=float), projectors, axes=1)
+    herms = (logs + np.conj(np.swapaxes(logs, 1, 2))) / 2
+    bs = delta * np.conj(logs[:, 0, :])
+    tops = np.linalg.eigvalsh(herms)[:, -1]
+    sizes = np.linalg.norm(bs, axis=1)
+    zetas = -bs / np.where(sizes > 0, sizes, 1.0)[:, None]
+    at_zeta = np.where(sizes > 0, -np.einsum("ki,kij,kj->k", zetas.conj(), herms, zetas).real
+                       - sizes, -tops)
+    passing, closest = {}, np.inf
+    for index in np.nonzero((tops <= 1e-3) & (at_zeta >= -1e-3))[0]:
+        quad, mixed, _ = emb._u0_condition_margins(logs[index], delta)
+        closest = min(closest, abs(min(quad, mixed) + 1e-10))
+        if min(quad, mixed) >= -1e-10:
+            passing[ks[index]] = (herms[index], bs[index])
+    return passing, closest
+
+
+def check_u0_against_brute_force(a, delta):
+    """The u0 verdict agrees with the brute force, every passing shift
+    shares (Herm L, delta L^H e1) with a class of the lattice, and an
+    embeddable certificate's logarithm passes.  Returns the certificate
+    and the passing shifts."""
+    passing, closest = u0_brute_force(a, delta)
+    assert closest > 1e-6  # rounding cannot decide a verdict
+    eig = emb._Eigenbasis.of(a)
+    l0 = eig.log([0] * len(eig.clusters))
+    shifts = emb._lattice_shifts(eig, l0, emb._DISSIPATIVE_TOL, delta)
+    assert shifts is not None
+    listed = [(hermitian_part(m), delta * m[0].conj())
+              for m in [l0] + [eig.log(k) for k in shifts]]
+    for k, (h, b) in passing.items():
+        assert any(np.linalg.norm(h - h2) + np.linalg.norm(b - b2) <= 1e-8
+                   for h2, b2 in listed), k
+    cert = emb.embed_elliptic_u0(u0_form(a, delta))
+    assert cert.verdict == (EMBEDDABLE if passing else CONDITION_FAILS)
+    if cert.verdict == EMBEDDABLE:
+        m = cert.generator_data["M"]
+        assert min(emb._u0_condition_margins(m, delta)[:2]) >= -1e-10
+        assert np.linalg.norm(mat_exp(m) - a) <= 1e-8
+    else:
+        assert f"all {len(cert.margins)} logarithm candidates violate the condition, one " \
+            "per (Herm M, delta M^H e1) class" in cert.notes
+    return cert, passing
+
+
+def _random_u0(rng):
+    """A random non-normal 2x2 to 4x4 Ahat with 1 to 3 eigenvalue clusters
+    (basis noise 0.05 to 0.5; half of them with arguments near +-pi on
+    alternate clusters) and delta in {0, 0.3, 1, 3}."""
+    n = int(rng.integers(2, 5))
+    count = int(rng.integers(1, min(n, 3) + 1))
+    if rng.random() < 0.5:
+        angles = (np.pi - rng.uniform(0.05, 0.6, count)) * np.where(np.arange(count) % 2, 1, -1)
+    else:
+        angles = rng.uniform(-np.pi, np.pi, count)
+    vals = rng.uniform(0.1, 0.9, count) * np.exp(1j * angles)
+    basis = np.eye(n) + rng.uniform(0.05, 0.5) * (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    ahat = basis @ np.diag(vals[np.arange(n) % count]) @ np.linalg.inv(basis)
+    return ahat, float(rng.choice([0.0, 0.3, 1.0, 3.0]))
+
+
+def test_u0_lattice_matches_brute_force():
+    rng = np.random.default_rng(400)
+    outcomes = []
+    for _ in range(150):
+        cert, _ = check_u0_against_brute_force(*_random_u0(rng))
+        outcomes.append("candidate 0" if cert.margins[0].passed else cert.verdict)
+    # every path is exercised: L0 passes, a shifted class passes, none passes
+    assert {outcomes.count(o) > 0 for o in ("candidate 0", EMBEDDABLE, CONDITION_FAILS)} \
+        == {True}
+
+
+@pytest.mark.parametrize("ahat,delta,shift", [
+    # two clusters in one group: only L(0, -1) passes
+    ([[-0.363 - 0.201j, 0.004 + 0.019j], [-0.022 + 0.046j, -0.548 + 0.172j]], 0.3, (0, -1)),
+    # only L(-1, 0) passes: it shifts the first cluster, which the split
+    # lattice pins to 0, and L(0, 1), with the same hermitian part, fails
+    ([[-0.268 - 0.067j, 0.0], [-0.065 + 0.241j, -0.149 + 0.057j]], 0.3, (-1, 0)),
+])
+def test_u0_passes_only_on_a_shifted_class(ahat, delta, shift):
+    a = np.array(ahat, dtype=complex)
+    cert, passing = check_u0_against_brute_force(a, delta)
+    assert list(passing) == [shift]
+    assert cert.verdict == EMBEDDABLE and not cert.margins[0].passed
+    eig = emb._Eigenbasis.of(a)
+    assert np.array_equal(cert.generator_data["M"], eig.log(shift))
+
+
 NAMES = sorted(p.name[: -len(".report.json")] for p in GOLDEN.glob("*.report.json"))
 
 
 def test_golden_pairs_present():
     assert NAMES == ["elliptic_split_branch_ball_n6",
-                     "elliptic_split_coupled_condition_fails_ball_n8"]
+                     "elliptic_split_coupled_condition_fails_ball_n8",
+                     "elliptic_u0_shifted_class_ball_n2"]
 
 
 @pytest.mark.parametrize("name", NAMES)

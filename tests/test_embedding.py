@@ -265,7 +265,7 @@ class TestLogCandidates:
 
     def test_jordan_block_uniform_shifts(self):
         a = np.array([[0.7, 0.51], [0.0, 0.7]])
-        cands = log_candidates(a, bound=2)
+        cands = log_candidates(a)
         herms = {round(float(np.max(np.linalg.eigvalsh(hermitian_part(m)))), 9)
                  for m in cands}
         assert len(herms) == 1  # uniform imaginary shifts share the hermitian part
