@@ -245,7 +245,7 @@ def run_pipeline(spec_obj: dict, seed: int = 20250808, tol_profile: str = "defau
                 }
                 report["stages"]["normal_form"] = to_jsonable(entry)
             elif stage == "embed":
-                cert = certify(nf, SamplerCfg(seed=seed, count=2000))
+                cert = certify(nf)
                 entry = {
                     "status": "ok",
                     "verdict": cert.verdict,

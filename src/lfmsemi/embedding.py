@@ -53,7 +53,7 @@ from .linalg import (
     mat_log_principal,
     schur_form,
 )
-from .maps import BALL, SIEGEL, BallMap, Classification, SiegelMap
+from .maps import BALL, SIEGEL, BallMap, Classification, SiegelMap, pullback_form
 from .normal_forms import (
     FORM_ELLIPTIC_SPLIT,
     FORM_ELLIPTIC_U0,
@@ -540,6 +540,8 @@ def sphere_quadratic_min(g_herm: np.ndarray, g_lin: np.ndarray):
         hi = lam_min - 1e-18 * scale
         for _ in range(300):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # no double lies between lo and hi: mu = mid from here on
             if norm2(mid) < 1.0:
                 lo = mid
             else:
@@ -592,9 +594,10 @@ def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
 def _u0_condition_margins(m: np.ndarray, delta: float):
     """Exact margins of Re[delta <Mz,e1> |z|^2 - <Mz,z>] >= 0 on the ball.
 
-    The expression restricted to z = r*zeta is linear in r, so the
-    infimum sits at r -> 0 (a pure hermitian-part condition) or r = 1
-    (a sphere-constrained quadratic, solved exactly).
+    At z = r*zeta, |zeta| = 1, the expression is r^2 ((1 - r) q + r s),
+    with q >= quad_margin = -lambda_max(Herm M) its r -> 0 slice and s >=
+    mixed_margin its r = 1 slice (a sphere-constrained quadratic, solved
+    exactly): it is at least |z|^2 min(quad_margin, mixed_margin).
     """
     n = m.shape[0]
     herm = hermitian_part(m)
@@ -607,13 +610,14 @@ def _u0_condition_margins(m: np.ndarray, delta: float):
     return quad_margin, mixed_margin, zeta
 
 
-def embed_elliptic_u0(nf: NormalForm, sampler=None) -> EmbeddingCertificate:
+def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
     """Generator-positivity criterion for the (Ahat, delta) form.
 
     For each logarithm candidate M the condition
     Re[delta <Mz,e1> |z|^2 - <Mz,z>] >= 0 on the closed ball is decided
-    by the exact two-radius reduction plus seeded sampling; a negative
-    sample is kept as a witness.  The candidates are L0, then one primary
+    by its exact two-radius reduction (:func:`_u0_condition_margins`),
+    with margin min(quad_margin, mixed_margin), and no samples.  The
+    candidates are L0, then one primary
     logarithm per further class of (Herm M, delta M^H e1) inside the
     positivity ellipsoid (:func:`_lattice_shifts`), so the search is
     complete over the primary logarithms.
@@ -621,22 +625,19 @@ def embed_elliptic_u0(nf: NormalForm, sampler=None) -> EmbeddingCertificate:
     _expect_form(nf, FORM_ELLIPTIC_U0)
     ahat = nf.parameters["Ahat"]
     delta = float(nf.parameters["delta"])
-    points = _sampler_points(sampler, ahat.shape[0])
     lattice = _LatticeWalk()
     margins = []
     best_witness = None
     for idx, m in enumerate(_lattice_logs(ahat, lattice, delta)):
         quad_margin, mixed_margin, zeta = _u0_condition_margins(m, delta)
-        sample_vals = _u0_expression(m, delta, points)
-        sample_margin = float(np.min(sample_vals)) if len(sample_vals) else np.inf
-        margin = min(quad_margin, mixed_margin, sample_margin)
+        margin = min(quad_margin, mixed_margin)
         margins.append(Condition(f"generator_positivity[candidate {idx}]", margin,
                                  margin >= -1e-10))
         if margin >= -1e-10:
             data = {"M": m, "delta": delta}
             return _certificate(nf, EMBEDDABLE, "elliptic_u0_generator_positivity", margins,
                                 data, notes=f"candidate {idx}: min condition margin {margin:.3e}")
-        witness = _u0_witness(m, delta, zeta, quad_margin, mixed_margin, points, sample_vals)
+        witness = _u0_witness(m, delta, zeta, quad_margin, mixed_margin)
         if witness is not None:
             best_witness = witness
     verdict, notes = lattice.failed(
@@ -649,34 +650,22 @@ def embed_elliptic_u0(nf: NormalForm, sampler=None) -> EmbeddingCertificate:
 
 
 def _u0_expression(m: np.ndarray, delta: float, zs: np.ndarray) -> np.ndarray:
-    if len(zs) == 0:
-        return np.zeros(0)
     mz = zs @ m.T
     norms2 = np.sum(np.abs(zs) ** 2, axis=1)
     return (delta * mz[:, 0] * norms2 - np.einsum("ij,ij->i", mz, zs.conj())).real
 
 
-def _u0_witness(m, delta, zeta, quad_margin, mixed_margin, points, sample_vals):
-    if len(sample_vals) and np.min(sample_vals) < -1e-10:
-        return points[int(np.argmin(sample_vals))]
-    if mixed_margin < quad_margin:
-        cand = zeta
-        if _u0_expression(m, delta, cand[None, :])[0] < 0:
-            return cand
+def _u0_witness(m, delta, zeta, quad_margin, mixed_margin):
+    """A ball point where the u0 expression is negative, from the sphere
+    argmin zeta or the top eigenvector of Herm M; None if neither shows one."""
+    if mixed_margin < quad_margin and _u0_expression(m, delta, zeta[None, :])[0] < 0:
+        return zeta
     top = np.linalg.eigh(hermitian_part(m))[1][:, -1]
     for r in (0.05, 0.2, 0.5, 0.9):
         cand = r * top
         if _u0_expression(m, delta, cand[None, :])[0] < 0:
             return cand
     return None
-
-
-def _sampler_points(sampler, dim: int) -> np.ndarray:
-    from .maps import sample_ball_points
-
-    if sampler is None:
-        return sample_ball_points(dim, 2000)
-    return sampler.points(dim)
 
 
 # ---------------------------------------------------------------------------
@@ -805,14 +794,13 @@ def embed_dim2(f: BallMap, cls: Optional[Classification] = None) -> EmbeddingCer
     return dataclasses.replace(cert, criterion_id=label(nf.parameters))
 
 
-def is_automorphism(f: BallMap, tol: float = 1e-8, count: int = 200) -> bool:
-    """Numerical automorphism test: the unit sphere maps onto itself."""
-    from .maps import sample_ball_points
-
-    dirs = sample_ball_points(f.dim, count, seed=909090)
-    dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    img = f.eval_many(dirs)
-    return bool(np.max(np.abs(np.linalg.norm(img, axis=1) - 1.0)) <= tol)
+def is_automorphism(f: BallMap, tol: float = 1e-8) -> bool:
+    """Automorphism test on the homogeneous matrix T: T^H J T = c J with
+    c > 0 (J = diag(I_N, -1)), to within tol relative to ||T^H J T||_F."""
+    s = pullback_form(f.to_proj().mat)
+    j = np.diag(np.append(np.ones(f.dim), -1.0))
+    c = -float(s[-1, -1].real)
+    return bool(c > 0 and np.linalg.norm(s - c * j) <= tol * np.linalg.norm(s))
 
 
 def embed_automorphism(f: BallMap) -> EmbeddingCertificate:
@@ -833,10 +821,10 @@ def embed_map(f: BallMap, cls: Optional[Classification] = None) -> EmbeddingCert
     return certify(normal_form(f, cls))
 
 
-def certify(nf: NormalForm, sampler=None) -> EmbeddingCertificate:
-    """Run the embedding criterion of nf's case; *sampler* gives the seeded
-    points of the criteria that sample (the u0 generator positivity)."""
-    return _case(_CASES, nf.form_kind).criterion(nf, sampler)
+def certify(nf: NormalForm) -> EmbeddingCertificate:
+    """Run the embedding criterion of nf's case; every criterion is
+    deterministic and draws no sample."""
+    return _case(_CASES, nf.form_kind).criterion(nf)
 
 
 def conditions_for(nf: NormalForm) -> list:
@@ -1023,7 +1011,7 @@ class _Case:
     family: str  # SemigroupFamily.case_kind of the case's certificates
     domain: str  # where the family acts
     conditions: Callable  # NormalForm -> checked normal-form conditions
-    criterion: Callable  # (NormalForm, sampler) -> EmbeddingCertificate
+    criterion: Callable  # NormalForm -> EmbeddingCertificate
     at_many: Callable  # (generator data, (T,) times) -> the stack of maps at those times
     generator: Callable  # generator data -> infinitesimal generator
     dim: Callable  # generator data -> dimension of the maps
@@ -1033,19 +1021,19 @@ class _Case:
 _CASES = {
     FORM_ELLIPTIC_SPLIT: _Case(
         "elliptic_split", BALL, lambda nf: [],
-        lambda nf, sampler: embed_elliptic_split(nf), _split_at_many, _split_generator,
+        lambda nf: embed_elliptic_split(nf), _split_at_many, _split_generator,
         lambda d: len(d["theta"]) + d["M"].shape[0]),
     FORM_ELLIPTIC_U0: _Case(
         "elliptic_u0", BALL, lambda nf: [],
-        lambda nf, sampler: embed_elliptic_u0(nf, sampler=sampler), _u0_at_many,
+        lambda nf: embed_elliptic_u0(nf), _u0_at_many,
         _u0_generator, lambda d: d["M"].shape[0]),
     FORM_PARABOLIC: _Case(
         "parabolic", SIEGEL, lambda nf: parabolic_conditions(nf),
-        lambda nf, sampler: embed_parabolic(nf), _parabolic_at_many, _parabolic_generator,
+        lambda nf: embed_parabolic(nf), _parabolic_at_many, _parabolic_generator,
         lambda d: 1 + sum(d["split"]), _parabolic_dim2_label),
     FORM_HYPERBOLIC: _Case(
         "hyperbolic", SIEGEL, lambda nf: hyperbolic_conditions(nf),
-        lambda nf, sampler: embed_hyperbolic(nf), _hyperbolic_at_many, _hyperbolic_generator,
+        lambda nf: embed_hyperbolic(nf), _hyperbolic_at_many, _hyperbolic_generator,
         lambda d: 1 + sum(d["split"]), _hyperbolic_dim2_label),
 }
 _FAMILIES = {case.family: case for case in _CASES.values()}

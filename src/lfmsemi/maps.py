@@ -8,7 +8,9 @@ H^N = {(z1, w) : Im z1 > |w|^2} fixing infinity), or a raw
 domain tags.  ProjMap is the common currency for composition, inversion
 and Cayley transport; the typed wrappers add validation.  A BallMap or
 SiegelMap holds one map, or a stack of T maps (one per time of a grid)
-whose fields carry a leading time axis and get the same checks.
+whose fields carry a leading time axis and get the same checks.  The
+self-map and identity tests are exact, on the homogeneous matrix; the
+seeded samples drawn here serve verification and the conjugation residual.
 
 Inner products are hermitian with conjugation on the second slot:
 <z, c> = sum_j z_j * conj(c_j).
@@ -42,8 +44,11 @@ PARABOLIC = "parabolic"
 #: |delta - 1| at or below this classifies as parabolic
 PARABOLIC_DELTA_TOL = 1e-6
 
-#: seed of the fixed sample used for constructor checks and map equality
+#: default seed of the ball and half-plane samples
 DEFAULT_SAMPLE_SEED = 20250808
+
+#: default radius shells of the ball sample
+DEFAULT_RADII = (0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 0.95)
 
 _SELF_MAP_SLACK = 1e-9
 _POLE_TOL = 1e-14
@@ -54,15 +59,13 @@ _POLE_TOL = 1e-14
 
 
 def sample_ball_points(dim: int, count: int = 1000, seed: int = DEFAULT_SAMPLE_SEED,
-                       radii=None) -> np.ndarray:
+                       radii=DEFAULT_RADII) -> np.ndarray:
     """Deterministic sample of B_N: uniform directions on radius shells.
 
     Returns a read-only cached array; copy before mutating.
     """
     if dim < 1 or count < 1:
         raise DimensionError("dim and count must be positive")
-    if radii is None:
-        radii = (0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 0.95)
     return _ball_sample_cached(dim, count, seed, tuple(float(r) for r in np.atleast_1d(radii)))
 
 
@@ -78,7 +81,7 @@ def _ball_sample_cached(dim: int, count: int, seed: int, radii: tuple) -> np.nda
 
 
 def sample_siegel_points(dim: int, count: int = 1000,
-                         seed: int = DEFAULT_SAMPLE_SEED, radii=None) -> np.ndarray:
+                         seed: int = DEFAULT_SAMPLE_SEED, radii=DEFAULT_RADII) -> np.ndarray:
     """Deterministic sample of H^N: Cayley image of the ball sample."""
     zs = sample_ball_points(dim, count, seed, radii)
     den = 1.0 - zs[:, :1]
@@ -188,11 +191,6 @@ def cayley_transform(dim: int) -> ProjMap:
 # ---------------------------------------------------------------------------
 # ball maps
 
-#: complex entries (maps x sample points x N) per block of the stacked
-#: self-map check, so that a long time grid never holds all its sample images
-_SAMPLE_BLOCK = 1 << 14
-
-
 def _ball_parts(zs: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Numerators (..., K, N) and denominators (..., K) of the maps
     (a z + b) / (<z, c> + 1) at the K rows of zs, for one map (a, b, c) or
@@ -203,25 +201,44 @@ def _ball_parts(zs: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     return num, (zs @ np.conj(c)[..., None])[..., 0] + 1.0
 
 
-def _self_map_margins(a, b, c, count: int = 1000) -> np.ndarray:
-    """min over the fixed sample of 1 - |phi_i(z)| for each map i of the
-    stack, computed over blocks of maps as 1 - sqrt(max |num|^2 / |den|^2)."""
-    zs = sample_ball_points(a.shape[-1], count)
-    step = max(1, _SAMPLE_BLOCK // zs.size)
-    margins = np.empty(len(a))
-    for i in range(0, len(a), step):
-        num, den = _ball_parts(zs, a[i:i + step], b[i:i + step], c[i:i + step])
-        parts = num.view(float)
-        ratio = np.einsum("tki,tki->tk", parts, parts) / (den.real ** 2 + den.imag ** 2)
-        margins[i:i + step] = 1.0 - np.sqrt(np.max(ratio, axis=-1))
+def pullback_form(t: np.ndarray) -> np.ndarray:
+    """S = T^H J T, J = diag(I_N, -1), for a homogeneous matrix T or a stack:
+    (z, 1)^H S (z, 1) = |Az + B|^2 - |<z, C> + D|^2.  The map is an
+    automorphism of B_N exactly when S = c J with c > 0."""
+    j = np.append(np.ones(t.shape[-1] - 1), -1.0)
+    return np.conj(np.swapaxes(t, -1, -2)) @ (j[:, None] * t)
+
+
+def _self_map_margins(a, b, c) -> np.ndarray:
+    """Exact self-map margin lambda_min(mu J - S) / ||S||_F of each map
+    (a z + b) / (<z, c> + 1), |c| < 1, of a stack: S = T^H J T with
+    T = [[a, b], [c^H, 1]], and mu midway between the two largest real parts
+    of eig(J S).  mu J - S >= 0 gives |phi| <= 1 on the sphere, so on the
+    ball (Krein-Smul'jan; Cowen and MacCluer 2000).  For a self-map the mu
+    with mu J - S >= 0 are exactly the interval between those two
+    eigenvalues, since it puts the one J-negative eigenvalue above the N
+    J-positive ones.  NaN where S is not finite."""
+    n = a.shape[-1]
+    t = np.zeros((len(a), n + 1, n + 1), dtype=complex)
+    t[:, :n, :n], t[:, :n, n] = a, b
+    t[:, n, :n], t[:, n, n] = np.conj(c), 1.0
+    s = pullback_form(t)
+    ok = np.isfinite(s).all(axis=(-2, -1))
+    s, j = s[ok], np.diag(np.append(np.ones(n), -1.0))
+    top = np.sort(np.linalg.eigvals(j @ s).real, axis=-1)[:, -2:]
+    mu = 0.5 * (top[:, 0] + top[:, 1])
+    low = np.linalg.eigvalsh(mu[:, None, None] * j - s)[:, 0]
+    norm = np.linalg.norm(s, axis=(-2, -1))
+    margins = np.full(len(a), np.nan)
+    margins[ok] = low / np.where(norm > 0, norm, 1.0)  # S = 0 gives mu = 0 and low = 0
     return margins
 
 
 def _require_ball_self_maps(a, b, c) -> None:
     """The checks of the :class:`BallMap` constructor on a stack of maps
-    with D = 1, map by map in order: |C| < 1, then the fixed sample with
-    the self-map slack, which a NaN margin fails.  Raises the error of the
-    first map that fails."""
+    with D = 1, map by map in order: |C| < 1, then the exact self-map
+    margin with the self-map slack, which a NaN margin fails.  Raises the
+    error of the first map that fails."""
     bad_c = np.flatnonzero(np.linalg.norm(c, axis=-1) >= 1.0 - 1e-12)
     valid = bad_c[0] if bad_c.size else len(c)
     margins = _self_map_margins(a[:valid], b[:valid], c[:valid])
@@ -248,11 +265,11 @@ class BallMap:
     such maps held as (T, N, N), (T, N) and (T, N) arrays with a scalar D.
 
     The constructor normalizes D to 1, requires |C| < 1 so the
-    denominator cannot vanish on the closed ball, and verifies the
-    self-map property on a fixed deterministic sample; a stack gets these
-    checks for every map, the sample check over blocks of maps.  Item i
-    of a stack is map i, with the bits of ``BallMap(A[i], B[i], C[i])``
-    and without a second check.
+    denominator cannot vanish on the closed ball, and decides the
+    self-map property exactly (:func:`_self_map_margins`, relative slack
+    1e-9); a stack gets these checks for every map, with one batched
+    eigenvalue computation.  Item i of a stack is map i, with the bits of
+    ``BallMap(A[i], B[i], C[i])`` and without a second check.
     """
 
     A: np.ndarray
@@ -304,10 +321,6 @@ class BallMap:
         if np.any(np.abs(den) < _POLE_TOL):
             raise PoleError(f"denominator vanished at {z}")
         return (num / den[..., None])[..., 0, :]
-
-    def self_map_margin(self, count: int = 1000) -> float:
-        """min over the fixed sample of 1 - |phi(z)|."""
-        return float(_self_map_margins(self.A[None], self.B[None], self.C[None], count)[0])
 
     def denominator(self, z) -> complex:
         return complex(np.vdot(self.C, as_vector(z)) + self.D)
@@ -565,20 +578,17 @@ def conjugate(f: Map, s: Map) -> Map:
     return _wrap_like(p)
 
 
-def map_points(f: Map, zs: np.ndarray) -> np.ndarray:
-    return f.eval_many(np.asarray(zs, dtype=complex))
-
-
 def pointwise_distance(f: Map, g: Map, points: np.ndarray) -> float:
-    fa = map_points(f, points)
-    ga = map_points(g, points)
+    points = np.asarray(points, dtype=complex)
+    fa, ga = f.eval_many(points), g.eval_many(points)
     return float(np.max(np.linalg.norm(fa - ga, axis=1)))
 
 
 def is_identity(f: Map, tol: float = 1e-12) -> bool:
-    p = to_proj(f)
-    zs = (sample_ball_points if p.domain == BALL else sample_siegel_points)(p.dim, 64)
-    return float(np.max(np.linalg.norm(map_points(f, zs) - zs, axis=1))) <= tol
+    """f is the identity: its homogeneous matrix, scaled to unit RMS
+    entry, is within tol entrywise of its corner entry times I."""
+    m = to_proj(f).mat
+    return bool(np.max(np.abs(m - m[-1, -1] * np.eye(len(m)))) <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,13 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .maps import (
     BALL,
+    DEFAULT_RADII,
     SIEGEL,
     domain_margin,
     sample_ball_points,
     sample_siegel_points,
     to_proj,
 )
-
-DEFAULT_RADII = (0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 0.95)
 
 #: default tolerances (law / self-map slack / time-one / generator)
 TOL_LAW = 1e-8

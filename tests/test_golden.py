@@ -5,7 +5,8 @@ Each case and dimension 1, 2 and 4 appears with a ball and a Siegel input
 (an elliptic map with unitary index >= 1 has no Siegel-side affine form in
 dimension 1), plus an elliptic ``condition_fails``, a parabolic map with a
 non-normal contraction block (``inconclusive``) and an elliptic u0 map run
-with ``--seed 12345``, whose seed reaches the embedding criterion's sampler.
+with ``--seed 12345``, a seed that reaches only the verification stage (the
+u0 criterion is decided exactly and draws no samples).
 
 Strings, integers and booleans must match exactly; floats within
 1e-12 + 1e-9 |x|, so that another BLAS build does not fail the test.

@@ -2,8 +2,8 @@
 stack of maps with a leading time axis.
 
 These tests pin that a stack built directly with the constructor has the
-items of ``SemigroupFamily.at_many``, bit for bit, that it runs the blocked
-self-map check once, that its shapes and entries are checked as those of
+items of ``SemigroupFamily.at_many``, bit for bit, that it runs the batched
+exact self-map check once, that its shapes and entries are checked as those of
 one map are (NaN in any field is rejected), and that a single map is no
 stack.
 """
@@ -213,8 +213,11 @@ def test_single_map_messages_are_kept():
 
 
 def test_nan_sample_margin_fails_the_self_map_check():
-    # the constructor rejects NaN entries first; the sample check must too
+    # the constructor rejects NaN entries first; the exact self-map check
+    # must too: a map with a NaN entry gets a NaN margin, the others theirs
     bad = _poisoned(_ball_fields(), "A", NAN)
+    margins = maps._self_map_margins(bad["A"], bad["B"], bad["C"])
+    assert np.isnan(margins[2]) and not np.isnan(np.delete(margins, 2)).any()
     with pytest.raises(DomainError, match=r"^not a self-map of the ball \(margin nan\)$"):
         maps._require_ball_self_maps(bad["A"], bad["B"], bad["C"])
 

@@ -1,11 +1,13 @@
 """Families built on a whole time grid at once.
 
 ``SemigroupFamily.at_many(ts)`` builds every map of the grid from stacked
-parameters and checks the elliptic ones with one blocked pass over the
-constructor's fixed sample. These tests pin that item i of the stack has
-the bits of ``at(ts[i])`` and of the per-time formulas, that a stacked
-``mat_exp`` matches one call per matrix, and that a family leaving the
-ball fails with the error and margin of its first failing time.
+parameters and checks the elliptic ones with one batched exact self-map
+test. These tests pin that item i of the stack has the bits of
+``at(ts[i])`` and of the per-time formulas, that a stacked ``mat_exp``
+matches one call per matrix, that the stack's self-map margins are the
+per-map margins and the closed form of a linear map, and that a family
+leaving the ball fails with the error and margin of its first failing
+time.
 """
 
 import math
@@ -152,25 +154,38 @@ def test_stacked_mat_exp_rejects_non_square():
         mat_exp(np.zeros((3, 2, 4)))
 
 
-def _sample_margin(a):
-    """1 - max |A z| over the constructor's fixed sample, computed here."""
-    zs = sample_ball_points(a.shape[0], 1000)
-    return float(np.min(1.0 - np.linalg.norm(zs @ a.T, axis=1)))
+def _linear_margin(a):
+    """The exact self-map margin of z -> a z in closed form, when the
+    second singular value of a is at most 1: S = diag(a^H a, -1), the two
+    largest eigenvalues of J S are 1 and ||a||^2, so mu = (1 + ||a||^2) / 2
+    and lambda_min(mu J - S) = (1 - ||a||^2) / 2, over ||S||_F."""
+    gram = a.conj().T @ a
+    return (1.0 - np.linalg.norm(a, 2) ** 2) / (2.0 * math.sqrt(np.linalg.norm(gram) ** 2 + 1))
+
+
+def _one_margin(a):
+    """The constructor's margin of the single map z -> a z."""
+    n = a.shape[0]
+    return maps._self_map_margins(a[None], np.zeros((1, n)), np.zeros((1, n)))[0]
 
 
 LEAVING = {"theta": np.array([0.3]), "u": 1, "M": np.diag([1.0, -0.5]).astype(complex)}
 
 
 def _leaving_split():
-    """exp(tM) with M = diag(1, -0.5) is no contraction for t > 0: the maps
-    leave the ball at the time their sample images cross the sphere."""
+    """exp(tM) with M = diag(1, -0.5) has norm e^t > 1 for t > 0: every map
+    after t = 0 leaves the ball (a 1000-point sample of |z| <= 0.95 let the
+    maps up to t of about 0.05 through)."""
     return SemigroupFamily("elliptic_split", LEAVING, BALL)
 
 
 def _first_failure(ts):
-    """Index and margin of the first time whose map fails the sample check."""
-    margins = [_sample_margin(_leaving_a(t)) for t in ts]
-    first = next(i for i, m in enumerate(margins) if m < -1e-9)
+    """Index and margin of the first time whose map is no self-map: the
+    first t with ||exp(tM)||_2 > 1."""
+    first = next(i for i, t in enumerate(ts) if np.linalg.norm(mat_exp(t * LEAVING["M"]), 2) > 1)
+    margins = [_one_margin(_leaving_a(t)) for t in ts]
+    assert all(m >= -1e-9 for m in margins[:first]) and margins[first] < -1e-9
+    assert margins[first] == pytest.approx(_linear_margin(_leaving_a(ts[first])), rel=1e-12)
     assert min(margins[first:]) < margins[first]  # a worse time comes later
     return first, margins[first]
 
@@ -184,31 +199,39 @@ def _leaving_a(t):
 
 
 def test_blocked_margins_match_per_time_construction():
-    sg = _leaving_split()
-    step = maps._SAMPLE_BLOCK // (1000 * sg.dim)
-    ts = np.linspace(0.0, 0.05, 3 * step + 2)  # several blocks, all inside the ball
-    stack = sg.at_many(ts)
+    m = _dissipative(np.random.default_rng(8), 3)
+    sg = SemigroupFamily("elliptic_split", {"theta": np.zeros(0), "u": 0, "M": m}, BALL)
+    stack = sg.at_many(GRID)
     margins = maps._self_map_margins(stack.A, stack.B, stack.C)
-    for i, t in enumerate(ts.tolist()):
-        one = BallMap(_leaving_a(t), np.zeros(3), np.zeros(3))
-        assert margins[i] == stack[i].self_map_margin() == one.self_map_margin()
-        # 1 - sqrt(max |num|^2 / |den|^2) against 1 - max |num / den|: a few ulps of 1
-        assert margins[i] == pytest.approx(_sample_margin(_leaving_a(t)),
-                                           abs=8 * np.finfo(float).eps)
+    for i, t in enumerate(GRID.tolist()):
+        a = mat_exp(t * m)
+        BallMap(a, np.zeros(3), np.zeros(3))
+        assert margins[i] == _one_margin(a)
+        assert margins[i] == pytest.approx(_linear_margin(a), abs=1e-14)
+    assert margins[0] == pytest.approx(0.0, abs=1e-15) and min(margins[1:]) > 0
 
 
 def test_leaving_family_fails_at_first_failing_time():
     sg = _leaving_split()
-    step = maps._SAMPLE_BLOCK // (1000 * sg.dim)
     ts = np.linspace(0.0, 1.0, 201).tolist()
     index, first = _first_failure(ts)
-    assert index >= 2 * step  # past the first two blocks
+    assert index == 1
     with pytest.raises(DomainError) as exc:
         sg.at_many(ts)
     assert str(exc.value) == f"not a self-map of the ball (margin {first:.3e})"
     with pytest.raises(DomainError) as one:
         sg.at(ts[index])
     assert str(one.value) == str(exc.value)
+    sg.at(ts[0])
+
+
+def test_leaving_family_fails_where_the_sample_passed():
+    # the grid of times the fixed 1000-point sample accepted
+    ts = np.linspace(0.0, 0.05, 11).tolist()
+    index, first = _first_failure(ts)
+    assert index == 1
+    with pytest.raises(DomainError, match=f"margin {first:.3e}"):
+        _leaving_split().at_many(ts)
 
 
 def test_at_many_checks_once(monkeypatch):
