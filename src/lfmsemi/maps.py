@@ -51,6 +51,7 @@ DEFAULT_SAMPLE_SEED = 20250808
 DEFAULT_RADII = (0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 0.95)
 
 _SELF_MAP_SLACK = 1e-9
+_FIXED_POINT_TOL = 1e-9
 _POLE_TOL = 1e-14
 
 
@@ -348,7 +349,7 @@ class BallMap:
 
     def differential(self, z) -> np.ndarray:
         """Jacobi matrix of the map at z."""
-        z = as_vector(z)
+        z = _checked_point(z, self.dim)
         den = self.denominator(z)
         return (self.A - np.outer(self(z), np.conj(self.C))) / den
 
@@ -657,7 +658,7 @@ class Classification:
     notes: str = ""
 
 
-def fixed_points(f: BallMap, tol: float = 1e-9):
+def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL):
     """Fixed points of f in the closed ball.
 
     Eigenvectors (v, tau) of the homogeneous matrix with tau != 0
@@ -738,8 +739,16 @@ def _nearest_kernel_point(basis: np.ndarray):
     return v
 
 
-def classify(f: BallMap, parabolic_tol: float = PARABOLIC_DELTA_TOL) -> Classification:
-    """Denjoy-Wolff classification of a non-identity ball self-map."""
+def classify(f: BallMap) -> Classification:
+    """Denjoy-Wolff classification of a non-identity ball self-map.
+
+    A map with an interior fixed point is elliptic.  Otherwise its
+    Denjoy-Wolff point is the boundary fixed point with the least
+    dilation coefficient delta (:func:`boundary_dilation`): it is the one
+    with delta <= 1, every other boundary fixed point has delta > 1
+    (MacCluer 1983).  The map is parabolic when |delta - 1| <=
+    PARABOLIC_DELTA_TOL and hyperbolic when delta lies below that band.
+    """
     if is_identity(f):
         raise DomainError("the identity map is excluded from classification")
     interior, boundary = fixed_points(f)
@@ -747,10 +756,10 @@ def classify(f: BallMap, parabolic_tol: float = PARABOLIC_DELTA_TOL) -> Classifi
         return Classification(ELLIPTIC, interior, boundary)
     if not boundary:
         raise NumericError("map without interior fixed points has no boundary fixed point")
-    dw = boundary[0] if len(boundary) == 1 else _dw_by_iteration(f, boundary)
-    delta = boundary_dilation(f, dw)
+    deltas = [boundary_dilation(f, w) for w in boundary]
+    dw, delta = boundary[int(np.argmin(deltas))], min(deltas)
     margin = abs(delta - 1.0)
-    if margin <= parabolic_tol:
+    if margin <= PARABOLIC_DELTA_TOL:
         return Classification(PARABOLIC, [], boundary, dw_point=dw, delta=delta,
                               notes=f"|delta-1| = {margin:.3e}")
     if not 0.0 < delta < 1.0:
@@ -758,39 +767,23 @@ def classify(f: BallMap, parabolic_tol: float = PARABOLIC_DELTA_TOL) -> Classifi
     return Classification(HYPERBOLIC, [], boundary, dw_point=dw, delta=delta)
 
 
-def _dw_by_iteration(f: BallMap, boundary: list) -> np.ndarray:
-    """Pick the boundary fixed point that attracts iteration from 0."""
-    m = to_proj(f).mat
-    power = m.copy()
-    for _ in range(40):  # m^(2^40) with rescaling
-        power = power @ power
-        power /= np.max(np.abs(power))
-    hom = power @ np.concatenate([np.zeros(f.dim), [1.0]])
-    if abs(hom[-1]) < 1e-13 * np.max(np.abs(hom)):
-        limit = hom[:-1] / np.linalg.norm(hom[:-1])
-    else:
-        limit = hom[:-1] / hom[-1]
-    dists = [np.linalg.norm(limit - p) for p in boundary]
-    return boundary[int(np.argmin(dists))]
+def boundary_dilation(f: BallMap, w) -> float:
+    """Dilation coefficient of f at its boundary fixed point w: the radial
+    limit delta of (1 - |f(z)|^2) / (1 - |z|^2) as z -> w.
 
-
-def boundary_dilation(f: BallMap, w: np.ndarray, levels: int = 15) -> float:
-    """Radial limit of (1 - |f(z)|^2) / (1 - |z|^2) at the boundary point w.
-
-    Evaluated along z = (1 - eps) w on a halving eps-schedule starting
-    at 1e-2, then Richardson-extrapolated to eps -> 0.
+    By Julia-Caratheodory delta = Re <df_w(w), w> (Rudin, Function Theory
+    in the Unit Ball, ch. 8), and A w + B = (<w, C> + 1) w turns this into
+    the closed form Re (1 - <B, w>) / (<w, C> + 1).  Raises
+    :class:`DomainError` unless w is a boundary fixed point within the
+    tolerances of :func:`fixed_points`: | |w| - 1 | and |f(w) - w| at
+    most 1e-9.
     """
-    w = as_vector(w) / np.linalg.norm(w)
-    eps = 1e-2 / 2.0 ** np.arange(levels)
-    vals = []
-    for e in eps:
-        z = (1.0 - e) * w
-        img = f(z)
-        vals.append((1.0 - float(np.vdot(img, img).real)) / (e * (2.0 - e)))
-    table = np.array(vals)
-    for order in range(1, 4):
-        table = (2.0 ** order * table[1:] - table[:-1]) / (2.0 ** order - 1.0)
-    return float(table[-1])
+    w = _checked_point(w, f.dim)
+    if abs(np.linalg.norm(w) - 1.0) > _FIXED_POINT_TOL:
+        raise DomainError(f"point {w} does not lie on the unit sphere")
+    if np.linalg.norm(f(w) - w) > _FIXED_POINT_TOL:
+        raise DomainError(f"point {w} is not a fixed point of the map")
+    return float(((1.0 - np.vdot(w, f.B)) / f.denominator(w)).real)
 
 
 def unitary_index(f: BallMap, fixed_point: Optional[np.ndarray] = None,

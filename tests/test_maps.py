@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from lfmsemi import maps
-from lfmsemi.errors import DomainError, FormError, PoleError
+from lfmsemi import maps, normal_forms
+from lfmsemi.errors import DimensionError, DomainError, FormError, PoleError
 from lfmsemi.maps import (
     BallMap,
     SiegelMap,
@@ -243,6 +243,92 @@ class TestClassify:
         assert boundary_dilation(f, np.array([1.0])) == pytest.approx(raw, abs=1e-5)
 
 
+def _siegel_dilation_cases(dim, count=8):
+    """Cayley images of (z, w) -> (lam z + b, sqrt(lam) U w), b real, U
+    unitary, lam in [e^0.5, e^2.5]: boundary fixed points e1 (infinity,
+    delta = 1/lam) and the image of (-b / (lam - 1), 0) (delta = lam)."""
+    rng = np.random.default_rng([29, dim])
+    for _ in range(count):
+        lam = float(np.exp(rng.uniform(0.5, 2.5)))
+        b = float(rng.uniform(-3.0, 3.0))
+        u = random_unitary(rng, dim - 1)
+        f = cayley_to_ball(SiegelMap(lam, np.zeros(dim - 1), b, np.sqrt(lam) * u,
+                                     np.zeros(dim - 1)))
+        z0 = -b / (lam - 1.0)
+        other = np.zeros(dim, dtype=complex)
+        other[0] = (z0 - 1j) / (z0 + 1j)  # sigma^-1 of (z0, 0)
+        yield f, lam, other
+
+
+def _parabolic_normal_forms(dim, count=8):
+    """Cayley images of (z + 2i<u,a> + 2i<w,c> + b, u + a, D v, A w) with
+    D unimodular (no eigenvalue 1), |A| <= 0.8 and Im b - |a|^2 large
+    enough for a self-map: the one boundary fixed point is e1, delta = 1."""
+    rng = np.random.default_rng([31, dim])
+    for i in range(count):
+        k = dim - 1
+        p = min(i % 3, k)
+        q = min(1, k - p) if i % 2 else 0
+        r = k - p - q
+        a = 0.5 * random_complex(rng, p)
+        d = np.exp(1j * rng.uniform(0.3, 2 * np.pi - 0.3, q))
+        w_block = random_unitary(rng, r) @ np.diag(rng.uniform(0.0, 0.8, r)) \
+            @ random_unitary(rng, r)
+        c = 0.3 * random_complex(rng, r)
+        im_b = np.vdot(a, a).real + np.vdot(c, c).real / 0.36 + rng.uniform(0.1, 1.0)
+        s = normal_forms.siegel_normal_map(1.0, a, d, w_block, c, np.zeros(r),
+                                           complex(rng.uniform(-1.0, 1.0), im_b))
+        yield cayley_to_ball(s)
+
+
+class TestBoundaryDilation:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_siegel_dilations(self, dim):
+        e1 = np.eye(dim)[0]
+        for f, lam, other in _siegel_dilation_cases(dim):
+            cls = classify(f)
+            assert cls.kind == maps.HYPERBOLIC
+            assert len(cls.boundary_fixed_points) == 2
+            assert np.linalg.norm(cls.dw_point - e1) < 1e-9
+            assert cls.delta == pytest.approx(1.0 / lam, rel=1e-12, abs=0.0)
+            assert boundary_dilation(f, other) == pytest.approx(lam, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_heisenberg_translations(self, dim):
+        rng = np.random.default_rng([37, dim])
+        for _ in range(8):
+            gamma = 0.5 * random_complex(rng, dim - 1)
+            beta = complex(rng.uniform(-2.0, 2.0),
+                           np.vdot(gamma, gamma).real + rng.choice([0.0, rng.uniform(0.1, 1.0)]))
+            cls = classify(cayley_to_ball(heisenberg_map(gamma, beta)))
+            assert cls.kind == maps.PARABOLIC
+            assert cls.delta == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_parabolic_normal_forms(self, dim):
+        for f in _parabolic_normal_forms(dim):
+            cls = classify(f)
+            assert cls.kind == maps.PARABOLIC
+            assert np.linalg.norm(cls.dw_point - np.eye(dim)[0]) < 1e-9
+            assert cls.delta == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+    def test_disk_moebius_both_fixed_points(self):
+        # phi(z) = (2z + 1) / (z + 2), phi'(z) = 3 / (z + 2)^2
+        f = disk_map(**HALF_MOEBIUS)
+        assert boundary_dilation(f, [1.0]) == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
+        assert boundary_dilation(f, [-1.0]) == pytest.approx(3.0, rel=1e-12, abs=0.0)
+
+    def test_not_fixed_rejected(self):
+        with pytest.raises(DomainError):
+            boundary_dilation(BallMap(np.eye(2) / 2, np.zeros(2), np.zeros(2), 1.0), [1.0, 0.0])
+        with pytest.raises(DomainError):
+            boundary_dilation(disk_map(**HALF_MOEBIUS), [1j])
+
+    def test_interior_point_rejected(self):
+        with pytest.raises(DomainError):
+            boundary_dilation(BallMap(np.eye(2) / 2, np.zeros(2), np.zeros(2), 1.0), [0.0, 0.0])
+
+
 class TestUnitaryIndex:
     def test_contraction_zero(self):
         assert unitary_index(BallMap(np.eye(1) / 2, [0.0], [0.0], 1.0)) == 0
@@ -265,6 +351,17 @@ class TestUnitaryIndex:
         interior, _ = fixed_points(f)
         indices = {unitary_index(f, fixed_point=p) for p in interior}
         assert len(indices) == 1
+
+    def test_wrong_dimension_rejected(self):
+        f = BallMap(np.diag([1.0, 0.5]), np.zeros(2), np.zeros(2), 1.0)
+        with pytest.raises(DimensionError):
+            unitary_index(f, fixed_point=np.zeros(3))
+
+
+def test_differential_wrong_dimension_rejected():
+    f = BallMap(np.diag([1.0, 0.5]), np.zeros(2), np.zeros(2), 1.0)
+    with pytest.raises(DimensionError):
+        f.differential(np.zeros(3))
 
 
 class TestInvariants:
