@@ -108,6 +108,9 @@ def _times_in(value) -> tuple:
     for t in value:
         if t < 0:
             raise SpecError(f"--t: time {t!r} is negative; the semigroup is defined for t >= 0")
+    for a, b in zip(value, value[1:]):
+        if b < a:
+            raise SpecError(f"--t: times must be non-decreasing, got {b!r} after {a!r}")
     return tuple(value)
 
 
@@ -263,13 +266,14 @@ def run_pipeline(spec_obj: dict, seed: int = 20250808, tol_profile: str = "defau
                 sg = build_semigroup(cert)
                 start = z0 if z0 is not None else _default_start(sg)
                 rows = emit_trajectory(sg, start, [t for t in t_grid])
-                report["stages"]["semigroup"] = to_jsonable({
+                entry = to_jsonable({
                     "status": "ok",
                     "case_kind": sg.case_kind,
                     "trajectory_domain": sg.domain,
                     "trajectory_start": start,
-                    "trajectory": rows,
                 })
+                entry["trajectory"] = rows          # already JSON-safe floats
+                report["stages"]["semigroup"] = entry
             elif stage == "verify":
                 if sg is None:
                     report["stages"]["verify"] = {
@@ -324,17 +328,18 @@ def _exit_status(report, cert) -> int:
 
 
 def emit_trajectory(sg, z0, t_grid) -> list:
-    """Rows (t, coordinates of at(t)(z0)); t must be non-decreasing and
-    >= 0.  The family is built on the whole grid with one ``at_many``;
-    z0 is checked once and the denominator at every time."""
+    """Rows [t, re_1, im_1, ...] of at(t)(z0) as lists of Python floats;
+    t must be non-decreasing and >= 0.  The family is built on the whole
+    grid with one ``at_many``; z0 is checked once and the denominator at
+    every time."""
     z0 = np.asarray(z0, dtype=complex)
     ts = [float(t) for t in t_grid]
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise SpecError("trajectory time grid must be non-decreasing")
     if domain_margin(z0, sg.domain) < -1e-9:
         raise DomainError(f"trajectory start {z0} lies outside the {sg.domain} domain")
-    images = sg.at_many(ts).images(z0).tolist()
-    return [[t] + [x for z in img for x in (z.real, z.imag)] for t, img in zip(ts, images)]
+    images = np.ascontiguousarray(sg.at_many(ts).images(z0), dtype=complex)
+    return np.column_stack([ts, images.view(np.float64)]).tolist()
 
 
 def trajectory_csv(rows, dim: int) -> str:

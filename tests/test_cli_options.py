@@ -1,5 +1,6 @@
 """CLI trajectory options and tolerance profiles: malformed ``--t`` and
-``--z0`` are input errors (exit 3), negative times and hyperbolic times
+``--z0`` are input errors (exit 3), a decreasing ``--t`` is one before the
+pipeline runs, negative times and hyperbolic times
 whose lam^t overflows are rejected by name at every entry point, an
 empty time grid writes a header-only CSV, ``--tol-profile strict``
 reaches the verification, report values keep their JSON types, and a
@@ -72,6 +73,20 @@ class TestTrajectoryOptions:
     def test_z0_without_pairs(self, spec_path, capsys):
         err = _input_error(capsys, ["semigroup", str(spec_path), "--z0", "[1,2]"])
         assert "--z0[0]" in err
+
+    def test_decreasing_t(self, spec_path, capsys):
+        """Rejected at the input boundary: no stage runs, no summary."""
+        code = cli.main(["semigroup", str(spec_path), "--t", "[1, 0.5]"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.err == "input error: --t: times must be non-decreasing, got 0.5 after 1\n"
+        assert captured.out == ""
+
+    def test_pipeline_rejects_decreasing_t(self):
+        report = run_pipeline(HALF_SCALING_2D, t_grid=(1.0, 0.5))
+        stage = report["stages"]["semigroup"]
+        assert stage == {"status": "error", "error": "trajectory time grid must be non-decreasing"}
+        assert report["exit_status"] == EXIT_INPUT_ERROR
 
     def test_empty_grid_header_only_csv(self, spec_path, tmp_path):
         csv_path = tmp_path / "traj.csv"

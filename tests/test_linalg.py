@@ -1,10 +1,13 @@
 """Tests for the dense complex linear algebra kernel."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
 from lfmsemi import linalg
-from lfmsemi.errors import BranchError, DimensionError, DomainError
+from lfmsemi.errors import BranchError, DimensionError, DomainError, NumericError
 
 
 def random_complex(rng, *shape):
@@ -201,6 +204,78 @@ class TestMatExp:
         lhs = linalg.mat_exp(m1 + m2)
         rhs = linalg.mat_exp(m1) @ linalg.mat_exp(m2)
         assert np.linalg.norm(lhs - rhs) < 1e-10
+
+
+def mp_expm(m):
+    """exp(m) in mpmath at 40 digits, rounded to complex doubles."""
+    with mpmath.workdps(40):
+        e = mpmath.expm(mpmath.matrix(m.tolist()))
+        return np.array([[complex(e[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])])
+
+
+def generator(kind, n, rng):
+    """An n x n generator with 1-norm 8: diagonal, upper triangular (the
+    Schur form of a normal-form generator) or dense and far from normal."""
+    if kind == "diagonal":
+        m = np.diag(random_complex(rng, n))
+    elif kind == "triangular":
+        m = np.triu(random_complex(rng, n, n)) + 2 * np.diag(random_complex(rng, n))
+    else:
+        m = random_complex(rng, n, n) + 4 * np.triu(random_complex(rng, n, n), 1)
+    return m * (8.0 / np.abs(m).sum(axis=0).max())
+
+
+#: t M for these t spans 1-norms 0 to 16: every Pade degree and s up to 2
+ORACLE_TIMES = np.array([0.0, 0.002, 0.02, 0.1, 0.25, 0.6, 1.0, 2.0])
+
+
+class TestMatExpOracle:
+    """Stacks t M, t in [0, 2], against mpmath at 40 digits."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "triangular", "dense"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+    def test_relative_error(self, kind, n):
+        m = generator(kind, n, np.random.default_rng([n, len(kind)]))
+        stack = ORACLE_TIMES[:, None, None] * m
+        got = linalg.mat_exp(stack)
+        for t, g in zip(ORACLE_TIMES, got):
+            ref = mp_expm(t * m)
+            assert np.linalg.norm(g - ref) <= 1e-13 * np.linalg.norm(ref), (t, kind, n)
+
+    @pytest.mark.parametrize("kind", ["triangular", "dense"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_grid_crosses_degrees_and_scalings(self, kind, n):
+        m = generator(kind, n, np.random.default_rng([n, len(kind)]))
+        stack = ORACLE_TIMES[1:, None, None] * m
+        degree, s = linalg._pade_choice(linalg._pade_powers(stack))
+        assert len(set(degree.tolist())) >= 3 and s.max() >= 1
+
+
+class TestMatExpOverflow:
+    """An exponential that overflows raises NumericError and no
+    floating-point warning, whatever the warning filter."""
+
+    @pytest.mark.parametrize("m", [
+        [[800.0, 1.0], [0.0, 1.0]],
+        [np.eye(2), [[800.0, 1.0], [0.0, 1.0]], np.zeros((2, 2))],
+        np.diag([800.0, 1.0]),
+        [[[800.0]]],
+    ], ids=["single", "stack", "diagonal", "one-by-one"])
+    def test_numeric_error_without_warning(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="matrix exponential overflowed"):
+                linalg.mat_exp(np.array(m, dtype=complex))
+
+    def test_large_finite_result(self):
+        """Near the overflow threshold the result is finite and warns
+        nothing; its 8 squarings amplify the relative error about 2^8-fold."""
+        m = np.array([[700.0, 1.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.mat_exp(m)
+        ref = mp_expm(m)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestMatLogPrincipal:

@@ -4,7 +4,9 @@
 parameters and checks the elliptic ones with one batched exact self-map
 test. These tests pin that item i of the stack has the bits of
 ``at(ts[i])`` and of the per-time formulas, that a stacked ``mat_exp``
-matches one call per matrix, that the stack's self-map margins are the
+matches one call per matrix (across Pade degrees, scalings and the exact
+diagonal path), that trajectory rows keep the bits of the images, that
+the stack's self-map margins are the
 per-map margins and the closed form of a linear map, and that a family
 leaving the ball fails with the error and margin of its first failing
 time.
@@ -19,7 +21,7 @@ from lfmsemi import cli, maps
 from lfmsemi.cli import emit_trajectory, run_pipeline
 from lfmsemi.embedding import SemigroupFamily, _expm1c
 from lfmsemi.errors import DimensionError, DomainError
-from lfmsemi.linalg import mat_exp
+from lfmsemi.linalg import _pade_choice, _pade_powers, mat_exp
 from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, sample_ball_points
 from lfmsemi.normal_forms import siegel_normal_map, split_normal_map, u0_normal_map
 
@@ -147,6 +149,76 @@ def test_stacked_mat_exp_matches_single_calls(shape):
     flat = m.reshape((-1,) + shape[-2:])
     for got, one in zip(out.reshape(flat.shape), flat):
         assert got.tobytes() == mat_exp(one).tobytes()
+
+
+def _generator(kind, n, rng):
+    """1-norm 8: t M over t in [0, 2] needs every Pade degree and s up to 2."""
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = np.triu(m) + 2 * np.diag(np.diag(m)) if kind == "triangular" else m + 4 * np.triu(m, 1)
+    return m * (8.0 / np.abs(m).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("kind", ["triangular", "dense"])
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_stacked_mat_exp_matches_single_calls_across_degrees(kind, n):
+    """A family-shaped stack t M, t in [0, 2], holds the diagonal t = 0 and
+    matrices of several Pade degrees and scalings; item i still has the
+    bits of its own call, and t = 0 gives the identity."""
+    m = _generator(kind, n, np.random.default_rng([n, len(kind)]))
+    stack = np.linspace(0.0, 2.0, 41)[:, None, None] * m
+    degree, s = _pade_choice(_pade_powers(stack[1:]))
+    assert len(set(zip(degree.tolist(), s.tolist()))) >= 5
+    out = mat_exp(stack)
+    for got, one in zip(out, stack):
+        assert got.tobytes() == mat_exp(one).tobytes()
+    assert np.array_equal(out[0], np.eye(n))
+
+
+def test_stacked_mat_exp_of_no_matrices():
+    assert mat_exp(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3, 3)
+    assert mat_exp(np.zeros((2, 0, 1, 1), dtype=complex)).shape == (2, 0, 1, 1)
+
+
+def _rows_one_by_one(sg, z0, ts):
+    """Trajectory rows built one number at a time from the images."""
+    images = sg.at_many(ts).images(np.asarray(z0, dtype=complex)).tolist()
+    return [[t] + [x for z in img for x in (z.real, z.imag)] for t, img in zip(ts, images)]
+
+
+def _same_rows(rows, ref):
+    assert len(rows) == len(ref)
+    for row, want in zip(rows, ref):
+        assert all(type(x) is float for x in row)
+        assert np.array(row).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_trajectory_rows_keep_the_bits(case):
+    sg = _family(case, 3, np.random.default_rng([3, CASES.index(case), 5]))
+    z0 = cli._default_start(sg)
+    ts = GRID[::4].tolist()
+    _same_rows(emit_trajectory(sg, z0, ts), _rows_one_by_one(sg, z0, ts))
+    assert emit_trajectory(sg, z0, []) == []
+
+
+class _SignedZeros:
+    """A family stand-in whose images hold -0.0 in both parts."""
+    domain = BALL
+
+    def at_many(self, ts):
+        self.count = len(ts)
+        return self
+
+    def images(self, z0):
+        row = [complex(-0.0, 0.5), complex(0.25, -0.0), complex(-0.0, -0.0)]
+        return np.array([row] * self.count)
+
+
+def test_trajectory_rows_keep_negative_zeros():
+    ts = [-0.0, 0.0, 1.0]
+    rows = emit_trajectory(_SignedZeros(), np.zeros(3), ts)
+    _same_rows(rows, _rows_one_by_one(_SignedZeros(), np.zeros(3), ts))
+    assert math.copysign(1.0, rows[0][0]) == -1.0 and math.copysign(1.0, rows[1][1]) == -1.0
 
 
 def test_stacked_mat_exp_rejects_non_square():
