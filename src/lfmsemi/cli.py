@@ -165,10 +165,10 @@ def parse_map_spec(obj: dict):
             if a.shape != (dim, dim) or len(b) != dim or len(c) != dim:
                 raise SpecError(f"A/B/C: shapes disagree with dimension = {dim}")
             return BallMap(a, b, c, d)
-        for key in ("lambda", "b"):
-            if key not in obj:
-                raise SpecError(f"{key}: required for siegel maps")
         k = dim - 1
+        for key in ("lambda", "b", "M") if k else ("lambda", "b"):
+            if key not in obj:
+                raise SpecError(f"{key}: required for siegel maps of dimension {dim}")
         lam = _complex_in(obj["lambda"], "lambda")
         bval = _complex_in(obj["b"], "b")
         m = _matrix_in(obj["M"], "M") if k else np.zeros((0, 0), dtype=complex)

@@ -7,7 +7,10 @@ the closed-form family :class:`SemigroupFamily` when the verdict is
 positive.
 
 Verdict semantics: the elliptic criteria are if-and-only-if, so a
-failed margin yields ``condition_fails``.  Both build and verify one
+failed margin yields ``condition_fails``.  Each tests a logarithm M
+exactly: the split criterion by the dissipativity of M, the u0 criterion
+by the BallMap constructor's pencil test on the homogeneous generator
+(:func:`_u0_margin`).  Both build and verify one
 logarithm at a time and stop at the first that passes, and both search
 one lattice of primary logarithms (see "the lattice of primary
 logarithms" below): after the principal logarithm, one logarithm per
@@ -53,7 +56,8 @@ from .linalg import (
     mat_log_principal,
     schur_form,
 )
-from .maps import BALL, SIEGEL, BallMap, Classification, SiegelMap, pullback_form
+from .maps import (BALL, SIEGEL, BallMap, Classification, SiegelMap, pencil_margins,
+                   pullback_form)
 from .normal_forms import (
     FORM_ELLIPTIC_SPLIT,
     FORM_ELLIPTIC_U0,
@@ -77,7 +81,8 @@ INCONCLUSIVE = "inconclusive"
 #: margin at or above which a criterion counts as satisfied
 MARGIN_TOL = 1e-12
 
-#: largest eigenvalue of Herm M at which a logarithm M counts as dissipative
+#: largest eigenvalue of Herm M at which a logarithm M counts as dissipative,
+#: and least u0 pencil margin, negated, at which it passes
 _DISSIPATIVE_TOL = 1e-10
 
 #: largest x with a finite exp(x) in double precision (about 709.78)
@@ -265,14 +270,19 @@ class SemigroupFamily:
 #
 # The u0 criterion depends on a logarithm M through H = Herm M and
 # b = delta M^H e1 only, and b(k) = b0 - 2 pi i delta sum_j k_j P_j^H e1 is
-# affine in k too.  A passing M has H <= tol I, so the ellipsoid above
-# holds, and its mixed term at z = -b/|b| gives |b| <= tol - lambda_min(H)
-# <= |tau| + n tol.  The lattice then enumerates the sum of the two forms
-# within the sum of the two squared radii.  A shift constant on a group g
-# leaves H unchanged but moves b by a multiple of P_g^H e1, so the first
-# cluster of each group with P_g^H e1 != 0 is free as well; the
-# projectors of orthogonal groups are orthogonal, so their P_g^H e1 are
-# independent and the summed form is positive definite.
+# affine in k too.  A passing M has pencil margin lambda_min(mu J - X)
+# >= -tol, X = J G + G^H J (:func:`_u0_margin`).  At x = e_{N+1}, where
+# x^H X x = 0, this gives mu <= tol; at x = (v, 0), |v| = 1, it gives
+# 2 v^H H v <= mu + tol <= 2 tol, so H <= tol I and the ellipsoid above
+# holds.  At x = (z, 1) / sqrt(2), |z| = 1, it gives
+# Re[delta (Mz)_1 - <Mz, z>] >= -tol, which at z = -b/|b| reads
+# |b| <= tol - lambda_min(H) <= |tau| + n tol.  The lattice then
+# enumerates the sum of the two forms within the sum of the two squared
+# radii.  A shift constant on a group g leaves H unchanged but moves b by
+# a multiple of P_g^H e1, so the first cluster of each group with
+# P_g^H e1 != 0 is free as well; the projectors of orthogonal groups are
+# orthogonal, so their P_g^H e1 are independent and the summed form is
+# positive definite.
 
 #: largest cosine between the eigenspaces of two clusters that counts as
 #: orthogonal
@@ -503,59 +513,6 @@ def log_candidates(a: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# quadratic minimization on the unit sphere
-
-
-def sphere_quadratic_min(g_herm: np.ndarray, g_lin: np.ndarray):
-    """Global minimum of x^H G x + Re(<x, g>) over the unit sphere.
-
-    G hermitian.  Returns (value, argmin).  Solved by the trust-region
-    secular equation in the eigenbasis of G.
-    """
-    w, v = np.linalg.eigh(hermitian_part(g_herm))
-    b = v.conj().T @ np.asarray(g_lin, dtype=complex)
-    mags = np.abs(b)
-    lam_min = float(w[0])
-    scale = max(1.0, float(np.max(np.abs(w))), float(np.max(mags)))
-    active = mags > 1e-14 * scale
-
-    def rho(mu):
-        denom = np.where(active, 2.0 * (w - mu), 1.0)
-        return np.where(active, mags / denom, 0.0)
-
-    def norm2(mu):
-        return float(np.sum(rho(mu) ** 2))
-
-    phases = np.where(active, b / np.where(active, mags, 1.0), 0.0)
-    min_active = bool(np.any(active & (np.abs(w - lam_min) <= 1e-12 * scale)))
-    hard_norm = norm2(lam_min) if not min_active else np.inf
-    if not min_active and hard_norm <= 1.0:
-        # interior (hard) case: pad with the bottom eigenvector
-        r = rho(lam_min)
-        pad = math.sqrt(max(0.0, 1.0 - float(np.sum(r ** 2))))
-        x = (-r * phases).astype(complex)
-        x[int(np.argmin(w))] += pad
-    else:
-        lo = lam_min - 0.5 * float(np.sum(mags)) - 1.0
-        hi = lam_min - 1e-18 * scale
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # no double lies between lo and hi: mu = mid from here on
-            if norm2(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        mu = 0.5 * (lo + hi)
-        r = rho(mu)
-        nrm = math.sqrt(float(np.sum(r ** 2)))
-        r = r / nrm if nrm > 0 else r
-        x = (-r * phases).astype(complex)
-    value = float((x.conj() @ (w * x)).real + np.vdot(b, x).real)
-    return value, v @ x
-
-
-# ---------------------------------------------------------------------------
 # elliptic criteria
 
 
@@ -591,23 +548,19 @@ def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
     return _certificate(nf, verdict, "elliptic_split_dissipative_log", margins, notes=notes)
 
 
-def _u0_condition_margins(m: np.ndarray, delta: float):
-    """Exact margins of Re[delta <Mz,e1> |z|^2 - <Mz,z>] >= 0 on the ball.
-
-    At z = r*zeta, |zeta| = 1, the expression is r^2 ((1 - r) q + r s),
-    with q >= quad_margin = -lambda_max(Herm M) its r -> 0 slice and s >=
-    mixed_margin its r = 1 slice (a sphere-constrained quadratic, solved
-    exactly): it is at least |z|^2 min(quad_margin, mixed_margin).
-    """
+def _u0_margin(m: np.ndarray, delta: float) -> float:
+    """Exact margin of the u0 condition Re[delta <Mz,e1> |z|^2 - <Mz,z>] >= 0
+    on the closed ball: the :func:`~lfmsemi.maps.pencil_margins` of
+    X = J G + G^H J, unnormalised, with G = [[M, 0], [delta e1^T M, 0]] the
+    homogeneous generator.  At x = (z, 1), |z| = 1, x^H X x / 2 is
+    Re[<Mz,z> - delta (Mz)_1], so a margin >= 0 is the condition on the
+    sphere (S-lemma); turning z by a phase there gives
+    Re<Mz,z> <= -delta |(Mz)_1|, which carries it into the ball."""
     n = m.shape[0]
-    herm = hermitian_part(m)
-    quad_margin = -float(np.max(np.linalg.eigvalsh(herm)))
-    e1 = np.zeros(n, dtype=complex)
-    e1[0] = 1.0
-    # on the sphere the r = 1 slice reads
-    # delta Re(Mz)_1 - Re<Mz,z> = z^H (-H) z + Re<z, delta M^H e1>
-    mixed_margin, zeta = sphere_quadratic_min(-herm, delta * (m.conj().T @ e1))
-    return quad_margin, mixed_margin, zeta
+    jg = np.zeros((n + 1, n + 1), dtype=complex)
+    jg[:n, :n] = m
+    jg[n, :n] = -delta * m[0]
+    return float(pencil_margins((jg + jg.conj().T)[None])[0])
 
 
 def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
@@ -615,12 +568,13 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
 
     For each logarithm candidate M the condition
     Re[delta <Mz,e1> |z|^2 - <Mz,z>] >= 0 on the closed ball is decided
-    by its exact two-radius reduction (:func:`_u0_condition_margins`),
-    with margin min(quad_margin, mixed_margin), and no samples.  The
-    candidates are L0, then one primary
-    logarithm per further class of (Herm M, delta M^H e1) inside the
-    positivity ellipsoid (:func:`_lattice_shifts`), so the search is
-    complete over the primary logarithms.
+    exactly by the Krein-Smul'jan pencil of the homogeneous generator
+    (:func:`_u0_margin`), the test the :class:`~lfmsemi.maps.BallMap`
+    constructor runs on a map, with threshold -1e-10 and no samples.  The
+    candidates are L0, then one primary logarithm per further class of
+    (Herm M, delta M^H e1) inside the positivity ellipsoid
+    (:func:`_lattice_shifts`), so the search is complete over the primary
+    logarithms.
     """
     _expect_form(nf, FORM_ELLIPTIC_U0)
     ahat = nf.parameters["Ahat"]
@@ -629,15 +583,14 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
     margins = []
     best_witness = None
     for idx, m in enumerate(_lattice_logs(ahat, lattice, delta)):
-        quad_margin, mixed_margin, zeta = _u0_condition_margins(m, delta)
-        margin = min(quad_margin, mixed_margin)
+        margin = _u0_margin(m, delta)
         margins.append(Condition(f"generator_positivity[candidate {idx}]", margin,
-                                 margin >= -1e-10))
-        if margin >= -1e-10:
+                                 margin >= -_DISSIPATIVE_TOL))
+        if margin >= -_DISSIPATIVE_TOL:
             data = {"M": m, "delta": delta}
             return _certificate(nf, EMBEDDABLE, "elliptic_u0_generator_positivity", margins,
                                 data, notes=f"candidate {idx}: min condition margin {margin:.3e}")
-        witness = _u0_witness(m, delta, zeta, quad_margin, mixed_margin)
+        witness = _u0_witness(m, delta)
         if witness is not None:
             best_witness = witness
     verdict, notes = lattice.failed(
@@ -655,14 +608,13 @@ def _u0_expression(m: np.ndarray, delta: float, zs: np.ndarray) -> np.ndarray:
     return (delta * mz[:, 0] * norms2 - np.einsum("ij,ij->i", mz, zs.conj())).real
 
 
-def _u0_witness(m, delta, zeta, quad_margin, mixed_margin):
-    """A ball point where the u0 expression is negative, from the sphere
-    argmin zeta or the top eigenvector of Herm M; None if neither shows one."""
-    if mixed_margin < quad_margin and _u0_expression(m, delta, zeta[None, :])[0] < 0:
-        return zeta
+def _u0_witness(m, delta):
+    """A closed-ball point where the u0 expression is negative: r times the
+    top eigenvector of Herm M, or the sphere point -b/|b|, b = delta M^H e1,
+    where the expression is -|b| - Re<Mz,z>; None if none shows one."""
     top = np.linalg.eigh(hermitian_part(m))[1][:, -1]
-    for r in (0.05, 0.2, 0.5, 0.9):
-        cand = r * top
+    b = delta * m[0].conj()
+    for cand in [r * top for r in (0.05, 0.2, 0.5, 0.9)] + [-b / (np.linalg.norm(b) or 1.0)]:
         if _u0_expression(m, delta, cand[None, :])[0] < 0:
             return cand
     return None

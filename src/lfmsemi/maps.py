@@ -210,28 +210,35 @@ def pullback_form(t: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(t, -1, -2)) @ (j[:, None] * t)
 
 
+def pencil_margins(s: np.ndarray) -> np.ndarray:
+    """The Krein-Smul'jan margin lambda_min(mu J - S) of each hermitian form
+    S of a stack (T, N+1, N+1), J = diag(I_N, -1), with mu midway between
+    the two largest real parts of eig(J S).  A margin >= 0 proves
+    x^H S x <= 0 where x^H J x = 0; by the S-lemma (Polik and Terlaky 2007)
+    some mu proves it whenever it holds, and those mu are the interval
+    between the two eigenvalues, as mu J - S >= 0 puts the one J-negative
+    eigenvalue above the N J-positive ones (Cowen and MacCluer 2000)."""
+    j = np.diag(np.append(np.ones(s.shape[-1] - 1), -1.0))
+    top = np.sort(np.linalg.eigvals(j @ s).real, axis=-1)[:, -2:]
+    mu = 0.5 * (top[:, 0] + top[:, 1])
+    return np.linalg.eigvalsh(mu[:, None, None] * j - s)[:, 0]
+
+
 def _self_map_margins(a, b, c) -> np.ndarray:
-    """Exact self-map margin lambda_min(mu J - S) / ||S||_F of each map
-    (a z + b) / (<z, c> + 1), |c| < 1, of a stack: S = T^H J T with
-    T = [[a, b], [c^H, 1]], and mu midway between the two largest real parts
-    of eig(J S).  mu J - S >= 0 gives |phi| <= 1 on the sphere, so on the
-    ball (Krein-Smul'jan; Cowen and MacCluer 2000).  For a self-map the mu
-    with mu J - S >= 0 are exactly the interval between those two
-    eigenvalues, since it puts the one J-negative eigenvalue above the N
-    J-positive ones.  NaN where S is not finite."""
+    """Exact self-map margin of each map (a z + b) / (<z, c> + 1), |c| < 1,
+    of a stack: the :func:`pencil_margins` of S = T^H J T with
+    T = [[a, b], [c^H, 1]], divided by ||S||_F.  On the sphere |phi| <= 1
+    then, so on the ball.  NaN where S is not finite."""
     n = a.shape[-1]
     t = np.zeros((len(a), n + 1, n + 1), dtype=complex)
     t[:, :n, :n], t[:, :n, n] = a, b
     t[:, n, :n], t[:, n, n] = np.conj(c), 1.0
     s = pullback_form(t)
     ok = np.isfinite(s).all(axis=(-2, -1))
-    s, j = s[ok], np.diag(np.append(np.ones(n), -1.0))
-    top = np.sort(np.linalg.eigvals(j @ s).real, axis=-1)[:, -2:]
-    mu = 0.5 * (top[:, 0] + top[:, 1])
-    low = np.linalg.eigvalsh(mu[:, None, None] * j - s)[:, 0]
+    s = s[ok]
     norm = np.linalg.norm(s, axis=(-2, -1))
     margins = np.full(len(a), np.nan)
-    margins[ok] = low / np.where(norm > 0, norm, 1.0)  # S = 0 gives mu = 0 and low = 0
+    margins[ok] = pencil_margins(s) / np.where(norm > 0, norm, 1.0)  # S = 0 gives 0
     return margins
 
 

@@ -477,11 +477,11 @@ def u0_brute_force(a, delta, bound=4):
     """{k: (Herm L(k), delta L(k)^H e1)} for every primary logarithm
     L(k) = sum_j (log lam_j + 2 pi i k_j) P_j of a with |k_j| <= bound
     (clusters in the order of ``np.linalg.eig``) that passes the u0
-    condition, decided by the criterion's exact margins
-    min(quad, mixed) >= -1e-10; and the distance of the closest exact
-    margin from that threshold.  A shift whose lambda_max(Herm L) exceeds
-    1e-3, or whose mixed term at z = -b/|b| (at least the mixed margin) lies
-    below -1e-3, fails without its exact margins."""
+    condition, decided by the criterion's exact pencil margin >= -1e-10;
+    and the distance of the closest exact margin from that threshold.  A
+    shift whose lambda_max(Herm L) exceeds 1e-3, or whose expression at the
+    sphere point z = -b/|b| (at least the pencil margin) lies below -1e-3,
+    fails without its exact margin."""
     vals, vecs = np.linalg.eig(a)
     inv = np.linalg.inv(vecs)
     clusters = []
@@ -505,9 +505,9 @@ def u0_brute_force(a, delta, bound=4):
                        - sizes, -tops)
     passing, closest = {}, np.inf
     for index in np.nonzero((tops <= 1e-3) & (at_zeta >= -1e-3))[0]:
-        quad, mixed, _ = emb._u0_condition_margins(logs[index], delta)
-        closest = min(closest, abs(min(quad, mixed) + 1e-10))
-        if min(quad, mixed) >= -1e-10:
+        margin = emb._u0_margin(logs[index], delta)
+        closest = min(closest, abs(margin + 1e-10))
+        if margin >= -1e-10:
             passing[ks[index]] = (herms[index], bs[index])
     return passing, closest
 
@@ -532,7 +532,7 @@ def check_u0_against_brute_force(a, delta):
     assert cert.verdict == (EMBEDDABLE if passing else CONDITION_FAILS)
     if cert.verdict == EMBEDDABLE:
         m = cert.generator_data["M"]
-        assert min(emb._u0_condition_margins(m, delta)[:2]) >= -1e-10
+        assert emb._u0_margin(m, delta) >= -1e-10
         assert np.linalg.norm(mat_exp(m) - a) <= 1e-8
     else:
         assert f"all {len(cert.margins)} logarithm candidates violate the condition, one " \

@@ -68,6 +68,13 @@ class TestParseSpec:
             parse_map_spec(bad)
         assert "D" in str(err.value)
 
+    def test_siegel_spec_without_m(self):
+        spec = {"domain": "siegel", "dimension": 2, "lambda": [2, 0], "b": [0, 1]}
+        with pytest.raises(SpecError, match="^M: required for siegel maps of dimension 2$"):
+            parse_map_spec(spec)
+        dim1 = {"domain": "siegel", "dimension": 1, "lambda": [2, 0], "b": [0, 1]}
+        assert parse_map_spec(dim1).lam == 2.0  # no w-block, so no M
+
     def test_missing_dimension(self):
         bad = {k: v for k, v in HALF_SCALING.items() if k != "dimension"}
         with pytest.raises(SpecError):
@@ -117,6 +124,13 @@ class TestPipeline:
         report = run_pipeline(spec)
         assert report["stages"]["embed"]["verdict"] == "condition_fails"
         assert report["exit_status"] == EXIT_CONDITION_FAILS
+
+    def test_siegel_spec_without_m_is_an_input_error(self):
+        spec = {"domain": "siegel", "dimension": 2, "lambda": [2, 0], "b": [0, 1]}
+        report = run_pipeline(spec)
+        assert report["exit_status"] == EXIT_INPUT_ERROR
+        assert report["error"].startswith("M: ")
+        assert report["stages"]["classify"]["status"] == "skipped"
 
     def test_siegel_input(self):
         spec = {
@@ -223,6 +237,13 @@ class TestMainEntry:
             cli.main(["report", str(spec_path), "--seed", "42", "--output", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_siegel_spec_without_m_exits_3(self, tmp_path, capsys):
+        spec_path = tmp_path / "no_m.json"
+        spec_path.write_text(json.dumps(
+            {"domain": "siegel", "dimension": 2, "lambda": [2, 0], "b": [0, 1]}))
+        assert cli.main(["classify", str(spec_path)]) == EXIT_INPUT_ERROR
+        assert "input error: M: required for siegel maps" in capsys.readouterr().out
 
     def test_bad_input_exit(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"

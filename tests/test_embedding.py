@@ -23,7 +23,6 @@ from lfmsemi.embedding import (
     resonant_translation_weight,
     scalar_h_hyperbolic,
     scalar_h_parabolic,
-    sphere_quadratic_min,
     theta_hyperbolic,
     theta_parabolic,
 )
@@ -227,27 +226,6 @@ class TestTheta:
     def test_hyperbolic_domain(self):
         with pytest.raises(DomainError):
             theta_hyperbolic(0.9, [0.5])
-
-
-class TestSphereQuadraticMin:
-    def test_matches_sampling(self):
-        rng = np.random.default_rng(11)
-        for trial in range(8):
-            n = int(rng.integers(1, 5))
-            g = random_complex(rng, n, n)
-            g = hermitian_part(g)
-            lin = random_complex(rng, n)
-            if trial % 3 == 0:
-                lin = lin * 0  # pure eigenvalue problem
-            val, arg = sphere_quadratic_min(g, lin)
-            assert abs(np.linalg.norm(arg) - 1) < 1e-9
-            direct = float((arg.conj() @ g @ arg).real + np.vdot(lin, arg).real)
-            assert val == pytest.approx(direct, abs=1e-9)
-            zs = random_complex(rng, 20000, n)
-            zs /= np.linalg.norm(zs, axis=1)[:, None]
-            sampled = (np.einsum("ij,jk,ik->i", zs.conj(), g, zs).real
-                       + (zs.conj() @ lin).real)
-            assert val <= float(np.min(sampled)) + 1e-9
 
 
 class TestLogCandidates:

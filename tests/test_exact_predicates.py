@@ -6,8 +6,10 @@ c > 0; the identity exactly when T is a multiple of I.  These tests check
 the constructor's self-map test on linear maps (accepted iff the operator
 norm is at most 1) and on Cayley images of affine Siegel maps (accepted
 iff the conditions P1-P3 hold), the automorphism and identity predicates,
-the u0 criterion's margin (the exact two-radius bound, the same for every
-seed) and the early stop of the sphere-quadratic bisection.
+and the u0 criterion's margin: the constructor's pencil test on the
+homogeneous generator, the same for every seed, checked against the two
+bounds the branch lattice assumes, the closed form in dimension 1 and a
+polished sphere sample on either side of the boundary.
 """
 
 import json
@@ -19,7 +21,7 @@ import pytest
 
 from lfmsemi import cli, maps
 from lfmsemi import embedding as emb
-from lfmsemi.embedding import is_automorphism, sphere_quadratic_min
+from lfmsemi.embedding import is_automorphism
 from lfmsemi.errors import DomainError
 from lfmsemi.linalg import hermitian_part
 from lfmsemi.maps import (
@@ -35,7 +37,7 @@ from lfmsemi.maps import (
     is_identity,
     unitary_ball_map,
 )
-from lfmsemi.normal_forms import normal_form, siegel_conditions
+from lfmsemi.normal_forms import FORM_ELLIPTIC_U0, NormalForm, normal_form, siegel_conditions
 
 
 def _unitary(rng, n):
@@ -199,75 +201,112 @@ def test_u0_margin_is_the_exact_bound_and_seed_free():
     assert all(r["stages"]["embed"] == embed for r in reports)
     cert = emb.certify(normal_form(cli.parse_map_spec(spec)))
     m, delta = cert.generator_data["M"], cert.generator_data["delta"]
-    quad, mixed, _ = emb._u0_condition_margins(m, delta)
-    assert cert.margins[-1].margin == min(quad, mixed) == embed["margins"][-1]["margin"]
-    # the expression is at least |z|^2 min(quad, mixed) on the ball
+    margin = emb._u0_margin(m, delta)
+    assert cert.margins[-1].margin == margin == embed["margins"][-1]["margin"]
+    # on the sphere the expression is x^H (mu J - X) x at x = (z, 1) / sqrt(2)
     rng = np.random.default_rng(5)
     zs = rng.standard_normal((20000, 3)) + 1j * rng.standard_normal((20000, 3))
-    zs *= (rng.uniform(0, 1, 20000) ** (1 / 6) / np.linalg.norm(zs, axis=1))[:, None]
-    vals = emb._u0_expression(m, delta, zs)
-    assert np.all(vals >= np.sum(np.abs(zs) ** 2, axis=1) * min(quad, mixed) - 1e-12)
+    zs /= np.linalg.norm(zs, axis=1)[:, None]
+    assert np.all(emb._u0_expression(m, delta, zs) >= margin - 1e-12)
 
 
-# ---------------------------------------------------------------------------
-# the sphere-quadratic bisection
+def _random_generator(rng, n):
+    """A random logarithm M (n x n) and delta in [0.1, 0.9]."""
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return m * rng.uniform(0.1, 2.0), float(rng.uniform(0.1, 0.9))
 
 
-def _sphere_min_300(g_herm, g_lin):
-    """sphere_quadratic_min with the fixed 300-step bisection it had
-    before the early stop."""
-    w, v = np.linalg.eigh(hermitian_part(g_herm))
-    b = v.conj().T @ np.asarray(g_lin, dtype=complex)
-    mags = np.abs(b)
-    lam_min = float(w[0])
-    scale = max(1.0, float(np.max(np.abs(w))), float(np.max(mags)))
-    active = mags > 1e-14 * scale
-
-    def rho(mu):
-        denom = np.where(active, 2.0 * (w - mu), 1.0)
-        return np.where(active, mags / denom, 0.0)
-
-    def norm2(mu):
-        return float(np.sum(rho(mu) ** 2))
-
-    phases = np.where(active, b / np.where(active, mags, 1.0), 0.0)
-    min_active = bool(np.any(active & (np.abs(w - lam_min) <= 1e-12 * scale)))
-    hard_norm = norm2(lam_min) if not min_active else np.inf
-    if not min_active and hard_norm <= 1.0:
-        r = rho(lam_min)
-        pad = math.sqrt(max(0.0, 1.0 - float(np.sum(r ** 2))))
-        x = (-r * phases).astype(complex)
-        x[int(np.argmin(w))] += pad
-    else:
-        lo = lam_min - 0.5 * float(np.sum(mags)) - 1.0
-        hi = lam_min - 1e-18 * scale
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            if norm2(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        mu = 0.5 * (lo + hi)
-        r = rho(mu)
-        nrm = math.sqrt(float(np.sum(r ** 2)))
-        r = r / nrm if nrm > 0 else r
-        x = (-r * phases).astype(complex)
-    value = float((x.conj() @ (w * x)).real + np.vdot(b, x).real)
-    return value, v @ x
+def _boundary_shift(m, delta):
+    """The s at which the u0 margin of M - s I crosses 0, by bisection: on
+    the closed ball the expression of M - s I is that of M plus
+    s |z|^2 (1 - delta Re z1) >= 0, so its sign is monotone in s."""
+    eye = np.eye(len(m))
+    lo = float(np.linalg.eigvalsh(hermitian_part(m))[-1]) - 1.0  # Herm(M - lo I) > 0 fails
+    hi = lo + 2.0 + (1.0 + delta) * float(np.linalg.norm(m, 2))
+    assert emb._u0_margin(m - lo * eye, delta) < 0 <= emb._u0_margin(m - hi * eye, delta)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (lo, mid) if emb._u0_margin(m - mid * eye, delta) >= 0 else (mid, hi)
+    return hi
 
 
-def test_sphere_min_early_stop_keeps_the_bits():
-    rng = np.random.default_rng(300)
+def test_u0_margin_implies_the_bounds_of_the_lattice():
+    # the u0 ellipsoid of _lattice_shifts assumes Herm M <= eps I and
+    # |delta M^H e1| <= eps - lambda_min(Herm M) for a margin >= -eps
+    rng = np.random.default_rng(611)
+    near = 0
+    for trial in range(240):
+        n = 1 + trial % 6
+        m, delta = _random_generator(rng, n)
+        if trial % 2:  # within 1e-9 of the boundary, on either side
+            near += 1
+            m = m - (_boundary_shift(m, delta) + rng.choice([-1e-9, 1e-9])) * np.eye(n)
+        margin = emb._u0_margin(m, delta)
+        eps = max(-margin, 0.0)
+        herm = np.linalg.eigvalsh(hermitian_part(m))
+        b = delta * np.linalg.norm(m[0])
+        rounding = 1e-13 * (1.0 + np.linalg.norm(m))
+        assert herm[-1] <= eps + rounding, trial
+        assert b <= eps - herm[0] + rounding, trial
+    assert near == 120
+
+
+def test_u0_dim1_closed_form():
+    # Ahat = e^m, m principal: the branch m + 2 pi i k with the least |.| is
+    # k = 0, and on the circle the condition reads Re m + delta |m| <= 0
+    rng = np.random.default_rng(1)
+    seen = {True: 0, False: 0}
     for trial in range(400):
-        n = 1 + trial % 8
-        scale = 10.0 ** rng.uniform(-6, 4)
-        g = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        g = hermitian_part(g)
-        if trial % 5 == 1:
-            g = g @ g.conj().T  # positive semidefinite
-        lin = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        if trial % 7 == 2:
-            lin = 0 * lin
-        val, arg = sphere_quadratic_min(g, lin)
-        ref_val, ref_arg = _sphere_min_300(g, lin)
-        assert val == ref_val and arg.tobytes() == ref_arg.tobytes()
+        v = float(rng.uniform(-np.pi, np.pi))
+        delta = float(rng.uniform(0.0, 1.0)) if trial % 10 else float(trial % 20 == 0)
+        if trial % 2 and delta < 1.0:  # close to the boundary u + delta |u + iv| = 0
+            u = -delta * abs(v) / math.sqrt(1.0 - delta ** 2) + rng.choice([-1e-8, 1e-8])
+        else:
+            u = float(rng.uniform(-3.0, 0.5))
+        m = complex(u, v)
+        value = m.real + delta * abs(m)
+        if abs(value) <= 1e-9 or u < -20.0:  # in the band, or Ahat too small to invert
+            continue
+        cert = emb.embed_elliptic_u0(NormalForm(FORM_ELLIPTIC_U0, None, [],
+                                                {"Ahat": np.array([[np.exp(m)]]),
+                                                 "delta": delta}))
+        assert (cert.verdict == emb.EMBEDDABLE) == (value <= 0), (m, delta)
+        seen[value <= 0] += 1
+    assert min(seen.values()) > 100
+
+
+def _sphere_min(m, delta, rng, count=20000):
+    """The least u0 expression over a sphere sample of *count* points,
+    each of the 5 best polished by a local minimiser on the sphere."""
+    from scipy.optimize import minimize
+
+    n = len(m)
+    zs = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    zs /= np.linalg.norm(zs, axis=1)[:, None]
+    vals = emb._u0_expression(m, delta, zs)
+
+    def on_sphere(x):
+        z = x[:n] + 1j * x[n:]
+        return emb._u0_expression(m, delta, (z / np.linalg.norm(z))[None])[0]
+
+    best = float(np.min(vals))
+    for i in np.argsort(vals)[:5]:
+        res = minimize(on_sphere, np.concatenate([zs[i].real, zs[i].imag]), method="BFGS",
+                       options={"gtol": 1e-12})
+        best = min(best, float(res.fun))
+    return best
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_u0_verdict_at_the_boundary_matches_a_sphere_sample(n):
+    rng = np.random.default_rng([n, 77])
+    for _ in range(3):
+        m, delta = _random_generator(rng, n)
+        s_star = _boundary_shift(m, delta)
+        for side in (-1e-6, 1e-6):
+            shifted = m - (s_star + side) * np.eye(n)
+            passed = emb._u0_margin(shifted, delta) >= -1e-10
+            assert passed == (side > 0)
+            assert passed == (_sphere_min(shifted, delta, rng) >= -1e-10), (n, side)

@@ -173,8 +173,9 @@ class TestFamilyBattery:
     def test_determinism(self):
         cert = embed_parabolic(parabolic_nf([0.2], [np.exp(0.9j)], [0.5], [0.4], 2.0j))
         sg = build_semigroup(cert)
-        r1 = verify_family(sg, seed=7)
-        r2 = verify_family(sg, seed=7)
+        cfg = SamplerCfg(seed=7, count=60, domain=sg.domain)
+        r1 = verify_family(sg, cfg)
+        r2 = verify_family(sg, cfg)
         for a, b in zip(r1, r2):
             assert a.worst_margin == b.worst_margin
             assert a.passed == b.passed
