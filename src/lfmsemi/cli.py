@@ -41,7 +41,7 @@ from .maps import (
 from .normal_forms import conjugation_residual, normal_form
 from .verify import DEFAULT_TOLS, SamplerCfg, verify_family
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 TOL_PROFILES = {
     "default": DEFAULT_TOLS,
@@ -166,14 +166,14 @@ def parse_map_spec(obj: dict):
                 raise SpecError(f"A/B/C: shapes disagree with dimension = {dim}")
             return BallMap(a, b, c, d)
         k = dim - 1
-        for key in ("lambda", "b", "M") if k else ("lambda", "b"):
+        for key in ("lambda", "b", "M", "a", "c") if k else ("lambda", "b"):
             if key not in obj:
                 raise SpecError(f"{key}: required for siegel maps of dimension {dim}")
         lam = _complex_in(obj["lambda"], "lambda")
         bval = _complex_in(obj["b"], "b")
         m = _matrix_in(obj["M"], "M") if k else np.zeros((0, 0), dtype=complex)
-        avec = _vector_in(obj.get("a", []), "a") if k else np.zeros(0, dtype=complex)
-        cvec = _vector_in(obj.get("c", []), "c") if k else np.zeros(0, dtype=complex)
+        avec = _vector_in(obj["a"], "a") if k else np.zeros(0, dtype=complex)
+        cvec = _vector_in(obj["c"], "c") if k else np.zeros(0, dtype=complex)
         if k and (m.shape != (k, k) or len(avec) != k or len(cvec) != k):
             raise SpecError(f"M/a/c: shapes disagree with dimension = {dim}")
         return SiegelMap(lam, avec, bval, m, cvec)

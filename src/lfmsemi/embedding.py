@@ -6,35 +6,36 @@ continuous one-parameter semigroup of self-maps, returning an
 the closed-form family :class:`SemigroupFamily` when the verdict is
 positive.
 
-Verdict semantics: the elliptic criteria are if-and-only-if, so a
-failed margin yields ``condition_fails``.  Each tests a logarithm M
-exactly: the split criterion by the dissipativity of M, the u0 criterion
-by the BallMap constructor's pencil test on the homogeneous generator
-(:func:`_u0_margin`).  Both build and verify one
-logarithm at a time and stop at the first that passes, and both search
-one lattice of primary logarithms (see "the lattice of primary
-logarithms" below): after the principal logarithm, one logarithm per
-class that the criterion cannot tell apart (the hermitian part for the
-split criterion; the hermitian part and delta M^H e1 for the u0
-criterion) inside an ellipsoid that holds every passing class.  The
-search is complete over the primary logarithms.  A class whose
-logarithm fails its exponentiation check, an ellipsoid too large to
-enumerate, or an ill-conditioned eigenbasis (cond V >= 1e8) with several
-eigenvalue clusters makes the verdict ``inconclusive``.  (Non-primary
-logarithms of a derogatory A1, an eigenvalue with several Jordan blocks,
-form a continuum and are not searched.)  The parabolic and hyperbolic
-criteria are sufficient only; failed hypotheses yield ``inconclusive`` -
-the map may still embed.
+Every criterion decides one homogeneous generator G per logarithm: the
+(N+1) x (N+1) matrix that an embeddable certificate carries in
+``generator_data["G"]``, whose projective vector field is the family's
+infinitesimal generator (:func:`generator`).  The split criterion tests
+the dissipativity of the logarithm M, the u0 criterion the BallMap
+constructor's pencil test on G (:func:`_u0_margin`), the parabolic and
+hyperbolic criteria the invariance of H_N under the flow of G
+(:func:`_flow_margin`).  Every verdict is if-and-only-if over the primary
+logarithms, so a failed margin yields ``condition_fails``.  The elliptic
+criteria test the principal logarithm, then one logarithm per class that
+they cannot tell apart (the hermitian part; for u0 also delta M^H e1)
+inside an ellipsoid that holds every passing class (see "the lattice of
+primary logarithms" below).  A class whose logarithm fails its
+exponentiation check, an ellipsoid too large to enumerate, or an
+ill-conditioned eigenbasis (cond V >= 1e8) with several eigenvalue
+clusters makes the verdict ``inconclusive``.  The parabolic and
+hyperbolic criteria test the principal logarithm of each eigenvalue of a
+normal contraction block, which has the largest margin of all branches;
+a block that is not normal is ``inconclusive``.  (Non-primary logarithms
+of a derogatory matrix, an eigenvalue with several Jordan blocks, form a
+continuum and are not searched.)
 
 The case table ``_CASES``, keyed by ``NormalForm.form_kind``, holds for
 each of the four normal-form cases its checked conditions, its embedding
 criterion, the family name and domain its certificates carry, and the
-family's stacked builder, generator and dimension.  The builder applies
-the case's stacked normal-map builder from :mod:`lfmsemi.normal_forms`
-to the parameters at every time of a grid.  :func:`certify`,
-:func:`build_semigroup`, :meth:`SemigroupFamily.at_many` and
-:func:`generator` look the case up there, so a fifth case adds one row
-(and its reducer in ``normal_forms``).
+family's stacked builder, which applies the case's stacked normal-map
+builder from :mod:`lfmsemi.normal_forms` to the parameters at every time
+of a grid.  :func:`certify`, :func:`build_semigroup` and
+:meth:`SemigroupFamily.at_many` look the case up there, so a fifth case
+adds one row (and its reducer in ``normal_forms``).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import numpy as np
 
 from .errors import BranchError, DomainError, NumericError
 from .linalg import (
+    PINV_RANK_TOL,
     hermitian_part,
     is_dissipative,
     mat_exp,
@@ -103,99 +105,16 @@ def _expm1c_vec(z: np.ndarray) -> np.ndarray:
     return np.array([_expm1c(v) for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
 
 
-# ---------------------------------------------------------------------------
-# scalar bound functions
-
-
-def scalar_h_parabolic(u: float, v: float, t: float) -> float:
-    """|1 - exp(t(-u+iv))|^2 / ((1 - exp(-2tu)) t).
-
-    Bounded above by (u^2 + v^2) / (2u), the t -> 0+ limit.
-    """
-    if u <= 0 or t <= 0 or v < 0:
-        raise DomainError("scalar_h_parabolic needs u > 0, v >= 0, t > 0")
-    num = abs(_expm1c(complex(-u * t, v * t))) ** 2
-    den = -math.expm1(-2.0 * t * u) * t
-    return num / den
-
-
-def scalar_h_hyperbolic(lam: float, u: float, v: float, t: float) -> float:
-    """|exp(t(u+iv)) - 1|^2 / ((1 - exp(-lam t))(1 - exp((lam+2u) t))).
-
-    Bounded above by -(u^2 + v^2) / (lam (2u + lam)), the t -> 0+ limit;
-    requires lam > 0, u < 0, lam + 2u < 0, v >= 0.
-    """
-    if lam <= 0 or u >= 0 or lam + 2 * u >= 0 or v < 0 or t <= 0:
-        raise DomainError(
-            "scalar_h_hyperbolic needs lam > 0, u < 0, lam + 2u < 0, v >= 0, t > 0"
-        )
-    num = abs(_expm1c(complex(u * t, v * t))) ** 2
-    den = (-math.expm1(-lam * t)) * (-math.expm1((lam + 2 * u) * t))
-    return num / den
-
-
-def _log_polar(lam: complex):
-    """(u, v) with lam = exp(-u + iv), u > 0, v in [0, 2pi).
-
-    Arguments within rounding of the positive real axis snap to v = 0
-    rather than wrapping to 2pi.
-    """
+def _log_principal(lam: complex) -> complex:
+    """Principal logarithm log|lam| + i arg(lam), arg in (-pi, pi], of a
+    nonzero strict contraction: the branch of least |Im|, which minimises
+    every term of the flow-invariance margins (:func:`_flow_margin`)."""
     mod = abs(lam)
     if mod >= 1.0:
         raise DomainError(f"eigenvalue {lam} is not a strict contraction")
     if mod == 0.0:
         raise DomainError("zero eigenvalue admits no logarithm")
-    u = -math.log(mod)
-    v = math.atan2(lam.imag, lam.real) % (2.0 * math.pi)
-    if v >= 2.0 * math.pi - 1e-9:
-        v = 0.0
-    return u, v
-
-
-def _log_principal(lam: complex) -> complex:
-    """Principal logarithm -u + iv, v in (-pi, pi]; the branch used for
-    the constructed paths (its theta weight never exceeds the reported
-    [0, 2pi)-branch weight, so certificates stay sufficient)."""
-    u, _ = _log_polar(lam)
-    return complex(-u, math.atan2(lam.imag, lam.real))
-
-
-def theta_parabolic(contraction_eigs) -> np.ndarray:
-    """Diagonal weights (u_j^2 + v_j^2) / (2 u_j |1 - lam_j|^2)."""
-    eigs = np.atleast_1d(np.asarray(contraction_eigs, dtype=complex))
-    out = np.zeros(len(eigs))
-    for j, lam in enumerate(eigs):
-        u, v = _log_polar(lam)
-        out[j] = (u * u + v * v) / (2.0 * u * abs(1.0 - lam) ** 2)
-    return out
-
-
-def theta_hyperbolic(lam: float, contraction_eigs) -> np.ndarray:
-    """Diagonal weights
-    (lam-1)/(2 u_j ln lam) * ((ln(lam)/2 + u_j)^2 + v_j^2) / |lam - sqrt(lam) lam_j|^2.
-    """
-    if lam <= 1.0:
-        raise DomainError("hyperbolic dilation must exceed 1")
-    eigs = np.atleast_1d(np.asarray(contraction_eigs, dtype=complex))
-    log_lam = math.log(lam)
-    out = np.zeros(len(eigs))
-    for j, mu in enumerate(eigs):
-        u, v = _log_polar(mu)
-        out[j] = (
-            (lam - 1.0)
-            / (2.0 * u * log_lam)
-            * ((log_lam / 2.0 + u) ** 2 + v * v)
-            / abs(lam - math.sqrt(lam) * mu) ** 2
-        )
-    return out
-
-
-#: weight of a resonant translation entry (sqrt(lam) lam_j = 1), the
-#: sharp budget sup_t (lam-1) t^2 lam^t / (lam^t - 1)^2 = (lam-1)/ln(lam)^2
-def resonant_translation_weight(lam: float) -> float:
-    if lam <= 1.0:
-        raise DomainError("hyperbolic dilation must exceed 1")
-    return (lam - 1.0) / math.log(lam) ** 2
+    return complex(math.log(mod), math.atan2(lam.imag, lam.real))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +152,7 @@ class SemigroupFamily:
 
     @property
     def dim(self) -> int:
-        return _case(_FAMILIES, self.case_kind).dim(self.parameters)
+        return self.parameters["G"].shape[0] - 1
 
     def at(self, t: float):
         return self.at_many([t])[0]
@@ -248,6 +167,87 @@ class SemigroupFamily:
             raise DomainError(f"time {float(outside[0])!r} lies outside t >= 0, "
                               "where the semigroup is defined")
         return _case(_FAMILIES, self.case_kind).at_many(self.parameters, ts)
+
+
+# ---------------------------------------------------------------------------
+# the homogeneous generator G of a family (see the module docstring); the
+# Siegel cases have last row 0 and the affine field
+# (z, w) -> (alpha z + 2i<w, p> + beta, L w + gamma)
+
+
+def _split_matrix(theta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """blockdiag(diag(i theta), M, 0)."""
+    u, n = len(theta), len(theta) + len(m)
+    g = np.zeros((n + 1, n + 1), dtype=complex)
+    g[range(u), range(u)], g[u:n, u:n] = 1j * theta, m
+    return g
+
+
+def _u0_matrix(m: np.ndarray, delta: float) -> np.ndarray:
+    """[[M, 0], [delta e1^T M, 0]]: the field Mz - delta (Mz)_1 z."""
+    g = np.zeros((len(m) + 1, len(m) + 1), dtype=complex)
+    g[:-1, :-1], g[-1, :-1] = m, delta * m[0]
+    return g
+
+
+def _affine_matrix(alpha: float, beta: complex, p: np.ndarray, l_diag: np.ndarray,
+                   gamma: np.ndarray, k: int) -> np.ndarray:
+    """The generator of (z, w) -> (alpha z + 2i<w, p> + beta, diag(l_diag) w
+    + gamma), w in C^k, with p and gamma given by their last entries."""
+    g = np.zeros((k + 2, k + 2), dtype=complex)
+    g[0, 0], g[0, -1] = alpha, beta
+    g[0, k + 1 - len(p):k + 1] = 2j * np.conj(p)
+    g[range(1, k + 1), range(1, k + 1)] = l_diag
+    g[k + 1 - len(gamma):k + 1, -1] = gamma
+    return g
+
+
+def _parabolic_matrix(d: dict) -> np.ndarray:
+    """The generator of the parabolic family of data d: the z-row carries
+    2i conj(a) on u, 2i conj(c'(0)) on w and alpha, the u-column a."""
+    a, m_diag = d["a"], d["m_diag"]
+    p, q, r = d["split"]
+    g = _affine_matrix(0.0, d["alpha"], _cocycle_rate(np.conj(m_diag)) * d["c"],
+                       np.concatenate([np.zeros(p), 1j * d["theta_D"], m_diag]), [], p + q + r)
+    g[0, 1:p + 1], g[1:p + 1, -1] = 2j * np.conj(a), a
+    return g
+
+
+def _hyperbolic_matrix(d: dict) -> np.ndarray:
+    """The generator of the hyperbolic family of data d: z-row log(lam),
+    2i conj(a'(0)) on w and b'(0); diagonal log(lam)/2 + (0, i theta_D,
+    m_diag); last column the resonant translation rates."""
+    lam, m_diag = d["lam"], d["m_diag"]
+    p, q, r = d["split"]
+    log_lam = math.log(lam)
+    m_bar = np.conj(m_diag)
+    adot0 = (log_lam / 2.0 - m_bar) / (lam - math.sqrt(lam) * np.exp(m_bar)) * d["c"]
+    return _affine_matrix(log_lam, log_lam / (lam - 1.0) * d["b"], adot0,
+                          0.5 * log_lam + np.concatenate([np.zeros(p), 1j * d["theta_D"], m_diag]),
+                          _cocycle_rate(0.5 * log_lam + m_diag) * d["c_res"], p + q + r)
+
+
+def _flow_margin(g: np.ndarray) -> float:
+    """Exact margin of the invariance of H_N under the flow of an affine
+    generator G.  The flow keeps H_N exactly when d/dt (Im z - |w|^2) >= 0
+    on its boundary (Nagumo; Bony-Brezis): when Im alpha = 0 and
+    [[Q, x], [x^H, Im beta]] >= 0, Q = Re(alpha) I - 2 Herm L, x = p - gamma,
+    that is when Q >= 0, x lies in the range of Q and the Schur complement
+    Im beta - x^H Q^+ x, the margin, is >= 0.  A violated other condition
+    (Im alpha != 0, an eigenvalue of Q < 0, x off the range) caps the
+    margin at minus its size."""
+    k = g.shape[0] - 2
+    alpha, beta = complex(g[0, 0]), complex(g[0, -1])
+    x = 0.5j * np.conj(g[0, 1:-1]) - g[1:-1, -1]
+    l_block = g[1:-1, 1:-1]
+    eigs, vecs = np.linalg.eigh(alpha.real * np.eye(k) - (l_block + l_block.conj().T))
+    y = vecs.conj().T @ x
+    cut = PINV_RANK_TOL * max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
+    live = eigs > cut
+    margin = beta.imag - float(np.sum(np.abs(y[live]) ** 2 / eigs[live]))
+    worst = min(-abs(alpha.imag), float(np.min(eigs, initial=0.0)) + cut,
+                cut - float(np.linalg.norm(y[~live])))
+    return margin if worst >= 0 else min(margin, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +530,7 @@ def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
     a1 = nf.parameters["A1"]
     theta = np.angle(lam).real.astype(float)
     if a1.size == 0:
-        data = {"theta": theta, "M": np.zeros((0, 0), dtype=complex), "u": len(theta)}
+        data = {"theta": theta, "M": a1, "u": len(theta), "G": _split_matrix(theta, a1)}
         return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log",
                             [Condition("unitary_part", 0.0, True)], data)
     lattice = _LatticeWalk()
@@ -540,7 +540,7 @@ def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
         margins.append(Condition(f"dissipativity[candidate {idx}]", -res.margin,
                                  res.margin <= _DISSIPATIVE_TOL))
         if res.margin <= _DISSIPATIVE_TOL and float(np.max(np.linalg.eigvals(m).real)) < 0:
-            data = {"theta": theta, "M": m, "u": len(theta)}
+            data = {"theta": theta, "M": m, "u": len(theta), "G": _split_matrix(theta, m)}
             return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log", margins,
                                 data, notes=f"dissipative logarithm found (candidate {idx})")
     verdict, notes = lattice.failed(f"no dissipative logarithm among {len(margins)} candidates",
@@ -548,18 +548,14 @@ def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
     return _certificate(nf, verdict, "elliptic_split_dissipative_log", margins, notes=notes)
 
 
-def _u0_margin(m: np.ndarray, delta: float) -> float:
+def _u0_margin(g: np.ndarray) -> float:
     """Exact margin of the u0 condition Re[delta <Mz,e1> |z|^2 - <Mz,z>] >= 0
-    on the closed ball: the :func:`~lfmsemi.maps.pencil_margins` of
-    X = J G + G^H J, unnormalised, with G = [[M, 0], [delta e1^T M, 0]] the
-    homogeneous generator.  At x = (z, 1), |z| = 1, x^H X x / 2 is
-    Re[<Mz,z> - delta (Mz)_1], so a margin >= 0 is the condition on the
-    sphere (S-lemma); turning z by a phase there gives
+    on the closed ball for G = [[M, 0], [delta e1^T M, 0]]: the unnormalised
+    :func:`~lfmsemi.maps.pencil_margins` of X = J G + G^H J.  At x = (z, 1),
+    |z| = 1, x^H X x / 2 is Re[<Mz,z> - delta (Mz)_1], so a margin >= 0 is
+    the condition on the sphere (S-lemma); turning z by a phase there gives
     Re<Mz,z> <= -delta |(Mz)_1|, which carries it into the ball."""
-    n = m.shape[0]
-    jg = np.zeros((n + 1, n + 1), dtype=complex)
-    jg[:n, :n] = m
-    jg[n, :n] = -delta * m[0]
+    jg = np.append(np.ones(len(g) - 1), -1.0)[:, None] * g
     return float(pencil_margins((jg + jg.conj().T)[None])[0])
 
 
@@ -583,11 +579,12 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
     margins = []
     best_witness = None
     for idx, m in enumerate(_lattice_logs(ahat, lattice, delta)):
-        margin = _u0_margin(m, delta)
+        g = _u0_matrix(m, delta)
+        margin = _u0_margin(g)
         margins.append(Condition(f"generator_positivity[candidate {idx}]", margin,
                                  margin >= -_DISSIPATIVE_TOL))
         if margin >= -_DISSIPATIVE_TOL:
-            data = {"M": m, "delta": delta}
+            data = {"M": m, "delta": delta, "G": g}
             return _certificate(nf, EMBEDDABLE, "elliptic_u0_generator_positivity", margins,
                                 data, notes=f"candidate {idx}: min condition margin {margin:.3e}")
         witness = _u0_witness(m, delta)
@@ -626,8 +623,8 @@ def _u0_witness(m, delta):
 
 def _diagonalize_normal(a: np.ndarray, tol: float = 1e-10):
     """Unitary V with V^H a V diagonal, or None when a is not normal."""
-    if a.size == 0 or np.allclose(a, np.diag(np.diag(a)), atol=1e-14):
-        return np.eye(a.shape[0], dtype=complex), np.diag(a).copy() if a.size else np.zeros(0, dtype=complex)
+    if np.allclose(a, np.diag(np.diag(a)), atol=1e-14):
+        return np.eye(len(a), dtype=complex), np.diag(a).copy()
     if np.linalg.norm(a @ a.conj().T - a.conj().T @ a) > tol * max(1.0, np.linalg.norm(a) ** 2):
         return None
     form = schur_form(a)
@@ -639,93 +636,86 @@ def _diagonalize_normal(a: np.ndarray, tol: float = 1e-10):
 
 
 def _w_eigenbasis(nf: NormalForm, criterion_id: str):
-    """(D, V, eigenvalues): the unimodular (v-) diagonal of a Siegel normal
-    form and its contraction (w-) block in a unitary eigenbasis, V = None
-    for an empty block; or an inconclusive certificate when the block is
-    not normal, since the sufficient criteria need it diagonal."""
+    """(D, V, eigenvalues, data): the unimodular (v-) diagonal D of a Siegel
+    normal form, its contraction (w-) block in a unitary eigenbasis (V =
+    None for an empty block), and the data theta_D = arg D, m_diag (the
+    principal logarithms) and split; or an inconclusive certificate when
+    the block is not normal, whose generator would not be diagonal."""
     _, q, r = nf.parameters["block_split"]
     d_diag = np.atleast_1d(nf.parameters["D"]) if q else np.zeros(0, dtype=complex)
-    if not r:
-        return d_diag, None, np.zeros(0, dtype=complex)
-    basis = _diagonalize_normal(nf.parameters["A"])
+    basis = _diagonalize_normal(nf.parameters["A"]) if r else (None, np.zeros(0, dtype=complex))
     if basis is None:
         return _certificate(
             nf, INCONCLUSIVE, criterion_id,
             [Condition("contraction_block_normal", -1.0, False)],
-            notes="contraction block is not normal; the sufficient criterion does not apply",
+            notes="contraction block is not normal; the diagonal generator does not apply",
         )
-    return (d_diag,) + basis
+    data = {"theta_D": np.angle(d_diag).astype(float),
+            "m_diag": np.array([_log_principal(mu) for mu in basis[1]], dtype=complex),
+            "split": nf.parameters["block_split"]}
+    return (d_diag,) + basis + (data,)
+
+
+def _flow_certificate(nf: NormalForm, criterion_id: str, name: str, budget: float,
+                      data: dict, g: np.ndarray, target) -> EmbeddingCertificate:
+    """The parabolic or hyperbolic certificate of the generator G whose
+    :func:`_flow_margin`, in units of Im b, is *budget*."""
+    margins = [Condition(name, budget, budget >= -MARGIN_TOL)]
+    if budget < -MARGIN_TOL:
+        return _certificate(nf, CONDITION_FAILS, criterion_id, margins, target=target, notes=(
+            "the generator of the principal logarithm does not keep H_N, and the "
+            "principal branch has the largest margin of the primary logarithms"))
+    return _certificate(nf, EMBEDDABLE, criterion_id, margins, {**data, "G": g}, target)
 
 
 def embed_parabolic(nf: NormalForm) -> EmbeddingCertificate:
-    """Translation-budget criterion Im b - |a|^2 >= <Theta c, c> for the
-    parabolic normal form with a normal contraction block."""
+    """Flow-invariance criterion for the parabolic normal form with a
+    normal contraction block: the generator G of the principal logarithm
+    (:func:`_parabolic_matrix`) must keep H_N (:func:`_flow_margin`).  The
+    margin, Im b - |a|^2 - sum_j |c_j|^2 (u_j^2 + v_j^2) / (2 u_j |1 - mu_j|^2)
+    for the eigenvalues mu_j = exp(-u_j + i v_j) of the block, is largest
+    on the principal branch, whose v_j are least in modulus, so a failure
+    is ``condition_fails``."""
     _expect_form(nf, FORM_PARABOLIC)
-    blocks = _w_eigenbasis(nf, "parabolic_theta_budget")
+    blocks = _w_eigenbasis(nf, "parabolic_generator_invariance")
     if isinstance(blocks, EmbeddingCertificate):
         return blocks
-    d_diag, v, lam_diag = blocks
+    d_diag, v, lam_diag, data = blocks
     a_vec, c_vec, b = nf.parameters["a"], nf.parameters["c"], complex(nf.parameters["b"])
     target = nf.normal_map
     if v is not None:
         c_vec = v.conj().T @ c_vec
         target = siegel_normal_map(1.0, a_vec, d_diag, np.diag(lam_diag), c_vec,
                                    np.zeros(len(c_vec)), b)
-    theta = theta_parabolic(lam_diag)
-    budget = float(b.imag - np.vdot(a_vec, a_vec).real - np.sum(theta * np.abs(c_vec) ** 2))
-    margins = [Condition("translation_budget", budget, budget >= -MARGIN_TOL)]
-    if budget < -MARGIN_TOL:
-        return _certificate(nf, INCONCLUSIVE, "parabolic_theta_budget", margins, target=target,
-                            notes="sufficient condition fails; the map may still be embeddable")
-    data = {
-        "a": a_vec,
-        "theta_D": np.angle(d_diag).astype(float),
-        "m_diag": np.array([_log_principal(mu) for mu in lam_diag], dtype=complex),
-        "c": c_vec,
-        "alpha": complex(b.real, b.imag - float(np.vdot(a_vec, a_vec).real)),
-        "split": nf.parameters["block_split"],
-    }
-    return _certificate(nf, EMBEDDABLE, "parabolic_theta_budget", margins, data, target)
+    data.update(a=a_vec, c=c_vec,
+                alpha=complex(b.real, b.imag - float(np.vdot(a_vec, a_vec).real)))
+    g = _parabolic_matrix(data)
+    return _flow_certificate(nf, "parabolic_generator_invariance", "translation_budget",
+                             _flow_margin(g), data, g, target)
 
 
 def embed_hyperbolic(nf: NormalForm) -> EmbeddingCertificate:
-    """Coefficient-budget criterion Im b >= <Theta c, c> (+ resonant
-    translation weights) for the hyperbolic normal form."""
+    """Flow-invariance criterion for the hyperbolic normal form with a
+    normal contraction block, as :func:`embed_parabolic` with the
+    generator of :func:`_hyperbolic_matrix`.  The margin is reported in
+    units of Im b, the generator's times (lam - 1) / log(lam)."""
     _expect_form(nf, FORM_HYPERBOLIC)
-    blocks = _w_eigenbasis(nf, "hyperbolic_theta_budget")
+    blocks = _w_eigenbasis(nf, "hyperbolic_generator_invariance")
     if isinstance(blocks, EmbeddingCertificate):
         return blocks
-    d_diag, v, lam_diag = blocks
-    p = nf.parameters["block_split"][0]
+    d_diag, v, lam_diag, data = blocks
     lam = float(nf.parameters["lam"])
-    c_vec, c_res = nf.parameters["c"], nf.parameters["c_res"]
-    b = complex(nf.parameters["b"])
+    c_vec, c_res, b = nf.parameters["c"], nf.parameters["c_res"], complex(nf.parameters["b"])
     target = nf.normal_map
     if v is not None:
         c_vec = v.conj().T @ c_vec
         c_res = v.conj().T @ c_res
-        target = siegel_normal_map(lam, np.zeros(p), d_diag, np.diag(lam_diag), c_vec, c_res,
-                                   b, math.sqrt(lam))
-    theta = theta_hyperbolic(lam, lam_diag)
-    budget = float(
-        b.imag
-        - np.sum(theta * np.abs(c_vec) ** 2)
-        - resonant_translation_weight(lam) * float(np.sum(np.abs(c_res) ** 2))
-    )
-    margins = [Condition("coefficient_budget", budget, budget >= -MARGIN_TOL)]
-    if budget < -MARGIN_TOL:
-        return _certificate(nf, INCONCLUSIVE, "hyperbolic_theta_budget", margins, target=target,
-                            notes="sufficient condition fails; the map may still be embeddable")
-    data = {
-        "lam": lam,
-        "theta_D": np.angle(d_diag).astype(float),
-        "m_diag": np.array([_log_principal(mu) for mu in lam_diag], dtype=complex),
-        "c": c_vec,
-        "c_res": c_res,
-        "b": b,
-        "split": nf.parameters["block_split"],
-    }
-    return _certificate(nf, EMBEDDABLE, "hyperbolic_theta_budget", margins, data, target)
+        target = siegel_normal_map(lam, np.zeros(data["split"][0]), d_diag, np.diag(lam_diag),
+                                   c_vec, c_res, b, math.sqrt(lam))
+    data.update(lam=lam, c=c_vec, c_res=c_res, b=b)
+    g = _hyperbolic_matrix(data)
+    return _flow_certificate(nf, "hyperbolic_generator_invariance", "coefficient_budget",
+                             _flow_margin(g) * (lam - 1.0) / math.log(lam), data, g, target)
 
 
 # ---------------------------------------------------------------------------
@@ -797,29 +787,8 @@ def _split_at_many(d: dict, ts: np.ndarray) -> BallMap:
     return split_normal_maps(np.exp(1j * ts[:, None] * d["theta"]), a1)
 
 
-def _split_generator(d: dict):
-    theta, m = d["theta"], d["M"]
-    u = len(theta)
-    n = u + m.shape[0]
-    gen = np.zeros((n, n), dtype=complex)
-    gen[:u, :u] = np.diag(1j * theta)
-    gen[u:, u:] = m
-    return lambda z: np.asarray(z, dtype=complex) @ gen.T
-
-
 def _u0_at_many(d: dict, ts: np.ndarray) -> BallMap:
     return u0_normal_maps(mat_exp(ts[:, None, None] * d["M"]), d["delta"])
-
-
-def _u0_generator(d: dict):
-    m, delta = d["M"], d["delta"]
-
-    def gen_u0(z):
-        z = np.asarray(z, dtype=complex)
-        mz = z @ m.T
-        return mz - delta * mz[..., :1] * z
-
-    return gen_u0
 
 
 def _parabolic_at_many(d: dict, ts: np.ndarray) -> SiegelMap:
@@ -831,23 +800,6 @@ def _parabolic_at_many(d: dict, ts: np.ndarray) -> SiegelMap:
                               np.exp(1j * ts[:, None] * d["theta_D"]),
                               _diag_stack(np.exp(ts[:, None] * m_diag)), c_path,
                               np.zeros(c_path.shape), b_t)
-
-
-def _parabolic_generator(d: dict):
-    a, theta_d, m_diag, c, alpha = d["a"], d["theta_D"], d["m_diag"], d["c"], d["alpha"]
-    p, q, r = d["split"]
-    cdot0 = (_cocycle_rate(np.conj(m_diag)) * c) if r else np.zeros(0, dtype=complex)
-
-    def gen_parabolic(z):
-        z = np.asarray(z, dtype=complex)
-        u_part = z[..., 1:1 + p]
-        v_part = z[..., 1 + p:1 + p + q]
-        w_part = z[..., 1 + p + q:]
-        gz = alpha + 2j * (u_part @ np.conj(a)) + 2j * (w_part @ np.conj(cdot0))
-        return np.concatenate([np.asarray(gz)[..., None], np.broadcast_to(a, u_part.shape),
-                               1j * theta_d * v_part, m_diag * w_part], axis=-1)
-
-    return gen_parabolic
 
 
 def _parabolic_dim2_label(prm: dict) -> str:
@@ -876,35 +828,6 @@ def _hyperbolic_at_many(d: dict, ts: np.ndarray) -> SiegelMap:
                               np.exp(1j * ts[:, None] * d["theta_D"]),
                               _diag_stack(np.exp(ts[:, None] * m_diag)),
                               _rows_times(a_factor, d["c"]), res_path, b_t, sq_t)
-
-
-def _hyperbolic_generator(d: dict):
-    lam = d["lam"]
-    theta_d, m_diag, c, c_res, b = d["theta_D"], d["m_diag"], d["c"], d["c_res"], d["b"]
-    p, q, r = d["split"]
-    log_lam = math.log(lam)
-    if r:
-        adot0 = (log_lam / 2.0 - np.conj(m_diag)) / (lam - math.sqrt(lam) * np.exp(np.conj(m_diag))) * c
-        resdot0 = _cocycle_rate(0.5 * log_lam + m_diag) * c_res
-    else:
-        adot0 = np.zeros(0, dtype=complex)
-        resdot0 = np.zeros(0, dtype=complex)
-    bdot0 = log_lam / (lam - 1.0) * b
-
-    def gen_hyperbolic(z):
-        z = np.asarray(z, dtype=complex)
-        u_part = z[..., 1:1 + p]
-        v_part = z[..., 1 + p:1 + p + q]
-        w_part = z[..., 1 + p + q:]
-        gz = log_lam * z[..., 0] + 2j * (w_part @ np.conj(adot0)) + bdot0
-        return np.concatenate([
-            np.asarray(gz)[..., None],
-            0.5 * log_lam * u_part,
-            (0.5 * log_lam + 1j * theta_d) * v_part,
-            (0.5 * log_lam + m_diag) * w_part + resdot0,
-        ], axis=-1)
-
-    return gen_hyperbolic
 
 
 def _hyperbolic_dim2_label(prm: dict) -> str:
@@ -965,28 +888,20 @@ class _Case:
     conditions: Callable  # NormalForm -> checked normal-form conditions
     criterion: Callable  # NormalForm -> EmbeddingCertificate
     at_many: Callable  # (generator data, (T,) times) -> the stack of maps at those times
-    generator: Callable  # generator data -> infinitesimal generator
-    dim: Callable  # generator data -> dimension of the maps
     dim2_label: Optional[Callable] = None  # parameters -> dimension-2 catalogue name
 
 
 _CASES = {
-    FORM_ELLIPTIC_SPLIT: _Case(
-        "elliptic_split", BALL, lambda nf: [],
-        lambda nf: embed_elliptic_split(nf), _split_at_many, _split_generator,
-        lambda d: len(d["theta"]) + d["M"].shape[0]),
-    FORM_ELLIPTIC_U0: _Case(
-        "elliptic_u0", BALL, lambda nf: [],
-        lambda nf: embed_elliptic_u0(nf), _u0_at_many,
-        _u0_generator, lambda d: d["M"].shape[0]),
-    FORM_PARABOLIC: _Case(
-        "parabolic", SIEGEL, lambda nf: parabolic_conditions(nf),
-        lambda nf: embed_parabolic(nf), _parabolic_at_many, _parabolic_generator,
-        lambda d: 1 + sum(d["split"]), _parabolic_dim2_label),
-    FORM_HYPERBOLIC: _Case(
-        "hyperbolic", SIEGEL, lambda nf: hyperbolic_conditions(nf),
-        lambda nf: embed_hyperbolic(nf), _hyperbolic_at_many, _hyperbolic_generator,
-        lambda d: 1 + sum(d["split"]), _hyperbolic_dim2_label),
+    FORM_ELLIPTIC_SPLIT: _Case("elliptic_split", BALL, lambda nf: [],
+                               lambda nf: embed_elliptic_split(nf), _split_at_many),
+    FORM_ELLIPTIC_U0: _Case("elliptic_u0", BALL, lambda nf: [],
+                            lambda nf: embed_elliptic_u0(nf), _u0_at_many),
+    FORM_PARABOLIC: _Case("parabolic", SIEGEL, lambda nf: parabolic_conditions(nf),
+                          lambda nf: embed_parabolic(nf), _parabolic_at_many,
+                          _parabolic_dim2_label),
+    FORM_HYPERBOLIC: _Case("hyperbolic", SIEGEL, lambda nf: hyperbolic_conditions(nf),
+                           lambda nf: embed_hyperbolic(nf), _hyperbolic_at_many,
+                           _hyperbolic_dim2_label),
 }
 _FAMILIES = {case.family: case for case in _CASES.values()}
 
@@ -1009,9 +924,18 @@ def build_semigroup(cert: EmbeddingCertificate) -> SemigroupFamily:
 
 
 def generator(sg: SemigroupFamily):
-    """Closed-form infinitesimal generator G with d(phi_t)/dt = G o phi_t;
-    G takes one point or a (K, N) array of rows."""
-    return _case(_FAMILIES, sg.case_kind).generator(sg.parameters)
+    """Infinitesimal generator of the family, d(phi_t)/dt = G o phi_t: the
+    vector field z -> (Gx)[:N] - (Gx)[N] z, x = (z, 1), of the
+    certificate's homogeneous generator G (``parameters["G"]``).  It takes
+    one point or a (K, N) array of rows."""
+    g = sg.parameters["G"]
+
+    def field(z):
+        z = np.asarray(z, dtype=complex)
+        gx = z @ g[:, :-1].T + g[:, -1]
+        return gx[..., :-1] - gx[..., -1:] * z
+
+    return field
 
 
 def _expect_form(nf: NormalForm, kind: str) -> None:

@@ -24,17 +24,19 @@ from lfmsemi.embedding import (
     embed_hyperbolic,
     embed_map,
     embed_parabolic,
-    resonant_translation_weight,
-    scalar_h_hyperbolic,
-    scalar_h_parabolic,
-    theta_hyperbolic,
-    theta_parabolic,
 )
 from lfmsemi.maps import BallMap, SiegelMap, ball_automorphism, cayley_to_ball, \
     classify, compose, conjugate, heisenberg_map, unitary_ball_map
 from lfmsemi.normal_forms import NormalForm
 from lfmsemi.verify import SamplerCfg, check_generator, verify_family
 
+from paper_budgets import (
+    resonant_translation_weight,
+    scalar_h_hyperbolic,
+    scalar_h_parabolic,
+    theta_hyperbolic,
+    theta_parabolic,
+)
 from test_embedding import hyperbolic_nf, parabolic_nf, split_nf
 
 

@@ -505,7 +505,7 @@ def u0_brute_force(a, delta, bound=4):
                        - sizes, -tops)
     passing, closest = {}, np.inf
     for index in np.nonzero((tops <= 1e-3) & (at_zeta >= -1e-3))[0]:
-        margin = emb._u0_margin(logs[index], delta)
+        margin = emb._u0_margin(emb._u0_matrix(logs[index], delta))
         closest = min(closest, abs(margin + 1e-10))
         if margin >= -1e-10:
             passing[ks[index]] = (herms[index], bs[index])
@@ -532,7 +532,7 @@ def check_u0_against_brute_force(a, delta):
     assert cert.verdict == (EMBEDDABLE if passing else CONDITION_FAILS)
     if cert.verdict == EMBEDDABLE:
         m = cert.generator_data["M"]
-        assert emb._u0_margin(m, delta) >= -1e-10
+        assert emb._u0_margin(emb._u0_matrix(m, delta)) >= -1e-10
         assert np.linalg.norm(mat_exp(m) - a) <= 1e-8
     else:
         assert f"all {len(cert.margins)} logarithm candidates violate the condition, one " \

@@ -75,6 +75,15 @@ class TestParseSpec:
         dim1 = {"domain": "siegel", "dimension": 1, "lambda": [2, 0], "b": [0, 1]}
         assert parse_map_spec(dim1).lam == 2.0  # no w-block, so no M
 
+    @pytest.mark.parametrize("missing", ["a", "c"])
+    def test_siegel_spec_without_a_or_c(self, missing):
+        spec = {"domain": "siegel", "dimension": 2, "lambda": [2, 0], "b": [0, 1],
+                "M": [[[0.5, 0]]], "a": [[0, 0]], "c": [[0, 0]]}
+        del spec[missing]
+        with pytest.raises(SpecError,
+                           match=f"^{missing}: required for siegel maps of dimension 2$"):
+            parse_map_spec(spec)
+
     def test_missing_dimension(self):
         bad = {k: v for k, v in HALF_SCALING.items() if k != "dimension"}
         with pytest.raises(SpecError):
@@ -124,6 +133,14 @@ class TestPipeline:
         report = run_pipeline(spec)
         assert report["stages"]["embed"]["verdict"] == "condition_fails"
         assert report["exit_status"] == EXIT_CONDITION_FAILS
+
+    def test_siegel_spec_without_a_is_an_input_error(self):
+        spec = {"domain": "siegel", "dimension": 2, "lambda": [2, 0], "b": [0, 1],
+                "M": [[[0.5, 0]]]}
+        report = run_pipeline(spec)
+        assert report["exit_status"] == EXIT_INPUT_ERROR
+        assert report["error"] == "a: required for siegel maps of dimension 2"
+        assert report["stages"]["classify"]["status"] == "skipped"
 
     def test_siegel_spec_without_m_is_an_input_error(self):
         spec = {"domain": "siegel", "dimension": 2, "lambda": [2, 0], "b": [0, 1]}
@@ -237,6 +254,15 @@ class TestMainEntry:
             cli.main(["report", str(spec_path), "--seed", "42", "--output", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_siegel_spec_without_c_exits_3(self, tmp_path, capsys):
+        spec_path = tmp_path / "no_c.json"
+        spec_path.write_text(json.dumps({"domain": "siegel", "dimension": 2, "lambda": [2, 0],
+                                         "b": [0, 1], "M": [[[0.5, 0]]], "a": [[0, 0]]}))
+        assert cli.main(["classify", str(spec_path)]) == EXIT_INPUT_ERROR
+        out = capsys.readouterr().out
+        assert "input error: c: required for siegel maps of dimension 2" in out
+        assert "M/a/c" not in out
 
     def test_siegel_spec_without_m_exits_3(self, tmp_path, capsys):
         spec_path = tmp_path / "no_m.json"

@@ -20,11 +20,6 @@ from lfmsemi.embedding import (
     embed_parabolic,
     generator,
     log_candidates,
-    resonant_translation_weight,
-    scalar_h_hyperbolic,
-    scalar_h_parabolic,
-    theta_hyperbolic,
-    theta_parabolic,
 )
 from lfmsemi.errors import DomainError
 from lfmsemi.linalg import hermitian_part, mat_exp
@@ -49,6 +44,14 @@ from lfmsemi.normal_forms import (
     elliptic_split,
     elliptic_u0,
     siegel_conditions,
+)
+
+from paper_budgets import (
+    resonant_translation_weight,
+    scalar_h_hyperbolic,
+    scalar_h_parabolic,
+    theta_hyperbolic,
+    theta_parabolic,
 )
 
 
@@ -343,7 +346,7 @@ class TestEmbedParabolic:
         below = parabolic_nf([], [], [np.exp(-1)], [1.0], 1j * (thresh - 1e-3))
         boundary = parabolic_nf([], [], [np.exp(-1)], [1.0], 1j * thresh)
         assert embed_parabolic(above).verdict == EMBEDDABLE
-        assert embed_parabolic(below).verdict == INCONCLUSIVE
+        assert embed_parabolic(below).verdict == CONDITION_FAILS
         assert embed_parabolic(boundary).verdict == EMBEDDABLE
 
     def test_commuting_parts(self):
@@ -396,7 +399,7 @@ class TestEmbedHyperbolic:
         above = hyperbolic_nf(lam, [], [np.exp(-1)], [1.0], [], 1j * (thresh + 1e-3))
         below = hyperbolic_nf(lam, [], [np.exp(-1)], [1.0], [], 1j * (thresh - 1e-3))
         assert embed_hyperbolic(above).verdict == EMBEDDABLE
-        assert embed_hyperbolic(below).verdict == INCONCLUSIVE
+        assert embed_hyperbolic(below).verdict == CONDITION_FAILS
 
     def test_passing_instance_per_t_conditions(self):
         lam = 4.0
@@ -416,7 +419,7 @@ class TestEmbedHyperbolic:
         above = hyperbolic_nf(lam, [], [res_eig], [0.0], [1.0], 1j * (w + 1e-3))
         below = hyperbolic_nf(lam, [], [res_eig], [0.0], [1.0], 1j * (w - 1e-3))
         assert embed_hyperbolic(above).verdict == EMBEDDABLE
-        assert embed_hyperbolic(below).verdict == INCONCLUSIVE
+        assert embed_hyperbolic(below).verdict == CONDITION_FAILS
 
 
 class TestEmbedDim2:
@@ -439,7 +442,7 @@ class TestEmbedDim2:
         lam = float(np.e)
         thresh = (lam - 1.0)  # (lam-1)/ln(lam)^2 at lam = e
         assert thresh == pytest.approx(np.e - 1, abs=1e-12)
-        for im_a, expected in [(thresh + 1e-3, EMBEDDABLE), (thresh - 1e-3, INCONCLUSIVE)]:
+        for im_a, expected in [(thresh + 1e-3, EMBEDDABLE), (thresh - 1e-3, CONDITION_FAILS)]:
             g = SiegelMap(lam, np.zeros(1), im_a * 1j + 0.2, np.eye(1), np.array([1.0]))
             f = cayley_to_ball(g)
             cert = embed_dim2(f)
@@ -451,7 +454,7 @@ class TestEmbedDim2:
         lam = np.exp(-1)
         theta = theta_parabolic([lam])[0]
         b_coef = 1.0
-        for im_c, expected in [(theta + 1e-3, EMBEDDABLE), (theta - 1e-3, INCONCLUSIVE)]:
+        for im_c, expected in [(theta + 1e-3, EMBEDDABLE), (theta - 1e-3, CONDITION_FAILS)]:
             g = SiegelMap(1.0, np.array([b_coef]), 1j * im_c, np.diag([lam]), np.zeros(1))
             f = cayley_to_ball(g)
             cert = embed_dim2(f)
@@ -537,7 +540,7 @@ class TestBuildSemigroup:
     def test_rejects_negative_certificate(self):
         nf = hyperbolic_nf(4.0, [], [0.4], [5.0], [], 0.0)
         cert = embed_hyperbolic(nf)
-        assert cert.verdict == INCONCLUSIVE
+        assert cert.verdict == CONDITION_FAILS
         with pytest.raises(DomainError):
             build_semigroup(cert)
 

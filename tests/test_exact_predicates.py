@@ -193,6 +193,11 @@ def test_is_identity_compares_the_matrix_with_its_corner():
 U0_SPEC = Path(__file__).parent / "golden" / "elliptic_u0_seed12345_ball_n3.json"
 
 
+def _u0_margin(m, delta):
+    """The u0 pencil margin of the homogeneous generator of M and delta."""
+    return emb._u0_margin(emb._u0_matrix(m, delta))
+
+
 def test_u0_margin_is_the_exact_bound_and_seed_free():
     spec = json.loads(U0_SPEC.read_text())
     reports = [cli.run_pipeline(spec, seed=seed, stop_after="embed") for seed in (1, 2, 12345)]
@@ -201,7 +206,7 @@ def test_u0_margin_is_the_exact_bound_and_seed_free():
     assert all(r["stages"]["embed"] == embed for r in reports)
     cert = emb.certify(normal_form(cli.parse_map_spec(spec)))
     m, delta = cert.generator_data["M"], cert.generator_data["delta"]
-    margin = emb._u0_margin(m, delta)
+    margin = _u0_margin(m, delta)
     assert cert.margins[-1].margin == margin == embed["margins"][-1]["margin"]
     # on the sphere the expression is x^H (mu J - X) x at x = (z, 1) / sqrt(2)
     rng = np.random.default_rng(5)
@@ -223,12 +228,12 @@ def _boundary_shift(m, delta):
     eye = np.eye(len(m))
     lo = float(np.linalg.eigvalsh(hermitian_part(m))[-1]) - 1.0  # Herm(M - lo I) > 0 fails
     hi = lo + 2.0 + (1.0 + delta) * float(np.linalg.norm(m, 2))
-    assert emb._u0_margin(m - lo * eye, delta) < 0 <= emb._u0_margin(m - hi * eye, delta)
+    assert _u0_margin(m - lo * eye, delta) < 0 <= _u0_margin(m - hi * eye, delta)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        lo, hi = (lo, mid) if emb._u0_margin(m - mid * eye, delta) >= 0 else (mid, hi)
+        lo, hi = (lo, mid) if _u0_margin(m - mid * eye, delta) >= 0 else (mid, hi)
     return hi
 
 
@@ -243,7 +248,7 @@ def test_u0_margin_implies_the_bounds_of_the_lattice():
         if trial % 2:  # within 1e-9 of the boundary, on either side
             near += 1
             m = m - (_boundary_shift(m, delta) + rng.choice([-1e-9, 1e-9])) * np.eye(n)
-        margin = emb._u0_margin(m, delta)
+        margin = _u0_margin(m, delta)
         eps = max(-margin, 0.0)
         herm = np.linalg.eigvalsh(hermitian_part(m))
         b = delta * np.linalg.norm(m[0])
@@ -307,6 +312,6 @@ def test_u0_verdict_at_the_boundary_matches_a_sphere_sample(n):
         s_star = _boundary_shift(m, delta)
         for side in (-1e-6, 1e-6):
             shifted = m - (s_star + side) * np.eye(n)
-            passed = emb._u0_margin(shifted, delta) >= -1e-10
+            passed = _u0_margin(shifted, delta) >= -1e-10
             assert passed == (side > 0)
             assert passed == (_sphere_min(shifted, delta, rng) >= -1e-10), (n, side)

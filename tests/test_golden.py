@@ -3,8 +3,11 @@
 
 Each case and dimension 1, 2 and 4 appears with a ball and a Siegel input
 (an elliptic map with unitary index >= 1 has no Siegel-side affine form in
-dimension 1), plus an elliptic ``condition_fails``, a parabolic map with a
-non-normal contraction block (``inconclusive``) and an elliptic u0 map run
+dimension 1), plus an elliptic ``condition_fails``, a parabolic and a
+hyperbolic ``condition_fails``, a parabolic map with a non-normal
+contraction block (``inconclusive``), a parabolic map whose contraction
+eigenvalue has argument -2 and whose Im b lies between the principal
+branch's budget and the paper's (it embeds), and an elliptic u0 map run
 with ``--seed 12345``, a seed that reaches only the verification stage (the
 u0 criterion is decided exactly and draws no samples).
 
@@ -47,7 +50,7 @@ def _mismatches(got, want, where="report"):
 
 
 def test_corpus_present():
-    assert len(NAMES) == 26
+    assert len(NAMES) == 29
     assert all((GOLDEN / f"{name}.json").exists() for name in NAMES)
 
 

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from lfmsemi import cli, maps
+from lfmsemi import cli, embedding as emb, maps
 from lfmsemi.cli import emit_trajectory, run_pipeline
 from lfmsemi.embedding import SemigroupFamily, _expm1c
 from lfmsemi.errors import DimensionError, DomainError
@@ -39,11 +39,12 @@ def _family(case, n, rng):
     if case == "elliptic_split":
         data = {"theta": rng.uniform(-3, 3, 1), "u": 1,
                 "M": _dissipative(rng, n - 1) if n > 1 else np.zeros((0, 0), dtype=complex)}
+        data["G"] = emb._split_matrix(data["theta"], data["M"])
         return SemigroupFamily(case, data, BALL)
     if case == "elliptic_u0":
         # Re[delta <Mz, e1> |z|^2 - <Mz, z>] >= 0 on the ball for M = -I + small
         m = 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) - np.eye(n)
-        return SemigroupFamily(case, {"M": m, "delta": 0.5}, BALL)
+        return SemigroupFamily(case, {"M": m, "delta": 0.5, "G": emb._u0_matrix(m, 0.5)}, BALL)
     k = n - 1
     p = min(k, 1)
     q = min(k - p, 1)
@@ -55,11 +56,11 @@ def _family(case, n, rng):
         data = {"a": 0.3 * (rng.standard_normal(p) + 1j * rng.standard_normal(p)),
                 "theta_D": theta_d, "m_diag": m_diag, "c": c,
                 "alpha": complex(rng.standard_normal(), 2.0), "split": (p, q, r)}
-        return SemigroupFamily(case, data, SIEGEL)
+        return SemigroupFamily(case, {**data, "G": emb._parabolic_matrix(data)}, SIEGEL)
     data = {"lam": 2.5, "theta_D": theta_d, "m_diag": m_diag - 1.0, "c": c,
             "c_res": np.zeros(r, dtype=complex), "b": complex(rng.standard_normal(), 1.5),
             "split": (p, q, r)}
-    return SemigroupFamily(case, data, SIEGEL)
+    return SemigroupFamily(case, {**data, "G": emb._hyperbolic_matrix(data)}, SIEGEL)
 
 
 def _fields(f):
@@ -248,7 +249,8 @@ def _leaving_split():
     """exp(tM) with M = diag(1, -0.5) has norm e^t > 1 for t > 0: every map
     after t = 0 leaves the ball (a 1000-point sample of |z| <= 0.95 let the
     maps up to t of about 0.05 through)."""
-    return SemigroupFamily("elliptic_split", LEAVING, BALL)
+    g = emb._split_matrix(LEAVING["theta"], LEAVING["M"])
+    return SemigroupFamily("elliptic_split", {**LEAVING, "G": g}, BALL)
 
 
 def _first_failure(ts):
