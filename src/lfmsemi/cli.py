@@ -27,7 +27,7 @@ from .embedding import (
     conditions_for,
     is_automorphism,
 )
-from .errors import DomainError, LfmError
+from .errors import DimensionError, DomainError, LfmError
 from .maps import (
     BALL,
     SIEGEL,
@@ -330,12 +330,15 @@ def _exit_status(report, cert) -> int:
 def emit_trajectory(sg, z0, t_grid) -> list:
     """Rows [t, re_1, im_1, ...] of at(t)(z0) as lists of Python floats;
     t must be non-decreasing and >= 0.  The family is built on the whole
-    grid with one ``at_many``; z0 is checked once and the denominator at
-    every time."""
-    z0 = np.asarray(z0, dtype=complex)
+    grid with one ``at_many``; z0 is checked once (its dimension first,
+    then the domain) and the denominator at every time."""
+    z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     ts = [float(t) for t in t_grid]
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise SpecError("trajectory time grid must be non-decreasing")
+    if z0.shape != (sg.dim,):
+        raise DimensionError(f"trajectory start has shape {z0.shape}, the family "
+                             f"acts on dimension {sg.dim}")
     if domain_margin(z0, sg.domain) < -1e-9:
         raise DomainError(f"trajectory start {z0} lies outside the {sg.domain} domain")
     images = np.ascontiguousarray(sg.at_many(ts).images(z0), dtype=complex)

@@ -22,10 +22,13 @@ primary logarithms" below).  A class whose logarithm fails its
 exponentiation check, an ellipsoid too large to enumerate, or an
 ill-conditioned eigenbasis (cond V >= 1e8) with several eigenvalue
 clusters makes the verdict ``inconclusive``.  The parabolic and
-hyperbolic criteria test the principal logarithm of each eigenvalue of a
-normal contraction block, which has the largest margin of all branches;
-a block that is not normal is ``inconclusive``.  (Non-primary logarithms
-of a derogatory matrix, an eigenvalue with several Jordan blocks, form a
+hyperbolic criteria test the principal logarithm of each eigenvalue of
+the contraction block, which has the largest margin of all branches, by
+the Schur complement of :func:`~lfmsemi.linalg.schur_margins`, the kernel
+of the Siegel normal-form conditions too.  The block is the triangular
+Schur factor of the reduction, so it is normal iff diagonal; a block that
+is not normal is ``inconclusive``.  (Non-primary logarithms of a
+derogatory matrix, an eigenvalue with several Jordan blocks, form a
 continuum and are not searched.)
 
 The case table ``_CASES``, keyed by ``NormalForm.form_kind``, holds for
@@ -51,12 +54,12 @@ import numpy as np
 
 from .errors import BranchError, DomainError, NumericError
 from .linalg import (
-    PINV_RANK_TOL,
     hermitian_part,
     is_dissipative,
     mat_exp,
     mat_log_principal,
     schur_form,
+    schur_margins,
 )
 from .maps import (BALL, SIEGEL, BallMap, Classification, SiegelMap, pencil_margins,
                    pullback_form)
@@ -232,22 +235,16 @@ def _flow_margin(g: np.ndarray) -> float:
     generator G.  The flow keeps H_N exactly when d/dt (Im z - |w|^2) >= 0
     on its boundary (Nagumo; Bony-Brezis): when Im alpha = 0 and
     [[Q, x], [x^H, Im beta]] >= 0, Q = Re(alpha) I - 2 Herm L, x = p - gamma,
-    that is when Q >= 0, x lies in the range of Q and the Schur complement
-    Im beta - x^H Q^+ x, the margin, is >= 0.  A violated other condition
-    (Im alpha != 0, an eigenvalue of Q < 0, x off the range) caps the
-    margin at minus its size."""
-    k = g.shape[0] - 2
+    the bordered test of :func:`~lfmsemi.linalg.schur_margins`.  The margin
+    is its Schur complement Im beta - x^H Q^+ x; a violated other condition
+    (Im alpha != 0, an eigenvalue of Q below minus the rank cut, x off the
+    range by more than the cut) caps it at minus its size."""
     alpha, beta = complex(g[0, 0]), complex(g[0, -1])
-    x = 0.5j * np.conj(g[0, 1:-1]) - g[1:-1, -1]
     l_block = g[1:-1, 1:-1]
-    eigs, vecs = np.linalg.eigh(alpha.real * np.eye(k) - (l_block + l_block.conj().T))
-    y = vecs.conj().T @ x
-    cut = PINV_RANK_TOL * max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
-    live = eigs > cut
-    margin = beta.imag - float(np.sum(np.abs(y[live]) ** 2 / eigs[live]))
-    worst = min(-abs(alpha.imag), float(np.min(eigs, initial=0.0)) + cut,
-                cut - float(np.linalg.norm(y[~live])))
-    return margin if worst >= 0 else min(margin, worst)
+    m = schur_margins(alpha.real * np.eye(len(l_block)) - (l_block + l_block.conj().T),
+                      0.5j * np.conj(g[0, 1:-1]) - g[1:-1, -1], beta.imag)
+    worst = min(-abs(alpha.imag), min(m.psd, 0.0) + m.cut, m.cut + m.in_range)
+    return m.complement if worst >= 0 else min(m.complement, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +574,6 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
     delta = float(nf.parameters["delta"])
     lattice = _LatticeWalk()
     margins = []
-    best_witness = None
     for idx, m in enumerate(_lattice_logs(ahat, lattice, delta)):
         g = _u0_matrix(m, delta)
         margin = _u0_margin(g)
@@ -587,73 +583,39 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
             data = {"M": m, "delta": delta, "G": g}
             return _certificate(nf, EMBEDDABLE, "elliptic_u0_generator_positivity", margins,
                                 data, notes=f"candidate {idx}: min condition margin {margin:.3e}")
-        witness = _u0_witness(m, delta)
-        if witness is not None:
-            best_witness = witness
     verdict, notes = lattice.failed(
         f"all {len(margins)} logarithm candidates violate the condition",
         "(Herm M, delta M^H e1) class", "positivity")
-    if best_witness is not None:
-        notes += f"; witness z = {np.array2string(best_witness, precision=6)}"
     return _certificate(nf, verdict, "elliptic_u0_generator_positivity", margins,
                         notes=notes)
-
-
-def _u0_expression(m: np.ndarray, delta: float, zs: np.ndarray) -> np.ndarray:
-    mz = zs @ m.T
-    norms2 = np.sum(np.abs(zs) ** 2, axis=1)
-    return (delta * mz[:, 0] * norms2 - np.einsum("ij,ij->i", mz, zs.conj())).real
-
-
-def _u0_witness(m, delta):
-    """A closed-ball point where the u0 expression is negative: r times the
-    top eigenvector of Herm M, or the sphere point -b/|b|, b = delta M^H e1,
-    where the expression is -|b| - Re<Mz,z>; None if none shows one."""
-    top = np.linalg.eigh(hermitian_part(m))[1][:, -1]
-    b = delta * m[0].conj()
-    for cand in [r * top for r in (0.05, 0.2, 0.5, 0.9)] + [-b / (np.linalg.norm(b) or 1.0)]:
-        if _u0_expression(m, delta, cand[None, :])[0] < 0:
-            return cand
-    return None
 
 
 # ---------------------------------------------------------------------------
 # parabolic and hyperbolic criteria
 
 
-def _diagonalize_normal(a: np.ndarray, tol: float = 1e-10):
-    """Unitary V with V^H a V diagonal, or None when a is not normal."""
-    if np.allclose(a, np.diag(np.diag(a)), atol=1e-14):
-        return np.eye(len(a), dtype=complex), np.diag(a).copy()
-    if np.linalg.norm(a @ a.conj().T - a.conj().T @ a) > tol * max(1.0, np.linalg.norm(a) ** 2):
-        return None
-    form = schur_form(a)
-    t = form.upper_triangular
-    if np.max(np.abs(t - np.diag(np.diag(t)))) > 1e-8 * max(1.0, np.linalg.norm(a)):
-        return None
-    # a = U^H T U, so V = U^H gives V^H a V = T
-    return form.unitary.conj().T, np.diag(t).copy()
-
-
 def _w_eigenbasis(nf: NormalForm, criterion_id: str):
-    """(D, V, eigenvalues, data): the unimodular (v-) diagonal D of a Siegel
-    normal form, its contraction (w-) block in a unitary eigenbasis (V =
-    None for an empty block), and the data theta_D = arg D, m_diag (the
-    principal logarithms) and split; or an inconclusive certificate when
-    the block is not normal, whose generator would not be diagonal."""
-    _, q, r = nf.parameters["block_split"]
+    """(D, eigenvalues, data): the unimodular (v-) diagonal D of a Siegel
+    normal form, the eigenvalues of its contraction (w-) block A and the
+    data theta_D = arg D, m_diag (their principal logarithms) and split; or
+    an inconclusive certificate when A, the triangular Schur factor of the
+    reduction, is not diagonal, hence not normal: off-diagonal part above
+    1e-8 max(1, |A|) or commutator [A, A^H] above 1e-10 max(1, |A|^2)."""
+    q = nf.parameters["block_split"][1]
     d_diag = np.atleast_1d(nf.parameters["D"]) if q else np.zeros(0, dtype=complex)
-    basis = _diagonalize_normal(nf.parameters["A"]) if r else (None, np.zeros(0, dtype=complex))
-    if basis is None:
-        return _certificate(
-            nf, INCONCLUSIVE, criterion_id,
-            [Condition("contraction_block_normal", -1.0, False)],
-            notes="contraction block is not normal; the diagonal generator does not apply",
-        )
+    a = nf.parameters["A"]
+    scale = max(1.0, float(np.linalg.norm(a)))
+    if (np.max(np.abs(a - np.diag(np.diag(a))), initial=0.0) > 1e-8 * scale
+            or np.linalg.norm(a @ a.conj().T - a.conj().T @ a) > 1e-10 * scale ** 2):
+        return _certificate(nf, INCONCLUSIVE, criterion_id,
+                            [Condition("contraction_block_normal", -1.0, False)], notes=(
+                                "contraction block is not normal; the diagonal generator "
+                                "does not apply"))
+    eigs = np.diag(a).astype(complex)
     data = {"theta_D": np.angle(d_diag).astype(float),
-            "m_diag": np.array([_log_principal(mu) for mu in basis[1]], dtype=complex),
+            "m_diag": np.array([_log_principal(mu) for mu in eigs], dtype=complex),
             "split": nf.parameters["block_split"]}
-    return (d_diag,) + basis + (data,)
+    return d_diag, eigs, data
 
 
 def _flow_certificate(nf: NormalForm, criterion_id: str, name: str, budget: float,
@@ -680,13 +642,9 @@ def embed_parabolic(nf: NormalForm) -> EmbeddingCertificate:
     blocks = _w_eigenbasis(nf, "parabolic_generator_invariance")
     if isinstance(blocks, EmbeddingCertificate):
         return blocks
-    d_diag, v, lam_diag, data = blocks
+    d_diag, eigs, data = blocks
     a_vec, c_vec, b = nf.parameters["a"], nf.parameters["c"], complex(nf.parameters["b"])
-    target = nf.normal_map
-    if v is not None:
-        c_vec = v.conj().T @ c_vec
-        target = siegel_normal_map(1.0, a_vec, d_diag, np.diag(lam_diag), c_vec,
-                                   np.zeros(len(c_vec)), b)
+    target = siegel_normal_map(1.0, a_vec, d_diag, np.diag(eigs), c_vec, np.zeros(len(c_vec)), b)
     data.update(a=a_vec, c=c_vec,
                 alpha=complex(b.real, b.imag - float(np.vdot(a_vec, a_vec).real)))
     g = _parabolic_matrix(data)
@@ -703,15 +661,11 @@ def embed_hyperbolic(nf: NormalForm) -> EmbeddingCertificate:
     blocks = _w_eigenbasis(nf, "hyperbolic_generator_invariance")
     if isinstance(blocks, EmbeddingCertificate):
         return blocks
-    d_diag, v, lam_diag, data = blocks
+    d_diag, eigs, data = blocks
     lam = float(nf.parameters["lam"])
     c_vec, c_res, b = nf.parameters["c"], nf.parameters["c_res"], complex(nf.parameters["b"])
-    target = nf.normal_map
-    if v is not None:
-        c_vec = v.conj().T @ c_vec
-        c_res = v.conj().T @ c_res
-        target = siegel_normal_map(lam, np.zeros(data["split"][0]), d_diag, np.diag(lam_diag),
-                                   c_vec, c_res, b, math.sqrt(lam))
+    target = siegel_normal_map(lam, np.zeros(data["split"][0]), d_diag, np.diag(eigs),
+                               c_vec, c_res, b, math.sqrt(lam))
     data.update(lam=lam, c=c_vec, c_res=c_res, b=b)
     g = _hyperbolic_matrix(data)
     return _flow_certificate(nf, "hyperbolic_generator_invariance", "coefficient_budget",

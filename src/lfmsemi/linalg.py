@@ -24,7 +24,8 @@ from .errors import BranchError, DimensionError, DomainError, NumericError
 #: eigenvalues with ||lambda| - 1| below this count as unimodular
 UNIMODULAR_TOL = 1e-9
 
-#: relative singular-value cutoff used by :func:`pinv`
+#: cutoff (relative to sigma_max in :func:`pinv`, to max(1, |Q|) in
+#: :func:`schur_margins`) at or below which a value counts as zero
 PINV_RANK_TOL = 1e-10
 
 
@@ -165,6 +166,33 @@ def pinv(a, rank_tol: float = PINV_RANK_TOL) -> np.ndarray:
     inv = np.where(s > rank_tol * s[0], 1.0 / np.where(s == 0, 1.0, s), 0.0)
     k = len(s)
     return vh.conj().T[:, :k] @ (inv[:, None] * u.conj().T[:k, :])
+
+
+class SchurMargins(NamedTuple):
+    #: least eigenvalue of Q (0 for an empty Q)
+    psd: float
+    #: the Schur complement s - x^H Q^+ x
+    complement: float
+    #: minus the length of the part of x off the range of Q
+    in_range: float
+    #: the eigenvalue cut PINV_RANK_TOL * max(1, |Q|), the scale of rounding
+    cut: float
+
+
+def schur_margins(q, x, s: float) -> SchurMargins:
+    """Margins of the bordered test [[Q, x], [x^H, s]] >= 0 for a hermitian,
+    possibly empty, Q: it holds exactly when Q >= 0, x lies in the range of
+    Q and the Schur complement s - x^H Q^+ x is >= 0.  From one
+    eigendecomposition of Q, whose eigenvalues at or below the cut
+    ``PINV_RANK_TOL * max(1, |Q|)`` span the complement of the range (a
+    negative one too, which the psd margin reports) and the others Q^+."""
+    eigs, vecs = np.linalg.eigh(q)
+    y = vecs.conj().T @ x
+    cut = PINV_RANK_TOL * max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
+    live = eigs > cut
+    complement = s - float(np.sum(np.abs(y[live]) ** 2 / eigs[live]))
+    in_range = 0.0 if live.all() else -float(np.linalg.norm(y[~live]))
+    return SchurMargins(float(eigs[0]) if eigs.size else 0.0, complement, in_range, cut)
 
 
 # The matrix exponential: scaling and squaring with the Pade approximants

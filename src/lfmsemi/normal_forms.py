@@ -36,9 +36,8 @@ import numpy as np
 from .errors import DomainError, NumericError, WrongFormError
 from .linalg import (
     UNIMODULAR_TOL,
-    hermitian_part,
-    pinv,
     schur_form,
+    schur_margins,
     spectral_norm,
     spectral_radius,
     unimodular_count,
@@ -285,29 +284,18 @@ def elliptic_u0(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
 
 
 def siegel_conditions(s: SiegelMap, tol: float = 1e-8) -> list:
-    """The three affine self-map conditions with numeric margins.
+    """The three affine self-map conditions with numeric margins, those of
+    the bordered test [[Q, x], [x^H, Im b - |c|^2]] >= 0 with
+    Q = lam I - M^H M, x = M^H c - a (:func:`~lfmsemi.linalg.schur_margins`).
 
-    P1: lam I - M^H M hermitian positive semi-definite (lam real),
-    P2: Im b - |c|^2 >= <Q+ (M^H c - a), M^H c - a>,
-    P3: Q Q+ (M^H c - a) = M^H c - a.
+    P1: Q positive semi-definite and lam real (lam > 0 when N = 1),
+    P2: the Schur complement Im b - |c|^2 - <Q+ x, x> >= 0,
+    P3: x lies in the range of Q.
     """
     lam, m, a, b, c = s.lam, s.M, s.a, s.b, s.c
-    k = m.shape[0]
-    q = hermitian_part(lam.real * np.eye(k) - m.conj().T @ m) if k else np.zeros((0, 0))
-    if abs(lam.imag) > tol:
-        margin1 = -abs(lam.imag)
-    elif k:
-        margin1 = float(np.min(np.linalg.eigvalsh(q)))
-    else:
-        margin1 = float(lam.real)
-    x = (m.conj().T @ c - a) if k else np.zeros(0)
-    if k:
-        qp = pinv(q)
-        margin2 = float(b.imag - np.vdot(c, c).real - np.vdot(x, qp @ x).real)
-        margin3 = -float(np.linalg.norm(q @ qp @ x - x))
-    else:
-        margin2 = float(b.imag)
-        margin3 = 0.0
+    psd, margin2, margin3, _ = schur_margins(_defect(m, lam.real), m.conj().T @ c - a,
+                                             b.imag - float(np.vdot(c, c).real))
+    margin1 = -abs(lam.imag) if abs(lam.imag) > tol else psd if m.size else float(lam.real)
     return [
         Condition("P1", margin1, margin1 >= -tol),
         Condition("P2", margin2, margin2 >= -tol),
@@ -438,23 +426,13 @@ def parabolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> N
 
 
 def parabolic_conditions(nf: NormalForm, tol: float = 1e-8) -> list:
-    """Margins of the four parabolic normal-form conditions."""
+    """Margins of the four parabolic normal-form conditions: D avoids 1,
+    and the bordered test [[I - A^H A, c], [c^H, Im b - |a|^2]] >= 0."""
     d_diag = np.atleast_1d(nf.parameters["D"])
-    a_block = nf.parameters["A"]
-    a_vec = nf.parameters["a"]
-    c_vec = nf.parameters["c"]
-    b = nf.parameters["b"]
+    a_block, a_vec, c_vec, b = (nf.parameters[key] for key in ("A", "a", "c", "b"))
     margin1 = float(np.min(np.abs(d_diag - 1.0))) if d_diag.size else 1.0
-    if a_block.size:
-        qmat = hermitian_part(np.eye(a_block.shape[0]) - a_block.conj().T @ a_block)
-        margin2 = float(np.min(np.linalg.eigvalsh(qmat)))
-        qp = pinv(qmat)
-        margin3 = float(b.imag - np.vdot(a_vec, a_vec).real - np.vdot(c_vec, qp @ c_vec).real)
-        margin4 = -float(np.linalg.norm(qmat @ qp @ c_vec - c_vec))
-    else:
-        margin2 = 0.0
-        margin3 = float(b.imag - np.vdot(a_vec, a_vec).real)
-        margin4 = 0.0
+    margin2, margin3, margin4, _ = schur_margins(_defect(a_block), c_vec,
+                                                 b.imag - float(np.vdot(a_vec, a_vec).real))
     return [
         Condition("D_spectrum_avoids_1", margin1, margin1 > UNIMODULAR_TOL),
         Condition("Q_psd", margin2, margin2 >= -tol),
@@ -542,25 +520,15 @@ def hyperbolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> 
 def hyperbolic_conditions(nf: NormalForm, tol: float = 1e-8) -> list:
     """Margins of the hyperbolic normal-form conditions.
 
-    Structural checks (D avoids 1, both I - A^H A and I - A A^H psd, the
-    residual translation lies in the range the contraction admits) plus
-    the generic affine self-map conditions of the normal map itself.
+    Structural checks (D avoids 1, I - A^H A psd, which has the spectrum
+    of I - A A^H, A^H c_res in its range) plus the generic affine self-map
+    conditions of the normal map itself.
     """
     d_diag = np.atleast_1d(nf.parameters["D"])
     a_block = nf.parameters["A"]
-    c_res = nf.parameters["c_res"]
     margin1 = float(np.min(np.abs(d_diag - 1.0))) if d_diag.size else 1.0
-    if a_block.size:
-        r = a_block.shape[0]
-        qmat = hermitian_part(np.eye(r) - a_block.conj().T @ a_block)
-        pmat = hermitian_part(np.eye(r) - a_block @ a_block.conj().T)
-        margin2 = float(min(np.min(np.linalg.eigvalsh(qmat)), np.min(np.linalg.eigvalsh(pmat))))
-        x = a_block.conj().T @ c_res
-        qp = pinv(qmat)
-        margin4 = -float(np.linalg.norm(qmat @ qp @ x - x))
-    else:
-        margin2 = 0.0
-        margin4 = 0.0
+    x = a_block.conj().T @ nf.parameters["c_res"]
+    margin2, _, margin4, _ = schur_margins(_defect(a_block), x, 0.0)
     out = [
         Condition("D_spectrum_avoids_1", margin1, margin1 > UNIMODULAR_TOL),
         Condition("Q_and_P_psd", margin2, margin2 >= -tol),
@@ -584,6 +552,12 @@ def _as_siegel(m) -> SiegelMap:
     from .maps import siegel_map_from_proj
 
     return siegel_map_from_proj(to_proj(m))
+
+
+def _defect(m: np.ndarray, lam: float = 1.0) -> np.ndarray:
+    """The hermitian matrix lam I - M^H M (0 x 0 for an empty M)."""
+    q = lam * np.eye(m.shape[1]) - m.conj().T @ m
+    return (q + q.conj().T) / 2.0
 
 
 def _is_diagonal(m: np.ndarray, tol: float = 1e-12) -> bool:

@@ -1,5 +1,6 @@
 """CLI trajectory options and tolerance profiles: malformed ``--t`` and
-``--z0`` are input errors (exit 3), a decreasing ``--t`` is one before the
+``--z0`` are input errors (exit 3), a ``--z0`` of the wrong dimension fails
+the semigroup stage (exit 3), a decreasing ``--t`` is one before the
 pipeline runs, negative times and hyperbolic times
 whose lam^t overflows are rejected by name at every entry point, an
 empty time grid writes a header-only CSV, ``--tol-profile strict``
@@ -7,6 +8,7 @@ reaches the verification, report values keep their JSON types, and a
 spec matrix with ragged rows is an input error naming its field."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +75,20 @@ class TestTrajectoryOptions:
     def test_z0_without_pairs(self, spec_path, capsys):
         err = _input_error(capsys, ["semigroup", str(spec_path), "--z0", "[1,2]"])
         assert "--z0[0]" in err
+
+    @pytest.mark.parametrize("z0", ["[]", "[[0.0, 1.0]]"])
+    def test_z0_of_the_wrong_dimension(self, z0, tmp_path, capsys):
+        """A start point whose length is not the family's dimension fails
+        the semigroup stage (exit 3) before its domain is checked: an empty
+        one on the half-plane has no first coordinate to read."""
+        spec = Path(__file__).parent / "golden" / "parabolic_siegel_n2.json"
+        out = tmp_path / "report.json"
+        code = cli.main(["report", str(spec), "--z0", z0, "--output", str(out)])
+        capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        stage = json.loads(out.read_text())["stages"]["semigroup"]
+        assert stage["status"] == "error"
+        assert "the family acts on dimension 2" in stage["error"]
 
     def test_decreasing_t(self, spec_path, capsys):
         """Rejected at the input boundary: no stage runs, no summary."""

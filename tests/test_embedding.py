@@ -319,13 +319,14 @@ class TestEmbedEllipticU0:
         oracle = bool(np.min(vals) >= -1e-10)
         assert (cert.verdict == EMBEDDABLE) == oracle
 
-    def test_witness_case(self):
+    def test_violated_condition_fails(self):
+        # Herm M has the eigenvalue 2.4 > 0, so the condition fails near 0
         m = np.array([[-0.1, 5.0], [0.0, -0.1]])
         ahat = mat_exp(m)
         nf = NormalForm(FORM_ELLIPTIC_U0, None, [], {"Ahat": ahat, "delta": 1.0})
         cert = embed_elliptic_u0(nf)
         assert cert.verdict == CONDITION_FAILS
-        assert "witness" in cert.notes
+        assert cert.margins[0].margin < -1.0 and not cert.margins[0].passed
 
     def test_form_mismatch(self):
         nf = split_nf([1.0], [[0.5]])
@@ -385,6 +386,16 @@ class TestEmbedParabolic:
         params["A"] = np.array([[0.5, 0.3], [0.0, 0.5]])
         nf = NormalForm(nf.form_kind, nf.normal_map, [], params)
         assert embed_parabolic(nf).verdict == INCONCLUSIVE
+
+    @pytest.mark.parametrize("coupling,verdict", [(1e-9, EMBEDDABLE), (1e-6, INCONCLUSIVE)])
+    def test_triangular_block_is_normal_iff_diagonal(self, coupling, verdict):
+        # a repeated eigenvalue: the commutator is coupling^2, below its
+        # 1e-10 cut either way, so the off-diagonal cut 1e-8 decides
+        nf = parabolic_nf([], [], [0.5, 0.5], [0.1, 0.1], 5.0j)
+        params = dict(nf.parameters)
+        params["A"] = np.array([[0.5, coupling], [0.0, 0.5]])
+        nf = NormalForm(nf.form_kind, nf.normal_map, [], params)
+        assert embed_parabolic(nf).verdict == verdict
 
 
 class TestEmbedHyperbolic:

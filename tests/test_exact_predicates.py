@@ -198,6 +198,14 @@ def _u0_margin(m, delta):
     return emb._u0_margin(emb._u0_matrix(m, delta))
 
 
+def _u0_expression(m, delta, zs):
+    """The sampled oracle of the u0 margin: Re[delta (Mz)_1 |z|^2 - <Mz, z>]
+    at each row z of zs."""
+    mz = zs @ m.T
+    norms2 = np.sum(np.abs(zs) ** 2, axis=1)
+    return (delta * mz[:, 0] * norms2 - np.einsum("ij,ij->i", mz, zs.conj())).real
+
+
 def test_u0_margin_is_the_exact_bound_and_seed_free():
     spec = json.loads(U0_SPEC.read_text())
     reports = [cli.run_pipeline(spec, seed=seed, stop_after="embed") for seed in (1, 2, 12345)]
@@ -212,7 +220,7 @@ def test_u0_margin_is_the_exact_bound_and_seed_free():
     rng = np.random.default_rng(5)
     zs = rng.standard_normal((20000, 3)) + 1j * rng.standard_normal((20000, 3))
     zs /= np.linalg.norm(zs, axis=1)[:, None]
-    assert np.all(emb._u0_expression(m, delta, zs) >= margin - 1e-12)
+    assert np.all(_u0_expression(m, delta, zs) >= margin - 1e-12)
 
 
 def _random_generator(rng, n):
@@ -290,11 +298,11 @@ def _sphere_min(m, delta, rng, count=20000):
     n = len(m)
     zs = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     zs /= np.linalg.norm(zs, axis=1)[:, None]
-    vals = emb._u0_expression(m, delta, zs)
+    vals = _u0_expression(m, delta, zs)
 
     def on_sphere(x):
         z = x[:n] + 1j * x[n:]
-        return emb._u0_expression(m, delta, (z / np.linalg.norm(z))[None])[0]
+        return _u0_expression(m, delta, (z / np.linalg.norm(z))[None])[0]
 
     best = float(np.min(vals))
     for i in np.argsort(vals)[:5]:

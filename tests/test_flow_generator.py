@@ -8,6 +8,8 @@ flow invariance of H_N under G.  These tests pin that:
 - the field of G matches the closed-form fields the four cases had before
   G (kept here as the oracle) on every golden family and on the families
   of one ``report_mixed`` and one ``trajectory_dense`` benchmark cycle;
+- on the same families, the closed-form maps at(t) are exp(t G) up to a
+  scalar, within 1e-12 relative, from t = 0 to 3.5;
 - the exact criterion accepts every map the paper's theta budget accepts,
   eigenvalue arguments in (pi, 2pi) included, with a margin never below
   the budget's;
@@ -37,6 +39,7 @@ from lfmsemi.embedding import (
     embed_map,
     generator,
 )
+from lfmsemi.linalg import mat_exp
 from lfmsemi.maps import (SIEGEL, SiegelMap, cayley_to_ball, sample_ball_points,
                           sample_siegel_points)
 from lfmsemi.verify import SamplerCfg, check_generator
@@ -182,6 +185,33 @@ def test_generator_field_matches_the_closed_forms_on_the_benchmark_families():
     families = _benchmark_families()
     assert len(families) == 32
     _assert_fields_match(families)
+
+
+#: the times at which the closed forms are compared with exp(t G)
+EXP_TIMES = (0.0, 1e-4, 0.25, 0.5, 1.0, 1.75, 2.0, 3.5)
+
+
+def _assert_closed_forms_are_exp_tg(families):
+    """The homogeneous matrix X of at(t) is c exp(t G) for a scalar c:
+    min_c |X - c Y|_F / |X|_F <= 1e-12 with Y = exp(t G), the least-squares
+    c = <Y, X> / <Y, Y> in closed form."""
+    for label, sg in families:
+        stack = sg.at_many(EXP_TIMES)
+        ys = mat_exp(np.multiply.outer(EXP_TIMES, sg.parameters["G"]))
+        for i, t in enumerate(EXP_TIMES):
+            x, y = stack[i].to_proj().mat, ys[i]
+            c = np.vdot(y, x) / np.vdot(y, y)
+            assert np.linalg.norm(x - c * y) <= 1e-12 * np.linalg.norm(x), (label, t)
+
+
+def test_closed_forms_are_exp_tg_on_the_goldens():
+    families = _golden_families()
+    assert {sg.case_kind for _, sg in families} == set(ORACLE_FIELDS)
+    _assert_closed_forms_are_exp_tg(families)
+
+
+def test_closed_forms_are_exp_tg_on_the_benchmark_families():
+    _assert_closed_forms_are_exp_tg(_benchmark_families())
 
 
 def test_check_generator_passes_on_every_golden_family():

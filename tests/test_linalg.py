@@ -182,6 +182,71 @@ class TestPinv:
             linalg.pinv(np.eye(2), rank_tol=0.0)
 
 
+def bordered_reference(q, x, s):
+    """lambda_min(Q), s - x^H Q^+ x and -|Q Q^+ x - x| with numpy's own
+    hermitian pseudo-inverse."""
+    qp = np.linalg.pinv(q, rcond=1e-10, hermitian=True)
+    return (float(np.linalg.eigvalsh(q)[0]), s - float(np.vdot(x, qp @ x).real),
+            -float(np.linalg.norm(q @ qp @ x - x)))
+
+
+def random_psd(rng, n, rank):
+    """A hermitian n x n matrix with `rank` eigenvalues in [0.5, 3], the
+    others 0, and an orthonormal basis of its kernel."""
+    u = random_unitary(rng, n)
+    eigs = np.concatenate([rng.uniform(0.5, 3.0, rank), np.zeros(n - rank)])
+    q = (u * eigs) @ u.conj().T
+    return (q + q.conj().T) / 2, u[:, rank:]
+
+
+class TestSchurMargins:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_numpy_pinv_at_every_rank(self, n):
+        rng = np.random.default_rng([n, 71])
+        for rank in range(n + 1):
+            for inside in (True, False):
+                q, kernel = random_psd(rng, n, rank)
+                x = q @ random_complex(rng, n)
+                if not inside and rank < n:
+                    x = x + kernel @ random_complex(rng, n - rank)
+                s = float(rng.uniform(-2.0, 2.0))
+                got = linalg.schur_margins(q, x, s)
+                want = bordered_reference(q, x, s)
+                scale = 1.0 + np.linalg.norm(q) + np.linalg.norm(x) ** 2 + abs(s)
+                assert got.psd == pytest.approx(want[0], abs=1e-13 * scale)
+                assert got.complement == pytest.approx(want[1], abs=1e-12 * scale)
+                assert got.in_range == pytest.approx(want[2], abs=1e-12 * scale)
+                if inside or rank == n:
+                    assert got.in_range >= -1e-12 * scale
+                else:
+                    assert got.in_range < -1e-3
+                assert got.cut == pytest.approx(1e-10 * max(1.0, np.linalg.norm(q, 2)), rel=1e-12)
+
+    def test_sign_of_the_bordered_matrix(self):
+        # for x in the range of Q >= 0, [[Q, x], [x^H, s]] >= 0 exactly
+        # when the Schur complement is >= 0
+        rng = np.random.default_rng(73)
+        for trial in range(200):
+            n = 1 + trial % 5
+            q, _ = random_psd(rng, n, int(rng.integers(1, n + 1)))
+            x = q @ random_complex(rng, n)
+            s = float(np.vdot(x, np.linalg.pinv(q, hermitian=True) @ x).real)
+            s += float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1e-3, 1.0))
+            bordered = np.block([[q, x[:, None]], [x.conj()[None], np.array([[s]])]])
+            got = linalg.schur_margins(q, x, s)
+            assert (got.complement >= 0) == (np.linalg.eigvalsh(bordered)[0] >= -1e-12)
+
+    def test_indefinite_q_reports_its_least_eigenvalue(self):
+        q = np.diag([2.0, -0.5])
+        got = linalg.schur_margins(q, np.array([1.0, 1.0]), 1.0)
+        assert got.psd == -0.5
+        assert got.complement == 0.5 and got.in_range == -1.0
+
+    def test_empty(self):
+        got = linalg.schur_margins(np.zeros((0, 0)), np.zeros(0), 0.25)
+        assert tuple(got) == (0.0, 0.25, 0.0, 1e-10)
+
+
 class TestMatExp:
     def test_zero(self):
         assert np.allclose(linalg.mat_exp(np.zeros((3, 3))), np.eye(3), atol=1e-15)

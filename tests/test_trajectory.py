@@ -205,6 +205,7 @@ def test_trajectory_rows_keep_the_bits(case):
 class _SignedZeros:
     """A family stand-in whose images hold -0.0 in both parts."""
     domain = BALL
+    dim = 3
 
     def at_many(self, ts):
         self.count = len(ts)
