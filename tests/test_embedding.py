@@ -319,7 +319,7 @@ class TestEmbedEllipticU0:
         oracle = bool(np.min(vals) >= -1e-10)
         assert (cert.verdict == EMBEDDABLE) == oracle
 
-    def test_violated_condition_fails(self):
+    def test_witness_case(self):
         # Herm M has the eigenvalue 2.4 > 0, so the condition fails near 0
         m = np.array([[-0.1, 5.0], [0.0, -0.1]])
         ahat = mat_exp(m)
