@@ -345,6 +345,17 @@ def emit_trajectory(sg, z0, t_grid) -> list:
     return np.column_stack([ts, images.view(np.float64)]).tolist()
 
 
+def _no_trajectory_reason(report) -> str:
+    """Why a report has no trajectory: the semigroup stage's skip reason,
+    the input error, or the stage error that stopped the pipeline."""
+    if "reason" in report["stages"]["semigroup"]:
+        return report["stages"]["semigroup"]["reason"]
+    if "error" in report:
+        return f"input error: {report['error']}"
+    return next(f"stage {name} error: {entry['error']}"
+                for name, entry in report["stages"].items() if entry.get("status") == "error")
+
+
 def trajectory_csv(rows, dim: int) -> str:
     header = "t," + ",".join(f"re_{j+1},im_{j+1}" for j in range(dim))
     lines = [header]
@@ -462,6 +473,8 @@ def main(argv=None) -> int:
         if semi.get("status") == "ok":
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(trajectory_csv(semi["trajectory"], len(semi["trajectory_start"])))
+        else:
+            sys.stderr.write(f"trajectory CSV not written: {_no_trajectory_reason(report)}\n")
     if args.output:
         _dump_report(report, args.output)
     if args.output != "-":

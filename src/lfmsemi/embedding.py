@@ -1,19 +1,19 @@
-"""Embedding criteria and closed-form one-parameter semigroups.
+"""Embedding criteria and the one-parameter semigroups they license.
 
 For each normal form this module decides whether the map embeds into a
 continuous one-parameter semigroup of self-maps, returning an
 :class:`EmbeddingCertificate` with named numeric margins, and builds
-the closed-form family :class:`SemigroupFamily` when the verdict is
-positive.
+the family :class:`SemigroupFamily` when the verdict is positive.
 
 Every criterion decides one homogeneous generator G per logarithm: the
 (N+1) x (N+1) matrix that an embeddable certificate carries in
-``generator_data["G"]``, whose projective vector field is the family's
-infinitesimal generator (:func:`generator`).  The split criterion tests
-the dissipativity of the logarithm M, the u0 criterion the BallMap
-constructor's pencil test on G (:func:`_u0_margin`), the parabolic and
-hyperbolic criteria the invariance of H_N under the flow of G
-(:func:`_flow_margin`).  Every verdict is if-and-only-if over the primary
+``generator_data["G"]``.  The family is its flow: the map at time t has
+the homogeneous matrix exp(t G), and the projective vector field of G is
+the family's infinitesimal generator (:func:`generator`).  The split
+criterion tests the dissipativity of the logarithm M, the u0 criterion
+the BallMap constructor's pencil test on G (:func:`_u0_margin`), the
+parabolic and hyperbolic criteria the invariance of H_N under the flow
+of G (:func:`_flow_margin`).  Every verdict is if-and-only-if over the primary
 logarithms, so a failed margin yields ``condition_fails``.  The elliptic
 criteria test the principal logarithm, then one logarithm per class that
 they cannot tell apart (the hermitian part; for u0 also delta M^H e1)
@@ -33,12 +33,14 @@ continuum and are not searched.)
 
 The case table ``_CASES``, keyed by ``NormalForm.form_kind``, holds for
 each of the four normal-form cases its checked conditions, its embedding
-criterion, the family name and domain its certificates carry, and the
-family's stacked builder, which applies the case's stacked normal-map
-builder from :mod:`lfmsemi.normal_forms` to the parameters at every time
-of a grid.  :func:`certify`, :func:`build_semigroup` and
-:meth:`SemigroupFamily.at_many` look the case up there, so a fifth case
-adds one row (and its reducer in ``normal_forms``).
+criterion, and the family name and domain its certificates carry.
+:func:`certify` and :func:`build_semigroup` look the case up there, so a
+fifth case adds one row (and its reducer in ``normal_forms``).
+:meth:`SemigroupFamily.at_many` reads only G, through one builder per
+domain that uses its structure: on the ball G = [[K, 0], [r^T, 0]] and
+exp(t G) needs exp(t K) alone (:func:`_ball_flow`); on H_N G is affine
+with a diagonal w-block, and the entries of exp(t G) are divided
+differences of s -> e^{ts} (:func:`_siegel_flow`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -74,9 +75,6 @@ from .normal_forms import (
     normal_form,
     parabolic_conditions,
     siegel_normal_map,
-    siegel_normal_maps,
-    split_normal_maps,
-    u0_normal_maps,
 )
 
 EMBEDDABLE = "embeddable"
@@ -89,9 +87,6 @@ MARGIN_TOL = 1e-12
 #: largest eigenvalue of Herm M at which a logarithm M counts as dissipative,
 #: and least u0 pencil margin, negated, at which it passes
 _DISSIPATIVE_TOL = 1e-10
-
-#: largest x with a finite exp(x) in double precision (about 709.78)
-_EXP_MAX = math.log(sys.float_info.max)
 
 
 def _expm1c(z: complex) -> complex:
@@ -145,8 +140,9 @@ def _certificate(nf: NormalForm, verdict: str, criterion_id: str, margins: list,
 
 @dataclass(frozen=True)
 class SemigroupFamily:
-    """Closed-form one-parameter family; ``at_many(ts)`` materializes the
-    maps on a grid of times, ``at(t)`` one of them."""
+    """The one-parameter family exp(t G) of the generator G in
+    ``parameters["G"]``; ``at_many(ts)`` materializes the maps on a grid
+    of times, ``at(t)`` one of them."""
 
     case_kind: str
     parameters: dict
@@ -169,7 +165,8 @@ class SemigroupFamily:
         if outside.size:
             raise DomainError(f"time {float(outside[0])!r} lies outside t >= 0, "
                               "where the semigroup is defined")
-        return _case(_FAMILIES, self.case_kind).at_many(self.parameters, ts)
+        flow = _ball_flow if self.domain == BALL else _siegel_flow
+        return flow(self.parameters["G"], ts)
 
 
 # ---------------------------------------------------------------------------
@@ -730,30 +727,96 @@ def conditions_for(nf: NormalForm) -> list:
 
 
 # ---------------------------------------------------------------------------
-# semigroup families, one section per case: at_many(ts) applies the case's
-# stacked normal-map builder to the parameters at every time of ts, each
-# map with the bits of its own time's arithmetic
+# semigroup families: at_many(ts) is exp(t G), built from the structure of G
+# by one builder per domain
 
 
-def _split_at_many(d: dict, ts: np.ndarray) -> BallMap:
-    m = d["M"]
-    a1 = mat_exp(ts[:, None, None] * m) if m.size else np.zeros((len(ts), 0, 0))
-    return split_normal_maps(np.exp(1j * ts[:, None] * d["theta"]), a1)
+def _ball_flow(g: np.ndarray, ts: np.ndarray) -> BallMap:
+    """The maps exp(t G) of a ball generator G = [[K, 0], [r^T, 0]]:
+    exp(t G) = [[E, 0], [h^T (E - I), 1]] with E = exp(t K) and K^T h = r,
+    so z -> E z / (<z, conj(h^T (E - I))> + 1)."""
+    k, r = g[:-1, :-1], g[-1, :-1]
+    e = mat_exp(ts[:, None, None] * k)
+    zeros = np.zeros(e.shape[:-1], dtype=complex)
+    if not np.any(r):
+        return BallMap(e, zeros, zeros)
+    return BallMap(e, zeros, np.conj(np.linalg.solve(k.T, r) @ (e - np.eye(len(k)))))
 
 
-def _u0_at_many(d: dict, ts: np.ndarray) -> BallMap:
-    return u0_normal_maps(mat_exp(ts[:, None, None] * d["M"]), d["delta"])
+def _siegel_flow(g: np.ndarray, ts: np.ndarray) -> SiegelMap:
+    """The maps exp(t G) of an affine generator G = [[x, q, beta],
+    [0, diag(l), gamma], [0, 0, 0]].  G is upper triangular, so the entries
+    of exp(t G) are divided differences of s -> e^{ts} at its diagonal
+    (Higham, Functions of Matrices, Thm 4.11): the z-row e^{tx},
+    q DD1(x, l) and beta DD1(x, 0) + sum_j q_j gamma_j DD2(x, l_j, 0), the
+    w-block diag(e^{tl}) and gamma DD1(l, 0)."""
+    x, q, beta = complex(g[0, 0]), g[0, 1:-1], complex(g[0, -1])
+    l_block, gamma = g[1:-1, 1:-1], g[1:-1, -1]
+    l_diag = np.diag(l_block)
+    if np.any(l_block != np.diag(l_diag)):
+        raise DomainError("the generator's w-block is not diagonal; the affine flow "
+                          "is built for a diagonal block only")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_t = np.exp(ts * x)
+    beyond = ts[~np.isfinite(lam_t)]
+    if beyond.size:
+        t = float(beyond[0])
+        raise NumericError(f"time {t!r}: t*log(lam) = {t * x.real:.6g} > 709, "
+                           "so lam^t overflows a double")
+    k = len(l_diag)
+    # DD1 at (x, 0), at (x, l_j) and at (l_j, 0) in one call
+    dd = _dd1(np.concatenate([np.full(k + 1, x), l_diag]),
+              np.concatenate([[0.0], l_diag, np.zeros(k)]), ts)
+    b_t = beta * dd[:, 0]
+    for j in np.flatnonzero(q * gamma):
+        b_t = b_t + q[j] * gamma[j] * _dd2(x, l_diag[j], 0.0, ts)
+    m_t = np.zeros((len(ts), k, k), dtype=complex)
+    m_t[:, range(k), range(k)] = np.exp(ts[:, None] * l_diag)
+    return SiegelMap(lam_t, 0.5j * np.conj(q * dd[:, 1:k + 1]), b_t, m_t, gamma * dd[:, k + 1:])
 
 
-def _parabolic_at_many(d: dict, ts: np.ndarray) -> SiegelMap:
-    a, m_diag = d["a"], d["m_diag"]
-    c_path = _rows_times(_cocycle_ratio(np.conj(m_diag), ts), d["c"])
-    a2 = float(np.vdot(a, a).real)
-    b_t = [t * d["alpha"] + 1j * t * t * a2 for t in ts.tolist()]
-    return siegel_normal_maps(np.ones(len(ts)), ts[:, None] * a,
-                              np.exp(1j * ts[:, None] * d["theta_D"]),
-                              _diag_stack(np.exp(ts[:, None] * m_diag)), c_path,
-                              np.zeros(c_path.shape), b_t)
+def _dd1(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The first divided difference (e^{ta} - e^{tb}) / (a - b) of
+    s -> e^{ts}, one row per time of ts and one column per entry of the
+    equally long vectors a and b; t e^{ta} where a = b.  The point of larger
+    real part is factored out, so expm1 sees an exponent of real part <= 0."""
+    swap = a.real < b.real
+    hi, lo = np.where(swap, b, a), np.where(swap, a, b)
+    apart = lo != hi
+    gap = np.where(apart, lo - hi, 1.0)
+    t = ts[:, None]
+    return np.exp(t * hi) * np.where(apart, np.expm1(t * gap) / gap, t)
+
+
+#: terms of the Taylor series of :func:`_dd2`, whose (k+1) / (k+2)! bound
+#: on term k is below 1e-19 at the last one
+_DD2_TERMS = 20
+
+
+def _dd2(a: complex, b: complex, c: complex, ts: np.ndarray) -> np.ndarray:
+    """The second divided difference of s -> e^{ts} at (a, b, c), one entry
+    per time of ts.  The points are ordered so that a and c are the widest
+    pair, w = a - c: t^2/2 e^{tb} when w = 0.  Where |t w| <= 1 it is the
+    Taylor series about b, t^2 e^{tb} sum_k h_k(t(a - b), t(c - b)) / (k + 2)!,
+    h_k the complete homogeneous polynomial; else (DD1(a, b) - DD1(b, c)) / w,
+    which then loses no more than a few ulps."""
+    a, b, c = max(itertools.permutations((complex(a), complex(b), complex(c))),
+                  key=lambda p: abs(p[0] - p[2]))
+    w = a - c
+    if w == 0:
+        return ts * ts * 0.5 * np.exp(ts * b)
+    out = np.empty(len(ts), dtype=complex)
+    near = np.abs(ts * w) <= 1.0
+    t = ts[near]
+    h, total, scale = np.ones(len(t), dtype=complex), 0.5, 2.0
+    for k in range(1, _DD2_TERMS + 1):
+        h = t * (a - b) * h + (t * (c - b)) ** k
+        scale *= k + 2
+        total = total + h / scale
+    out[near] = t * t * np.exp(t * b) * total
+    far = _dd1(np.array([a, b]), np.array([b, c]), ts[~near])
+    out[~near] = (far[:, 0] - far[:, 1]) / w
+    return out
 
 
 def _parabolic_dim2_label(prm: dict) -> str:
@@ -761,58 +824,9 @@ def _parabolic_dim2_label(prm: dict) -> str:
     return "dim2_parabolic_psi" + ("1" if r == 1 else "2" if q == 1 else "3")
 
 
-def _hyperbolic_at_many(d: dict, ts: np.ndarray) -> SiegelMap:
-    lam, m_diag = d["lam"], d["m_diag"]
-    log_lam = math.log(lam)
-    beyond = ts[ts * log_lam > _EXP_MAX]
-    if beyond.size:
-        raise NumericError(f"time {float(beyond[0])!r}: t*log(lam) = "
-                           f"{float(beyond[0]) * log_lam:.6g} > 709, so lam^t overflows a double")
-    # lam^t, sqrt(lam)^t and b_t in Python scalar arithmetic, one time at a
-    # time: numpy's complex division can differ from it in the last bit
-    times = ts.tolist()
-    lam_t = np.array([math.exp(t * log_lam) for t in times])
-    sq_t = np.array([math.exp(0.5 * t * log_lam) for t in times])
-    b_ratio = _expm1c(complex(log_lam))
-    b_t = [(_expm1c(complex(t * log_lam)) / b_ratio).real * d["b"] for t in times]
-    a_factor = (lam_t[:, None] - sq_t[:, None] * np.exp(ts[:, None] * np.conj(m_diag))) / \
-        (lam - math.sqrt(lam) * np.exp(np.conj(m_diag)))
-    res_path = _rows_times(_cocycle_ratio(0.5 * log_lam + m_diag, ts), d["c_res"])
-    return siegel_normal_maps(lam_t, np.zeros((len(ts), d["split"][0])),
-                              np.exp(1j * ts[:, None] * d["theta_D"]),
-                              _diag_stack(np.exp(ts[:, None] * m_diag)),
-                              _rows_times(a_factor, d["c"]), res_path, b_t, sq_t)
-
-
 def _hyperbolic_dim2_label(prm: dict) -> str:
     psi2 = prm["block_split"][2] == 1 and abs(prm["c_res"][0]) > 0
     return "dim2_hyperbolic_psi2" if psi2 else "dim2_hyperbolic_psi1"
-
-
-def _cocycle_ratio(eps: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """(exp(t eps) - 1) / (exp(eps) - 1), one row per time t of ts and one
-    column per entry of eps, with the t limit at eps = 0 (the resonant
-    translation path)."""
-    eps = np.atleast_1d(np.asarray(eps, dtype=complex))
-    out = np.repeat(ts.astype(complex)[:, None], len(eps), axis=1)
-    big = np.abs(eps) >= 1e-13
-    if np.any(big):
-        out[:, big] = _expm1c_vec(ts[:, None] * eps[big]) / _expm1c_vec(eps[big])
-    return out
-
-
-def _rows_times(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """x * v for a (T, r) array x and an r-vector v, with the bits of one
-    product per row: numpy multiplies a broadcast length-1 column of
-    complex numbers in another loop, which may round differently."""
-    return x * np.tile(v, (len(x), 1))
-
-
-def _diag_stack(v: np.ndarray) -> np.ndarray:
-    """(T, r, r) diagonal matrices from the rows of a (T, r) array."""
-    out = np.zeros(v.shape + v.shape[-1:], dtype=complex)
-    out[:, range(v.shape[1]), range(v.shape[1])] = v
-    return out
 
 
 def _cocycle_rate(eps: np.ndarray) -> np.ndarray:
@@ -841,20 +855,19 @@ class _Case:
     domain: str  # where the family acts
     conditions: Callable  # NormalForm -> checked normal-form conditions
     criterion: Callable  # NormalForm -> EmbeddingCertificate
-    at_many: Callable  # (generator data, (T,) times) -> the stack of maps at those times
     dim2_label: Optional[Callable] = None  # parameters -> dimension-2 catalogue name
 
 
 _CASES = {
     FORM_ELLIPTIC_SPLIT: _Case("elliptic_split", BALL, lambda nf: [],
-                               lambda nf: embed_elliptic_split(nf), _split_at_many),
+                               lambda nf: embed_elliptic_split(nf)),
     FORM_ELLIPTIC_U0: _Case("elliptic_u0", BALL, lambda nf: [],
-                            lambda nf: embed_elliptic_u0(nf), _u0_at_many),
+                            lambda nf: embed_elliptic_u0(nf)),
     FORM_PARABOLIC: _Case("parabolic", SIEGEL, lambda nf: parabolic_conditions(nf),
-                          lambda nf: embed_parabolic(nf), _parabolic_at_many,
+                          lambda nf: embed_parabolic(nf),
                           _parabolic_dim2_label),
     FORM_HYPERBOLIC: _Case("hyperbolic", SIEGEL, lambda nf: hyperbolic_conditions(nf),
-                           lambda nf: embed_hyperbolic(nf), _hyperbolic_at_many,
+                           lambda nf: embed_hyperbolic(nf),
                            _hyperbolic_dim2_label),
 }
 _FAMILIES = {case.family: case for case in _CASES.values()}
@@ -867,8 +880,9 @@ def _case(table: dict, kind: str) -> _Case:
 
 
 def build_semigroup(cert: EmbeddingCertificate) -> SemigroupFamily:
-    """Materialize the closed-form family licensed by an embeddable
-    certificate; ``at(1)`` reproduces the certificate's target map."""
+    """Materialize the family licensed by an embeddable certificate, the
+    flow of its generator G; ``at(1)`` reproduces the certificate's target
+    map."""
     if cert.verdict != EMBEDDABLE or cert.generator_data is None:
         raise DomainError("build_semigroup requires an embeddable certificate")
     if cert.family not in _FAMILIES:

@@ -10,14 +10,11 @@ composition s (first element applied first) satisfies
 There are four cases, one per ``FORM_*`` kind.  :func:`normal_form` is
 the one place that branches on a :class:`~lfmsemi.maps.Classification`
 to pick the reducer; the reducers take the caller's classification
-instead of classifying again.  Each case builds its normal maps from
-stacked parameters with one builder (:func:`split_normal_maps`,
-:func:`u0_normal_maps`, :func:`siegel_normal_maps`), which returns them
-as one stacked :class:`~lfmsemi.maps.BallMap` or
-:class:`~lfmsemi.maps.SiegelMap` and which the semigroup families of
-:mod:`lfmsemi.embedding` apply to a whole grid of times; the one-map
-forms (:func:`split_normal_map` and so on) take item 0 of a stack of one.
-A fifth case adds its reducer and builder here, its branch in
+instead of classifying again.  Each case builds its normal map with one
+builder (:func:`split_normal_map`, :func:`u0_normal_map`,
+:func:`siegel_normal_map`); the semigroup families of
+:mod:`lfmsemi.embedding` are built from their generators instead.  A
+fifth case adds its reducer and builder here, its branch in
 :func:`normal_form`, and its row in ``embedding._CASES``.
 
 Block conventions on the Siegel side: the w-coordinates of an affine
@@ -157,41 +154,20 @@ def normal_form(f: BallMap, cls: Optional[Classification] = None,
 # elliptic forms
 
 
-def split_normal_maps(lam: np.ndarray, a1: np.ndarray) -> BallMap:
-    """The linear maps blockdiag(diag(lam_i), a1_i), one per row of the
-    (T, u) and (T, r, r) stacks."""
-    t, u = lam.shape
-    n = u + a1.shape[-1]
-    amat = np.zeros((t, n, n), dtype=complex)
-    amat[:, range(u), range(u)] = lam
-    amat[:, u:, u:] = a1
-    zeros = np.zeros((t, n), dtype=complex)
-    return BallMap(amat, zeros, zeros)
-
-
 def split_normal_map(lam: np.ndarray, a1: np.ndarray) -> BallMap:
     """The linear map blockdiag(diag(lam), a1)."""
-    return split_normal_maps(*_one(lam, a1))[0]
-
-
-def u0_normal_maps(ahat: np.ndarray, delta: float) -> BallMap:
-    """z -> Ahat_i z / (<z, c_i> + 1) with c_i = delta (Ahat_i^H - I) e1, one
-    per matrix of the (T, n, n) stack."""
-    n = ahat.shape[-1]
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    c = delta * ((np.conj(np.swapaxes(ahat, -1, -2)) - np.eye(n)) @ e1)
-    return BallMap(ahat, np.zeros(c.shape, dtype=complex), c)
+    u = len(lam)
+    n = u + a1.shape[-1]
+    amat = np.zeros((n, n), dtype=complex)
+    amat[range(u), range(u)] = lam
+    amat[u:, u:] = a1
+    return BallMap(amat, np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
 
 
 def u0_normal_map(ahat: np.ndarray, delta: float) -> BallMap:
     """z -> Ahat z / (<z, c> + 1) with c = delta (Ahat^H - I) e1."""
-    return u0_normal_maps(*_one(ahat), delta)[0]
-
-
-def _one(*params) -> list:
-    """Each parameter of one map as a stack of one."""
-    return [np.asarray(x)[None] for x in params]
+    n = len(ahat)
+    return BallMap(ahat, np.zeros(n, dtype=complex), delta * (ahat[0].conj() - np.eye(n)[0]))
 
 
 def _centered(f: BallMap, cls: Optional[Classification]):
@@ -357,35 +333,25 @@ def _split_blocks(m: np.ndarray, one_tol: float = 1e-8):
     return w, p, q, r, d_diag, a_block
 
 
-def siegel_normal_maps(lam, a, d, w_block, c, c_res, b, scale=None) -> SiegelMap:
-    """The affine maps of :func:`siegel_normal_map`, one per row of the
-    stacked parameters: lam, b and scale (T,), a (T, p), d (T, q),
-    w_block (T, r, r), c and c_res (T, r)."""
-    t, p = a.shape
-    q, r = d.shape[1], c.shape[1]
-    k = p + q + r
-    m = np.zeros((t, k, k), dtype=complex)
-    m[:, range(p), range(p)] = 1.0
-    m[:, range(p, p + q), range(p, p + q)] = d
-    m[:, p + q:, p + q:] = w_block
-    zeros = np.zeros((t, q))
-    return SiegelMap(
-        lam,
-        np.concatenate([a, zeros, c], axis=1, dtype=complex),
-        b,
-        m if scale is None else scale[:, None, None] * m,
-        np.concatenate([a, zeros, c_res], axis=1, dtype=complex),
-        block_split=(p, q, r),
-    )
-
-
 def siegel_normal_map(lam, a, d, w_block, c, c_res, b, scale=None) -> SiegelMap:
     """The affine map shared by the parabolic and hyperbolic forms,
     (z, u, v, w) -> (lam z + 2i<u,a> + 2i<w,c> + b, s u + a, s D v, s W w + c_res)
     with block sizes (len(a), len(d), len(c)); s = *scale*, or 1 when None.
     """
-    scales = None if scale is None else np.array([scale])
-    return siegel_normal_maps(*_one(lam, a, d, w_block, c, c_res, b), scales)[0]
+    p, q, r = len(a), len(d), len(c)
+    m = np.zeros((p + q + r, p + q + r), dtype=complex)
+    m[range(p), range(p)] = 1.0
+    m[range(p, p + q), range(p, p + q)] = d
+    m[p + q:, p + q:] = w_block
+    zeros = np.zeros(q)
+    return SiegelMap(
+        lam,
+        np.concatenate([a, zeros, c], dtype=complex),
+        b,
+        m if scale is None else scale * m,
+        np.concatenate([a, zeros, c_res], dtype=complex),
+        block_split=(p, q, r),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,8 @@ def check_identity_at_zero(sg, cfg: SamplerCfg, tol: float = TOL_IDENTITY) -> Ch
 
 def check_generator(sg, cfg: SamplerCfg, h: float = 1e-4, tol: float = TOL_GENERATOR,
                     t_grid=(0.0, 0.5, 1.0, 2.0)) -> CheckReport:
-    """Central finite-difference residual of the closed-form generator."""
+    """Central finite-difference residual of the generator field against
+    the family's maps."""
     from .embedding import generator
 
     gen = generator(sg)

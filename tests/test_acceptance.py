@@ -371,11 +371,11 @@ def test_criterion_7_dim2_threshold_sharpness():
     boundary_ok &= all(r.passed for r in reports)
     # just below: some per-t self-map condition must fail on the grid
     im_a = thresh - 1e-3
-    below = emb.SemigroupFamily("hyperbolic", {
-        "lam": lam, "theta_D": np.zeros(0), "m_diag": np.array([-0.5 + 0.0j]),
-        "c": np.zeros(1), "c_res": np.array([1.0 + 0.0j]),
-        "b": 1j * im_a + 0.4, "split": (0, 0, 1),
-    }, "siegel")
+    data = {"lam": lam, "theta_D": np.zeros(0), "m_diag": np.array([-0.5 + 0.0j]),
+            "c": np.zeros(1), "c_res": np.array([1.0 + 0.0j]),
+            "b": 1j * im_a + 0.4, "split": (0, 0, 1)}
+    below = emb.SemigroupFamily("hyperbolic", {**data, "G": emb._hyperbolic_matrix(data)},
+                                "siegel")
     violated = False
     for t in np.geomspace(0.01, 5.0, 60):
         conds = normal_forms.siegel_conditions(below.at(float(t)), tol=1e-10)

@@ -3,7 +3,8 @@
 the semigroup stage (exit 3), a decreasing ``--t`` is one before the
 pipeline runs, negative times and hyperbolic times
 whose lam^t overflows are rejected by name at every entry point, an
-empty time grid writes a header-only CSV, ``--tol-profile strict``
+empty time grid writes a header-only CSV, a map without a trajectory
+says on stderr why no CSV was written, ``--tol-profile strict``
 reaches the verification, report values keep their JSON types, and a
 spec matrix with ragged rows is an input error naming its field."""
 
@@ -109,6 +110,42 @@ class TestTrajectoryOptions:
         code = cli.main(["semigroup", str(spec_path), "--t", "[]", "--csv", str(csv_path)])
         assert code == EXIT_EMBEDDABLE
         assert csv_path.read_text() == "t,re_1,im_1,re_2,im_2\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestCsvWithoutTrajectory:
+    """--csv writes nothing for a map without a trajectory, and says why on
+    stderr, so that an older file at the path is not taken for its output;
+    the exit status is the report's."""
+
+    @pytest.mark.parametrize("name, code, reason", [
+        ("elliptic_split_condition_fails_ball_n4", 1, "verdict condition_fails"),
+        ("parabolic_nonnormal_inconclusive_siegel_n3", 2, "verdict inconclusive"),
+    ], ids=["condition_fails", "inconclusive"])
+    def test_verdict_without_family(self, tmp_path, capsys, name, code, reason):
+        csv_path = tmp_path / "traj.csv"
+        csv_path.write_text("older output\n")
+        got = cli.main(["semigroup", str(GOLDEN / f"{name}.json"), "--csv", str(csv_path)])
+        assert got == code
+        assert capsys.readouterr().err == f"trajectory CSV not written: {reason}\n"
+        assert csv_path.read_text() == "older output\n"
+
+    def test_stage_error(self, tmp_path, capsys):
+        spec_path, csv_path = tmp_path / "disk.json", tmp_path / "traj.csv"
+        spec_path.write_text(json.dumps(DISK_AUT))
+        code = cli.main(["report", str(spec_path), "--t", "[1, 1000]", "--csv", str(csv_path)])
+        assert code == EXIT_INPUT_ERROR and not csv_path.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("trajectory CSV not written: stage semigroup error: time 1000.0: ")
+
+    def test_input_error(self, tmp_path, capsys):
+        spec_path, csv_path = tmp_path / "bad.json", tmp_path / "traj.csv"
+        spec_path.write_text(json.dumps({**DISK_AUT, "D": [0.0, 0.0]}))
+        code = cli.main(["semigroup", str(spec_path), "--csv", str(csv_path)])
+        assert code == EXIT_INPUT_ERROR and not csv_path.exists()
+        assert capsys.readouterr().err.startswith("trajectory CSV not written: input error: ")
 
 
 class TestNegativeTimes:

@@ -356,17 +356,14 @@ class TestEmbedParabolic:
         cert = embed_parabolic(nf)
         assert cert.verdict == EMBEDDABLE
         data = cert.generator_data
-        tau_only = emb.SemigroupFamily(
-            "parabolic",
-            {**data, "c": 0 * data["c"], "alpha": 0.0,
-             "m_diag": 0 * data["m_diag"]},
-            "siegel",
-        )
-        rho_only = emb.SemigroupFamily(
-            "parabolic",
-            {**data, "a": 0 * data["a"], "theta_D": 0 * data["theta_D"]},
-            "siegel",
-        )
+
+        def part(**changes):
+            d = {**data, **changes}
+            return emb.SemigroupFamily("parabolic", {**d, "G": emb._parabolic_matrix(d)},
+                                       "siegel")
+
+        tau_only = part(c=0 * data["c"], alpha=0.0, m_diag=0 * data["m_diag"])
+        rho_only = part(a=0 * data["a"], theta_D=0 * data["theta_D"])
         zs = sample_siegel_points(4, 30)
         for t, s in [(0.3, 0.8), (1.0, 0.5)]:
             tau_t, rho_s = tau_only.at(t), rho_only.at(s)

@@ -146,10 +146,11 @@ HEISENBERG_SPEC = {
 
 
 def leaving(sg):
-    """The family with Im alpha = -0.5: at(t) leaves H^N for t > 0."""
-    alpha = sg.parameters["alpha"]
-    return dataclasses.replace(sg, parameters={**sg.parameters,
-                                               "alpha": complex(alpha.real, -0.5)})
+    """The family whose generator G moves z by a translation rate with
+    imaginary part -0.5 (Im G[0, -1]): at(t) leaves H^N for t > 0."""
+    g = sg.parameters["G"].copy()
+    g[0, -1] = complex(g[0, -1].real, -0.5)
+    return dataclasses.replace(sg, parameters={**sg.parameters, "G": g})
 
 
 def test_family_leaving_domain_fails_self_map():
@@ -159,6 +160,7 @@ def test_family_leaving_domain_fails_self_map():
     assert not reports["self_map"].passed
     assert reports["self_map"].worst_margin < -0.5
     assert reports["semigroup_law"].passed
+    assert reports["generator_fd"].passed  # at_many and generator both read G
 
 
 def test_family_leaving_domain_exits_inconclusive(monkeypatch):

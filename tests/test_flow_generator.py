@@ -8,8 +8,9 @@ flow invariance of H_N under G.  These tests pin that:
 - the field of G matches the closed-form fields the four cases had before
   G (kept here as the oracle) on every golden family and on the families
   of one ``report_mixed`` and one ``trajectory_dense`` benchmark cycle;
-- on the same families, the closed-form maps at(t) are exp(t G) up to a
-  scalar, within 1e-12 relative, from t = 0 to 3.5;
+- on the same families, the maps at(t), which the structured builders
+  make from G, are the generic ``mat_exp(t G)`` up to a scalar, within
+  1e-12 relative, from t = 0 to 3.5;
 - the exact criterion accepts every map the paper's theta budget accepts,
   eigenvalue arguments in (pi, 2pi) included, with a margin never below
   the budget's;
@@ -187,12 +188,12 @@ def test_generator_field_matches_the_closed_forms_on_the_benchmark_families():
     _assert_fields_match(families)
 
 
-#: the times at which the closed forms are compared with exp(t G)
+#: the times at which at(t) is compared with mat_exp(t G)
 EXP_TIMES = (0.0, 1e-4, 0.25, 0.5, 1.0, 1.75, 2.0, 3.5)
 
 
 def _assert_closed_forms_are_exp_tg(families):
-    """The homogeneous matrix X of at(t) is c exp(t G) for a scalar c:
+    """The homogeneous matrix X of at(t) is c mat_exp(t G) for a scalar c:
     min_c |X - c Y|_F / |X|_F <= 1e-12 with Y = exp(t G), the least-squares
     c = <Y, X> / <Y, Y> in closed form."""
     for label, sg in families:
@@ -293,9 +294,9 @@ def _principal_family(nf):
         a = prm["a"]
         b = complex(prm["b"])
         data = {**common, "a": a, "alpha": complex(b.real, b.imag - float(np.vdot(a, a).real))}
-        return SemigroupFamily("parabolic", data, SIEGEL)
+        return SemigroupFamily("parabolic", {**data, "G": emb._parabolic_matrix(data)}, SIEGEL)
     data = {**common, "lam": prm["lam"], "c_res": prm["c_res"], "b": complex(prm["b"])}
-    return SemigroupFamily("hyperbolic", data, SIEGEL)
+    return SemigroupFamily("hyperbolic", {**data, "G": emb._hyperbolic_matrix(data)}, SIEGEL)
 
 
 def _self_maps_along(sg, tol=1e-9) -> bool:

@@ -1,15 +1,17 @@
 """Families built on a whole time grid at once.
 
-``SemigroupFamily.at_many(ts)`` builds every map of the grid from stacked
-parameters and checks the elliptic ones with one batched exact self-map
-test. These tests pin that item i of the stack has the bits of
-``at(ts[i])`` and of the per-time formulas, that a stacked ``mat_exp``
-matches one call per matrix (across Pade degrees, scalings and the exact
-diagonal path), that trajectory rows keep the bits of the images, that
-the stack's self-map margins are the
-per-map margins and the closed form of a linear map, and that a family
-leaving the ball fails with the error and margin of its first failing
-time.
+``SemigroupFamily.at_many(ts)`` builds every map of the grid as exp(t G)
+of the family's generator and checks the ball ones with one batched exact
+self-map test. These tests pin that item i of the stack has the bits of
+``at(ts[i])``, that it matches the closed forms the four cases had before
+they were built from G (kept here as the oracle) within 1e-12 relative,
+on hand-made families, every golden family and the families of one
+``report_mixed`` and one ``trajectory_dense`` cycle, that a stacked
+``mat_exp`` matches one call per matrix (across Pade degrees, scalings and
+the exact diagonal path), that trajectory rows keep the bits of the
+images, that the stack's self-map margins are the per-map margins and the
+closed form of a linear map, and that a family leaving the ball fails with
+the error and margin of its first failing time.
 """
 
 import math
@@ -24,6 +26,8 @@ from lfmsemi.errors import DimensionError, DomainError
 from lfmsemi.linalg import _pade_choice, _pade_powers, mat_exp
 from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, sample_ball_points
 from lfmsemi.normal_forms import siegel_normal_map, split_normal_map, u0_normal_map
+
+from test_flow_generator import _benchmark_families, _golden_families
 
 GRID = np.arange(401) / 200.0
 
@@ -88,21 +92,9 @@ def test_at_many_items_are_at(case, n):
         _same_bits(stack[i], sg.at(t))
 
 
-@pytest.mark.parametrize("case", ["elliptic_split", "elliptic_u0"])
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_elliptic_items_match_per_time_formula(case, n):
-    """Item i has the bits of the normal-map builder applied to the time-t
-    parameters, one time at a time."""
-    sg = _family(case, n, np.random.default_rng([n, 7]))
-    d = sg.parameters
-    stack = sg.at_many(GRID[::8])
-    for i, t in enumerate(GRID[::8].tolist()):
-        if case == "elliptic_u0":
-            ref = u0_normal_map(mat_exp(t * d["M"]), d["delta"])
-        else:
-            m = d["M"]
-            ref = split_normal_map(np.exp(1j * t * d["theta"]), mat_exp(t * m) if m.size else m)
-        _same_bits(stack[i], ref)
+# ---------------------------------------------------------------------------
+# the closed forms of the four cases, one time at a time, as written before
+# the families were built from G
 
 
 def _cocycle(eps, t):
@@ -114,8 +106,13 @@ def _cocycle(eps, t):
     return out
 
 
-def _siegel_at(case, d, t):
-    """The Siegel family at one time t, by the closed forms of one time."""
+def _closed_form_at(case, d, t):
+    """The family of generator data d at one time t, by the closed forms."""
+    if case == "elliptic_u0":
+        return u0_normal_map(mat_exp(t * d["M"]), d["delta"])
+    if case == "elliptic_split":
+        m = d["M"]
+        return split_normal_map(np.exp(1j * t * d["theta"]), mat_exp(t * m) if m.size else m)
     m_diag, theta = d["m_diag"], np.exp(1j * t * d["theta_D"])
     if case == "parabolic":
         a = d["a"]
@@ -133,13 +130,40 @@ def _siegel_at(case, d, t):
                              a_path, _cocycle(0.5 * log_lam + m_diag, t) * d["c_res"], b_t, sq_t)
 
 
+def _assert_matches_closed_forms(sg, ts, label=None):
+    """Item i of at_many(ts) has the homogeneous matrix of the closed form
+    at ts[i] within 1e-12 relative (Frobenius)."""
+    stack = sg.at_many(ts)
+    for i, t in enumerate(np.asarray(ts).tolist()):
+        got = stack[i].to_proj().mat
+        want = _closed_form_at(sg.case_kind, sg.parameters, t).to_proj().mat
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (label, t)
+
+
+@pytest.mark.parametrize("case", ["elliptic_split", "elliptic_u0"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_elliptic_items_match_per_time_formula(case, n):
+    _assert_matches_closed_forms(_family(case, n, np.random.default_rng([n, 7])), GRID[::8])
+
+
 @pytest.mark.parametrize("case", ["parabolic", "hyperbolic"])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_siegel_items_match_per_time_formula(case, n):
-    sg = _family(case, n, np.random.default_rng([n, 9]))
-    stack = sg.at_many(GRID[::8])
-    for i, t in enumerate(GRID[::8].tolist()):
-        _same_bits(stack[i], _siegel_at(case, sg.parameters, t))
+    _assert_matches_closed_forms(_family(case, n, np.random.default_rng([n, 9])), GRID[::8])
+
+
+def test_at_many_matches_the_closed_forms_on_the_goldens():
+    families = _golden_families()
+    assert {sg.case_kind for _, sg in families} == set(CASES)
+    for label, sg in families:
+        _assert_matches_closed_forms(sg, GRID[::4], label)
+
+
+def test_at_many_matches_the_closed_forms_on_the_benchmark_families():
+    families = _benchmark_families()
+    assert len(families) == 32
+    for label, sg in families:
+        _assert_matches_closed_forms(sg, GRID[::4], label)
 
 
 @pytest.mark.parametrize("shape", [(401, 1, 1), (401, 3, 3), (401, 4, 4), (2, 3, 5, 5)])
@@ -275,7 +299,8 @@ def _leaving_a(t):
 
 def test_blocked_margins_match_per_time_construction():
     m = _dissipative(np.random.default_rng(8), 3)
-    sg = SemigroupFamily("elliptic_split", {"theta": np.zeros(0), "u": 0, "M": m}, BALL)
+    sg = SemigroupFamily("elliptic_split", {"theta": np.zeros(0), "u": 0, "M": m,
+                                            "G": emb._split_matrix(np.zeros(0), m)}, BALL)
     stack = sg.at_many(GRID)
     margins = maps._self_map_margins(stack.A, stack.B, stack.C)
     for i, t in enumerate(GRID.tolist()):

@@ -100,6 +100,7 @@ class TestTimeOne:
         sg = build_semigroup(cert)
         bad_params = dict(sg.parameters)
         bad_params["M"] = sg.parameters["M"] + 1j * np.pi * np.eye(1)
+        bad_params["G"] = emb._split_matrix(sg.parameters["theta"], bad_params["M"])
         bad = emb.SemigroupFamily("elliptic_split", bad_params, BALL, sg.target)
         rep = check_time_one(bad, nf.normal_map, SamplerCfg(count=30))
         assert not rep.passed
