@@ -62,8 +62,8 @@ from .linalg import (
     schur_form,
     schur_margins,
 )
-from .maps import (BALL, SIEGEL, BallMap, Classification, SiegelMap, pencil_margins,
-                   pullback_form)
+from .maps import (BALL, SIEGEL, BallMap, Classification, SiegelMap, _is_ball_automorphism,
+                   _require_ball_flow, _trusted_ball_map, flow_form, pencil_margins)
 from .normal_forms import (
     FORM_ELLIPTIC_SPLIT,
     FORM_ELLIPTIC_U0,
@@ -549,8 +549,7 @@ def _u0_margin(g: np.ndarray) -> float:
     |z| = 1, x^H X x / 2 is Re[<Mz,z> - delta (Mz)_1], so a margin >= 0 is
     the condition on the sphere (S-lemma); turning z by a phase there gives
     Re<Mz,z> <= -delta |(Mz)_1|, which carries it into the ball."""
-    jg = np.append(np.ones(len(g) - 1), -1.0)[:, None] * g
-    return float(pencil_margins((jg + jg.conj().T)[None])[0])
+    return float(pencil_margins(flow_form(g)[None])[0])
 
 
 def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
@@ -690,10 +689,7 @@ def embed_dim2(f: BallMap, cls: Optional[Classification] = None) -> EmbeddingCer
 def is_automorphism(f: BallMap, tol: float = 1e-8) -> bool:
     """Automorphism test on the homogeneous matrix T: T^H J T = c J with
     c > 0 (J = diag(I_N, -1)), to within tol relative to ||T^H J T||_F."""
-    s = pullback_form(f.to_proj().mat)
-    j = np.diag(np.append(np.ones(f.dim), -1.0))
-    c = -float(s[-1, -1].real)
-    return bool(c > 0 and np.linalg.norm(s - c * j) <= tol * np.linalg.norm(s))
+    return _is_ball_automorphism(f.to_proj(), tol)
 
 
 def embed_automorphism(f: BallMap) -> EmbeddingCertificate:
@@ -734,13 +730,21 @@ def conditions_for(nf: NormalForm) -> list:
 def _ball_flow(g: np.ndarray, ts: np.ndarray) -> BallMap:
     """The maps exp(t G) of a ball generator G = [[K, 0], [r^T, 0]]:
     exp(t G) = [[E, 0], [h^T (E - I), 1]] with E = exp(t K) and K^T h = r,
-    so z -> E z / (<z, conj(h^T (E - I))> + 1)."""
+    so z -> E z / (<z, conj(h^T (E - I))> + 1).  The family is checked
+    once, by G: the exact flow margin of
+    :func:`~lfmsemi.maps._require_ball_flow` decides that every exp(t G)
+    keeps the closed ball, and a G that fails it raises
+    :class:`DomainError` before any map is built; the maps then skip the
+    per-map self-map check of the :class:`~lfmsemi.maps.BallMap`
+    constructor."""
+    _require_ball_flow(g)
     k, r = g[:-1, :-1], g[-1, :-1]
     e = mat_exp(ts[:, None, None] * k)
     zeros = np.zeros(e.shape[:-1], dtype=complex)
-    if not np.any(r):
-        return BallMap(e, zeros, zeros)
-    return BallMap(e, zeros, np.conj(np.linalg.solve(k.T, r) @ (e - np.eye(len(k)))))
+    c = np.conj(np.linalg.solve(k.T, r) @ (e - np.eye(len(k)))) if np.any(r) else zeros
+    if not (np.isfinite(e).all() and np.isfinite(c).all()):
+        raise DomainError("entries of A, B and C must be finite")
+    return _trusted_ball_map(e, zeros, c)
 
 
 def _siegel_flow(g: np.ndarray, ts: np.ndarray) -> SiegelMap:

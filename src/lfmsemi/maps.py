@@ -12,6 +12,16 @@ whose fields carry a leading time axis and get the same checks.  The
 self-map and identity tests are exact, on the homogeneous matrix; the
 seeded samples drawn here serve verification and the conjugation residual.
 
+The exact self-map test of a ball map runs once, where the map enters the
+library: the :class:`BallMap` constructor, :func:`ball_map_from_proj` and
+:func:`cayley_to_ball` (for a Siegel spec that call is the input check, as
+:class:`SiegelMap` checks no self-map property).  A map whose self-map
+property follows from how it is built skips it (:func:`_trusted_ball_map`):
+:func:`compose` of two ball maps, :func:`conjugate` by and :func:`inverse`
+of a map that passes the automorphism test (:func:`_is_ball_automorphism`),
+:func:`ball_automorphism` and the rotation of :func:`cayley_to_siegel`.  A
+ball family is checked once, by its generator (:func:`_require_ball_flow`).
+
 Inner products are hermitian with conjugation on the second slot:
 <z, c> = sum_j z_j * conj(c_j).
 """
@@ -242,11 +252,44 @@ def _self_map_margins(a, b, c) -> np.ndarray:
     return margins
 
 
+def flow_form(g: np.ndarray) -> np.ndarray:
+    """X = J G + G^H J of a homogeneous generator G, J = diag(I_N, -1):
+    along x' = G x, d/dt x^H J x = x^H X x."""
+    jg = np.append(np.ones(len(g) - 1), -1.0)[:, None] * g
+    return jg + jg.conj().T
+
+
+def _flow_margin(g: np.ndarray) -> float:
+    """Exact margin of the flow exp(t G), t >= 0, on the closed ball: the
+    :func:`pencil_margins` of X = :func:`flow_form` (G), divided by
+    max(1, ||X||_F); NaN where X is not finite.  A margin >= 0 says
+    x^H X x <= 0 where x^H J x = 0, so the field of G points into the
+    closed ball on the sphere, which by Nagumo's theorem (Bony and Brezis)
+    is exactly the condition for every exp(t G) to keep it; x^H J x = 0 has
+    no solution x != 0 with last entry 0, so the sphere is all of it.  The
+    divisor makes the margin relative for a large G, as the self-map
+    margin is, and absolute for a small one, so that a G an elliptic
+    criterion admits (unnormalised margin >= -1e-10) passes the slack."""
+    x = flow_form(g)
+    if not np.isfinite(x).all():
+        return float("nan")
+    return float(pencil_margins(x[None])[0]) / max(1.0, float(np.linalg.norm(x)))
+
+
+def _require_ball_flow(g: np.ndarray) -> None:
+    """The check of a ball family, once for all its maps: the
+    :func:`_flow_margin` of its generator G with the self-map slack,
+    which a NaN margin fails."""
+    margin = _flow_margin(g)
+    if not margin >= -_SELF_MAP_SLACK:
+        raise DomainError(f"the flow of the generator leaves the ball (margin {margin:.3e})")
+
+
 def _require_ball_self_maps(a, b, c) -> None:
-    """The checks of the :class:`BallMap` constructor on a stack of maps
-    with D = 1, map by map in order: |C| < 1, then the exact self-map
-    margin with the self-map slack, which a NaN margin fails.  Raises the
-    error of the first map that fails."""
+    """The checks of the :class:`BallMap` constructor, its only caller, on
+    a stack of maps with D = 1, map by map in order: |C| < 1, then the
+    exact self-map margin with the self-map slack, which a NaN margin
+    fails.  Raises the error of the first map that fails."""
     bad_c = np.flatnonzero(np.linalg.norm(c, axis=-1) >= 1.0 - 1e-12)
     valid = bad_c[0] if bad_c.size else len(c)
     margins = _self_map_margins(a[:valid], b[:valid], c[:valid])
@@ -277,7 +320,10 @@ class BallMap:
     self-map property exactly (:func:`_self_map_margins`, relative slack
     1e-9); a stack gets these checks for every map, with one batched
     eigenvalue computation.  Item i of a stack is map i, with the bits of
-    ``BallMap(A[i], B[i], C[i])`` and without a second check.
+    ``BallMap(A[i], B[i], C[i])`` and without a second check.  The
+    constructor is the input check; the maps the library builds from
+    checked ones skip it (:func:`_trusted_ball_map`, see the module
+    docstring).
     """
 
     A: np.ndarray
@@ -298,7 +344,7 @@ class BallMap:
             raise DomainError("D must be finite")
         if abs(d) < _POLE_TOL:
             raise DomainError("denominator vanishes at the origin (D = 0)")
-        a, b, c = a / d, b / d, c / np.conj(d)
+        a, b, c = _normalized(a, b, c, d)
         n = a.shape[-1]
         _require_ball_self_maps(a.reshape(-1, n, n), b.reshape(-1, n), c.reshape(-1, n))
         object.__setattr__(self, "A", a)
@@ -315,10 +361,7 @@ class BallMap:
 
     def __getitem__(self, i: int) -> "BallMap":
         _stack_size(self.A)  # a single map has no items
-        f = object.__new__(BallMap)
-        for name, value in zip("ABCD", (self.A[i], self.B[i], self.C[i], 1.0 + 0.0j)):
-            object.__setattr__(f, name, value)
-        return f
+        return _ball_map_of(self.A[i], self.B[i], self.C[i])
 
     def images(self, z) -> np.ndarray:
         """Images of one ball point under every map, (T, N) for a stack and
@@ -361,12 +404,51 @@ class BallMap:
         return (self.A - np.outer(self(z), np.conj(self.C))) / den
 
 
+def _ball_map_of(a, b, c) -> BallMap:
+    """The BallMap with fields a, b, c and D = 1, as given: no check."""
+    f = object.__new__(BallMap)
+    for name, value in zip("ABCD", (a, b, c, 1.0 + 0.0j)):
+        object.__setattr__(f, name, value)
+    return f
+
+
+def _normalized(a, b, c, d: complex) -> tuple:
+    """The fields A, B, C of the map (a z + b) / (<z, c> + d) with D = 1."""
+    return a / d, b / d, c / np.conj(d)
+
+
+def _trusted_ball_map(a, b, c, d=1.0) -> BallMap:
+    """``BallMap(a, b, c, d)`` without the constructor's checks, for a map
+    that is a self-map by how it was built (see the module docstring): the
+    constructor's :func:`_normalized`, so the fields have the bits of the
+    checked map."""
+    a, b, c = (np.asarray(x, dtype=complex) for x in (a, b, c))
+    return _ball_map_of(*_normalized(a, b, c, complex(d)))
+
+
+def _proj_fields(m: np.ndarray) -> tuple:
+    """(A, B, C, D) of the ball map with homogeneous matrix m."""
+    n = len(m) - 1
+    return m[:n, :n], m[:n, n], np.conj(m[n, :n]), m[n, n]
+
+
 def ball_map_from_proj(p: ProjMap) -> BallMap:
     if not (p.domain == BALL and p.codomain == BALL):
         raise DomainError("homogeneous matrix is not tagged as a ball self-map")
-    n = p.dim
-    m = p.mat
-    return BallMap(A=m[:n, :n], B=m[:n, n], C=np.conj(m[n, :n]), D=m[n, n])
+    return BallMap(*_proj_fields(p.mat))
+
+
+def _is_ball_automorphism(p: ProjMap, tol: float = 1e-8) -> bool:
+    """p is tagged as a ball self-map and passes the automorphism test on
+    its homogeneous matrix T: T^H J T = c J with c > 0 (J = diag(I_N, -1)),
+    to within tol relative to ||T^H J T||_F.  A few small matrix products
+    and no eigenvalues."""
+    if not (p.domain == BALL and p.codomain == BALL):
+        return False
+    s = pullback_form(p.mat)
+    j = np.diag(np.append(np.ones(p.dim), -1.0))
+    c = -float(s[-1, -1].real)
+    return bool(c > 0 and np.linalg.norm(s - c * j) <= tol * np.linalg.norm(s))
 
 
 def identity_ball_map(dim: int) -> BallMap:
@@ -391,7 +473,7 @@ def ball_automorphism(a) -> BallMap:
     s = np.sqrt(1.0 - norm2)
     proj = np.outer(a, np.conj(a)) / norm2
     amat = -(proj + s * (np.eye(n) - proj))
-    return BallMap(A=amat, B=a.copy(), C=-a.copy(), D=1.0)
+    return _trusted_ball_map(amat, a, -a)  # an automorphism for every |a| < 1
 
 
 # ---------------------------------------------------------------------------
@@ -565,24 +647,36 @@ def _wrap_like(p: ProjMap) -> Map:
 
 
 def compose(f: Map, g: Map) -> Map:
-    """f after g.  Same-type operands return the same type."""
+    """f after g.  Same-type operands return the same type; two ball
+    self-maps compose to one without a second check."""
     p = to_proj(g).then(to_proj(f))
-    if type(f) is type(g) and isinstance(f, (BallMap, SiegelMap)):
+    if isinstance(f, BallMap) and isinstance(g, BallMap):
+        return _trusted_ball_map(*_proj_fields(p.mat))
+    if isinstance(f, SiegelMap) and isinstance(g, SiegelMap):
         return _wrap_like(p)
     return p
 
 
 def inverse(f: Map) -> Map:
-    p = to_proj(f).inverse()
+    """f^-1; the inverse of a ball automorphism skips the self-map check,
+    that of any other ball map gets it (and fails it unless f is onto)."""
+    fp = to_proj(f)
+    p = fp.inverse()
+    if isinstance(f, BallMap) and _is_ball_automorphism(fp):
+        return _trusted_ball_map(*_proj_fields(p.mat))
     if isinstance(f, (BallMap, SiegelMap)):
         return _wrap_like(p)
     return p
 
 
 def conjugate(f: Map, s: Map) -> Map:
-    """s o f o s^-1 (transports f along the change of variable s)."""
+    """s o f o s^-1 (transports f along the change of variable s).  A ball
+    self-map conjugated by a ball automorphism skips the self-map check;
+    any other ball result gets it."""
     sp = to_proj(s)
     p = sp.inverse().then(to_proj(f)).then(sp)
+    if isinstance(f, BallMap) and _is_ball_automorphism(sp):
+        return _trusted_ball_map(*_proj_fields(p.mat))
     return _wrap_like(p)
 
 
@@ -632,7 +726,8 @@ def cayley_to_siegel(f: BallMap, dw_point: Optional[np.ndarray] = None,
     rot = _rotation_to_e1(dw_point)
     if np.linalg.norm(rot - np.eye(f.dim)) < 1e-9:
         rot = np.eye(f.dim)
-    rot_map = unitary_ball_map(rot)
+    zeros = np.zeros(f.dim)
+    rot_map = _trusted_ball_map(rot, zeros, zeros)  # a unitary: a Householder reflection
     rotated = conjugate(f, rot_map)
     sigma = cayley_transform(f.dim)
     q = sigma.inverse().then(to_proj(rotated)).then(sigma)

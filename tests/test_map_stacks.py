@@ -3,7 +3,8 @@ stack of maps with a leading time axis.
 
 These tests pin that a stack built directly with the constructor has the
 items of ``SemigroupFamily.at_many``, bit for bit, that it runs the batched
-exact self-map check once, that its shapes and entries are checked as those of
+exact self-map check once (``at_many`` runs none: it checks the family's
+generator), that its shapes and entries are checked as those of
 one map are (NaN in any field is rejected), and that a single map is no
 stack.
 """
@@ -96,11 +97,12 @@ def test_images_are_item_images(case):
 
 @pytest.mark.parametrize("case", ["elliptic_split", "elliptic_u0"])
 def test_direct_stack_checks_once(case, monkeypatch):
-    stack = _family(case, 4, np.random.default_rng(2)).at_many(TIMES)
     calls = []
     check = maps._require_ball_self_maps
     monkeypatch.setattr(maps, "_require_ball_self_maps",
                         lambda *args: calls.append(len(args[0])) or check(*args))
+    stack = _family(case, 4, np.random.default_rng(2)).at_many(TIMES)
+    assert calls == []
     direct = _direct(stack)
     assert calls == [len(TIMES)]
     direct[3].eval_many(sample_ball_points(4, 10))

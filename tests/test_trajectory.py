@@ -1,8 +1,8 @@
 """Families built on a whole time grid at once.
 
 ``SemigroupFamily.at_many(ts)`` builds every map of the grid as exp(t G)
-of the family's generator and checks the ball ones with one batched exact
-self-map test. These tests pin that item i of the stack has the bits of
+of the family's generator and checks a ball family once, by the exact
+flow margin of its generator. These tests pin that item i of the stack has the bits of
 ``at(ts[i])``, that it matches the closed forms the four cases had before
 they were built from G (kept here as the oracle) within 1e-12 relative,
 on hand-made families, every golden family and the families of one
@@ -10,8 +10,9 @@ on hand-made families, every golden family and the families of one
 ``mat_exp`` matches one call per matrix (across Pade degrees, scalings and
 the exact diagonal path), that trajectory rows keep the bits of the
 images, that the stack's self-map margins are the per-map margins and the
-closed form of a linear map, and that a family leaving the ball fails with
-the error and margin of its first failing time.
+closed form of a linear map, and that a family leaving the ball is refused
+at its generator, with the closed-form margin, on every grid (also where
+its map at the first time would pass).
 """
 
 import math
@@ -311,38 +312,61 @@ def test_blocked_margins_match_per_time_construction():
     assert margins[0] == pytest.approx(0.0, abs=1e-15) and min(margins[1:]) > 0
 
 
-def test_leaving_family_fails_at_first_failing_time():
+#: the flow margin of the leaving generator in closed form: X = J G + G^H J
+#: = diag(0, 2, -1, 0), the two largest eigenvalues of J X are 0 and 2, so
+#: mu = 1 and lambda_min(mu J - X) = -1, over max(1, ||X||_F) = sqrt(5)
+LEAVING_MARGIN = -1.0 / math.sqrt(5.0)
+LEAVING_ERROR = f"the flow of the generator leaves the ball (margin {LEAVING_MARGIN:.3e})"
+
+
+def test_leaving_generator_margin_is_its_closed_form():
+    g = _leaving_split().parameters["G"]
+    x = maps.flow_form(g)
+    assert np.array_equal(x, np.diag([0.0, 2.0, -1.0, 0.0]).astype(complex))
+    assert maps._flow_margin(g) == pytest.approx(LEAVING_MARGIN, rel=1e-14)
+    assert LEAVING_ERROR == "the flow of the generator leaves the ball (margin -4.472e-01)"
+
+
+def test_leaving_family_fails_at_its_generator():
+    # the maps one at a time would first fail at ts[1]; the family is
+    # refused at its generator, whatever the grid, also at t = 0 alone
     sg = _leaving_split()
     ts = np.linspace(0.0, 1.0, 201).tolist()
-    index, first = _first_failure(ts)
+    index, _ = _first_failure(ts)
     assert index == 1
-    with pytest.raises(DomainError) as exc:
-        sg.at_many(ts)
-    assert str(exc.value) == f"not a self-map of the ball (margin {first:.3e})"
-    with pytest.raises(DomainError) as one:
-        sg.at(ts[index])
-    assert str(one.value) == str(exc.value)
-    sg.at(ts[0])
+    for grid in (ts, [ts[index]], [0.0]):
+        with pytest.raises(DomainError) as exc:
+            sg.at_many(grid)
+        assert str(exc.value) == LEAVING_ERROR
+    for t in (ts[index], 0.0):
+        with pytest.raises(DomainError) as one:
+            sg.at(t)
+        assert str(one.value) == LEAVING_ERROR
 
 
 def test_leaving_family_fails_where_the_sample_passed():
     # the grid of times the fixed 1000-point sample accepted
     ts = np.linspace(0.0, 0.05, 11).tolist()
-    index, first = _first_failure(ts)
+    index, _ = _first_failure(ts)
     assert index == 1
-    with pytest.raises(DomainError, match=f"margin {first:.3e}"):
+    with pytest.raises(DomainError) as exc:
         _leaving_split().at_many(ts)
+    assert str(exc.value) == LEAVING_ERROR
 
 
 def test_at_many_checks_once(monkeypatch):
-    calls = []
-    check = maps._require_ball_self_maps
+    # one check of the generator per stack, none per map
+    per_map, per_family = [], []
+    check_maps, check_flow = maps._require_ball_self_maps, emb._require_ball_flow
     monkeypatch.setattr(maps, "_require_ball_self_maps",
-                        lambda *args: calls.append(len(args[0])) or check(*args))
+                        lambda *args: per_map.append(len(args[0])) or check_maps(*args))
+    monkeypatch.setattr(emb, "_require_ball_flow",
+                        lambda g: per_family.append(g.shape) or check_flow(g))
     stack = _family("elliptic_u0", 3, np.random.default_rng(3)).at_many(GRID)
-    assert calls == [len(GRID)]
+    assert len(stack) == len(GRID)
+    assert per_map == [] and per_family == [(4, 4)]
     stack[17].eval_many(sample_ball_points(3, 10))
-    assert calls == [len(GRID)]
+    assert per_map == [] and per_family == [(4, 4)]
 
 
 SPLIT_SPEC = {
@@ -359,9 +383,7 @@ def test_pipeline_with_leaving_family_exits_3(monkeypatch):
     grid = (0.0, 0.1, 0.25, 0.5, 1.0)
     report = run_pipeline(SPLIT_SPEC, t_grid=grid)
     stage = report["stages"]["semigroup"]
-    _, first = _first_failure(grid)
-    assert stage == {"status": "error",
-                     "error": f"not a self-map of the ball (margin {first:.3e})"}
+    assert stage == {"status": "error", "error": LEAVING_ERROR}
     assert report["exit_status"] == cli.EXIT_INPUT_ERROR
 
 
