@@ -62,8 +62,8 @@ from .linalg import (
     schur_form,
     schur_margins,
 )
-from .maps import (BALL, SIEGEL, BallMap, Classification, SiegelMap, _is_ball_automorphism,
-                   _require_ball_flow, _trusted_ball_map, flow_form, pencil_margins)
+from .maps import (BALL, SIEGEL, BallMap, Classification, SiegelMap, _require_ball_flow,
+                   _trusted_ball_map, flow_form, pencil_margins, pullback_form)
 from .normal_forms import (
     FORM_ELLIPTIC_SPLIT,
     FORM_ELLIPTIC_U0,
@@ -689,7 +689,10 @@ def embed_dim2(f: BallMap, cls: Optional[Classification] = None) -> EmbeddingCer
 def is_automorphism(f: BallMap, tol: float = 1e-8) -> bool:
     """Automorphism test on the homogeneous matrix T: T^H J T = c J with
     c > 0 (J = diag(I_N, -1)), to within tol relative to ||T^H J T||_F."""
-    return _is_ball_automorphism(f.to_proj(), tol)
+    s = pullback_form(f.to_proj().mat)
+    j = np.diag(np.append(np.ones(f.dim), -1.0))
+    c = -float(s[-1, -1].real)
+    return bool(c > 0 and np.linalg.norm(s - c * j) <= tol * np.linalg.norm(s))
 
 
 def embed_automorphism(f: BallMap) -> EmbeddingCertificate:
@@ -731,20 +734,20 @@ def _ball_flow(g: np.ndarray, ts: np.ndarray) -> BallMap:
     """The maps exp(t G) of a ball generator G = [[K, 0], [r^T, 0]]:
     exp(t G) = [[E, 0], [h^T (E - I), 1]] with E = exp(t K) and K^T h = r,
     so z -> E z / (<z, conj(h^T (E - I))> + 1).  The family is checked
-    once, by G: the exact flow margin of
-    :func:`~lfmsemi.maps._require_ball_flow` decides that every exp(t G)
-    keeps the closed ball, and a G that fails it raises
-    :class:`DomainError` before any map is built; the maps then skip the
-    per-map self-map check of the :class:`~lfmsemi.maps.BallMap`
-    constructor."""
-    _require_ball_flow(g)
+    once, by G (:func:`~lfmsemi.maps._require_ball_flow`): a G whose flow
+    leaves the ball raises :class:`DomainError` before any map is built,
+    and a flow margin >= 0 proves every exp(t G) a self-map, so the maps
+    skip the per-map check of the :class:`~lfmsemi.maps.BallMap`
+    constructor.  A margin within the slack below 0 proves none for a
+    large t, and those maps get that check."""
+    margin = _require_ball_flow(g)
     k, r = g[:-1, :-1], g[-1, :-1]
     e = mat_exp(ts[:, None, None] * k)
     zeros = np.zeros(e.shape[:-1], dtype=complex)
     c = np.conj(np.linalg.solve(k.T, r) @ (e - np.eye(len(k)))) if np.any(r) else zeros
     if not (np.isfinite(e).all() and np.isfinite(c).all()):
         raise DomainError("entries of A, B and C must be finite")
-    return _trusted_ball_map(e, zeros, c)
+    return (_trusted_ball_map if margin >= 0 else BallMap)(e, zeros, c)
 
 
 def _siegel_flow(g: np.ndarray, ts: np.ndarray) -> SiegelMap:

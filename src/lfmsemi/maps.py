@@ -12,15 +12,19 @@ whose fields carry a leading time axis and get the same checks.  The
 self-map and identity tests are exact, on the homogeneous matrix; the
 seeded samples drawn here serve verification and the conjugation residual.
 
-The exact self-map test of a ball map runs once, where the map enters the
-library: the :class:`BallMap` constructor, :func:`ball_map_from_proj` and
+The exact self-map test of a ball map runs in the :class:`BallMap`
+constructor, so every ball map the library hands out gets it: those of the
+public builders, :func:`compose`, :func:`inverse`, :func:`conjugate` and
 :func:`cayley_to_ball` (for a Siegel spec that call is the input check, as
-:class:`SiegelMap` checks no self-map property).  A map whose self-map
-property follows from how it is built skips it (:func:`_trusted_ball_map`):
-:func:`compose` of two ball maps, :func:`conjugate` by and :func:`inverse`
-of a map that passes the automorphism test (:func:`_is_ball_automorphism`),
-:func:`ball_automorphism` and the rotation of :func:`cayley_to_siegel`.  A
-ball family is checked once, by its generator (:func:`_require_ball_flow`).
+:class:`SiegelMap` checks no self-map property).  Two kinds of map skip it,
+built by :func:`_trusted_ball_map` with the constructor's bits.  First, the
+intermediate maps of a reduction, which the library only reads or
+evaluates and never hands out: a change of variable built to conjugate by
+and to record in a chain (a unitary, or the automorphism that centres a
+fixed point), kept as a :class:`ProjMap` (:func:`_change_of_variable`),
+and a map conjugated by one (:func:`conjugate` with ``checked=False``).  Second, the
+maps of a ball family whose generator proves them all
+(:func:`_require_ball_flow`).
 
 Inner products are hermitian with conjugation on the second slot:
 <z, c> = sum_j z_j * conj(c_j).
@@ -266,7 +270,9 @@ def _flow_margin(g: np.ndarray) -> float:
     x^H X x <= 0 where x^H J x = 0, so the field of G points into the
     closed ball on the sphere, which by Nagumo's theorem (Bony and Brezis)
     is exactly the condition for every exp(t G) to keep it; x^H J x = 0 has
-    no solution x != 0 with last entry 0, so the sphere is all of it.  The
+    no solution x != 0 with last entry 0, so the sphere is all of it.  A
+    margin below 0 is not: the field then leaves the ball somewhere on the
+    sphere, and the excess of exp(t G) grows about linearly in t.  The
     divisor makes the margin relative for a large G, as the self-map
     margin is, and absolute for a small one, so that a G an elliptic
     criterion admits (unnormalised margin >= -1e-10) passes the slack."""
@@ -276,13 +282,16 @@ def _flow_margin(g: np.ndarray) -> float:
     return float(pencil_margins(x[None])[0]) / max(1.0, float(np.linalg.norm(x)))
 
 
-def _require_ball_flow(g: np.ndarray) -> None:
+def _require_ball_flow(g: np.ndarray) -> float:
     """The check of a ball family, once for all its maps: the
     :func:`_flow_margin` of its generator G with the self-map slack,
-    which a NaN margin fails."""
+    which a NaN margin fails.  Returns the margin.  A margin >= 0 proves
+    every exp(t G) a self-map; one within the slack below 0 proves none
+    for a large t, so the caller checks those maps one by one."""
     margin = _flow_margin(g)
     if not margin >= -_SELF_MAP_SLACK:
         raise DomainError(f"the flow of the generator leaves the ball (margin {margin:.3e})")
+    return margin
 
 
 def _require_ball_self_maps(a, b, c) -> None:
@@ -320,9 +329,9 @@ class BallMap:
     self-map property exactly (:func:`_self_map_margins`, relative slack
     1e-9); a stack gets these checks for every map, with one batched
     eigenvalue computation.  Item i of a stack is map i, with the bits of
-    ``BallMap(A[i], B[i], C[i])`` and without a second check.  The
-    constructor is the input check; the maps the library builds from
-    checked ones skip it (:func:`_trusted_ball_map`, see the module
+    ``BallMap(A[i], B[i], C[i])`` and without a second check.  Every
+    ball map the library hands out passes this check, except the maps of
+    a ball family whose generator proves them all (see the module
     docstring).
     """
 
@@ -418,10 +427,9 @@ def _normalized(a, b, c, d: complex) -> tuple:
 
 
 def _trusted_ball_map(a, b, c, d=1.0) -> BallMap:
-    """``BallMap(a, b, c, d)`` without the constructor's checks, for a map
-    that is a self-map by how it was built (see the module docstring): the
-    constructor's :func:`_normalized`, so the fields have the bits of the
-    checked map."""
+    """``BallMap(a, b, c, d)`` without the constructor's checks, for the
+    two kinds of map of the module docstring: the constructor's
+    :func:`_normalized`, so the fields have the bits of the checked map."""
     a, b, c = (np.asarray(x, dtype=complex) for x in (a, b, c))
     return _ball_map_of(*_normalized(a, b, c, complex(d)))
 
@@ -438,19 +446,6 @@ def ball_map_from_proj(p: ProjMap) -> BallMap:
     return BallMap(*_proj_fields(p.mat))
 
 
-def _is_ball_automorphism(p: ProjMap, tol: float = 1e-8) -> bool:
-    """p is tagged as a ball self-map and passes the automorphism test on
-    its homogeneous matrix T: T^H J T = c J with c > 0 (J = diag(I_N, -1)),
-    to within tol relative to ||T^H J T||_F.  A few small matrix products
-    and no eigenvalues."""
-    if not (p.domain == BALL and p.codomain == BALL):
-        return False
-    s = pullback_form(p.mat)
-    j = np.diag(np.append(np.ones(p.dim), -1.0))
-    c = -float(s[-1, -1].real)
-    return bool(c > 0 and np.linalg.norm(s - c * j) <= tol * np.linalg.norm(s))
-
-
 def identity_ball_map(dim: int) -> BallMap:
     return BallMap(np.eye(dim), np.zeros(dim), np.zeros(dim), 1.0)
 
@@ -461,19 +456,33 @@ def unitary_ball_map(u) -> BallMap:
     return BallMap(u, np.zeros(n), np.zeros(n), 1.0)
 
 
-def ball_automorphism(a) -> BallMap:
-    """The involutive automorphism of B_N exchanging 0 and the point a."""
+def _automorphism_fields(a) -> tuple:
+    """A, B and C of the involutive automorphism of B_N exchanging 0 and a."""
     a = as_vector(a)
     n = len(a)
     norm2 = float(np.vdot(a, a).real)
     if norm2 >= 1.0:
         raise DomainError("automorphism center must lie inside the ball")
     if norm2 == 0.0:
-        return identity_ball_map(n)
+        return np.eye(n), np.zeros(n), np.zeros(n)
     s = np.sqrt(1.0 - norm2)
     proj = np.outer(a, np.conj(a)) / norm2
-    amat = -(proj + s * (np.eye(n) - proj))
-    return _trusted_ball_map(amat, a, -a)  # an automorphism for every |a| < 1
+    return -(proj + s * (np.eye(n) - proj)), a.copy(), -a.copy()
+
+
+def ball_automorphism(a) -> BallMap:
+    """The involutive automorphism of B_N exchanging 0 and the point a."""
+    return BallMap(*_automorphism_fields(a))
+
+
+def _change_of_variable(a, b=None, c=None) -> ProjMap:
+    """The homogeneous matrix of ``BallMap(a, b, c)`` (B and C zero when not
+    given), with its bits and without its self-map check.  It serves the
+    unitaries and automorphisms the library builds only to conjugate by and
+    to record in a conjugation chain: a :class:`ProjMap` claims no self-map
+    property, so there is nothing to check."""
+    zeros = np.zeros(len(a))
+    return _trusted_ball_map(a, zeros if b is None else b, zeros if c is None else c).to_proj()
 
 
 # ---------------------------------------------------------------------------
@@ -647,35 +656,28 @@ def _wrap_like(p: ProjMap) -> Map:
 
 
 def compose(f: Map, g: Map) -> Map:
-    """f after g.  Same-type operands return the same type; two ball
-    self-maps compose to one without a second check."""
+    """f after g.  Same-type operands return the same type."""
     p = to_proj(g).then(to_proj(f))
-    if isinstance(f, BallMap) and isinstance(g, BallMap):
-        return _trusted_ball_map(*_proj_fields(p.mat))
-    if isinstance(f, SiegelMap) and isinstance(g, SiegelMap):
+    if type(f) is type(g) and isinstance(f, (BallMap, SiegelMap)):
         return _wrap_like(p)
     return p
 
 
 def inverse(f: Map) -> Map:
-    """f^-1; the inverse of a ball automorphism skips the self-map check,
-    that of any other ball map gets it (and fails it unless f is onto)."""
-    fp = to_proj(f)
-    p = fp.inverse()
-    if isinstance(f, BallMap) and _is_ball_automorphism(fp):
-        return _trusted_ball_map(*_proj_fields(p.mat))
+    p = to_proj(f).inverse()
     if isinstance(f, (BallMap, SiegelMap)):
         return _wrap_like(p)
     return p
 
 
-def conjugate(f: Map, s: Map) -> Map:
-    """s o f o s^-1 (transports f along the change of variable s).  A ball
-    self-map conjugated by a ball automorphism skips the self-map check;
-    any other ball result gets it."""
+def conjugate(f: Map, s: Map, *, checked: bool = True) -> Map:
+    """s o f o s^-1 (transports f along the change of variable s).  With
+    ``checked=False`` a ball result skips the self-map check of the
+    :class:`BallMap` constructor and keeps its bits: for a map that the
+    caller only reads or evaluates and never hands out."""
     sp = to_proj(s)
     p = sp.inverse().then(to_proj(f)).then(sp)
-    if isinstance(f, BallMap) and _is_ball_automorphism(sp):
+    if not checked and p.domain == p.codomain == BALL:
         return _trusted_ball_map(*_proj_fields(p.mat))
     return _wrap_like(p)
 
@@ -726,14 +728,13 @@ def cayley_to_siegel(f: BallMap, dw_point: Optional[np.ndarray] = None,
     rot = _rotation_to_e1(dw_point)
     if np.linalg.norm(rot - np.eye(f.dim)) < 1e-9:
         rot = np.eye(f.dim)
-    zeros = np.zeros(f.dim)
-    rot_map = _trusted_ball_map(rot, zeros, zeros)  # a unitary: a Householder reflection
-    rotated = conjugate(f, rot_map)
+    rot_p = _change_of_variable(rot)  # a Householder reflection
+    rotated = conjugate(f, rot_p, checked=False)  # only transported
     sigma = cayley_transform(f.dim)
     q = sigma.inverse().then(to_proj(rotated)).then(sigma)
     result = siegel_map_from_proj(q)
     if with_chain:
-        return result, [to_proj(rot_map), sigma]
+        return result, [rot_p, sigma]
     return result
 
 

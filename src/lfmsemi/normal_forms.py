@@ -48,7 +48,8 @@ from .maps import (
     PARABOLIC,
     ProjMap,
     SiegelMap,
-    ball_automorphism,
+    _automorphism_fields,
+    _change_of_variable,
     cayley_to_siegel,
     classify,
     conjugate,
@@ -59,7 +60,6 @@ from .maps import (
     sample_siegel_points,
     siegel_unitary_map,
     to_proj,
-    unitary_ball_map,
     unitary_index,
 )
 
@@ -118,7 +118,7 @@ def conjugation_residual(nf: NormalForm, f: BallMap, count: int = 100) -> float:
         zs = sample_ball_points(f.dim, count)
         return pointwise_distance(f, nf.normal_map, zs)
     total = chain_map(nf.conjugations)
-    g = conjugate(f, total)
+    g = conjugate(f, total, checked=False)  # only evaluated
     sampler = sample_ball_points if total.codomain == "ball" else sample_siegel_points
     zs = sampler(f.dim, count)
     return pointwise_distance(g, nf.normal_map, zs)
@@ -171,15 +171,16 @@ def u0_normal_map(ahat: np.ndarray, delta: float) -> BallMap:
 
 
 def _centered(f: BallMap, cls: Optional[Classification]):
-    """Move an interior fixed point to the origin; returns (map, chain)."""
+    """Move an interior fixed point to the origin; returns (map, chain).
+    The centred map is only read, so it skips the self-map check."""
     interior = fixed_points(f)[0] if cls is None else cls.interior_fixed_points
     if not interior:
         raise DomainError("map has no interior fixed point")
     z0 = interior[0]
     if np.linalg.norm(z0) < 1e-12:
         return f, []
-    mover = ball_automorphism(z0)
-    return conjugate(f, mover), [to_proj(mover)]
+    mover = _change_of_variable(*_automorphism_fields(z0))
+    return conjugate(f, mover, checked=False), [mover]
 
 
 def elliptic_split(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
@@ -208,8 +209,7 @@ def elliptic_split(f: BallMap, cls: Optional[Classification] = None) -> NormalFo
             raise NumericError("contraction block has spectral radius too close to 1")
         if spectral_norm(a1) > 1.0 + 1e-10:
             raise NumericError("contraction block has operator norm above 1")
-    rot = unitary_ball_map(form.unitary)
-    chain = chain + [to_proj(rot)]
+    chain = chain + [_change_of_variable(form.unitary)]
     return NormalForm(
         FORM_ELLIPTIC_SPLIT,
         split_normal_map(lam, a1),
@@ -244,8 +244,7 @@ def elliptic_u0(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     ahat = rot_mat @ a @ rot_mat.conj().T
     if spectral_radius(ahat) >= 1.0 - 1e-9:
         raise NumericError("contraction matrix has spectral radius too close to 1")
-    rot = unitary_ball_map(rot_mat)
-    chain = chain + [to_proj(rot)]
+    chain = chain + [_change_of_variable(rot_mat)]
     delta = min(delta, 1.0)
     return NormalForm(
         FORM_ELLIPTIC_U0,
