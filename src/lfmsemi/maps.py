@@ -68,6 +68,9 @@ _SELF_MAP_SLACK = 1e-9
 _FIXED_POINT_TOL = 1e-9
 _POLE_TOL = 1e-14
 
+#: the constant c of the Jordan split (c eps scale)^(1/k) of :func:`fixed_points`
+_JORDAN_SPLIT_FACTOR = 1e3
+
 
 # ---------------------------------------------------------------------------
 # sampling
@@ -768,6 +771,21 @@ def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL):
     project to fixed points v / tau; they are grouped by eigenvalue
     cluster so defective (parabolic-type) eigenvalues still produce one
     accurate representative.  Returns (interior, boundary) lists.
+
+    A Jordan block of size k splits in floating point into k eigenvalues
+    within about (eps scale)^(1/k) of each other (Moro, Burke and
+    Overton, SIAM J. Matrix Anal. Appl. 18, 1997), while their mean stays
+    eps-accurate, so ``m - mean I`` is numerically singular.  For each
+    eigenvalue (the anchor), the prefixes of its k nearest eigenvalues
+    whose farthest member lies within (c eps scale)^(1/k)
+    max(1, scale)^(1 - 1/k) of it, c = ``_JORDAN_SPLIT_FACTOR``, are the
+    candidate clusters; a singleton is shifted by its own eigenvalue.  All
+    shifted matrices go through one stacked SVD.  In ascending anchor
+    order the largest singular prefix without a used eigenvalue is the
+    cluster, and its kernel the eigenvectors; an anchor none of whose
+    prefixes is singular is used alone.  So an earlier anchor without an
+    exact twin is used before a later anchor's turn, and the stack leaves
+    out the later prefixes that hold one.
     """
     from .linalg import schur_form
 
@@ -775,27 +793,41 @@ def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL):
     n = m.shape[0]
     eigs = schur_form(m).eigenvalues
     scale = float(np.max(np.abs(eigs)))
+    # the clusters: for each anchor, the prefixes of its nearest eigenvalues
+    # whose farthest member lies within the Jordan split of that size
+    nonzero = np.abs(eigs) > 1e-12 * scale
+    anchors = np.flatnonzero(nonzero)
+    dist = np.abs(eigs[anchors, None] - eigs[None, :])
+    order = np.argsort(dist, axis=1)
+    reach = np.sort(dist, axis=1)  # [a, k - 1]: the farthest of the k nearest
+    sizes = np.arange(1, n + 1)
+    split = ((_JORDAN_SPLIT_FACTOR * np.finfo(float).eps * scale) ** (1.0 / sizes)
+             * max(1.0, scale) ** (1.0 - 1.0 / sizes))
+    # an anchor without an exact twin is used by the end of its turn, so a
+    # later anchor's prefix that holds it is never tried
+    settled = nonzero & (np.sum(eigs[:, None] == eigs, axis=1) == 1)
+    tried = [[k for k in range(n, 0, -1) if reach[a, k - 1] <= split[k - 1]
+              and not np.any(settled[order[a, :k]] & (order[a, :k] < i))]
+             for a, i in enumerate(anchors)]
+    shifts = np.array([eigs[i] if k == 1 else np.mean(eigs[order[a, :k]])
+                       for a, i in enumerate(anchors) for k in tried[a]])
+    _, svals, vh = np.linalg.svd(m - shifts[:, None, None] * np.eye(n))
     candidates = []
     used = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if used[i] or abs(eigs[i]) <= 1e-12 * scale:
+    row = 0
+    for a, i in enumerate(anchors):
+        rows = range(row, row + len(tried[a]))
+        row += len(tried[a])
+        if used[i]:
             continue
-        # adaptive Jordan clustering: a defective eigenvalue splits by
-        # ~eps^(1/k) in floating point, but the cluster MEAN stays
-        # eps-accurate, so (m - mean I) is numerically singular exactly
-        # when the prefix is a true cluster.  Grow greedily from the
-        # largest prefix of nearest eigenvalues.
-        order = np.argsort(np.abs(eigs - eigs[i]))
         kernel = None
-        for k in range(n, 0, -1):
-            idx = order[:k]
+        for r, k in zip(rows, tried[a]):
+            idx = order[a, :k]
             if np.any(used[idx]):
                 continue
-            lam_bar = np.mean(eigs[idx])
-            _, svals, vh = np.linalg.svd(m - lam_bar * np.eye(n))
-            if svals[-1] <= 1e-10 * max(1.0, svals[0]):
-                kernel = [vh[j].conj() for j in range(n)
-                          if svals[j] <= 1e-8 * max(1.0, svals[0])]
+            s = svals[r]
+            if s[-1] <= 1e-10 * max(1.0, s[0]):
+                kernel = [vh[r, j].conj() for j in range(n) if s[j] <= 1e-8 * max(1.0, s[0])]
                 used[idx] = True
                 break
         if kernel is None:

@@ -1,0 +1,251 @@
+"""Fixed points from one stacked SVD over spread-bounded eigenvalue clusters.
+
+``maps.fixed_points`` groups eigenvalues of the homogeneous matrix into a
+cluster only when the cluster's farthest member lies within the Jordan
+split ``(c eps scale)^(1/k) max(1, scale)^(1 - 1/k)`` of its anchor, and
+shifts every admissible cluster in one stacked ``np.linalg.svd``.  The
+former search, which tried every prefix of nearest eigenvalues, is kept
+here as the oracle (:func:`prefix_search`): on the goldens and on two
+seeded cycles of every benchmark workload both give the same bits.  Where
+they differ, the prefix search is wrong: a prefix whose *mean* equals some
+other eigenvalue passed as a Jordan cluster and its eigenvectors were lost,
+and two eigenvalues of a near-parabolic map 1e-5 apart passed as one.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lfmsemi import cli, maps
+from lfmsemi.cli import EXIT_EMBEDDABLE, parse_map_spec
+from lfmsemi.errors import NumericError
+from lfmsemi.linalg import schur_form
+from lfmsemi.maps import (ELLIPTIC, HYPERBOLIC, PARABOLIC, BallMap, SiegelMap, cayley_to_ball,
+                          classify, fixed_points, heisenberg_map, to_proj)
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_SPECS = sorted(p for p in (ROOT / "tests" / "golden").rglob("*.json")
+                      if not p.name.endswith(".report.json"))
+
+
+def prefix_search(f, tol=1e-9):
+    """The fixed points of f by the former search: for each eigenvalue,
+    every prefix of its nearest eigenvalues from size n down to 1, one SVD
+    of ``m - mean I`` each; the first singular prefix is the cluster."""
+    m = to_proj(f).mat
+    n = m.shape[0]
+    eigs = schur_form(m).eigenvalues
+    scale = float(np.max(np.abs(eigs)))
+    candidates = []
+    used = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if used[i] or abs(eigs[i]) <= 1e-12 * scale:
+            continue
+        order = np.argsort(np.abs(eigs - eigs[i]))
+        kernel = None
+        for k in range(n, 0, -1):
+            idx = order[:k]
+            if np.any(used[idx]):
+                continue
+            lam_bar = np.mean(eigs[idx])
+            _, svals, vh = np.linalg.svd(m - lam_bar * np.eye(n))
+            if svals[-1] <= 1e-10 * max(1.0, svals[0]):
+                kernel = [vh[j].conj() for j in range(n)
+                          if svals[j] <= 1e-8 * max(1.0, svals[0])]
+                used[idx] = True
+                break
+        if kernel is None:
+            used[i] = True
+            continue
+        candidates.extend(kernel)
+        if len(kernel) >= 2:
+            rep = maps._nearest_kernel_point(np.column_stack(kernel))
+            if rep is not None:
+                candidates.append(rep)
+    interior, boundary = [], []
+    for v in candidates:
+        tau = v[-1]
+        if abs(tau) <= 1e-9 * np.max(np.abs(v)):
+            continue
+        p = v[:-1] / tau
+        r = float(np.linalg.norm(p))
+        if r >= 1.0 + tol:
+            continue
+        if np.linalg.norm(f(p) - p) > tol:
+            continue
+        if any(np.linalg.norm(p - q_) <= 1e-7 for q_ in interior + boundary):
+            continue
+        (interior if r < 1.0 - tol else boundary).append(p)
+    if not interior and not boundary:
+        raise NumericError("no fixed point found in the closed ball")
+    key = lambda p: tuple(np.round(np.concatenate([p.real, p.imag]), 10))
+    return sorted(interior, key=key), sorted(boundary, key=key)
+
+
+def _ball_map(spec: dict) -> BallMap:
+    """The ball map the pipeline classifies for a spec."""
+    f = parse_map_spec(spec)
+    return cayley_to_ball(f) if isinstance(f, SiegelMap) else f
+
+
+def _workload_specs():
+    """The maps of every benchmark workload's cycle at seeds 1 and 2."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [json.loads(w.case(seed, i).spec_text)
+            for _, w in sorted(workloads.WORKLOADS.items())
+            for seed in (1, 2) for i in range(len(w.cycle))]
+
+
+def _bits(points):
+    return [(p.shape, p.tobytes()) for p in points]
+
+
+def _assert_same_bits(f):
+    interior, boundary = fixed_points(f)
+    want_interior, want_boundary = prefix_search(f)
+    assert _bits(interior) == _bits(want_interior)
+    assert _bits(boundary) == _bits(want_boundary)
+
+
+def test_goldens_match_the_prefix_search():
+    assert len(GOLDEN_SPECS) == 32
+    for path in GOLDEN_SPECS:
+        _assert_same_bits(_ball_map(json.loads(path.read_text())))
+
+
+def test_workload_cycles_match_the_prefix_search():
+    specs = _workload_specs()
+    assert len(specs) == 138
+    for spec in specs:
+        _assert_same_bits(_ball_map(spec))
+
+
+def test_one_stacked_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a.shape)
+                        or svd(a, *args, **kw))
+    for path in GOLDEN_SPECS:
+        f = _ball_map(json.loads(path.read_text()))
+        before = len(calls)
+        fixed_points(f)
+        assert len(calls) == before + 1
+        n = f.dim + 1
+        assert calls[-1][1:] == (n, n) and 1 <= calls[-1][0] <= n * n
+
+
+# ---------------------------------------------------------------------------
+# a prefix whose mean is another eigenvalue is no cluster
+
+
+def _evenly_spaced(n):
+    """z -> diag(1 - j / (2n)) z, j = 1..n: with the eigenvalue 1 of the
+    homogeneous matrix, n + 1 eigenvalues evenly spaced on [1/2, 1] whose
+    mean 3/4 is one of them (n even)."""
+    return np.diag(1.0 - 0.5 * np.arange(1, n + 1) / n)
+
+
+WRONG_CLUSTER_MAPS = [_evenly_spaced(2), _evenly_spaced(4), _evenly_spaced(8),
+                      np.diag([0.6, 0.2]), np.diag([0.3, -0.4])]
+
+
+def _is_origin(points):
+    return len(points) == 1 and np.array_equal(points[0], np.zeros(len(points[0])))
+
+
+def _linear(a):
+    n = len(a)
+    return BallMap(a, np.zeros(n), np.zeros(n))
+
+
+@pytest.mark.parametrize("a", WRONG_CLUSTER_MAPS,
+                         ids=["even_n2", "even_n4", "even_n8", "diag_0.6_0.2", "diag_0.3_-0.4"])
+def test_mean_of_a_prefix_is_not_a_cluster(a):
+    # the closed form: a linear contraction is elliptic and fixes exactly 0
+    f = _linear(a)
+    with pytest.raises(NumericError, match="no fixed point"):
+        prefix_search(f)
+    cls = classify(f)
+    assert cls.kind == ELLIPTIC
+    assert _is_origin(cls.interior_fixed_points)
+    assert cls.boundary_fixed_points == []
+
+
+def _ball_spec(a) -> dict:
+    n = len(a)
+    pair = lambda x: [float(np.real(x)), float(np.imag(x))]
+    return {"dimension": n, "domain": "ball",
+            "A": [[pair(x) for x in row] for row in a],
+            "B": [[0.0, 0.0]] * n, "C": [[0.0, 0.0]] * n, "D": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_mean_of_a_prefix_report_exits_0(n, tmp_path):
+    spec_path, out_path = tmp_path / "map.json", tmp_path / "report.json"
+    spec_path.write_text(json.dumps(_ball_spec(_evenly_spaced(n))))
+    assert cli.main(["report", str(spec_path), "--output", str(out_path)]) == EXIT_EMBEDDABLE
+    classified = json.loads(out_path.read_text())["stages"]["classify"]
+    assert classified["kind"] == ELLIPTIC
+    assert classified["interior_fixed_points"] == [[[0.0, 0.0]] * n]
+
+
+# ---------------------------------------------------------------------------
+# Jordan clusters, which split by eps^(1/k): the bound must hold them whole
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_jordan_block_keeps_its_fixed_point(k):
+    # z -> U J U^H z, J = 0.5 I + 0.3 N a Jordan block of size k: the
+    # eigenvalue 0.5 of the homogeneous matrix splits by about eps^(1/k)
+    # (0.01 at k = 8), and the whole cluster must lie within the bound
+    rng = np.random.default_rng(k)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    jordan = 0.5 * np.eye(k) + 0.3 * np.eye(k, k=1)
+    f = _linear(q @ jordan @ q.conj().T)
+    eigs = schur_form(to_proj(f).mat).eigenvalues
+    cluster = eigs[np.argsort(np.abs(eigs))[:k]]
+    assert np.max(np.abs(cluster - cluster[0])) > 0.0  # the computed eigenvalues split
+    interior, boundary = fixed_points(f)
+    assert _is_origin(interior)
+    assert boundary == []
+
+
+# ---------------------------------------------------------------------------
+# the near-parabolic dead band
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [4, 5])
+def test_near_parabolic_siegel_map_is_hyperbolic(n, k):
+    # (z, w) -> (lam z + 0.3 + i, M w), lam = 1 + 10^-k: the eigenvalues lam
+    # and 1 of the homogeneous matrix lie 10^-k apart, far beyond the Jordan
+    # split of a double eigenvalue (about 5e-7), so they are two clusters;
+    # the Denjoy-Wolff point is e1 with dilation 1/lam
+    lam = 1.0 + 10.0 ** -k
+    m = np.diag([0.5, 0.4, 0.3][: n - 1]).astype(complex)
+    f = cayley_to_ball(SiegelMap(lam, np.zeros(n - 1), 0.3 + 1j, m, np.zeros(n - 1)))
+    cls = classify(f)
+    assert cls.kind == HYPERBOLIC
+    assert abs(cls.delta - 1.0 / lam) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_heisenberg_translation_is_parabolic(n):
+    # (z, w) -> (z + 2i <w, g> + beta, w + g), Im beta = |g|^2: a parabolic
+    # automorphism whose one fixed point in the closed ball is e1, where the
+    # eigenvalue 1 has a Jordan block of size 3; split into singletons, its
+    # inaccurate eigenvectors pass as extra boundary fixed points
+    rng = np.random.default_rng(n)
+    g = 0.3 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+    f = cayley_to_ball(heisenberg_map(g, 0.7 + 1j * np.vdot(g, g).real))
+    cls = classify(f)
+    assert cls.kind == PARABOLIC
+    assert cls.interior_fixed_points == [] and len(cls.boundary_fixed_points) == 1
+    assert np.linalg.norm(cls.dw_point - np.eye(n)[0]) <= 1e-9
