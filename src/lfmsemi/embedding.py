@@ -13,21 +13,26 @@ the family's infinitesimal generator (:func:`generator`).  The split
 criterion tests the dissipativity of the logarithm M, the u0 criterion
 the BallMap constructor's pencil test on G (:func:`_u0_margin`), the
 parabolic and hyperbolic criteria the invariance of H_N under the flow
-of G (:func:`_flow_margin`).  Every verdict is if-and-only-if over the primary
-logarithms, so a failed margin yields ``condition_fails``.  The elliptic
-criteria test the principal logarithm, then one logarithm per class that
-they cannot tell apart (the hermitian part; for u0 also delta M^H e1)
-inside an ellipsoid that holds every passing class (see "the lattice of
-primary logarithms" below).  A class whose logarithm fails its
-exponentiation check, an ellipsoid too large to enumerate, or an
-ill-conditioned eigenbasis (cond V >= 1e8) with several eigenvalue
-clusters makes the verdict ``inconclusive``.  The parabolic and
-hyperbolic criteria test the principal logarithm of each eigenvalue of
-the contraction block, which has the largest margin of all branches, by
-the Schur complement of :func:`~lfmsemi.linalg.schur_margins`, the kernel
-of the Siegel normal-form conditions too.  The block is the triangular
-Schur factor of the reduction, so it is normal iff diagonal; a block that
-is not normal is ``inconclusive``.  (Non-primary logarithms of a
+of G (:func:`_flow_margin`).  Every verdict is if-and-only-if over the
+primary logarithms, so a failed margin yields ``condition_fails``; so
+does a singular normal map, which no semigroup holds (:func:`certify`
+checks it before any criterion).  The elliptic criteria test the
+principal logarithm, then one logarithm per class that they cannot tell
+apart (the hermitian part; for u0 also delta M^H e1) inside an ellipsoid
+that holds every passing class (see "the lattice of primary logarithms"
+below).  A class whose logarithm fails its exponentiation check, an
+ellipsoid too large to enumerate, or an ill-conditioned eigenbasis (cond
+V >= 1e8) with several eigenvalue clusters makes the verdict
+``inconclusive``.  The parabolic and hyperbolic criteria share one
+generator: the principal logarithm of the normal map's homogeneous
+matrix, read off its entries by divided differences of exp
+(:func:`_siegel_log`, the inverse of :func:`_siegel_flow` at t = 1).
+Its branch, the principal logarithm of each eigenvalue of the
+contraction block, has the largest margin of all branches, tested by the
+Schur complement of :func:`~lfmsemi.linalg.schur_margins`, the kernel of
+the Siegel normal-form conditions too.  The block is the triangular
+Schur factor of the reduction, so it is normal iff diagonal; a block
+that is not normal is ``inconclusive``.  (Non-primary logarithms of a
 derogatory matrix, an eigenvalue with several Jordan blocks, form a
 continuum and are not searched.)
 
@@ -59,7 +64,6 @@ from .linalg import (
     is_dissipative,
     mat_exp,
     mat_log_principal,
-    schur_form,
     schur_margins,
 )
 from .maps import (BALL, SIEGEL, BallMap, Classification, SiegelMap, _require_ball_flow,
@@ -74,7 +78,6 @@ from .normal_forms import (
     hyperbolic_conditions,
     normal_form,
     parabolic_conditions,
-    siegel_normal_map,
 )
 
 EMBEDDABLE = "embeddable"
@@ -87,32 +90,6 @@ MARGIN_TOL = 1e-12
 #: largest eigenvalue of Herm M at which a logarithm M counts as dissipative,
 #: and least u0 pencil margin, negated, at which it passes
 _DISSIPATIVE_TOL = 1e-10
-
-
-def _expm1c(z: complex) -> complex:
-    """exp(z) - 1 without cancellation for small |z| (complex z)."""
-    x, y = z.real, z.imag
-    em = math.expm1(x)
-    ex = em + 1.0
-    return complex(em - ex * 2.0 * math.sin(y / 2.0) ** 2, ex * math.sin(y))
-
-
-def _expm1c_vec(z: np.ndarray) -> np.ndarray:
-    """:func:`_expm1c` entrywise, keeping the shape of z."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return np.array([_expm1c(v) for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
-
-
-def _log_principal(lam: complex) -> complex:
-    """Principal logarithm log|lam| + i arg(lam), arg in (-pi, pi], of a
-    nonzero strict contraction: the branch of least |Im|, which minimises
-    every term of the flow-invariance margins (:func:`_flow_margin`)."""
-    mod = abs(lam)
-    if mod >= 1.0:
-        raise DomainError(f"eigenvalue {lam} is not a strict contraction")
-    if mod == 0.0:
-        raise DomainError("zero eigenvalue admits no logarithm")
-    return complex(math.log(mod), math.atan2(lam.imag, lam.real))
 
 
 # ---------------------------------------------------------------------------
@@ -190,43 +167,6 @@ def _u0_matrix(m: np.ndarray, delta: float) -> np.ndarray:
     return g
 
 
-def _affine_matrix(alpha: float, beta: complex, p: np.ndarray, l_diag: np.ndarray,
-                   gamma: np.ndarray, k: int) -> np.ndarray:
-    """The generator of (z, w) -> (alpha z + 2i<w, p> + beta, diag(l_diag) w
-    + gamma), w in C^k, with p and gamma given by their last entries."""
-    g = np.zeros((k + 2, k + 2), dtype=complex)
-    g[0, 0], g[0, -1] = alpha, beta
-    g[0, k + 1 - len(p):k + 1] = 2j * np.conj(p)
-    g[range(1, k + 1), range(1, k + 1)] = l_diag
-    g[k + 1 - len(gamma):k + 1, -1] = gamma
-    return g
-
-
-def _parabolic_matrix(d: dict) -> np.ndarray:
-    """The generator of the parabolic family of data d: the z-row carries
-    2i conj(a) on u, 2i conj(c'(0)) on w and alpha, the u-column a."""
-    a, m_diag = d["a"], d["m_diag"]
-    p, q, r = d["split"]
-    g = _affine_matrix(0.0, d["alpha"], _cocycle_rate(np.conj(m_diag)) * d["c"],
-                       np.concatenate([np.zeros(p), 1j * d["theta_D"], m_diag]), [], p + q + r)
-    g[0, 1:p + 1], g[1:p + 1, -1] = 2j * np.conj(a), a
-    return g
-
-
-def _hyperbolic_matrix(d: dict) -> np.ndarray:
-    """The generator of the hyperbolic family of data d: z-row log(lam),
-    2i conj(a'(0)) on w and b'(0); diagonal log(lam)/2 + (0, i theta_D,
-    m_diag); last column the resonant translation rates."""
-    lam, m_diag = d["lam"], d["m_diag"]
-    p, q, r = d["split"]
-    log_lam = math.log(lam)
-    m_bar = np.conj(m_diag)
-    adot0 = (log_lam / 2.0 - m_bar) / (lam - math.sqrt(lam) * np.exp(m_bar)) * d["c"]
-    return _affine_matrix(log_lam, log_lam / (lam - 1.0) * d["b"], adot0,
-                          0.5 * log_lam + np.concatenate([np.zeros(p), 1j * d["theta_D"], m_diag]),
-                          _cocycle_rate(0.5 * log_lam + m_diag) * d["c_res"], p + q + r)
-
-
 def _flow_margin(g: np.ndarray) -> float:
     """Exact margin of the invariance of H_N under the flow of an affine
     generator G.  The flow keeps H_N exactly when d/dt (Im z - |w|^2) >= 0
@@ -286,10 +226,15 @@ _ORTHOGONAL_TOL = 1e-10
 _LATTICE_NODES = 100_000
 
 
-def _require_invertible(a: np.ndarray) -> None:
-    eigs = schur_form(a).eigenvalues
-    if np.min(np.abs(eigs)) <= 1e-12 * max(1.0, float(np.max(np.abs(eigs)))):
-        raise DomainError("singular matrix admits no logarithm")
+#: least min |eigenvalue| / max(1, max |eigenvalue|) of an invertible matrix
+_INVERTIBLE_TOL = 1e-12
+
+
+def _invertibility(eigs: np.ndarray) -> float:
+    """min |eigenvalue| over max(1, max |eigenvalue|) of a matrix with
+    the eigenvalues eigs."""
+    mods = np.abs(eigs)
+    return float(np.min(mods)) / max(1.0, float(np.max(mods)))
 
 
 def _verified(m: np.ndarray, a: np.ndarray) -> bool:
@@ -316,8 +261,11 @@ class _Eigenbasis:
     @classmethod
     def of(cls, a: np.ndarray) -> Optional["_Eigenbasis"]:
         """None when the eigenbasis is ill-conditioned and a has no
-        principal logarithm."""
+        principal logarithm; DomainError when a is singular (the cut of
+        :func:`_invertibility`)."""
         vals, vecs = np.linalg.eig(a)
+        if _invertibility(vals) <= _INVERTIBLE_TOL:
+            raise DomainError("singular matrix admits no logarithm")
         clusters = []
         assigned = np.full(len(vals), -1)
         for i in range(len(vals)):
@@ -474,7 +422,6 @@ def _lattice_logs(a: np.ndarray, walk: _LatticeWalk, delta: float = 0.0):
     exponentiation; the lattice is set up only when the caller asks for
     more than L0.  Raises NumericError when no logarithm is verified."""
     a = np.asarray(a, dtype=complex)
-    _require_invertible(a)
     eig = _Eigenbasis.of(a)
     if eig is None:
         raise NumericError("no verifiable logarithm candidate found")
@@ -524,9 +471,8 @@ def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
     a1 = nf.parameters["A1"]
     theta = np.angle(lam).real.astype(float)
     if a1.size == 0:
-        data = {"theta": theta, "M": a1, "u": len(theta), "G": _split_matrix(theta, a1)}
         return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log",
-                            [Condition("unitary_part", 0.0, True)], data)
+                            [Condition("unitary_part", 0.0, True)], {"G": _split_matrix(theta, a1)})
     lattice = _LatticeWalk()
     margins = []
     for idx, m in enumerate(_lattice_logs(a1, lattice)):
@@ -534,9 +480,9 @@ def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
         margins.append(Condition(f"dissipativity[candidate {idx}]", -res.margin,
                                  res.margin <= _DISSIPATIVE_TOL))
         if res.margin <= _DISSIPATIVE_TOL and float(np.max(np.linalg.eigvals(m).real)) < 0:
-            data = {"theta": theta, "M": m, "u": len(theta), "G": _split_matrix(theta, m)}
             return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log", margins,
-                                data, notes=f"dissipative logarithm found (candidate {idx})")
+                                {"G": _split_matrix(theta, m)},
+                                notes=f"dissipative logarithm found (candidate {idx})")
     verdict, notes = lattice.failed(f"no dissipative logarithm among {len(margins)} candidates",
                                     "hermitian class", "dissipativity")
     return _certificate(nf, verdict, "elliptic_split_dissipative_log", margins, notes=notes)
@@ -576,9 +522,8 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
         margins.append(Condition(f"generator_positivity[candidate {idx}]", margin,
                                  margin >= -_DISSIPATIVE_TOL))
         if margin >= -_DISSIPATIVE_TOL:
-            data = {"M": m, "delta": delta, "G": g}
             return _certificate(nf, EMBEDDABLE, "elliptic_u0_generator_positivity", margins,
-                                data, notes=f"candidate {idx}: min condition margin {margin:.3e}")
+                                {"G": g}, notes=f"candidate {idx}: min condition margin {margin:.3e}")
     verdict, notes = lattice.failed(
         f"all {len(margins)} logarithm candidates violate the condition",
         "(Herm M, delta M^H e1) class", "positivity")
@@ -590,15 +535,12 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
 # parabolic and hyperbolic criteria
 
 
-def _w_eigenbasis(nf: NormalForm, criterion_id: str):
-    """(D, eigenvalues, data): the unimodular (v-) diagonal D of a Siegel
-    normal form, the eigenvalues of its contraction (w-) block A and the
-    data theta_D = arg D, m_diag (their principal logarithms) and split; or
-    an inconclusive certificate when A, the triangular Schur factor of the
-    reduction, is not diagonal, hence not normal: off-diagonal part above
-    1e-8 max(1, |A|) or commutator [A, A^H] above 1e-10 max(1, |A|^2)."""
-    q = nf.parameters["block_split"][1]
-    d_diag = np.atleast_1d(nf.parameters["D"]) if q else np.zeros(0, dtype=complex)
+def _diagonal_target(nf: NormalForm, criterion_id: str):
+    """nf's normal map with its contraction (w-) block A cut to its
+    diagonal; or an inconclusive certificate when A, the triangular Schur
+    factor of the reduction, is not diagonal, hence not normal:
+    off-diagonal part above 1e-8 max(1, |A|) or commutator [A, A^H] above
+    1e-10 max(1, |A|^2)."""
     a = nf.parameters["A"]
     scale = max(1.0, float(np.linalg.norm(a)))
     if (np.max(np.abs(a - np.diag(np.diag(a))), initial=0.0) > 1e-8 * scale
@@ -607,15 +549,40 @@ def _w_eigenbasis(nf: NormalForm, criterion_id: str):
                             [Condition("contraction_block_normal", -1.0, False)], notes=(
                                 "contraction block is not normal; the diagonal generator "
                                 "does not apply"))
-    eigs = np.diag(a).astype(complex)
-    data = {"theta_D": np.angle(d_diag).astype(float),
-            "m_diag": np.array([_log_principal(mu) for mu in eigs], dtype=complex),
-            "split": nf.parameters["block_split"]}
-    return d_diag, eigs, data
+    return dataclasses.replace(nf.normal_map, M=np.diag(np.diag(nf.normal_map.M)))
+
+
+def _siegel_log(f: SiegelMap) -> np.ndarray:
+    """The principal logarithm G of the homogeneous matrix
+    T = [[lam, 2i conj(a), b], [0, diag(mu), c], [0, 0, 1]] of an affine map
+    f with a diagonal w-block: :func:`_siegel_flow` at t = 1 inverted entry
+    by entry.  With x = log lam and l = log mu on the principal branch,
+    G = [[x, q, beta], [0, diag(l), gamma], [0, 0, 0]] where
+    q = 2i conj(a) / DD1(x, l), gamma = c / DD1(l, 0) and
+    beta = (b - sum_j q_j gamma_j DD2(x, l_j, 0)) / DD1(x, 0).  Its
+    branch has the least |Im l|, which minimises every term of the
+    flow-invariance margin (:func:`_flow_margin`)."""
+    mu = np.diag(f.M).astype(complex)
+    if not np.all(mu):
+        raise DomainError("zero eigenvalue admits no logarithm")
+    x, l_diag = np.log(complex(f.lam)), np.log(mu)
+    k, one = len(mu), np.ones(1)
+    # DD1 at (x, 0), at (x, l_j) and at (l_j, 0) in one call, as _siegel_flow
+    dd = _dd1(np.concatenate([np.full(k + 1, x), l_diag]),
+              np.concatenate([[0.0], l_diag, np.zeros(k)]), one)[0]
+    q, gamma = 2j * np.conj(f.a) / dd[1:k + 1], f.c / dd[k + 1:]
+    beta = complex(f.b)
+    for j in np.flatnonzero(q * gamma):
+        beta -= q[j] * gamma[j] * _dd2(x, l_diag[j], 0.0, one)[0]
+    g = np.zeros((k + 2, k + 2), dtype=complex)
+    g[0, 0], g[0, 1:-1], g[0, -1] = x, q, beta / dd[0]
+    g[range(1, k + 1), range(1, k + 1)] = l_diag
+    g[1:-1, -1] = gamma
+    return g
 
 
 def _flow_certificate(nf: NormalForm, criterion_id: str, name: str, budget: float,
-                      data: dict, g: np.ndarray, target) -> EmbeddingCertificate:
+                      g: np.ndarray, target) -> EmbeddingCertificate:
     """The parabolic or hyperbolic certificate of the generator G whose
     :func:`_flow_margin`, in units of Im b, is *budget*."""
     margins = [Condition(name, budget, budget >= -MARGIN_TOL)]
@@ -623,49 +590,38 @@ def _flow_certificate(nf: NormalForm, criterion_id: str, name: str, budget: floa
         return _certificate(nf, CONDITION_FAILS, criterion_id, margins, target=target, notes=(
             "the generator of the principal logarithm does not keep H_N, and the "
             "principal branch has the largest margin of the primary logarithms"))
-    return _certificate(nf, EMBEDDABLE, criterion_id, margins, {**data, "G": g}, target)
+    return _certificate(nf, EMBEDDABLE, criterion_id, margins, {"G": g}, target)
 
 
 def embed_parabolic(nf: NormalForm) -> EmbeddingCertificate:
     """Flow-invariance criterion for the parabolic normal form with a
-    normal contraction block: the generator G of the principal logarithm
-    (:func:`_parabolic_matrix`) must keep H_N (:func:`_flow_margin`).  The
+    normal contraction block: the principal logarithm G of the normal map
+    (:func:`_siegel_log`) must keep H_N (:func:`_flow_margin`).  The
     margin, Im b - |a|^2 - sum_j |c_j|^2 (u_j^2 + v_j^2) / (2 u_j |1 - mu_j|^2)
     for the eigenvalues mu_j = exp(-u_j + i v_j) of the block, is largest
     on the principal branch, whose v_j are least in modulus, so a failure
     is ``condition_fails``."""
     _expect_form(nf, FORM_PARABOLIC)
-    blocks = _w_eigenbasis(nf, "parabolic_generator_invariance")
-    if isinstance(blocks, EmbeddingCertificate):
-        return blocks
-    d_diag, eigs, data = blocks
-    a_vec, c_vec, b = nf.parameters["a"], nf.parameters["c"], complex(nf.parameters["b"])
-    target = siegel_normal_map(1.0, a_vec, d_diag, np.diag(eigs), c_vec, np.zeros(len(c_vec)), b)
-    data.update(a=a_vec, c=c_vec,
-                alpha=complex(b.real, b.imag - float(np.vdot(a_vec, a_vec).real)))
-    g = _parabolic_matrix(data)
+    target = _diagonal_target(nf, "parabolic_generator_invariance")
+    if isinstance(target, EmbeddingCertificate):
+        return target
+    g = _siegel_log(target)
     return _flow_certificate(nf, "parabolic_generator_invariance", "translation_budget",
-                             _flow_margin(g), data, g, target)
+                             _flow_margin(g), g, target)
 
 
 def embed_hyperbolic(nf: NormalForm) -> EmbeddingCertificate:
     """Flow-invariance criterion for the hyperbolic normal form with a
-    normal contraction block, as :func:`embed_parabolic` with the
-    generator of :func:`_hyperbolic_matrix`.  The margin is reported in
-    units of Im b, the generator's times (lam - 1) / log(lam)."""
+    normal contraction block, as :func:`embed_parabolic`.  The margin is
+    reported in units of Im b, the generator's times (lam - 1) / log(lam)."""
     _expect_form(nf, FORM_HYPERBOLIC)
-    blocks = _w_eigenbasis(nf, "hyperbolic_generator_invariance")
-    if isinstance(blocks, EmbeddingCertificate):
-        return blocks
-    d_diag, eigs, data = blocks
+    target = _diagonal_target(nf, "hyperbolic_generator_invariance")
+    if isinstance(target, EmbeddingCertificate):
+        return target
+    g = _siegel_log(target)
     lam = float(nf.parameters["lam"])
-    c_vec, c_res, b = nf.parameters["c"], nf.parameters["c_res"], complex(nf.parameters["b"])
-    target = siegel_normal_map(lam, np.zeros(data["split"][0]), d_diag, np.diag(eigs),
-                               c_vec, c_res, b, math.sqrt(lam))
-    data.update(lam=lam, c=c_vec, c_res=c_res, b=b)
-    g = _hyperbolic_matrix(data)
     return _flow_certificate(nf, "hyperbolic_generator_invariance", "coefficient_budget",
-                             _flow_margin(g) * (lam - 1.0) / math.log(lam), data, g, target)
+                             _flow_margin(g) * (lam - 1.0) / math.log(lam), g, target)
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +671,19 @@ def embed_map(f: BallMap, cls: Optional[Classification] = None) -> EmbeddingCert
 
 def certify(nf: NormalForm) -> EmbeddingCertificate:
     """Run the embedding criterion of nf's case; every criterion is
-    deterministic and draws no sample."""
-    return _case(_CASES, nf.form_kind).criterion(nf)
+    deterministic and draws no sample.  Every member of a semigroup is
+    injective, so a normal map whose homogeneous matrix (corner 1) is
+    singular, by the cut of :func:`_invertibility`, is ``condition_fails``
+    before any criterion runs."""
+    case = _case(_CASES, nf.form_kind)
+    t = nf.normal_map.to_proj().mat
+    invertibility = _invertibility(np.linalg.eigvals(t / t[-1, -1]))
+    if invertibility <= _INVERTIBLE_TOL:
+        return _certificate(nf, CONDITION_FAILS, "invertibility",
+                            [Condition("invertible", invertibility, False)],
+                            notes="the homogeneous matrix is singular, so the map is not "
+                                  "injective, while every member of a semigroup is")
+    return case.criterion(nf)
 
 
 def conditions_for(nf: NormalForm) -> list:
@@ -834,16 +801,6 @@ def _parabolic_dim2_label(prm: dict) -> str:
 def _hyperbolic_dim2_label(prm: dict) -> str:
     psi2 = prm["block_split"][2] == 1 and abs(prm["c_res"][0]) > 0
     return "dim2_hyperbolic_psi2" if psi2 else "dim2_hyperbolic_psi1"
-
-
-def _cocycle_rate(eps: np.ndarray) -> np.ndarray:
-    """d/dt at t=0 of the cocycle ratio: eps / (exp(eps) - 1), 1 at 0."""
-    eps = np.atleast_1d(np.asarray(eps, dtype=complex))
-    out = np.ones(len(eps), dtype=complex)
-    big = np.abs(eps) >= 1e-13
-    if np.any(big):
-        out[big] = eps[big] / _expm1c_vec(eps[big])
-    return out
 
 
 # ---------------------------------------------------------------------------

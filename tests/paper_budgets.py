@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 
-from lfmsemi.embedding import _expm1c
 from lfmsemi.errors import DomainError
+
+from closed_forms import expm1c
 
 
 def scalar_h_parabolic(u: float, v: float, t: float) -> float:
@@ -24,7 +25,7 @@ def scalar_h_parabolic(u: float, v: float, t: float) -> float:
     """
     if u <= 0 or t <= 0 or v < 0:
         raise DomainError("scalar_h_parabolic needs u > 0, v >= 0, t > 0")
-    num = abs(_expm1c(complex(-u * t, v * t))) ** 2
+    num = abs(expm1c(complex(-u * t, v * t))) ** 2
     den = -math.expm1(-2.0 * t * u) * t
     return num / den
 
@@ -39,7 +40,7 @@ def scalar_h_hyperbolic(lam: float, u: float, v: float, t: float) -> float:
         raise DomainError(
             "scalar_h_hyperbolic needs lam > 0, u < 0, lam + 2u < 0, v >= 0, t > 0"
         )
-    num = abs(_expm1c(complex(u * t, v * t))) ** 2
+    num = abs(expm1c(complex(u * t, v * t))) ** 2
     den = (-math.expm1(-lam * t)) * (-math.expm1((lam + 2 * u) * t))
     return num / den
 

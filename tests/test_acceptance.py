@@ -30,6 +30,7 @@ from lfmsemi.maps import BallMap, SiegelMap, ball_automorphism, cayley_to_ball, 
 from lfmsemi.normal_forms import NormalForm
 from lfmsemi.verify import SamplerCfg, check_generator, verify_family
 
+from closed_forms import hyperbolic_matrix
 from paper_budgets import (
     resonant_translation_weight,
     scalar_h_hyperbolic,
@@ -374,7 +375,7 @@ def test_criterion_7_dim2_threshold_sharpness():
     data = {"lam": lam, "theta_D": np.zeros(0), "m_diag": np.array([-0.5 + 0.0j]),
             "c": np.zeros(1), "c_res": np.array([1.0 + 0.0j]),
             "b": 1j * im_a + 0.4, "split": (0, 0, 1)}
-    below = emb.SemigroupFamily("hyperbolic", {**data, "G": emb._hyperbolic_matrix(data)},
+    below = emb.SemigroupFamily("hyperbolic", {**data, "G": hyperbolic_matrix(data)},
                                 "siegel")
     violated = False
     for t in np.geomspace(0.01, 5.0, 60):

@@ -114,10 +114,23 @@ def _assert_same_bits(f):
     assert _bits(boundary) == _bits(want_boundary)
 
 
+#: goldens on which the prefix search fails: z -> (z1 / 2, 0) has the
+#: homogeneous eigenvalues {1, 1/2, 0}, whose mean 1/2 is one of them (see
+#: ``WRONG_CLUSTER_MAPS`` below); its fixed point is 0 in closed form
+PREFIX_SEARCH_FAILS = {"elliptic_u0_singular_ball_n2"}
+
+
 def test_goldens_match_the_prefix_search():
-    assert len(GOLDEN_SPECS) == 32
+    assert len(GOLDEN_SPECS) == 34
     for path in GOLDEN_SPECS:
-        _assert_same_bits(_ball_map(json.loads(path.read_text())))
+        f = _ball_map(json.loads(path.read_text()))
+        if path.stem in PREFIX_SEARCH_FAILS:
+            with pytest.raises(NumericError, match="no fixed point"):
+                prefix_search(f)
+            interior, boundary = fixed_points(f)
+            assert _is_origin(interior) and boundary == []
+        else:
+            _assert_same_bits(f)
 
 
 def test_workload_cycles_match_the_prefix_search():

@@ -21,6 +21,7 @@ flow invariance of H_N under G.  These tests pin that:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -37,14 +38,15 @@ from lfmsemi.embedding import (
     SemigroupFamily,
     build_semigroup,
     certify,
-    embed_map,
     generator,
 )
 from lfmsemi.linalg import mat_exp
 from lfmsemi.maps import (SIEGEL, SiegelMap, cayley_to_ball, sample_ball_points,
                           sample_siegel_points)
+from lfmsemi.normal_forms import normal_form
 from lfmsemi.verify import SamplerCfg, check_generator
 
+from closed_forms import closed_form_data, cocycle_rate, siegel_matrix
 from paper_budgets import resonant_translation_weight, theta_hyperbolic, theta_parabolic
 from test_embedding import hyperbolic_nf, parabolic_nf
 
@@ -81,7 +83,7 @@ def _u0_field(d):
 def _parabolic_field(d):
     a, theta_d, m_diag, c, alpha = d["a"], d["theta_D"], d["m_diag"], d["c"], d["alpha"]
     p, q, r = d["split"]
-    cdot0 = (emb._cocycle_rate(np.conj(m_diag)) * c) if r else np.zeros(0, dtype=complex)
+    cdot0 = (cocycle_rate(np.conj(m_diag)) * c) if r else np.zeros(0, dtype=complex)
 
     def gen_parabolic(z):
         z = np.asarray(z, dtype=complex)
@@ -103,7 +105,7 @@ def _hyperbolic_field(d):
     if r:
         adot0 = (log_lam / 2.0 - np.conj(m_diag)) / \
             (lam - math.sqrt(lam) * np.exp(np.conj(m_diag))) * c
-        resdot0 = emb._cocycle_rate(0.5 * log_lam + m_diag) * c_res
+        resdot0 = cocycle_rate(0.5 * log_lam + m_diag) * c_res
     else:
         adot0 = np.zeros(0, dtype=complex)
         resdot0 = np.zeros(0, dtype=complex)
@@ -130,16 +132,26 @@ ORACLE_FIELDS = {"elliptic_split": _split_field, "elliptic_u0": _u0_field,
 
 
 def _certificate(spec_text):
+    """The normal form of a spec and its certificate."""
     f = parse_map_spec(json.loads(spec_text))
-    return embed_map(cayley_to_ball(f) if isinstance(f, SiegelMap) else f)
+    nf = normal_form(cayley_to_ball(f) if isinstance(f, SiegelMap) else f)
+    return nf, certify(nf)
+
+
+def _family(nf, cert):
+    """The family of an embeddable certificate, with the data of its
+    case's closed forms (``closed_forms.closed_form_data``) next to G."""
+    sg = build_semigroup(cert)
+    data = closed_form_data(nf, sg.parameters["G"])
+    return dataclasses.replace(sg, parameters={**data, **sg.parameters})
 
 
 def _golden_families():
     out = []
     for path in GOLDEN_SPECS:
-        cert = _certificate(path.read_text())
+        nf, cert = _certificate(path.read_text())
         if cert.verdict == EMBEDDABLE:
-            out.append((path.stem, build_semigroup(cert)))
+            out.append((path.stem, _family(nf, cert)))
     return out
 
 
@@ -155,9 +167,9 @@ def _benchmark_families():
         w = workloads.WORKLOADS[name]
         for i in range(len(w.cycle)):
             case = w.case(1, i)
-            cert = _certificate(case.spec_text)
+            nf, cert = _certificate(case.spec_text)
             assert cert.verdict == EMBEDDABLE, (name, i)
-            out.append((f"{name}[{i}]", build_semigroup(cert)))
+            out.append((f"{name}[{i}]", _family(nf, cert)))
     return out
 
 
@@ -284,19 +296,10 @@ TIMES = np.geomspace(1e-3, 6.0, 240)
 
 
 def _principal_family(nf):
-    """The family of the principal logarithm, built from nf's parameters
-    whether or not the criterion passes."""
-    prm = nf.parameters
-    m_diag = np.log(np.diag(prm["A"]).astype(complex))
-    common = {"theta_D": np.angle(prm["D"]).astype(float), "m_diag": m_diag, "c": prm["c"],
-              "split": prm["block_split"]}
-    if nf.form_kind == "parabolic_siegel":
-        a = prm["a"]
-        b = complex(prm["b"])
-        data = {**common, "a": a, "alpha": complex(b.real, b.imag - float(np.vdot(a, a).real))}
-        return SemigroupFamily("parabolic", {**data, "G": emb._parabolic_matrix(data)}, SIEGEL)
-    data = {**common, "lam": prm["lam"], "c_res": prm["c_res"], "b": complex(prm["b"])}
-    return SemigroupFamily("hyperbolic", {**data, "G": emb._hyperbolic_matrix(data)}, SIEGEL)
+    """The family of the principal logarithm, built by the closed forms
+    from nf's parameters whether or not the criterion passes."""
+    case = "parabolic" if nf.form_kind == "parabolic_siegel" else "hyperbolic"
+    return SemigroupFamily(case, {"G": siegel_matrix(nf)}, SIEGEL)
 
 
 def _self_maps_along(sg, tol=1e-9) -> bool:

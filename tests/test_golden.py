@@ -9,7 +9,9 @@ contraction block (``inconclusive``), a parabolic map whose contraction
 eigenvalue has argument -2 and whose Im b lies between the principal
 branch's budget and the paper's (it embeds), and an elliptic u0 map run
 with ``--seed 12345``, a seed that reaches only the verification stage (the
-u0 criterion is decided exactly and draws no samples).
+u0 criterion is decided exactly and draws no samples), and two singular
+maps, an elliptic u0 and a parabolic one, which no semigroup holds
+(``condition_fails`` by the ``invertible`` check ahead of the criteria).
 
 Strings, integers and booleans must match exactly; floats within
 1e-12 + 1e-9 |x|, so that another BLAS build does not fail the test.
@@ -50,7 +52,7 @@ def _mismatches(got, want, where="report"):
 
 
 def test_corpus_present():
-    assert len(NAMES) == 29
+    assert len(NAMES) == 31
     assert all((GOLDEN / f"{name}.json").exists() for name in NAMES)
 
 

@@ -18,6 +18,8 @@ from lfmsemi.errors import DimensionError, DomainError
 from lfmsemi.linalg import UNIMODULAR_TOL
 from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, sample_ball_points, unitary_index
 
+from closed_forms import hyperbolic_matrix, parabolic_matrix
+
 TIMES = np.linspace(0.0, 2.0, 41)
 NAN = float("nan")
 
@@ -39,11 +41,11 @@ def _family(case, n, rng):
             "split": (1, 1, r)}
     if case == "parabolic":
         data.update(a=np.array([0.2 - 0.1j]), alpha=0.4 + 2.0j)
-        data["G"] = emb._parabolic_matrix(data)
+        data["G"] = parabolic_matrix(data)
     else:
         data.update(lam=2.5, c_res=np.zeros(r, dtype=complex), b=0.3 + 1.5j)
         data["m_diag"] = data["m_diag"] - 1.0
-        data["G"] = emb._hyperbolic_matrix(data)
+        data["G"] = hyperbolic_matrix(data)
     return SemigroupFamily(case, data, SIEGEL)
 
 

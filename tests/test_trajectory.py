@@ -22,12 +22,13 @@ import pytest
 
 from lfmsemi import cli, embedding as emb, maps
 from lfmsemi.cli import emit_trajectory, run_pipeline
-from lfmsemi.embedding import SemigroupFamily, _expm1c
+from lfmsemi.embedding import SemigroupFamily
 from lfmsemi.errors import DimensionError, DomainError
 from lfmsemi.linalg import _pade_choice, _pade_powers, mat_exp
 from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, sample_ball_points
 from lfmsemi.normal_forms import siegel_normal_map, split_normal_map, u0_normal_map
 
+from closed_forms import expm1c, hyperbolic_matrix, parabolic_matrix
 from test_flow_generator import _benchmark_families, _golden_families
 
 GRID = np.arange(401) / 200.0
@@ -61,11 +62,11 @@ def _family(case, n, rng):
         data = {"a": 0.3 * (rng.standard_normal(p) + 1j * rng.standard_normal(p)),
                 "theta_D": theta_d, "m_diag": m_diag, "c": c,
                 "alpha": complex(rng.standard_normal(), 2.0), "split": (p, q, r)}
-        return SemigroupFamily(case, {**data, "G": emb._parabolic_matrix(data)}, SIEGEL)
+        return SemigroupFamily(case, {**data, "G": parabolic_matrix(data)}, SIEGEL)
     data = {"lam": 2.5, "theta_D": theta_d, "m_diag": m_diag - 1.0, "c": c,
             "c_res": np.zeros(r, dtype=complex), "b": complex(rng.standard_normal(), 1.5),
             "split": (p, q, r)}
-    return SemigroupFamily(case, {**data, "G": emb._hyperbolic_matrix(data)}, SIEGEL)
+    return SemigroupFamily(case, {**data, "G": hyperbolic_matrix(data)}, SIEGEL)
 
 
 def _fields(f):
@@ -102,7 +103,7 @@ def _cocycle(eps, t):
     """(exp(t eps) - 1) / (exp(eps) - 1) at one time t, t at eps = 0."""
     out = np.full(len(eps), complex(t))
     big = np.abs(eps) >= 1e-13
-    expm1 = lambda v: np.array([_expm1c(complex(x)) for x in v], dtype=complex)
+    expm1 = lambda v: np.array([expm1c(complex(x)) for x in v], dtype=complex)
     out[big] = expm1(t * eps[big]) / expm1(eps[big])
     return out
 
@@ -126,7 +127,7 @@ def _closed_form_at(case, d, t):
     lam_t, sq_t = math.exp(t * log_lam), math.exp(0.5 * t * log_lam)
     a_path = (lam_t - sq_t * np.exp(t * np.conj(m_diag))) / \
         (lam - math.sqrt(lam) * np.exp(np.conj(m_diag))) * d["c"]
-    b_t = (_expm1c(complex(t * log_lam)) / _expm1c(complex(log_lam))).real * d["b"]
+    b_t = (expm1c(complex(t * log_lam)) / expm1c(complex(log_lam))).real * d["b"]
     return siegel_normal_map(lam_t, np.zeros(d["split"][0]), theta, np.diag(np.exp(t * m_diag)),
                              a_path, _cocycle(0.5 * log_lam + m_diag, t) * d["c_res"], b_t, sq_t)
 

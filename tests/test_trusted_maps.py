@@ -85,7 +85,7 @@ def _run_specs(specs, built):
 
 def test_golden_pipelines(trusted):
     specs = [json.loads(p.read_text()) for p in GOLDEN_SPECS]
-    assert len(specs) == 32
+    assert len(specs) == 34
     _run_specs(specs, trusted)
     assert {site for site, _, _ in trusted} == SITES
 

@@ -64,9 +64,8 @@ class TestSemigroupLaw:
         assert rep.passed
 
     def test_corrupted_path_fails(self):
-        cert = embed_parabolic(parabolic_nf([], [], [0.5], [0.4], 2.0j))
-        sg = build_semigroup(cert)
-        bad = emb.SemigroupFamily("parabolic_linear_path", dict(sg.parameters), SIEGEL)
+        nf = parabolic_nf([], [], [0.5], [0.4], 2.0j)
+        sg = build_semigroup(embed_parabolic(nf))
 
         class BadFamily:
             domain = SIEGEL
@@ -74,7 +73,7 @@ class TestSemigroupLaw:
             def at(self, t):
                 good = sg.at(t)
                 # replace the coefficient path by the (wrong) linear one
-                return SiegelMap(good.lam, t * cert.generator_data["c"] *
+                return SiegelMap(good.lam, t * nf.parameters["c"] *
                                  np.ones(1), good.b, good.M, good.c)
 
         rep = check_semigroup_law(BadFamily(), [0.3, 0.6], SamplerCfg(count=30, domain=SIEGEL))
@@ -98,10 +97,8 @@ class TestTimeOne:
         nf = split_nf([], [[0.5]])
         cert = emb.embed_elliptic_split(nf)
         sg = build_semigroup(cert)
-        bad_params = dict(sg.parameters)
-        bad_params["M"] = sg.parameters["M"] + 1j * np.pi * np.eye(1)
-        bad_params["G"] = emb._split_matrix(sg.parameters["theta"], bad_params["M"])
-        bad = emb.SemigroupFamily("elliptic_split", bad_params, BALL, sg.target)
+        bad_g = sg.parameters["G"] + np.diag([1j * np.pi, 0.0])
+        bad = emb.SemigroupFamily("elliptic_split", {"G": bad_g}, BALL, sg.target)
         rep = check_time_one(bad, nf.normal_map, SamplerCfg(count=30))
         assert not rep.passed
 
