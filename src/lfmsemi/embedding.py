@@ -472,7 +472,8 @@ def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
     theta = np.angle(lam).real.astype(float)
     if a1.size == 0:
         return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log",
-                            [Condition("unitary_part", 0.0, True)], {"G": _split_matrix(theta, a1)})
+                            [Condition("unitary_part", 0.0, True)],
+                            {"G": _split_matrix(theta, a1)})
     lattice = _LatticeWalk()
     margins = []
     for idx, m in enumerate(_lattice_logs(a1, lattice)):
@@ -523,7 +524,8 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
                                  margin >= -_DISSIPATIVE_TOL))
         if margin >= -_DISSIPATIVE_TOL:
             return _certificate(nf, EMBEDDABLE, "elliptic_u0_generator_positivity", margins,
-                                {"G": g}, notes=f"candidate {idx}: min condition margin {margin:.3e}")
+                                {"G": g},
+                                notes=f"candidate {idx}: min condition margin {margin:.3e}")
     verdict, notes = lattice.failed(
         f"all {len(margins)} logarithm candidates violate the condition",
         "(Herm M, delta M^H e1) class", "positivity")
