@@ -15,8 +15,9 @@ the BallMap constructor's pencil test on G (:func:`_u0_margin`), the
 parabolic and hyperbolic criteria the invariance of H_N under the flow
 of G (:func:`_flow_margin`).  Every verdict is if-and-only-if over the
 primary logarithms, so a failed margin yields ``condition_fails``; so
-does a singular normal map, which no semigroup holds (:func:`certify`
-checks it before any criterion).  The elliptic criteria test the
+does a normal map with an exactly zero eigenvalue, which is not injective
+(:class:`_Singular`, raised where a criterion has the eigenvalues at
+hand).  The elliptic criteria test the
 principal logarithm, then one logarithm per class that they cannot tell
 apart (the hermitian part; for u0 also delta M^H e1) inside an ellipsoid
 that holds every passing class (see "the lattice of primary logarithms"
@@ -226,15 +227,8 @@ _ORTHOGONAL_TOL = 1e-10
 _LATTICE_NODES = 100_000
 
 
-#: least min |eigenvalue| / max(1, max |eigenvalue|) of an invertible matrix
-_INVERTIBLE_TOL = 1e-12
-
-
-def _invertibility(eigs: np.ndarray) -> float:
-    """min |eigenvalue| over max(1, max |eigenvalue|) of a matrix with
-    the eigenvalues eigs."""
-    mods = np.abs(eigs)
-    return float(np.min(mods)) / max(1.0, float(np.max(mods)))
+class _Singular(DomainError):
+    """A criterion met an exactly zero eigenvalue: the map is not injective."""
 
 
 def _verified(m: np.ndarray, a: np.ndarray) -> bool:
@@ -261,11 +255,14 @@ class _Eigenbasis:
     @classmethod
     def of(cls, a: np.ndarray) -> Optional["_Eigenbasis"]:
         """None when the eigenbasis is ill-conditioned and a has no
-        principal logarithm; DomainError when a is singular (the cut of
-        :func:`_invertibility`)."""
+        principal logarithm.  Raises :class:`_Singular` when an eigenvalue
+        is exactly 0, and DomainError when the least eigenvalue modulus is
+        nonzero but at most 1e-12 max(1, largest)."""
         vals, vecs = np.linalg.eig(a)
-        if _invertibility(vals) <= _INVERTIBLE_TOL:
-            raise DomainError("singular matrix admits no logarithm")
+        mods = np.abs(vals)
+        if np.min(mods) <= 1e-12 * max(1.0, float(np.max(mods))):
+            raise (DomainError if np.all(mods) else _Singular)(
+                "singular matrix admits no logarithm")
         clusters = []
         assigned = np.full(len(vals), -1)
         for i in range(len(vals)):
@@ -563,19 +560,19 @@ def _siegel_log(f: SiegelMap) -> np.ndarray:
     q = 2i conj(a) / DD1(x, l), gamma = c / DD1(l, 0) and
     beta = (b - sum_j q_j gamma_j DD2(x, l_j, 0)) / DD1(x, 0).  Its
     branch has the least |Im l|, which minimises every term of the
-    flow-invariance margin (:func:`_flow_margin`)."""
+    flow-invariance margin (:func:`_flow_margin`).  Raises
+    :class:`_Singular` when an eigenvalue mu_j is exactly 0."""
     mu = np.diag(f.M).astype(complex)
     if not np.all(mu):
-        raise DomainError("zero eigenvalue admits no logarithm")
+        raise _Singular("zero eigenvalue admits no logarithm")
     x, l_diag = np.log(complex(f.lam)), np.log(mu)
-    k, one = len(mu), np.ones(1)
-    # DD1 at (x, 0), at (x, l_j) and at (l_j, 0) in one call, as _siegel_flow
-    dd = _dd1(np.concatenate([np.full(k + 1, x), l_diag]),
-              np.concatenate([[0.0], l_diag, np.zeros(k)]), one)[0]
+    k = len(mu)
+    coupled = np.flatnonzero(f.a * f.c)
+    (dd,), dd2 = _affine_dds(x, l_diag, coupled, np.ones(1))
     q, gamma = 2j * np.conj(f.a) / dd[1:k + 1], f.c / dd[k + 1:]
     beta = complex(f.b)
-    for j in np.flatnonzero(q * gamma):
-        beta -= q[j] * gamma[j] * _dd2(x, l_diag[j], 0.0, one)[0]
+    for j, d in zip(coupled, dd2):
+        beta -= q[j] * gamma[j] * d[0]
     g = np.zeros((k + 2, k + 2), dtype=complex)
     g[0, 0], g[0, 1:-1], g[0, -1] = x, q, beta / dd[0]
     g[range(1, k + 1), range(1, k + 1)] = l_diag
@@ -673,19 +670,15 @@ def embed_map(f: BallMap, cls: Optional[Classification] = None) -> EmbeddingCert
 
 def certify(nf: NormalForm) -> EmbeddingCertificate:
     """Run the embedding criterion of nf's case; every criterion is
-    deterministic and draws no sample.  Every member of a semigroup is
-    injective, so a normal map whose homogeneous matrix (corner 1) is
-    singular, by the cut of :func:`_invertibility`, is ``condition_fails``
-    before any criterion runs."""
-    case = _case(_CASES, nf.form_kind)
-    t = nf.normal_map.to_proj().mat
-    invertibility = _invertibility(np.linalg.eigvals(t / t[-1, -1]))
-    if invertibility <= _INVERTIBLE_TOL:
+    deterministic and draws no sample.  A :class:`_Singular` map is
+    ``condition_fails``: every member of a semigroup is injective."""
+    try:
+        return _case(_CASES, nf.form_kind).criterion(nf)
+    except _Singular:
         return _certificate(nf, CONDITION_FAILS, "invertibility",
-                            [Condition("invertible", invertibility, False)],
+                            [Condition("invertible", 0.0, False)],
                             notes="the homogeneous matrix is singular, so the map is not "
                                   "injective, while every member of a semigroup is")
-    return case.criterion(nf)
 
 
 def conditions_for(nf: NormalForm) -> list:
@@ -740,15 +733,24 @@ def _siegel_flow(g: np.ndarray, ts: np.ndarray) -> SiegelMap:
         raise NumericError(f"time {t!r}: t*log(lam) = {t * x.real:.6g} > 709, "
                            "so lam^t overflows a double")
     k = len(l_diag)
-    # DD1 at (x, 0), at (x, l_j) and at (l_j, 0) in one call
-    dd = _dd1(np.concatenate([np.full(k + 1, x), l_diag]),
-              np.concatenate([[0.0], l_diag, np.zeros(k)]), ts)
+    coupled = np.flatnonzero(q * gamma)
+    dd, dd2 = _affine_dds(x, l_diag, coupled, ts)
     b_t = beta * dd[:, 0]
-    for j in np.flatnonzero(q * gamma):
-        b_t = b_t + q[j] * gamma[j] * _dd2(x, l_diag[j], 0.0, ts)
+    for j, d in zip(coupled, dd2):
+        b_t = b_t + q[j] * gamma[j] * d
     m_t = np.zeros((len(ts), k, k), dtype=complex)
     m_t[:, range(k), range(k)] = np.exp(ts[:, None] * l_diag)
     return SiegelMap(lam_t, 0.5j * np.conj(q * dd[:, 1:k + 1]), b_t, m_t, gamma * dd[:, k + 1:])
+
+
+def _affine_dds(x: complex, l_diag: np.ndarray, coupled: np.ndarray, ts: np.ndarray):
+    """The divided differences in the entries of exp(t G), one row per time
+    of ts: DD1 at (x, 0), at (x, l_j) and at (l_j, 0) as columns of one
+    array; DD2(x, l_j, 0) for each j of *coupled* (q_j gamma_j != 0)."""
+    k = len(l_diag)
+    dd = _dd1(np.concatenate([np.full(k + 1, x), l_diag]),
+              np.concatenate([[0.0], l_diag, np.zeros(k)]), ts)
+    return dd, [_dd2(x, l_diag[j], 0.0, ts) for j in coupled]
 
 
 def _dd1(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:

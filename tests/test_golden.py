@@ -11,7 +11,8 @@ branch's budget and the paper's (it embeds), and an elliptic u0 map run
 with ``--seed 12345``, a seed that reaches only the verification stage (the
 u0 criterion is decided exactly and draws no samples), and two singular
 maps, an elliptic u0 and a parabolic one, which no semigroup holds
-(``condition_fails`` by the ``invertible`` check ahead of the criteria).
+(``condition_fails`` with the one margin ``invertible``: each has an
+exactly zero eigenvalue).
 
 Strings, integers and booleans must match exactly; floats within
 1e-12 + 1e-9 |x|, so that another BLAS build does not fail the test.

@@ -16,8 +16,12 @@ matrix T off T's entries.  These tests pin that:
   eigenvalue is exactly 1, a w-eigenvalue within 1e-13 of 1) G matches the
   oracle, or mpmath's logm at 40 digits where the oracle's cut-off of
   eps / (e^eps - 1) at |eps| < 1e-13 is coarser than the new G;
-- a singular map gets the verdict ``condition_fails`` (exit 1), not an
-  input error: no semigroup holds a map that is not injective.
+- a map with an exactly zero eigenvalue gets the verdict
+  ``condition_fails`` (exit 1), not an input error: no semigroup holds a
+  map that is not injective.  A small nonzero eigenvalue is no such
+  verdict: on H_N the map is decided by its flow (a large hyperbolic
+  lam too), and the elliptic criteria keep their input error below the
+  1e-12 relative cut of their logarithm search.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 import pytest
 
 from lfmsemi import embedding as emb
-from lfmsemi.cli import EXIT_CONDITION_FAILS, parse_map_spec, run_pipeline
+from lfmsemi.cli import EXIT_CONDITION_FAILS, EXIT_INPUT_ERROR, parse_map_spec, run_pipeline
 from lfmsemi.embedding import CONDITION_FAILS, EMBEDDABLE, INCONCLUSIVE, certify
 from lfmsemi.linalg import mat_exp
 from lfmsemi.maps import SiegelMap, cayley_to_ball
@@ -223,6 +227,11 @@ SINGULAR_SPECS = {
     "ball": {"domain": "ball", "dimension": 2, "A": [[[0.5, 0.0], [0.0, 0.0]],
                                                      [[0.0, 0.0], [0.0, 0.0]]],
              "B": [[0.0, 0.0], [0.0, 0.0]], "C": [[0.0, 0.0], [0.0, 0.0]], "D": [1.0, 0.0]},
+    # (z1, z2) -> (i z1, 0): the split criterion's A1 is 0
+    "ball_split": {"domain": "ball", "dimension": 2, "A": [[[0.0, 1.0], [0.0, 0.0]],
+                                                           [[0.0, 0.0], [0.0, 0.0]]],
+                   "B": [[0.0, 0.0], [0.0, 0.0]], "C": [[0.0, 0.0], [0.0, 0.0]],
+                   "D": [1.0, 0.0]},
     # (z, w) -> (z + 0.3 + i, 0) on H_2
     "siegel": {"domain": "siegel", "dimension": 2, "lambda": [1.0, 0.0], "a": [[0.0, 0.0]],
                "b": [0.3, 1.0], "c": [[0.0, 0.0]], "M": [[[0.0, 0.0]]]},
@@ -238,3 +247,50 @@ def test_singular_map_fails_its_condition(domain):
     assert embed["margins"] == [{"name": "invertible", "margin": 0.0, "passed": False}]
     assert report["stages"]["semigroup"]["status"] == "skipped"
     assert report["exit_status"] == EXIT_CONDITION_FAILS
+
+
+def test_small_w_eigenvalue_embeds():
+    # (z, w) -> (z + 0.3 + i, 1e-13 w) on H_2 is injective; its flow
+    # (z + t (0.3 + i), e^{t log 1e-13} w) keeps H_2 with margin Im b = 1
+    spec = dict(SINGULAR_SPECS["siegel"], M=[[[1e-13, 0.0]]])
+    embed = run_pipeline(spec, stop_after="embed")["stages"]["embed"]
+    assert embed["verdict"] == EMBEDDABLE
+    assert embed["criterion_id"] == "parabolic_generator_invariance"
+    assert embed["margins"][0]["margin"] == pytest.approx(1.0, abs=1e-12)
+    nf = parabolic_nf([], [], [1e-13], [0.0], 0.3 + 1.0j)
+    cert, g = _target(nf)
+    assert cert.verdict == EMBEDDABLE
+    assert _relative(g, _mp_logm(cert.target)) <= 1e-15
+
+
+@pytest.mark.parametrize("lam", [1e13, 1e15])
+def test_large_hyperbolic_lam_embeds(lam):
+    # T keeps the eigenvalue 1 at its corner next to lam, so
+    # min |eig| / max |eig| = 1 / lam; the map is injective all the same
+    nf = hyperbolic_nf(lam, [], [0.5], [0.0], [], 0.3 + 1.0j)
+    cert = certify(nf)
+    assert cert.verdict == EMBEDDABLE
+    assert cert.criterion_id == "hyperbolic_generator_invariance"
+    assert cert.margins[0].margin == pytest.approx(1.0, abs=1e-12)
+    g = cert.generator_data["G"]
+    assert _relative(g, _mp_logm(cert.target)) <= 1e-15
+    # the flow at t = 1, not mat_exp, whose squarings do not recompute the
+    # diagonal e^{log lam} and lose 3e-14 of it at lam = 1e15
+    f1 = emb._siegel_flow(g, np.ones(1))
+    assert _relative(_homogeneous(SiegelMap(f1.lam[0], f1.a[0], f1.b[0], f1.M[0], f1.c[0])),
+                     _homogeneous(cert.target)) <= 1e-14
+
+
+@pytest.mark.parametrize("a", [[[[1e-13, 0.0]]],
+                               [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-13, 0.0]]]])
+def test_small_elliptic_eigenvalue_is_an_input_error(a):
+    # z -> 1e-13 z and (z1, z2) -> (z1 / 2, 1e-13 z2): the logarithm search
+    # refuses an eigenvalue at most 1e-12 relative, which is not exactly 0,
+    # so the map gets no verdict
+    n = len(a)
+    spec = {"domain": "ball", "dimension": n, "A": a, "B": [[0.0, 0.0]] * n,
+            "C": [[0.0, 0.0]] * n, "D": [1.0, 0.0]}
+    report = run_pipeline(spec)
+    assert report["stages"]["embed"] == {"status": "error",
+                                         "error": "singular matrix admits no logarithm"}
+    assert report["exit_status"] == EXIT_INPUT_ERROR
