@@ -44,9 +44,10 @@ criterion, and the family name and domain its certificates carry.
 fifth case adds one row (and its reducer in ``normal_forms``).
 :meth:`SemigroupFamily.at_many` reads only G, through one builder per
 domain that uses its structure: on the ball G = [[K, 0], [r^T, 0]] and
-exp(t G) needs exp(t K) alone (:func:`_ball_flow`); on H_N G is affine
-with a diagonal w-block, and the entries of exp(t G) are divided
-differences of s -> e^{ts} (:func:`_siegel_flow`).
+exp(t G) needs exp(t K) alone, for the whole grid off one
+eigendecomposition of K (:func:`_ball_flow`); on H_N G is affine with a
+diagonal w-block, and the entries of exp(t G) are divided differences of
+s -> e^{ts} (:func:`_siegel_flow`).
 """
 
 from __future__ import annotations
@@ -135,13 +136,13 @@ class SemigroupFamily:
         return self.at_many([t])[0]
 
     def at_many(self, ts):
-        """The maps at the times ts (each t >= 0), built together: a
-        stack of T = len(ts) maps, a :class:`~lfmsemi.maps.BallMap` or
+        """The maps at the times ts (each finite and >= 0), built together:
+        a stack of T = len(ts) maps, a :class:`~lfmsemi.maps.BallMap` or
         :class:`~lfmsemi.maps.SiegelMap` whose item i is the map at ts[i]."""
         ts = np.array(ts, dtype=float, ndmin=1)
-        outside = ts[~(ts >= 0.0)]
+        outside = ts[~((ts >= 0.0) & (ts < np.inf))]
         if outside.size:
-            raise DomainError(f"time {float(outside[0])!r} lies outside t >= 0, "
+            raise DomainError(f"time {float(outside[0])!r} lies outside 0 <= t < inf, "
                               "where the semigroup is defined")
         flow = _ball_flow if self.domain == BALL else _siegel_flow
         return flow(self.parameters["G"], ts)
@@ -692,9 +693,33 @@ def conditions_for(nf: NormalForm) -> list:
 # by one builder per domain
 
 
+#: largest cond(V) at which :func:`_ball_exp` reads exp(t K) off K = V diag(l) V^-1;
+#: every ball generator of the goldens and benchmark families has cond(V) <= 3.66
+_EIGEN_FLOW_COND = 1e2
+
+
+def _ball_exp(k: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """exp(t K) for every time of ts, a (T, n, n) stack: V diag(e^{t l}) V^-1
+    from one eigendecomposition (the eigenvector method of Moler & Van Loan,
+    SIAM Review 45, 2003), the identity exactly at t = 0; for a K whose
+    eigenbasis is ill-conditioned or singular (a Jordan block),
+    :func:`~lfmsemi.linalg.mat_exp` of each t K.  Either way an overflow is
+    a :class:`NumericError`, as in ``mat_exp``."""
+    lam, v = np.linalg.eig(k)
+    if not np.linalg.cond(v) <= _EIGEN_FLOW_COND:
+        return mat_exp(ts[:, None, None] * k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = (v * np.exp(np.multiply.outer(ts, lam))[:, None, :]) @ np.linalg.inv(v)
+    e[ts == 0.0] = np.eye(len(k))  # V V^-1 is I only up to rounding
+    if not np.isfinite(e).all():
+        raise NumericError("matrix exponential overflowed")
+    return e
+
+
 def _ball_flow(g: np.ndarray, ts: np.ndarray) -> BallMap:
     """The maps exp(t G) of a ball generator G = [[K, 0], [r^T, 0]]:
-    exp(t G) = [[E, 0], [h^T (E - I), 1]] with E = exp(t K) and K^T h = r,
+    exp(t G) = [[E, 0], [h^T (E - I), 1]] with E = exp(t K) for the whole
+    grid (:func:`_ball_exp`) and K^T h = r solved once,
     so z -> E z / (<z, conj(h^T (E - I))> + 1).  The family is checked
     once, by G (:func:`~lfmsemi.maps._require_ball_flow`): a G whose flow
     leaves the ball raises :class:`DomainError` before any map is built,
@@ -704,10 +729,10 @@ def _ball_flow(g: np.ndarray, ts: np.ndarray) -> BallMap:
     large t, and those maps get that check."""
     margin = _require_ball_flow(g)
     k, r = g[:-1, :-1], g[-1, :-1]
-    e = mat_exp(ts[:, None, None] * k)
+    e = _ball_exp(k, ts)
     zeros = np.zeros(e.shape[:-1], dtype=complex)
     c = np.conj(np.linalg.solve(k.T, r) @ (e - np.eye(len(k)))) if np.any(r) else zeros
-    if not (np.isfinite(e).all() and np.isfinite(c).all()):
+    if not np.isfinite(c).all():
         raise DomainError("entries of A, B and C must be finite")
     return (_trusted_ball_map if margin >= 0 else BallMap)(e, zeros, c)
 

@@ -149,12 +149,17 @@ def check_identity_at_zero(sg, cfg: SamplerCfg, tol: float = TOL_IDENTITY) -> Ch
     return _report("identity_at_zero", -_deviation(at_0.eval_many(zs), zs), zs, tol)
 
 
-def check_generator(sg, cfg: SamplerCfg, h: float = 1e-4, tol: float = TOL_GENERATOR,
-                    t_grid=(0.0, 0.5, 1.0, 2.0)) -> CheckReport:
+def check_generator(sg, cfg: SamplerCfg, h: Optional[float] = None,
+                    tol: float = TOL_GENERATOR, t_grid=(0.0, 0.5, 1.0, 2.0)) -> CheckReport:
     """Central finite-difference residual of the generator field against
-    the family's maps."""
+    the family's maps.  The step *h* defaults to 1e-4, times (5 / rho)^(3/2)
+    where rho = max |eig G| exceeds 5, so that the truncation error
+    h^2 rho^3 / 6 stays at its size at rho = 5."""
     from .embedding import generator
 
+    if h is None:
+        rho = float(np.max(np.abs(np.linalg.eigvals(sg.parameters["G"]))))
+        h = 1e-4 * (5.0 / max(rho, 5.0)) ** 1.5
     gen = generator(sg)
     times = [max(float(t), h) for t in t_grid]  # keep the central stencil inside t >= 0
     at = _at_times(sg, [u for t in times for u in (t + h, t - h, t)])

@@ -3,6 +3,7 @@
 the semigroup stage (exit 3), a decreasing ``--t`` is one before the
 pipeline runs, negative times and hyperbolic times
 whose lam^t overflows are rejected by name at every entry point, an
+infinite time by every family, an
 empty time grid writes a header-only CSV, a map without a trajectory
 says on stderr why no CSV was written, ``--tol-profile strict``
 reaches the verification, report values keep their JSON types, and a
@@ -24,6 +25,8 @@ from lfmsemi.cli import (
 )
 from lfmsemi.embedding import build_semigroup, embed_map
 from lfmsemi.errors import DomainError, NumericError
+
+from test_trajectory import _family
 
 # z -> (z + 1/2) / (z/2 + 1), a hyperbolic disk automorphism: its family
 # lives on the half-plane and has a time-one target
@@ -169,6 +172,14 @@ class TestNegativeTimes:
             sg.at_many([0.0, -1.0, -3.0])
         with pytest.raises(DomainError, match=r"time -0\.5 "):
             sg.at(-0.5)
+
+    @pytest.mark.parametrize("case", ["elliptic_split", "elliptic_u0", "parabolic", "hyperbolic"])
+    def test_family_rejects_infinite_t(self, case):
+        # an elliptic u0 family with every Re eig M < 0 would build the
+        # limit map from e^{-inf} = 0 and return it
+        sg = _family(case, 2, np.random.default_rng(1))
+        with pytest.raises(DomainError, match=r"time inf lies outside 0 <= t < inf"):
+            sg.at_many([0.5, np.inf])
 
 
 class TestHyperbolicOverflow:

@@ -7,6 +7,14 @@ separated points.  The ball builder solves K^T h = r once per family; an
 elliptic u0 family with cond(M) = 6.9e7 still matches the normal-map
 builder applied to exp(t M) within 1e-12.  A generator whose w-block is
 not diagonal is refused.
+
+The ball builder reads exp(t K) off one eigendecomposition K = V diag(l)
+V^-1 while cond(V) <= 1e2.  On a sweep of cond(V) up to that cut, against
+mpmath at 40 digits, each exp(t K) is within the eigenvector method's
+first-order bound 8 cond(V) (1 + t |K|) eps (and t = 0 gives the identity
+exactly), and near the cut (cond(V) 30 and 99) the worst error of the
+sweep is below that of ``mat_exp``.  A Jordan block, whose eigenbasis is
+singular, takes ``mat_exp(t K)`` and has its bits.
 """
 
 import mpmath
@@ -16,7 +24,7 @@ import pytest
 from lfmsemi import embedding as emb
 from lfmsemi.embedding import SemigroupFamily
 from lfmsemi.errors import DomainError
-from lfmsemi.linalg import mat_exp
+from lfmsemi.linalg import mat_exp, mat_log_principal
 from lfmsemi.maps import BALL, SIEGEL
 from lfmsemi.normal_forms import u0_normal_map
 
@@ -127,3 +135,66 @@ def test_non_diagonal_w_block_is_refused():
         sg.at_many([0.5, 1.0])
     g[1, 2] = 0.0
     assert len(SemigroupFamily("parabolic", {"G": g}, SIEGEL).at_many([0.5, 1.0])) == 2
+
+
+#: the times of the ball-flow sweep: t |K| from 0 to about 40
+SWEEP_TIMES = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0])
+
+
+@mpmath.workdps(40)
+def _expm_mp(m):
+    e = mpmath.expm(mpmath.matrix(m.tolist()))
+    return np.array([[complex(e[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])])
+
+
+def _with_eigenbasis_cond(n, cond, rng):
+    """An n x n K = V diag(l) V^-1 with Re l in (-1.5, 0] and unit columns
+    of V, two of them at the angle 2 arctan(1 / cond) and the others
+    orthonormal to them, so that cond(V) = cond."""
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    phi = 2.0 * np.arctan(1.0 / cond)
+    v = q.copy()
+    v[:, 1] = np.cos(phi) * q[:, 0] + np.sin(phi) * q[:, 1]
+    lam = -rng.uniform(0.0, 1.5, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    return v @ np.diag(lam) @ np.linalg.inv(v)
+
+
+def _refuse_mat_exp(m):
+    raise AssertionError("the ball flow took mat_exp")
+
+
+@pytest.mark.parametrize("cond", [1.0, 3.0, 10.0, 30.0, 99.0])
+def test_eigen_flow_sweep_against_mpmath(cond, monkeypatch):
+    eps = np.finfo(float).eps
+    worst_eigen = worst_mat_exp = 0.0
+    for n in (2, 3, 4):
+        for seed in (0, 1):
+            k = _with_eigenbasis_cond(n, cond, np.random.default_rng([n, int(cond), seed]))
+            cond_v = np.linalg.cond(np.linalg.eig(k)[1])
+            assert cond_v == pytest.approx(cond, rel=1e-6) and cond_v <= emb._EIGEN_FLOW_COND
+            with monkeypatch.context() as patch:
+                patch.setattr(emb, "mat_exp", _refuse_mat_exp)
+                got = emb._ball_exp(k, SWEEP_TIMES)
+            assert np.array_equal(got[0], np.eye(n))
+            by_mat_exp = mat_exp(SWEEP_TIMES[:, None, None] * k)
+            for t, e, m in zip(SWEEP_TIMES.tolist(), got, by_mat_exp):
+                want = _expm_mp(t * k)
+                error = np.linalg.norm(e - want) / np.linalg.norm(want)
+                assert error <= 8 * cond_v * (1 + t * np.linalg.norm(k, 2)) * eps, (n, seed, t)
+                worst_eigen = max(worst_eigen, error)
+                worst_mat_exp = max(worst_mat_exp, np.linalg.norm(m - want) / np.linalg.norm(want))
+    if cond >= 30:
+        assert worst_eigen <= worst_mat_exp
+
+
+def test_jordan_block_takes_mat_exp():
+    """A1 = [[0.5, 0.1], [0, 0.5]] is one Jordan block: its logarithm K has
+    a singular eigenbasis, so the family is mat_exp(t K), bit for bit."""
+    k = mat_log_principal(np.array([[0.5, 0.1], [0.0, 0.5]]))
+    assert np.linalg.cond(np.linalg.eig(k)[1]) > 1e12
+    ts = np.linspace(0.0, 2.0, 401)
+    sg = SemigroupFamily("elliptic_split", {"theta": np.zeros(0), "u": 0, "M": k,
+                                            "G": emb._split_matrix(np.zeros(0), k)}, BALL)
+    stack = sg.at_many(ts)
+    assert stack.A.tobytes() == mat_exp(ts[:, None, None] * k).tobytes()
+    assert np.array_equal(stack.A[0], np.eye(2))

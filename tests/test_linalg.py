@@ -290,6 +290,16 @@ def generator(kind, n, rng):
     return m * (8.0 / np.abs(m).sum(axis=0).max())
 
 
+def pade_choice(a):
+    """The Pade degree and scaling s that ``scipy.linalg.expm`` picks for
+    the square matrix a (its own chooser, which scales its work array)."""
+    from scipy.linalg._matfuncs_expm import pick_pade_structure
+
+    work = np.empty((5,) + a.shape, dtype=complex)
+    work[0] = a
+    return pick_pade_structure(work)
+
+
 #: t M for these t spans 1-norms 0 to 16: every Pade degree and s up to 2
 ORACLE_TIMES = np.array([0.0, 0.002, 0.02, 0.1, 0.25, 0.6, 1.0, 2.0])
 
@@ -311,9 +321,8 @@ class TestMatExpOracle:
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_grid_crosses_degrees_and_scalings(self, kind, n):
         m = generator(kind, n, np.random.default_rng([n, len(kind)]))
-        stack = ORACLE_TIMES[1:, None, None] * m
-        degree, s = linalg._pade_choice(linalg._pade_powers(stack))
-        assert len(set(degree.tolist())) >= 3 and s.max() >= 1
+        degree, s = zip(*(pade_choice(t * m) for t in ORACLE_TIMES[1:]))
+        assert len(set(degree)) >= 3 and max(s) >= 1
 
 
 class TestMatExpOverflow:
@@ -334,13 +343,21 @@ class TestMatExpOverflow:
 
     def test_large_finite_result(self):
         """Near the overflow threshold the result is finite and warns
-        nothing; its 8 squarings amplify the relative error about 2^8-fold."""
+        nothing."""
         m = np.array([[700.0, 1.0], [0.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = linalg.mat_exp(m)
         ref = mp_expm(m)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_triangular_diagonal_is_exp_of_the_diagonal(self):
+        """The squarings of a triangular matrix recompute its diagonal, so
+        the corner is e^700 to within about an ulp."""
+        got = linalg.mat_exp(np.array([[700.0, 1.0], [0.0, 1.0]]))[0, 0]
+        with mpmath.workdps(40):
+            want = mpmath.exp(700)
+            assert abs(mpmath.mpf(got.real) - want) <= 1e-15 * want and got.imag == 0.0
 
 
 class TestMatLogPrincipal:

@@ -21,7 +21,10 @@ matrix T off T's entries.  These tests pin that:
   map that is not injective.  A small nonzero eigenvalue is no such
   verdict: on H_N the map is decided by its flow (a large hyperbolic
   lam too), and the elliptic criteria keep their input error below the
-  1e-12 relative cut of their logarithm search.
+  1e-12 relative cut of their logarithm search;
+- the exact family (z, w) -> (z + 0.3 + i, 1e-13 w), whose generator has
+  the eigenvalue log 1e-13 = -29.9, passes every verify check, the
+  finite-difference generator check too, under both tolerance profiles.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import numpy as np
 import pytest
 
 from lfmsemi import embedding as emb
-from lfmsemi.cli import EXIT_CONDITION_FAILS, EXIT_INPUT_ERROR, parse_map_spec, run_pipeline
+from lfmsemi.cli import (EXIT_CONDITION_FAILS, EXIT_EMBEDDABLE, EXIT_INPUT_ERROR, parse_map_spec,
+                         run_pipeline)
 from lfmsemi.embedding import CONDITION_FAILS, EMBEDDABLE, INCONCLUSIVE, certify
 from lfmsemi.linalg import mat_exp
 from lfmsemi.maps import SiegelMap, cayley_to_ball
@@ -263,6 +267,17 @@ def test_small_w_eigenvalue_embeds():
     assert _relative(g, _mp_logm(cert.target)) <= 1e-15
 
 
+@pytest.mark.parametrize("profile", ["default", "strict"])
+def test_small_w_eigenvalue_verifies(profile):
+    # G has the eigenvalue log 1e-13 = -29.9, so the step 1e-4 of generator_fd
+    # would leave its truncation error h^2 rho^3 / 6 = 6e-5 above either
+    # tolerance; the step shrunk by rho passes the exact family
+    report = run_pipeline(dict(SINGULAR_SPECS["siegel"], M=[[[1e-13, 0.0]]]),
+                          tol_profile=profile)
+    assert [c["passed"] for c in report["stages"]["verify"]["checks"]] == [True] * 5
+    assert report["exit_status"] == EXIT_EMBEDDABLE
+
+
 @pytest.mark.parametrize("lam", [1e13, 1e15])
 def test_large_hyperbolic_lam_embeds(lam):
     # T keeps the eigenvalue 1 at its corner next to lam, so
@@ -274,8 +289,7 @@ def test_large_hyperbolic_lam_embeds(lam):
     assert cert.margins[0].margin == pytest.approx(1.0, abs=1e-12)
     g = cert.generator_data["G"]
     assert _relative(g, _mp_logm(cert.target)) <= 1e-15
-    # the flow at t = 1, not mat_exp, whose squarings do not recompute the
-    # diagonal e^{log lam} and lose 3e-14 of it at lam = 1e15
+    assert _relative(mat_exp(g), _homogeneous(cert.target)) <= 1e-14
     f1 = emb._siegel_flow(g, np.ones(1))
     assert _relative(_homogeneous(SiegelMap(f1.lam[0], f1.a[0], f1.b[0], f1.M[0], f1.c[0])),
                      _homogeneous(cert.target)) <= 1e-14
