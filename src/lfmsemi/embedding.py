@@ -765,7 +765,12 @@ def _siegel_flow(g: np.ndarray, ts: np.ndarray) -> SiegelMap:
         b_t = b_t + q[j] * gamma[j] * d
     m_t = np.zeros((len(ts), k, k), dtype=complex)
     m_t[:, range(k), range(k)] = np.exp(ts[:, None] * l_diag)
-    return SiegelMap(lam_t, 0.5j * np.conj(q * dd[:, 1:k + 1]), b_t, m_t, gamma * dd[:, k + 1:])
+    # q DD1(x, l) in real arithmetic: numpy's complex multiply rounds
+    # differently in its loop for a grid than in its loop for one time, and
+    # at_many(ts)[i] must have the bits of at(ts[i])
+    d_re, d_im = dd[:, 1:k + 1].real, dd[:, 1:k + 1].imag
+    q_dd = (q.real * d_re - q.imag * d_im) + 1j * (q.real * d_im + q.imag * d_re)
+    return SiegelMap(lam_t, 0.5j * np.conj(q_dd), b_t, m_t, gamma * dd[:, k + 1:])
 
 
 def _affine_dds(x: complex, l_diag: np.ndarray, coupled: np.ndarray, ts: np.ndarray):

@@ -212,8 +212,9 @@ def cayley_transform(dim: int) -> ProjMap:
 def _ball_parts(zs: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Numerators (..., K, N) and denominators (..., K) of the maps
     (a z + b) / (<z, c> + 1) at the K rows of zs, for one map (a, b, c) or
-    a stack of them ((T, N, N), (T, N), (T, N)); every map of a stack gets
-    the bits of its own product."""
+    a stack of them ((T, N, N), (T, N), (T, N)); zs is one (K, N) array for
+    every map or, for a stack, one per map (T, K, N).  Every map of a stack
+    gets the bits of its own product."""
     num = zs @ np.swapaxes(a, -1, -2)
     num += b[..., None, :]
     return num, (zs @ np.conj(c)[..., None])[..., 0] + 1.0
@@ -396,7 +397,8 @@ class BallMap:
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on a (K, N) array of points: (K, N) images,
-        (T, K, N) for a stack."""
+        (T, K, N) for a stack, which also takes one (K, N) array per map,
+        a (T, K, N) array whose row i is evaluated by map i."""
         num, den = _ball_parts(zs, self.A, self.B, self.C)
         return num / den[..., None]
 
@@ -558,7 +560,8 @@ class SiegelMap:
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on a (K, N) array of points: (K, N) images,
-        (T, K, N) for a stack."""
+        (T, K, N) for a stack, which also takes one (K, N) array per map,
+        a (T, K, N) array whose row i is evaluated by map i."""
         return _siegel_images(zs, self.lam, self.a, self.b, self.M, self.c)
 
     def to_proj(self) -> ProjMap:
@@ -628,10 +631,11 @@ def siegel_unitary_map(v) -> SiegelMap:
 def _siegel_images(zs, lam, a, b, m, c) -> np.ndarray:
     """Images (..., K, N) of the K rows of zs under the affine maps
     (z, w) -> (lam z + 2i <w, a> + b, m w + c), for one map or a stack of
-    them (lam and b (T,), a and c (T, k), m (T, k, k)); every map of a
-    stack gets the bits of its own product."""
-    w = zs[:, 1:]
-    top = np.asarray(lam)[..., None] * zs[:, 0] + 2j * (w @ np.conj(a)[..., None])[..., 0] \
+    them (lam and b (T,), a and c (T, k), m (T, k, k)); zs is one (K, N)
+    array for every map or, for a stack, one per map (T, K, N).  Every
+    map of a stack gets the bits of its own product."""
+    w = zs[..., 1:]
+    top = np.asarray(lam)[..., None] * zs[..., 0] + 2j * (w @ np.conj(a)[..., None])[..., 0] \
         + np.asarray(b)[..., None]
     return np.concatenate([top[..., None], w @ np.swapaxes(m, -1, -2) + c[..., None, :]],
                           axis=-1)

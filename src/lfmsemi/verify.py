@@ -2,8 +2,12 @@
 
 All checks draw their sample points from a :class:`SamplerCfg`, so a
 fixed seed gives bit-identical reports regardless of execution order.
-Each check evaluates its whole (K, N) sample with ``eval_many`` and
-builds its maps with one ``at_many`` over its distinct times.  No point
+The battery :func:`verify_family` draws one (K, N) sample, builds the
+family once with one ``at_many`` over the distinct times of all its
+checks, evaluates that stack once with ``eval_many`` and hands each
+check the evaluated sample, whose rows it reads by time.  A check run on
+its own does the same over its own times; item i of a stack has the bits
+of ``at(t_i)``, so its report has the bits of the battery's.  No point
 is tested for domain membership, so the sampler's domain must match the
 family's or the map's (a mismatch raises :class:`DomainError`), and the
 ``self_map`` check of :func:`verify_family` covers the intermediate
@@ -88,30 +92,76 @@ def _report(check_id, margins, zs, tol) -> CheckReport:
     return CheckReport(check_id, worst >= -tol, worst, tol, margins.size, zs[idx % len(zs)])
 
 
-def _points(cfg: SamplerCfg, dim: int, *sources) -> np.ndarray:
-    """The (K, N) sample of *cfg*, which must be drawn from the domain of
-    every (name, domain) source: checks evaluate whole sample arrays and do
-    not test the domain of each point."""
+def _require_domain(cfg: SamplerCfg, *sources) -> None:
+    """The sampler must draw from the domain of every (name, domain)
+    source: checks evaluate whole sample arrays and do not test the domain
+    of each point."""
     for what, domain in sources:
         if cfg.domain != domain:
             raise DomainError(
                 f"sampler domain {cfg.domain!r} does not match the {what} domain {domain!r}"
             )
+
+
+def _points(cfg: SamplerCfg, dim: int, *sources) -> np.ndarray:
+    """The (K, N) sample of *cfg*, drawn from the domain of every source."""
+    _require_domain(cfg, *sources)
     return cfg.points(dim)
 
 
-def _at_times(sg, times) -> dict:
-    """The map at each distinct time, from one ``at_many`` over the times
-    in order of first appearance; a family with only ``at(t)`` is built
-    one time at a time."""
+@dataclass(frozen=True)
+class _Sampled:
+    """A family evaluated on one sample: its maps at distinct times, an
+    ``at_many`` stack or, for a family with only ``at(t)``, a list of maps,
+    and their images (T, K, N) of the (K, N) sample *zs*.  A check takes
+    one in place of the family and reads its rows by time."""
+
+    family: object
+    zs: np.ndarray
+    maps: object
+    images: np.ndarray
+    rows: dict  # time -> index into maps and images
+
+    def images_at(self, times) -> np.ndarray:
+        """The (len(times), K, N) images of the sample at *times*."""
+        return self.images[[self.rows[t] for t in times]]
+
+    def apply(self, times, points) -> np.ndarray:
+        """The map at times[i] applied to its own (K, N) array points[i]."""
+        idx = [self.rows[t] for t in times]
+        if isinstance(self.maps, list):
+            return np.stack([self.maps[i].eval_many(p) for i, p in zip(idx, points)])
+        return self.maps[idx].eval_many(points)
+
+
+def _sampled(sg, cfg: SamplerCfg, times, target=None) -> _Sampled:
+    """*sg* itself if it is already sampled; else the family at the
+    distinct *times* in order of first appearance, from one ``at_many``
+    (one ``at`` per time for a family without it), evaluated on the sample
+    of *cfg*, whose domain must be the family's and the target map's
+    (checked before any map is built)."""
+    if isinstance(sg, _Sampled):
+        return sg
+    sources = [("family", sg.domain)]
+    if target is not None:
+        sources.append(("target", to_proj(target).domain))
+    _require_domain(cfg, *sources)
     ts = list(dict.fromkeys(times))
     at_many = getattr(sg, "at_many", None)
-    return dict(zip(ts, at_many(ts) if at_many else map(sg.at, ts)))
+    if at_many:
+        maps = at_many(ts)
+        zs = cfg.points(maps.dim)
+        images = maps.eval_many(zs)
+    else:
+        maps = [sg.at(t) for t in ts]
+        zs = cfg.points(maps[0].dim)
+        images = np.stack([m.eval_many(zs) for m in maps])
+    return _Sampled(sg, zs, maps, images, {t: i for i, t in enumerate(ts)})
 
 
 def _deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise distance between two (K, N) image arrays."""
-    return np.linalg.norm(a - b, axis=1)
+    """Row-wise distance between two (..., K, N) image arrays."""
+    return np.linalg.norm(a - b, axis=-1)
 
 
 def check_self_map(f, cfg: SamplerCfg, tol: float = TOL_SELF_MAP) -> CheckReport:
@@ -121,55 +171,67 @@ def check_self_map(f, cfg: SamplerCfg, tol: float = TOL_SELF_MAP) -> CheckReport
     return _report("self_map", domain_margin(f.eval_many(zs), cfg.domain), zs, tol)
 
 
+def _law_times(t_grid) -> tuple:
+    """The pairs (s, t) of the grid, and the times the law reads: s+t, t, s
+    for each pair."""
+    t_grid = [float(t) for t in t_grid]
+    pairs = [(s, t) for s in t_grid for t in t_grid]
+    return pairs, [u for s, t in pairs for u in (s + t, t, s)]
+
+
 def check_semigroup_law(sg, t_grid, cfg: SamplerCfg, tol: float = TOL_LAW) -> CheckReport:
     """Worst deviation of at(s+t) from at(s) o at(t) over the grid.
 
     The intermediate images at(t)(z) are not tested for domain membership
     here; :func:`verify_family` runs the self-map check on them."""
-    t_grid = [float(t) for t in t_grid]
-    pairs = [(s, t) for s in t_grid for t in t_grid]
-    at = _at_times(sg, [u for s, t in pairs for u in (s + t, t, s)])
-    zs = _points(cfg, at[t_grid[0]].dim, ("family", sg.domain))
-    img = {u: m.eval_many(zs) for u, m in at.items()}
-    margins = [-_deviation(img[s + t], at[s].eval_many(img[t])) for s, t in pairs]
-    return _report("semigroup_law", margins, zs, tol)
+    pairs, times = _law_times(t_grid)
+    ev = _sampled(sg, cfg, times)
+    composed = ev.apply([s for s, _ in pairs], ev.images_at([t for _, t in pairs]))
+    margins = -_deviation(ev.images_at([s + t for s, t in pairs]), composed)
+    return _report("semigroup_law", margins, ev.zs, tol)
 
 
 def check_time_one(sg, target_map, cfg: SamplerCfg, tol: float = TOL_TIME_ONE) -> CheckReport:
     """Worst deviation of at(1) from the target map."""
-    zs = _points(cfg, target_map.dim, ("family", sg.domain),
-                 ("target", to_proj(target_map).domain))
-    margins = -_deviation(sg.at(1.0).eval_many(zs), target_map.eval_many(zs))
-    return _report("time_one", margins, zs, tol)
+    ev = _sampled(sg, cfg, [1.0], target_map)
+    margins = -_deviation(ev.images_at([1.0]), target_map.eval_many(ev.zs))
+    return _report("time_one", margins, ev.zs, tol)
 
 
 def check_identity_at_zero(sg, cfg: SamplerCfg, tol: float = TOL_IDENTITY) -> CheckReport:
-    at_0 = sg.at(0.0)
-    zs = _points(cfg, at_0.dim, ("family", sg.domain))
-    return _report("identity_at_zero", -_deviation(at_0.eval_many(zs), zs), zs, tol)
+    ev = _sampled(sg, cfg, [0.0])
+    return _report("identity_at_zero", -_deviation(ev.images_at([0.0]), ev.zs), ev.zs, tol)
+
+
+#: the centres of the generator's finite-difference stencil
+_FD_GRID = (0.0, 0.5, 1.0, 2.0)
+
+
+def _fd_times(sg, h: Optional[float], t_grid) -> tuple:
+    """The step h (see :func:`check_generator`), the stencil centres, and
+    the times the stencil reads: t+h, t-h, t for each centre."""
+    if h is None:
+        rho = float(np.max(np.abs(np.linalg.eigvals(sg.parameters["G"]))))
+        h = 1e-4 * (5.0 / max(rho, 5.0)) ** 1.5
+    centres = [max(float(t), h) for t in t_grid]  # keep the central stencil inside t >= 0
+    return h, centres, [u for t in centres for u in (t + h, t - h, t)]
 
 
 def check_generator(sg, cfg: SamplerCfg, h: Optional[float] = None,
-                    tol: float = TOL_GENERATOR, t_grid=(0.0, 0.5, 1.0, 2.0)) -> CheckReport:
+                    tol: float = TOL_GENERATOR, t_grid=_FD_GRID) -> CheckReport:
     """Central finite-difference residual of the generator field against
     the family's maps.  The step *h* defaults to 1e-4, times (5 / rho)^(3/2)
     where rho = max |eig G| exceeds 5, so that the truncation error
     h^2 rho^3 / 6 stays at its size at rho = 5."""
     from .embedding import generator
 
-    if h is None:
-        rho = float(np.max(np.abs(np.linalg.eigvals(sg.parameters["G"]))))
-        h = 1e-4 * (5.0 / max(rho, 5.0)) ** 1.5
-    gen = generator(sg)
-    times = [max(float(t), h) for t in t_grid]  # keep the central stencil inside t >= 0
-    at = _at_times(sg, [u for t in times for u in (t + h, t - h, t)])
-    zs = _points(cfg, at[times[0]].dim, ("family", sg.domain))
-    margins = [
-        -_deviation((at[t + h].eval_many(zs) - at[t - h].eval_many(zs)) / (2.0 * h),
-                    gen(at[t].eval_many(zs)))
-        for t in times
-    ]
-    return _report("generator_fd", margins, zs, tol)
+    family = sg.family if isinstance(sg, _Sampled) else sg
+    h, centres, times = _fd_times(family, h, t_grid)
+    ev = _sampled(sg, cfg, times)
+    slope = (ev.images_at([t + h for t in centres])
+             - ev.images_at([t - h for t in centres])) / (2.0 * h)
+    margins = -_deviation(slope, generator(family)(ev.images_at(centres)))
+    return _report("generator_fd", margins, ev.zs, tol)
 
 
 def check_conjugacy(f, g, s, cfg: SamplerCfg, tol: float = TOL_LAW) -> CheckReport:
@@ -187,18 +249,23 @@ def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=(0.25, 0.5, 1.0, 
 
     *cfg* defaults to 60 points of the family's domain with the default
     seed; *tols* overrides tolerances of :data:`DEFAULT_TOLS` by key.
+    The family is built once, by one ``at_many`` over every check's
+    times, and evaluated once on one sample; each check reads its rows.
     """
     if cfg is None:
         cfg = SamplerCfg(count=60, domain=sg.domain)
     tol = {**DEFAULT_TOLS, **(tols or {})}
+    h, _, stencil = _fd_times(sg, None, _FD_GRID)
+    times = [0.0, *_law_times(t_grid)[1], *map(float, t_grid), 1.0, *stencil]
+    ev = _sampled(sg, cfg, times, sg.target)
     reports = [
-        check_identity_at_zero(sg, cfg, tol["identity"]),
-        check_semigroup_law(sg, t_grid, cfg, tol["law"]),
-        _family_self_map(sg, t_grid, cfg, tol["self_map"]),
+        check_identity_at_zero(ev, cfg, tol["identity"]),
+        check_semigroup_law(ev, t_grid, cfg, tol["law"]),
+        _family_self_map(ev, t_grid, cfg, tol["self_map"]),
     ]
     if sg.target is not None:
-        reports.append(check_time_one(sg, sg.target, cfg, tol["time_one"]))
-    reports.append(check_generator(sg, cfg, tol=tol["generator"]))
+        reports.append(check_time_one(ev, sg.target, cfg, tol["time_one"]))
+    reports.append(check_generator(ev, cfg, h, tol["generator"]))
     return reports
 
 
@@ -206,7 +273,5 @@ def _family_self_map(sg, t_grid, cfg: SamplerCfg, tol: float = TOL_SELF_MAP) -> 
     """Worst domain margin of at(t)(z) over the grid: these are also the
     intermediate points of the semigroup law on the same grid."""
     t_grid = [float(t) for t in t_grid]
-    at = _at_times(sg, t_grid)
-    zs = _points(cfg, at[t_grid[0]].dim, ("family", sg.domain))
-    margins = [domain_margin(at[t].eval_many(zs), cfg.domain) for t in t_grid]
-    return _report("self_map", margins, zs, tol)
+    ev = _sampled(sg, cfg, t_grid)
+    return _report("self_map", domain_margin(ev.images_at(t_grid), cfg.domain), ev.zs, tol)

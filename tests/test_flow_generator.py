@@ -155,8 +155,9 @@ def _golden_families():
     return out
 
 
-def _benchmark_families():
-    """The families of one report_mixed and one trajectory_dense cycle."""
+def _benchmark_families(seeds=(1,)):
+    """The families of one report_mixed and one trajectory_dense cycle per
+    seed."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
@@ -165,11 +166,12 @@ def _benchmark_families():
     out = []
     for name in ("report_mixed", "trajectory_dense"):
         w = workloads.WORKLOADS[name]
-        for i in range(len(w.cycle)):
-            case = w.case(1, i)
-            nf, cert = _certificate(case.spec_text)
-            assert cert.verdict == EMBEDDABLE, (name, i)
-            out.append((f"{name}[{i}]", _family(nf, cert)))
+        for seed in seeds:
+            for i in range(len(w.cycle)):
+                nf, cert = _certificate(w.case(seed, i).spec_text)
+                assert cert.verdict == EMBEDDABLE, (name, seed, i)
+                out.append((f"{name}[{i}]" if seed == 1 else f"{name}[{i}] seed {seed}",
+                            _family(nf, cert)))
     return out
 
 

@@ -4,7 +4,8 @@ stack of maps with a leading time axis.
 These tests pin that a stack built directly with the constructor has the
 items of ``SemigroupFamily.at_many``, bit for bit, that it runs the batched
 exact self-map check once (``at_many`` runs none: it checks the family's
-generator), that its shapes and entries are checked as those of
+generator), that it evaluates one point array per map with the bits of
+each item, that its shapes and entries are checked as those of
 one map are (NaN in any field is rejected), and that a single map is no
 stack.
 """
@@ -16,9 +17,11 @@ from lfmsemi import embedding as emb, maps
 from lfmsemi.embedding import SemigroupFamily
 from lfmsemi.errors import DimensionError, DomainError
 from lfmsemi.linalg import UNIMODULAR_TOL
-from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, sample_ball_points, unitary_index
+from lfmsemi.maps import (BALL, SIEGEL, BallMap, SiegelMap, sample_ball_points,
+                          sample_siegel_points, unitary_index)
 
 from closed_forms import hyperbolic_matrix, parabolic_matrix
+from test_trajectory import _family as _any_dim_family
 
 TIMES = np.linspace(0.0, 2.0, 41)
 NAN = float("nan")
@@ -95,6 +98,20 @@ def test_images_are_item_images(case):
     for i, f in enumerate(stack):
         assert images[i].tobytes() == f(z).tobytes()
         assert f.images(z).tobytes() == f(z).tobytes()  # one map: its image of z
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stack_takes_one_point_array_per_map(case, n):
+    # the semigroup law of verify_family composes its pairs this way
+    sg = _any_dim_family(case, n, np.random.default_rng([n, CASES.index(case)]))
+    stack = sg.at_many(TIMES)
+    sampler = sample_ball_points if sg.domain == BALL else sample_siegel_points
+    points = np.stack([sampler(n, 12, seed=i) for i in range(len(TIMES))])
+    images = stack.eval_many(points)
+    assert images.shape == (len(TIMES), 12, n)
+    for i, f in enumerate(stack):
+        assert images[i].tobytes() == f.eval_many(points[i]).tobytes()
 
 
 @pytest.mark.parametrize("case", ["elliptic_split", "elliptic_u0"])

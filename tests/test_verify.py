@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from lfmsemi import embedding as emb
+from lfmsemi import embedding as emb, verify
+from lfmsemi.cli import TOL_PROFILES
 from lfmsemi.embedding import build_semigroup, embed_hyperbolic, embed_parabolic
 from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, identity_ball_map, to_proj
 
 from lfmsemi.verify import (
+    DEFAULT_TOLS,
     CheckReport,
     SamplerCfg,
     check_conjugacy,
@@ -17,9 +19,11 @@ from lfmsemi.verify import (
     check_semigroup_law,
     check_time_one,
     verify_family,
+    _family_self_map,
 )
 
 from test_embedding import hyperbolic_nf, parabolic_nf, split_nf
+from test_flow_generator import _benchmark_families, _golden_families
 
 
 def scaling_family(factor=0.5):
@@ -182,3 +186,81 @@ class TestFamilyBattery:
         sg = scaling_family()
         rep = check_identity_at_zero(sg, SamplerCfg(count=20))
         assert rep.passed and rep.worst_margin > -1e-12
+
+
+class AtOnly:
+    """A family seen through ``at(t)`` alone, as a family without
+    ``at_many`` is."""
+
+    def __init__(self, sg):
+        self.at, self.domain, self.parameters, self.target = (
+            sg.at, sg.domain, sg.parameters, sg.target)
+
+
+def standalone_battery(sg, cfg, tols):
+    """The checks of verify_family run one by one, each on its own times."""
+    tol = {**DEFAULT_TOLS, **tols}
+    grid = (0.25, 0.5, 1.0, 1.75)
+    reports = [check_identity_at_zero(sg, cfg, tol["identity"]),
+               check_semigroup_law(sg, grid, cfg, tol["law"]),
+               _family_self_map(sg, grid, cfg, tol["self_map"])]
+    if sg.target is not None:
+        reports.append(check_time_one(sg, sg.target, cfg, tol["time_one"]))
+    reports.append(check_generator(sg, cfg, tol=tol["generator"]))
+    return reports
+
+
+def same_report(a, b):
+    return (a.check_id == b.check_id and a.passed == b.passed
+            and a.samples_used == b.samples_used
+            and np.float64(a.worst_margin).tobytes() == np.float64(b.worst_margin).tobytes()
+            and a.worst_point.tobytes() == b.worst_point.tobytes())
+
+
+def recorded(calls, name, fn):
+    """fn, appending name to calls at every call."""
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestOneBuild:
+    def test_one_at_many_and_one_sample(self, monkeypatch):
+        sg = build_semigroup(embed_hyperbolic(
+            hyperbolic_nf(4.0, [np.exp(0.5j)], [0.4], [0.5], [], 1.0j)))
+        calls = []
+        monkeypatch.setattr(emb.SemigroupFamily, "at_many",
+                            recorded(calls, "at_many", emb.SemigroupFamily.at_many))
+        monkeypatch.setattr(SamplerCfg, "points", recorded(calls, "points", SamplerCfg.points))
+        assert len(verify_family(sg)) == 5
+        assert sorted(calls) == ["at_many", "points"]
+
+    def test_battery_is_the_standalone_checks_on_the_corpus(self):
+        families = _golden_families() + _benchmark_families(seeds=(1, 2))
+        assert len(families) > 64
+        for label, sg in families:
+            cfg = SamplerCfg(count=60, domain=sg.domain)
+            for profile, tols in TOL_PROFILES.items():
+                got = verify_family(sg, cfg, tols=tols)
+                want = standalone_battery(sg, cfg, tols)
+                assert [r.check_id for r in got] == [r.check_id for r in want]
+                assert all(map(same_report, got, want)), (label, profile)
+
+    def test_family_without_at_many(self):
+        # the checks evaluate the maps of at(t) one by one, with the same bits
+        for label, sg in _golden_families():
+            cfg = SamplerCfg(count=20, domain=sg.domain)
+            want = standalone_battery(sg, cfg, {})
+            got = standalone_battery(AtOnly(sg), cfg, {})
+            assert len(got) == len(want) and all(map(same_report, got, want)), label
+
+    def test_checks_run_inside_the_battery(self, monkeypatch):
+        # a tracer finds every check under its module-level name
+        names = ["check_identity_at_zero", "check_semigroup_law", "_family_self_map",
+                 "check_time_one", "check_generator"]
+        seen = []
+        for name in names:
+            monkeypatch.setattr(verify, name, recorded(seen, name, getattr(verify, name)))
+        verify_family(scaling_family())
+        assert seen == names
