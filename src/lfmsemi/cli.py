@@ -36,7 +36,6 @@ from .maps import (
     cayley_to_ball,
     classify,
     domain_margin,
-    unitary_index,
 )
 from .normal_forms import conjugation_residual, normal_form
 from .verify import DEFAULT_TOLS, SamplerCfg, verify_family
@@ -232,11 +231,10 @@ def run_pipeline(spec_obj: dict, seed: int = 20250808, tol_profile: str = "defau
                     "delta": cls.delta,
                 }
                 if cls.interior_fixed_points:
-                    entry["unitary_index"] = unitary_index(
-                        f, fixed_point=cls.interior_fixed_points[0])
+                    entry["unitary_index"] = cls.unitary_index
                 report["stages"]["classify"] = to_jsonable(entry)
             elif stage == "normal_form":
-                nf = normal_form(f, cls, report["stages"]["classify"].get("unitary_index"))
+                nf = normal_form(f, cls)
                 conditions = conditions_for(nf)
                 entry = {
                     "status": "ok",

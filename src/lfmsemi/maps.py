@@ -9,22 +9,23 @@ domain tags.  ProjMap is the common currency for composition, inversion
 and Cayley transport; the typed wrappers add validation.  A BallMap or
 SiegelMap holds one map, or a stack of T maps (one per time of a grid)
 whose fields carry a leading time axis and get the same checks.  The
-self-map and identity tests are exact, on the homogeneous matrix; the
+self-map and identity tests are exact, on the homogeneous matrix, and
+:func:`classify` reads everything it reports off one Schur form of it; the
 seeded samples drawn here serve verification and the conjugation residual.
 
 The exact self-map test of a ball map runs in the :class:`BallMap`
 constructor, so every ball map the library hands out gets it: those of the
 public builders, :func:`compose`, :func:`inverse`, :func:`conjugate` and
 :func:`cayley_to_ball` (for a Siegel spec that call is the input check, as
-:class:`SiegelMap` checks no self-map property).  Two kinds of map skip it,
-built by :func:`_trusted_ball_map` with the constructor's bits.  First, the
+:class:`SiegelMap` checks no self-map property).  Three kinds of map skip
+it, built by :func:`_trusted_ball_map` with the constructor's bits.  The
 intermediate maps of a reduction, which the library only reads or
-evaluates and never hands out: a change of variable built to conjugate by
-and to record in a chain (a unitary, or the automorphism that centres a
-fixed point), kept as a :class:`ProjMap` (:func:`_change_of_variable`),
-and a map conjugated by one (:func:`conjugate` with ``checked=False``).  Second, the
-maps of a ball family whose generator proves them all
-(:func:`_require_ball_flow`).
+evaluates: a change of variable (a unitary, or the automorphism that
+centres a fixed point) kept as a :class:`ProjMap` (:func:`_change_of_variable`),
+and a map conjugated by one (:func:`conjugate` with ``checked=False``).  The
+split normal map, which its reducer proves a self-map
+(:func:`~lfmsemi.normal_forms.split_normal_map`).  And the maps of a ball
+family whose generator proves them all (:func:`_require_ball_flow`).
 
 Inner products are hermitian with conjugation on the second slot:
 <z, c> = sum_j z_j * conj(c_j).
@@ -46,7 +47,8 @@ from .errors import (
     NumericError,
     PoleError,
 )
-from .linalg import UNIMODULAR_TOL, as_matrix, as_vector, unimodular_count
+from .linalg import (UNIMODULAR_TOL, as_matrix, as_vector, schur_form, unimodular_count,
+                     unitary_with_first_column)
 
 BALL = "ball"
 SIEGEL = "siegel"
@@ -149,11 +151,7 @@ class ProjMap:
     codomain: str = BALL
 
     def __post_init__(self):
-        m = as_matrix(self.mat, square=True)
-        scale = np.linalg.norm(m) / np.sqrt(m.shape[0])
-        if scale == 0:
-            raise NotInvertibleError("zero homogeneous matrix")
-        object.__setattr__(self, "mat", m / scale)
+        object.__setattr__(self, "mat", _unit_rms(as_matrix(self.mat, square=True)))
 
     @property
     def dim(self) -> int:
@@ -179,7 +177,7 @@ class ProjMap:
             raise NotInvertibleError(str(exc)) from exc
         if not np.all(np.isfinite(inv)):
             raise NotInvertibleError("homogeneous matrix is singular")
-        return ProjMap(inv, domain=self.codomain, codomain=self.domain)
+        return _proj_of(inv, self.codomain, self.domain)
 
     def then(self, other: "ProjMap") -> "ProjMap":
         """other after self (other o self)."""
@@ -187,7 +185,25 @@ class ProjMap:
             raise DomainError(
                 f"cannot compose: {self.codomain} output into {other.domain} input"
             )
-        return ProjMap(other.mat @ self.mat, domain=self.domain, codomain=other.codomain)
+        return _proj_of(other.mat @ self.mat, self.domain, other.codomain)
+
+
+def _unit_rms(m: np.ndarray) -> np.ndarray:
+    """m scaled to unit RMS entry: the normalization of every ProjMap."""
+    scale = np.linalg.norm(m) / np.sqrt(m.shape[0])
+    if scale == 0:
+        raise NotInvertibleError("zero homogeneous matrix")
+    return m / scale
+
+
+def _proj_of(m: np.ndarray, domain: str, codomain: str) -> ProjMap:
+    """``ProjMap(m, domain, codomain)`` without the constructor's
+    validation, for a square m with finite entries that the library
+    computed: the constructor's normalization, so the bits of the checked
+    map."""
+    p = object.__new__(ProjMap)
+    p.__dict__.update(mat=_unit_rms(m), domain=domain, codomain=codomain)
+    return p
 
 
 def cayley_transform(dim: int) -> ProjMap:
@@ -199,11 +215,20 @@ def cayley_transform(dim: int) -> ProjMap:
     m = np.zeros((n + 1, n + 1), dtype=complex)
     m[0, 0] = 1j
     m[0, n] = 1j
-    for j in range(1, n):
-        m[j, j] = 1j
+    m[range(1, n), range(1, n)] = 1j
     m[n, 0] = -1.0
     m[n, n] = 1.0
     return ProjMap(m, domain=BALL, codomain=SIEGEL)
+
+
+@lru_cache(maxsize=16)
+def _cayley_pair(dim: int) -> tuple:
+    """:func:`cayley_transform` (dim) and its inverse, read-only, built once."""
+    sigma = cayley_transform(dim)
+    pair = (sigma, sigma.inverse())
+    for p in pair:
+        p.mat.setflags(write=False)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +434,7 @@ class BallMap:
         m[:n, n] = self.B
         m[n, :n] = np.conj(self.C)
         m[n, n] = self.D
-        return ProjMap(m, domain=BALL, codomain=BALL)
+        return _proj_of(m, BALL, BALL)
 
     def differential(self, z) -> np.ndarray:
         """Jacobi matrix of the map at z."""
@@ -421,8 +446,7 @@ class BallMap:
 def _ball_map_of(a, b, c) -> BallMap:
     """The BallMap with fields a, b, c and D = 1, as given: no check."""
     f = object.__new__(BallMap)
-    for name, value in zip("ABCD", (a, b, c, 1.0 + 0.0j)):
-        object.__setattr__(f, name, value)
+    f.__dict__.update(A=a, B=b, C=c, D=1.0 + 0.0j)
     return f
 
 
@@ -573,7 +597,7 @@ class SiegelMap:
         m[1:n, 1:n] = self.M
         m[1:n, n] = self.c
         m[n, n] = 1.0
-        return ProjMap(m, domain=SIEGEL, codomain=SIEGEL)
+        return _proj_of(m, SIEGEL, SIEGEL)
 
 
 def siegel_map_from_proj(p: ProjMap, tol: float = 1e-8) -> SiegelMap:
@@ -708,9 +732,8 @@ def is_identity(f: Map, tol: float = 1e-12) -> bool:
 
 def cayley_to_ball(g: SiegelMap) -> BallMap:
     """sigma^-1 o g o sigma as a validated ball self-map."""
-    sigma = cayley_transform(g.dim)
-    p = sigma.then(g.to_proj()).then(sigma.inverse())
-    return ball_map_from_proj(p)
+    sigma, sigma_inv = _cayley_pair(g.dim)
+    return ball_map_from_proj(sigma.then(g.to_proj()).then(sigma_inv))
 
 
 def cayley_to_siegel(f: BallMap, dw_point: Optional[np.ndarray] = None,
@@ -732,24 +755,14 @@ def cayley_to_siegel(f: BallMap, dw_point: Optional[np.ndarray] = None,
         if cls.kind == ELLIPTIC:
             raise FormError("elliptic maps have no affine Siegel form fixing infinity")
         dw_point = cls.dw_point
-    rot = _rotation_to_e1(dw_point)
+    rot = unitary_with_first_column(as_vector(dw_point)).conj().T
     if np.linalg.norm(rot - np.eye(f.dim)) < 1e-9:
         rot = np.eye(f.dim)
     rot_p = _change_of_variable(rot)  # a Householder reflection
     rotated = conjugate(f, rot_p, checked=False)  # only transported
-    sigma = cayley_transform(f.dim)
-    q = sigma.inverse().then(to_proj(rotated)).then(sigma)
-    result = siegel_map_from_proj(q)
-    if with_chain:
-        return result, [rot_p, sigma]
-    return result
-
-
-def _rotation_to_e1(p: np.ndarray) -> np.ndarray:
-    from .linalg import unitary_with_first_column
-
-    p = as_vector(p)
-    return unitary_with_first_column(p).conj().T
+    sigma, sigma_inv = _cayley_pair(f.dim)
+    result = siegel_map_from_proj(sigma_inv.then(to_proj(rotated)).then(sigma))
+    return (result, [rot_p, sigma]) if with_chain else result
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +771,9 @@ def _rotation_to_e1(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Classification:
-    """Elliptic/hyperbolic/parabolic verdict with fixed-point data."""
+    """Elliptic/hyperbolic/parabolic verdict with fixed-point data.  An
+    elliptic one carries the eigenvalues of the differential at its first
+    interior fixed point, its *multipliers*; the others carry None."""
 
     kind: str
     interior_fixed_points: list
@@ -766,15 +781,33 @@ class Classification:
     dw_point: Optional[np.ndarray] = None
     delta: Optional[float] = None
     notes: str = ""
+    multipliers: Optional[np.ndarray] = None
+
+    @property
+    def unitary_index(self) -> Optional[int]:
+        """The number of unimodular multipliers (UNIMODULAR_TOL)."""
+        return None if self.multipliers is None else unimodular_count(self.multipliers)
 
 
-def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL):
+class FixedPoints(tuple):
+    """The pair (interior, boundary) of :func:`fixed_points`, with what the
+    points were read off: ``proj``, the map's :class:`ProjMap`, and
+    ``eigenvalues``, the diagonal of the Schur form of its matrix."""
+
+    def __new__(cls, interior: list, boundary: list, proj: ProjMap, eigenvalues):
+        found = super().__new__(cls, (interior, boundary))
+        found.proj, found.eigenvalues = proj, eigenvalues
+        return found
+
+
+def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL) -> FixedPoints:
     """Fixed points of f in the closed ball.
 
     Eigenvectors (v, tau) of the homogeneous matrix with tau != 0
     project to fixed points v / tau; they are grouped by eigenvalue
     cluster so defective (parabolic-type) eigenvalues still produce one
-    accurate representative.  Returns (interior, boundary) lists.
+    accurate representative.  Returns (interior, boundary) lists, as a
+    :class:`FixedPoints` pair.
 
     A Jordan block of size k splits in floating point into k eigenvalues
     within about (eps scale)^(1/k) of each other (Moro, Burke and
@@ -789,12 +822,11 @@ def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL):
     cluster, and its kernel the eigenvectors; an anchor none of whose
     prefixes is singular is used alone.  So an earlier anchor without an
     exact twin is used before a later anchor's turn, and the stack leaves
-    out the later prefixes that hold one.
+    out the later prefixes that hold one.  One evaluation of f on every
+    candidate point of the closed ball keeps those with |f(p) - p| <= tol.
     """
-    from .linalg import schur_form
-
-    m = to_proj(f).mat
-    n = m.shape[0]
+    proj = to_proj(f)
+    m, n = proj.mat, len(proj.mat)
     eigs = schur_form(m).eigenvalues
     scale = float(np.max(np.abs(eigs)))
     # the clusters: for each anchor, the prefixes of its nearest eigenvalues
@@ -810,56 +842,54 @@ def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL):
     # an anchor without an exact twin is used by the end of its turn, so a
     # later anchor's prefix that holds it is never tried
     settled = nonzero & (np.sum(eigs[:, None] == eigs, axis=1) == 1)
-    tried = [[k for k in range(n, 0, -1) if reach[a, k - 1] <= split[k - 1]
-              and not np.any(settled[order[a, :k]] & (order[a, :k] < i))]
-             for a, i in enumerate(anchors)]
-    shifts = np.array([eigs[i] if k == 1 else np.mean(eigs[order[a, :k]])
-                       for a, i in enumerate(anchors) for k in tried[a]])
+    holds_settled = np.logical_or.accumulate(settled[order] & (order < anchors[:, None]), axis=1)
+    # the tried prefixes, anchor by anchor and from size n down to 1
+    rows, cols = np.nonzero(((reach <= split) & ~holds_settled)[:, ::-1])
+    ks = n - cols
+    shifts = eigs[anchors[rows]]
+    for r in np.flatnonzero(ks > 1).tolist():
+        shifts[r] = np.mean(eigs[order[rows[r], :ks[r]]])
     _, svals, vh = np.linalg.svd(m - shifts[:, None, None] * np.eye(n))
-    candidates = []
-    used = np.zeros(n, dtype=bool)
-    row = 0
-    for a, i in enumerate(anchors):
-        rows = range(row, row + len(tried[a]))
-        row += len(tried[a])
-        if used[i]:
+    cut = np.maximum(1.0, svals[:, :1])
+    singular = (svals[:, -1] <= 1e-10 * cut[:, 0]).tolist()
+    in_kernel = svals <= 1e-8 * cut
+    first = np.searchsorted(rows, np.arange(len(anchors) + 1)).tolist()
+    order, ks = order.tolist(), ks.tolist()
+    blocks = [np.zeros((0, n), dtype=complex)]
+    used = set()
+    for a, i in enumerate(anchors.tolist()):
+        if i in used:
             continue
-        kernel = None
-        for r, k in zip(rows, tried[a]):
-            idx = order[a, :k]
-            if np.any(used[idx]):
-                continue
-            s = svals[r]
-            if s[-1] <= 1e-10 * max(1.0, s[0]):
-                kernel = [vh[r, j].conj() for j in range(n) if s[j] <= 1e-8 * max(1.0, s[0])]
-                used[idx] = True
-                break
-        if kernel is None:
-            used[i] = True
+        r = next((r for r in range(first[a], first[a + 1])
+                  if singular[r] and used.isdisjoint(order[a][:ks[r]])), None)
+        if r is None:
+            used.add(i)
             continue
-        candidates.extend(kernel)
-        if len(kernel) >= 2:
-            rep = _nearest_kernel_point(np.column_stack(kernel))
+        used.update(order[a][:ks[r]])
+        blocks.append(vh[r, in_kernel[r]].conj())
+        if len(blocks[-1]) >= 2:
+            rep = _nearest_kernel_point(np.column_stack(blocks[-1]))
             if rep is not None:
-                candidates.append(rep)
+                blocks.append(rep[None])
+    v = np.concatenate(blocks)
+    tau = v[:, -1]
+    finite = np.abs(tau) > 1e-9 * np.max(np.abs(v), axis=1, initial=0.0)  # else at infinity
+    points = v[finite, :-1] / tau[finite, None]
+    radii = np.linalg.norm(points, axis=1)
+    points, radii = points[radii < 1.0 + tol], radii[radii < 1.0 + tol]
+    num, den = _ball_parts(points, f.A, f.B, f.C)
+    if np.any(np.abs(den) < _POLE_TOL):
+        raise PoleError(f"denominator vanished at {points[np.argmax(np.abs(den) < _POLE_TOL)]}")
+    fixed = np.linalg.norm(num / den[:, None] - points, axis=1) <= tol
     interior, boundary = [], []
-    for v in candidates:
-        tau = v[-1]
-        if abs(tau) <= 1e-9 * np.max(np.abs(v)):
-            continue  # fixed point at infinity, not a ball point
-        p = v[:-1] / tau
-        r = float(np.linalg.norm(p))
-        if r >= 1.0 + tol:
-            continue
-        if np.linalg.norm(f(p) - p) > tol:
-            continue
+    for p, r in zip(points[fixed], radii[fixed]):
         if any(np.linalg.norm(p - q_) <= 1e-7 for q_ in interior + boundary):
             continue
         (interior if r < 1.0 - tol else boundary).append(p)
     if not interior and not boundary:
         raise NumericError("no fixed point found in the closed ball")
     key = lambda p: tuple(np.round(np.concatenate([p.real, p.imag]), 10))
-    return sorted(interior, key=key), sorted(boundary, key=key)
+    return FixedPoints(sorted(interior, key=key), sorted(boundary, key=key), proj, eigs)
 
 
 def _nearest_kernel_point(basis: np.ndarray):
@@ -879,23 +909,32 @@ def _nearest_kernel_point(basis: np.ndarray):
 
 
 def classify(f: BallMap) -> Classification:
-    """Denjoy-Wolff classification of a non-identity ball self-map.
+    """Denjoy-Wolff classification of a non-identity ball self-map, read
+    off the one Schur form of its homogeneous matrix T that
+    :func:`fixed_points` computes.
 
-    A map with an interior fixed point is elliptic.  Otherwise its
+    A map with an interior fixed point p is elliptic.  T (p, 1) =
+    mu_p (p, 1), and the other eigenvalues of T over mu_p are the
+    eigenvalues of the differential at p, its multipliers.  Otherwise its
     Denjoy-Wolff point is the boundary fixed point with the least
-    dilation coefficient delta (:func:`boundary_dilation`): it is the one
-    with delta <= 1, every other boundary fixed point has delta > 1
-    (MacCluer 1983).  The map is parabolic when |delta - 1| <=
-    PARABOLIC_DELTA_TOL and hyperbolic when delta lies below that band.
+    dilation coefficient delta (:func:`boundary_dilation`, not checking
+    the points again): the one with delta <= 1, every other boundary fixed
+    point has delta > 1 (MacCluer 1983).  The map is parabolic when
+    |delta - 1| <= PARABOLIC_DELTA_TOL and hyperbolic below that band.
     """
-    if is_identity(f):
+    found = fixed_points(f)
+    if is_identity(found.proj):
         raise DomainError("the identity map is excluded from classification")
-    interior, boundary = fixed_points(f)
+    interior, boundary = found
     if interior:
-        return Classification(ELLIPTIC, interior, boundary)
+        eigs = found.eigenvalues
+        mu = found.proj.mat[-1] @ np.append(interior[0], 1.0)
+        j = int(np.argmin(np.abs(eigs - mu)))
+        return Classification(ELLIPTIC, interior, boundary,
+                              multipliers=np.delete(eigs, j) / eigs[j])
     if not boundary:
         raise NumericError("map without interior fixed points has no boundary fixed point")
-    deltas = [boundary_dilation(f, w) for w in boundary]
+    deltas = [_dilation(f, w) for w in boundary]
     dw, delta = boundary[int(np.argmin(deltas))], min(deltas)
     margin = abs(delta - 1.0)
     if margin <= PARABOLIC_DELTA_TOL:
@@ -922,6 +961,11 @@ def boundary_dilation(f: BallMap, w) -> float:
         raise DomainError(f"point {w} does not lie on the unit sphere")
     if np.linalg.norm(f(w) - w) > _FIXED_POINT_TOL:
         raise DomainError(f"point {w} is not a fixed point of the map")
+    return _dilation(f, w)
+
+
+def _dilation(f: BallMap, w: np.ndarray) -> float:
+    """The closed form of :func:`boundary_dilation`, unchecked."""
     return float(((1.0 - np.vdot(w, f.B)) / f.denominator(w)).real)
 
 

@@ -9,9 +9,10 @@ composition s (first element applied first) satisfies
 
 There are four cases, one per ``FORM_*`` kind.  :func:`normal_form` is
 the one place that branches on a :class:`~lfmsemi.maps.Classification`
-to pick the reducer; the reducers take the caller's classification
-instead of classifying again.  Each case builds its normal map with one
-builder (:func:`split_normal_map`, :func:`u0_normal_map`,
+to pick the reducer; the reducers take the caller's classification,
+with its unitary index, instead of classifying again.  Each case builds
+its normal map with one builder (:func:`split_normal_map`, unchecked as
+its reducer proves it a self-map, :func:`u0_normal_map`, checked,
 :func:`siegel_normal_map`); the semigroup families of
 :mod:`lfmsemi.embedding` are built from their generators instead.  A
 fifth case adds its reducer and builder here, its branch in
@@ -36,7 +37,6 @@ from .linalg import (
     schur_form,
     schur_margins,
     spectral_norm,
-    spectral_radius,
     unimodular_count,
     unitary_with_first_column,
 )
@@ -50,17 +50,17 @@ from .maps import (
     SiegelMap,
     _automorphism_fields,
     _change_of_variable,
+    _trusted_ball_map,
     cayley_to_siegel,
     classify,
     conjugate,
-    fixed_points,
     heisenberg_map,
     pointwise_distance,
     sample_ball_points,
     sample_siegel_points,
+    siegel_map_from_proj,
     siegel_unitary_map,
     to_proj,
-    unitary_index,
 )
 
 FORM_ELLIPTIC_SPLIT = "elliptic_unitary_split"
@@ -103,10 +103,9 @@ class SiegelReduction:
 
 def chain_map(conjugations: list) -> ProjMap:
     """Compose a conjugation chain into a single map (first applied first)."""
-    total = conjugations[0] if conjugations else None
-    if total is None:
+    if not conjugations:
         raise DomainError("empty conjugation chain")
-    total = to_proj(total)
+    total = to_proj(conjugations[0])
     for step in conjugations[1:]:
         total = total.then(to_proj(step))
     return total
@@ -115,13 +114,11 @@ def chain_map(conjugations: list) -> ProjMap:
 def conjugation_residual(nf: NormalForm, f: BallMap, count: int = 100) -> float:
     """Pointwise distance between chain o f o chain^-1 and the normal map."""
     if not nf.conjugations:
-        zs = sample_ball_points(f.dim, count)
-        return pointwise_distance(f, nf.normal_map, zs)
+        return pointwise_distance(f, nf.normal_map, sample_ball_points(f.dim, count))
     total = chain_map(nf.conjugations)
     g = conjugate(f, total, checked=False)  # only evaluated
     sampler = sample_ball_points if total.codomain == "ball" else sample_siegel_points
-    zs = sampler(f.dim, count)
-    return pointwise_distance(g, nf.normal_map, zs)
+    return pointwise_distance(g, nf.normal_map, sampler(f.dim, count))
 
 
 def _require(value: float, tol: float, what: str) -> None:
@@ -129,20 +126,16 @@ def _require(value: float, tol: float, what: str) -> None:
         raise NumericError(f"{what} = {value:.3e} exceeds tolerance {tol:.1e}")
 
 
-def normal_form(f: BallMap, cls: Optional[Classification] = None,
-                unitary: Optional[int] = None) -> NormalForm:
+def normal_form(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     """Reduce f to the normal form of its case, classifying it first
     unless the caller passes its classification.
 
-    Elliptic maps split on the unitary index at the fixed point: at least
-    1 gives the unitary split, 0 the (Ahat, delta) form.  A caller that
-    has computed that index passes it as *unitary*.
+    Elliptic maps split on the unitary index the classification carries:
+    at least 1 gives the unitary split, 0 the (Ahat, delta) form.
     """
     cls = classify(f) if cls is None else cls
     if cls.kind == ELLIPTIC:
-        if unitary is None:
-            unitary = unitary_index(f, fixed_point=cls.interior_fixed_points[0])
-        if unitary >= 1:
+        if cls.unitary_index >= 1:
             return elliptic_split(f, cls)
         return elliptic_u0(f, cls)
     if cls.kind == PARABOLIC:
@@ -155,13 +148,16 @@ def normal_form(f: BallMap, cls: Optional[Classification] = None,
 
 
 def split_normal_map(lam: np.ndarray, a1: np.ndarray) -> BallMap:
-    """The linear map blockdiag(diag(lam), a1)."""
+    """The linear map blockdiag(diag(lam), a1), with the bits of the checked
+    :class:`BallMap` but unchecked: the caller proves |lam_j| = 1 and
+    ||a1|| <= 1 + 1e-10 (:func:`elliptic_split`), so the constructor's margin,
+    lambda_min(mu J - S) / ||S||_F with S = diag(A^H A, -1), is >= -1e-10."""
     u = len(lam)
     n = u + a1.shape[-1]
     amat = np.zeros((n, n), dtype=complex)
     amat[range(u), range(u)] = lam
     amat[u:, u:] = a1
-    return BallMap(amat, np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
+    return _trusted_ball_map(amat, np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
 
 
 def u0_normal_map(ahat: np.ndarray, delta: float) -> BallMap:
@@ -171,87 +167,56 @@ def u0_normal_map(ahat: np.ndarray, delta: float) -> BallMap:
 
 
 def _centered(f: BallMap, cls: Optional[Classification]):
-    """Move an interior fixed point to the origin; returns (map, chain).
-    The centred map is only read, so it skips the self-map check."""
-    interior = fixed_points(f)[0] if cls is None else cls.interior_fixed_points
-    if not interior:
+    """Classify f unless the caller has, and move its first interior fixed
+    point to the origin; returns (classification, map, chain).  The
+    centred map is only read, so it skips the self-map check."""
+    cls = classify(f) if cls is None else cls
+    if not cls.interior_fixed_points:
         raise DomainError("map has no interior fixed point")
-    z0 = interior[0]
+    z0 = cls.interior_fixed_points[0]
     if np.linalg.norm(z0) < 1e-12:
-        return f, []
+        return cls, f, []
     mover = _change_of_variable(*_automorphism_fields(z0))
-    return conjugate(f, mover, checked=False), [mover]
+    return cls, conjugate(f, mover, checked=False), [mover]
 
 
 def elliptic_split(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     """Reduce an elliptic map with unitary index >= 1 to its linear
     (diagonal-unitary, contraction) block form."""
-    g, chain = _centered(f, cls)
-    u = unitary_index(g, fixed_point=np.zeros(f.dim))
+    cls, g, chain = _centered(f, cls)
+    u = cls.unitary_index
     if u == 0:
         raise WrongFormError("unitary index is 0; use elliptic_u0 instead")
     _require(float(np.linalg.norm(g.B)), SNAP_TOL, "residual translation after centering")
     _require(float(np.linalg.norm(g.C)), SNAP_TOL,
              "denominator part of a unitary-index >= 1 elliptic map")
-    a = g.A
-    form = schur_form(a, sort=lambda lam: abs(abs(lam) - 1) <= UNIMODULAR_TOL)
-    t = form.upper_triangular
-    _require(float(np.max(np.abs(t[:u, u:]), initial=0.0)), SNAP_TOL,
-             "coupling between unitary and contraction blocks")
-    lam_block = t[:u, :u]
-    _require(float(np.max(np.abs(lam_block - np.diag(np.diag(lam_block))), initial=0.0)),
-             SNAP_TOL, "off-diagonal part of the unitary block")
-    lam = np.diag(lam_block).copy()
-    lam /= np.abs(lam)  # snap to exactly unimodular
-    a1 = t[u:, u:]
-    if a1.size:
-        if spectral_radius(a1) >= 1.0 - 1e-9:
-            raise NumericError("contraction block has spectral radius too close to 1")
-        if spectral_norm(a1) > 1.0 + 1e-10:
-            raise NumericError("contraction block has operator norm above 1")
-    chain = chain + [_change_of_variable(form.unitary)]
-    return NormalForm(
-        FORM_ELLIPTIC_SPLIT,
-        split_normal_map(lam, a1),
-        chain,
-        {"Lambda": lam, "A1": a1, "u": u},
-    )
+    form, lam, a1 = _unimodular_split(g.A, u)
+    if a1.size and spectral_norm(a1) > 1.0 + 1e-10:
+        raise NumericError("contraction block has operator norm above 1")
+    return NormalForm(FORM_ELLIPTIC_SPLIT, split_normal_map(lam, a1),
+                      chain + [_change_of_variable(form.unitary)], {"Lambda": lam, "A1": a1, "u": u})
 
 
 def elliptic_u0(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     """Reduce an elliptic map with unique fixed point and unitary index 0
-    to the (Ahat, delta) denominator form."""
-    g, chain = _centered(f, cls)
-    u = unitary_index(g, fixed_point=np.zeros(f.dim))
-    if u > 0:
+    to the (Ahat, delta) denominator form.  Unitary index 0 says that no
+    multiplier lies within UNIMODULAR_TOL of the unit circle, so none
+    within it of 1, and I - A^H is invertible."""
+    cls, g, chain = _centered(f, cls)
+    if cls.unitary_index > 0:
         raise WrongFormError("unitary index is positive; use elliptic_split instead")
     _require(float(np.linalg.norm(g.B)), SNAP_TOL, "residual translation after centering")
-    a = g.A
-    eigs = np.linalg.eigvals(a)
-    if np.min(np.abs(eigs - 1.0)) <= 1e-9:
-        raise DomainError(
-            "1 is an eigenvalue of the differential, contradicting a unique fixed point"
-        )
-    v = np.linalg.solve(a.conj().T - np.eye(f.dim), g.C)
+    v = np.linalg.solve(g.A.conj().T - np.eye(f.dim), g.C)
     delta = float(np.linalg.norm(v))
     if delta > 1.0 + 1e-9:
         raise NumericError(f"normal-form delta = {delta} exceeds 1")
-    if delta < 1e-12:
-        rot_mat = np.eye(f.dim)
-        delta = 0.0
-    else:
-        rot_mat = unitary_with_first_column(v).conj().T
-    ahat = rot_mat @ a @ rot_mat.conj().T
-    if spectral_radius(ahat) >= 1.0 - 1e-9:
+    rot_mat = np.eye(f.dim) if delta < 1e-12 else unitary_with_first_column(v).conj().T
+    delta = 0.0 if delta < 1e-12 else min(delta, 1.0)
+    ahat = rot_mat @ g.A @ rot_mat.conj().T  # similar to A: its eigenvalues are the multipliers
+    if np.max(np.abs(cls.multipliers)) >= 1.0 - 1e-9:
         raise NumericError("contraction matrix has spectral radius too close to 1")
-    chain = chain + [_change_of_variable(rot_mat)]
-    delta = min(delta, 1.0)
-    return NormalForm(
-        FORM_ELLIPTIC_U0,
-        u0_normal_map(ahat, delta),
-        chain,
-        {"Ahat": ahat, "delta": delta},
-    )
+    return NormalForm(FORM_ELLIPTIC_U0, u0_normal_map(ahat, delta),
+                      chain + [_change_of_variable(rot_mat)], {"Ahat": ahat, "delta": delta})
 
 
 # ---------------------------------------------------------------------------
@@ -300,36 +265,41 @@ def _to_siegel(f: BallMap, cls: Optional[Classification], kind: str, who: str):
 # block splitting of the w-part
 
 
+def _unimodular_split(m: np.ndarray, u: Optional[int] = None):
+    """The Schur form of m with its unimodular eigenvalues first, u of
+    them (counted on its diagonal when None), and the blocks of its
+    triangle: the unimodular eigenvalues, snapped to modulus 1 (their
+    block must be diagonal and uncoupled from the rest up to SNAP_TOL),
+    and the contraction block, whose eigenvalues must stay below
+    1 - 1e-9 in modulus.  Returns (form, lam, a1)."""
+    form = schur_form(m, sort=lambda lam: abs(abs(lam) - 1) <= UNIMODULAR_TOL)
+    t = form.upper_triangular
+    u = unimodular_count(np.diag(t)) if u is None else u
+    _require(float(np.max(np.abs(t[:u, u:]), initial=0.0)), SNAP_TOL,
+             "coupling between unimodular and contraction blocks")
+    block = t[:u, :u]
+    _require(float(np.max(np.abs(block - np.diag(np.diag(block))), initial=0.0)),
+             SNAP_TOL, "off-diagonal part of the unimodular block")
+    lam = np.diag(block).copy()
+    lam /= np.abs(lam)  # snap to exactly unimodular
+    a1 = t[u:, u:]
+    if a1.size and np.max(np.abs(np.diag(a1))) >= 1.0 - 1e-9:  # a1 is triangular
+        raise NumericError("contraction block has spectral radius too close to 1")
+    return form, lam, a1
+
+
 def _split_blocks(m: np.ndarray, one_tol: float = 1e-8):
     """Unitary W with W M W^H = blockdiag(I_p, D, A); returns
     (W, p, q, r, d_diag, a_block)."""
     k = m.shape[0]
     if k == 0:
         return np.eye(0, dtype=complex), 0, 0, 0, np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
-    form = schur_form(m, sort=lambda lam: abs(abs(lam) - 1) <= UNIMODULAR_TOL)
-    t = form.upper_triangular
-    nuni = unimodular_count(np.diag(t))
-    _require(float(np.max(np.abs(t[:nuni, nuni:]), initial=0.0)), SNAP_TOL,
-             "coupling between unimodular and contraction blocks")
-    uni_block = t[:nuni, :nuni]
-    _require(float(np.max(np.abs(uni_block - np.diag(np.diag(uni_block))), initial=0.0)),
-             SNAP_TOL, "off-diagonal part of the unimodular block")
-    uni = np.diag(uni_block).copy()
-    uni /= np.abs(uni)
+    form, uni, a_block = _unimodular_split(m)
+    nuni = len(uni)
     ones = [j for j in range(nuni) if abs(uni[j] - 1.0) <= one_tol]
     others = [j for j in range(nuni) if abs(uni[j] - 1.0) > one_tol]
-    perm = ones + others + list(range(nuni, k))
-    pmat = np.zeros((k, k), dtype=complex)
-    for new, old in enumerate(perm):
-        pmat[new, old] = 1.0
-    w = pmat @ form.unitary
-    p, q = len(ones), len(others)
-    d_diag = uni[others]
-    a_block = t[nuni:, nuni:]
-    r = k - nuni
-    if a_block.size and spectral_radius(a_block) >= 1.0 - 1e-9:
-        raise NumericError("contraction block has spectral radius too close to 1")
-    return w, p, q, r, d_diag, a_block
+    w = np.eye(k)[ones + others + list(range(nuni, k))] @ form.unitary  # rows reordered
+    return w, len(ones), len(others), k - nuni, uni[others], a_block
 
 
 def siegel_normal_map(lam, a, d, w_block, c, c_res, b, scale=None) -> SiegelMap:
@@ -443,38 +413,27 @@ def hyperbolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> 
     # the z-row coefficient; resonant entries instead drop their z-row
     # coefficient and keep the translation
     c_res = np.zeros(r, dtype=complex)
+    diag = np.diag(a_block)  # the eigenvalues of the triangular block
+    res = np.abs(1.0 - sq * diag) <= RESONANCE_TOL
     if r:
-        if _is_diagonal(a_block):
-            diag = np.diag(a_block)
-            res = np.abs(1.0 - sq * diag) <= RESONANCE_TOL
+        if not _is_diagonal(a_block):
+            if np.any(res):
+                raise NumericError("resonant non-diagonal contraction block; cannot normalize")
+            gamma3 = np.linalg.solve(sq * a_block - np.eye(r), s.c[p + q:])
         else:
-            diag = None
-            res = np.zeros(r, dtype=bool)
-            if np.min(np.abs(1.0 - sq * np.linalg.eigvals(a_block))) <= RESONANCE_TOL:
-                raise NumericError(
-                    "resonant non-diagonal contraction block; cannot normalize"
-                )
-        gamma3 = np.zeros(r, dtype=complex)
-        nonres = ~res
-        if np.any(nonres):
-            if diag is not None:
-                gamma3[nonres] = s.c[p + q:][nonres] / (sq * diag[nonres] - 1.0)
-            else:
-                gamma3 = np.linalg.solve(sq * a_block - np.eye(r), s.c[p + q:])
-        if np.any(res):
+            gamma3 = np.zeros(r, dtype=complex)
+            gamma3[~res] = s.c[p + q:][~res] / (sq * diag[~res] - 1.0)
             # kill the z-row coefficient on the resonant entries instead
-            denom = sq * np.conj(diag[res]) - lam
-            gamma3[res] = s.a[p + q:][res] / (-denom)
+            gamma3[res] = s.a[p + q:][res] / -(sq * np.conj(diag[res]) - lam)
         full = np.concatenate([np.zeros(p + q, dtype=complex), gamma3])
         s, chain = _moved(s, chain, heisenberg_map(full, 1j * float(np.vdot(full, full).real)))
         c_res[res] = s.c[p + q:][res]
-        _require(float(np.max(np.abs(s.c[p + q:][nonres]), initial=0.0)), SNAP_TOL,
+        _require(float(np.max(np.abs(s.c[p + q:][~res]), initial=0.0)), SNAP_TOL,
                  "w-translation after conversion")
         _require(float(np.max(np.abs(s.a[p + q:][res]), initial=0.0)), SNAP_TOL,
                  "z-row coefficient on resonant entries")
     c_vec = s.a[p + q:].copy()
-    if r:
-        c_vec[res] = 0.0
+    c_vec[res] = 0.0
     b = complex(s.b)
     normal_map = siegel_normal_map(lam, np.zeros(p), d_diag, a_block, c_vec, c_res, b, sq)
     params = {"lam": lam, "b": b, "c": c_vec, "c_res": c_res, "D": d_diag,
@@ -508,15 +467,8 @@ def hyperbolic_conditions(nf: NormalForm, tol: float = 1e-8) -> list:
 
 def _moved(s: SiegelMap, chain: list, mover: SiegelMap):
     """s conjugated by *mover*, and the chain extended by it."""
-    return _as_siegel(conjugate(s, mover)), chain + [to_proj(mover)]
-
-
-def _as_siegel(m) -> SiegelMap:
-    if isinstance(m, SiegelMap):
-        return m
-    from .maps import siegel_map_from_proj
-
-    return siegel_map_from_proj(to_proj(m))
+    step = to_proj(mover)
+    return siegel_map_from_proj(step.inverse().then(s.to_proj()).then(step)), chain + [step]
 
 
 def _defect(m: np.ndarray, lam: float = 1.0) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Ball maps that skip the constructor's self-map check.
 
 Every ball map the library hands out passes the exact self-map test of
-:class:`~lfmsemi.maps.BallMap`.  Two kinds of map skip it, built by
+:class:`~lfmsemi.maps.BallMap`.  Three kinds of map skip it, built by
 ``maps._trusted_ball_map``.  The intermediate maps of a reduction, which
 the library only reads or evaluates: a change of variable built to
 conjugate by and to record in a chain (a unitary, or the automorphism that
 centres a fixed point), kept as a ``ProjMap``, and a map conjugated by one.
-And the maps of a ball family whose generator has a flow margin >= 0,
-self-maps by Nagumo's theorem; a margin within the slack below 0 proves
-nothing for a large t, and those maps get the per-map check.  The old
+The split normal map, whose reducer proves |Lambda_j| = 1 and
+||A1|| <= 1 + 1e-10.  And the maps of a ball family whose generator has a
+flow margin >= 0, self-maps by Nagumo's theorem; a margin within the
+slack below 0 proves nothing for a large t, and those maps get the per-map
+check.  The old
 check is the oracle here: every trusted map of the golden pipelines and of
 two seeded cycles of the four cases in dims 1-8 passes
 ``maps._self_map_margins`` with the self-map slack, and its fields have
@@ -26,7 +28,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from lfmsemi import embedding as emb, maps
+from lfmsemi import embedding as emb, maps, normal_forms
 from lfmsemi.cli import EXIT_EMBEDDABLE, run_pipeline
 from lfmsemi.embedding import EMBEDDABLE, SemigroupFamily
 from lfmsemi.errors import DomainError
@@ -39,7 +41,7 @@ GOLDEN_SPECS = sorted(p for p in (ROOT / "tests" / "golden").rglob("*.json")
                       if not p.name.endswith(".report.json"))
 
 #: the sites that build a trusted map, by the name of the calling function
-SITES = {"_change_of_variable", "conjugate", "_ball_flow"}
+SITES = {"_change_of_variable", "conjugate", "_ball_flow", "split_normal_map"}
 
 
 def _fields(f):
@@ -71,6 +73,7 @@ def trusted(monkeypatch):
 
     monkeypatch.setattr(maps, "_trusted_ball_map", record)
     monkeypatch.setattr(emb, "_trusted_ball_map", record)
+    monkeypatch.setattr(normal_forms, "_trusted_ball_map", record)
     return built
 
 
