@@ -193,8 +193,13 @@ def elliptic_split(f: BallMap, cls: Optional[Classification] = None) -> NormalFo
     form, lam, a1 = _unimodular_split(g.A, u)
     if a1.size and spectral_norm(a1) > 1.0 + 1e-10:
         raise NumericError("contraction block has operator norm above 1")
+    # the contraction block's Schur vectors are unique up to phases: take
+    # those that make A1's first superdiagonal real and >= 0
+    phase = np.exp(-1j * np.cumsum(np.angle(np.append(0.0, np.diag(a1, 1)))))[:len(a1)]
+    a1 = phase.conj()[:, None] * a1 * phase
+    unitary = np.vstack([form.unitary[:u], phase.conj()[:, None] * form.unitary[u:]])
     return NormalForm(FORM_ELLIPTIC_SPLIT, split_normal_map(lam, a1),
-                      chain + [_change_of_variable(form.unitary)], {"Lambda": lam, "A1": a1, "u": u})
+                      chain + [_change_of_variable(unitary)], {"Lambda": lam, "A1": a1, "u": u})
 
 
 def elliptic_u0(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:

@@ -1,8 +1,14 @@
 """Tests for the normal-form reductions and their conjugation chains."""
 
+import copy
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lfmsemi.cli import run_pipeline
 from lfmsemi.errors import DomainError, WrongFormError
 from lfmsemi.linalg import pinv, spectral_norm, spectral_radius
 from lfmsemi.maps import (
@@ -103,6 +109,32 @@ class TestEllipticSplit:
         nf = elliptic_split(f)
         assert spectral_radius(nf.parameters["A1"]) < 1 - 1e-9
         assert spectral_norm(nf.parameters["A1"]) <= 1 + 1e-10
+
+    def test_a1_does_not_hang_on_the_last_ulp_of_the_input(self):
+        # the Schur vectors of the contraction block are unique up to
+        # phases, which rounding picks; with A1's first superdiagonal real
+        # and >= 0, the 64 one-ulp moves of the real and imaginary parts of
+        # A move A1 by rounding only (up to 1.58 when the phases were free)
+        path = Path(__file__).parent / "golden" / "elliptic_split_condition_fails_ball_n4.json"
+        spec = json.loads(path.read_text())
+
+        def a1_and_verdict(s):
+            report = run_pipeline(s, stop_after="embed")
+            a1 = np.array(report["stages"]["normal_form"]["parameters"]["A1"])
+            return a1[..., 0] + 1j * a1[..., 1], report["stages"]["embed"]["verdict"], \
+                report["exit_status"]
+
+        base, verdict, status = a1_and_verdict(spec)
+        sup = np.diag(base, 1)
+        assert len(sup) == 2 and np.all(sup.real >= 0) and np.all(np.abs(sup.imag) <= 1e-15)
+        moves = []
+        for i, j, part, to in itertools.product(range(4), range(4), (0, 1), (np.inf, -np.inf)):
+            moved = copy.deepcopy(spec)
+            moved["A"][i][j][part] = float(np.nextafter(spec["A"][i][j][part], to))
+            a1, *outcome = a1_and_verdict(moved)
+            assert outcome == [verdict, status]
+            moves.append(float(np.max(np.abs(a1 - base))))
+        assert len(moves) == 64 and max(moves) <= 1e-13
 
 
 class TestEllipticU0:
