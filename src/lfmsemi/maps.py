@@ -335,10 +335,8 @@ def _require_ball_self_maps(a, b, c) -> None:
     if bad.size:
         raise DomainError(f"not a self-map of the ball (margin {margins[bad[0]]:.3e})")
     if valid < len(c):
-        raise DomainError(
-            "denominator invariant violated: need |C| < |D| so that "
-            "<z, C> + D cannot vanish on the closed ball"
-        )
+        raise DomainError("denominator invariant violated: need |C| < |D| so that "
+                          "<z, C> + D cannot vanish on the closed ball")
 
 
 def _stack_size(matrix: np.ndarray) -> int:
@@ -385,10 +383,7 @@ class BallMap:
         a, b, c = _normalized(a, b, c, d)
         n = a.shape[-1]
         _require_ball_self_maps(a.reshape(-1, n, n), b.reshape(-1, n), c.reshape(-1, n))
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "D", 1.0 + 0.0j)
+        self.__dict__.update(A=a, B=b, C=c, D=1.0 + 0.0j)  # the frozen fields
 
     @property
     def dim(self) -> int:
@@ -552,11 +547,8 @@ class SiegelMap:
             raise DomainError("vector entries must be finite")
         if not (np.isfinite(lam).all() and np.isfinite(b).all()):
             raise DomainError("lam and b must be finite")
-        object.__setattr__(self, "lam", lam if lead else complex(lam))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b if lead else complex(b))
-        object.__setattr__(self, "M", m)
-        object.__setattr__(self, "c", c)
+        self.__dict__.update(lam=lam if lead else complex(lam), a=a,
+                             b=b if lead else complex(b), M=m, c=c)  # the frozen fields
         if self.block_split is not None:
             p, q, r = self.block_split
             if p + q + r != k or min(p, q, r) < 0:
@@ -621,13 +613,8 @@ def siegel_map_from_proj(p: ProjMap, tol: float = 1e-8) -> SiegelMap:
             f"map is not in affine Siegel form (stray coefficient {stray:.3e}); "
             "only non-elliptic maps with Denjoy-Wolff point at e1 qualify"
         )
-    return SiegelMap(
-        lam=m[0, 0],
-        a=np.conj(m[0, 1:n] / 2j),
-        b=m[0, n],
-        M=m[1:n, 1:n],
-        c=m[1:n, n],
-    )
+    return SiegelMap(lam=m[0, 0], a=np.conj(m[0, 1:n] / 2j), b=m[0, n], M=m[1:n, 1:n],
+                     c=m[1:n, n])
 
 
 def identity_siegel_map(dim: int) -> SiegelMap:
@@ -799,6 +786,9 @@ class FixedPoints(tuple):
         found.proj, found.eigenvalues = proj, eigenvalues
         return found
 
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return (*self, self.proj, self.eigenvalues)
+
 
 def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL) -> FixedPoints:
     """Fixed points of f in the closed ball.
@@ -822,8 +812,8 @@ def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL) -> FixedPoints:
     cluster, and its kernel the eigenvectors; an anchor none of whose
     prefixes is singular is used alone.  So an earlier anchor without an
     exact twin is used before a later anchor's turn, and the stack leaves
-    out the later prefixes that hold one.  One evaluation of f on every
-    candidate point of the closed ball keeps those with |f(p) - p| <= tol.
+    out the later prefixes that hold one.  Of the candidate points in the
+    closed ball, those with |f(p) - p| <= tol are kept.
     """
     proj = to_proj(f)
     m, n = proj.mat, len(proj.mat)
@@ -877,10 +867,7 @@ def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL) -> FixedPoints:
     points = v[finite, :-1] / tau[finite, None]
     radii = np.linalg.norm(points, axis=1)
     points, radii = points[radii < 1.0 + tol], radii[radii < 1.0 + tol]
-    num, den = _ball_parts(points, f.A, f.B, f.C)
-    if np.any(np.abs(den) < _POLE_TOL):
-        raise PoleError(f"denominator vanished at {points[np.argmax(np.abs(den) < _POLE_TOL)]}")
-    fixed = np.linalg.norm(num / den[:, None] - points, axis=1) <= tol
+    fixed = np.array([np.linalg.norm(f(p) - p) <= tol for p in points], dtype=bool)
     interior, boundary = [], []
     for p, r in zip(points[fixed], radii[fixed]):
         if any(np.linalg.norm(p - q_) <= 1e-7 for q_ in interior + boundary):
@@ -972,10 +959,11 @@ def _dilation(f: BallMap, w: np.ndarray) -> float:
 def unitary_index(f: BallMap, fixed_point: Optional[np.ndarray] = None,
                   tol: float = UNIMODULAR_TOL) -> int:
     """Total multiplicity of unimodular eigenvalues of the differential
-    at an interior fixed point."""
+    at an interior fixed point: *fixed_point*, or when None the first one
+    of :func:`classify`, whose multipliers it counts."""
     if fixed_point is None:
-        interior, _ = fixed_points(f)
-        if not interior:
+        multipliers = classify(f).multipliers
+        if multipliers is None:
             raise DomainError("unitary index requires an interior fixed point")
-        fixed_point = interior[0]
+        return unimodular_count(multipliers, tol)
     return unimodular_count(np.linalg.eigvals(f.differential(fixed_point)), tol)

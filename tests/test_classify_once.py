@@ -6,9 +6,10 @@ of its differential at the interior fixed point p, from the Schur form that
 eigenvalues of T over mu_p are the multipliers.  The oracle is the
 differential itself: its eigenvalues, and their unimodular count, the
 unitary index.  The pipeline to the normal form makes one Schur form of T,
-evaluates no map at a point inside ``classify``, and checks a ball map
-only at the input and for the u0 normal map, which nothing in its reducer
-proves a self-map.
+evaluates a map at a point inside ``classify`` only where ``fixed_points``
+checks its candidates (the boundary points are not checked again), and
+checks a ball map only at the input and for the u0 normal map, which
+nothing in its reducer proves a self-map.
 """
 
 import json
@@ -100,7 +101,7 @@ def test_non_elliptic_maps_carry_no_multipliers():
 
 class _Counts:
     def __init__(self):
-        self.in_classify = False
+        self.in_classify = self.in_fixed_points = False
         self.schur_shapes = []
         self.calls_in_classify = 0
         self.ball_checks = 0
@@ -109,8 +110,9 @@ class _Counts:
 @pytest.fixture
 def counts(monkeypatch):
     c = _Counts()
-    classify_, schur, call, init = (maps.classify, maps.schur_form, BallMap.__call__,
-                                    BallMap.__post_init__)
+    classify_, fixed_points, schur, call, init = (
+        maps.classify, maps.fixed_points, maps.schur_form, BallMap.__call__,
+        BallMap.__post_init__)
 
     def counted_classify(f):
         c.in_classify = True
@@ -119,13 +121,20 @@ def counts(monkeypatch):
         finally:
             c.in_classify = False
 
+    def counted_fixed_points(f):
+        c.in_fixed_points = True
+        try:
+            return fixed_points(f)
+        finally:
+            c.in_fixed_points = False
+
     def counted_schur(a, *args, **kwargs):
         if c.in_classify:
             c.schur_shapes.append(np.shape(a))
         return schur(a, *args, **kwargs)
 
     def counted_call(self, z):
-        c.calls_in_classify += c.in_classify
+        c.calls_in_classify += c.in_classify and not c.in_fixed_points
         return call(self, z)
 
     def counted_init(self):
@@ -133,6 +142,7 @@ def counts(monkeypatch):
         return init(self)
 
     monkeypatch.setattr(cli, "classify", counted_classify)
+    monkeypatch.setattr(maps, "fixed_points", counted_fixed_points)
     for module in (maps, normal_forms):
         monkeypatch.setattr(module, "schur_form", counted_schur)
     monkeypatch.setattr(BallMap, "__call__", counted_call)

@@ -1,5 +1,8 @@
 """Tests for ball/Siegel map values, algebra, transport and classification."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -209,6 +212,14 @@ class TestFixedPoints:
         assert len(interior) >= 1
         for p in interior:
             assert abs(p[1]) < 1e-9
+
+    def test_result_copies_and_pickles(self):
+        found = fixed_points(disk_map(**HALF_MOEBIUS))
+        for again in (copy.deepcopy(found), pickle.loads(pickle.dumps(found))):
+            assert type(again) is type(found) and len(again) == 2 and again[0] == []
+            assert np.array_equal(np.array(again[1]), np.array(found[1]))
+            assert np.array_equal(again.proj.mat, found.proj.mat)
+            assert np.array_equal(again.eigenvalues, found.eigenvalues)
 
 
 class TestClassify:
