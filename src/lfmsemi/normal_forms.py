@@ -26,7 +26,7 @@ contraction A), any of which may be empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -133,7 +133,7 @@ def normal_form(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     Elliptic maps split on the unitary index the classification carries:
     at least 1 gives the unitary split, 0 the (Ahat, delta) form.
     """
-    cls = classify(f) if cls is None else cls
+    cls = _classified(f, cls)
     if cls.kind == ELLIPTIC:
         if cls.unitary_index >= 1:
             return elliptic_split(f, cls)
@@ -166,11 +166,21 @@ def u0_normal_map(ahat: np.ndarray, delta: float) -> BallMap:
     return BallMap(ahat, np.zeros(n, dtype=complex), delta * (ahat[0].conj() - np.eye(n)[0]))
 
 
+def _classified(f: BallMap, cls: Optional[Classification]) -> Classification:
+    """classify(f) unless the caller passes cls.  An elliptic cls built
+    without multipliers gets those of the differential at its first
+    interior fixed point."""
+    cls = classify(f) if cls is None else cls
+    if cls.kind == ELLIPTIC and cls.multipliers is None and (points := cls.interior_fixed_points):
+        cls = replace(cls, multipliers=np.linalg.eigvals(f.differential(points[0])))
+    return cls
+
+
 def _centered(f: BallMap, cls: Optional[Classification]):
     """Classify f unless the caller has, and move its first interior fixed
     point to the origin; returns (classification, map, chain).  The
     centred map is only read, so it skips the self-map check."""
-    cls = classify(f) if cls is None else cls
+    cls = _classified(f, cls)
     if not cls.interior_fixed_points:
         raise DomainError("map has no interior fixed point")
     z0 = cls.interior_fixed_points[0]
@@ -190,7 +200,9 @@ def elliptic_split(f: BallMap, cls: Optional[Classification] = None) -> NormalFo
     _require(float(np.linalg.norm(g.B)), SNAP_TOL, "residual translation after centering")
     _require(float(np.linalg.norm(g.C)), SNAP_TOL,
              "denominator part of a unitary-index >= 1 elliptic map")
-    form, lam, a1 = _unimodular_split(g.A, u)
+    form, lam, a1 = _unimodular_split(g.A)
+    if len(lam) != u:
+        raise NumericError(f"unitary index {u}, but {len(lam)} on the Schur diagonal")
     if a1.size and spectral_norm(a1) > 1.0 + 1e-10:
         raise NumericError("contraction block has operator norm above 1")
     # the contraction block's Schur vectors are unique up to phases: take
@@ -270,16 +282,16 @@ def _to_siegel(f: BallMap, cls: Optional[Classification], kind: str, who: str):
 # block splitting of the w-part
 
 
-def _unimodular_split(m: np.ndarray, u: Optional[int] = None):
-    """The Schur form of m with its unimodular eigenvalues first, u of
-    them (counted on its diagonal when None), and the blocks of its
-    triangle: the unimodular eigenvalues, snapped to modulus 1 (their
-    block must be diagonal and uncoupled from the rest up to SNAP_TOL),
-    and the contraction block, whose eigenvalues must stay below
-    1 - 1e-9 in modulus.  Returns (form, lam, a1)."""
+def _unimodular_split(m: np.ndarray):
+    """The Schur form of m with its unimodular eigenvalues first, as
+    counted on its diagonal, and the blocks of its triangle: the unimodular
+    eigenvalues, snapped to modulus 1 (their block must be diagonal and
+    uncoupled from the rest up to SNAP_TOL), and the contraction block,
+    whose eigenvalues must stay below 1 - 1e-9 in modulus.  Returns
+    (form, lam, a1)."""
     form = schur_form(m, sort=lambda lam: abs(abs(lam) - 1) <= UNIMODULAR_TOL)
     t = form.upper_triangular
-    u = unimodular_count(np.diag(t)) if u is None else u
+    u = unimodular_count(np.diag(t))
     _require(float(np.max(np.abs(t[:u, u:]), initial=0.0)), SNAP_TOL,
              "coupling between unimodular and contraction blocks")
     block = t[:u, :u]
@@ -318,14 +330,9 @@ def siegel_normal_map(lam, a, d, w_block, c, c_res, b, scale=None) -> SiegelMap:
     m[range(p, p + q), range(p, p + q)] = d
     m[p + q:, p + q:] = w_block
     zeros = np.zeros(q)
-    return SiegelMap(
-        lam,
-        np.concatenate([a, zeros, c], dtype=complex),
-        b,
-        m if scale is None else scale * m,
-        np.concatenate([a, zeros, c_res], dtype=complex),
-        block_split=(p, q, r),
-    )
+    return SiegelMap(lam, np.concatenate([a, zeros, c], dtype=complex), b,
+                     m if scale is None else scale * m,
+                     np.concatenate([a, zeros, c_res], dtype=complex), block_split=(p, q, r))
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +465,11 @@ def hyperbolic_conditions(nf: NormalForm, tol: float = 1e-8) -> list:
     margin1 = float(np.min(np.abs(d_diag - 1.0))) if d_diag.size else 1.0
     x = a_block.conj().T @ nf.parameters["c_res"]
     margin2, _, margin4, _ = schur_margins(_defect(a_block), x, 0.0)
-    out = [
+    return [
         Condition("D_spectrum_avoids_1", margin1, margin1 > UNIMODULAR_TOL),
         Condition("Q_and_P_psd", margin2, margin2 >= -tol),
         Condition("AHc_in_range_of_Q", margin4, margin4 >= -tol),
-    ]
-    return out + siegel_conditions(nf.normal_map, tol)
+    ] + siegel_conditions(nf.normal_map, tol)
 
 
 # ---------------------------------------------------------------------------

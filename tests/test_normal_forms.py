@@ -12,7 +12,9 @@ from lfmsemi.cli import run_pipeline
 from lfmsemi.errors import DomainError, WrongFormError
 from lfmsemi.linalg import pinv, spectral_norm, spectral_radius
 from lfmsemi.maps import (
+    ELLIPTIC,
     BallMap,
+    Classification,
     SiegelMap,
     ball_automorphism,
     cayley_to_ball,
@@ -31,6 +33,7 @@ from lfmsemi.normal_forms import (
     elliptic_u0,
     hyperbolic_conditions,
     hyperbolic_normal_form,
+    normal_form,
     parabolic_conditions,
     parabolic_normal_form,
     siegel_conditions,
@@ -135,6 +138,20 @@ class TestEllipticSplit:
             assert outcome == [verdict, status]
             moves.append(float(np.max(np.abs(a1 - base))))
         assert len(moves) == 64 and max(moves) <= 1e-13
+
+    def test_caller_classification_without_multipliers(self):
+        # a hand-built elliptic Classification gets its multipliers from the
+        # differential at its fixed point
+        theta = 0.7
+        f = linear_ball_map(np.diag([np.exp(1j * theta), 0.5]))
+        cls = Classification(ELLIPTIC, [np.zeros(2)], [])
+        nf = normal_form(f, cls)
+        assert nf.form_kind == FORM_ELLIPTIC_SPLIT and nf.parameters["u"] == 1
+        assert np.allclose(nf.parameters["Lambda"], [np.exp(1j * theta)], atol=1e-12)
+        g = linear_ball_map(np.diag([0.5, -0.25]))
+        nf = normal_form(g, Classification(ELLIPTIC, [np.zeros(2)], []))
+        assert nf.form_kind == FORM_ELLIPTIC_U0
+        assert normal_form(g).parameters["Ahat"].tolist() == nf.parameters["Ahat"].tolist()
 
 
 class TestEllipticU0:
