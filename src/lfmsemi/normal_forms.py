@@ -203,11 +203,18 @@ def elliptic_split(f: BallMap, cls: Optional[Classification] = None) -> NormalFo
     form, lam, a1 = _unimodular_split(g.A)
     if len(lam) != u:
         raise NumericError(f"unitary index {u}, but {len(lam)} on the Schur diagonal")
-    if a1.size and spectral_norm(a1) > 1.0 + 1e-10:
+    norm = spectral_norm(a1) if a1.size else 0.0
+    if norm > 1.0 + 1e-10:
         raise NumericError("contraction block has operator norm above 1")
-    # the contraction block's Schur vectors are unique up to phases: take
-    # those that make A1's first superdiagonal real and >= 0
-    phase = np.exp(-1j * np.cumsum(np.angle(np.append(0.0, np.diag(a1, 1)))))[:len(a1)]
+    # the contraction block's Schur vectors are unique up to phases: in each
+    # column, make the entry nearest the diagonal above SNAP_TOL ||A1|| real
+    # and >= 0 (no turn when there is none, its phase being rounding)
+    turn = np.zeros(len(a1))
+    for j in range(1, len(a1)):
+        rows = np.flatnonzero(np.abs(a1[:j, j]) > SNAP_TOL * norm)
+        if rows.size:
+            turn[j] = turn[rows[-1]] + np.angle(a1[rows[-1], j])
+    phase = np.exp(-1j * turn)
     a1 = phase.conj()[:, None] * a1 * phase
     unitary = np.vstack([form.unitary[:u], phase.conj()[:, None] * form.unitary[u:]])
     return NormalForm(FORM_ELLIPTIC_SPLIT, split_normal_map(lam, a1),

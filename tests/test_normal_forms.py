@@ -113,31 +113,57 @@ class TestEllipticSplit:
         assert spectral_radius(nf.parameters["A1"]) < 1 - 1e-9
         assert spectral_norm(nf.parameters["A1"]) <= 1 + 1e-10
 
-    def test_a1_does_not_hang_on_the_last_ulp_of_the_input(self):
-        # the Schur vectors of the contraction block are unique up to
-        # phases, which rounding picks; with A1's first superdiagonal real
-        # and >= 0, the 64 one-ulp moves of the real and imaginary parts of
-        # A move A1 by rounding only (up to 1.58 when the phases were free)
-        path = Path(__file__).parent / "golden" / "elliptic_split_condition_fails_ball_n4.json"
-        spec = json.loads(path.read_text())
-
-        def a1_and_verdict(s):
+    @staticmethod
+    def _a1_moves(spec):
+        """A1 of the spec, and how far each of the 64 one-ulp moves of the
+        real and imaginary parts of its 4x4 A moves A1, the verdict and exit
+        status held."""
+        def a1_and_outcome(s):
             report = run_pipeline(s, stop_after="embed")
             a1 = np.array(report["stages"]["normal_form"]["parameters"]["A1"])
-            return a1[..., 0] + 1j * a1[..., 1], report["stages"]["embed"]["verdict"], \
-                report["exit_status"]
+            return a1[..., 0] + 1j * a1[..., 1], [report["stages"]["embed"]["verdict"],
+                                                  report["exit_status"]]
 
-        base, verdict, status = a1_and_verdict(spec)
-        sup = np.diag(base, 1)
-        assert len(sup) == 2 and np.all(sup.real >= 0) and np.all(np.abs(sup.imag) <= 1e-15)
+        base, outcome = a1_and_outcome(spec)
         moves = []
         for i, j, part, to in itertools.product(range(4), range(4), (0, 1), (np.inf, -np.inf)):
             moved = copy.deepcopy(spec)
             moved["A"][i][j][part] = float(np.nextafter(spec["A"][i][j][part], to))
-            a1, *outcome = a1_and_verdict(moved)
-            assert outcome == [verdict, status]
+            a1, moved_outcome = a1_and_outcome(moved)
+            assert moved_outcome == outcome
             moves.append(float(np.max(np.abs(a1 - base))))
-        assert len(moves) == 64 and max(moves) <= 1e-13
+        assert len(moves) == 64
+        return base, max(moves)
+
+    def test_a1_does_not_hang_on_the_last_ulp_of_the_input(self):
+        # the Schur vectors of the contraction block are unique up to
+        # phases, which rounding picks; with the entry of each column
+        # nearest the diagonal above SNAP_TOL ||A1|| real and >= 0, a one-ulp
+        # move of A moves A1 by rounding only (up to 1.58 when the phases
+        # were free)
+        path = Path(__file__).parent / "golden" / "elliptic_split_condition_fails_ball_n4.json"
+        base, worst = self._a1_moves(json.loads(path.read_text()))
+        assert base[0, 1].real > 0.5 and abs(base[0, 1].imag) <= 1e-15
+        assert worst <= 1e-13
+
+    def test_a1_phase_skips_a_superdiagonal_at_rounding_level(self):
+        # contraction block [[0.3, 0, c], [0, -0.2, 0], [0, 0, 0.4i]]: the
+        # superdiagonal is rounding, so its phase must not turn c (up to 1.0
+        # when the first superdiagonal set the phases)
+        rng = np.random.default_rng(5)
+        q = random_unitary(rng, 4)
+        lin = np.zeros((4, 4), dtype=complex)
+        lin[0, 0] = np.exp(0.7j)
+        lin[1:, 1:] = np.diag([0.3, -0.2, 0.4j])
+        lin[1, 3] = 0.5j
+        a = q @ lin @ q.conj().T
+        spec = {"dimension": 4, "domain": "ball", "D": [1.0, 0.0],
+                "A": [[[z.real, z.imag] for z in row] for row in a.tolist()],
+                "B": [[0.0, 0.0]] * 4, "C": [[0.0, 0.0]] * 4}
+        base, worst = self._a1_moves(spec)
+        assert np.max(np.abs(np.diag(base, 1))) <= 1e-14
+        assert abs(base[0, 2] - 0.5) <= 1e-14
+        assert worst <= 1e-13
 
     def test_caller_classification_without_multipliers(self):
         # a hand-built elliptic Classification gets its multipliers from the
