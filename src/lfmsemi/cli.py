@@ -30,6 +30,7 @@ from .embedding import (
 from .errors import DimensionError, DomainError, LfmError
 from .maps import (
     BALL,
+    DEFAULT_SAMPLE_SEED,
     SIEGEL,
     BallMap,
     SiegelMap,
@@ -38,7 +39,7 @@ from .maps import (
     domain_margin,
 )
 from .normal_forms import conjugation_residual, normal_form
-from .verify import DEFAULT_TOLS, SamplerCfg, verify_family
+from .verify import DEFAULT_TOLS, VERIFY_SAMPLE_COUNT, SamplerCfg, verify_family
 
 SCHEMA_VERSION = 2
 
@@ -47,6 +48,9 @@ TOL_PROFILES = {
     "strict": {"law": 1e-9, "self_map": 1e-10, "time_one": 1e-9,
                "generator": 1e-6, "identity": 1e-11},
 }
+
+#: the times of the trajectory when the caller gives none
+DEFAULT_T_GRID = (0.0, 0.25, 0.5, 1.0, 2.0)
 
 EXIT_EMBEDDABLE = 0
 EXIT_CONDITION_FAILS = 1
@@ -186,8 +190,8 @@ def parse_map_spec(obj: dict):
 # pipeline
 
 
-def run_pipeline(spec_obj: dict, seed: int = 20250808, tol_profile: str = "default",
-                 t_grid=(0.0, 0.25, 0.5, 1.0, 2.0), z0=None, stop_after: str = "verify"):
+def run_pipeline(spec_obj: dict, seed: int = DEFAULT_SAMPLE_SEED, tol_profile: str = "default",
+                 t_grid=DEFAULT_T_GRID, z0=None, stop_after: str = "verify"):
     """Classify -> normal form -> embed -> build -> verify, recording each
     stage outcome; stage errors are captured, later stages marked skipped."""
     tols = TOL_PROFILES[tol_profile]
@@ -277,7 +281,7 @@ def run_pipeline(spec_obj: dict, seed: int = 20250808, tol_profile: str = "defau
                     report["stages"]["verify"] = {
                         "status": "skipped", "reason": "no semigroup built"}
                     continue
-                cfg = SamplerCfg(seed=seed, count=60, domain=sg.domain)
+                cfg = SamplerCfg(seed=seed, count=VERIFY_SAMPLE_COUNT, domain=sg.domain)
                 reports = verify_family(sg, cfg, tols=tols)
                 report["stages"]["verify"] = to_jsonable({
                     "status": "ok",
@@ -423,7 +427,7 @@ def _human_summary(report) -> str:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=20250808,
+    common.add_argument("--seed", type=int, default=DEFAULT_SAMPLE_SEED,
                         help="seed for all sampled verification points")
     common.add_argument("--tol-profile", choices=sorted(TOL_PROFILES), default="default")
     common.add_argument("--output", default=None,
@@ -442,8 +446,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="path to the map spec JSON ('-' for stdin)")
         p.set_defaults(stop_after=stop)
         if name in ("semigroup", "report"):
-            p.add_argument("--t", default="[0,0.25,0.5,1,2]",
-                           help="JSON list of trajectory times")
+            p.add_argument("--t", default=None,
+                           help="JSON list of trajectory times (default "
+                                f"{json.dumps(DEFAULT_T_GRID)})")
             p.add_argument("--z0", default=None,
                            help="JSON start point, complex entries as [re, im]")
             p.add_argument("--csv", default=None,
@@ -455,7 +460,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec_obj = _read_spec(args.spec)
-        t_grid = (0.0, 0.25, 0.5, 1.0, 2.0)
+        t_grid = DEFAULT_T_GRID
         z0 = None
         if getattr(args, "t", None) is not None:
             t_grid = _times_in(_json_option(args.t, "--t"))

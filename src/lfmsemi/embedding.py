@@ -642,13 +642,13 @@ def embed_dim2(f: BallMap, cls: Optional[Classification] = None) -> EmbeddingCer
     return dataclasses.replace(cert, criterion_id=label(nf.parameters))
 
 
-def is_automorphism(f: BallMap, tol: float = 1e-8) -> bool:
+def is_automorphism(f: BallMap) -> bool:
     """Automorphism test on the homogeneous matrix T: T^H J T = c J with
-    c > 0 (J = diag(I_N, -1)), to within tol relative to ||T^H J T||_F."""
+    c > 0 (J = diag(I_N, -1)), to within 1e-8 relative to ||T^H J T||_F."""
     s = pullback_form(f.to_proj().mat)
     j = np.diag(np.append(np.ones(f.dim), -1.0))
     c = -float(s[-1, -1].real)
-    return bool(c > 0 and np.linalg.norm(s - c * j) <= tol * np.linalg.norm(s))
+    return bool(c > 0 and np.linalg.norm(s - c * j) <= 1e-8 * np.linalg.norm(s))
 
 
 def embed_automorphism(f: BallMap) -> EmbeddingCertificate:

@@ -6,8 +6,8 @@ plain ``numpy`` arrays of ``complex128``; the wrappers here add input
 validation, the decomposition result types, and the matrix-analytic
 predicates the rest of the package relies on.
 
-All tolerances are explicit keyword parameters with documented
-defaults; there are no hidden constants.
+Its tolerances are the named constants below, the literals of the checks
+(each stated in its docstring), and the ``rank_tol`` of :func:`pinv`.
 """
 
 from __future__ import annotations
@@ -250,23 +250,23 @@ def mat_log_principal(a) -> np.ndarray:
 
 class DissipativeResult(NamedTuple):
     dissipative: bool
-    #: largest eigenvalue of the hermitian part (<= tol means dissipative)
+    #: largest eigenvalue of the hermitian part (<= 0 means dissipative)
     margin: float
     #: unit vector with Re w^H M w > 0 when not dissipative
     witness: Optional[np.ndarray]
 
 
-def is_dissipative(m, tol: float = 0.0) -> DissipativeResult:
+def is_dissipative(m) -> DissipativeResult:
     """Decide Re w^H M w <= 0 for all w.
 
-    Equivalent to the hermitian part of M having no eigenvalue above
-    *tol*.  On failure the eigenvector of the largest eigenvalue is
-    returned as a witness.
+    Equivalent to the hermitian part of M having no positive eigenvalue.
+    On failure the eigenvector of the largest eigenvalue is returned as a
+    witness.
     """
     m = as_matrix(m, square=True)
     w, v = np.linalg.eigh(hermitian_part(m))
     top = float(w[-1])
-    if top <= tol:
+    if top <= 0.0:
         return DissipativeResult(True, top, None)
     return DissipativeResult(False, top, v[:, -1].copy())
 
@@ -293,7 +293,7 @@ def unitary_with_first_column(v) -> np.ndarray:
     return q
 
 
-def unimodular_count(eigs, tol: float = UNIMODULAR_TOL) -> int:
-    """Number of eigenvalues with modulus within *tol* of 1."""
+def unimodular_count(eigs) -> int:
+    """Number of eigenvalues with modulus within UNIMODULAR_TOL of 1."""
     eigs = np.atleast_1d(np.asarray(eigs, dtype=complex))
-    return int(np.sum(np.abs(np.abs(eigs) - 1.0) <= tol))
+    return int(np.sum(np.abs(np.abs(eigs) - 1.0) <= UNIMODULAR_TOL))

@@ -33,7 +33,7 @@ Inner products are hermitian with conjugation on the second slot:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -47,8 +47,7 @@ from .errors import (
     NumericError,
     PoleError,
 )
-from .linalg import (UNIMODULAR_TOL, as_matrix, as_vector, schur_form, unimodular_count,
-                     unitary_with_first_column)
+from .linalg import as_matrix, as_vector, schur_form, unimodular_count, unitary_with_first_column
 
 BALL = "ball"
 SIEGEL = "siegel"
@@ -69,6 +68,10 @@ DEFAULT_RADII = (0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 0.95)
 _SELF_MAP_SLACK = 1e-9
 _FIXED_POINT_TOL = 1e-9
 _POLE_TOL = 1e-14
+
+#: a stray entry of a Siegel matrix above this, relative to its largest
+#: entry, leaves the affine form fixing infinity (:func:`siegel_map_from_proj`)
+_AFFINE_FORM_TOL = 1e-8
 
 #: the constant c of the Jordan split (c eps scale)^(1/k) of :func:`fixed_points`
 _JORDAN_SPLIT_FACTOR = 1e3
@@ -521,9 +524,6 @@ class SiegelMap:
 
     or a stack of T such maps held as (T,), (T, k), (T,), (T, k, k) and
     (T, k) arrays of these fields; item i of a stack is map i.
-
-    ``block_split`` optionally records sizes (p, q, r) of the u/v/w
-    sub-blocks when M is in split form.
     """
 
     lam: complex
@@ -531,7 +531,6 @@ class SiegelMap:
     b: complex
     M: np.ndarray
     c: np.ndarray
-    block_split: Optional[tuple] = field(default=None)
 
     def __post_init__(self):
         lam, a, b, m, c = (np.asarray(x, dtype=complex)
@@ -549,10 +548,6 @@ class SiegelMap:
             raise DomainError("lam and b must be finite")
         self.__dict__.update(lam=lam if lead else complex(lam), a=a,
                              b=b if lead else complex(b), M=m, c=c)  # the frozen fields
-        if self.block_split is not None:
-            p, q, r = self.block_split
-            if p + q + r != k or min(p, q, r) < 0:
-                raise DimensionError("block_split does not tile the w-block")
 
     @property
     def dim(self) -> int:
@@ -562,8 +557,7 @@ class SiegelMap:
         return _stack_size(self.M)
 
     def __getitem__(self, i: int) -> "SiegelMap":
-        return SiegelMap(self.lam[i], self.a[i], self.b[i], self.M[i], self.c[i],
-                         self.block_split)
+        return SiegelMap(self.lam[i], self.a[i], self.b[i], self.M[i], self.c[i])
 
     def images(self, z) -> np.ndarray:
         """Images of one half-plane point under every map, (T, N) for a
@@ -592,23 +586,23 @@ class SiegelMap:
         return _proj_of(m, SIEGEL, SIEGEL)
 
 
-def siegel_map_from_proj(p: ProjMap, tol: float = 1e-8) -> SiegelMap:
+def siegel_map_from_proj(p: ProjMap) -> SiegelMap:
     """Read the affine (z, w) form off a homogeneous matrix.
 
     Raises :class:`FormError` when the map does not fix infinity, i.e.
     when the denominator row or the z-column of the w-rows is not
-    negligible.
+    negligible (``_AFFINE_FORM_TOL``).
     """
     if not (p.domain == SIEGEL and p.codomain == SIEGEL):
         raise DomainError("homogeneous matrix is not tagged as a Siegel self-map")
     n = p.dim
     m = p.mat
     scale = float(np.max(np.abs(m)))
-    if abs(m[n, n]) < tol * scale:
+    if abs(m[n, n]) < _AFFINE_FORM_TOL * scale:
         raise FormError("map does not fix infinity (constant denominator absent)")
     m = m / m[n, n]
     stray = float(max(np.max(np.abs(m[n, :n])), np.max(np.abs(m[1:n, 0]), initial=0.0)))
-    if stray > tol * max(1.0, float(np.max(np.abs(m)))):
+    if stray > _AFFINE_FORM_TOL * max(1.0, float(np.max(np.abs(m)))):
         raise FormError(
             f"map is not in affine Siegel form (stray coefficient {stray:.3e}); "
             "only non-elliptic maps with Denjoy-Wolff point at e1 qualify"
@@ -674,7 +668,9 @@ def _wrap_like(p: ProjMap) -> Map:
 
 
 def compose(f: Map, g: Map) -> Map:
-    """f after g.  Same-type operands return the same type."""
+    """f after g.  Same-type operands return the same type, except that a
+    Siegel result that rounding pushes out of the affine form fixing
+    infinity comes back as a :class:`ProjMap` (:func:`_wrap_like`)."""
     p = to_proj(g).then(to_proj(f))
     if type(f) is type(g) and isinstance(f, (BallMap, SiegelMap)):
         return _wrap_like(p)
@@ -706,11 +702,11 @@ def pointwise_distance(f: Map, g: Map, points: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(fa - ga, axis=1)))
 
 
-def is_identity(f: Map, tol: float = 1e-12) -> bool:
+def is_identity(f: Map) -> bool:
     """f is the identity: its homogeneous matrix, scaled to unit RMS
-    entry, is within tol entrywise of its corner entry times I."""
+    entry, is within 1e-12 entrywise of its corner entry times I."""
     m = to_proj(f).mat
-    return bool(np.max(np.abs(m - m[-1, -1] * np.eye(len(m)))) <= tol)
+    return bool(np.max(np.abs(m - m[-1, -1] * np.eye(len(m)))) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -723,33 +719,31 @@ def cayley_to_ball(g: SiegelMap) -> BallMap:
     return ball_map_from_proj(sigma.then(g.to_proj()).then(sigma_inv))
 
 
-def cayley_to_siegel(f: BallMap, dw_point: Optional[np.ndarray] = None,
-                     with_chain: bool = False):
+def cayley_to_siegel(f: BallMap) -> SiegelMap:
     """Transport a non-elliptic ball map to its affine Siegel form.
 
-    The Denjoy-Wolff point is first rotated to e1 by a unitary so the
-    transported map fixes infinity (a no-op when it already sits at e1,
-    making the round trip with :func:`cayley_to_ball` exact); elliptic
-    maps raise :class:`FormError`.  When *dw_point* is given,
-    classification is skipped and that boundary point is used.
-
-    With ``with_chain=True`` also returns the list of conjugating maps
-    [rotation, cayley] whose composition s satisfies
-    result = s o f o s^-1.
+    The Denjoy-Wolff point of :func:`classify` is first rotated to e1 by a
+    unitary so the transported map fixes infinity (a no-op when it already
+    sits at e1, making the round trip with :func:`cayley_to_ball` exact);
+    elliptic maps raise :class:`FormError`.
     """
-    if dw_point is None:
-        cls = classify(f)
-        if cls.kind == ELLIPTIC:
-            raise FormError("elliptic maps have no affine Siegel form fixing infinity")
-        dw_point = cls.dw_point
+    cls = classify(f)
+    if cls.kind == ELLIPTIC:
+        raise FormError("elliptic maps have no affine Siegel form fixing infinity")
+    return _siegel_chain(f, cls.dw_point)[0]
+
+
+def _siegel_chain(f: BallMap, dw_point: np.ndarray):
+    """The affine Siegel form of f with Denjoy-Wolff point *dw_point*, and
+    the conjugating maps [rotation, cayley] whose composition s satisfies
+    form = s o f o s^-1; returns (form, chain)."""
     rot = unitary_with_first_column(as_vector(dw_point)).conj().T
     if np.linalg.norm(rot - np.eye(f.dim)) < 1e-9:
         rot = np.eye(f.dim)
     rot_p = _change_of_variable(rot)  # a Householder reflection
     rotated = conjugate(f, rot_p, checked=False)  # only transported
     sigma, sigma_inv = _cayley_pair(f.dim)
-    result = siegel_map_from_proj(sigma_inv.then(to_proj(rotated)).then(sigma))
-    return (result, [rot_p, sigma]) if with_chain else result
+    return siegel_map_from_proj(sigma_inv.then(to_proj(rotated)).then(sigma)), [rot_p, sigma]
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +784,7 @@ class FixedPoints(tuple):
         return (*self, self.proj, self.eigenvalues)
 
 
-def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL) -> FixedPoints:
+def fixed_points(f: BallMap) -> FixedPoints:
     """Fixed points of f in the closed ball.
 
     Eigenvectors (v, tau) of the homogeneous matrix with tau != 0
@@ -813,7 +807,8 @@ def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL) -> FixedPoints:
     prefixes is singular is used alone.  So an earlier anchor without an
     exact twin is used before a later anchor's turn, and the stack leaves
     out the later prefixes that hold one.  Of the candidate points in the
-    closed ball, those with |f(p) - p| <= tol are kept.
+    closed ball, those with |f(p) - p| <= 1e-9 (``_FIXED_POINT_TOL``) are
+    kept.
     """
     proj = to_proj(f)
     m, n = proj.mat, len(proj.mat)
@@ -866,6 +861,7 @@ def fixed_points(f: BallMap, tol: float = _FIXED_POINT_TOL) -> FixedPoints:
     finite = np.abs(tau) > 1e-9 * np.max(np.abs(v), axis=1, initial=0.0)  # else at infinity
     points = v[finite, :-1] / tau[finite, None]
     radii = np.linalg.norm(points, axis=1)
+    tol = _FIXED_POINT_TOL
     points, radii = points[radii < 1.0 + tol], radii[radii < 1.0 + tol]
     fixed = np.array([np.linalg.norm(f(p) - p) <= tol for p in points], dtype=bool)
     interior, boundary = [], []
@@ -956,14 +952,13 @@ def _dilation(f: BallMap, w: np.ndarray) -> float:
     return float(((1.0 - np.vdot(w, f.B)) / f.denominator(w)).real)
 
 
-def unitary_index(f: BallMap, fixed_point: Optional[np.ndarray] = None,
-                  tol: float = UNIMODULAR_TOL) -> int:
-    """Total multiplicity of unimodular eigenvalues of the differential
-    at an interior fixed point: *fixed_point*, or when None the first one
-    of :func:`classify`, whose multipliers it counts."""
+def unitary_index(f: BallMap, fixed_point: Optional[np.ndarray] = None) -> int:
+    """Total multiplicity of unimodular eigenvalues (UNIMODULAR_TOL) of the
+    differential at an interior fixed point: *fixed_point*, or when None
+    the first one of :func:`classify`, whose multipliers it counts."""
     if fixed_point is None:
         multipliers = classify(f).multipliers
         if multipliers is None:
             raise DomainError("unitary index requires an interior fixed point")
-        return unimodular_count(multipliers, tol)
-    return unimodular_count(np.linalg.eigvals(f.differential(fixed_point)), tol)
+        return unimodular_count(multipliers)
+    return unimodular_count(np.linalg.eigvals(f.differential(fixed_point)))

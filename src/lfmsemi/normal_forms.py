@@ -50,8 +50,8 @@ from .maps import (
     SiegelMap,
     _automorphism_fields,
     _change_of_variable,
+    _siegel_chain,
     _trusted_ball_map,
-    cayley_to_siegel,
     classify,
     conjugate,
     heisenberg_map,
@@ -76,6 +76,11 @@ SNAP_TOL = 1e-7
 #: eigenvalue whose translation component cannot be rotated away
 RESONANCE_TOL = 1e-6
 
+#: a normal-form condition passes when its margin is at least -CONDITION_TOL
+#: (:func:`siegel_conditions`, :func:`parabolic_conditions`,
+#: :func:`hyperbolic_conditions`)
+CONDITION_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Condition:
@@ -94,13 +99,6 @@ class NormalForm:
     parameters: dict
 
 
-@dataclass(frozen=True)
-class SiegelReduction:
-    map: SiegelMap
-    report: list
-    conjugations: list
-
-
 def chain_map(conjugations: list) -> ProjMap:
     """Compose a conjugation chain into a single map (first applied first)."""
     if not conjugations:
@@ -111,14 +109,15 @@ def chain_map(conjugations: list) -> ProjMap:
     return total
 
 
-def conjugation_residual(nf: NormalForm, f: BallMap, count: int = 100) -> float:
-    """Pointwise distance between chain o f o chain^-1 and the normal map."""
-    if not nf.conjugations:
-        return pointwise_distance(f, nf.normal_map, sample_ball_points(f.dim, count))
-    total = chain_map(nf.conjugations)
-    g = conjugate(f, total, checked=False)  # only evaluated
-    sampler = sample_ball_points if total.codomain == "ball" else sample_siegel_points
-    return pointwise_distance(g, nf.normal_map, sampler(f.dim, count))
+def conjugation_residual(nf: NormalForm, f: BallMap) -> float:
+    """Pointwise distance between chain o f o chain^-1 and the normal map,
+    over 100 sample points of the normal map's domain."""
+    g, sampler = f, sample_ball_points
+    if nf.conjugations:
+        total = chain_map(nf.conjugations)
+        g = conjugate(f, total, checked=False)  # only evaluated
+        sampler = sample_ball_points if total.codomain == "ball" else sample_siegel_points
+    return pointwise_distance(g, nf.normal_map, sampler(f.dim, 100))
 
 
 def _require(value: float, tol: float, what: str) -> None:
@@ -247,7 +246,7 @@ def elliptic_u0(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
 # Siegel reduction and the self-map conditions
 
 
-def siegel_conditions(s: SiegelMap, tol: float = 1e-8) -> list:
+def siegel_conditions(s: SiegelMap) -> list:
     """The three affine self-map conditions with numeric margins, those of
     the bordered test [[Q, x], [x^H, Im b - |c|^2]] >= 0 with
     Q = lam I - M^H M, x = M^H c - a (:func:`~lfmsemi.linalg.schur_margins`).
@@ -255,7 +254,10 @@ def siegel_conditions(s: SiegelMap, tol: float = 1e-8) -> list:
     P1: Q positive semi-definite and lam real (lam > 0 when N = 1),
     P2: the Schur complement Im b - |c|^2 - <Q+ x, x> >= 0,
     P3: x lies in the range of Q.
+
+    Each passes with a margin of at least -CONDITION_TOL.
     """
+    tol = CONDITION_TOL
     lam, m, a, b, c = s.lam, s.M, s.a, s.b, s.c
     psd, margin2, margin3, _ = schur_margins(_defect(m, lam.real), m.conj().T @ c - a,
                                              b.imag - float(np.vdot(c, c).real))
@@ -267,22 +269,12 @@ def siegel_conditions(s: SiegelMap, tol: float = 1e-8) -> list:
     ]
 
 
-def siegel_reduce(f: BallMap, tol: float = 1e-8) -> SiegelReduction:
-    """Transport a non-elliptic map to its affine Siegel form and report
-    the self-map conditions."""
-    cls = classify(f)
-    if cls.dw_point is None:
-        raise DomainError("siegel_reduce expects a non-elliptic map")
-    s, chain = cayley_to_siegel(f, dw_point=cls.dw_point, with_chain=True)
-    return SiegelReduction(s, siegel_conditions(s, tol), chain)
-
-
 def _to_siegel(f: BallMap, cls: Optional[Classification], kind: str, who: str):
     """The affine Siegel form of a map of the given class, with its chain."""
     cls = classify(f) if cls is None else cls
     if cls.kind != kind:
         raise DomainError(f"{who} expects a {kind} map, got {cls.kind}")
-    return cayley_to_siegel(f, dw_point=cls.dw_point, with_chain=True)
+    return _siegel_chain(f, cls.dw_point)
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +304,19 @@ def _unimodular_split(m: np.ndarray):
     return form, lam, a1
 
 
-def _split_blocks(m: np.ndarray, one_tol: float = 1e-8):
-    """Unitary W with W M W^H = blockdiag(I_p, D, A); returns
+def _split_blocks(m: np.ndarray):
+    """Unitary W with W M W^H = blockdiag(I_p, D, A), where the unimodular
+    eigenvalues within 1e-8 of 1 make up I_p; returns
     (W, p, q, r, d_diag, a_block)."""
     k = m.shape[0]
     if k == 0:
         return np.eye(0, dtype=complex), 0, 0, 0, np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
     form, uni, a_block = _unimodular_split(m)
     nuni = len(uni)
-    ones = [j for j in range(nuni) if abs(uni[j] - 1.0) <= one_tol]
-    others = [j for j in range(nuni) if abs(uni[j] - 1.0) > one_tol]
-    w = np.eye(k)[ones + others + list(range(nuni, k))] @ form.unitary  # rows reordered
+    near_one = np.abs(uni - 1.0) <= 1e-8
+    ones, others = np.flatnonzero(near_one), np.flatnonzero(~near_one)
+    rows = np.concatenate([ones, others, np.arange(nuni, k)])
+    w = np.eye(k)[rows] @ form.unitary  # rows reordered
     return w, len(ones), len(others), k - nuni, uni[others], a_block
 
 
@@ -339,7 +333,7 @@ def siegel_normal_map(lam, a, d, w_block, c, c_res, b, scale=None) -> SiegelMap:
     zeros = np.zeros(q)
     return SiegelMap(lam, np.concatenate([a, zeros, c], dtype=complex), b,
                      m if scale is None else scale * m,
-                     np.concatenate([a, zeros, c_res], dtype=complex), block_split=(p, q, r))
+                     np.concatenate([a, zeros, c_res], dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +373,10 @@ def parabolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> N
     return NormalForm(FORM_PARABOLIC, normal_map, chain, params)
 
 
-def parabolic_conditions(nf: NormalForm, tol: float = 1e-8) -> list:
+def parabolic_conditions(nf: NormalForm) -> list:
     """Margins of the four parabolic normal-form conditions: D avoids 1,
     and the bordered test [[I - A^H A, c], [c^H, Im b - |a|^2]] >= 0."""
+    tol = CONDITION_TOL
     d_diag = np.atleast_1d(nf.parameters["D"])
     a_block, a_vec, c_vec, b = (nf.parameters[key] for key in ("A", "a", "c", "b"))
     margin1 = float(np.min(np.abs(d_diag - 1.0))) if d_diag.size else 1.0
@@ -460,13 +455,14 @@ def hyperbolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> 
     return NormalForm(FORM_HYPERBOLIC, normal_map, chain, params)
 
 
-def hyperbolic_conditions(nf: NormalForm, tol: float = 1e-8) -> list:
+def hyperbolic_conditions(nf: NormalForm) -> list:
     """Margins of the hyperbolic normal-form conditions.
 
     Structural checks (D avoids 1, I - A^H A psd, which has the spectrum
     of I - A A^H, A^H c_res in its range) plus the generic affine self-map
     conditions of the normal map itself.
     """
+    tol = CONDITION_TOL
     d_diag = np.atleast_1d(nf.parameters["D"])
     a_block = nf.parameters["A"]
     margin1 = float(np.min(np.abs(d_diag - 1.0))) if d_diag.size else 1.0
@@ -476,7 +472,7 @@ def hyperbolic_conditions(nf: NormalForm, tol: float = 1e-8) -> list:
         Condition("D_spectrum_avoids_1", margin1, margin1 > UNIMODULAR_TOL),
         Condition("Q_and_P_psd", margin2, margin2 >= -tol),
         Condition("AHc_in_range_of_Q", margin4, margin4 >= -tol),
-    ] + siegel_conditions(nf.normal_map, tol)
+    ] + siegel_conditions(nf.normal_map)
 
 
 # ---------------------------------------------------------------------------
@@ -495,5 +491,5 @@ def _defect(m: np.ndarray, lam: float = 1.0) -> np.ndarray:
     return (q + q.conj().T) / 2.0
 
 
-def _is_diagonal(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(m - np.diag(np.diag(m))), initial=0.0) <= tol)
+def _is_diagonal(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - np.diag(np.diag(m))), initial=0.0) <= 1e-12)

@@ -30,6 +30,7 @@ from .errors import DimensionError, DomainError
 from .maps import (
     BALL,
     DEFAULT_RADII,
+    DEFAULT_SAMPLE_SEED,
     SIEGEL,
     domain_margin,
     sample_ball_points,
@@ -46,12 +47,15 @@ TOL_IDENTITY = 1e-10
 DEFAULT_TOLS = {"identity": TOL_IDENTITY, "law": TOL_LAW, "self_map": TOL_SELF_MAP,
                 "time_one": TOL_TIME_ONE, "generator": TOL_GENERATOR}
 
+#: the number of sample points of the battery of :func:`verify_family`
+VERIFY_SAMPLE_COUNT = 60
+
 
 @dataclass(frozen=True)
 class SamplerCfg:
     """Deterministic point stream for a domain."""
 
-    seed: int = 20250808
+    seed: int = DEFAULT_SAMPLE_SEED
     count: int = 200
     domain: str = BALL
     radius_schedule: tuple = DEFAULT_RADII
@@ -103,18 +107,12 @@ def _require_domain(cfg: SamplerCfg, *sources) -> None:
             )
 
 
-def _points(cfg: SamplerCfg, dim: int, *sources) -> np.ndarray:
-    """The (K, N) sample of *cfg*, drawn from the domain of every source."""
-    _require_domain(cfg, *sources)
-    return cfg.points(dim)
-
-
 @dataclass(frozen=True)
 class _Sampled:
     """A family evaluated on one sample: its maps at distinct times, an
-    ``at_many`` stack or, for a family with only ``at(t)``, a list of maps,
-    and their images (T, K, N) of the (K, N) sample *zs*.  A check takes
-    one in place of the family and reads its rows by time."""
+    ``at_many`` stack, and their images (T, K, N) of the (K, N) sample
+    *zs*.  A check takes one in place of the family and reads its rows by
+    time."""
 
     family: object
     zs: np.ndarray
@@ -128,18 +126,14 @@ class _Sampled:
 
     def apply(self, times, points) -> np.ndarray:
         """The map at times[i] applied to its own (K, N) array points[i]."""
-        idx = [self.rows[t] for t in times]
-        if isinstance(self.maps, list):
-            return np.stack([self.maps[i].eval_many(p) for i, p in zip(idx, points)])
-        return self.maps[idx].eval_many(points)
+        return self.maps[[self.rows[t] for t in times]].eval_many(points)
 
 
 def _sampled(sg, cfg: SamplerCfg, times, target=None) -> _Sampled:
     """*sg* itself if it is already sampled; else the family at the
-    distinct *times* in order of first appearance, from one ``at_many``
-    (one ``at`` per time for a family without it), evaluated on the sample
-    of *cfg*, whose domain must be the family's and the target map's
-    (checked before any map is built)."""
+    distinct *times* in order of first appearance, from one ``at_many``,
+    evaluated on the sample of *cfg*, whose domain must be the family's and
+    the target map's (checked before any map is built)."""
     if isinstance(sg, _Sampled):
         return sg
     sources = [("family", sg.domain)]
@@ -147,16 +141,9 @@ def _sampled(sg, cfg: SamplerCfg, times, target=None) -> _Sampled:
         sources.append(("target", to_proj(target).domain))
     _require_domain(cfg, *sources)
     ts = list(dict.fromkeys(times))
-    at_many = getattr(sg, "at_many", None)
-    if at_many:
-        maps = at_many(ts)
-        zs = cfg.points(maps.dim)
-        images = maps.eval_many(zs)
-    else:
-        maps = [sg.at(t) for t in ts]
-        zs = cfg.points(maps[0].dim)
-        images = np.stack([m.eval_many(zs) for m in maps])
-    return _Sampled(sg, zs, maps, images, {t: i for i, t in enumerate(ts)})
+    maps = sg.at_many(ts)
+    zs = cfg.points(maps.dim)
+    return _Sampled(sg, zs, maps, maps.eval_many(zs), {t: i for i, t in enumerate(ts)})
 
 
 def _deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,7 +154,8 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def check_self_map(f, cfg: SamplerCfg, tol: float = TOL_SELF_MAP) -> CheckReport:
     """Worst domain margin of the image: 1 - |f(z)| on the ball,
     Im w1 - |w'|^2 on the half-plane."""
-    zs = _points(cfg, f.dim, ("map", to_proj(f).domain))
+    _require_domain(cfg, ("map", to_proj(f).domain))
+    zs = cfg.points(f.dim)
     return _report("self_map", domain_margin(f.eval_many(zs), cfg.domain), zs, tol)
 
 
@@ -234,26 +222,19 @@ def check_generator(sg, cfg: SamplerCfg, h: Optional[float] = None,
     return _report("generator_fd", margins, ev.zs, tol)
 
 
-def check_conjugacy(f, g, s, cfg: SamplerCfg, tol: float = TOL_LAW) -> CheckReport:
-    """Worst deviation of s o f from g o s (s transports f onto g)."""
-    sp = to_proj(s)
-    zs = _points(cfg, sp.dim, ("conjugation source", sp.domain), ("map", to_proj(f).domain))
-    margins = -_deviation(sp.eval_many(f.eval_many(zs)), g.eval_many(sp.eval_many(zs)))
-    return _report("conjugacy", margins, zs, tol)
-
-
 def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=(0.25, 0.5, 1.0, 1.75),
                   tols: Optional[dict] = None) -> list:
     """The full battery for a built semigroup family: identity at 0,
     semigroup law, per-t self-map, time-one match, generator residual.
 
-    *cfg* defaults to 60 points of the family's domain with the default
-    seed; *tols* overrides tolerances of :data:`DEFAULT_TOLS` by key.
+    *cfg* defaults to VERIFY_SAMPLE_COUNT points of the family's domain with
+    the default seed; *tols* overrides tolerances of :data:`DEFAULT_TOLS` by
+    key.
     The family is built once, by one ``at_many`` over every check's
     times, and evaluated once on one sample; each check reads its rows.
     """
     if cfg is None:
-        cfg = SamplerCfg(count=60, domain=sg.domain)
+        cfg = SamplerCfg(count=VERIFY_SAMPLE_COUNT, domain=sg.domain)
     tol = {**DEFAULT_TOLS, **(tols or {})}
     h, _, stencil = _fd_times(sg, None, _FD_GRID)
     times = [0.0, *_law_times(t_grid)[1], *map(float, t_grid), 1.0, *stencil]

@@ -379,8 +379,8 @@ def test_criterion_7_dim2_threshold_sharpness():
                                 "siegel")
     violated = False
     for t in np.geomspace(0.01, 5.0, 60):
-        conds = normal_forms.siegel_conditions(below.at(float(t)), tol=1e-10)
-        if not all(c.passed for c in conds):
+        conds = normal_forms.siegel_conditions(below.at(float(t)))
+        if not all(c.margin >= -1e-10 for c in conds):
             violated = True
             break
     _line(7, "dim-2 hyperbolic threshold is sharp at Im a = e - 1",

@@ -93,7 +93,7 @@ def parabolic_nf(a, d_diag, a_diag, c, b):
     m[p:p + q, p:p + q] = np.diag(d_diag)
     m[p + q:, p + q:] = np.diag(a_diag)
     nm = SiegelMap(1.0, np.concatenate([a, np.zeros(q), c]), b, m,
-                   np.concatenate([a, np.zeros(q + r)]), block_split=(p, q, r))
+                   np.concatenate([a, np.zeros(q + r)]))
     return NormalForm(FORM_PARABOLIC, nm, [],
                       {"a": a, "D": d_diag, "A": np.diag(a_diag), "c": c, "b": b,
                        "block_split": (p, q, r)})
@@ -110,7 +110,7 @@ def hyperbolic_nf(lam, d_diag, a_diag, c, c_res, b):
     m[:q, :q] = np.diag(d_diag)
     m[q:, q:] = np.diag(a_diag)
     nm = SiegelMap(lam, np.concatenate([np.zeros(q), c]), b, math.sqrt(lam) * m,
-                   np.concatenate([np.zeros(q), c_res]), block_split=(0, q, r))
+                   np.concatenate([np.zeros(q), c_res]))
     return NormalForm(FORM_HYPERBOLIC, nm, [],
                       {"lam": float(lam), "b": complex(b), "c": c, "c_res": c_res,
                        "D": d_diag, "A": np.diag(a_diag), "block_split": (0, q, r)})
@@ -416,8 +416,8 @@ class TestEmbedHyperbolic:
         assert cert.verdict == EMBEDDABLE
         sg = build_semigroup(cert)
         for t in np.arange(0.1, 5.01, 0.35):
-            for cond in siegel_conditions(sg.at(t), tol=1e-9):
-                assert cond.passed, (t, cond)
+            for cond in siegel_conditions(sg.at(t)):
+                assert cond.margin >= -1e-9, (t, cond)
 
     def test_resonant_weight(self):
         lam = float(np.exp(2))

@@ -67,8 +67,7 @@ def _direct(stack):
     """The stack rebuilt with the constructor from copies of its arrays."""
     if isinstance(stack, BallMap):
         return BallMap(*(np.array(x) for x in (stack.A, stack.B, stack.C)))
-    return SiegelMap(*(np.array(x) for x in (stack.lam, stack.a, stack.b, stack.M, stack.c)),
-                     block_split=stack.block_split)
+    return SiegelMap(*(np.array(x) for x in (stack.lam, stack.a, stack.b, stack.M, stack.c)))
 
 
 CASES = ("elliptic_split", "elliptic_u0", "parabolic", "hyperbolic")
@@ -177,12 +176,6 @@ def test_ball_stack_shape_mismatch(name, shape):
 def test_siegel_stack_shape_mismatch(name, shape):
     with pytest.raises(DimensionError):
         SiegelMap(**_with(_siegel_fields(), name, np.zeros(shape, dtype=complex)))
-
-
-def test_siegel_stack_block_split_must_tile():
-    SiegelMap(**_siegel_fields(), block_split=(1, 0, 1))
-    with pytest.raises(DimensionError):
-        SiegelMap(**_siegel_fields(), block_split=(1, 1, 1))
 
 
 NON_FINITE = [NAN, complex(0.0, NAN), float("inf"), complex(float("-inf"), 0.0)]

@@ -1,6 +1,7 @@
 """Tests for the normal-form reductions and their conjugation chains."""
 
 import copy
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -9,15 +10,17 @@ import numpy as np
 import pytest
 
 from lfmsemi.cli import run_pipeline
-from lfmsemi.errors import DomainError, WrongFormError
+from lfmsemi.errors import DomainError, FormError, WrongFormError
 from lfmsemi.linalg import pinv, spectral_norm, spectral_radius
 from lfmsemi.maps import (
     ELLIPTIC,
     BallMap,
     Classification,
+    ProjMap,
     SiegelMap,
     ball_automorphism,
     cayley_to_ball,
+    cayley_to_siegel,
     conjugate,
     heisenberg_map,
     sample_ball_points,
@@ -37,7 +40,6 @@ from lfmsemi.normal_forms import (
     parabolic_conditions,
     parabolic_normal_form,
     siegel_conditions,
-    siegel_reduce,
 )
 
 
@@ -226,12 +228,15 @@ class TestEllipticU0:
 
 
 class TestSiegelReduce:
+    """The affine Siegel form of a non-elliptic ball map and its self-map
+    conditions."""
+
     def test_translation(self):
         g = SiegelMap(1.0, np.zeros(1), 1j, np.eye(1), np.zeros(1))
         f = cayley_to_ball(g)
-        red = siegel_reduce(f)
-        margins = {c.name: c.margin for c in red.report}
-        assert all(c.passed for c in red.report)
+        report = siegel_conditions(cayley_to_siegel(f))
+        margins = {c.name: c.margin for c in report}
+        assert all(c.passed for c in report)
         assert margins["P1"] == pytest.approx(0.0, abs=1e-9)
         assert margins["P2"] == pytest.approx(1.0, abs=1e-8)
         assert margins["P3"] == pytest.approx(0.0, abs=1e-9)
@@ -240,8 +245,7 @@ class TestSiegelReduce:
         gamma = np.array([0.4 - 0.2j])
         g = heisenberg_map(gamma, 1j * float(np.vdot(gamma, gamma).real))
         f = cayley_to_ball(g)
-        red = siegel_reduce(f)
-        margins = {c.name: c.margin for c in red.report}
+        margins = {c.name: c.margin for c in siegel_conditions(cayley_to_siegel(f))}
         assert margins["P2"] == pytest.approx(0.0, abs=1e-8)
 
     def test_violation_reported(self):
@@ -252,8 +256,8 @@ class TestSiegelReduce:
         assert not p2.passed and p2.margin < 0
 
     def test_elliptic_rejected(self):
-        with pytest.raises(DomainError):
-            siegel_reduce(linear_ball_map(np.eye(2) / 2))
+        with pytest.raises(FormError):
+            cayley_to_siegel(linear_ball_map(np.eye(2) / 2))
 
 
 class TestParabolicNormalForm:
@@ -307,6 +311,16 @@ class TestParabolicNormalForm:
         d = np.atleast_1d(nf.parameters["D"])
         assert np.min(np.abs(d - 1.0)) > 1e-9
         assert parabolic_conditions(nf)[0].passed
+
+    def test_perturbed_chain_has_large_residual(self):
+        # the residual sees a chain step that does not carry f onto the normal map
+        f = cayley_to_ball(heisenberg_map(np.array([0.3]), 1j * 0.09 + 0.4))
+        nf = parabolic_normal_form(f)
+        assert conjugation_residual(nf, f) < 1e-8
+        step = nf.conjugations[-1]
+        bad = ProjMap(step.mat + 1e-3, step.domain, step.codomain)
+        chain = nf.conjugations[:-1] + [bad]
+        assert conjugation_residual(dataclasses.replace(nf, conjugations=chain), f) > 1e-4
 
     def test_non_parabolic_rejected(self):
         with pytest.raises(DomainError):

@@ -6,13 +6,12 @@ import pytest
 from lfmsemi import embedding as emb, verify
 from lfmsemi.cli import TOL_PROFILES
 from lfmsemi.embedding import build_semigroup, embed_hyperbolic, embed_parabolic
-from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, identity_ball_map, to_proj
+from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, identity_ball_map
 
 from lfmsemi.verify import (
     DEFAULT_TOLS,
     CheckReport,
     SamplerCfg,
-    check_conjugacy,
     check_generator,
     check_identity_at_zero,
     check_self_map,
@@ -74,11 +73,11 @@ class TestSemigroupLaw:
         class BadFamily:
             domain = SIEGEL
 
-            def at(self, t):
-                good = sg.at(t)
+            def at_many(self, ts):
+                good = sg.at_many(ts)
                 # replace the coefficient path by the (wrong) linear one
-                return SiegelMap(good.lam, t * nf.parameters["c"] *
-                                 np.ones(1), good.b, good.M, good.c)
+                return SiegelMap(good.lam, np.outer(ts, nf.parameters["c"]),
+                                 good.b, good.M, good.c)
 
         rep = check_semigroup_law(BadFamily(), [0.3, 0.6], SamplerCfg(count=30, domain=SIEGEL))
         assert not rep.passed
@@ -131,37 +130,6 @@ class TestGenerator:
         assert r1.worst_margin / r2.worst_margin == pytest.approx(4.0, rel=0.25)
 
 
-class TestConjugacy:
-    def test_identity_conjugation(self):
-        f = identity_ball_map(2)
-        rep = check_conjugacy(f, f, identity_ball_map(2), SamplerCfg(count=30))
-        assert rep.passed
-
-    def test_normal_form_chain(self):
-        from lfmsemi.maps import cayley_to_ball, heisenberg_map
-        from lfmsemi.normal_forms import chain_map, parabolic_normal_form
-
-        g = heisenberg_map(np.array([0.3]), 1j * 0.09 + 0.4)
-        f = cayley_to_ball(g)
-        nf = parabolic_normal_form(f)
-        s = chain_map(nf.conjugations)
-        rep = check_conjugacy(f, nf.normal_map, s, SamplerCfg(count=60, domain=BALL))
-        assert rep.passed
-
-    def test_perturbed_chain_fails(self):
-        from lfmsemi.maps import cayley_to_ball, heisenberg_map
-        from lfmsemi.normal_forms import chain_map, parabolic_normal_form
-
-        g = heisenberg_map(np.array([0.3]), 1j * 0.09 + 0.4)
-        f = cayley_to_ball(g)
-        nf = parabolic_normal_form(f)
-        s = chain_map(nf.conjugations)
-        bad = to_proj(s)
-        object.__setattr__(bad, "mat", bad.mat + 1e-3)
-        rep = check_conjugacy(f, nf.normal_map, bad, SamplerCfg(count=30, domain=BALL))
-        assert not rep.passed
-
-
 class TestFamilyBattery:
     def test_full_battery(self):
         cert = embed_hyperbolic(hyperbolic_nf(4.0, [np.exp(0.5j)], [0.4], [0.5], [], 1.0j))
@@ -186,15 +154,6 @@ class TestFamilyBattery:
         sg = scaling_family()
         rep = check_identity_at_zero(sg, SamplerCfg(count=20))
         assert rep.passed and rep.worst_margin > -1e-12
-
-
-class AtOnly:
-    """A family seen through ``at(t)`` alone, as a family without
-    ``at_many`` is."""
-
-    def __init__(self, sg):
-        self.at, self.domain, self.parameters, self.target = (
-            sg.at, sg.domain, sg.parameters, sg.target)
 
 
 def standalone_battery(sg, cfg, tols):
@@ -246,14 +205,6 @@ class TestOneBuild:
                 want = standalone_battery(sg, cfg, tols)
                 assert [r.check_id for r in got] == [r.check_id for r in want]
                 assert all(map(same_report, got, want)), (label, profile)
-
-    def test_family_without_at_many(self):
-        # the checks evaluate the maps of at(t) one by one, with the same bits
-        for label, sg in _golden_families():
-            cfg = SamplerCfg(count=20, domain=sg.domain)
-            want = standalone_battery(sg, cfg, {})
-            got = standalone_battery(AtOnly(sg), cfg, {})
-            assert len(got) == len(want) and all(map(same_report, got, want)), label
 
     def test_checks_run_inside_the_battery(self, monkeypatch):
         # a tracer finds every check under its module-level name
