@@ -49,6 +49,9 @@ TOL_PROFILES = {
                "generator": 1e-6, "identity": 1e-11},
 }
 
+#: the pipeline stages in order; ``stop_after`` names the last one to run
+STAGES = ("classify", "normal_form", "embed", "semigroup", "verify")
+
 #: the times of the trajectory when the caller gives none
 DEFAULT_T_GRID = (0.0, 0.25, 0.5, 1.0, 2.0)
 
@@ -193,7 +196,14 @@ def parse_map_spec(obj: dict):
 def run_pipeline(spec_obj: dict, seed: int = DEFAULT_SAMPLE_SEED, tol_profile: str = "default",
                  t_grid=DEFAULT_T_GRID, z0=None, stop_after: str = "verify"):
     """Classify -> normal form -> embed -> build -> verify, recording each
-    stage outcome; stage errors are captured, later stages marked skipped."""
+    stage outcome; stage errors are captured, later stages marked skipped.
+    An unknown *tol_profile* or *stop_after* raises :class:`SpecError`
+    before any stage runs."""
+    if tol_profile not in TOL_PROFILES:
+        raise SpecError(f"tol_profile: expected one of {sorted(TOL_PROFILES)}, "
+                        f"got {tol_profile!r}")
+    if stop_after not in STAGES:
+        raise SpecError(f"stop_after: expected one of {list(STAGES)}, got {stop_after!r}")
     tols = TOL_PROFILES[tol_profile]
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -202,8 +212,7 @@ def run_pipeline(spec_obj: dict, seed: int = DEFAULT_SAMPLE_SEED, tol_profile: s
         "tol_profile": tol_profile,
         "stages": {},
     }
-    order = ["classify", "normal_form", "embed", "semigroup", "verify"]
-    stages = order[: order.index(stop_after) + 1]
+    stages = STAGES[: STAGES.index(stop_after) + 1]
 
     def skip_rest(from_stage):
         for name in stages[stages.index(from_stage):]:

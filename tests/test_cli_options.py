@@ -6,8 +6,10 @@ whose lam^t overflows are rejected by name at every entry point, an
 infinite time by every family, an
 empty time grid writes a header-only CSV, a map without a trajectory
 says on stderr why no CSV was written, ``--tol-profile strict``
-reaches the verification, report values keep their JSON types, and a
-spec matrix with ragged rows is an input error naming its field."""
+reaches the verification, report values keep their JSON types, an
+unknown tolerance profile or last stage is a SpecError before the spec is
+parsed, and a spec matrix with ragged rows is an input error naming its
+field."""
 
 import json
 from pathlib import Path
@@ -233,6 +235,28 @@ class TestTolerances:
                       for c in report["stages"]["verify"]["checks"]}
         assert tolerances == {"identity_at_zero": 1e-10, "semigroup_law": 1e-8,
                               "self_map": 1e-9, "time_one": 1e-8, "generator_fd": 1e-5}
+
+
+class TestPipelineArguments:
+    """An unknown tolerance profile or last stage is a SpecError naming the
+    valid choices, raised before the spec is parsed."""
+
+    @pytest.fixture(autouse=True)
+    def no_parse(self, monkeypatch):
+        def parse(spec):
+            raise AssertionError("the spec was parsed")
+        monkeypatch.setattr(cli, "parse_map_spec", parse)
+
+    def test_unknown_tol_profile(self):
+        with pytest.raises(SpecError, match=r"tol_profile: expected one of \['default', "
+                                            r"'strict'\], got 'nope'"):
+            run_pipeline(DISK_AUT, tol_profile="nope")
+
+    def test_unknown_stop_after(self):
+        with pytest.raises(SpecError, match=r"stop_after: expected one of \['classify', "
+                                            r"'normal_form', 'embed', 'semigroup', 'verify'\], "
+                                            r"got 'embedd'"):
+            run_pipeline(DISK_AUT, stop_after="embedd")
 
 
 class TestRaggedRows:
