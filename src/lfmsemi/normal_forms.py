@@ -243,7 +243,7 @@ def elliptic_u0(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
 
 
 # ---------------------------------------------------------------------------
-# Siegel reduction and the self-map conditions
+# the affine self-map conditions on the Siegel side
 
 
 def siegel_conditions(s: SiegelMap) -> list:
@@ -269,16 +269,8 @@ def siegel_conditions(s: SiegelMap) -> list:
     ]
 
 
-def _to_siegel(f: BallMap, cls: Optional[Classification], kind: str, who: str):
-    """The affine Siegel form of a map of the given class, with its chain."""
-    cls = classify(f) if cls is None else cls
-    if cls.kind != kind:
-        raise DomainError(f"{who} expects a {kind} map, got {cls.kind}")
-    return _siegel_chain(f, cls.dw_point)
-
-
 # ---------------------------------------------------------------------------
-# block splitting of the w-part
+# the parabolic and hyperbolic forms: block split of the w-part, one reduction
 
 
 def _unimodular_split(m: np.ndarray):
@@ -336,40 +328,91 @@ def siegel_normal_map(lam, a, d, w_block, c, c_res, b, scale=None) -> SiegelMap:
                      np.concatenate([a, zeros, c_res], dtype=complex))
 
 
-# ---------------------------------------------------------------------------
-# parabolic normal form
-
-
 def parabolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     """Reduce a parabolic map to
     (z + 2i<u,a> + 2i<w,c> + b, u + a, D v, A w)."""
-    s, chain = _to_siegel(f, cls, PARABOLIC, "parabolic_normal_form")
-    _require(abs(s.lam - 1.0), 1e-6, "parabolic Siegel dilation minus 1")
-    w, p, q, r, d_diag, a_block = _split_blocks(s.M)
+    return _affine_normal_form(f, cls, PARABOLIC)
+
+
+def hyperbolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
+    """Reduce a hyperbolic map to
+    (lam z + 2i<w,c> + b, sqrt(lam) u, sqrt(lam) D v, sqrt(lam) A w [+ c_res]).
+
+    The w-block translation is rotated into the z-row coefficient c
+    wherever 1 - sqrt(lam) A_jj is nonsingular; resonant eigenvalues
+    (|1 - sqrt(lam) A_jj| <= RESONANCE_TOL, only possible with a
+    diagonal contraction block) keep their translation component,
+    reported separately as c_res.
+    """
+    return _affine_normal_form(f, cls, HYPERBOLIC)
+
+
+def _affine_normal_form(f: BallMap, cls: Optional[Classification], kind: str) -> NormalForm:
+    """The one reduction of both Siegel cases; the parabolic form is the
+    hyperbolic one at lam = 1.  Take the affine Siegel form, with
+    s = sqrt(lam), move the w-part to s blockdiag(I_p, D, A) by a unitary,
+    then make one Heisenberg move by gamma = (s M - I)^-1 c on every block
+    where s M - I is invertible: the u-block only when lam > 1, the v-block
+    always, and the w-block except on the resonant entries of a diagonal
+    A, where gamma removes the z-row coefficient instead.  The move sends
+    c to c - (M - I) gamma and a to a - (lam - M^H) gamma."""
+    cls = classify(f) if cls is None else cls
+    if cls.kind != kind:
+        raise DomainError(f"{kind}_normal_form expects a {kind} map, got {cls.kind}")
+    s, chain = _siegel_chain(f, cls.dw_point)
+    hyperbolic = kind == HYPERBOLIC
+    if hyperbolic:
+        _require(abs(s.lam.imag), 1e-8, "imaginary part of the hyperbolic dilation")
+        lam = float(s.lam.real)
+        if lam <= 1.0 + 1e-9:
+            raise NumericError(f"hyperbolic Siegel dilation {lam} is not > 1")
+    else:
+        _require(abs(s.lam - 1.0), 1e-6, "parabolic Siegel dilation minus 1")
+        lam = 1.0
+    sq = np.sqrt(lam)
+    w, p, q, r, d_diag, a_block = _split_blocks(s.M / sq)
     if s.M.shape[0]:
         s, chain = _moved(s, chain, siegel_unitary_map(w))
-    # remove the v- and w-translations (I - D and I - A are invertible)
+    diag = np.diag(a_block)  # the eigenvalues of the triangular block
+    # resonance, sq A_jj = 1, needs lam > 1: a parabolic A_jj stays below 1
+    res = np.abs(1.0 - sq * diag) <= RESONANCE_TOL if hyperbolic else np.zeros(r, dtype=bool)
     gamma = np.zeros(p + q + r, dtype=complex)
+    if hyperbolic:
+        gamma[:p] = s.c[:p] / (sq - 1.0)
     if q:
-        gamma[p:p + q] = -np.linalg.solve(np.eye(q) - np.diag(d_diag), s.c[p:p + q])
-    if r:
-        gamma[p + q:] = -np.linalg.solve(np.eye(r) - a_block, s.c[p + q:])
-    if q or r:
+        gamma[p:p + q] = np.linalg.solve(sq * np.diag(d_diag) - np.eye(q), s.c[p:p + q])
+    if r and hyperbolic and _is_diagonal(a_block):
+        gamma_w = gamma[p + q:]  # a view
+        gamma_w[~res] = s.c[p + q:][~res] / (sq * diag[~res] - 1.0)
+        gamma_w[res] = s.a[p + q:][res] / -(sq * np.conj(diag[res]) - lam)
+    elif r:
+        if np.any(res):
+            raise NumericError("resonant non-diagonal contraction block; cannot normalize")
+        gamma[p + q:] = np.linalg.solve(sq * a_block - np.eye(r), s.c[p + q:])
+    if len(gamma) > (0 if hyperbolic else p):  # a parabolic map keeps its u-translation
         s, chain = _moved(s, chain, heisenberg_map(gamma, 1j * float(np.vdot(gamma, gamma).real)))
     # structural zeros forced by the self-map conditions
-    _require(float(np.max(np.abs(s.c[p:]), initial=0.0)), SNAP_TOL,
-             "v/w translations after elimination")
-    _require(float(np.max(np.abs(s.a[p:p + q]), initial=0.0)), SNAP_TOL,
-             "v-part of the translation pairing")
-    a_vec = s.c[:p].copy()
-    if p:
-        _require(float(np.max(np.abs(s.a[:p] - a_vec))), SNAP_TOL,
-                 "mismatch between u-translation and its pairing coefficient")
-    c_vec = s.a[p + q:].copy()
+    if hyperbolic:
+        residuals = {"u/v coefficients after translation removal": s.a[:p + q],
+                     "w-translation after conversion": s.c[p + q:][~res],
+                     "z-row coefficient on resonant entries": s.a[p + q:][res]}
+    else:
+        residuals = {"v/w translations after elimination": s.c[p:],
+                     "v-part of the translation pairing": s.a[p:p + q],
+                     "mismatch between u-translation and its pairing coefficient":
+                         s.a[:p] - s.c[:p]}
+    for what, residual in residuals.items():
+        _require(float(np.max(np.abs(residual), initial=0.0)), SNAP_TOL, what)
+    c_vec = np.where(res, 0.0, s.a[p + q:])
+    c_res = np.where(res, s.c[p + q:], 0.0)
     b = complex(s.b)
-    normal_map = siegel_normal_map(1.0, a_vec, d_diag, a_block, c_vec, np.zeros(r), b)
-    params = {"a": a_vec, "D": d_diag, "A": a_block, "c": c_vec, "b": b,
-              "block_split": (p, q, r)}
+    params = {"D": d_diag, "A": a_block, "c": c_vec, "b": b, "block_split": (p, q, r)}
+    if hyperbolic:
+        params.update(lam=lam, c_res=c_res)
+        normal_map = siegel_normal_map(lam, np.zeros(p), d_diag, a_block, c_vec, c_res, b, sq)
+        return NormalForm(FORM_HYPERBOLIC, normal_map, chain, params)
+    params["a"] = s.c[:p].copy()
+    normal_map = siegel_normal_map(1.0, params["a"], d_diag, a_block, c_vec, c_res, b)
     return NormalForm(FORM_PARABOLIC, normal_map, chain, params)
 
 
@@ -388,71 +431,6 @@ def parabolic_conditions(nf: NormalForm) -> list:
         Condition("translation_budget", margin3, margin3 >= -tol),
         Condition("c_in_range_of_Q", margin4, margin4 >= -tol),
     ]
-
-
-# ---------------------------------------------------------------------------
-# hyperbolic normal form
-
-
-def hyperbolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
-    """Reduce a hyperbolic map to
-    (lam z + 2i<w,c> + b, sqrt(lam) u, sqrt(lam) D v, sqrt(lam) A w [+ c_res]).
-
-    The w-block translation is rotated into the z-row coefficient c
-    wherever 1 - sqrt(lam) A_jj is nonsingular; resonant eigenvalues
-    (|1 - sqrt(lam) A_jj| <= RESONANCE_TOL, only possible with a
-    diagonal contraction block) keep their translation component,
-    reported separately as c_res.
-    """
-    s, chain = _to_siegel(f, cls, HYPERBOLIC, "hyperbolic_normal_form")
-    _require(abs(s.lam.imag), 1e-8, "imaginary part of the hyperbolic dilation")
-    lam = float(s.lam.real)
-    if lam <= 1.0 + 1e-9:
-        raise NumericError(f"hyperbolic Siegel dilation {lam} is not > 1")
-    sq = np.sqrt(lam)
-    w, p, q, r, d_diag, a_block = _split_blocks(s.M / sq)
-    if s.M.shape[0]:
-        s, chain = _moved(s, chain, siegel_unitary_map(w))
-    # first Heisenberg move: kill the u- and v-translations
-    gamma = np.zeros(p + q + r, dtype=complex)
-    if p:
-        gamma[:p] = s.c[:p] / (sq - 1.0)
-    if q:
-        gamma[p:p + q] = np.linalg.solve(sq * np.diag(d_diag) - np.eye(q), s.c[p:p + q])
-    if p or q:
-        s, chain = _moved(s, chain, heisenberg_map(gamma, 1j * float(np.vdot(gamma, gamma).real)))
-    _require(float(np.max(np.abs(s.a[:p + q]), initial=0.0)), SNAP_TOL,
-             "u/v coefficients after translation removal")
-    # second Heisenberg move on the w-block: convert the translation into
-    # the z-row coefficient; resonant entries instead drop their z-row
-    # coefficient and keep the translation
-    c_res = np.zeros(r, dtype=complex)
-    diag = np.diag(a_block)  # the eigenvalues of the triangular block
-    res = np.abs(1.0 - sq * diag) <= RESONANCE_TOL
-    if r:
-        if not _is_diagonal(a_block):
-            if np.any(res):
-                raise NumericError("resonant non-diagonal contraction block; cannot normalize")
-            gamma3 = np.linalg.solve(sq * a_block - np.eye(r), s.c[p + q:])
-        else:
-            gamma3 = np.zeros(r, dtype=complex)
-            gamma3[~res] = s.c[p + q:][~res] / (sq * diag[~res] - 1.0)
-            # kill the z-row coefficient on the resonant entries instead
-            gamma3[res] = s.a[p + q:][res] / -(sq * np.conj(diag[res]) - lam)
-        full = np.concatenate([np.zeros(p + q, dtype=complex), gamma3])
-        s, chain = _moved(s, chain, heisenberg_map(full, 1j * float(np.vdot(full, full).real)))
-        c_res[res] = s.c[p + q:][res]
-        _require(float(np.max(np.abs(s.c[p + q:][~res]), initial=0.0)), SNAP_TOL,
-                 "w-translation after conversion")
-        _require(float(np.max(np.abs(s.a[p + q:][res]), initial=0.0)), SNAP_TOL,
-                 "z-row coefficient on resonant entries")
-    c_vec = s.a[p + q:].copy()
-    c_vec[res] = 0.0
-    b = complex(s.b)
-    normal_map = siegel_normal_map(lam, np.zeros(p), d_diag, a_block, c_vec, c_res, b, sq)
-    params = {"lam": lam, "b": b, "c": c_vec, "c_res": c_res, "D": d_diag,
-              "A": a_block, "block_split": (p, q, r)}
-    return NormalForm(FORM_HYPERBOLIC, normal_map, chain, params)
 
 
 def hyperbolic_conditions(nf: NormalForm) -> list:

@@ -20,10 +20,14 @@ from lfmsemi.maps import (
     SiegelMap,
     ball_automorphism,
     cayley_to_ball,
+    _siegel_chain,
     cayley_to_siegel,
+    classify,
     conjugate,
     heisenberg_map,
     sample_ball_points,
+    siegel_map_from_proj,
+    siegel_unitary_map,
     unitary_ball_map,
 )
 from lfmsemi.normal_forms import (
@@ -31,6 +35,12 @@ from lfmsemi.normal_forms import (
     FORM_ELLIPTIC_U0,
     FORM_HYPERBOLIC,
     FORM_PARABOLIC,
+    RESONANCE_TOL,
+    SNAP_TOL,
+    NormalForm,
+    _is_diagonal,
+    _moved,
+    _split_blocks,
     conjugation_residual,
     elliptic_split,
     elliptic_u0,
@@ -40,6 +50,7 @@ from lfmsemi.normal_forms import (
     parabolic_conditions,
     parabolic_normal_form,
     siegel_conditions,
+    siegel_normal_map,
 )
 
 
@@ -396,3 +407,120 @@ class TestHyperbolicNormalForm:
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(DomainError):
             hyperbolic_normal_form(linear_ball_map(np.eye(2) / 2))
+
+
+def two_move_hyperbolic_normal_form(f):
+    """The hyperbolic reduction of earlier versions, kept as the reference
+    of :func:`hyperbolic_normal_form`: a first Heisenberg move removes the
+    u- and v-translations, a second one converts the w-translation into the
+    z-row coefficient (or, on a resonant entry of a diagonal A, removes the
+    z-row coefficient)."""
+    cls = classify(f)
+    s, chain = _siegel_chain(f, cls.dw_point)
+    lam = float(s.lam.real)
+    sq = np.sqrt(lam)
+    w, p, q, r, d_diag, a_block = _split_blocks(s.M / sq)
+    if s.M.shape[0]:
+        s, chain = _moved(s, chain, siegel_unitary_map(w))
+    gamma = np.zeros(p + q + r, dtype=complex)
+    if p:
+        gamma[:p] = s.c[:p] / (sq - 1.0)
+    if q:
+        gamma[p:p + q] = np.linalg.solve(sq * np.diag(d_diag) - np.eye(q), s.c[p:p + q])
+    if p or q:
+        s, chain = _moved(s, chain, heisenberg_map(gamma, 1j * float(np.vdot(gamma, gamma).real)))
+    assert np.max(np.abs(s.a[:p + q]), initial=0.0) <= SNAP_TOL
+    c_res = np.zeros(r, dtype=complex)
+    diag = np.diag(a_block)
+    res = np.abs(1.0 - sq * diag) <= RESONANCE_TOL
+    if r:
+        if not _is_diagonal(a_block):
+            assert not np.any(res)
+            gamma3 = np.linalg.solve(sq * a_block - np.eye(r), s.c[p + q:])
+        else:
+            gamma3 = np.zeros(r, dtype=complex)
+            gamma3[~res] = s.c[p + q:][~res] / (sq * diag[~res] - 1.0)
+            gamma3[res] = s.a[p + q:][res] / -(sq * np.conj(diag[res]) - lam)
+        full = np.concatenate([np.zeros(p + q, dtype=complex), gamma3])
+        s, chain = _moved(s, chain, heisenberg_map(full, 1j * float(np.vdot(full, full).real)))
+        c_res[res] = s.c[p + q:][res]
+    c_vec = s.a[p + q:].copy()
+    c_vec[res] = 0.0
+    b = complex(s.b)
+    normal_map = siegel_normal_map(lam, np.zeros(p), d_diag, a_block, c_vec, c_res, b, sq)
+    params = {"lam": lam, "b": b, "c": c_vec, "c_res": c_res, "D": d_diag,
+              "A": a_block, "block_split": (p, q, r)}
+    return NormalForm(FORM_HYPERBOLIC, normal_map, chain, params)
+
+
+def _hyperbolic_with_blocks(rng, blocks, lam, triangular=False, resonant=False):
+    """A hyperbolic ball map whose Siegel form has u-, v- and w-blocks of
+    the sizes *blocks* = (p, q, r), seen through a random unitary of the
+    w-variables and a random unitary of the ball.  A is diagonal, or upper
+    triangular when *triangular*; with *resonant* its first entry is
+    1 / sqrt(lam).  Every translation is nonzero, and Im b clears the
+    self-map budget by at least 0.1."""
+    p, q, r = blocks
+    sq = np.sqrt(lam)
+    a_block = np.diag(rng.uniform(0.1, 0.7, r) * np.exp(1j * rng.uniform(0, 2 * np.pi, r)))
+    if resonant:
+        a_block[0, 0] = 1.0 / sq
+    if triangular:
+        a_block += np.triu(0.2 * random_complex(rng, r, r), 1)
+    m0 = np.zeros((p + q + r, p + q + r), dtype=complex)
+    m0[:p, :p] = np.eye(p)
+    m0[p:p + q, p:p + q] = np.diag(np.exp(1j * rng.uniform(0.5, 2 * np.pi - 0.5, q)))
+    m0[p + q:, p + q:] = a_block
+    m0 *= sq
+    c0 = 0.4 * random_complex(rng, p + q + r)
+    # the self-map conditions: x = M^H c - a vanishes off the w-block
+    a0 = m0.conj().T @ c0
+    a0[p + q:] = 0.4 * random_complex(rng, r)
+    if resonant:
+        a0[p + q] = 0.0  # a resonant entry has no z-row coefficient to keep
+    q_w = lam * (np.eye(r) - a_block.conj().T @ a_block)
+    x_w = (m0.conj().T @ c0 - a0)[p + q:]
+    budget = float(np.vdot(c0, c0).real + np.vdot(x_w, np.linalg.solve(q_w, x_w)).real)
+    v = random_unitary(rng, p + q + r)
+    g = SiegelMap(lam, v @ a0, complex(rng.uniform(-1, 1), budget + rng.uniform(0.1, 1.0)),
+                  v @ m0 @ v.conj().T, v @ c0)
+    return conjugate(cayley_to_ball(g), unitary_ball_map(random_unitary(rng, p + q + r + 1)))
+
+
+def _one_move_corpus():
+    """Seeded hyperbolic maps of dims 3-6, each with a w-block and a u- or
+    v-block, with diagonal and triangular A and one resonant entry."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for blocks in [(1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 0, 1), (1, 1, 2), (0, 2, 2),
+                   (1, 2, 2), (2, 1, 2)]:
+        for triangular in (False, True)[:blocks[2]]:  # a 1 x 1 A is diagonal
+            f = _hyperbolic_with_blocks(rng, blocks, float(rng.uniform(1.5, 6.0)), triangular)
+            cases.append(pytest.param(blocks, triangular, False, f, id="pqr=%d%d%d-%s" % (
+                *blocks, "triangular" if triangular else "diagonal")))
+    f = _hyperbolic_with_blocks(rng, (1, 1, 2), 4.0, resonant=True)
+    return cases + [pytest.param((1, 1, 2), False, True, f, id="pqr=112-resonant")]
+
+
+class TestOneHeisenbergMove:
+    """The one-move reduction against the two-move reduction of earlier
+    versions."""
+
+    @pytest.mark.parametrize("blocks, triangular, resonant, f", _one_move_corpus())
+    def test_matches_the_two_move_reduction(self, blocks, triangular, resonant, f):
+        nf, ref = hyperbolic_normal_form(f), two_move_hyperbolic_normal_form(f)
+        assert nf.form_kind == ref.form_kind == FORM_HYPERBOLIC
+        assert nf.parameters["block_split"] == ref.parameters["block_split"] == blocks
+        assert _is_diagonal(nf.parameters["A"]) is not triangular
+        assert bool(np.any(nf.parameters["c_res"])) is resonant
+        assert set(nf.parameters) == set(ref.parameters)
+        for key, value in ref.parameters.items():
+            got = np.asarray(nf.parameters[key])
+            assert np.max(np.abs(got - value), initial=0.0) <= 1e-12, key
+        # rotation, Cayley transform, unitary move and one Heisenberg move
+        assert len(nf.conjugations) == len(ref.conjugations) - 1 == 4
+        step = siegel_map_from_proj(nf.conjugations[-1])  # (z + 2i<w,g> + beta, w + g)
+        assert abs(step.lam - 1.0) <= 1e-15 and np.allclose(step.M, np.eye(len(step.M)))
+        assert np.allclose(step.a, step.c)
+        assert step.b.imag == pytest.approx(np.vdot(step.c, step.c).real)
+        assert conjugation_residual(nf, f) <= 1e-9
