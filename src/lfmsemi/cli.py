@@ -352,7 +352,7 @@ def emit_trajectory(sg, z0, t_grid) -> list:
                              f"acts on dimension {sg.dim}")
     if domain_margin(z0, sg.domain) < -1e-9:
         raise DomainError(f"trajectory start {z0} lies outside the {sg.domain} domain")
-    images = np.ascontiguousarray(sg.at_many(ts).images(z0), dtype=complex)
+    images = np.ascontiguousarray(sg.at_many(ts)(z0), dtype=complex)
     return np.column_stack([ts, images.view(np.float64)]).tolist()
 
 

@@ -8,7 +8,10 @@ H^N = {(z1, w) : Im z1 > |w|^2} fixing infinity), or a raw
 domain tags.  ProjMap is the common currency for composition, inversion
 and Cayley transport; the typed wrappers add validation.  A BallMap or
 SiegelMap holds one map, or a stack of T maps (one per time of a grid)
-whose fields carry a leading time axis and get the same checks.  The
+whose fields carry a leading time axis and get the same checks; called on
+a point, a stack gives its image under every map, and the methods that
+read one map (``to_proj``, ``differential``, ``denominator``) raise
+TypeError on a stack.  The
 self-map and identity tests are exact, on the homogeneous matrix, and
 :func:`classify` reads everything it reports off one Schur form of it; the
 seeded samples drawn here serve verification and the conjugation residual.
@@ -349,6 +352,13 @@ def _stack_size(matrix: np.ndarray) -> int:
     return len(matrix)
 
 
+def _require_single(matrix: np.ndarray) -> None:
+    """Raise TypeError when the (n, n) or (T, n, n) matrix field is a stack's:
+    for the methods that read one map."""
+    if matrix.ndim == 3:
+        raise TypeError("a stack of maps is not a single map; take one of its items")
+
+
 @dataclass(frozen=True)
 class BallMap:
     """Self-map (Az + B) / (<z, C> + D) of the unit ball, or a stack of T
@@ -399,24 +409,19 @@ class BallMap:
         _stack_size(self.A)  # a single map has no items
         return _ball_map_of(self.A[i], self.B[i], self.C[i])
 
-    def images(self, z) -> np.ndarray:
-        """Images of one ball point under every map, (T, N) for a stack and
-        (N,) for one map: the point is checked once, the denominator of
+    def denominator(self, z) -> complex:
+        _require_single(self.A)
+        return complex(np.vdot(self.C, as_vector(z)) + self.D)
+
+    def __call__(self, z) -> np.ndarray:
+        """The image of one ball point, (N,), or its images under every map
+        of a stack, (T, N): the point is checked once, the denominator of
         every map."""
         z = _checked_point(z, self.dim, BALL)
         num, den = _ball_parts(z[None], self.A, self.B, self.C)
         if np.any(np.abs(den) < _POLE_TOL):
             raise PoleError(f"denominator vanished at {z}")
         return (num / den[..., None])[..., 0, :]
-
-    def denominator(self, z) -> complex:
-        return complex(np.vdot(self.C, as_vector(z)) + self.D)
-
-    def __call__(self, z) -> np.ndarray:
-        z = _checked_point(z, self.dim, BALL)
-        if abs(self.denominator(z)) < _POLE_TOL:
-            raise PoleError(f"denominator vanished at {z}")
-        return self.eval_many(z[None])[0]
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on a (K, N) array of points: (K, N) images,
@@ -426,6 +431,7 @@ class BallMap:
         return num / den[..., None]
 
     def to_proj(self) -> ProjMap:
+        _require_single(self.A)
         n = self.dim
         m = np.zeros((n + 1, n + 1), dtype=complex)
         m[:n, :n] = self.A
@@ -557,16 +563,14 @@ class SiegelMap:
         return _stack_size(self.M)
 
     def __getitem__(self, i: int) -> "SiegelMap":
+        _stack_size(self.M)  # a single map has no items
         return SiegelMap(self.lam[i], self.a[i], self.b[i], self.M[i], self.c[i])
 
-    def images(self, z) -> np.ndarray:
-        """Images of one half-plane point under every map, (T, N) for a
-        stack and (N,) for one map; the point is checked once."""
+    def __call__(self, z) -> np.ndarray:
+        """The image of one half-plane point, (N,), or its images under every
+        map of a stack, (T, N); the point is checked once."""
         z = _checked_point(z, self.dim, SIEGEL)
         return _siegel_images(z[None], self.lam, self.a, self.b, self.M, self.c)[..., 0, :]
-
-    def __call__(self, z) -> np.ndarray:
-        return self.eval_many(_checked_point(z, self.dim, SIEGEL)[None])[0]
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on a (K, N) array of points: (K, N) images,
@@ -575,6 +579,7 @@ class SiegelMap:
         return _siegel_images(zs, self.lam, self.a, self.b, self.M, self.c)
 
     def to_proj(self) -> ProjMap:
+        _require_single(self.M)
         n = self.dim
         m = np.zeros((n + 1, n + 1), dtype=complex)
         m[0, 0] = self.lam

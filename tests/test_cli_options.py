@@ -207,7 +207,7 @@ class TestHyperbolicOverflow:
         sg = build_semigroup(embed_map(parse_map_spec(DISK_AUT)))
         with pytest.raises(NumericError, match=r"time 1000\.0: t\*log\(lam\) = 1098\.61 > 709"):
             sg.at_many([1.0, 1000.0, 2000.0])
-        assert np.all(np.isfinite(sg.at_many([0.5, 640.0]).images([1j])))
+        assert np.all(np.isfinite(sg.at_many([0.5, 640.0])([1j])))
 
 
 class TestReportValues:

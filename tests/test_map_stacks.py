@@ -92,11 +92,12 @@ def test_images_are_item_images(case):
     sg = _family(case, 4, np.random.default_rng(5))
     stack = sg.at_many(TIMES)
     z = np.array([0.2, 0.1j, -0.1, 0.05]) if sg.domain == BALL else np.array([1j, 0.1, 0.2j, 0.0])
-    images = stack.images(z)
+    images = stack(z)
     assert images.shape == (len(TIMES), 4)
     for i, f in enumerate(stack):
+        assert f(z).shape == (4,)  # one map: its image of z
         assert images[i].tobytes() == f(z).tobytes()
-        assert f.images(z).tobytes() == f(z).tobytes()  # one map: its image of z
+        assert images[i].tobytes() == f.eval_many(z[None])[0].tobytes()
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -245,9 +246,34 @@ def test_single_map_is_no_stack():
     for h in (f, g):
         with pytest.raises(TypeError):
             len(h)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^a single map is not a stack of maps$"):
             h[0]
     assert isinstance(g.lam, complex) and isinstance(g.b, complex)
+
+
+def test_stack_called_on_one_point_gives_every_image():
+    s = SiegelMap([2.0, 3.0], np.zeros((2, 0)), [1j, 1j], np.zeros((2, 0, 0)), np.zeros((2, 0)))
+    assert s([1j]).tobytes() == np.array([[3j], [4j]]).tobytes()
+    f = BallMap([0.5 * np.eye(2), 0.25 * np.eye(2)], [[0.1, 0.0], [0.0, 0.2j]],
+                [[0.0, 0.3], [0.2, 0.0]])
+    z = np.array([0.5, -0.25j])
+    images = f(z)
+    assert images.shape == (2, 2)
+    for i in range(2):
+        assert images[i].tobytes() == f[i](z).tobytes()
+        den = np.vdot(f.C[i], z) + 1.0
+        assert np.allclose(images[i], (f.A[i] @ z + f.B[i]) / den, rtol=0, atol=1e-15)
+    with pytest.raises(DomainError):
+        f([1.0, 1.0])  # the one point is checked once, against the ball
+
+
+def test_stack_is_no_single_map():
+    f = BallMap([0.5 * np.eye(2), 0.25 * np.eye(2)], np.zeros((2, 2)), np.zeros((2, 2)))
+    s = SiegelMap([2.0, 3.0], np.zeros((2, 1)), [1j, 1j], np.zeros((2, 1, 1)), np.zeros((2, 1)))
+    z = np.zeros(2)
+    for single in (f.to_proj, lambda: f.differential(z), lambda: f.denominator(z), s.to_proj):
+        with pytest.raises(TypeError, match="^a stack of maps is not a single map"):
+            single()
 
 
 def test_unitary_index_counts_unimodular_eigenvalues():

@@ -220,7 +220,7 @@ def test_stacked_mat_exp_of_no_matrices():
 
 def _rows_one_by_one(sg, z0, ts):
     """Trajectory rows built one number at a time from the images."""
-    images = sg.at_many(ts).images(np.asarray(z0, dtype=complex)).tolist()
+    images = sg.at_many(ts)(np.asarray(z0, dtype=complex)).tolist()
     return [[t] + [x for z in img for x in (z.real, z.imag)] for t, img in zip(ts, images)]
 
 
@@ -249,7 +249,7 @@ class _SignedZeros:
         self.count = len(ts)
         return self
 
-    def images(self, z0):
+    def __call__(self, z0):
         row = [complex(-0.0, 0.5), complex(0.25, -0.0), complex(-0.0, -0.0)]
         return np.array([row] * self.count)
 
