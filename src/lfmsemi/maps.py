@@ -881,16 +881,15 @@ def fixed_points(f: BallMap) -> FixedPoints:
 
 
 def _nearest_kernel_point(basis: np.ndarray):
-    """Point of the affine fixed set {v/tau : v in span(basis)} nearest 0."""
-    b_top, b_tau = basis[:-1, :], basis[-1, :]
+    """Point of the affine fixed set {v/tau : v in span(basis)} nearest 0,
+    for a basis with orthonormal columns and last row b_tau: v = basis x
+    has |v| = |x|, so the least |v| with tau = 1 is at
+    x = conj(b_tau) / |b_tau|^2, and the point is orthogonal to the
+    directions of the set (tau = 0)."""
+    b_tau = basis[-1]
     if np.max(np.abs(b_tau)) < 1e-12:
         return None
-    sol, *_ = np.linalg.lstsq(
-        np.vstack([b_top, 1e6 * b_tau[None, :]]),
-        np.concatenate([np.zeros(basis.shape[0] - 1), [1e6]]),
-        rcond=None,
-    )
-    v = basis @ sol
+    v = basis @ (b_tau.conj() / np.vdot(b_tau, b_tau).real)
     if abs(v[-1]) < 1e-9 * max(1.0, float(np.max(np.abs(v)))):
         return None
     return v

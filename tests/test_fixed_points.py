@@ -262,3 +262,22 @@ def test_heisenberg_translation_is_parabolic(n):
     assert cls.kind == PARABOLIC
     assert cls.interior_fixed_points == [] and len(cls.boundary_fixed_points) == 1
     assert np.linalg.norm(cls.dw_point - np.eye(n)[0]) <= 1e-9
+
+
+def test_nearest_kernel_point_in_closed_form():
+    """On random orthonormal bases of dims 2-9, the point has tau = 1 and is
+    orthogonal to every direction of the span with tau = 0, so it is the
+    point of the affine fixed set nearest 0."""
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(2, 10))
+        k = int(rng.integers(2, n + 1))
+        basis, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+        v = maps._nearest_kernel_point(basis)
+        assert abs(v[-1] - 1.0) <= 1e-15
+        _, _, vh = np.linalg.svd(basis[-1][None])
+        directions = basis @ vh[1:].conj().T  # the span's vectors with tau = 0
+        assert np.max(np.abs(directions[-1])) <= 1e-15
+        assert np.max(np.abs(directions.conj().T @ v)) <= 1e-14 * np.linalg.norm(v)
+    flat = np.eye(3)[:, :2]  # tau = 0 on the whole span: no point
+    assert maps._nearest_kernel_point(flat) is None
