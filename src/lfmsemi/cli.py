@@ -39,7 +39,7 @@ from .maps import (
     domain_margin,
 )
 from .normal_forms import conjugation_residual, normal_form
-from .verify import DEFAULT_TOLS, VERIFY_SAMPLE_COUNT, SamplerCfg, verify_family
+from .verify import DEFAULT_TOLS, SamplerCfg, verify_family
 
 SCHEMA_VERSION = 2
 
@@ -290,7 +290,7 @@ def run_pipeline(spec_obj: dict, seed: int = DEFAULT_SAMPLE_SEED, tol_profile: s
                     report["stages"]["verify"] = {
                         "status": "skipped", "reason": "no semigroup built"}
                     continue
-                cfg = SamplerCfg(seed=seed, count=VERIFY_SAMPLE_COUNT, domain=sg.domain)
+                cfg = SamplerCfg(seed=seed, domain=sg.domain)
                 reports = verify_family(sg, cfg, tols=tols)
                 report["stages"]["verify"] = to_jsonable({
                     "status": "ok",

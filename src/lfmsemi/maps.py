@@ -65,8 +65,8 @@ PARABOLIC_DELTA_TOL = 1e-6
 #: default seed of the ball and half-plane samples
 DEFAULT_SAMPLE_SEED = 20250808
 
-#: default radius shells of the ball sample
-DEFAULT_RADII = (0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 0.95)
+#: the radius shells of the ball sample, point i on shell i mod 8
+_SAMPLE_RADII = (0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 0.95)
 
 _SELF_MAP_SLACK = 1e-9
 _FIXED_POINT_TOL = 1e-9
@@ -84,21 +84,21 @@ _JORDAN_SPLIT_FACTOR = 1e3
 # sampling
 
 
-def sample_ball_points(dim: int, count: int = 1000, seed: int = DEFAULT_SAMPLE_SEED,
-                       radii=DEFAULT_RADII) -> np.ndarray:
-    """Deterministic sample of B_N: uniform directions on radius shells.
+def sample_ball_points(dim: int, count: int = 1000, seed: int = DEFAULT_SAMPLE_SEED) -> np.ndarray:
+    """Deterministic sample of B_N: uniform directions on the radius shells
+    ``_SAMPLE_RADII``.
 
     Returns a read-only cached array; copy before mutating.
     """
     if dim < 1 or count < 1:
         raise DimensionError("dim and count must be positive")
-    return _ball_sample_cached(dim, count, seed, tuple(float(r) for r in np.atleast_1d(radii)))
+    return _ball_sample_cached(dim, count, seed)
 
 
 @lru_cache(maxsize=64)
-def _ball_sample_cached(dim: int, count: int, seed: int, radii: tuple) -> np.ndarray:
+def _ball_sample_cached(dim: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    rad = np.asarray(radii, dtype=float)
+    rad = np.asarray(_SAMPLE_RADII, dtype=float)
     dirs = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     pts = dirs * rad[np.arange(count) % len(rad), None]
@@ -107,9 +107,9 @@ def _ball_sample_cached(dim: int, count: int, seed: int, radii: tuple) -> np.nda
 
 
 def sample_siegel_points(dim: int, count: int = 1000,
-                         seed: int = DEFAULT_SAMPLE_SEED, radii=DEFAULT_RADII) -> np.ndarray:
+                         seed: int = DEFAULT_SAMPLE_SEED) -> np.ndarray:
     """Deterministic sample of H^N: Cayley image of the ball sample."""
-    zs = sample_ball_points(dim, count, seed, radii)
+    zs = sample_ball_points(dim, count, seed)
     den = 1.0 - zs[:, :1]
     return np.concatenate([1j * (1.0 + zs[:, :1]) / den, 1j * zs[:, 1:] / den], axis=1)
 

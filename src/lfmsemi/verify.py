@@ -29,7 +29,6 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .maps import (
     BALL,
-    DEFAULT_RADII,
     DEFAULT_SAMPLE_SEED,
     SIEGEL,
     domain_margin,
@@ -47,18 +46,19 @@ TOL_IDENTITY = 1e-10
 DEFAULT_TOLS = {"identity": TOL_IDENTITY, "law": TOL_LAW, "self_map": TOL_SELF_MAP,
                 "time_one": TOL_TIME_ONE, "generator": TOL_GENERATOR}
 
-#: the number of sample points of the battery of :func:`verify_family`
+#: the number of sample points of a :class:`SamplerCfg`, and so of the
+#: battery of :func:`verify_family`
 VERIFY_SAMPLE_COUNT = 60
 
 
 @dataclass(frozen=True)
 class SamplerCfg:
-    """Deterministic point stream for a domain."""
+    """Deterministic point stream for a domain: the seeded sample of
+    :func:`~lfmsemi.maps.sample_ball_points`, or its Cayley image."""
 
     seed: int = DEFAULT_SAMPLE_SEED
-    count: int = 200
+    count: int = VERIFY_SAMPLE_COUNT
     domain: str = BALL
-    radius_schedule: tuple = DEFAULT_RADII
 
     def __post_init__(self):
         if self.count < 1:
@@ -68,7 +68,7 @@ class SamplerCfg:
 
     def points(self, dim: int) -> np.ndarray:
         sampler = sample_ball_points if self.domain == BALL else sample_siegel_points
-        return sampler(dim, self.count, self.seed, np.asarray(self.radius_schedule))
+        return sampler(dim, self.count, self.seed)
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=(0.25, 0.5, 1.0, 
     times, and evaluated once on one sample; each check reads its rows.
     """
     if cfg is None:
-        cfg = SamplerCfg(count=VERIFY_SAMPLE_COUNT, domain=sg.domain)
+        cfg = SamplerCfg(domain=sg.domain)
     tol = {**DEFAULT_TOLS, **(tols or {})}
     h, _, stencil = _fd_times(sg, None, _FD_GRID)
     times = [0.0, *_law_times(t_grid)[1], *map(float, t_grid), 1.0, *stencil]

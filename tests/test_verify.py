@@ -45,12 +45,12 @@ class TestSelfMap:
     def test_scaled_up_fails_with_witness(self):
         # bypass the constructor check to plant a violation
         f = identity_ball_map(1)
-        object.__setattr__(f, "A", np.array([[1.01]], dtype=complex))
-        cfg = SamplerCfg(count=64, domain=BALL, radius_schedule=(0.5, 0.9, 0.995))
-        rep = check_self_map(f, cfg)
+        object.__setattr__(f, "A", np.array([[1.1]], dtype=complex))
+        rep = check_self_map(f, SamplerCfg(count=64, domain=BALL))
         assert not rep.passed
+        assert rep.worst_margin == pytest.approx(1.0 - 1.1 * 0.95, abs=1e-12)
         assert rep.worst_point is not None
-        assert abs(rep.worst_point[0]) == pytest.approx(0.995, abs=1e-12)
+        assert abs(rep.worst_point[0]) == pytest.approx(0.95, abs=1e-12)  # the outer shell
 
 
 class TestSemigroupLaw:
