@@ -21,7 +21,8 @@ fifth case adds its reducer and builder here, its branch in
 Block conventions on the Siegel side: the w-coordinates of an affine
 self-map split into a u-block (block matrix eigenvalue 1), a v-block
 (unimodular eigenvalues != 1, diagonal D) and a w-block (strict
-contraction A), any of which may be empty.
+contraction A), any of which may be empty.  Both Siegel cases are one
+reduction with one Heisenberg move (:func:`_affine_normal_form`).
 """
 
 from __future__ import annotations
@@ -406,14 +407,13 @@ def _affine_normal_form(f: BallMap, cls: Optional[Classification], kind: str) ->
     c_vec = np.where(res, 0.0, s.a[p + q:])
     c_res = np.where(res, s.c[p + q:], 0.0)
     b = complex(s.b)
-    params = {"D": d_diag, "A": a_block, "c": c_vec, "b": b, "block_split": (p, q, r)}
-    if hyperbolic:
-        params.update(lam=lam, c_res=c_res)
-        normal_map = siegel_normal_map(lam, np.zeros(p), d_diag, a_block, c_vec, c_res, b, sq)
-        return NormalForm(FORM_HYPERBOLIC, normal_map, chain, params)
-    params["a"] = s.c[:p].copy()
-    normal_map = siegel_normal_map(1.0, params["a"], d_diag, a_block, c_vec, c_res, b)
-    return NormalForm(FORM_PARABOLIC, normal_map, chain, params)
+    a_vec = np.zeros(p) if hyperbolic else s.c[:p].copy()
+    params = {"D": d_diag, "A": a_block, "c": c_vec, "b": b, "block_split": (p, q, r),
+              **({"lam": lam, "c_res": c_res} if hyperbolic else {"a": a_vec})}
+    # no scale at lam = 1: 1.0 * M would turn the real parts -0.0 into +0.0
+    normal_map = siegel_normal_map(lam, a_vec, d_diag, a_block, c_vec, c_res, b,
+                                   sq if hyperbolic else None)
+    return NormalForm(FORM_HYPERBOLIC if hyperbolic else FORM_PARABOLIC, normal_map, chain, params)
 
 
 def parabolic_conditions(nf: NormalForm) -> list:
