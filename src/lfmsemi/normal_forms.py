@@ -382,7 +382,7 @@ def _affine_normal_form(f: BallMap, cls: Optional[Classification], kind: str) ->
         gamma[:p] = s.c[:p] / (sq - 1.0)
     if q:
         gamma[p:p + q] = np.linalg.solve(sq * np.diag(d_diag) - np.eye(q), s.c[p:p + q])
-    if r and hyperbolic and _is_diagonal(a_block):
+    if r and hyperbolic and _is_diagonal(a_block):  # entry by entry, so resonance can be set apart
         gamma_w = gamma[p + q:]  # a view
         gamma_w[~res] = s.c[p + q:][~res] / (sq * diag[~res] - 1.0)
         gamma_w[res] = s.a[p + q:][res] / -(sq * np.conj(diag[res]) - lam)
