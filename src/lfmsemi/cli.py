@@ -204,7 +204,6 @@ def run_pipeline(spec_obj: dict, seed: int = DEFAULT_SAMPLE_SEED, tol_profile: s
                         f"got {tol_profile!r}")
     if stop_after not in STAGES:
         raise SpecError(f"stop_after: expected one of {list(STAGES)}, got {stop_after!r}")
-    tols = TOL_PROFILES[tol_profile]
     report = {
         "schema_version": SCHEMA_VERSION,
         "input": to_jsonable(spec_obj),
@@ -213,96 +212,81 @@ def run_pipeline(spec_obj: dict, seed: int = DEFAULT_SAMPLE_SEED, tol_profile: s
         "stages": {},
     }
     stages = STAGES[: STAGES.index(stop_after) + 1]
-
-    def skip_rest(from_stage):
-        for name in stages[stages.index(from_stage):]:
-            report["stages"].setdefault(name, {"status": "skipped"})
-
     try:
         f = parse_map_spec(spec_obj)
         if isinstance(f, SiegelMap):
             f = cayley_to_ball(f)
     except LfmError as exc:
         report["error"] = str(exc)
-        report["exit_status"] = EXIT_INPUT_ERROR
-        skip_rest("classify")
-        return report
-
-    cert = None
-    nf = None
-    sg = None
+    else:
+        entries = _stage_entries(f, seed, TOL_PROFILES[tol_profile], t_grid, z0)
+        for stage in stages:
+            try:
+                report["stages"][stage] = next(entries)
+            except LfmError as exc:
+                report["stages"][stage] = {"status": "error", "error": str(exc)}
+                break
     for stage in stages:
-        try:
-            if stage == "classify":
-                cls = classify(f)
-                entry = {
-                    "status": "ok",
-                    "kind": cls.kind,
-                    "interior_fixed_points": cls.interior_fixed_points,
-                    "boundary_fixed_points": cls.boundary_fixed_points,
-                    "dw_point": cls.dw_point,
-                    "delta": cls.delta,
-                }
-                if cls.interior_fixed_points:
-                    entry["unitary_index"] = cls.unitary_index
-                report["stages"]["classify"] = to_jsonable(entry)
-            elif stage == "normal_form":
-                nf = normal_form(f, cls)
-                conditions = conditions_for(nf)
-                entry = {
-                    "status": "ok",
-                    "form_kind": nf.form_kind,
-                    "parameters": nf.parameters,
-                    "chain_length": len(nf.conjugations),
-                    "chain_residual": conjugation_residual(nf, f),
-                    "conditions": [vars(c) for c in conditions],
-                }
-                report["stages"]["normal_form"] = to_jsonable(entry)
-            elif stage == "embed":
-                cert = certify(nf)
-                entry = {
-                    "status": "ok",
-                    "verdict": cert.verdict,
-                    "criterion_id": cert.criterion_id,
-                    "margins": [vars(c) for c in cert.margins],
-                    "automorphism": is_automorphism(f),
-                    "notes": cert.notes,
-                }
-                report["stages"]["embed"] = to_jsonable(entry)
-            elif stage == "semigroup":
-                if cert.verdict != EMBEDDABLE:
-                    report["stages"]["semigroup"] = {
-                        "status": "skipped", "reason": f"verdict {cert.verdict}"}
-                    continue
-                sg = build_semigroup(cert)
-                start = z0 if z0 is not None else _default_start(sg)
-                rows = emit_trajectory(sg, start, [t for t in t_grid])
-                entry = to_jsonable({
-                    "status": "ok",
-                    "case_kind": sg.case_kind,
-                    "trajectory_domain": sg.domain,
-                    "trajectory_start": start,
-                })
-                entry["trajectory"] = rows          # already JSON-safe floats
-                report["stages"]["semigroup"] = entry
-            elif stage == "verify":
-                if sg is None:
-                    report["stages"]["verify"] = {
-                        "status": "skipped", "reason": "no semigroup built"}
-                    continue
-                cfg = SamplerCfg(seed=seed, domain=sg.domain)
-                reports = verify_family(sg, cfg, tols=tols)
-                report["stages"]["verify"] = to_jsonable({
-                    "status": "ok",
-                    "checks": [_check_entry(r) for r in reports],
-                    "all_passed": all(r.passed for r in reports),
-                })
-        except LfmError as exc:
-            report["stages"][stage] = {"status": "error", "error": str(exc)}
-            skip_rest(stage)
-            break
-    report["exit_status"] = _exit_status(report, cert)
+        report["stages"].setdefault(stage, {"status": "skipped"})
+    report["exit_status"] = _exit_status(report)
     return report
+
+
+def _stage_entries(f, seed, tols, t_grid, z0):
+    """The report entry of each stage of STAGES in turn, computed when it
+    is asked for; a stage error propagates from the ``next`` that asked."""
+    cls = classify(f)
+    entry = {
+        "status": "ok",
+        "kind": cls.kind,
+        "interior_fixed_points": cls.interior_fixed_points,
+        "boundary_fixed_points": cls.boundary_fixed_points,
+        "dw_point": cls.dw_point,
+        "delta": cls.delta,
+    }
+    if cls.interior_fixed_points:
+        entry["unitary_index"] = cls.unitary_index
+    yield to_jsonable(entry)
+    nf = normal_form(f, cls)
+    conditions = conditions_for(nf)
+    yield to_jsonable({
+        "status": "ok",
+        "form_kind": nf.form_kind,
+        "parameters": nf.parameters,
+        "chain_length": len(nf.conjugations),
+        "chain_residual": conjugation_residual(nf, f),
+        "conditions": [vars(c) for c in conditions],
+    })
+    cert = certify(nf)
+    yield to_jsonable({
+        "status": "ok",
+        "verdict": cert.verdict,
+        "criterion_id": cert.criterion_id,
+        "margins": [vars(c) for c in cert.margins],
+        "automorphism": is_automorphism(f),
+        "notes": cert.notes,
+    })
+    if cert.verdict != EMBEDDABLE:
+        yield {"status": "skipped", "reason": f"verdict {cert.verdict}"}
+        yield {"status": "skipped", "reason": "no semigroup built"}
+        return
+    sg = build_semigroup(cert)
+    start = z0 if z0 is not None else _default_start(sg)
+    rows = emit_trajectory(sg, start, t_grid)
+    entry = to_jsonable({
+        "status": "ok",
+        "case_kind": sg.case_kind,
+        "trajectory_domain": sg.domain,
+        "trajectory_start": start,
+    })
+    entry["trajectory"] = rows          # already JSON-safe floats
+    yield entry
+    reports = verify_family(sg, SamplerCfg(seed=seed, domain=sg.domain), tols=tols)
+    yield to_jsonable({
+        "status": "ok",
+        "checks": [_check_entry(r) for r in reports],
+        "all_passed": all(r.passed for r in reports),
+    })
 
 
 def _check_entry(r):
@@ -321,19 +305,16 @@ def _default_start(sg) -> np.ndarray:
     return z
 
 
-def _exit_status(report, cert) -> int:
-    if any(entry.get("status") == "error" for entry in report["stages"].values()):
+def _exit_status(report) -> int:
+    """3 on an input or stage error, else the verdict's code (0 for a run
+    stopped before ``embed``), and 2 for an embeddable map whose checks failed."""
+    stages = report["stages"]
+    if "error" in report or any(entry["status"] == "error" for entry in stages.values()):
         return EXIT_INPUT_ERROR
-    if "embed" not in report["stages"]:
-        return EXIT_EMBEDDABLE  # partial pipeline that completed cleanly
-    if cert is None:
-        return EXIT_INPUT_ERROR
-    if cert.verdict == CONDITION_FAILS:
+    verdict = stages.get("embed", {}).get("verdict", EMBEDDABLE)
+    if verdict == CONDITION_FAILS:
         return EXIT_CONDITION_FAILS
-    if cert.verdict == INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    verify_stage = report["stages"].get("verify", {})
-    if verify_stage.get("status") == "ok" and not verify_stage.get("all_passed", False):
+    if verdict == INCONCLUSIVE or not stages.get("verify", {}).get("all_passed", True):
         return EXIT_INCONCLUSIVE
     return EXIT_EMBEDDABLE
 
