@@ -454,7 +454,7 @@ def main(argv=None) -> int:
         z0 = None
         if getattr(args, "t", None) is not None:
             t_grid = _times_in(_json_option(args.t, "--t"))
-        if getattr(args, "z0", None):
+        if getattr(args, "z0", None) is not None:
             z0 = _vector_in(_json_option(args.z0, "--z0"), "--z0")
     except (SpecError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -96,6 +96,12 @@ class TestTrajectoryOptions:
         assert stage["status"] == "error"
         assert "the family acts on dimension 2" in stage["error"]
 
+    def test_empty_z0(self, spec_path, capsys):
+        """An empty --z0 is invalid JSON, as an empty --t is; it does not
+        fall back to the default start."""
+        err = _input_error(capsys, ["report", str(spec_path), "--z0", ""])
+        assert err.startswith("input error: --z0: invalid JSON")
+
     def test_decreasing_t(self, spec_path, capsys):
         """Rejected at the input boundary: no stage runs, no summary."""
         code = cli.main(["semigroup", str(spec_path), "--t", "[1, 0.5]"])
