@@ -94,7 +94,7 @@ class TestTrajectoryOptions:
         assert code == EXIT_INPUT_ERROR
         stage = json.loads(out.read_text())["stages"]["semigroup"]
         assert stage["status"] == "error"
-        assert "the family acts on dimension 2" in stage["error"]
+        assert stage["error"] == f"point has dimension {len(json.loads(z0))}, map expects 2"
 
     def test_empty_z0(self, spec_path, capsys):
         """An empty --z0 is invalid JSON, as an empty --t is; it does not
