@@ -313,10 +313,10 @@ def _split_blocks(m: np.ndarray):
     return w, len(ones), len(others), k - nuni, uni[others], a_block
 
 
-def siegel_normal_map(lam, a, d, w_block, c, c_res, b, scale=None) -> SiegelMap:
+def siegel_normal_map(lam, a, d, w_block, c, c_res, b, scale) -> SiegelMap:
     """The affine map shared by the parabolic and hyperbolic forms,
     (z, u, v, w) -> (lam z + 2i<u,a> + 2i<w,c> + b, s u + a, s D v, s W w + c_res)
-    with block sizes (len(a), len(d), len(c)); s = *scale*, or 1 when None.
+    with block sizes (len(a), len(d), len(c)) and s = *scale*.
     """
     p, q, r = len(a), len(d), len(c)
     m = np.zeros((p + q + r, p + q + r), dtype=complex)
@@ -325,7 +325,7 @@ def siegel_normal_map(lam, a, d, w_block, c, c_res, b, scale=None) -> SiegelMap:
     m[p + q:, p + q:] = w_block
     zeros = np.zeros(q)
     return SiegelMap(lam, np.concatenate([a, zeros, c], dtype=complex), b,
-                     m if scale is None else scale * m,
+                     scale * m,
                      np.concatenate([a, zeros, c_res], dtype=complex))
 
 
@@ -410,9 +410,7 @@ def _affine_normal_form(f: BallMap, cls: Optional[Classification], kind: str) ->
     a_vec = np.zeros(p) if hyperbolic else s.c[:p].copy()
     params = {"D": d_diag, "A": a_block, "c": c_vec, "b": b, "block_split": (p, q, r),
               **({"lam": lam, "c_res": c_res} if hyperbolic else {"a": a_vec})}
-    # no scale at lam = 1: 1.0 * M would turn the real parts -0.0 into +0.0
-    normal_map = siegel_normal_map(lam, a_vec, d_diag, a_block, c_vec, c_res, b,
-                                   sq if hyperbolic else None)
+    normal_map = siegel_normal_map(lam, a_vec, d_diag, a_block, c_vec, c_res, b, sq)
     return NormalForm(FORM_HYPERBOLIC if hyperbolic else FORM_PARABOLIC, normal_map, chain, params)
 
 

@@ -288,7 +288,7 @@ def _parabolic_normal_forms(dim, count=8):
         c = 0.3 * random_complex(rng, r)
         im_b = np.vdot(a, a).real + np.vdot(c, c).real / 0.36 + rng.uniform(0.1, 1.0)
         s = normal_forms.siegel_normal_map(1.0, a, d, w_block, c, np.zeros(r),
-                                           complex(rng.uniform(-1.0, 1.0), im_b))
+                                           complex(rng.uniform(-1.0, 1.0), im_b), 1.0)
         yield cayley_to_ball(s)
 
 

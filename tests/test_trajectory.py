@@ -134,7 +134,7 @@ def _closed_form_at(case, d, t):
         b_t = t * d["alpha"] + 1j * t * t * float(np.vdot(a, a).real)
         return siegel_normal_map(1.0, t * a, theta, np.diag(np.exp(t * m_diag)),
                                  _cocycle(np.conj(m_diag), t) * d["c"], np.zeros(len(m_diag)),
-                                 b_t)
+                                 b_t, 1.0)
     lam = d["lam"]
     log_lam = math.log(lam)
     lam_t, sq_t = math.exp(t * log_lam), math.exp(0.5 * t * log_lam)
