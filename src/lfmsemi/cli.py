@@ -7,7 +7,8 @@ with sorted keys and shortest round-trip floats, so identical inputs
 and seeds produce byte-identical bytes.
 
 Exit codes: 0 embeddable and verified, 1 criterion definitively fails,
-2 inconclusive (or verification failed), 3 input error.
+2 inconclusive (or verification failed), 3 input error or stage error
+(for example ``no fixed point found in the closed ball``).
 """
 
 from __future__ import annotations
