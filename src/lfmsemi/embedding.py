@@ -24,13 +24,13 @@ that holds every passing class (see "the lattice of primary logarithms"
 below).  A class whose logarithm fails its exponentiation check, an
 ellipsoid too large to enumerate, or an ill-conditioned eigenbasis (cond
 V >= 1e8) with several eigenvalue clusters makes the verdict
-``inconclusive``.  The parabolic and hyperbolic criteria share one
-generator: the principal logarithm of the normal map's homogeneous
-matrix, read off its entries by divided differences of exp
-(:func:`_siegel_log`, the inverse of :func:`_siegel_flow` at t = 1).
-Its branch, the principal logarithm of each eigenvalue of the
-contraction block, has the largest margin of all branches, tested by the
-Schur complement of :func:`~lfmsemi.linalg.schur_margins`, the kernel of
+``inconclusive``.  The parabolic and hyperbolic criteria are one
+function (:func:`_half_plane_criterion`) with one generator: the
+principal logarithm of the normal map's homogeneous matrix, read off its
+entries by divided differences of exp (:func:`_siegel_log`, the inverse
+of :func:`_siegel_flow` at t = 1).  Its branch, the principal logarithm
+of each eigenvalue of the contraction block, has the largest margin of
+all branches, tested by the Schur complement of :func:`~lfmsemi.linalg.schur_margins`, the kernel of
 the Siegel normal-form conditions too.  The block is the triangular
 Schur factor of the reduction, so it is normal iff diagonal; a block
 that is not normal is ``inconclusive``.  (Non-primary logarithms of a
@@ -39,7 +39,8 @@ continuum and are not searched.)
 
 The case table ``_CASES``, keyed by ``NormalForm.form_kind``, holds for
 each of the four normal-form cases its checked conditions, its embedding
-criterion, and the family name and domain its certificates carry.
+criterion (the two Siegel rows call the one half-plane criterion through
+its two public names), and the family name and domain of its certificates.
 :func:`certify` and :func:`build_semigroup` look the case up there, so a
 fifth case adds one row (and its reducer in ``normal_forms``).
 :meth:`SemigroupFamily.at_many` reads only G, through one builder per
@@ -68,7 +69,7 @@ from .linalg import (
     mat_log_principal,
     schur_margins,
 )
-from .maps import (BALL, SIEGEL, BallMap, Classification, SiegelMap, _require_ball_flow,
+from .maps import (BALL, SIEGEL, BallMap, SiegelMap, _require_ball_flow,
                    _trusted_ball_map, flow_form, pencil_margins, pullback_form)
 from .normal_forms import (
     FORM_ELLIPTIC_SPLIT,
@@ -104,9 +105,9 @@ class EmbeddingCertificate:
     criterion_id: str
     margins: list
     generator_data: Optional[dict]
-    target: Optional[object] = None  # the map the built family reproduces at t = 1
-    notes: str = ""
-    family: Optional[str] = None  # the SemigroupFamily case the data builds
+    target: object  # the map the built family reproduces at t = 1
+    notes: str
+    family: str  # the SemigroupFamily case the data builds
 
 
 def _certificate(nf: NormalForm, verdict: str, criterion_id: str, margins: list,
@@ -535,23 +536,6 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
 # parabolic and hyperbolic criteria
 
 
-def _diagonal_target(nf: NormalForm, criterion_id: str):
-    """nf's normal map with its contraction (w-) block A cut to its
-    diagonal; or an inconclusive certificate when A, the triangular Schur
-    factor of the reduction, is not diagonal, hence not normal:
-    off-diagonal part above 1e-8 max(1, |A|) or commutator [A, A^H] above
-    1e-10 max(1, |A|^2)."""
-    a = nf.parameters["A"]
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if (np.max(np.abs(a - np.diag(np.diag(a))), initial=0.0) > 1e-8 * scale
-            or np.linalg.norm(a @ a.conj().T - a.conj().T @ a) > 1e-10 * scale ** 2):
-        return _certificate(nf, INCONCLUSIVE, criterion_id,
-                            [Condition("contraction_block_normal", -1.0, False)], notes=(
-                                "contraction block is not normal; the diagonal generator "
-                                "does not apply"))
-    return dataclasses.replace(nf.normal_map, M=np.diag(np.diag(nf.normal_map.M)))
-
-
 def _siegel_log(f: SiegelMap) -> np.ndarray:
     """The principal logarithm G of the homogeneous matrix
     T = [[lam, 2i conj(a), b], [0, diag(mu), c], [0, 0, 1]] of an affine map
@@ -581,18 +565,6 @@ def _siegel_log(f: SiegelMap) -> np.ndarray:
     return g
 
 
-def _flow_certificate(nf: NormalForm, criterion_id: str, name: str, budget: float,
-                      g: np.ndarray, target) -> EmbeddingCertificate:
-    """The parabolic or hyperbolic certificate of the generator G whose
-    :func:`_flow_margin`, in units of Im b, is *budget*."""
-    margins = [Condition(name, budget, budget >= -MARGIN_TOL)]
-    if budget < -MARGIN_TOL:
-        return _certificate(nf, CONDITION_FAILS, criterion_id, margins, target=target, notes=(
-            "the generator of the principal logarithm does not keep H_N, and the "
-            "principal branch has the largest margin of the primary logarithms"))
-    return _certificate(nf, EMBEDDABLE, criterion_id, margins, {"G": g}, target)
-
-
 def embed_parabolic(nf: NormalForm) -> EmbeddingCertificate:
     """Flow-invariance criterion for the parabolic normal form with a
     normal contraction block: the principal logarithm G of the normal map
@@ -601,42 +573,63 @@ def embed_parabolic(nf: NormalForm) -> EmbeddingCertificate:
     for the eigenvalues mu_j = exp(-u_j + i v_j) of the block, is largest
     on the principal branch, whose v_j are least in modulus, so a failure
     is ``condition_fails``."""
-    _expect_form(nf, FORM_PARABOLIC)
-    target = _diagonal_target(nf, "parabolic_generator_invariance")
-    if isinstance(target, EmbeddingCertificate):
-        return target
-    g = _siegel_log(target)
-    return _flow_certificate(nf, "parabolic_generator_invariance", "translation_budget",
-                             _flow_margin(g), g, target)
+    return _half_plane_criterion(nf, FORM_PARABOLIC)
 
 
 def embed_hyperbolic(nf: NormalForm) -> EmbeddingCertificate:
     """Flow-invariance criterion for the hyperbolic normal form with a
     normal contraction block, as :func:`embed_parabolic`.  The margin is
     reported in units of Im b, the generator's times (lam - 1) / log(lam)."""
-    _expect_form(nf, FORM_HYPERBOLIC)
-    target = _diagonal_target(nf, "hyperbolic_generator_invariance")
-    if isinstance(target, EmbeddingCertificate):
-        return target
+    return _half_plane_criterion(nf, FORM_HYPERBOLIC)
+
+
+def _half_plane_criterion(nf: NormalForm, kind: str) -> EmbeddingCertificate:
+    """The criterion of both Siegel cases, for nf of the form *kind*.  The
+    target is nf's normal map with its contraction (w-) block A cut to its
+    diagonal; A is the triangular Schur factor of the reduction, so it is
+    normal iff diagonal, and an off-diagonal part above 1e-8 max(1, |A|)
+    or a commutator [A, A^H] above 1e-10 max(1, |A|^2) is ``inconclusive``.
+    Else the :func:`_flow_margin` of the target's principal logarithm G,
+    in units of Im b, decides."""
+    _expect_form(nf, kind)
+    hyperbolic = kind == FORM_HYPERBOLIC
+    criterion_id, name = (("hyperbolic_generator_invariance", "coefficient_budget") if hyperbolic
+                          else ("parabolic_generator_invariance", "translation_budget"))
+    a = nf.parameters["A"]
+    scale = max(1.0, float(np.linalg.norm(a)))
+    if (np.max(np.abs(a - np.diag(np.diag(a))), initial=0.0) > 1e-8 * scale
+            or np.linalg.norm(a @ a.conj().T - a.conj().T @ a) > 1e-10 * scale ** 2):
+        return _certificate(nf, INCONCLUSIVE, criterion_id,
+                            [Condition("contraction_block_normal", -1.0, False)], notes=(
+                                "contraction block is not normal; the diagonal generator "
+                                "does not apply"))
+    target = dataclasses.replace(nf.normal_map, M=np.diag(np.diag(nf.normal_map.M)))
     g = _siegel_log(target)
-    lam = float(nf.parameters["lam"])
-    return _flow_certificate(nf, "hyperbolic_generator_invariance", "coefficient_budget",
-                             _flow_margin(g) * (lam - 1.0) / math.log(lam), g, target)
+    budget = _flow_margin(g)
+    if hyperbolic:
+        lam = float(nf.parameters["lam"])
+        budget = budget * (lam - 1.0) / math.log(lam)
+    margins = [Condition(name, budget, budget >= -MARGIN_TOL)]
+    if budget < -MARGIN_TOL:
+        return _certificate(nf, CONDITION_FAILS, criterion_id, margins, target=target, notes=(
+            "the generator of the principal logarithm does not keep H_N, and the "
+            "principal branch has the largest margin of the primary logarithms"))
+    return _certificate(nf, EMBEDDABLE, criterion_id, margins, {"G": g}, target)
 
 
 # ---------------------------------------------------------------------------
 # dimension 2 and automorphisms
 
 
-def embed_dim2(f: BallMap, cls: Optional[Classification] = None) -> EmbeddingCertificate:
+def embed_dim2(f: BallMap) -> EmbeddingCertificate:
     """Embedding decision for self-maps of the two-dimensional ball; the
     Siegel cases are labelled by the catalogue of normal forms (scalar
     w-block)."""
     if f.dim != 2:
         raise DomainError("embed_dim2 expects a map of the two-dimensional ball")
-    nf = normal_form(f, cls)
+    nf = normal_form(f)
     cert = certify(nf)
-    label = _case(_CASES, nf.form_kind).dim2_label
+    label = _case(nf.form_kind).dim2_label
     if label is None:
         return cert
     return dataclasses.replace(cert, criterion_id=label(nf.parameters))
@@ -663,10 +656,9 @@ def embed_automorphism(f: BallMap) -> EmbeddingCertificate:
     return dataclasses.replace(cert, criterion_id="automorphism_" + cert.criterion_id)
 
 
-def embed_map(f: BallMap, cls: Optional[Classification] = None) -> EmbeddingCertificate:
-    """Normalize f (classifying it unless the caller passes its
-    classification) and run the embedding criterion of its case."""
-    return certify(normal_form(f, cls))
+def embed_map(f: BallMap) -> EmbeddingCertificate:
+    """Classify and normalize f and run the embedding criterion of its case."""
+    return certify(normal_form(f))
 
 
 def certify(nf: NormalForm) -> EmbeddingCertificate:
@@ -674,7 +666,7 @@ def certify(nf: NormalForm) -> EmbeddingCertificate:
     deterministic and draws no sample.  A :class:`_Singular` map is
     ``condition_fails``: every member of a semigroup is injective."""
     try:
-        return _case(_CASES, nf.form_kind).criterion(nf)
+        return _case(nf.form_kind).criterion(nf)
     except _Singular:
         return _certificate(nf, CONDITION_FAILS, "invertibility",
                             [Condition("invertible", 0.0, False)],
@@ -685,7 +677,7 @@ def certify(nf: NormalForm) -> EmbeddingCertificate:
 def conditions_for(nf: NormalForm) -> list:
     """The checked normal-form conditions of nf's case (none for the
     elliptic forms)."""
-    return _case(_CASES, nf.form_kind).conditions(nf)
+    return _case(nf.form_kind).conditions(nf)
 
 
 # ---------------------------------------------------------------------------
@@ -871,10 +863,10 @@ _CASES = {
 _FAMILIES = {case.family: case for case in _CASES.values()}
 
 
-def _case(table: dict, kind: str) -> _Case:
-    if kind not in table:
+def _case(kind: str) -> _Case:
+    if kind not in _CASES:
         raise DomainError(f"unknown case kind {kind}")
-    return table[kind]
+    return _CASES[kind]
 
 
 def build_semigroup(cert: EmbeddingCertificate) -> SemigroupFamily:

@@ -84,7 +84,7 @@ _JORDAN_SPLIT_FACTOR = 1e3
 # sampling
 
 
-def sample_ball_points(dim: int, count: int = 1000, seed: int = DEFAULT_SAMPLE_SEED) -> np.ndarray:
+def sample_ball_points(dim: int, count: int, seed: int = DEFAULT_SAMPLE_SEED) -> np.ndarray:
     """Deterministic sample of B_N: uniform directions on the radius shells
     ``_SAMPLE_RADII``.
 
@@ -106,8 +106,7 @@ def _ball_sample_cached(dim: int, count: int, seed: int) -> np.ndarray:
     return pts
 
 
-def sample_siegel_points(dim: int, count: int = 1000,
-                         seed: int = DEFAULT_SAMPLE_SEED) -> np.ndarray:
+def sample_siegel_points(dim: int, count: int, seed: int = DEFAULT_SAMPLE_SEED) -> np.ndarray:
     """Deterministic sample of H^N: Cayley image of the ball sample."""
     zs = sample_ball_points(dim, count, seed)
     den = 1.0 - zs[:, :1]
@@ -766,7 +765,6 @@ class Classification:
     boundary_fixed_points: list
     dw_point: Optional[np.ndarray] = None
     delta: Optional[float] = None
-    notes: str = ""
     multipliers: Optional[np.ndarray] = None
 
     @property
@@ -923,10 +921,8 @@ def classify(f: BallMap) -> Classification:
         raise NumericError("map without interior fixed points has no boundary fixed point")
     deltas = [_dilation(f, w) for w in boundary]
     dw, delta = boundary[int(np.argmin(deltas))], min(deltas)
-    margin = abs(delta - 1.0)
-    if margin <= PARABOLIC_DELTA_TOL:
-        return Classification(PARABOLIC, [], boundary, dw_point=dw, delta=delta,
-                              notes=f"|delta-1| = {margin:.3e}")
+    if abs(delta - 1.0) <= PARABOLIC_DELTA_TOL:
+        return Classification(PARABOLIC, [], boundary, dw_point=dw, delta=delta)
     if not 0.0 < delta < 1.0:
         raise NumericError(f"dilation coefficient {delta} outside (0, 1]")
     return Classification(HYPERBOLIC, [], boundary, dw_point=dw, delta=delta)
@@ -956,13 +952,11 @@ def _dilation(f: BallMap, w: np.ndarray) -> float:
     return float(((1.0 - np.vdot(w, f.B)) / f.denominator(w)).real)
 
 
-def unitary_index(f: BallMap, fixed_point: Optional[np.ndarray] = None) -> int:
+def unitary_index(f: BallMap) -> int:
     """Total multiplicity of unimodular eigenvalues (UNIMODULAR_TOL) of the
-    differential at an interior fixed point: *fixed_point*, or when None
-    the first one of :func:`classify`, whose multipliers it counts."""
-    if fixed_point is None:
-        multipliers = classify(f).multipliers
-        if multipliers is None:
-            raise DomainError("unitary index requires an interior fixed point")
-        return unimodular_count(multipliers)
-    return unimodular_count(np.linalg.eigvals(f.differential(fixed_point)))
+    differential at the first interior fixed point of :func:`classify`:
+    the classification's :attr:`Classification.unitary_index`."""
+    index = classify(f).unitary_index
+    if index is None:
+        raise DomainError("unitary index requires an interior fixed point")
+    return index

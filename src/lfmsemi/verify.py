@@ -21,7 +21,7 @@ the negated worst deviation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,7 +78,7 @@ class CheckReport:
     worst_margin: float
     tolerance: float
     samples_used: int
-    worst_point: Optional[np.ndarray] = field(default=None)
+    worst_point: np.ndarray
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"

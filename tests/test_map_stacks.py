@@ -284,5 +284,5 @@ def test_unitary_index_counts_unimodular_eigenvalues():
             a = np.diag(np.concatenate([np.exp(1j * theta), rng.uniform(0.1, 0.9, n - u)]))
             f = BallMap(a, np.zeros(n), np.zeros(n))
             eigs = np.linalg.eigvals(f.differential(np.zeros(n)))
-            assert unitary_index(f, np.zeros(n)) == u == \
+            assert unitary_index(f) == u == \
                 int(np.sum(np.abs(np.abs(eigs) - 1.0) <= UNIMODULAR_TOL))

@@ -357,16 +357,11 @@ class TestUnitaryIndex:
         with pytest.raises(DomainError):
             unitary_index(disk_map(**HALF_MOEBIUS))
 
-    def test_constant_across_fixed_slice(self):
-        f = BallMap(np.diag([1.0, 0.5]), np.zeros(2), np.zeros(2), 1.0)
-        interior, _ = fixed_points(f)
-        indices = {unitary_index(f, fixed_point=p) for p in interior}
-        assert len(indices) == 1
-
-    def test_wrong_dimension_rejected(self):
-        f = BallMap(np.diag([1.0, 0.5]), np.zeros(2), np.zeros(2), 1.0)
-        with pytest.raises(DimensionError):
-            unitary_index(f, fixed_point=np.zeros(3))
+    def test_conjugated_map(self):
+        # the fixed point moves off the origin; the index stays the
+        # classification's, 1, whatever the point
+        f = BallMap(np.diag([np.exp(0.7j), 0.5]), np.zeros(2), np.zeros(2), 1.0)
+        assert unitary_index(conjugate(f, ball_automorphism([0.3, 0.2j]))) == 1
 
 
 def test_differential_wrong_dimension_rejected():
