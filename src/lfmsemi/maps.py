@@ -20,8 +20,10 @@ The exact self-map test of a ball map runs in the :class:`BallMap`
 constructor, so every ball map the library hands out gets it: those of the
 public builders, :func:`compose`, :func:`inverse`, :func:`conjugate` and
 :func:`cayley_to_ball` (for a Siegel spec that call is the input check, as
-:class:`SiegelMap` checks no self-map property).  Three kinds of map skip
+:class:`SiegelMap` checks no self-map property).  Four kinds of map skip
 it, built by :func:`_trusted_ball_map` with the constructor's bits.  The
+automorphisms of :func:`ball_automorphism`, from their closed form: near
+the sphere the test's relative margin is rounding alone.  The
 intermediate maps of a reduction, which the library only reads or
 evaluates: a change of variable (a unitary, or the automorphism that
 centres a fixed point) kept as a :class:`ProjMap` (:func:`_change_of_variable`),
@@ -369,9 +371,8 @@ class BallMap:
     1e-9); a stack gets these checks for every map, with one batched
     eigenvalue computation.  Item i of a stack is map i, with the bits of
     ``BallMap(A[i], B[i], C[i])`` and without a second check.  Every
-    ball map the library hands out passes this check, except the maps of
-    a ball family whose generator proves them all (see the module
-    docstring).
+    ball map the library hands out passes this check, except the kinds of
+    map of the module docstring.
     """
 
     A: np.ndarray
@@ -460,7 +461,7 @@ def _normalized(a, b, c, d: complex) -> tuple:
 
 def _trusted_ball_map(a, b, c, d=1.0) -> BallMap:
     """``BallMap(a, b, c, d)`` without the constructor's checks, for the
-    two kinds of map of the module docstring: the constructor's
+    kinds of map of the module docstring: the constructor's
     :func:`_normalized`, so the fields have the bits of the checked map."""
     a, b, c = (np.asarray(x, dtype=complex) for x in (a, b, c))
     return _ball_map_of(*_normalized(a, b, c, complex(d)))
@@ -504,7 +505,7 @@ def _automorphism_fields(a) -> tuple:
 
 def ball_automorphism(a) -> BallMap:
     """The involutive automorphism of B_N exchanging 0 and the point a."""
-    return BallMap(*_automorphism_fields(a))
+    return _trusted_ball_map(*_automorphism_fields(a))
 
 
 def _change_of_variable(a, b=None, c=None) -> ProjMap:

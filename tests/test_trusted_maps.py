@@ -1,8 +1,9 @@
 """Ball maps that skip the constructor's self-map check.
 
 Every ball map the library hands out passes the exact self-map test of
-:class:`~lfmsemi.maps.BallMap`.  Three kinds of map skip it, built by
-``maps._trusted_ball_map``.  The intermediate maps of a reduction, which
+:class:`~lfmsemi.maps.BallMap`.  Four kinds of map skip it, built by
+``maps._trusted_ball_map``.  The automorphisms of ``ball_automorphism``,
+built from their closed form.  The intermediate maps of a reduction, which
 the library only reads or evaluates: a change of variable built to
 conjugate by and to record in a chain (a unitary, or the automorphism that
 centres a fixed point), kept as a ``ProjMap``, and a map conjugated by one.
@@ -14,9 +15,9 @@ check.  The old
 check is the oracle here: every trusted map of the golden pipelines and of
 two seeded cycles of the four cases in dims 1-8 passes
 ``maps._self_map_margins`` with the self-map slack, and its fields have
-the bits of the checked constructor's.  The public builders (``compose``,
-``inverse``, ``conjugate``, ``ball_automorphism``) keep the check, also on
-maps that sit inside the slack.  The sign of the generator gate near 0 is
+the bits of the checked constructor's.  The other public builders
+(``compose``, ``inverse``, ``conjugate``) keep the check, also on maps that
+sit inside the slack.  The sign of the generator gate near 0 is
 held to an mpmath pencil at 50 digits.
 """
 
@@ -149,16 +150,24 @@ def test_conjugation_of_a_map_inside_the_slack(trusted):
     message = _error_of(lambda: conjugate(f, s))
     p = to_proj(s).inverse().then(to_proj(f)).then(to_proj(s))
     assert message == _error_of(lambda: ball_map_from_proj(p))
-    assert message.startswith("not a self-map of the ball") and not trusted
+    assert message.startswith("not a self-map of the ball")
+    assert [site for site, _, _ in trusted] == ["ball_automorphism"]  # s, not the conjugate
 
 
-def test_automorphism_near_the_sphere_keeps_the_check(trusted):
+def test_automorphism_near_the_sphere_is_built(trusted):
+    # S = T^H J T = (1 - |a|^2) J is tiny near the sphere, so rounding alone
+    # sets the relative margin of the constructor's check: it refused every
+    # centre with |a|^2 = 1 - 10^-k, k = 8 to 15
     a = np.array([0.6, 0.5j, 0.1])
-    with pytest.raises(DomainError, match="^denominator invariant violated"):
-        ball_automorphism(np.sqrt(1.0 - 1e-13) * a / np.linalg.norm(a))
+    for k in range(6, 16):
+        centre = np.sqrt(1.0 - 10.0 ** -k) * a / np.linalg.norm(a)
+        f = ball_automorphism(centre)
+        assert np.array_equal(f.B, centre) and np.array_equal(f.C, -centre)
+        if k <= 7:
+            _assert_checked_oracle(maps._automorphism_fields(centre), f)
+    assert [site for site, _, _ in trusted] == ["ball_automorphism"] * 10
     with pytest.raises(DomainError, match="^automorphism center must lie inside the ball"):
         ball_automorphism(2.0 * a)
-    assert not trusted
 
 
 def test_inverse_of_a_contraction_keeps_the_check(trusted):
@@ -188,9 +197,9 @@ def test_public_builders_run_the_check_once(monkeypatch):
     auto = ball_automorphism([0.3, 0.2j])
     calls.clear()
     for build in (lambda: compose(f, auto), lambda: inverse(auto),
-                  lambda: conjugate(f, auto), lambda: ball_automorphism([0.3, 0.2j])):
+                  lambda: conjugate(f, auto)):
         build()
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
