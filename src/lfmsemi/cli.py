@@ -7,8 +7,9 @@ with sorted keys and shortest round-trip floats, so identical inputs
 and seeds produce byte-identical bytes.
 
 Exit codes: 0 embeddable and verified, 1 criterion definitively fails,
-2 inconclusive (or verification failed), 3 input error or stage error
-(for example ``no fixed point found in the closed ball``).
+2 inconclusive (or verification failed), 3 input error (a usage error, a
+negative seed, an unwritable ``--output`` or ``--csv`` path) or stage
+error (for example ``no fixed point found in the closed ball``).
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ def _matrix_in(value, where: str) -> np.ndarray:
 def _json_option(text: str, option: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{option}: invalid JSON: {exc.msg}")
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raise SpecError(f"{option}: invalid JSON: {getattr(exc, 'msg', exc)}")
 
 
 def _times_in(value) -> tuple:
@@ -197,8 +198,10 @@ def run_pipeline(spec_obj: dict, seed: int = DEFAULT_SAMPLE_SEED, tol_profile: s
                  t_grid=DEFAULT_T_GRID, z0=None, stop_after: str = "verify"):
     """Classify -> normal form -> embed -> build -> verify, recording each
     stage outcome; stage errors are captured, later stages marked skipped.
-    An unknown *tol_profile* or *stop_after* raises :class:`SpecError`
-    before any stage runs."""
+    A *seed* that is not a non-negative integer, an unknown *tol_profile*
+    or *stop_after* raises :class:`SpecError` before any stage runs."""
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise SpecError(f"seed: expected a non-negative integer, got {seed!r}")
     if tol_profile not in TOL_PROFILES:
         raise SpecError(f"tol_profile: expected one of {sorted(TOL_PROFILES)}, "
                         f"got {tol_profile!r}")
@@ -362,8 +365,17 @@ def _read_spec(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, too long an integer
         raise SpecError(str(exc))
+
+
+def _write_text(path: str, text: str, option: str) -> None:
+    """Write text to path; a failed write is an input error on *option*."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SpecError(f"{option}: {exc}") from exc
 
 
 def _dump_report(report, path):
@@ -371,8 +383,7 @@ def _dump_report(report, path):
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(path, text, "--output")
 
 
 def _human_summary(report) -> str:
@@ -409,6 +420,13 @@ def _human_summary(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 3); argparse's 2 is ``inconclusive`` here."""
+
+    def error(self, message):
+        raise SpecError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SAMPLE_SEED,
@@ -416,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-profile", choices=sorted(TOL_PROFILES), default="default")
     common.add_argument("--output", default=None,
                         help="write the machine-readable report to this path ('-' = stdout)")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lfmsemi",
         description="Classify linear fractional self-maps of the unit ball, "
                     "reduce them to normal form, decide semigroup embedding, "
@@ -441,29 +459,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         spec_obj = _read_spec(args.spec)
-        t_grid = DEFAULT_T_GRID
-        z0 = None
+        t_grid, z0 = DEFAULT_T_GRID, None
         if getattr(args, "t", None) is not None:
             t_grid = _times_in(_json_option(args.t, "--t"))
         if getattr(args, "z0", None) is not None:
             z0 = _vector_in(_json_option(args.z0, "--z0"), "--z0")
-    except (SpecError, ValueError) as exc:
+        report = run_pipeline(spec_obj, seed=args.seed, tol_profile=args.tol_profile,
+                              t_grid=t_grid, z0=z0, stop_after=args.stop_after)
+        if getattr(args, "csv", None):
+            semi = report["stages"].get("semigroup", {})
+            if semi.get("status") == "ok":
+                _write_text(args.csv, trajectory_csv(semi["trajectory"],
+                                                     len(semi["trajectory_start"])), "--csv")
+            else:
+                sys.stderr.write(f"trajectory CSV not written: {_no_trajectory_reason(report)}\n")
+        if args.output:
+            _dump_report(report, args.output)
+    except SpecError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT_ERROR
-    report = run_pipeline(spec_obj, seed=args.seed, tol_profile=args.tol_profile,
-                          t_grid=t_grid, z0=z0, stop_after=args.stop_after)
-    if getattr(args, "csv", None):
-        semi = report["stages"].get("semigroup", {})
-        if semi.get("status") == "ok":
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(trajectory_csv(semi["trajectory"], len(semi["trajectory_start"])))
-        else:
-            sys.stderr.write(f"trajectory CSV not written: {_no_trajectory_reason(report)}\n")
-    if args.output:
-        _dump_report(report, args.output)
     if args.output != "-":
         sys.stdout.write(_human_summary(report))
     return int(report["exit_status"])

@@ -7,11 +7,15 @@ infinite time by every family, an
 empty time grid writes a header-only CSV, a map without a trajectory
 says on stderr why no CSV was written, ``--tol-profile strict``
 reaches the verification, report values keep their JSON types, an
-unknown tolerance profile or last stage is a SpecError before the spec is
-parsed, and a spec matrix with ragged rows is an input error naming its
-field."""
+unknown tolerance profile, last stage or a negative seed is a SpecError
+before the spec is parsed, a spec matrix with ragged rows is an input error
+naming its field, and usage errors and unwritable output paths exit 3."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +125,47 @@ class TestTrajectoryOptions:
         code = cli.main(["semigroup", str(spec_path), "--t", "[]", "--csv", str(csv_path)])
         assert code == EXIT_EMBEDDABLE
         assert csv_path.read_text() == "t,re_1,im_1,re_2,im_2\n"
+
+
+class TestInputErrorExits:
+    """Usage errors, a negative seed and an unwritable --output or --csv
+    path are input errors: exit 3 with one line on stderr that names the
+    option, not argparse's exit 2 (``inconclusive``) or a traceback's 1
+    (``condition_fails``)."""
+
+    @pytest.mark.parametrize("args,named", [
+        ([], "spec"),
+        (["--tol-profile", "nope"], "--tol-profile"),
+        (["--seed", "x"], "--seed"),
+        (["--seed", "-1"], "seed"),
+        (["--output", "{missing}/r.json"], "--output"),
+        (["--csv", "{missing}/t.csv"], "--csv"),
+    ], ids=["no_spec", "tol_profile", "seed_not_an_int", "negative_seed", "output", "csv"])
+    def test_main(self, spec_path, tmp_path, capsys, args, named):
+        argv = ["report"] + ([str(spec_path)] if args else [])
+        argv += [a.format(missing=tmp_path / "missing") for a in args]
+        err = _input_error(capsys, argv)
+        assert err.count("\n") == 1 and named in err
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("args", [["report"], ["report", "{spec}", "--seed", "-1"],
+                                      ["report", "{spec}", "--output", "{missing}/r.json"]],
+                             ids=["no_spec", "negative_seed", "output"])
+    def test_process_exit_status(self, spec_path, tmp_path, args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        argv = [a.format(spec=spec_path, missing=tmp_path / "missing") for a in args]
+        proc = subprocess.run([sys.executable, "-m", "lfmsemi.cli"] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", "--help"])
+        assert exc.value.code == 0 and "--seed" in capsys.readouterr().out
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -257,6 +302,12 @@ class TestPipelineArguments:
         with pytest.raises(SpecError, match=r"tol_profile: expected one of \['default', "
                                             r"'strict'\], got 'nope'"):
             run_pipeline(DISK_AUT, tol_profile="nope")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1", True])
+    def test_seed_not_a_non_negative_integer(self, seed):
+        with pytest.raises(SpecError, match=rf"^seed: expected a non-negative integer, "
+                                            rf"got {re.escape(repr(seed))}$"):
+            run_pipeline(DISK_AUT, seed=seed)
 
     def test_unknown_stop_after(self):
         with pytest.raises(SpecError, match=r"stop_after: expected one of \['classify', "
