@@ -30,12 +30,12 @@ principal logarithm of the normal map's homogeneous matrix, read off its
 entries by divided differences of exp (:func:`_siegel_log`, the inverse
 of :func:`_siegel_flow` at t = 1).  Its branch, the principal logarithm
 of each eigenvalue of the contraction block, has the largest margin of
-all branches, tested by the Schur complement of :func:`~lfmsemi.linalg.schur_margins`, the kernel of
-the Siegel normal-form conditions too.  The block is the triangular
-Schur factor of the reduction, so it is normal iff diagonal; a block
-that is not normal is ``inconclusive``.  (Non-primary logarithms of a
-derogatory matrix, an eigenvalue with several Jordan blocks, form a
-continuum and are not searched.)
+all branches, tested by the Schur complement of
+:func:`~lfmsemi.linalg.schur_margins`, the kernel of the Siegel
+normal-form conditions too.  A block that is not normal (the triangular
+Schur factor of the reduction, normal iff diagonal) is ``inconclusive``.
+(Non-primary logarithms of a derogatory matrix, an eigenvalue with
+several Jordan blocks, form a continuum and are not searched.)
 
 The case table ``_CASES``, keyed by ``NormalForm.form_kind``, holds for
 each of the four normal-form cases its checked conditions, its embedding
