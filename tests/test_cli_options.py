@@ -162,6 +162,18 @@ class TestInputErrorExits:
         assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("content,option", [(b"\xff\xfe{", None),
+                                                (b'{"dimension": 1' + b"0" * 5000 + b"}", None),
+                                                (json.dumps(HALF_SCALING_2D).encode(), "--t")],
+                             ids=["undecodable_bytes", "long_integer", "long_integer_in_t"])
+    def test_unreadable_json(self, tmp_path, capsys, content, option):
+        """The ValueErrors of reading JSON are input errors too."""
+        path = tmp_path / "map.json"
+        path.write_bytes(content)
+        extra = [option, "[" + "1" * 5000 + "]"] if option else []
+        err = _input_error(capsys, ["semigroup", str(path)] + extra)
+        assert err.count("\n") == 1 and (option is None or err.startswith(f"input error: {option}"))
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["report", "--help"])
