@@ -6,8 +6,8 @@ continuous one-parameter semigroup of self-maps, returning an
 the family :class:`SemigroupFamily` when the verdict is positive.
 
 Every criterion decides one homogeneous generator G per logarithm: the
-(N+1) x (N+1) matrix that an embeddable certificate carries in
-``generator_data["G"]``.  The family is its flow: the map at time t has
+(N+1) x (N+1) matrix that an embeddable certificate carries as its
+field ``G``.  The family is its flow: the map at time t has
 the homogeneous matrix exp(t G), and the projective vector field of G is
 the family's infinitesimal generator (:func:`generator`).  The split
 criterion tests the dissipativity of the logarithm M, the u0 criterion
@@ -40,9 +40,9 @@ several Jordan blocks, form a continuum and are not searched.)
 The case table ``_CASES``, keyed by ``NormalForm.form_kind``, holds for
 each of the four normal-form cases its checked conditions, its embedding
 criterion (the two Siegel rows call the one half-plane criterion through
-its two public names), and the family name and domain of its certificates.
-:func:`certify` and :func:`build_semigroup` look the case up there, so a
-fifth case adds one row (and its reducer in ``normal_forms``).
+its two public names), and the family name of its certificates.
+:func:`certify` looks the case up there, so a fifth case adds one row (and
+its reducer in ``normal_forms``); a family acts on its target's domain.
 :meth:`SemigroupFamily.at_many` reads only G, through one builder per
 domain that uses its structure: on the ball G = [[K, 0], [r^T, 0]] and
 exp(t G) needs exp(t K) alone, for the whole grid off one
@@ -104,34 +104,34 @@ class EmbeddingCertificate:
     verdict: str
     criterion_id: str
     margins: list
-    generator_data: Optional[dict]
+    G: Optional[np.ndarray]  # the homogeneous generator; None unless embeddable
     target: object  # the map the built family reproduces at t = 1
     notes: str
-    family: str  # the SemigroupFamily case the data builds
+    family: str  # the SemigroupFamily case G builds
 
 
 def _certificate(nf: NormalForm, verdict: str, criterion_id: str, margins: list,
-                 data: Optional[dict] = None, target=None, notes: str = ""):
+                 g: Optional[np.ndarray] = None, target=None, notes: str = ""):
     """A certificate for nf's case; the target defaults to nf's normal map."""
-    return EmbeddingCertificate(verdict, criterion_id, margins, data,
+    return EmbeddingCertificate(verdict, criterion_id, margins, g,
                                 nf.normal_map if target is None else target, notes,
                                 _CASES[nf.form_kind].family)
 
 
 @dataclass(frozen=True)
 class SemigroupFamily:
-    """The one-parameter family exp(t G) of the generator G in
-    ``parameters["G"]``; ``at_many(ts)`` materializes the maps on a grid
-    of times, ``at(t)`` one of them."""
+    """The one-parameter family exp(t G) of the homogeneous generator G,
+    acting on *domain*; ``at_many(ts)`` materializes the maps on a grid of
+    times, ``at(t)`` one of them."""
 
     case_kind: str
-    parameters: dict
+    G: np.ndarray
     domain: str
     target: Optional[object] = None
 
     @property
     def dim(self) -> int:
-        return self.parameters["G"].shape[0] - 1
+        return self.G.shape[0] - 1
 
     def at(self, t: float):
         return self.at_many([t])[0]
@@ -146,7 +146,7 @@ class SemigroupFamily:
             raise DomainError(f"time {float(outside[0])!r} lies outside 0 <= t < inf, "
                               "where the semigroup is defined")
         flow = _ball_flow if self.domain == BALL else _siegel_flow
-        return flow(self.parameters["G"], ts)
+        return flow(self.G, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +472,7 @@ def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
     if a1.size == 0:
         return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log",
                             [Condition("unitary_part", 0.0, True)],
-                            {"G": _split_matrix(theta, a1)})
+                            _split_matrix(theta, a1))
     lattice = _LatticeWalk()
     margins = []
     for idx, m in enumerate(_lattice_logs(a1, lattice)):
@@ -481,7 +481,7 @@ def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
                                  res.margin <= _DISSIPATIVE_TOL))
         if res.margin <= _DISSIPATIVE_TOL and float(np.max(np.linalg.eigvals(m).real)) < 0:
             return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log", margins,
-                                {"G": _split_matrix(theta, m)},
+                                _split_matrix(theta, m),
                                 notes=f"dissipative logarithm found (candidate {idx})")
     verdict, notes = lattice.failed(f"no dissipative logarithm among {len(margins)} candidates",
                                     "hermitian class", "dissipativity")
@@ -522,8 +522,7 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
         margins.append(Condition(f"generator_positivity[candidate {idx}]", margin,
                                  margin >= -_DISSIPATIVE_TOL))
         if margin >= -_DISSIPATIVE_TOL:
-            return _certificate(nf, EMBEDDABLE, "elliptic_u0_generator_positivity", margins,
-                                {"G": g},
+            return _certificate(nf, EMBEDDABLE, "elliptic_u0_generator_positivity", margins, g,
                                 notes=f"candidate {idx}: min condition margin {margin:.3e}")
     verdict, notes = lattice.failed(
         f"all {len(margins)} logarithm candidates violate the condition",
@@ -614,7 +613,7 @@ def _half_plane_criterion(nf: NormalForm, kind: str) -> EmbeddingCertificate:
         return _certificate(nf, CONDITION_FAILS, criterion_id, margins, target=target, notes=(
             "the generator of the principal logarithm does not keep H_N, and the "
             "principal branch has the largest margin of the primary logarithms"))
-    return _certificate(nf, EMBEDDABLE, criterion_id, margins, {"G": g}, target)
+    return _certificate(nf, EMBEDDABLE, criterion_id, margins, g, target)
 
 
 # ---------------------------------------------------------------------------
@@ -842,25 +841,23 @@ class _Case:
     takes effect."""
 
     family: str  # SemigroupFamily.case_kind of the case's certificates
-    domain: str  # where the family acts
     conditions: Callable  # NormalForm -> checked normal-form conditions
     criterion: Callable  # NormalForm -> EmbeddingCertificate
     dim2_label: Optional[Callable] = None  # parameters -> dimension-2 catalogue name
 
 
 _CASES = {
-    FORM_ELLIPTIC_SPLIT: _Case("elliptic_split", BALL, lambda nf: [],
+    FORM_ELLIPTIC_SPLIT: _Case("elliptic_split", lambda nf: [],
                                lambda nf: embed_elliptic_split(nf)),
-    FORM_ELLIPTIC_U0: _Case("elliptic_u0", BALL, lambda nf: [],
+    FORM_ELLIPTIC_U0: _Case("elliptic_u0", lambda nf: [],
                             lambda nf: embed_elliptic_u0(nf)),
-    FORM_PARABOLIC: _Case("parabolic", SIEGEL, lambda nf: parabolic_conditions(nf),
+    FORM_PARABOLIC: _Case("parabolic", lambda nf: parabolic_conditions(nf),
                           lambda nf: embed_parabolic(nf),
                           _parabolic_dim2_label),
-    FORM_HYPERBOLIC: _Case("hyperbolic", SIEGEL, lambda nf: hyperbolic_conditions(nf),
+    FORM_HYPERBOLIC: _Case("hyperbolic", lambda nf: hyperbolic_conditions(nf),
                            lambda nf: embed_hyperbolic(nf),
                            _hyperbolic_dim2_label),
 }
-_FAMILIES = {case.family: case for case in _CASES.values()}
 
 
 def _case(kind: str) -> _Case:
@@ -871,22 +868,22 @@ def _case(kind: str) -> _Case:
 
 def build_semigroup(cert: EmbeddingCertificate) -> SemigroupFamily:
     """Materialize the family licensed by an embeddable certificate, the
-    flow of its generator G; ``at(1)`` reproduces the certificate's target
-    map."""
-    if cert.verdict != EMBEDDABLE or cert.generator_data is None:
+    flow of its generator G on the domain of its target map, H_N for a
+    ``SiegelMap`` and the ball for a ``BallMap``; ``at(1)`` reproduces it."""
+    if cert.verdict != EMBEDDABLE or cert.G is None:
         raise DomainError("build_semigroup requires an embeddable certificate")
-    if cert.family not in _FAMILIES:
-        raise DomainError(f"certificate {cert.criterion_id} carries no constructor")
-    return SemigroupFamily(cert.family, dict(cert.generator_data),
-                           _FAMILIES[cert.family].domain, cert.target)
+    domain = {SiegelMap: SIEGEL, BallMap: BALL}.get(type(cert.target))
+    if domain is None:
+        raise DomainError(f"no domain for a target of type {type(cert.target).__name__}")
+    return SemigroupFamily(cert.family, cert.G, domain, cert.target)
 
 
 def generator(sg: SemigroupFamily):
     """Infinitesimal generator of the family, d(phi_t)/dt = G o phi_t: the
     vector field z -> (Gx)[:N] - (Gx)[N] z, x = (z, 1), of the
-    certificate's homogeneous generator G (``parameters["G"]``).  It takes
-    one point or a (K, N) array of rows."""
-    g = sg.parameters["G"]
+    family's homogeneous generator G.  It takes one point or a (K, N) array
+    of rows."""
+    g = sg.G
 
     def field(z):
         z = np.asarray(z, dtype=complex)

@@ -199,7 +199,7 @@ def _fd_times(sg, h: Optional[float], t_grid) -> tuple:
     """The step h (see :func:`check_generator`), the stencil centres, and
     the times the stencil reads: t+h, t-h, t for each centre."""
     if h is None:
-        rho = float(np.max(np.abs(np.linalg.eigvals(sg.parameters["G"]))))
+        rho = float(np.max(np.abs(np.linalg.eigvals(sg.G))))
         h = 1e-4 * (5.0 / max(rho, 5.0)) ** 1.5
     centres = [max(float(t), h) for t in t_grid]  # keep the central stencil inside t >= 0
     return h, centres, [u for t in centres for u in (t + h, t - h, t)]

@@ -375,8 +375,7 @@ def test_criterion_7_dim2_threshold_sharpness():
     data = {"lam": lam, "theta_D": np.zeros(0), "m_diag": np.array([-0.5 + 0.0j]),
             "c": np.zeros(1), "c_res": np.array([1.0 + 0.0j]),
             "b": 1j * im_a + 0.4, "split": (0, 0, 1)}
-    below = emb.SemigroupFamily("hyperbolic", {**data, "G": hyperbolic_matrix(data)},
-                                "siegel")
+    below = emb.SemigroupFamily("hyperbolic", hyperbolic_matrix(data), "siegel")
     violated = False
     for t in np.geomspace(0.01, 5.0, 60):
         conds = normal_forms.siegel_conditions(below.at(float(t)))

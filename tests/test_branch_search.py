@@ -313,7 +313,7 @@ def test_lattice_verdict_matches_mpmath_brute_force():
         cert = emb.embed_elliptic_split(nf)
         assert cert.verdict == (EMBEDDABLE if min(tops.values()) <= 1e-10 else CONDITION_FAILS)
         if cert.verdict == EMBEDDABLE:
-            m = closed_form_data(nf, cert.generator_data["G"])["M"]
+            m = closed_form_data(nf, cert.G)["M"]
             assert float(np.linalg.eigvalsh(hermitian_part(m))[-1]) <= 1e-10
             assert np.linalg.norm(mat_exp(m) - a1) <= 1e-8
         outcomes.append("candidate 0" if cert.margins[0].passed else cert.verdict)
@@ -354,7 +354,7 @@ def test_each_tested_class_verified_once(monkeypatch):
     assert cert.verdict == EMBEDDABLE
     assert not cert.margins[0].passed and cert.margins[-1].passed
     assert len(calls) == len(cert.margins) > 1
-    assert np.array_equal(calls[-1], closed_form_data(nf, cert.generator_data["G"])["M"])
+    assert np.array_equal(calls[-1], closed_form_data(nf, cert.G)["M"])
 
 
 def test_lattice_waits_for_candidate_zero(monkeypatch):
@@ -533,7 +533,7 @@ def check_u0_against_brute_force(a, delta):
     cert = emb.embed_elliptic_u0(u0_form(a, delta))
     assert cert.verdict == (EMBEDDABLE if passing else CONDITION_FAILS)
     if cert.verdict == EMBEDDABLE:
-        m = cert.generator_data["G"][:-1, :-1]
+        m = cert.G[:-1, :-1]
         assert emb._u0_margin(emb._u0_matrix(m, delta)) >= -1e-10
         assert np.linalg.norm(mat_exp(m) - a) <= 1e-8
     else:
@@ -583,7 +583,7 @@ def test_u0_passes_only_on_a_shifted_class(ahat, delta, shift):
     assert list(passing) == [shift]
     assert cert.verdict == EMBEDDABLE and not cert.margins[0].passed
     eig = emb._Eigenbasis.of(a)
-    assert np.array_equal(cert.generator_data["G"][:-1, :-1], eig.log(shift))
+    assert np.array_equal(cert.G[:-1, :-1], eig.log(shift))
 
 
 NAMES = sorted(p.name[: -len(".report.json")] for p in GOLDEN.glob("*.report.json"))

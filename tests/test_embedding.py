@@ -262,7 +262,7 @@ class TestEmbedEllipticSplit:
         nf = split_nf([np.exp(0.5j)], [[0.5]])
         cert = embed_elliptic_split(nf)
         assert cert.verdict == EMBEDDABLE
-        assert cert.generator_data["G"][1, 1] == pytest.approx(-np.log(2), abs=1e-12)
+        assert cert.G[1, 1] == pytest.approx(-np.log(2), abs=1e-12)
 
     def test_normal_contraction_embeddable(self):
         rng = np.random.default_rng(13)
@@ -272,7 +272,7 @@ class TestEmbedEllipticSplit:
         nf = split_nf([1.0], a1)
         cert = embed_elliptic_split(nf)
         assert cert.verdict == EMBEDDABLE
-        m = cert.generator_data["G"][1:-1, 1:-1]
+        m = cert.G[1:-1, 1:-1]
         for t in np.linspace(0, 4, 9):
             assert np.linalg.norm(mat_exp(t * m), 2) <= 1 + 1e-10
 
@@ -303,7 +303,7 @@ class TestEmbedEllipticU0:
                         {"Ahat": ahat, "delta": 0.0})
         cert = embed_elliptic_u0(nf)
         assert cert.verdict == EMBEDDABLE
-        assert np.allclose(cert.generator_data["G"][:-1, :-1], -np.eye(2), atol=1e-10)
+        assert np.allclose(cert.G[:-1, :-1], -np.eye(2), atol=1e-10)
 
     @pytest.mark.parametrize("delta", [0.0, 0.3, 0.7, 1.0])
     def test_scalar_matches_dense_sampling(self, delta):
@@ -359,7 +359,7 @@ class TestEmbedParabolic:
         data = siegel_data(nf)
 
         def part(**changes):
-            return emb.SemigroupFamily("parabolic", {"G": parabolic_matrix({**data, **changes})},
+            return emb.SemigroupFamily("parabolic", parabolic_matrix({**data, **changes}),
                                        "siegel")
 
         tau_only = part(c=0 * data["c"], alpha=0.0, m_diag=0 * data["m_diag"])

@@ -148,9 +148,9 @@ HEISENBERG_SPEC = {
 def leaving(sg):
     """The family whose generator G moves z by a translation rate with
     imaginary part -0.5 (Im G[0, -1]): at(t) leaves H^N for t > 0."""
-    g = sg.parameters["G"].copy()
+    g = sg.G.copy()
     g[0, -1] = complex(g[0, -1].real, -0.5)
-    return dataclasses.replace(sg, parameters={**sg.parameters, "G": g})
+    return dataclasses.replace(sg, G=g)
 
 
 def test_family_leaving_domain_fails_self_map():

@@ -214,7 +214,7 @@ def test_u0_margin_is_the_exact_bound_and_seed_free():
     assert all(r["stages"]["embed"] == embed for r in reports)
     nf = normal_form(cli.parse_map_spec(spec))
     cert = emb.certify(nf)
-    m, delta = cert.generator_data["G"][:-1, :-1], float(nf.parameters["delta"])
+    m, delta = cert.G[:-1, :-1], float(nf.parameters["delta"])
     margin = _u0_margin(m, delta)
     assert cert.margins[-1].margin == margin == embed["margins"][-1]["margin"]
     # on the sphere the expression is x^H (mu J - X) x at x = (z, 1) / sqrt(2)

@@ -118,7 +118,7 @@ def test_ill_conditioned_u0_family_matches_the_normal_maps():
     assert np.linalg.cond(m) > 6.9e7
     g = emb._u0_matrix(m, delta)
     assert np.max(np.abs(np.linalg.solve(m.T, g[-1, :-1]) - [delta, 0, 0])) < 1e-15
-    stack = SemigroupFamily("elliptic_u0", {"M": m, "delta": delta, "G": g}, BALL).at_many(
+    stack = SemigroupFamily("elliptic_u0", g, BALL).at_many(
         np.linspace(0.0, 3.0, 31))
     for i, t in enumerate(np.linspace(0.0, 3.0, 31).tolist()):
         got = stack[i].to_proj().mat
@@ -130,11 +130,11 @@ def test_non_diagonal_w_block_is_refused():
     g = np.zeros((4, 4), dtype=complex)
     g[0, 0], g[0, -1] = 0.0, 2.0j
     g[1:3, 1:3] = [[-0.5, 0.1], [0.0, -0.7]]
-    sg = SemigroupFamily("parabolic", {"G": g}, SIEGEL)
+    sg = SemigroupFamily("parabolic", g, SIEGEL)
     with pytest.raises(DomainError, match="not diagonal"):
         sg.at_many([0.5, 1.0])
     g[1, 2] = 0.0
-    assert len(SemigroupFamily("parabolic", {"G": g}, SIEGEL).at_many([0.5, 1.0])) == 2
+    assert len(SemigroupFamily("parabolic", g, SIEGEL).at_many([0.5, 1.0])) == 2
 
 
 #: the times of the ball-flow sweep: t |K| from 0 to about 40
@@ -193,8 +193,7 @@ def test_jordan_block_takes_mat_exp():
     k = mat_log_principal(np.array([[0.5, 0.1], [0.0, 0.5]]))
     assert np.linalg.cond(np.linalg.eig(k)[1]) > 1e12
     ts = np.linspace(0.0, 2.0, 401)
-    sg = SemigroupFamily("elliptic_split", {"theta": np.zeros(0), "u": 0, "M": k,
-                                            "G": emb._split_matrix(np.zeros(0), k)}, BALL)
+    sg = SemigroupFamily("elliptic_split", emb._split_matrix(np.zeros(0), k), BALL)
     stack = sg.at_many(ts)
     assert stack.A.tobytes() == mat_exp(ts[:, None, None] * k).tobytes()
     assert np.array_equal(stack.A[0], np.eye(2))

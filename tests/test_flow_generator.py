@@ -139,11 +139,10 @@ def _certificate(spec_text):
 
 
 def _family(nf, cert):
-    """The family of an embeddable certificate, with the data of its
-    case's closed forms (``closed_forms.closed_form_data``) next to G."""
+    """The family of an embeddable certificate and the data of its case's
+    closed forms (``closed_forms.closed_form_data``)."""
     sg = build_semigroup(cert)
-    data = closed_form_data(nf, sg.parameters["G"])
-    return dataclasses.replace(sg, parameters={**data, **sg.parameters})
+    return sg, closed_form_data(nf, sg.G)
 
 
 def _golden_families():
@@ -151,7 +150,7 @@ def _golden_families():
     for path in GOLDEN_SPECS:
         nf, cert = _certificate(path.read_text())
         if cert.verdict == EMBEDDABLE:
-            out.append((path.stem, _family(nf, cert)))
+            out.append((path.stem, *_family(nf, cert)))
     return out
 
 
@@ -171,15 +170,15 @@ def _benchmark_families(seeds=(1,)):
                 nf, cert = _certificate(w.case(seed, i).spec_text)
                 assert cert.verdict == EMBEDDABLE, (name, seed, i)
                 out.append((f"{name}[{i}]" if seed == 1 else f"{name}[{i}] seed {seed}",
-                            _family(nf, cert)))
+                            *_family(nf, cert)))
     return out
 
 
 def _assert_fields_match(families):
-    for label, sg in families:
+    for label, sg, data in families:
         sampler = sample_siegel_points if sg.domain == SIEGEL else sample_ball_points
         zs = sampler(sg.dim, 40, seed=7)
-        want = ORACLE_FIELDS[sg.case_kind](sg.parameters)(zs)
+        want = ORACLE_FIELDS[sg.case_kind](data)(zs)
         got = generator(sg)(zs)
         assert got.shape == want.shape, label
         scale = np.maximum(1.0, np.max(np.abs(want), axis=1))
@@ -190,9 +189,9 @@ def _assert_fields_match(families):
 
 def test_generator_field_matches_the_closed_forms_on_the_goldens():
     families = _golden_families()
-    assert {sg.case_kind for _, sg in families} == set(ORACLE_FIELDS)
-    for _, sg in families:
-        assert sg.dim == sg.parameters["G"].shape[0] - 1
+    assert {sg.case_kind for _, sg, _ in families} == set(ORACLE_FIELDS)
+    for _, sg, _ in families:
+        assert sg.dim == sg.G.shape[0] - 1
     _assert_fields_match(families)
 
 
@@ -210,9 +209,9 @@ def _assert_closed_forms_are_exp_tg(families):
     """The homogeneous matrix X of at(t) is c mat_exp(t G) for a scalar c:
     min_c |X - c Y|_F / |X|_F <= 1e-12 with Y = exp(t G), the least-squares
     c = <Y, X> / <Y, Y> in closed form."""
-    for label, sg in families:
+    for label, sg, _ in families:
         stack = sg.at_many(EXP_TIMES)
-        ys = mat_exp(np.multiply.outer(EXP_TIMES, sg.parameters["G"]))
+        ys = mat_exp(np.multiply.outer(EXP_TIMES, sg.G))
         for i, t in enumerate(EXP_TIMES):
             x, y = stack[i].to_proj().mat, ys[i]
             c = np.vdot(y, x) / np.vdot(y, y)
@@ -221,7 +220,7 @@ def _assert_closed_forms_are_exp_tg(families):
 
 def test_closed_forms_are_exp_tg_on_the_goldens():
     families = _golden_families()
-    assert {sg.case_kind for _, sg in families} == set(ORACLE_FIELDS)
+    assert {sg.case_kind for _, sg, _ in families} == set(ORACLE_FIELDS)
     _assert_closed_forms_are_exp_tg(families)
 
 
@@ -230,7 +229,7 @@ def test_closed_forms_are_exp_tg_on_the_benchmark_families():
 
 
 def test_check_generator_passes_on_every_golden_family():
-    for label, sg in _golden_families():
+    for label, sg, _ in _golden_families():
         report = check_generator(sg, SamplerCfg(count=30, domain=sg.domain))
         assert report.passed, (label, report.worst_margin)
 
@@ -301,7 +300,7 @@ def _principal_family(nf):
     """The family of the principal logarithm, built by the closed forms
     from nf's parameters whether or not the criterion passes."""
     case = "parabolic" if nf.form_kind == "parabolic_siegel" else "hyperbolic"
-    return SemigroupFamily(case, {"G": siegel_matrix(nf)}, SIEGEL)
+    return SemigroupFamily(case, siegel_matrix(nf), SIEGEL)
 
 
 def _self_maps_along(sg, tol=1e-9) -> bool:

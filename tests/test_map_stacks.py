@@ -33,23 +33,20 @@ def _family(case, n, rng):
     if case == "elliptic_split":
         g = rng.standard_normal((n - 1, n - 1)) + 1j * rng.standard_normal((n - 1, n - 1))
         data = {"theta": np.array([0.7]), "u": 1, "M": 0.15 * g - 0.6 * np.eye(n - 1)}
-        return SemigroupFamily(case, {**data, "G": emb._split_matrix(data["theta"], data["M"])},
-                               BALL)
+        return SemigroupFamily(case, emb._split_matrix(data["theta"], data["M"]), BALL)
     if case == "elliptic_u0":
         m = 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) - np.eye(n)
-        return SemigroupFamily(case, {"M": m, "delta": 0.5, "G": emb._u0_matrix(m, 0.5)}, BALL)
+        return SemigroupFamily(case, emb._u0_matrix(m, 0.5), BALL)
     r = n - 3
     data = {"theta_D": np.array([1.3]), "m_diag": -rng.uniform(0.2, 1.0, r) + 1j,
             "c": 0.3 * (rng.standard_normal(r) + 1j * rng.standard_normal(r)),
             "split": (1, 1, r)}
     if case == "parabolic":
         data.update(a=np.array([0.2 - 0.1j]), alpha=0.4 + 2.0j)
-        data["G"] = parabolic_matrix(data)
-    else:
-        data.update(lam=2.5, c_res=np.zeros(r, dtype=complex), b=0.3 + 1.5j)
-        data["m_diag"] = data["m_diag"] - 1.0
-        data["G"] = hyperbolic_matrix(data)
-    return SemigroupFamily(case, data, SIEGEL)
+        return SemigroupFamily(case, parabolic_matrix(data), SIEGEL)
+    data.update(lam=2.5, c_res=np.zeros(r, dtype=complex), b=0.3 + 1.5j)
+    data["m_diag"] = data["m_diag"] - 1.0
+    return SemigroupFamily(case, hyperbolic_matrix(data), SIEGEL)
 
 
 def _fields(f):

@@ -121,8 +121,7 @@ def test_generator_matches_the_closed_forms(siegel_certificates):
         assert _relative(got, want) <= 1e-15, label
         _assert_same_margin(got, want, label)
         if cert.verdict == EMBEDDABLE:
-            assert np.array_equal(cert.generator_data["G"], got), label
-            assert list(cert.generator_data) == ["G"], label
+            assert np.array_equal(cert.G, got), label
 
 
 def test_exp_of_the_generator_is_the_map(siegel_certificates):
@@ -287,7 +286,7 @@ def test_large_hyperbolic_lam_embeds(lam):
     assert cert.verdict == EMBEDDABLE
     assert cert.criterion_id == "hyperbolic_generator_invariance"
     assert cert.margins[0].margin == pytest.approx(1.0, abs=1e-12)
-    g = cert.generator_data["G"]
+    g = cert.G
     assert _relative(g, _mp_logm(cert.target)) <= 1e-15
     assert _relative(mat_exp(g), _homogeneous(cert.target)) <= 1e-14
     f1 = emb._siegel_flow(g, np.ones(1))

@@ -41,17 +41,17 @@ def _dissipative(rng, n, shift=0.6):
     return 0.15 * g - shift * np.eye(n)
 
 
-def _family(case, n, rng):
-    """A valid family of the case in dimension n, from its generator data."""
+def _family_data(case, n, rng):
+    """A valid family of the case in dimension n, and the closed-form data
+    its generator is built from."""
     if case == "elliptic_split":
         data = {"theta": rng.uniform(-3, 3, 1), "u": 1,
                 "M": _dissipative(rng, n - 1) if n > 1 else np.zeros((0, 0), dtype=complex)}
-        data["G"] = emb._split_matrix(data["theta"], data["M"])
-        return SemigroupFamily(case, data, BALL)
+        return SemigroupFamily(case, emb._split_matrix(data["theta"], data["M"]), BALL), data
     if case == "elliptic_u0":
         # Re[delta <Mz, e1> |z|^2 - <Mz, z>] >= 0 on the ball for M = -I + small
         m = 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) - np.eye(n)
-        return SemigroupFamily(case, {"M": m, "delta": 0.5, "G": emb._u0_matrix(m, 0.5)}, BALL)
+        return SemigroupFamily(case, emb._u0_matrix(m, 0.5), BALL), {"M": m, "delta": 0.5}
     k = n - 1
     p = min(k, 1)
     q = min(k - p, 1)
@@ -63,11 +63,15 @@ def _family(case, n, rng):
         data = {"a": 0.3 * (rng.standard_normal(p) + 1j * rng.standard_normal(p)),
                 "theta_D": theta_d, "m_diag": m_diag, "c": c,
                 "alpha": complex(rng.standard_normal(), 2.0), "split": (p, q, r)}
-        return SemigroupFamily(case, {**data, "G": parabolic_matrix(data)}, SIEGEL)
+        return SemigroupFamily(case, parabolic_matrix(data), SIEGEL), data
     data = {"lam": 2.5, "theta_D": theta_d, "m_diag": m_diag - 1.0, "c": c,
             "c_res": np.zeros(r, dtype=complex), "b": complex(rng.standard_normal(), 1.5),
             "split": (p, q, r)}
-    return SemigroupFamily(case, {**data, "G": hyperbolic_matrix(data)}, SIEGEL)
+    return SemigroupFamily(case, hyperbolic_matrix(data), SIEGEL), data
+
+
+def _family(case, n, rng):
+    return _family_data(case, n, rng)[0]
 
 
 def _fields(f):
@@ -98,7 +102,7 @@ def test_at_many_items_are_at(case, n):
 def test_at_many_items_are_at_on_the_corpus():
     # the Siegel z-row takes the products q DD1(x, l) in real arithmetic:
     # numpy's complex multiply rounds a grid and one time differently
-    for label, sg in _golden_families() + _benchmark_families():
+    for label, sg, _ in _golden_families() + _benchmark_families():
         stack = sg.at_many(GRID)
         for i in range(0, len(GRID), 5):
             t = float(GRID[i])
@@ -145,40 +149,40 @@ def _closed_form_at(case, d, t):
                              a_path, _cocycle(0.5 * log_lam + m_diag, t) * d["c_res"], b_t, sq_t)
 
 
-def _assert_matches_closed_forms(sg, ts, label=None):
+def _assert_matches_closed_forms(sg, data, ts, label=None):
     """Item i of at_many(ts) has the homogeneous matrix of the closed form
-    at ts[i] within 1e-12 relative (Frobenius)."""
+    of *data* at ts[i] within 1e-12 relative (Frobenius)."""
     stack = sg.at_many(ts)
     for i, t in enumerate(np.asarray(ts).tolist()):
         got = stack[i].to_proj().mat
-        want = _closed_form_at(sg.case_kind, sg.parameters, t).to_proj().mat
+        want = _closed_form_at(sg.case_kind, data, t).to_proj().mat
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (label, t)
 
 
 @pytest.mark.parametrize("case", ["elliptic_split", "elliptic_u0"])
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_elliptic_items_match_per_time_formula(case, n):
-    _assert_matches_closed_forms(_family(case, n, np.random.default_rng([n, 7])), GRID[::8])
+    _assert_matches_closed_forms(*_family_data(case, n, np.random.default_rng([n, 7])), GRID[::8])
 
 
 @pytest.mark.parametrize("case", ["parabolic", "hyperbolic"])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_siegel_items_match_per_time_formula(case, n):
-    _assert_matches_closed_forms(_family(case, n, np.random.default_rng([n, 9])), GRID[::8])
+    _assert_matches_closed_forms(*_family_data(case, n, np.random.default_rng([n, 9])), GRID[::8])
 
 
 def test_at_many_matches_the_closed_forms_on_the_goldens():
     families = _golden_families()
-    assert {sg.case_kind for _, sg in families} == set(CASES)
-    for label, sg in families:
-        _assert_matches_closed_forms(sg, GRID[::4], label)
+    assert {sg.case_kind for _, sg, _ in families} == set(CASES)
+    for label, sg, data in families:
+        _assert_matches_closed_forms(sg, data, GRID[::4], label)
 
 
 def test_at_many_matches_the_closed_forms_on_the_benchmark_families():
     families = _benchmark_families()
     assert len(families) == 32
-    for label, sg in families:
-        _assert_matches_closed_forms(sg, GRID[::4], label)
+    for label, sg, data in families:
+        _assert_matches_closed_forms(sg, data, GRID[::4], label)
 
 
 @pytest.mark.parametrize("shape", [(401, 1, 1), (401, 3, 3), (401, 4, 4), (2, 3, 5, 5)])
@@ -289,7 +293,7 @@ def _leaving_split():
     after t = 0 leaves the ball (a 1000-point sample of |z| <= 0.95 let the
     maps up to t of about 0.05 through)."""
     g = emb._split_matrix(LEAVING["theta"], LEAVING["M"])
-    return SemigroupFamily("elliptic_split", {**LEAVING, "G": g}, BALL)
+    return SemigroupFamily("elliptic_split", g, BALL)
 
 
 def _first_failure(ts):
@@ -313,8 +317,7 @@ def _leaving_a(t):
 
 def test_blocked_margins_match_per_time_construction():
     m = _dissipative(np.random.default_rng(8), 3)
-    sg = SemigroupFamily("elliptic_split", {"theta": np.zeros(0), "u": 0, "M": m,
-                                            "G": emb._split_matrix(np.zeros(0), m)}, BALL)
+    sg = SemigroupFamily("elliptic_split", emb._split_matrix(np.zeros(0), m), BALL)
     stack = sg.at_many(GRID)
     margins = maps._self_map_margins(stack.A, stack.B, stack.C)
     for i, t in enumerate(GRID.tolist()):
@@ -335,7 +338,7 @@ LEAVING_ERROR = f"the flow of the generator leaves the ball (margin {LEAVING_MAR
 
 
 def test_leaving_generator_margin_is_its_closed_form():
-    g = _leaving_split().parameters["G"]
+    g = _leaving_split().G
     x = maps.flow_form(g)
     assert np.array_equal(x, np.diag([0.0, 2.0, -1.0, 0.0]).astype(complex))
     assert maps._flow_margin(g) == pytest.approx(LEAVING_MARGIN, rel=1e-14)

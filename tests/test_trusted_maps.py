@@ -208,7 +208,7 @@ def test_public_builders_run_the_check_once(monkeypatch):
 
 def _split_family(theta, m):
     g = emb._split_matrix(theta, m)
-    return g, SemigroupFamily("elliptic_split", {"G": g}, BALL)
+    return g, SemigroupFamily("elliptic_split", g, BALL)
 
 
 def test_generator_within_the_slack_gets_the_per_map_check(monkeypatch):

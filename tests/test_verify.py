@@ -100,8 +100,8 @@ class TestTimeOne:
         nf = split_nf([], [[0.5]])
         cert = emb.embed_elliptic_split(nf)
         sg = build_semigroup(cert)
-        bad_g = sg.parameters["G"] + np.diag([1j * np.pi, 0.0])
-        bad = emb.SemigroupFamily("elliptic_split", {"G": bad_g}, BALL, sg.target)
+        bad_g = sg.G + np.diag([1j * np.pi, 0.0])
+        bad = emb.SemigroupFamily("elliptic_split", bad_g, BALL, sg.target)
         rep = check_time_one(bad, nf.normal_map, SamplerCfg(count=30))
         assert not rep.passed
 
@@ -198,7 +198,7 @@ class TestOneBuild:
     def test_battery_is_the_standalone_checks_on_the_corpus(self):
         families = _golden_families() + _benchmark_families(seeds=(1, 2))
         assert len(families) > 64
-        for label, sg in families:
+        for label, sg, _ in families:
             cfg = SamplerCfg(count=60, domain=sg.domain)
             for profile, tols in TOL_PROFILES.items():
                 got = verify_family(sg, cfg, tols=tols)
