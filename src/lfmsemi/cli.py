@@ -327,7 +327,10 @@ def emit_trajectory(sg, z0, t_grid) -> list:
     t must be non-decreasing and >= 0.  The family is built on the whole
     grid with one ``at_many``, whose call checks z0 once (its dimension
     first, then the domain) and the denominator at every time."""
-    ts = [float(t) for t in t_grid]
+    try:
+        ts = [float(t) for t in t_grid]
+    except (TypeError, ValueError):
+        raise SpecError(f"trajectory time grid must be a list of numbers, got {t_grid!r}") from None
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise SpecError("trajectory time grid must be non-decreasing")
     images = np.ascontiguousarray(sg.at_many(ts)(z0), dtype=complex)

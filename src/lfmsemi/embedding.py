@@ -140,7 +140,10 @@ class SemigroupFamily:
         """The maps at the times ts (each finite and >= 0), built together:
         a stack of T = len(ts) maps, a :class:`~lfmsemi.maps.BallMap` or
         :class:`~lfmsemi.maps.SiegelMap` whose item i is the map at ts[i]."""
-        ts = np.array(ts, dtype=float, ndmin=1)
+        try:
+            ts = np.array(ts, dtype=float, ndmin=1)
+        except (TypeError, ValueError):
+            raise DomainError(f"times must be real numbers, got {ts!r}") from None
         outside = ts[~((ts >= 0.0) & (ts < np.inf))]
         if outside.size:
             raise DomainError(f"time {float(outside[0])!r} lies outside 0 <= t < inf, "

@@ -28,13 +28,24 @@ UNIMODULAR_TOL = 1e-9
 PINV_RANK_TOL = 1e-10
 
 
+def _complex_array(a) -> np.ndarray:
+    """*a* as a complex array: a ragged nesting raises DimensionError, an
+    entry that is not a number DomainError."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        if "sequence" in str(exc):  # numpy: "setting an array element with a sequence"
+            raise DimensionError("expected a regular array of numbers, got ragged rows") from None
+        raise DomainError(f"entries must be numbers: {exc}") from None
+
+
 def as_matrix(a, square: bool = False) -> np.ndarray:
     """Validate and convert *a* to a 2-d complex array.
 
-    Rejects empty shapes, non-finite entries and (optionally)
-    non-square shapes.
+    Rejects ragged or non-numeric input, empty shapes, non-finite entries
+    and (optionally) non-square shapes.
     """
-    m = np.asarray(a, dtype=complex)
+    m = _complex_array(a)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise DimensionError(f"expected a nonempty matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -46,7 +57,7 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
 
 def as_vector(a) -> np.ndarray:
     """Validate and convert *a* to a 1-d complex array (may be empty)."""
-    v = np.atleast_1d(np.asarray(a, dtype=complex))
+    v = np.atleast_1d(_complex_array(a))
     if v.ndim != 1:
         raise DimensionError(f"expected a vector, got shape {v.shape}")
     if v.size and not np.all(np.isfinite(v)):
@@ -206,7 +217,7 @@ def mat_exp(m) -> np.ndarray:
     zero matrix gives the identity exactly.  A result that overflows
     raises :class:`NumericError`, with no floating-point warning.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _complex_array(m)
     if m.ndim <= 2:
         m = as_matrix(m, square=True)
     elif m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
@@ -295,5 +306,5 @@ def unitary_with_first_column(v) -> np.ndarray:
 
 def unimodular_count(eigs) -> int:
     """Number of eigenvalues with modulus within UNIMODULAR_TOL of 1."""
-    eigs = np.atleast_1d(np.asarray(eigs, dtype=complex))
+    eigs = np.atleast_1d(_complex_array(eigs))
     return int(np.sum(np.abs(np.abs(eigs) - 1.0) <= UNIMODULAR_TOL))

@@ -52,7 +52,8 @@ from .errors import (
     NumericError,
     PoleError,
 )
-from .linalg import as_matrix, as_vector, schur_form, unimodular_count, unitary_with_first_column
+from .linalg import (_complex_array, as_matrix, as_vector, schur_form, unimodular_count,
+                     unitary_with_first_column)
 
 BALL = "ball"
 SIEGEL = "siegel"
@@ -120,7 +121,7 @@ def domain_margin(z, domain: str):
 
     One point gives a float, a (K, N) array one margin per row.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = np.atleast_1d(_complex_array(z))
     if domain == BALL:
         margin = 1.0 - np.linalg.norm(z, axis=-1)
     elif domain == SIEGEL:
@@ -381,14 +382,16 @@ class BallMap:
     D: complex = 1.0
 
     def __post_init__(self):
-        a, b, c = (np.asarray(x, dtype=complex) for x in (self.A, self.B, self.C))
+        a, b, c, d = (_complex_array(x) for x in (self.A, self.B, self.C, self.D))
         if a.ndim != 3:  # one map: the checks and messages of as_matrix and as_vector
             a, b, c = as_matrix(a, square=True), as_vector(b), as_vector(c)
         elif not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
             raise DomainError("entries of A, B and C must be finite")
-        d = complex(self.D)
         if not (a.shape[-1] == a.shape[-2] > 0 and b.shape == c.shape == a.shape[:-1]):
             raise DimensionError("A, B, C dimensions disagree")
+        if d.ndim:
+            raise DimensionError("D must be a scalar")
+        d = complex(d)
         if not np.isfinite(d):
             raise DomainError("D must be finite")
         if abs(d) < _POLE_TOL:
@@ -539,8 +542,7 @@ class SiegelMap:
     c: np.ndarray
 
     def __post_init__(self):
-        lam, a, b, m, c = (np.asarray(x, dtype=complex)
-                           for x in (self.lam, self.a, self.b, self.M, self.c))
+        lam, a, b, m, c = (_complex_array(x) for x in (self.lam, self.a, self.b, self.M, self.c))
         lead = lam.shape  # () for one map, (T,) for a stack
         k = m.shape[-1] if m.ndim else 0
         if not (len(lead) <= 1 and b.shape == lead and m.shape == lead + (k, k)
@@ -702,7 +704,7 @@ def conjugate(f: Map, s: Map, *, checked: bool = True) -> Map:
 
 
 def pointwise_distance(f: Map, g: Map, points: np.ndarray) -> float:
-    points = np.asarray(points, dtype=complex)
+    points = _complex_array(points)
     fa, ga = f.eval_many(points), g.eval_many(points)
     return float(np.max(np.linalg.norm(fa - ga, axis=1)))
 

@@ -1,7 +1,15 @@
 """What the library reads off its input, and how it refuses malformed input.
 
 - ``build_semigroup`` reads the family's domain off the certificate's
-  target map.
+  target map;
+- malformed input raises an LfmError, not a bare numpy exception: the
+  complex converters (``linalg.as_vector``, ``as_matrix``, the ``BallMap``
+  and ``SiegelMap`` constructors, ``mat_exp``, ``domain_margin``,
+  ``pointwise_distance``) turn a ragged nesting into a DimensionError and
+  an entry that is not a number into a DomainError, and
+  ``SemigroupFamily.at_many`` refuses a time that is not a real number;
+- ``run_pipeline`` reports a malformed start point or time grid as an
+  error of the semigroup stage, exit 3.
 """
 
 import dataclasses
@@ -23,6 +31,91 @@ from lfmsemi.verify import SamplerCfg, verify_family
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SPEC = json.loads((GOLDEN / "elliptic_u0_ball_n1.json").read_text())
 RAGGED = [[0.1], [0.2, 0.3]]
+
+
+# ---------------------------------------------------------------------------
+# the complex converters
+
+
+@pytest.mark.parametrize("convert", [linalg.as_vector, linalg.as_matrix])
+def test_ragged_input_is_a_dimension_error(convert):
+    with pytest.raises(DimensionError, match="^expected a regular array of numbers"):
+        convert(RAGGED)
+
+
+@pytest.mark.parametrize("value", ["x", [["a"]], [0.1, "x"], object(), {1: 2}])
+@pytest.mark.parametrize("convert", [linalg.as_vector, linalg.as_matrix])
+def test_non_numeric_input_is_a_domain_error(convert, value):
+    with pytest.raises(DomainError, match="^entries must be numbers: "):
+        convert(value)
+
+
+@pytest.mark.parametrize("fields", [("x", [0], [0]), ([[0.5]], ["x"], [0]),
+                                    ([[0.5]], [0], [object()]), ([[0.5]], [0], [0], "x")])
+def test_ball_map_refuses_non_numeric_fields(fields):
+    with pytest.raises(DomainError, match="^entries must be numbers: "):
+        BallMap(*fields)
+
+
+def test_ball_map_refuses_ragged_fields_and_an_array_d():
+    with pytest.raises(DimensionError, match="^expected a regular array of numbers"):
+        BallMap(RAGGED, [0, 0], [0, 0])
+    with pytest.raises(DimensionError, match="^D must be a scalar$"):
+        BallMap([[0.5]], [0], [0], [1.0])
+
+
+@pytest.mark.parametrize("fields", [("x", [], 0, [], []), (2.0, [0.0], "x", [[0.5]], [0.0]),
+                                    (2.0, [0.0], 1j, [["a"]], [0.0])])
+def test_siegel_map_refuses_non_numeric_fields(fields):
+    with pytest.raises(DomainError, match="^entries must be numbers: "):
+        SiegelMap(*fields)
+
+
+def test_siegel_map_refuses_ragged_fields():
+    with pytest.raises(DimensionError, match="^expected a regular array of numbers"):
+        SiegelMap(2.0, [0.0, 0.0], 1j, RAGGED, [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# the other entry points that convert their input
+
+
+def test_other_entry_points_refuse_non_numeric_input():
+    sg = build_semigroup(certify(normal_form(parse_map_spec(SPEC))))
+    f = sg.at(0.5)
+    for call in (lambda: linalg.mat_exp("x"), lambda: domain_margin("x", BALL),
+                 lambda: pointwise_distance(f, f, [["x"]])):
+        with pytest.raises(DomainError, match="^entries must be numbers: "):
+            call()
+    for ts in ("x", [1j], [object()], RAGGED):
+        with pytest.raises(DomainError, match="^times must be real numbers, got "):
+            sg.at_many(ts)
+
+
+# ---------------------------------------------------------------------------
+# the pipeline
+
+
+@pytest.mark.parametrize("z0,error", [
+    ("x", "entries must be numbers: "),
+    (object(), "entries must be numbers: "),
+    (RAGGED, "expected a regular array of numbers"),
+])
+def test_malformed_start_point_is_a_semigroup_stage_error(z0, error):
+    report = run_pipeline(SPEC, z0=z0)
+    stage = report["stages"]["semigroup"]
+    assert stage["status"] == "error" and stage["error"].startswith(error)
+    assert report["stages"]["verify"] == {"status": "skipped"}
+    assert report["exit_status"] == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("t_grid", ["abc", None, [0.0, "x"], [0.0, [1.0]]])
+def test_malformed_time_grid_is_a_semigroup_stage_error(t_grid):
+    report = run_pipeline(SPEC, t_grid=t_grid)
+    assert report["stages"]["semigroup"] == {
+        "status": "error",
+        "error": f"trajectory time grid must be a list of numbers, got {t_grid!r}"}
+    assert report["exit_status"] == EXIT_INPUT_ERROR
 
 
 # ---------------------------------------------------------------------------
