@@ -36,6 +36,7 @@ from .maps import (
     SIEGEL,
     BallMap,
     SiegelMap,
+    _is_whole,
     cayley_to_ball,
     classify,
 )
@@ -200,7 +201,7 @@ def run_pipeline(spec_obj: dict, seed: int = DEFAULT_SAMPLE_SEED, tol_profile: s
     stage outcome; stage errors are captured, later stages marked skipped.
     A *seed* that is not a non-negative integer, an unknown *tol_profile*
     or *stop_after* raises :class:`SpecError` before any stage runs."""
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+    if not _is_whole(seed, 0):
         raise SpecError(f"seed: expected a non-negative integer, got {seed!r}")
     if tol_profile not in TOL_PROFILES:
         raise SpecError(f"tol_profile: expected one of {sorted(TOL_PROFILES)}, "

@@ -87,14 +87,22 @@ _JORDAN_SPLIT_FACTOR = 1e3
 # sampling
 
 
+def _is_whole(x, least: int) -> bool:
+    """x is an int (not a bool) of at least *least*: the rule for sample
+    sizes (least 1) and seeds (least 0)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= least
+
+
 def sample_ball_points(dim: int, count: int, seed: int = DEFAULT_SAMPLE_SEED) -> np.ndarray:
     """Deterministic sample of B_N: uniform directions on the radius shells
     ``_SAMPLE_RADII``.
 
     Returns a read-only cached array; copy before mutating.
     """
-    if dim < 1 or count < 1:
-        raise DimensionError("dim and count must be positive")
+    if not (_is_whole(dim, 1) and _is_whole(count, 1)):
+        raise DimensionError(f"dim and count must be positive integers, got {dim!r}, {count!r}")
+    if not _is_whole(seed, 0):
+        raise DomainError(f"seed: expected a non-negative integer, got {seed!r}")
     return _ball_sample_cached(dim, count, seed)
 
 

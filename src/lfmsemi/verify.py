@@ -31,6 +31,7 @@ from .maps import (
     BALL,
     DEFAULT_SAMPLE_SEED,
     SIEGEL,
+    _is_whole,
     domain_margin,
     sample_ball_points,
     sample_siegel_points,
@@ -61,8 +62,10 @@ class SamplerCfg:
     domain: str = BALL
 
     def __post_init__(self):
-        if self.count < 1:
-            raise DimensionError("sampler count must be >= 1")
+        if not _is_whole(self.count, 1):
+            raise DimensionError(f"sampler count must be a positive integer, got {self.count!r}")
+        if not _is_whole(self.seed, 0):
+            raise DomainError(f"sampler seed must be a non-negative integer, got {self.seed!r}")
         if self.domain not in (BALL, SIEGEL):
             raise DomainError(f"unknown domain {self.domain!r}")
 

@@ -8,6 +8,9 @@
   ``pointwise_distance``) turn a ragged nesting into a DimensionError and
   an entry that is not a number into a DomainError, and
   ``SemigroupFamily.at_many`` refuses a time that is not a real number;
+- a seed or sample size that is not an int of the right range (a bool
+  included) is refused by ``SamplerCfg`` and the samplers with the rule
+  ``run_pipeline`` applies to its seed;
 - ``run_pipeline`` reports a malformed start point or time grid as an
   error of the semigroup stage, exit 3.
 """
@@ -90,6 +93,40 @@ def test_other_entry_points_refuse_non_numeric_input():
     for ts in ("x", [1j], [object()], RAGGED):
         with pytest.raises(DomainError, match="^times must be real numbers, got "):
             sg.at_many(ts)
+
+
+# ---------------------------------------------------------------------------
+# seeds and sample sizes
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", True, None])
+def test_sampler_refuses_a_bad_seed(seed):
+    with pytest.raises(DomainError, match=r"^sampler seed must be a non-negative integer"):
+        SamplerCfg(seed=seed)
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5, True])
+def test_sampler_refuses_a_bad_count(count):
+    with pytest.raises(DimensionError, match=r"^sampler count must be a positive integer"):
+        SamplerCfg(count=count)
+
+
+@pytest.mark.parametrize("sampler", [sample_ball_points, sample_siegel_points])
+def test_samplers_refuse_a_bad_size_or_seed(sampler):
+    for dim, count in [(2, 2.5), (0, 10), (1.0, 10), (2, True)]:
+        with pytest.raises(DimensionError, match="^dim and count must be positive integers"):
+            sampler(dim, count)
+    for seed in (-1, 1.5, True):
+        with pytest.raises(DomainError, match=r"^seed: expected a non-negative integer"):
+            sampler(2, 10, seed)
+    assert sampler(2, 10, 0).shape == (10, 2)
+
+
+def test_verify_family_never_meets_a_bad_seed():
+    sg = build_semigroup(certify(normal_form(parse_map_spec(SPEC))))
+    with pytest.raises(LfmError):
+        verify_family(sg, SamplerCfg(seed=-1))
+    assert all(r.passed for r in verify_family(sg, SamplerCfg(seed=0)))
 
 
 # ---------------------------------------------------------------------------
