@@ -82,6 +82,10 @@ RESONANCE_TOL = 1e-6
 #: :func:`hyperbolic_conditions`)
 CONDITION_TOL = 1e-8
 
+#: a contraction block (the elliptic A1 and Ahat) must have spectral
+#: radius below 1 - CONTRACTION_TOL
+CONTRACTION_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Condition:
@@ -237,7 +241,7 @@ def elliptic_u0(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     rot_mat = np.eye(f.dim) if delta < 1e-12 else unitary_with_first_column(v).conj().T
     delta = 0.0 if delta < 1e-12 else min(delta, 1.0)
     ahat = rot_mat @ g.A @ rot_mat.conj().T  # similar to A: its eigenvalues are the multipliers
-    if np.max(np.abs(cls.multipliers)) >= 1.0 - 1e-9:
+    if np.max(np.abs(cls.multipliers)) >= 1.0 - CONTRACTION_TOL:
         raise NumericError("contraction matrix has spectral radius too close to 1")
     return NormalForm(FORM_ELLIPTIC_U0, u0_normal_map(ahat, delta),
                       chain + [_change_of_variable(rot_mat)], {"Ahat": ahat, "delta": delta})
@@ -279,7 +283,7 @@ def _unimodular_split(m: np.ndarray):
     counted on its diagonal, and the blocks of its triangle: the unimodular
     eigenvalues, snapped to modulus 1 (their block must be diagonal and
     uncoupled from the rest up to SNAP_TOL), and the contraction block,
-    whose eigenvalues must stay below 1 - 1e-9 in modulus.  Returns
+    whose eigenvalues must stay below 1 - CONTRACTION_TOL in modulus.  Returns
     (form, lam, a1)."""
     form = schur_form(m, sort=lambda lam: abs(abs(lam) - 1) <= UNIMODULAR_TOL)
     t = form.upper_triangular
@@ -292,7 +296,7 @@ def _unimodular_split(m: np.ndarray):
     lam = np.diag(block).copy()
     lam /= np.abs(lam)  # snap to exactly unimodular
     a1 = t[u:, u:]
-    if a1.size and np.max(np.abs(np.diag(a1))) >= 1.0 - 1e-9:  # a1 is triangular
+    if a1.size and np.max(np.abs(np.diag(a1))) >= 1.0 - CONTRACTION_TOL:  # a1 is triangular
         raise NumericError("contraction block has spectral radius too close to 1")
     return form, lam, a1
 
