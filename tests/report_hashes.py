@@ -14,11 +14,17 @@ changes by a single byte.
 Run from anywhere, with the checkout's ``src`` importable::
 
     python tests/report_hashes.py                  # print both hashes
+    python tests/report_hashes.py --check          # compare the goldens byte for byte
     python tests/report_hashes.py --write-goldens  # re-store every golden report
 
-``--write-goldens`` rewrites each ``tests/golden/**/*.report.json`` with the
-regenerated text and then prints the hashes.  Pytest does not collect this
-file; it reads ``perfbench/`` and writes nothing there.
+``--check`` compares each regenerated golden report with its stored file,
+lists the files that differ and exits 1 if any does (after printing the
+hashes).  It is not a CI step: a BLAS build that rounds differently moves
+the last digits, which ``tests/test_golden.py`` allows for with a
+tolerance.  ``--write-goldens`` rewrites each
+``tests/golden/**/*.report.json`` with the regenerated text and then
+prints the hashes.  Pytest does not collect this file; it reads
+``perfbench/`` and writes nothing there.
 """
 
 from __future__ import annotations
@@ -65,10 +71,13 @@ def digest(texts) -> str:
     return h.hexdigest()
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write-goldens", action="store_true",
-                        help="re-store every golden report from the current code")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help="exit 1 unless every stored golden report is regenerated byte for byte")
+    mode.add_argument("--write-goldens", action="store_true",
+                      help="re-store every golden report from the current code")
     args = parser.parse_args(argv)
     goldens = golden_reports()
     if args.write_goldens:
@@ -77,7 +86,14 @@ def main(argv=None) -> None:
     bench = benchmark_reports()
     print(f"goldens   ({len(goldens)} reports): {digest(goldens.values())}")
     print(f"benchmark ({len(bench)} reports): {digest(bench)}")
+    if not args.check:
+        return 0
+    differ = [path for path, text in goldens.items() if path.read_bytes() != text.encode()]
+    for path in differ:
+        print(f"differs: {path.relative_to(ROOT)}")
+    print(f"{len(goldens) - len(differ)} of {len(goldens)} stored golden reports match")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
