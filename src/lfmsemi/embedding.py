@@ -63,6 +63,7 @@ import numpy as np
 
 from .errors import BranchError, DomainError, NumericError
 from .linalg import (
+    _complex_array,
     hermitian_part,
     is_dissipative,
     mat_exp,
@@ -889,7 +890,7 @@ def generator(sg: SemigroupFamily):
     g = sg.G
 
     def field(z):
-        z = np.asarray(z, dtype=complex)
+        z = _complex_array(z)
         gx = z @ g[:, :-1].T + g[:, -1]
         return gx[..., :-1] - gx[..., -1:] * z
 

@@ -5,8 +5,9 @@
 - malformed input raises an LfmError, not a bare numpy exception: the
   complex converters (``linalg.as_vector``, ``as_matrix``, the ``BallMap``
   and ``SiegelMap`` constructors, ``mat_exp``, ``domain_margin``,
-  ``pointwise_distance``) turn a ragged nesting into a DimensionError and
-  an entry that is not a number into a DomainError, and
+  ``pointwise_distance``, the field of ``generator``) turn a ragged
+  nesting into a DimensionError and an entry that is not a number into a
+  DomainError, and
   ``SemigroupFamily.at_many`` refuses a time that is not a real number;
 - a seed or sample size that is not an int of the right range (a bool
   included) is refused by ``SamplerCfg`` and the samplers with the rule
@@ -24,7 +25,7 @@ import pytest
 
 from lfmsemi import linalg
 from lfmsemi.cli import EXIT_INPUT_ERROR, parse_map_spec, run_pipeline
-from lfmsemi.embedding import EMBEDDABLE, build_semigroup, certify
+from lfmsemi.embedding import EMBEDDABLE, build_semigroup, certify, generator
 from lfmsemi.errors import DimensionError, DomainError, LfmError
 from lfmsemi.maps import (BALL, SIEGEL, BallMap, SiegelMap, cayley_to_ball, domain_margin,
                           pointwise_distance, sample_ball_points, sample_siegel_points)
@@ -87,7 +88,7 @@ def test_other_entry_points_refuse_non_numeric_input():
     sg = build_semigroup(certify(normal_form(parse_map_spec(SPEC))))
     f = sg.at(0.5)
     for call in (lambda: linalg.mat_exp("x"), lambda: domain_margin("x", BALL),
-                 lambda: pointwise_distance(f, f, [["x"]])):
+                 lambda: pointwise_distance(f, f, [["x"]]), lambda: generator(sg)("x")):
         with pytest.raises(DomainError, match="^entries must be numbers: "):
             call()
     for ts in ("x", [1j], [object()], RAGGED):
