@@ -86,7 +86,39 @@ def _complex_in(value, where: str) -> complex:
     return complex(value[0], value[1])
 
 
+#: the types of a JSON number
+_JSON_REALS = frozenset({int, float})
+
+
+def _pairs_array(value, rank: int):
+    """The complex array of a vector (rank 1) or matrix (rank 2) given as
+    nested lists of [re, im] pairs of ints and floats whose magnitudes lie
+    below the largest double, with the bits of the per-entry path, which
+    gives complex(re, im): one scan of the pairs, one ``np.array`` of their
+    entries and a view of each pair as a complex number, exact for signed
+    zeros.  None for anything else (an empty or ragged nesting too), which
+    the per-entry path then accepts or refuses with its message."""
+    rows = value if rank == 2 else [value]
+    if not (type(value) is list and value and all(type(row) is list for row in rows)):
+        return None
+    width = len(rows[0])
+    flat = [x for row in rows for v in row if type(v) is list and len(v) == 2 for x in v]
+    if not (width and len(flat) == 2 * width * len(rows)  # every row a row of pairs
+            and all(len(row) == width for row in rows) and set(map(type, flat)) <= _JSON_REALS):
+        return None
+    try:
+        entries = np.array(flat, dtype=float)
+    except OverflowError:  # an int beyond the doubles
+        return None
+    if not (np.abs(entries) < sys.float_info.max).all():  # so no int rounded down to it
+        return None
+    return entries.view(complex).reshape((len(rows), width) if rank == 2 else (width,))
+
+
 def _vector_in(value, where: str) -> np.ndarray:
+    fast = _pairs_array(value, 1)
+    if fast is not None:
+        return fast
     if not isinstance(value, list):
         raise SpecError(f"{where}: expected a list of [re, im] pairs")
     return np.array([_complex_in(v, f"{where}[{i}]") for i, v in enumerate(value)],
@@ -94,6 +126,9 @@ def _vector_in(value, where: str) -> np.ndarray:
 
 
 def _matrix_in(value, where: str) -> np.ndarray:
+    fast = _pairs_array(value, 2)
+    if fast is not None:
+        return fast
     if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
         raise SpecError(f"{where}: expected a matrix of [re, im] pairs")
     lengths = sorted({len(row) for row in value})
@@ -132,14 +167,19 @@ def to_jsonable(x):
     complex numbers become [re, im]."""
     if type(x) in _JSON_SCALARS:
         return x
+    # a JSON scalar item is kept as it is, without a call
     if isinstance(x, dict):
-        return {str(k): to_jsonable(v) for k, v in x.items()}
+        return {str(k): v if type(v) in _JSON_SCALARS else to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [to_jsonable(v) for v in x]
+        return [v if type(v) in _JSON_SCALARS else to_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
+        if x.ndim and x.dtype.kind in "biuf":  # the items of tolist are JSON scalars
+            return x.tolist()
+        if x.ndim and x.dtype.kind == "c":
+            return np.stack((x.real, x.imag), axis=-1).tolist()
         return [to_jsonable(v) for v in x.tolist()]
     if isinstance(x, (complex, np.complexfloating)):
-        return [float(np.real(x)), float(np.imag(x))]
+        return [float(x.real), float(x.imag)]
     if isinstance(x, (np.floating, np.integer, np.bool_)):
         return x.item()
     if isinstance(x, (str, int, float, bool)) or x is None:

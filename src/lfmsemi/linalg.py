@@ -12,11 +12,14 @@ Its tolerances are the named constants below, the literals of the checks
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgees
 
 from .errors import BranchError, DimensionError, DomainError, NumericError
 
@@ -65,6 +68,14 @@ def as_vector(a) -> np.ndarray:
     return v
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a complex array, with its bits, without its
+    dispatch: the sum of squares of the real and the imaginary parts."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def hermitian_part(m) -> np.ndarray:
     """(M + M^H) / 2."""
     m = as_matrix(m, square=True)
@@ -100,7 +111,10 @@ class SchurForm:
 
 
 def schur_form(a, sort=None) -> SchurForm:
-    """Complex Schur decomposition.
+    """Complex Schur decomposition: LAPACK's ``zgees`` (Anderson et al.,
+    *LAPACK Users' Guide*, 1999), called as ``scipy.linalg.schur`` calls
+    it, so with its bits, but with the workspace size cached per n and
+    without its second finiteness check.
 
     Parameters
     ----------
@@ -116,18 +130,32 @@ def schur_form(a, sort=None) -> SchurForm:
         the diagonal of T enumerating the spectrum with multiplicity.
     """
     a = as_matrix(a, square=True)
-    try:
-        if sort is None:
-            t, z = scipy.linalg.schur(a, output="complex")
-        else:
-            t, z, _ = scipy.linalg.schur(a, output="complex", sort=sort)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericError(f"Schur iteration failed: {exc}") from exc
-    form = SchurForm(unitary=z.conj().T, upper_triangular=t)
-    residual = np.linalg.norm(form.reconstruct() - a)
-    if residual > 1e-10 * max(1.0, np.linalg.norm(a)):
+    n = len(a)
+    result = zgees(_unsorted if sort is None else sort, a, lwork=_zgees_lwork(n),
+                   sort_t=int(sort is not None))
+    info = result[-1]
+    if info != 0:
+        what = {n + 1: "eigenvalues could not be separated for reordering",
+                n + 2: "leading eigenvalues do not satisfy the sort condition"}.get(
+            info, "QR iteration did not converge" if info > 0 else f"illegal argument {-info}")
+        raise NumericError(f"Schur iteration failed: {what}")
+    form = SchurForm(unitary=result[-3].conj().T, upper_triangular=result[0])
+    residual = _frobenius(form.reconstruct() - a)
+    if residual > 1e-10 * max(1.0, _frobenius(a)):
         raise NumericError(f"Schur reconstruction residual {residual:.3e}")
     return form
+
+
+def _unsorted(lam):
+    """The selection callback of an unsorted Schur form; ``gees`` never
+    calls it."""
+
+
+@lru_cache(maxsize=None)
+def _zgees_lwork(n: int) -> int:
+    """The workspace size that ``zgees`` asks for at size n, which
+    ``scipy.linalg.schur`` queries on every call: it depends on n alone."""
+    return int(zgees(_unsorted, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
 
 
 @dataclass(frozen=True)

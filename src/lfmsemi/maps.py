@@ -38,6 +38,7 @@ Inner products are hermitian with conjugation on the second slot:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -52,8 +53,8 @@ from .errors import (
     NumericError,
     PoleError,
 )
-from .linalg import (_complex_array, as_matrix, as_vector, schur_form, unimodular_count,
-                     unitary_with_first_column)
+from .linalg import (_complex_array, _frobenius, as_matrix, as_vector, schur_form,
+                     unimodular_count, unitary_with_first_column)
 
 BALL = "ball"
 SIEGEL = "siegel"
@@ -118,10 +119,21 @@ def _ball_sample_cached(dim: int, count: int, seed: int) -> np.ndarray:
 
 
 def sample_siegel_points(dim: int, count: int, seed: int = DEFAULT_SAMPLE_SEED) -> np.ndarray:
-    """Deterministic sample of H^N: Cayley image of the ball sample."""
-    zs = sample_ball_points(dim, count, seed)
+    """Deterministic sample of H^N: Cayley image of the ball sample.
+
+    Returns a read-only cached array; copy before mutating.
+    """
+    sample_ball_points(dim, count, seed)  # the checks of the arguments
+    return _siegel_sample_cached(dim, count, seed)
+
+
+@lru_cache(maxsize=64)
+def _siegel_sample_cached(dim: int, count: int, seed: int) -> np.ndarray:
+    zs = _ball_sample_cached(dim, count, seed)
     den = 1.0 - zs[:, :1]
-    return np.concatenate([1j * (1.0 + zs[:, :1]) / den, 1j * zs[:, 1:] / den], axis=1)
+    pts = np.concatenate([1j * (1.0 + zs[:, :1]) / den, 1j * zs[:, 1:] / den], axis=1)
+    pts.setflags(write=False)
+    return pts
 
 
 def domain_margin(z, domain: str):
@@ -206,7 +218,7 @@ class ProjMap:
 
 def _unit_rms(m: np.ndarray) -> np.ndarray:
     """m scaled to unit RMS entry: the normalization of every ProjMap."""
-    scale = np.linalg.norm(m) / np.sqrt(m.shape[0])
+    scale = _frobenius(m) / math.sqrt(m.shape[0])
     if scale == 0:
         raise NotInvertibleError("zero homogeneous matrix")
     return m / scale
@@ -220,6 +232,18 @@ def _proj_of(m: np.ndarray, domain: str, codomain: str) -> ProjMap:
     p = object.__new__(ProjMap)
     p.__dict__.update(mat=_unit_rms(m), domain=domain, codomain=codomain)
     return p
+
+
+def _kept_proj(f, build, *fields) -> ProjMap:
+    """The :class:`ProjMap` of the single map f, ``build(*fields)`` on the
+    first call and kept on f with a read-only matrix: the ``to_proj`` of
+    :class:`BallMap` and :class:`SiegelMap`, whose fields are frozen."""
+    proj = f.__dict__.get("_proj")
+    if proj is None:
+        proj = build(*fields)
+        proj.mat.setflags(write=False)
+        f.__dict__["_proj"] = proj
+    return proj
 
 
 def cayley_transform(dim: int) -> ProjMap:
@@ -389,6 +413,8 @@ class BallMap:
     C: np.ndarray
     D: complex = 1.0
 
+    domain = BALL  # a class attribute, not a field
+
     def __post_init__(self):
         a, b, c, d = (_complex_array(x) for x in (self.A, self.B, self.C, self.D))
         if a.ndim != 3:  # one map: the checks and messages of as_matrix and as_vector
@@ -442,20 +468,27 @@ class BallMap:
         return num / den[..., None]
 
     def to_proj(self) -> ProjMap:
+        """The homogeneous matrix, built once (:func:`_kept_proj`)."""
         _require_single(self.A)
-        n = self.dim
-        m = np.zeros((n + 1, n + 1), dtype=complex)
-        m[:n, :n] = self.A
-        m[:n, n] = self.B
-        m[n, :n] = np.conj(self.C)
-        m[n, n] = self.D
-        return _proj_of(m, BALL, BALL)
+        return _kept_proj(self, _ball_proj, self.A, self.B, self.C, self.D)
 
     def differential(self, z) -> np.ndarray:
         """Jacobi matrix of the map at z."""
         z = _checked_point(z, self.dim)
         den = self.denominator(z)
         return (self.A - np.outer(self(z), np.conj(self.C))) / den
+
+
+def _ball_proj(a, b, c, d) -> ProjMap:
+    """The homogeneous matrix [[a, b], [c^H, d]] of the ball map with these
+    fields."""
+    n = len(a)
+    m = np.zeros((n + 1, n + 1), dtype=complex)
+    m[:n, :n] = a
+    m[:n, n] = b
+    m[n, :n] = np.conj(c)
+    m[n, n] = d
+    return _proj_of(m, BALL, BALL)
 
 
 def _ball_map_of(a, b, c) -> BallMap:
@@ -549,6 +582,8 @@ class SiegelMap:
     M: np.ndarray
     c: np.ndarray
 
+    domain = SIEGEL  # a class attribute, not a field
+
     def __post_init__(self):
         lam, a, b, m, c = (_complex_array(x) for x in (self.lam, self.a, self.b, self.M, self.c))
         lead = lam.shape  # () for one map, (T,) for a stack
@@ -589,16 +624,24 @@ class SiegelMap:
         return _siegel_images(zs, self.lam, self.a, self.b, self.M, self.c)
 
     def to_proj(self) -> ProjMap:
+        """The homogeneous matrix, built once (:func:`_kept_proj`)."""
         _require_single(self.M)
-        n = self.dim
-        m = np.zeros((n + 1, n + 1), dtype=complex)
-        m[0, 0] = self.lam
-        m[0, 1:n] = 2j * np.conj(self.a)
-        m[0, n] = self.b
-        m[1:n, 1:n] = self.M
-        m[1:n, n] = self.c
-        m[n, n] = 1.0
-        return _proj_of(m, SIEGEL, SIEGEL)
+        return _kept_proj(self, _siegel_proj, self.lam, self.a, self.b, self.M, self.c)
+
+
+def _siegel_proj(lam, a, b, m, c) -> ProjMap:
+    """The homogeneous matrix of the affine map (z, w) -> (lam z + 2i <w, a>
+    + b, m w + c), for fields the library computed, without building the
+    :class:`SiegelMap`: its ``to_proj``, so with its bits."""
+    n = len(m) + 1
+    h = np.zeros((n + 1, n + 1), dtype=complex)
+    h[0, 0] = lam
+    h[0, 1:n] = 2j * np.conj(a)
+    h[0, n] = b
+    h[1:n, 1:n] = m
+    h[1:n, n] = c
+    h[n, n] = 1.0
+    return _proj_of(h, SIEGEL, SIEGEL)
 
 
 def siegel_map_from_proj(p: ProjMap) -> SiegelMap:
@@ -622,8 +665,13 @@ def siegel_map_from_proj(p: ProjMap) -> SiegelMap:
             f"map is not in affine Siegel form (stray coefficient {stray:.3e}); "
             "only non-elliptic maps with Denjoy-Wolff point at e1 qualify"
         )
-    return SiegelMap(lam=m[0, 0], a=np.conj(m[0, 1:n] / 2j), b=m[0, n], M=m[1:n, 1:n],
-                     c=m[1:n, n])
+    if not np.isfinite(m).all():
+        raise DomainError("matrix entries must be finite")
+    # the fields of SiegelMap(lam, a, b, M, c) without its conversions and checks
+    g = object.__new__(SiegelMap)
+    g.__dict__.update(lam=complex(m[0, 0]), a=np.conj(m[0, 1:n] / 2j), b=complex(m[0, n]),
+                      M=m[1:n, 1:n], c=m[1:n, n])
+    return g
 
 
 def identity_siegel_map(dim: int) -> SiegelMap:
@@ -827,66 +875,80 @@ def fixed_points(f: BallMap) -> FixedPoints:
     proj = to_proj(f)
     m, n = proj.mat, len(proj.mat)
     eigs = schur_form(m).eigenvalues
-    scale = float(np.max(np.abs(eigs)))
-    # the clusters: for each anchor, the prefixes of its nearest eigenvalues
-    # whose farthest member lies within the Jordan split of that size
-    nonzero = np.abs(eigs) > 1e-12 * scale
-    anchors = np.flatnonzero(nonzero)
+    moduli = np.abs(eigs).tolist()
+    scale = max(moduli)
+    inverse = 1.0 / np.arange(1, n + 1)  # 1 / k for the sizes k = 1..n
+    split = ((_JORDAN_SPLIT_FACTOR * np.finfo(float).eps * scale) ** inverse
+             * max(1.0, scale) ** (1.0 - inverse)).tolist()
+    values = eigs.tolist()
+    anchors = [i for i, r in enumerate(moduli) if r > 1e-12 * scale]
     dist = np.abs(eigs[anchors, None] - eigs[None, :])
-    order = np.argsort(dist, axis=1)
-    reach = np.sort(dist, axis=1)  # [a, k - 1]: the farthest of the k nearest
-    sizes = np.arange(1, n + 1)
-    split = ((_JORDAN_SPLIT_FACTOR * np.finfo(float).eps * scale) ** (1.0 / sizes)
-             * max(1.0, scale) ** (1.0 - 1.0 / sizes))
+    order = np.argsort(dist, axis=1).tolist()
+    dist = dist.tolist()
     # an anchor without an exact twin is used by the end of its turn, so a
     # later anchor's prefix that holds it is never tried
-    settled = nonzero & (np.sum(eigs[:, None] == eigs, axis=1) == 1)
-    holds_settled = np.logical_or.accumulate(settled[order] & (order < anchors[:, None]), axis=1)
-    # the tried prefixes, anchor by anchor and from size n down to 1
-    rows, cols = np.nonzero(((reach <= split) & ~holds_settled)[:, ::-1])
-    ks = n - cols
-    shifts = eigs[anchors[rows]]
-    for r in np.flatnonzero(ks > 1).tolist():
-        shifts[r] = np.mean(eigs[order[rows[r], :ks[r]]])
+    settled = [r > 1e-12 * scale and values.count(v) == 1 for r, v in zip(moduli, values)]
+    # the tried prefixes (anchor, size), anchor by anchor and from size n
+    # down to 1: those whose farthest member lies within the Jordan split of
+    # that size and that hold no settled earlier anchor
+    tried, first = [], [0]  # anchor a's rows are tried[first[a]:first[a + 1]]
+    for a, i in enumerate(anchors):
+        reach, sizes = dist[a], []
+        for k, j in enumerate(order[a], 1):
+            if settled[j] and j < i:
+                break
+            if reach[j] <= split[k - 1]:
+                sizes.append(k)
+        tried.extend((a, k) for k in reversed(sizes))
+        first.append(len(tried))
+    shifts = eigs[[anchors[a] for a, _ in tried]]
+    for r, (a, k) in enumerate(tried):
+        if k > 1:
+            shifts[r] = eigs[order[a][:k]].sum() / k  # np.mean's own sum and divide
     _, svals, vh = np.linalg.svd(m - shifts[:, None, None] * np.eye(n))
-    cut = np.maximum(1.0, svals[:, :1])
-    singular = (svals[:, -1] <= 1e-10 * cut[:, 0]).tolist()
-    in_kernel = svals <= 1e-8 * cut
-    first = np.searchsorted(rows, np.arange(len(anchors) + 1)).tolist()
-    order, ks = order.tolist(), ks.tolist()
+    svals = svals.tolist()
     blocks = [np.zeros((0, n), dtype=complex)]
     used = set()
-    for a, i in enumerate(anchors.tolist()):
+    for a, i in enumerate(anchors):
         if i in used:
             continue
         r = next((r for r in range(first[a], first[a + 1])
-                  if singular[r] and used.isdisjoint(order[a][:ks[r]])), None)
+                  if svals[r][-1] <= 1e-10 * max(1.0, svals[r][0])
+                  and used.isdisjoint(order[a][:tried[r][1]])), None)
         if r is None:
             used.add(i)
             continue
-        used.update(order[a][:ks[r]])
-        blocks.append(vh[r, in_kernel[r]].conj())
+        used.update(order[a][:tried[r][1]])
+        # the singular values descend, so those in the kernel are a suffix
+        cut = 1e-8 * max(1.0, svals[r][0])
+        blocks.append(vh[r, n - sum(sv <= cut for sv in svals[r]):].conj())
         if len(blocks[-1]) >= 2:
-            rep = _nearest_kernel_point(np.column_stack(blocks[-1]))
+            rep = _nearest_kernel_point(np.ascontiguousarray(blocks[-1].T))  # kernel columns
             if rep is not None:
                 blocks.append(rep[None])
     v = np.concatenate(blocks)
     tau = v[:, -1]
-    finite = np.abs(tau) > 1e-9 * np.max(np.abs(v), axis=1, initial=0.0)  # else at infinity
+    finite = np.abs(tau) > 1e-9 * np.abs(v).max(axis=1, initial=0.0)  # else at infinity
     points = v[finite, :-1] / tau[finite, None]
     radii = np.linalg.norm(points, axis=1)
     tol = _FIXED_POINT_TOL
-    points, radii = points[radii < 1.0 + tol], radii[radii < 1.0 + tol]
-    fixed = np.array([np.linalg.norm(f(p) - p) <= tol for p in points], dtype=bool)
-    interior, boundary = [], []
-    for p, r in zip(points[fixed], radii[fixed]):
-        if any(np.linalg.norm(p - q_) <= 1e-7 for q_ in interior + boundary):
+    inside = radii < 1.0 + tol
+    points, radii = points[inside], radii[inside].tolist()
+    fixed = [_frobenius(f(p) - p) <= tol for p in points]
+    points = points[fixed]
+    radii = [r for r, ok in zip(radii, fixed) if ok]
+    keys = np.concatenate([points.real, points.imag], axis=1).round(10).tolist()
+    interior, boundary, kept = [], [], []
+    for p, r, key in zip(points, radii, keys):
+        if any(_frobenius(p - q) <= 1e-7 for q in kept):
             continue
-        (interior if r < 1.0 - tol else boundary).append(p)
-    if not interior and not boundary:
+        kept.append(p)
+        (interior if r < 1.0 - tol else boundary).append((key, p))
+    if not kept:
         raise NumericError("no fixed point found in the closed ball")
-    key = lambda p: tuple(np.round(np.concatenate([p.real, p.imag]), 10))
-    return FixedPoints(sorted(interior, key=key), sorted(boundary, key=key), proj, eigs)
+    by_key = lambda item: item[0]
+    return FixedPoints([p for _, p in sorted(interior, key=by_key)],
+                       [p for _, p in sorted(boundary, key=by_key)], proj, eigs)
 
 
 def _nearest_kernel_point(basis: np.ndarray):

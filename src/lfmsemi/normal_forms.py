@@ -52,15 +52,14 @@ from .maps import (
     _automorphism_fields,
     _change_of_variable,
     _siegel_chain,
+    _siegel_proj,
     _trusted_ball_map,
     classify,
     conjugate,
-    heisenberg_map,
     pointwise_distance,
     sample_ball_points,
     sample_siegel_points,
     siegel_map_from_proj,
-    siegel_unitary_map,
     to_proj,
 )
 
@@ -377,7 +376,7 @@ def _affine_normal_form(f: BallMap, cls: Optional[Classification], kind: str) ->
     sq = np.sqrt(lam)
     w, p, q, r, d_diag, a_block = _split_blocks(s.M / sq)
     if s.M.shape[0]:
-        s, chain = _moved(s, chain, siegel_unitary_map(w))
+        s, chain = _moved(s, chain, _siegel_proj(1.0, 0.0, 0.0, w, 0.0))  # (z, w) -> (z, W w)
     diag = np.diag(a_block)  # the eigenvalues of the triangular block
     # resonance, sq A_jj = 1, needs lam > 1: a parabolic A_jj stays below 1
     res = np.abs(1.0 - sq * diag) <= RESONANCE_TOL if hyperbolic else np.zeros(r, dtype=bool)
@@ -395,7 +394,8 @@ def _affine_normal_form(f: BallMap, cls: Optional[Classification], kind: str) ->
             raise NumericError("resonant non-diagonal contraction block; cannot normalize")
         gamma[p + q:] = np.linalg.solve(sq * a_block - np.eye(r), s.c[p + q:])
     if len(gamma) > (0 if hyperbolic else p):  # a parabolic map keeps its u-translation
-        s, chain = _moved(s, chain, heisenberg_map(gamma, 1j * float(np.vdot(gamma, gamma).real)))
+        beta = 1j * float(np.vdot(gamma, gamma).real)  # the Heisenberg translation by gamma
+        s, chain = _moved(s, chain, _siegel_proj(1.0, gamma, beta, np.eye(len(gamma)), gamma))
     # structural zeros forced by the self-map conditions
     if hyperbolic:
         residuals = {"u/v coefficients after translation removal": s.a[:p + q],
@@ -459,8 +459,9 @@ def hyperbolic_conditions(nf: NormalForm) -> list:
 # helpers
 
 
-def _moved(s: SiegelMap, chain: list, mover: SiegelMap):
-    """s conjugated by *mover*, and the chain extended by it."""
+def _moved(s: SiegelMap, chain: list, mover: SiegelMap | ProjMap):
+    """s conjugated by *mover*, and the chain extended by its
+    :class:`ProjMap`."""
     step = to_proj(mover)
     return siegel_map_from_proj(step.inverse().then(s.to_proj()).then(step)), chain + [step]
 

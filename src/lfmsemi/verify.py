@@ -35,7 +35,6 @@ from .maps import (
     domain_margin,
     sample_ball_points,
     sample_siegel_points,
-    to_proj,
 )
 
 #: default tolerances (law / self-map slack / time-one / generator)
@@ -141,7 +140,7 @@ def _sampled(sg, cfg: SamplerCfg, times, target=None) -> _Sampled:
         return sg
     sources = [("family", sg.domain)]
     if target is not None:
-        sources.append(("target", to_proj(target).domain))
+        sources.append(("target", target.domain))
     _require_domain(cfg, *sources)
     ts = list(dict.fromkeys(times))
     maps = sg.at_many(ts)
@@ -157,7 +156,7 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def check_self_map(f, cfg: SamplerCfg, tol: float = TOL_SELF_MAP) -> CheckReport:
     """Worst domain margin of the image: 1 - |f(z)| on the ball,
     Im w1 - |w'|^2 on the half-plane."""
-    _require_domain(cfg, ("map", to_proj(f).domain))
+    _require_domain(cfg, ("map", f.domain))
     zs = cfg.points(f.dim)
     return _report("self_map", domain_margin(f.eval_many(zs), cfg.domain), zs, tol)
 
