@@ -30,6 +30,7 @@ from .embedding import (
     is_automorphism,
 )
 from .errors import LfmError
+from .linalg import REAL_KINDS, _natural_dtype
 from .maps import (
     BALL,
     DEFAULT_SAMPLE_SEED,
@@ -369,6 +370,8 @@ def emit_trajectory(sg, z0, t_grid) -> list:
     grid with one ``at_many``, whose call checks z0 once (its dimension
     first, then the domain) and the denominator at every time."""
     try:
+        if _natural_dtype(t_grid).kind not in REAL_KINDS:  # float() takes a string or a bool
+            raise TypeError
         ts = [float(t) for t in t_grid]
     except (TypeError, ValueError):
         raise SpecError(f"trajectory time grid must be a list of numbers, got {t_grid!r}") from None

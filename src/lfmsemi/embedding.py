@@ -63,7 +63,9 @@ import numpy as np
 
 from .errors import BranchError, DomainError, NumericError
 from .linalg import (
+    REAL_KINDS,
     _complex_array,
+    _natural_dtype,
     hermitian_part,
     is_dissipative,
     mat_exp,
@@ -142,6 +144,8 @@ class SemigroupFamily:
         a stack of T = len(ts) maps, a :class:`~lfmsemi.maps.BallMap` or
         :class:`~lfmsemi.maps.SiegelMap` whose item i is the map at ts[i]."""
         try:
+            if _natural_dtype(ts).kind not in REAL_KINDS:  # np.array takes a string or a bool
+                raise TypeError
             ts = np.array(ts, dtype=float, ndmin=1)
         except (TypeError, ValueError):
             raise DomainError(f"times must be real numbers, got {ts!r}") from None

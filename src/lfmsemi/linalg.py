@@ -31,10 +31,26 @@ UNIMODULAR_TOL = 1e-9
 PINV_RANK_TOL = 1e-10
 
 
+#: the dtype kinds of real numbers (signed and unsigned integers, floats),
+#: and of numbers; not those of strings, bytes, bools or other objects
+REAL_KINDS = "iuf"
+NUMBER_KINDS = REAL_KINDS + "c"
+
+
+def _natural_dtype(a) -> np.dtype:
+    """The dtype numpy gives *a* unprompted; O(1) for an array.  A ragged
+    nesting raises ValueError."""
+    return (a if isinstance(a, np.ndarray) else np.asarray(a)).dtype
+
+
 def _complex_array(a) -> np.ndarray:
     """*a* as a complex array: a ragged nesting raises DimensionError, an
-    entry that is not a number DomainError."""
+    entry that is not a number (a string, bytes, a bool or any other
+    object, which numpy would convert) DomainError."""
     try:
+        dtype = _natural_dtype(a)
+        if dtype.kind not in NUMBER_KINDS:
+            raise TypeError(f"got dtype {dtype}")
         return np.asarray(a, dtype=complex)
     except (TypeError, ValueError) as exc:
         if "sequence" in str(exc):  # numpy: "setting an array element with a sequence"
