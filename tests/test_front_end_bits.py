@@ -1,0 +1,460 @@
+"""The front end (parse -> classify -> normal form) keeps its bits.
+
+Each kernel that was rewritten to cut its dispatch cost is checked against
+the code it replaced, kept here as the reference:
+
+- ``linalg.schur_form`` calls LAPACK's ``zgees`` directly, with its
+  workspace size cached per n; the reference is ``scipy.linalg.schur``;
+- ``maps.fixed_points`` does its cluster bookkeeping on Python lists; the
+  reference is the array version of :func:`reference_fixed_points`;
+- the spec parser converts a well-formed nest of number pairs with one
+  ``np.array``; the reference is its per-entry path, which also reports
+  every entry the fast path leaves to it;
+- ``BallMap.to_proj`` and ``SiegelMap.to_proj`` build the homogeneous
+  matrix once and keep it; ``siegel_map_from_proj`` builds its map
+  without the constructor's checks; the Siegel sample is cached.
+
+The library refuses strings, bytes and bools where it wants numbers, which
+numpy and ``float`` would convert.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from lfmsemi import cli, linalg, maps
+from lfmsemi.cli import EXIT_INPUT_ERROR, SpecError, parse_map_spec, run_pipeline, to_jsonable
+from lfmsemi.embedding import build_semigroup, certify
+from lfmsemi.errors import DomainError
+from lfmsemi.linalg import UNIMODULAR_TOL, schur_form
+from lfmsemi.maps import (BALL, SIEGEL, BallMap, SiegelMap, cayley_to_ball, fixed_points,
+                          heisenberg_map, sample_ball_points, sample_siegel_points,
+                          siegel_map_from_proj, to_proj)
+from lfmsemi.normal_forms import normal_form
+from lfmsemi.verify import SamplerCfg, check_self_map
+
+from test_fixed_points import WRONG_CLUSTER_MAPS, _ball_map, _linear, _workload_specs
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+GOLDEN_SPECS = sorted(p for p in GOLDEN.rglob("*.json") if not p.name.endswith(".report.json"))
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# schur_form against scipy.linalg.schur
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _schur_cases():
+    """Random matrices, exact repeated eigenvalues and Jordan-like blocks,
+    n = 1..9."""
+    rng = np.random.default_rng(2027)
+    cases = []
+    for n in range(1, 10):
+        for _ in range(3):
+            cases.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        q = _unitary(rng, n)
+        repeated = np.repeat([0.5, 1.0, -0.3j], n)[:n]  # each value up to three times
+        cases.append(np.diag(repeated).astype(complex))
+        cases.append(q @ np.diag(repeated) @ q.conj().T)
+        jordan = np.diag(np.exp(1j * np.arange(n))) + np.eye(n, k=1)
+        cases.append(jordan.astype(complex))
+        cases.append(q @ (0.7 * np.eye(n) + 0.2 * np.eye(n, k=1)) @ q.conj().T)
+    return cases
+
+
+UNIMODULAR = lambda lam: abs(abs(lam) - 1) <= UNIMODULAR_TOL  # noqa: E731 (as _unimodular_split)
+
+
+@pytest.mark.parametrize("sort", [None, UNIMODULAR, lambda lam: abs(lam) < 0.6],
+                         ids=["unsorted", "unimodular_first", "inside_0.6_first"])
+def test_schur_form_has_the_bits_of_scipy_schur(sort):
+    for a in _schur_cases():
+        form = schur_form(a, sort=sort)
+        if sort is None:
+            t, z = scipy.linalg.schur(a, output="complex")
+        else:
+            t, z, _ = scipy.linalg.schur(a, output="complex", sort=sort)
+        assert _bits(form.upper_triangular) == _bits(t)
+        assert _bits(form.unitary) == _bits(z.conj().T)
+
+
+def test_schur_form_workspace_is_queried_once_per_size():
+    linalg._zgees_lwork.cache_clear()
+    for n in (3, 3, 5, 3):
+        schur_form(np.eye(n) + 0.1j * np.eye(n, k=1))
+    assert linalg._zgees_lwork.cache_info().misses == 2
+
+
+def test_frobenius_has_the_bits_of_numpy_norm():
+    rng = np.random.default_rng(5)
+    for shape in [(1,), (7,), (3, 3), (9, 9), (4, 2)]:
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert linalg._frobenius(x) == np.linalg.norm(x)
+        assert linalg._frobenius(x.T) == np.linalg.norm(x.T)
+        m = x.reshape(len(x), -1)
+        want = m / (np.linalg.norm(m) / np.sqrt(m.shape[0]))  # the former _unit_rms
+        assert _bits(maps._unit_rms(m)) == _bits(want)
+
+
+# ---------------------------------------------------------------------------
+# fixed_points against its array version
+
+
+def reference_fixed_points(f: BallMap):
+    """``maps.fixed_points`` before its bookkeeping moved to Python lists:
+    the same clusters, on arrays, from scipy's Schur form and the homogeneous
+    matrix built and normalized with ``np.linalg.norm``.  Returns
+    (interior, boundary, eigenvalues, matrix)."""
+    n = f.dim
+    m = np.zeros((n + 1, n + 1), dtype=complex)
+    m[:n, :n], m[:n, n], m[n, :n], m[n, n] = f.A, f.B, np.conj(f.C), f.D
+    m = m / (np.linalg.norm(m) / np.sqrt(m.shape[0]))
+    n = len(m)
+    eigs = np.diag(scipy.linalg.schur(m, output="complex")[0]).copy()
+    scale = float(np.max(np.abs(eigs)))
+    nonzero = np.abs(eigs) > 1e-12 * scale
+    anchors = np.flatnonzero(nonzero)
+    dist = np.abs(eigs[anchors, None] - eigs[None, :])
+    order = np.argsort(dist, axis=1)
+    reach = np.sort(dist, axis=1)
+    sizes = np.arange(1, n + 1)
+    split = ((maps._JORDAN_SPLIT_FACTOR * np.finfo(float).eps * scale) ** (1.0 / sizes)
+             * max(1.0, scale) ** (1.0 - 1.0 / sizes))
+    settled = nonzero & (np.sum(eigs[:, None] == eigs, axis=1) == 1)
+    holds_settled = np.logical_or.accumulate(settled[order] & (order < anchors[:, None]), axis=1)
+    rows, cols = np.nonzero(((reach <= split) & ~holds_settled)[:, ::-1])
+    ks = n - cols
+    shifts = eigs[anchors[rows]]
+    for r in np.flatnonzero(ks > 1).tolist():
+        shifts[r] = np.mean(eigs[order[rows[r], :ks[r]]])
+    _, svals, vh = np.linalg.svd(m - shifts[:, None, None] * np.eye(n))
+    cut = np.maximum(1.0, svals[:, :1])
+    singular = (svals[:, -1] <= 1e-10 * cut[:, 0]).tolist()
+    in_kernel = svals <= 1e-8 * cut
+    first = np.searchsorted(rows, np.arange(len(anchors) + 1)).tolist()
+    order, ks = order.tolist(), ks.tolist()
+    blocks = [np.zeros((0, n), dtype=complex)]
+    used = set()
+    for a, i in enumerate(anchors.tolist()):
+        if i in used:
+            continue
+        r = next((r for r in range(first[a], first[a + 1])
+                  if singular[r] and used.isdisjoint(order[a][:ks[r]])), None)
+        if r is None:
+            used.add(i)
+            continue
+        used.update(order[a][:ks[r]])
+        blocks.append(vh[r, in_kernel[r]].conj())
+        if len(blocks[-1]) >= 2:
+            rep = maps._nearest_kernel_point(np.column_stack(blocks[-1]))
+            if rep is not None:
+                blocks.append(rep[None])
+    v = np.concatenate(blocks)
+    tau = v[:, -1]
+    finite = np.abs(tau) > 1e-9 * np.max(np.abs(v), axis=1, initial=0.0)
+    points = v[finite, :-1] / tau[finite, None]
+    radii = np.linalg.norm(points, axis=1)
+    tol = maps._FIXED_POINT_TOL
+    points, radii = points[radii < 1.0 + tol], radii[radii < 1.0 + tol]
+    fixed = np.array([np.linalg.norm(f(p) - p) <= tol for p in points], dtype=bool)
+    interior, boundary = [], []
+    for p, r in zip(points[fixed], radii[fixed]):
+        if any(np.linalg.norm(p - q_) <= 1e-7 for q_ in interior + boundary):
+            continue
+        (interior if r < 1.0 - tol else boundary).append(p)
+    key = lambda p: tuple(np.round(np.concatenate([p.real, p.imag]), 10))  # noqa: E731
+    return sorted(interior, key=key), sorted(boundary, key=key), eigs, m
+
+
+def _assert_fixed_points_bits(f: BallMap):
+    found = fixed_points(f)
+    interior, boundary, eigs, m = reference_fixed_points(f)
+    assert [_bits(p) for p in found[0]] == [_bits(p) for p in interior]
+    assert [_bits(p) for p in found[1]] == [_bits(p) for p in boundary]
+    assert _bits(found.eigenvalues) == _bits(eigs)
+    assert _bits(found.proj.mat) == _bits(m)
+
+
+def test_fixed_points_bits_on_the_goldens():
+    assert len(GOLDEN_SPECS) == 34
+    for path in GOLDEN_SPECS:
+        _assert_fixed_points_bits(_ball_map(json.loads(path.read_text())))
+
+
+def test_fixed_points_bits_on_the_workload_cycles():
+    specs = _workload_specs()
+    assert len(specs) == 138
+    for spec in specs:
+        _assert_fixed_points_bits(_ball_map(spec))
+
+
+def _cluster_maps():
+    """The cluster cases of test_fixed_points: a prefix whose mean is another
+    eigenvalue, Jordan blocks, near-parabolic and Heisenberg maps."""
+    out = [_linear(a) for a in WRONG_CLUSTER_MAPS]
+    for k in (2, 3, 5, 8):
+        q = _unitary(np.random.default_rng(k), k)
+        out.append(_linear(q @ (0.5 * np.eye(k) + 0.3 * np.eye(k, k=1)) @ q.conj().T))
+    for n in (1, 2, 3, 4):
+        m = np.diag([0.5, 0.4, 0.3][: n - 1]).astype(complex)
+        for k in (4, 5):
+            lam = 1.0 + 10.0 ** -k
+            out.append(cayley_to_ball(SiegelMap(lam, np.zeros(n - 1), 0.3 + 1j, m,
+                                                np.zeros(n - 1))))
+    for n in (2, 3, 4, 8):
+        rng = np.random.default_rng(n)
+        g = 0.3 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+        out.append(cayley_to_ball(heisenberg_map(g, 0.7 + 1j * np.vdot(g, g).real)))
+    return out
+
+
+def test_fixed_points_bits_on_the_cluster_cases():
+    for f in _cluster_maps():
+        _assert_fixed_points_bits(f)
+
+
+# ---------------------------------------------------------------------------
+# the spec parser's fast path against its per-entry path
+
+
+@pytest.fixture
+def per_entry(monkeypatch):
+    """The parser's converters with the fast path switched off."""
+    monkeypatch.setattr(cli, "_pairs_array", lambda value, rank: None)
+
+
+def _spec_fields(spec: dict):
+    for key in ("A", "M"):
+        if key in spec:
+            yield key, cli._matrix_in, spec[key]
+    for key in ("B", "C", "a", "c"):
+        if key in spec:
+            yield key, cli._vector_in, spec[key]
+
+
+def test_fast_path_has_the_bits_of_the_per_entry_path(monkeypatch):
+    specs = [json.loads(p.read_text()) for p in GOLDEN_SPECS]
+    fast = [[_bits(convert(value, key)) for key, convert, value in _spec_fields(spec)]
+            for spec in specs]
+    assert all(cli._pairs_array(value, 2 if convert is cli._matrix_in else 1) is not None
+               for spec in specs for _, convert, value in _spec_fields(spec)
+               if value and value != [[]])
+    monkeypatch.setattr(cli, "_pairs_array", lambda value, rank: None)
+    slow = [[_bits(convert(value, key)) for key, convert, value in _spec_fields(spec)]
+            for spec in specs]
+    assert fast == slow
+
+
+EXACT_PAIRS = [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1, -2], [2 ** 53 + 1, 0],
+               [0, -(2 ** 63) - 1], [2 ** 64 + 3, 0.5], [sys.float_info.max / 2, -1e-300]]
+
+
+@pytest.mark.parametrize("pair", EXACT_PAIRS)
+def test_fast_path_is_exact_on_signed_zeros_and_ints(pair, monkeypatch):
+    vector, matrix = [pair, [0.25, 1]], [[pair, [0.25, 1]], [[1, 0], pair]]
+    fast = cli._vector_in(vector, "B"), cli._matrix_in(matrix, "A")
+    assert cli._pairs_array(vector, 1) is not None and cli._pairs_array(matrix, 2) is not None
+    monkeypatch.setattr(cli, "_pairs_array", lambda value, rank: None)
+    slow = cli._vector_in(vector, "B"), cli._matrix_in(matrix, "A")
+    assert [_bits(a) for a in fast] == [_bits(a) for a in slow]
+    assert complex(fast[0][0]) == complex(*pair)
+
+
+@pytest.mark.parametrize("entry, error", [
+    ([True, 0.0], r"^B\[1\]: complex numbers must be \[re, im\] pairs of finite numbers"),
+    ([0.5, "1"], r"^B\[1\]: complex numbers must be \[re, im\] pairs of finite numbers"),
+    ([0.5], r"^B\[1\]: complex numbers must be"),
+    ([0.5, 0.0, 0.0], r"^B\[1\]: complex numbers must be"),
+    ((0.5, 0.0), None),  # a tuple pair: the per-entry path takes it
+    ([float("nan"), 0.0], r"^B\[1\]: complex numbers must be"),
+    ([10 ** 400, 0], r"^B\[1\]: complex numbers must be"),
+    ([int(sys.float_info.max) + 1, 0], r"^B\[1\]: complex numbers must be"),
+    ([sys.float_info.max, 0.0], None),
+])
+def test_fast_path_leaves_the_other_entries_to_the_per_entry_path(entry, error):
+    vector = [[0.25, 0.0], entry]
+    assert cli._pairs_array(vector, 1) is None
+    if error is None:
+        assert _bits(cli._vector_in(vector, "B")) == _bits(
+            np.array([0.25, complex(*entry)], dtype=complex))
+    else:
+        with pytest.raises(SpecError, match=error):
+            cli._vector_in(vector, "B")
+
+
+@pytest.mark.parametrize("value, error", [
+    ([[[0.5, 0.0]], [[0.5, 0.0], [0.1, 0.0]]], r"^A: rows must have equal lengths"),
+    ([[[0.5, 0.0]], ([0.5, 0.0],)], r"^A: expected a matrix of \[re, im\] pairs"),
+    ([[[0.5, False]]], r"^A\[0\]\[0\]: complex numbers must be"),
+    ([[[0.5, 0.0], ["x", 0.0]]], r"^A\[0\]\[1\]: complex numbers must be"),
+])
+def test_fast_path_leaves_malformed_matrices_to_the_per_entry_path(value, error):
+    assert cli._pairs_array(value, 2) is None
+    with pytest.raises(SpecError, match=error):
+        cli._matrix_in(value, "A")
+
+
+def test_to_jsonable_of_arrays_is_elementwise():
+    """Numeric arrays go through tolist, complex ones as [re, im] pairs,
+    as the item-by-item conversion gives them."""
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    z[0, 0] = complex(-0.0, 0.0)
+    for a in (z, z[0], z.real, np.arange(4), np.array([True, False]), z.astype(np.complex64)):
+        want = [[float(np.real(v)), float(np.imag(v))] if isinstance(v, complex)
+                else [[float(np.real(w)), float(np.imag(w))] for w in v]
+                if isinstance(v, list) and v and isinstance(v[0], complex) else v
+                for v in a.tolist()]
+        got = to_jsonable(a)
+        assert json.dumps(got) == json.dumps(want)
+
+
+# ---------------------------------------------------------------------------
+# the homogeneous matrix is built once; the Siegel sample is cached
+
+
+def test_to_proj_is_built_once_and_read_only():
+    spec = json.loads((GOLDEN / "parabolic_ball_n4.json").read_text())
+    f = parse_map_spec(spec)
+    p = f.to_proj()
+    assert f.to_proj() is p and to_proj(f) is p
+    assert not p.mat.flags.writeable
+    assert _bits(p.mat) == _bits(maps._proj_of(np.block(
+        [[f.A, f.B[:, None]], [np.conj(f.C)[None], np.ones((1, 1))]]), BALL, BALL).mat)
+    s = SiegelMap(2.0, [0.1j], 0.5j, [[0.5]], [0.2])
+    assert s.to_proj() is s.to_proj() and not s.to_proj().mat.flags.writeable
+    with pytest.raises(ValueError):
+        p.mat[0, 0] = 0.0
+    copy = dataclasses.replace(f)  # a new map builds its own
+    assert copy.to_proj() is not p and _bits(copy.to_proj().mat) == _bits(p.mat)
+
+
+def test_a_stack_has_no_homogeneous_matrix():
+    f = parse_map_spec(json.loads((GOLDEN / "elliptic_u0_ball_n2.json").read_text()))
+    stack = build_semigroup(certify(normal_form(f))).at_many([0.5, 1.0])
+    with pytest.raises(TypeError):
+        stack.to_proj()
+    with pytest.raises(TypeError):
+        to_proj(stack)
+
+
+def test_domain_is_a_class_attribute():
+    assert BallMap.domain == BALL and SiegelMap.domain == SIEGEL
+    for cls in (BallMap, SiegelMap):
+        assert "domain" not in {field.name for field in dataclasses.fields(cls)}
+    f = parse_map_spec(json.loads((GOLDEN / "elliptic_u0_ball_n2.json").read_text()))
+    assert check_self_map(f, SamplerCfg(count=8)).passed
+    assert "_proj" not in vars(f)  # read without building the matrix
+
+
+def test_siegel_map_from_proj_has_the_constructor_fields():
+    for path in GOLDEN_SPECS:
+        f = _ball_map(json.loads(path.read_text()))
+        try:
+            nf = normal_form(f)
+        except Exception:
+            continue
+        if nf.normal_map.domain != SIEGEL:
+            continue
+        p = nf.normal_map.to_proj()
+        m = p.mat / p.mat[-1, -1]
+        n = p.dim
+        got = siegel_map_from_proj(p)
+        want = SiegelMap(lam=m[0, 0], a=np.conj(m[0, 1:n] / 2j), b=m[0, n], M=m[1:n, 1:n],
+                         c=m[1:n, n])
+        for field in ("lam", "a", "b", "M", "c"):
+            assert type(getattr(got, field)) is type(getattr(want, field))
+            assert _bits(getattr(got, field)) == _bits(getattr(want, field))
+
+
+def test_siegel_sample_is_cached_and_read_only():
+    zs = sample_siegel_points(3, 20, 7)
+    assert sample_siegel_points(3, 20, 7) is zs and not zs.flags.writeable
+    ball = sample_ball_points(3, 20, 7)
+    den = 1.0 - ball[:, :1]
+    want = np.concatenate([1j * (1.0 + ball[:, :1]) / den, 1j * ball[:, 1:] / den], axis=1)
+    assert _bits(zs) == _bits(want)
+    with pytest.raises(ValueError):
+        zs[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# strings, bytes and bools are not numbers
+
+
+SPEC = json.loads((GOLDEN / "elliptic_u0_ball_n1.json").read_text())
+
+
+def test_string_start_point_and_times_are_stage_errors():
+    report = run_pipeline(SPEC, z0="0.3", t_grid=["1", "2"], stop_after="semigroup")
+    assert report["exit_status"] == EXIT_INPUT_ERROR
+    assert report["stages"]["semigroup"] == {
+        "status": "error",
+        "error": "trajectory time grid must be a list of numbers, got ['1', '2']"}
+    report = run_pipeline(SPEC, z0="0.3", stop_after="semigroup")
+    assert report["exit_status"] == EXIT_INPUT_ERROR
+    assert report["stages"]["semigroup"]["error"].startswith("entries must be numbers: ")
+
+
+@pytest.mark.parametrize("z0", [[True], [b"1"], np.array([False])])
+def test_bool_or_bytes_start_point_is_a_stage_error(z0):
+    report = run_pipeline(SPEC, z0=z0, stop_after="semigroup")
+    assert report["exit_status"] == EXIT_INPUT_ERROR
+    assert report["stages"]["semigroup"]["error"].startswith("entries must be numbers: ")
+
+
+@pytest.mark.parametrize("t_grid", [[True, False], (False,), np.array([0.5, 1.0]).astype(str)])
+def test_bool_or_string_times_are_a_stage_error(t_grid):
+    report = run_pipeline(SPEC, t_grid=t_grid, stop_after="semigroup")
+    assert report["exit_status"] == EXIT_INPUT_ERROR
+    assert report["stages"]["semigroup"]["error"].startswith(
+        "trajectory time grid must be a list of numbers")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linalg.as_vector("1"),
+    lambda: linalg.as_vector([True]),
+    lambda: linalg.as_vector(b"1"),
+    lambda: linalg.as_matrix([["0.5"]]),
+    lambda: linalg.as_matrix(np.eye(2, dtype=bool)),
+    lambda: BallMap([["0.5"]], ["0"], ["0"]),
+    lambda: BallMap([[0.5]], [0], [0], True),
+    lambda: SiegelMap("2", [], 0, [], []),
+], ids=["str", "bool list", "bytes", "str matrix", "bool array", "str ball map", "bool D",
+        "str lam"])
+def test_converters_refuse_strings_bytes_and_bools(call):
+    with pytest.raises(DomainError, match="^entries must be numbers: "):
+        call()
+
+
+def test_family_times_refuse_strings_and_bools():
+    sg = build_semigroup(certify(normal_form(parse_map_spec(SPEC))))
+    for ts in (["1"], [True], np.array([b"1"])):
+        with pytest.raises(DomainError, match="^times must be real numbers, got "):
+            sg.at_many(ts)
+    assert _bits(sg.at_many(np.array([1, 2])).A) == _bits(sg.at_many([1.0, 2.0]).A)
+
+
+def test_numbers_of_every_kind_still_convert():
+    for value in (1, 0.5, 1j, np.float32(0.5), np.uint8(3), [1, 2.5], np.arange(3),
+                  np.ones(2, dtype=np.complex64)):
+        a = linalg.as_vector(value)
+        assert a.dtype == complex
+        assert _bits(a) == _bits(np.atleast_1d(np.asarray(value, dtype=complex)))
