@@ -72,71 +72,42 @@ class SpecError(LfmError):
     """Malformed map specification."""
 
 
-def _finite_number(x) -> bool:
-    """x is a number (not a bool) within the range of a double, so not the
-    NaN and Infinity that ``json`` accepts."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and abs(x) <= sys.float_info.max
+def _numbers(flat) -> bool:
+    """Every entry of *flat* is a number within the range of a double: its
+    type an int or float (a subclass too, so numpy's float64), not a bool,
+    and its magnitude at most the largest double, compared exactly, so
+    neither NaN, Infinity nor an int that would round down to the largest
+    double.  The rule of every number of a spec, ``--t`` and ``--z0``."""
+    return all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, flat))) \
+        and all(map(sys.float_info.max.__ge__, map(abs, flat)))
 
 
-def _complex_in(value, where: str) -> complex:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and _finite_number(value[0]) and _finite_number(value[1])):
-        raise SpecError(f"{where}: complex numbers must be [re, im] pairs of finite "
-                        f"numbers, got {value!r}")
-    return complex(value[0], value[1])
-
-
-#: the types of a JSON number
-_JSON_REALS = frozenset({int, float})
-
-
-def _pairs_array(value, rank: int):
-    """The complex array of a vector (rank 1) or matrix (rank 2) given as
-    nested lists of [re, im] pairs of ints and floats whose magnitudes lie
-    below the largest double, with the bits of the per-entry path, which
-    gives complex(re, im): one scan of the pairs, one ``np.array`` of their
-    entries and a view of each pair as a complex number, exact for signed
-    zeros.  None for anything else (an empty or ragged nesting too), which
-    the per-entry path then accepts or refuses with its message."""
-    rows = value if rank == 2 else [value]
-    if not (type(value) is list and value and all(type(row) is list for row in rows)):
-        return None
-    width = len(rows[0])
-    flat = [x for row in rows for v in row if type(v) is list and len(v) == 2 for x in v]
-    if not (width and len(flat) == 2 * width * len(rows)  # every row a row of pairs
-            and all(len(row) == width for row in rows) and set(map(type, flat)) <= _JSON_REALS):
-        return None
-    try:
-        entries = np.array(flat, dtype=float)
-    except OverflowError:  # an int beyond the doubles
-        return None
-    if not (np.abs(entries) < sys.float_info.max).all():  # so no int rounded down to it
-        return None
-    return entries.view(complex).reshape((len(rows), width) if rank == 2 else (width,))
-
-
-def _vector_in(value, where: str) -> np.ndarray:
-    fast = _pairs_array(value, 1)
-    if fast is not None:
-        return fast
-    if not isinstance(value, list):
-        raise SpecError(f"{where}: expected a list of [re, im] pairs")
-    return np.array([_complex_in(v, f"{where}[{i}]") for i, v in enumerate(value)],
-                    dtype=complex)
-
-
-def _matrix_in(value, where: str) -> np.ndarray:
-    fast = _pairs_array(value, 2)
-    if fast is not None:
-        return fast
-    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
-        raise SpecError(f"{where}: expected a matrix of [re, im] pairs")
-    lengths = sorted({len(row) for row in value})
+def _pairs_in(value, rank: int, where: str):
+    """The complex number (rank 0), vector (rank 1) or matrix (rank 2) of
+    *value*, given as lists of [re, im] pairs (a pair may be a tuple) of
+    numbers as :func:`_numbers` has them, with the bits of complex(re, im),
+    signed zeros too: one scan flattens the pairs, one test takes their
+    entries and one ``np.array`` views each pair as a complex number.
+    Anything else is tested again pair by pair, in order, to name the
+    first bad one."""
+    rows = value if rank == 2 else [value] if rank else [[value]]
+    if rank and not (isinstance(value, list) and all(isinstance(row, list) for row in rows)):
+        shape = "matrix" if rank == 2 else "list"
+        raise SpecError(f"{where}: expected a {shape} of [re, im] pairs")
+    lengths = sorted({len(row) for row in rows}) or [0]
     if len(lengths) > 1:
         raise SpecError(f"{where}: rows must have equal lengths, got lengths {lengths}")
-    return np.array([[_complex_in(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
-                     for i, row in enumerate(value)], dtype=complex)
+    flat = [x for row in rows for v in row
+            if isinstance(v, (list, tuple)) and len(v) == 2 for x in v]
+    if not (len(flat) == 2 * len(rows) * lengths[0] and _numbers(flat)):
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if not (isinstance(v, (list, tuple)) and len(v) == 2 and _numbers(v)):
+                    index = "".join(f"[{k}]" for k in (i, j)[2 - rank:])
+                    raise SpecError(f"{where}{index}: complex numbers must be [re, im] pairs "
+                                    f"of finite numbers, got {v!r}")
+    z = np.array(flat, dtype=float).view(complex).reshape((len(rows), lengths[0])[2 - rank:])
+    return z if rank else z.item()
 
 
 def _json_option(text: str, option: str):
@@ -147,7 +118,7 @@ def _json_option(text: str, option: str):
 
 
 def _times_in(value) -> tuple:
-    if not (isinstance(value, list) and all(_finite_number(t) for t in value)):
+    if not (isinstance(value, list) and _numbers(value)):
         raise SpecError(f"--t: expected a JSON list of finite numbers, got {value!r}")
     for t in value:
         if t < 0:
@@ -207,10 +178,10 @@ def parse_map_spec(obj: dict):
             for key in ("A", "B", "C", "D"):
                 if key not in obj:
                     raise SpecError(f"{key}: required for ball maps")
-            a = _matrix_in(obj["A"], "A")
-            b = _vector_in(obj["B"], "B")
-            c = _vector_in(obj["C"], "C")
-            d = _complex_in(obj["D"], "D")
+            a = _pairs_in(obj["A"], 2, "A")
+            b = _pairs_in(obj["B"], 1, "B")
+            c = _pairs_in(obj["C"], 1, "C")
+            d = _pairs_in(obj["D"], 0, "D")
             if a.shape != (dim, dim) or len(b) != dim or len(c) != dim:
                 raise SpecError(f"A/B/C: shapes disagree with dimension = {dim}")
             return BallMap(a, b, c, d)
@@ -218,11 +189,11 @@ def parse_map_spec(obj: dict):
         for key in ("lambda", "b", "M", "a", "c") if k else ("lambda", "b"):
             if key not in obj:
                 raise SpecError(f"{key}: required for siegel maps of dimension {dim}")
-        lam = _complex_in(obj["lambda"], "lambda")
-        bval = _complex_in(obj["b"], "b")
-        m = _matrix_in(obj["M"], "M") if k else np.zeros((0, 0), dtype=complex)
-        avec = _vector_in(obj["a"], "a") if k else np.zeros(0, dtype=complex)
-        cvec = _vector_in(obj["c"], "c") if k else np.zeros(0, dtype=complex)
+        lam = _pairs_in(obj["lambda"], 0, "lambda")
+        bval = _pairs_in(obj["b"], 0, "b")
+        m = _pairs_in(obj["M"], 2, "M") if k else np.zeros((0, 0), dtype=complex)
+        avec = _pairs_in(obj["a"], 1, "a") if k else np.zeros(0, dtype=complex)
+        cvec = _pairs_in(obj["c"], 1, "c") if k else np.zeros(0, dtype=complex)
         if k and (m.shape != (k, k) or len(avec) != k or len(cvec) != k):
             raise SpecError(f"M/a/c: shapes disagree with dimension = {dim}")
         return SiegelMap(lam, avec, bval, m, cvec)
@@ -513,7 +484,7 @@ def main(argv=None) -> int:
         if getattr(args, "t", None) is not None:
             t_grid = _times_in(_json_option(args.t, "--t"))
         if getattr(args, "z0", None) is not None:
-            z0 = _vector_in(_json_option(args.z0, "--z0"), "--z0")
+            z0 = _pairs_in(_json_option(args.z0, "--z0"), 1, "--z0")
         report = run_pipeline(spec_obj, seed=args.seed, tol_profile=args.tol_profile,
                               t_grid=t_grid, z0=z0, stop_after=args.stop_after)
         if getattr(args, "csv", None):

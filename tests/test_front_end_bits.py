@@ -7,9 +7,9 @@ the code it replaced, kept here as the reference:
   workspace size cached per n; the reference is ``scipy.linalg.schur``;
 - ``maps.fixed_points`` does its cluster bookkeeping on Python lists; the
   reference is the array version of :func:`reference_fixed_points`;
-- the spec parser converts a well-formed nest of number pairs with one
-  ``np.array``; the reference is its per-entry path, which also reports
-  every entry the fast path leaves to it;
+- the spec parser reads every field, ``--z0`` too, with one scan, one
+  test and one ``np.array``; the reference is its former per-entry
+  reader, :func:`reference_pairs`, whose bits and messages it keeps;
 - ``BallMap.to_proj`` and ``SiegelMap.to_proj`` build the homogeneous
   matrix once and keep it; ``siegel_map_from_proj`` builds its map
   without the constructor's checks; the Siegel sample is cached.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -231,35 +232,87 @@ def test_fixed_points_bits_on_the_cluster_cases():
 
 
 # ---------------------------------------------------------------------------
-# the spec parser's fast path against its per-entry path
+# the spec reader against the per-entry reader it replaced
 
 
-@pytest.fixture
-def per_entry(monkeypatch):
-    """The parser's converters with the fast path switched off."""
-    monkeypatch.setattr(cli, "_pairs_array", lambda value, rank: None)
+def _reference_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max
 
 
-def _spec_fields(spec: dict):
-    for key in ("A", "M"):
-        if key in spec:
-            yield key, cli._matrix_in, spec[key]
-    for key in ("B", "C", "a", "c"):
-        if key in spec:
-            yield key, cli._vector_in, spec[key]
+def _reference_complex(value, where: str) -> complex:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and _reference_number(value[0]) and _reference_number(value[1])):
+        raise SpecError(f"{where}: complex numbers must be [re, im] pairs of finite "
+                        f"numbers, got {value!r}")
+    return complex(value[0], value[1])
 
 
-def test_fast_path_has_the_bits_of_the_per_entry_path(monkeypatch):
-    specs = [json.loads(p.read_text()) for p in GOLDEN_SPECS]
-    fast = [[_bits(convert(value, key)) for key, convert, value in _spec_fields(spec)]
-            for spec in specs]
-    assert all(cli._pairs_array(value, 2 if convert is cli._matrix_in else 1) is not None
-               for spec in specs for _, convert, value in _spec_fields(spec)
-               if value and value != [[]])
-    monkeypatch.setattr(cli, "_pairs_array", lambda value, rank: None)
-    slow = [[_bits(convert(value, key)) for key, convert, value in _spec_fields(spec)]
-            for spec in specs]
-    assert fast == slow
+def reference_pairs(value, rank: int, where: str):
+    """The spec parser's former per-entry converters: complex(re, im) of
+    each pair, in order, each refusal naming its entry."""
+    if rank == 0:
+        return _reference_complex(value, where)
+    if rank == 1:
+        if not isinstance(value, list):
+            raise SpecError(f"{where}: expected a list of [re, im] pairs")
+        return np.array([_reference_complex(v, f"{where}[{i}]") for i, v in enumerate(value)],
+                        dtype=complex)
+    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
+        raise SpecError(f"{where}: expected a matrix of [re, im] pairs")
+    lengths = sorted({len(row) for row in value})
+    if len(lengths) > 1:
+        raise SpecError(f"{where}: rows must have equal lengths, got lengths {lengths}")
+    return np.array([[_reference_complex(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+                     for i, row in enumerate(value)], dtype=complex)
+
+
+def _read_both(value, rank: int, where: str):
+    """The reader's and the reference's result, or the message of each
+    refusal; a result is its type and bits."""
+    out = []
+    for read in (cli._pairs_in, reference_pairs):
+        try:
+            got = read(value, rank, where)
+        except SpecError as exc:
+            out.append(str(exc))
+        else:
+            out.append((type(got), _bits(got)))
+    return out
+
+
+#: the rank of each spec field
+SPEC_RANKS = {"A": 2, "M": 2, "B": 1, "C": 1, "a": 1, "c": 1, "D": 0, "lambda": 0, "b": 0}
+
+
+class _Started(Exception):
+    """Raised in place of the pipeline, to stop ``main`` once its options are read."""
+
+
+def _z0_of_main(monkeypatch, text: str):
+    """The start point ``main`` hands the pipeline for ``--z0 text``."""
+    seen = {}
+
+    def started(spec, **options):
+        seen.update(options)
+        raise _Started
+
+    monkeypatch.setattr(cli, "run_pipeline", started)
+    with pytest.raises(_Started):
+        cli.main(["semigroup", str(GOLDEN / "elliptic_u0_ball_n1.json"), "--z0", text])
+    return seen["z0"]
+
+
+def test_fast_path_has_the_bits_of_the_per_entry_path():
+    """Every field of every golden spec, the complex numbers D, lambda and
+    b too, reads to the bits and type of the per-entry reference."""
+    fields = [(key, rank, value) for p in GOLDEN_SPECS
+              for key, value in json.loads(p.read_text()).items()
+              for rank in [SPEC_RANKS.get(key)] if rank is not None]
+    assert {key for key, _, _ in fields} == set(SPEC_RANKS)
+    for key, rank, value in fields:
+        new, old = _read_both(value, rank, key)
+        assert new == old and not isinstance(new, str), key
 
 
 EXACT_PAIRS = [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1, -2], [2 ** 53 + 1, 0],
@@ -269,12 +322,13 @@ EXACT_PAIRS = [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1, -2], [2 ** 53 + 1, 0]
 @pytest.mark.parametrize("pair", EXACT_PAIRS)
 def test_fast_path_is_exact_on_signed_zeros_and_ints(pair, monkeypatch):
     vector, matrix = [pair, [0.25, 1]], [[pair, [0.25, 1]], [[1, 0], pair]]
-    fast = cli._vector_in(vector, "B"), cli._matrix_in(matrix, "A")
-    assert cli._pairs_array(vector, 1) is not None and cli._pairs_array(matrix, 2) is not None
-    monkeypatch.setattr(cli, "_pairs_array", lambda value, rank: None)
-    slow = cli._vector_in(vector, "B"), cli._matrix_in(matrix, "A")
-    assert [_bits(a) for a in fast] == [_bits(a) for a in slow]
-    assert complex(fast[0][0]) == complex(*pair)
+    for value, rank, where in [(vector, 1, "B"), (matrix, 2, "A"), (pair, 0, "D"),
+                               (pair, 0, "lambda"), (pair, 0, "b")]:
+        new, old = _read_both(value, rank, where)
+        assert new == old and not isinstance(new, str), where
+    assert cli._pairs_in(pair, 0, "D") == complex(*pair)
+    z0 = _z0_of_main(monkeypatch, json.dumps(vector))
+    assert _bits(z0) == _bits(reference_pairs(vector, 1, "--z0"))
 
 
 @pytest.mark.parametrize("entry, error", [
@@ -282,21 +336,27 @@ def test_fast_path_is_exact_on_signed_zeros_and_ints(pair, monkeypatch):
     ([0.5, "1"], r"^B\[1\]: complex numbers must be \[re, im\] pairs of finite numbers"),
     ([0.5], r"^B\[1\]: complex numbers must be"),
     ([0.5, 0.0, 0.0], r"^B\[1\]: complex numbers must be"),
-    ((0.5, 0.0), None),  # a tuple pair: the per-entry path takes it
+    ((0.5, 0.0), None),  # a tuple pair, as a library caller may give it
     ([float("nan"), 0.0], r"^B\[1\]: complex numbers must be"),
     ([10 ** 400, 0], r"^B\[1\]: complex numbers must be"),
     ([int(sys.float_info.max) + 1, 0], r"^B\[1\]: complex numbers must be"),
     ([sys.float_info.max, 0.0], None),
+    ([np.float64(0.5), -sys.float_info.max], None),
+    ([0.5, float("inf")], r"^B\[1\]: complex numbers must be"),
+    ([np.array(0.5), 0.0], r"^B\[1\]: complex numbers must be"),
+    ([np.int64(1), 0.0], r"^B\[1\]: complex numbers must be"),
 ])
 def test_fast_path_leaves_the_other_entries_to_the_per_entry_path(entry, error):
-    vector = [[0.25, 0.0], entry]
-    assert cli._pairs_array(vector, 1) is None
+    """Each entry reads as the reference reads it, or is refused with the
+    reference's message, in a vector and as a complex number alike."""
+    new, old = _read_both([[0.25, 0.0], entry], 1, "B")
+    assert new == old
     if error is None:
-        assert _bits(cli._vector_in(vector, "B")) == _bits(
-            np.array([0.25, complex(*entry)], dtype=complex))
+        assert new == (np.ndarray, _bits(np.array([0.25, complex(*entry)], dtype=complex)))
     else:
-        with pytest.raises(SpecError, match=error):
-            cli._vector_in(vector, "B")
+        assert re.match(error, new)
+    new, old = _read_both(entry, 0, "D")
+    assert new == old
 
 
 @pytest.mark.parametrize("value, error", [
@@ -306,9 +366,8 @@ def test_fast_path_leaves_the_other_entries_to_the_per_entry_path(entry, error):
     ([[[0.5, 0.0], ["x", 0.0]]], r"^A\[0\]\[1\]: complex numbers must be"),
 ])
 def test_fast_path_leaves_malformed_matrices_to_the_per_entry_path(value, error):
-    assert cli._pairs_array(value, 2) is None
-    with pytest.raises(SpecError, match=error):
-        cli._matrix_in(value, "A")
+    new, old = _read_both(value, 2, "A")
+    assert new == old and re.match(error, new)
 
 
 def test_to_jsonable_of_arrays_is_elementwise():
