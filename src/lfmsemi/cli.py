@@ -145,9 +145,11 @@ def to_jsonable(x):
     if isinstance(x, (list, tuple)):
         return [v if type(v) in _JSON_SCALARS else to_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
-        if x.ndim and x.dtype.kind in "biuf":  # the items of tolist are JSON scalars
+        if not x.ndim:
+            return to_jsonable(x.item())
+        if x.dtype.kind in "biuf":  # the items of tolist are JSON scalars
             return x.tolist()
-        if x.ndim and x.dtype.kind == "c":
+        if x.dtype.kind == "c":
             return np.stack((x.real, x.imag), axis=-1).tolist()
         return [to_jsonable(v) for v in x.tolist()]
     if isinstance(x, (complex, np.complexfloating)):

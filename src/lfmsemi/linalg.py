@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -39,8 +40,21 @@ NUMBER_KINDS = REAL_KINDS + "c"
 
 def _natural_dtype(a) -> np.dtype:
     """The dtype numpy gives *a* unprompted; O(1) for an array.  A ragged
-    nesting raises ValueError."""
-    return (a if isinstance(a, np.ndarray) else np.asarray(a)).dtype
+    nesting raises ValueError.  Lists and tuples with a bool at any depth
+    have dtype bool, though numpy reads ``[True, 0.5]`` as floats: each
+    level's set of types is tested once."""
+    if isinstance(a, np.ndarray):
+        return a.dtype
+    dtype = np.asarray(a).dtype
+    level = a if isinstance(a, (list, tuple)) else ()
+    while level:
+        types = set(map(type, level))
+        if bool in types or np.bool_ in types:
+            return np.dtype(bool)
+        if not all(issubclass(t, (list, tuple)) for t in types):
+            break
+        level = list(chain.from_iterable(level))
+    return dtype
 
 
 def _complex_array(a) -> np.ndarray:

@@ -472,14 +472,15 @@ def test_string_start_point_and_times_are_stage_errors():
     assert report["stages"]["semigroup"]["error"].startswith("entries must be numbers: ")
 
 
-@pytest.mark.parametrize("z0", [[True], [b"1"], np.array([False])])
+@pytest.mark.parametrize("z0", [[True], [b"1"], np.array([False]), [True, 0.5]])
 def test_bool_or_bytes_start_point_is_a_stage_error(z0):
     report = run_pipeline(SPEC, z0=z0, stop_after="semigroup")
     assert report["exit_status"] == EXIT_INPUT_ERROR
     assert report["stages"]["semigroup"]["error"].startswith("entries must be numbers: ")
 
 
-@pytest.mark.parametrize("t_grid", [[True, False], (False,), np.array([0.5, 1.0]).astype(str)])
+@pytest.mark.parametrize("t_grid", [[True, False], (False,), np.array([0.5, 1.0]).astype(str),
+                                    [True, 2.0]])
 def test_bool_or_string_times_are_a_stage_error(t_grid):
     report = run_pipeline(SPEC, t_grid=t_grid, stop_after="semigroup")
     assert report["exit_status"] == EXIT_INPUT_ERROR
@@ -496,8 +497,9 @@ def test_bool_or_string_times_are_a_stage_error(t_grid):
     lambda: BallMap([["0.5"]], ["0"], ["0"]),
     lambda: BallMap([[0.5]], [0], [0], True),
     lambda: SiegelMap("2", [], 0, [], []),
+    lambda: linalg.as_vector([True, 0.5]),
 ], ids=["str", "bool list", "bytes", "str matrix", "bool array", "str ball map", "bool D",
-        "str lam"])
+        "str lam", "bool among floats"])
 def test_converters_refuse_strings_bytes_and_bools(call):
     with pytest.raises(DomainError, match="^entries must be numbers: "):
         call()
@@ -505,7 +507,7 @@ def test_converters_refuse_strings_bytes_and_bools(call):
 
 def test_family_times_refuse_strings_and_bools():
     sg = build_semigroup(certify(normal_form(parse_map_spec(SPEC))))
-    for ts in (["1"], [True], np.array([b"1"])):
+    for ts in (["1"], [True], np.array([b"1"]), [True, 2.0]):
         with pytest.raises(DomainError, match="^times must be real numbers, got "):
             sg.at_many(ts)
     assert _bits(sg.at_many(np.array([1, 2])).A) == _bits(sg.at_many([1.0, 2.0]).A)

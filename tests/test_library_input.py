@@ -13,7 +13,8 @@
   included) is refused by ``SamplerCfg`` and the samplers with the rule
   ``run_pipeline`` applies to its seed;
 - ``run_pipeline`` reports a malformed start point or time grid as an
-  error of the semigroup stage, exit 3.
+  error of the semigroup stage, exit 3, and a 0-d array in a spec as an
+  input error, which the report's input echo survives.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lfmsemi import linalg
+from lfmsemi import cli, linalg
 from lfmsemi.cli import EXIT_INPUT_ERROR, parse_map_spec, run_pipeline
 from lfmsemi.embedding import EMBEDDABLE, build_semigroup, certify, generator
 from lfmsemi.errors import DimensionError, DomainError, LfmError
@@ -144,6 +145,15 @@ def test_malformed_start_point_is_a_semigroup_stage_error(z0, error):
     stage = report["stages"]["semigroup"]
     assert stage["status"] == "error" and stage["error"].startswith(error)
     assert report["stages"]["verify"] == {"status": "skipped"}
+    assert report["exit_status"] == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("d", [[np.array(1.0), 0.0], np.array(1 + 0j), [0.0, np.array(True)]])
+def test_array_spec_number_is_an_input_error(d):
+    """A 0-d array is not a spec number; the report still echoes it."""
+    report = run_pipeline({**SPEC, "D": d})
+    assert report["error"].startswith("D: complex numbers must be [re, im] pairs")
+    assert report["input"]["D"] == json.loads(json.dumps(cli.to_jsonable(d)))
     assert report["exit_status"] == EXIT_INPUT_ERROR
 
 
