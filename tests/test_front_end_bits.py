@@ -326,7 +326,6 @@ def test_fast_path_is_exact_on_signed_zeros_and_ints(pair, monkeypatch):
                                (pair, 0, "lambda"), (pair, 0, "b")]:
         new, old = _read_both(value, rank, where)
         assert new == old and not isinstance(new, str), where
-    assert cli._pairs_in(pair, 0, "D") == complex(*pair)
     z0 = _z0_of_main(monkeypatch, json.dumps(vector))
     assert _bits(z0) == _bits(reference_pairs(vector, 1, "--z0"))
 
