@@ -862,15 +862,17 @@ def fixed_points(f: BallMap) -> FixedPoints:
     eigenvalue (the anchor), the prefixes of its k nearest eigenvalues
     whose farthest member lies within (c eps scale)^(1/k)
     max(1, scale)^(1 - 1/k) of it, c = ``_JORDAN_SPLIT_FACTOR``, are the
-    candidate clusters; a singleton is shifted by its own eigenvalue.  All
-    shifted matrices go through one stacked SVD.  In ascending anchor
-    order the largest singular prefix without a used eigenvalue is the
-    cluster, and its kernel the eigenvectors; an anchor none of whose
-    prefixes is singular is used alone.  So an earlier anchor without an
-    exact twin is used before a later anchor's turn, and the stack leaves
-    out the later prefixes that hold one.  Of the candidate points in the
-    closed ball, those with |f(p) - p| <= 1e-9 (``_FIXED_POINT_TOL``) are
-    kept.
+    candidate clusters; a singleton is shifted by its own eigenvalue.  An
+    anchor without an exact twin is used by the end of its turn, so each
+    anchor's sizes stop at its stop index, the position of the first such
+    earlier anchor in its order.  The tried (anchor, size) pairs, in
+    ascending anchor order and largest size first, go through one stacked
+    SVD.  One pass over its rows takes each anchor's first singular row
+    whose prefix holds no used eigenvalue as the cluster, and its kernel
+    as the eigenvectors; an anchor whose size-1 row, always its last,
+    fails is used alone.  One pass over the candidate points keeps those
+    in the closed ball with |f(p) - p| <= 1e-9 (``_FIXED_POINT_TOL``) that
+    lie more than 1e-7 from every point kept before.
     """
     proj = to_proj(f)
     m, n = proj.mat, len(proj.mat)
@@ -885,70 +887,52 @@ def fixed_points(f: BallMap) -> FixedPoints:
     dist = np.abs(eigs[anchors, None] - eigs[None, :])
     order = np.argsort(dist, axis=1).tolist()
     dist = dist.tolist()
-    # an anchor without an exact twin is used by the end of its turn, so a
-    # later anchor's prefix that holds it is never tried
+    # the tried (anchor, size) pairs: sizes up to the stop index whose
+    # farthest member lies within the Jordan split, largest first
     settled = [r > 1e-12 * scale and values.count(v) == 1 for r, v in zip(moduli, values)]
-    # the tried prefixes (anchor, size), anchor by anchor and from size n
-    # down to 1: those whose farthest member lies within the Jordan split of
-    # that size and that hold no settled earlier anchor
-    tried, first = [], [0]  # anchor a's rows are tried[first[a]:first[a + 1]]
+    tried = []
     for a, i in enumerate(anchors):
-        reach, sizes = dist[a], []
-        for k, j in enumerate(order[a], 1):
-            if settled[j] and j < i:
-                break
-            if reach[j] <= split[k - 1]:
-                sizes.append(k)
-        tried.extend((a, k) for k in reversed(sizes))
-        first.append(len(tried))
+        near = order[a]
+        stop = next((k for k, j in enumerate(near) if settled[j] and j < i), n)
+        tried.extend((a, k) for k in range(stop, 0, -1) if dist[a][near[k - 1]] <= split[k - 1])
     shifts = eigs[[anchors[a] for a, _ in tried]]
     for r, (a, k) in enumerate(tried):
         if k > 1:
             shifts[r] = eigs[order[a][:k]].sum() / k  # np.mean's own sum and divide
     _, svals, vh = np.linalg.svd(m - shifts[:, None, None] * np.eye(n))
-    svals = svals.tolist()
     blocks = [np.zeros((0, n), dtype=complex)]
-    used = set()
-    for a, i in enumerate(anchors):
-        if i in used:
+    used, done = set(), None  # done: the anchor whose cluster was taken last
+    for r, ((a, k), sv) in enumerate(zip(tried, svals.tolist())):
+        if a == done or anchors[a] in used:
             continue
-        r = next((r for r in range(first[a], first[a + 1])
-                  if svals[r][-1] <= 1e-10 * max(1.0, svals[r][0])
-                  and used.isdisjoint(order[a][:tried[r][1]])), None)
-        if r is None:
-            used.add(i)
-            continue
-        used.update(order[a][:tried[r][1]])
-        # the singular values descend, so those in the kernel are a suffix
-        cut = 1e-8 * max(1.0, svals[r][0])
-        blocks.append(vh[r, n - sum(sv <= cut for sv in svals[r]):].conj())
-        if len(blocks[-1]) >= 2:
-            rep = _nearest_kernel_point(np.ascontiguousarray(blocks[-1].T))  # kernel columns
-            if rep is not None:
-                blocks.append(rep[None])
+        cluster = order[a][:k]
+        if sv[-1] <= 1e-10 * max(1.0, sv[0]) and used.isdisjoint(cluster):
+            done = a
+            used.update(cluster)
+            # the singular values descend, so those in the kernel are a suffix
+            cut = 1e-8 * max(1.0, sv[0])
+            blocks.append(vh[r, n - sum(s <= cut for s in sv):].conj())
+            if len(blocks[-1]) >= 2:
+                rep = _nearest_kernel_point(np.ascontiguousarray(blocks[-1].T))  # kernel columns
+                if rep is not None:
+                    blocks.append(rep[None])
+        elif k == 1:  # the anchor's last row: it is used alone
+            used.add(anchors[a])
     v = np.concatenate(blocks)
     tau = v[:, -1]
     finite = np.abs(tau) > 1e-9 * np.abs(v).max(axis=1, initial=0.0)  # else at infinity
     points = v[finite, :-1] / tau[finite, None]
-    radii = np.linalg.norm(points, axis=1)
     tol = _FIXED_POINT_TOL
-    inside = radii < 1.0 + tol
-    points, radii = points[inside], radii[inside].tolist()
-    fixed = [_frobenius(f(p) - p) <= tol for p in points]
-    points = points[fixed]
-    radii = [r for r, ok in zip(radii, fixed) if ok]
-    keys = np.concatenate([points.real, points.imag], axis=1).round(10).tolist()
     interior, boundary, kept = [], [], []
-    for p, r, key in zip(points, radii, keys):
-        if any(_frobenius(p - q) <= 1e-7 for q in kept):
-            continue
-        kept.append(p)
-        (interior if r < 1.0 - tol else boundary).append((key, p))
+    for p, r in zip(points, np.linalg.norm(points, axis=1).tolist()):
+        if r < 1.0 + tol and _frobenius(f(p) - p) <= tol \
+                and not any(_frobenius(p - q) <= 1e-7 for q in kept):
+            kept.append(p)
+            (interior if r < 1.0 - tol else boundary).append(p)
     if not kept:
         raise NumericError("no fixed point found in the closed ball")
-    by_key = lambda item: item[0]
-    return FixedPoints([p for _, p in sorted(interior, key=by_key)],
-                       [p for _, p in sorted(boundary, key=by_key)], proj, eigs)
+    by_key = lambda p: np.concatenate([p.real, p.imag]).round(10).tolist()
+    return FixedPoints(sorted(interior, key=by_key), sorted(boundary, key=by_key), proj, eigs)
 
 
 def _nearest_kernel_point(basis: np.ndarray):
@@ -990,8 +974,6 @@ def classify(f: BallMap) -> Classification:
         j = int(np.argmin(np.abs(eigs - mu)))
         return Classification(ELLIPTIC, interior, boundary,
                               multipliers=np.delete(eigs, j) / eigs[j])
-    if not boundary:
-        raise NumericError("map without interior fixed points has no boundary fixed point")
     deltas = [_dilation(f, w) for w in boundary]
     dw, delta = boundary[int(np.argmin(deltas))], min(deltas)
     if abs(delta - 1.0) <= PARABOLIC_DELTA_TOL:

@@ -140,18 +140,46 @@ def test_workload_cycles_match_the_prefix_search():
         _assert_same_bits(_ball_map(spec))
 
 
+def _stacked_prefixes(f) -> int:
+    """The number of prefixes the stacked SVD of f should hold: for each
+    anchor (an eigenvalue of modulus above 1e-12 of the largest), the
+    prefixes of its nearest eigenvalues whose farthest member lies within
+    the Jordan split of their size and that hold no settled earlier anchor
+    (one without an exact twin, which is used by the end of its turn)."""
+    eigs = schur_form(to_proj(f).mat).eigenvalues
+    n, scale = len(eigs), float(np.max(np.abs(eigs)))
+    anchors = np.flatnonzero(np.abs(eigs) > 1e-12 * scale)
+    settled = [abs(x) > 1e-12 * scale and np.sum(eigs == x) == 1 for x in eigs]
+    inverse = 1.0 / np.arange(1, n + 1)
+    split = ((maps._JORDAN_SPLIT_FACTOR * np.finfo(float).eps * scale) ** inverse
+             * max(1.0, scale) ** (1.0 - inverse))
+    dist = np.abs(eigs[anchors, None] - eigs[None, :])
+    count = 0
+    for i, reach, near in zip(anchors, dist, np.argsort(dist, axis=1)):
+        for k in range(1, n + 1):
+            if any(settled[j] and j < i for j in near[:k]):
+                break
+            count += bool(reach[near[k - 1]] <= split[k - 1])
+    return count
+
+
 def test_one_stacked_svd(monkeypatch):
+    """One SVD per map, whose stack holds exactly the prefixes within the
+    Jordan split that hold no settled earlier anchor: on the workload
+    cycles that pruning leaves rows out of the stack on many maps."""
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a.shape)
                         or svd(a, *args, **kw))
-    for path in GOLDEN_SPECS:
-        f = _ball_map(json.loads(path.read_text()))
+    specs = [json.loads(path.read_text()) for path in GOLDEN_SPECS] + _workload_specs()
+    assert len(specs) == 34 + 138
+    for spec in specs:
+        f = _ball_map(spec)
         before = len(calls)
         fixed_points(f)
         assert len(calls) == before + 1
         n = f.dim + 1
-        assert calls[-1][1:] == (n, n) and 1 <= calls[-1][0] <= n * n
+        assert calls[-1] == (_stacked_prefixes(f), n, n)
 
 
 # ---------------------------------------------------------------------------
