@@ -323,12 +323,21 @@ def _default_start(sg) -> np.ndarray:
     return z
 
 
+def _errors(report) -> list:
+    """The input error, or the error of the stage that stopped the run, as
+    one line each; empty when neither stopped it."""
+    if "error" in report:
+        return [f"input error: {report['error']}"]
+    return [f"stage {name} error: {entry['error']}"
+            for name, entry in report["stages"].items() if entry["status"] == "error"]
+
+
 def _exit_status(report) -> int:
     """3 on an input or stage error, else the verdict's code (0 for a run
     stopped before ``embed``), and 2 for an embeddable map whose checks failed."""
-    stages = report["stages"]
-    if "error" in report or any(entry["status"] == "error" for entry in stages.values()):
+    if _errors(report):
         return EXIT_INPUT_ERROR
+    stages = report["stages"]
     verdict = stages.get("embed", {}).get("verdict", EMBEDDABLE)
     if verdict == CONDITION_FAILS:
         return EXIT_CONDITION_FAILS
@@ -352,17 +361,6 @@ def emit_trajectory(sg, z0, t_grid) -> list:
         raise SpecError("trajectory time grid must be non-decreasing")
     images = np.ascontiguousarray(sg.at_many(ts)(z0), dtype=complex)
     return np.column_stack([ts, images.view(np.float64)]).tolist()
-
-
-def _no_trajectory_reason(report) -> str:
-    """Why a report has no trajectory: the semigroup stage's skip reason,
-    the input error, or the stage error that stopped the pipeline."""
-    if "reason" in report["stages"]["semigroup"]:
-        return report["stages"]["semigroup"]["reason"]
-    if "error" in report:
-        return f"input error: {report['error']}"
-    return next(f"stage {name} error: {entry['error']}"
-                for name, entry in report["stages"].items() if entry.get("status") == "error")
 
 
 def trajectory_csv(rows, dim: int) -> str:
@@ -408,8 +406,6 @@ def _dump_report(report, path):
 
 def _human_summary(report) -> str:
     lines = []
-    if "error" in report:
-        lines.append(f"input error: {report['error']}")
     stages = report["stages"]
     cls = stages.get("classify", {})
     if cls.get("status") == "ok":
@@ -433,9 +429,7 @@ def _human_summary(report) -> str:
             lines.append(f"  check {chk['check_id']}: {status} "
                          f"(worst margin {chk['worst_margin']:.3e})")
         lines.append(f"verification: {'all passed' if ver['all_passed'] else 'FAILED'}")
-    for name, entry in stages.items():
-        if entry.get("status") == "error":
-            lines.append(f"stage {name} error: {entry['error']}")
+    lines += _errors(report)
     lines.append(f"exit status: {report['exit_status']}")
     return "\n".join(lines) + "\n"
 
@@ -490,12 +484,14 @@ def main(argv=None) -> int:
         report = run_pipeline(spec_obj, seed=args.seed, tol_profile=args.tol_profile,
                               t_grid=t_grid, z0=z0, stop_after=args.stop_after)
         if getattr(args, "csv", None):
-            semi = report["stages"].get("semigroup", {})
-            if semi.get("status") == "ok":
+            semi = report["stages"]["semigroup"]
+            if semi["status"] == "ok":
                 _write_text(args.csv, trajectory_csv(semi["trajectory"],
                                                      len(semi["trajectory_start"])), "--csv")
-            else:
-                sys.stderr.write(f"trajectory CSV not written: {_no_trajectory_reason(report)}\n")
+            else:  # the skip reason, or the error that stopped the run
+                reason = semi.get("reason") or _errors(report)[0]
+                sys.stderr.write(f"trajectory CSV not written: {reason}\n")
+        sys.stderr.writelines(line + "\n" for line in _errors(report))
         if args.output:
             _dump_report(report, args.output)
     except SpecError as exc:

@@ -58,6 +58,20 @@ HALF_SCALING_2D = {
 }
 
 
+# the dim-1 Siegel map z -> lam z + 0.3 + i with lam = 1 + 1e-7, in the dead
+# band of fixed_points: its classification is a stage error
+DEAD_BAND = {"domain": "siegel", "dimension": 1, "lambda": [1.0000001, 0], "b": [0.3, 1.0]}
+
+
+def _run_process(argv):
+    """``python -m lfmsemi.cli`` on argv in a fresh process, output as text."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "lfmsemi.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture
 def spec_path(tmp_path):
     path = tmp_path / "map.json"
@@ -152,15 +166,31 @@ class TestInputErrorExits:
                                       ["report", "{spec}", "--output", "{missing}/r.json"]],
                              ids=["no_spec", "negative_seed", "output"])
     def test_process_exit_status(self, spec_path, tmp_path, args):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         argv = [a.format(spec=spec_path, missing=tmp_path / "missing") for a in args]
-        proc = subprocess.run([sys.executable, "-m", "lfmsemi.cli"] + argv, env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = _run_process(argv)
         assert proc.returncode == EXIT_INPUT_ERROR
         assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("spec,line", [
+        ({**HALF_SCALING_2D, "B": [[True, 0.0], [0.0, 0.0]]},
+         "input error: B[0]: complex numbers must be [re, im] pairs of finite numbers, "
+         "got [True, 0.0]"),
+        (DEAD_BAND, "stage classify error: no fixed point found in the closed ball"),
+    ], ids=["malformed_spec", "dead_band"])
+    @pytest.mark.parametrize("output", [[], ["--output", "-"]], ids=["summary", "json_report"])
+    def test_process_error_on_stderr(self, tmp_path, spec, line, output):
+        """A run that exits 3 writes its input or stage error to stderr as
+        one line; stdout holds the summary, or the JSON report alone."""
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(spec))
+        proc = _run_process(["report", str(path)] + output)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert proc.stderr == line + "\n"
+        if output:
+            assert json.loads(proc.stdout)["exit_status"] == EXIT_INPUT_ERROR
+        else:
+            assert proc.stdout == f"{line}\nexit status: 3\n"
 
     @pytest.mark.parametrize("content,option", [(b"\xff\xfe{", None),
                                                 (b'{"dimension": 1' + b"0" * 5000 + b"}", None),
@@ -213,7 +243,10 @@ class TestCsvWithoutTrajectory:
         spec_path.write_text(json.dumps({**DISK_AUT, "D": [0.0, 0.0]}))
         code = cli.main(["semigroup", str(spec_path), "--csv", str(csv_path)])
         assert code == EXIT_INPUT_ERROR and not csv_path.exists()
-        assert capsys.readouterr().err.startswith("trajectory CSV not written: input error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("trajectory CSV not written: input error: ")
+        notice, line = err.splitlines()  # the error's own line follows the notice
+        assert notice == f"trajectory CSV not written: {line}"
 
 
 class TestNegativeTimes:
