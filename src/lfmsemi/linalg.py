@@ -42,7 +42,8 @@ def _natural_dtype(a) -> np.dtype:
     """The dtype numpy gives *a* unprompted; O(1) for an array.  A ragged
     nesting raises ValueError.  Lists and tuples with a bool at any depth
     have dtype bool, though numpy reads ``[True, 0.5]`` as floats: each
-    level's set of types is tested once."""
+    level's set of types is tested once, and at the level where the scan
+    stops, a bool array among the entries makes the dtype bool too."""
     if isinstance(a, np.ndarray):
         return a.dtype
     dtype = np.asarray(a).dtype
@@ -52,6 +53,9 @@ def _natural_dtype(a) -> np.dtype:
         if bool in types or np.bool_ in types:
             return np.dtype(bool)
         if not all(issubclass(t, (list, tuple)) for t in types):
+            if any(issubclass(t, np.ndarray) for t in types) and any(
+                    isinstance(x, np.ndarray) and x.dtype.kind == "b" for x in level):
+                return np.dtype(bool)
             break
         level = list(chain.from_iterable(level))
     return dtype

@@ -497,8 +497,11 @@ def test_bool_or_string_times_are_a_stage_error(t_grid):
     lambda: BallMap([[0.5]], [0], [0], True),
     lambda: SiegelMap("2", [], 0, [], []),
     lambda: linalg.as_vector([True, 0.5]),
+    lambda: linalg.as_vector([np.array(True), 0.5]),
+    lambda: linalg.as_matrix([np.array([True]), np.array([0.5])]),
 ], ids=["str", "bool list", "bytes", "str matrix", "bool array", "str ball map", "bool D",
-        "str lam", "bool among floats"])
+        "str lam", "bool among floats", "0-d bool array among floats",
+        "bool array row among float rows"])
 def test_converters_refuse_strings_bytes_and_bools(call):
     with pytest.raises(DomainError, match="^entries must be numbers: "):
         call()
@@ -506,7 +509,7 @@ def test_converters_refuse_strings_bytes_and_bools(call):
 
 def test_family_times_refuse_strings_and_bools():
     sg = build_semigroup(certify(normal_form(parse_map_spec(SPEC))))
-    for ts in (["1"], [True], np.array([b"1"]), [True, 2.0]):
+    for ts in (["1"], [True], np.array([b"1"]), [True, 2.0], [np.array(True), 1.0]):
         with pytest.raises(DomainError, match="^times must be real numbers, got "):
             sg.at_many(ts)
     assert _bits(sg.at_many(np.array([1, 2])).A) == _bits(sg.at_many([1.0, 2.0]).A)
