@@ -9,7 +9,8 @@ and seeds produce byte-identical bytes.
 Exit codes: 0 embeddable and verified, 1 criterion definitively fails,
 2 inconclusive (or verification failed), 3 input error (a usage error, a
 negative seed, an unwritable ``--output`` or ``--csv`` path) or stage
-error (for example ``no fixed point found in the closed ball``).
+error (for example ``no fixed point found in the closed ball``), each
+also written to stderr as one line.
 """
 
 from __future__ import annotations
@@ -483,15 +484,15 @@ def main(argv=None) -> int:
             z0 = _pairs_in(_json_option(args.z0, "--z0"), 1, "--z0")
         report = run_pipeline(spec_obj, seed=args.seed, tol_profile=args.tol_profile,
                               t_grid=t_grid, z0=z0, stop_after=args.stop_after)
+        errors = _errors(report)
         if getattr(args, "csv", None):
             semi = report["stages"]["semigroup"]
             if semi["status"] == "ok":
                 _write_text(args.csv, trajectory_csv(semi["trajectory"],
                                                      len(semi["trajectory_start"])), "--csv")
             else:  # the skip reason, or the error that stopped the run
-                reason = semi.get("reason") or _errors(report)[0]
-                sys.stderr.write(f"trajectory CSV not written: {reason}\n")
-        sys.stderr.writelines(line + "\n" for line in _errors(report))
+                sys.stderr.write(f"trajectory CSV not written: {semi.get('reason') or errors[0]}\n")
+        sys.stderr.writelines(line + "\n" for line in errors)
         if args.output:
             _dump_report(report, args.output)
     except SpecError as exc:
