@@ -9,7 +9,8 @@ says on stderr why no CSV was written, ``--tol-profile strict``
 reaches the verification, report values keep their JSON types, an
 unknown tolerance profile, last stage or a negative seed is a SpecError
 before the spec is parsed, a spec matrix with ragged rows is an input error
-naming its field, and usage errors and unwritable output paths exit 3."""
+naming its field, usage errors and unwritable output paths exit 3, and a
+run that exits 3 writes its input or stage error to stderr."""
 
 import json
 import os
