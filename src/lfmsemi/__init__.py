@@ -10,7 +10,6 @@ from .embedding import (
     SemigroupFamily,
     build_semigroup,
     certify,
-    embed_automorphism,
     embed_dim2,
     embed_elliptic_split,
     embed_elliptic_u0,

@@ -651,18 +651,6 @@ def is_automorphism(f: BallMap) -> bool:
     return bool(c > 0 and np.linalg.norm(s - c * j) <= 1e-8 * np.linalg.norm(s))
 
 
-def embed_automorphism(f: BallMap) -> EmbeddingCertificate:
-    """Automorphisms always embed; chooses the constructor by class."""
-    if not is_automorphism(f):
-        raise DomainError("map is not an automorphism of the ball")
-    cert = embed_map(f)
-    if cert.verdict != EMBEDDABLE:
-        raise NumericError(
-            f"automorphism unexpectedly failed its criterion: {cert.notes}"
-        )
-    return dataclasses.replace(cert, criterion_id="automorphism_" + cert.criterion_id)
-
-
 def embed_map(f: BallMap) -> EmbeddingCertificate:
     """Classify and normalize f and run the embedding criterion of its case."""
     return certify(normal_form(f))

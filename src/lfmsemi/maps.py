@@ -23,12 +23,12 @@ public builders, :func:`compose`, :func:`inverse`, :func:`conjugate` and
 :class:`SiegelMap` checks no self-map property).  Four kinds of map skip
 it, built by :func:`_trusted_ball_map` with the constructor's bits.  The
 automorphisms of :func:`ball_automorphism`, from their closed form: near
-the sphere the test's relative margin is rounding alone.  The
-intermediate maps of a reduction, which the library only reads or
-evaluates: a change of variable (a unitary, or the automorphism that
-centres a fixed point) kept as a :class:`ProjMap` (:func:`_change_of_variable`),
-and a map conjugated by one (:func:`conjugate` with ``checked=False``).  The
-split normal map, which its reducer proves a self-map
+the sphere the test's relative margin is rounding alone; a reduction
+centres a fixed point with one.  The intermediate maps of a reduction,
+which the library only reads or evaluates: a unitary change of variable
+kept as a :class:`ProjMap` (:func:`_change_of_variable`), and a map
+conjugated by a change of variable (:func:`conjugate` with
+``checked=False``).  The split normal map, which its reducer proves a self-map
 (:func:`~lfmsemi.normal_forms.split_normal_map`).  And the maps of a ball
 family whose generator proves them all (:func:`_require_ball_flow`).
 
@@ -552,14 +552,14 @@ def ball_automorphism(a) -> BallMap:
     return _trusted_ball_map(*_automorphism_fields(a))
 
 
-def _change_of_variable(a, b=None, c=None) -> ProjMap:
-    """The homogeneous matrix of ``BallMap(a, b, c)`` (B and C zero when not
-    given), with its bits and without its self-map check.  It serves the
-    unitaries and automorphisms the library builds only to conjugate by and
-    to record in a conjugation chain: a :class:`ProjMap` claims no self-map
-    property, so there is nothing to check."""
-    zeros = np.zeros(len(a))
-    return _trusted_ball_map(a, zeros if b is None else b, zeros if c is None else c).to_proj()
+def _change_of_variable(u) -> ProjMap:
+    """The homogeneous matrix of the unitary map ``BallMap(u, 0, 0)``, with
+    its bits and without its self-map check.  It serves the unitaries the
+    library builds only to conjugate by and to record in a conjugation
+    chain: a :class:`ProjMap` claims no self-map property, so there is
+    nothing to check."""
+    zeros = np.zeros(len(u))
+    return _trusted_ball_map(u, zeros, zeros).to_proj()
 
 
 # ---------------------------------------------------------------------------
@@ -687,13 +687,6 @@ def heisenberg_map(gamma, beta) -> SiegelMap:
     gamma = as_vector(gamma)
     k = len(gamma)
     return SiegelMap(1.0, gamma.copy(), beta, np.eye(k), gamma.copy())
-
-
-def siegel_unitary_map(v) -> SiegelMap:
-    """(z, w) -> (z, V w) for unitary V on the w-block."""
-    v = as_matrix(v, square=True)
-    k = v.shape[0]
-    return SiegelMap(1.0, np.zeros(k), 0.0, v, np.zeros(k))
 
 
 def _siegel_images(zs, lam, a, b, m, c) -> np.ndarray:

@@ -10,13 +10,14 @@ composition s (first element applied first) satisfies
 There are four cases, one per ``FORM_*`` kind.  :func:`normal_form` is
 the one place that branches on a :class:`~lfmsemi.maps.Classification`
 to pick the reducer; the reducers take the caller's classification,
-with its unitary index, instead of classifying again.  Each case builds
-its normal map with one builder (:func:`split_normal_map`, unchecked as
-its reducer proves it a self-map, :func:`u0_normal_map`, checked,
-:func:`siegel_normal_map`); the semigroup families of
-:mod:`lfmsemi.embedding` are built from their generators instead.  A
-fifth case adds its reducer and builder here, its branch in
-:func:`normal_form`, and its row in ``embedding._CASES``.
+with its unitary index, instead of classifying again.  The two elliptic
+reducers centre the map with :func:`~lfmsemi.maps.ball_automorphism`
+(:func:`_centered`).  Each case builds its normal map with one builder
+(:func:`split_normal_map`, unchecked as its reducer proves it a
+self-map, :func:`u0_normal_map`, checked, :func:`siegel_normal_map`);
+the semigroup families of :mod:`lfmsemi.embedding` are built from their
+generators instead.  A fifth case adds its reducer and builder here, its
+branch in :func:`normal_form`, and its row in ``embedding._CASES``.
 
 Block conventions on the Siegel side: the w-coordinates of an affine
 self-map split into a u-block (block matrix eigenvalue 1), a v-block
@@ -49,11 +50,11 @@ from .maps import (
     PARABOLIC,
     ProjMap,
     SiegelMap,
-    _automorphism_fields,
     _change_of_variable,
     _siegel_chain,
     _siegel_proj,
     _trusted_ball_map,
+    ball_automorphism,
     classify,
     conjugate,
     pointwise_distance,
@@ -181,16 +182,20 @@ def _classified(f: BallMap, cls: Optional[Classification]) -> Classification:
 
 def _centered(f: BallMap, cls: Optional[Classification]):
     """Classify f unless the caller has, and move its first interior fixed
-    point to the origin; returns (classification, map, chain).  The
-    centred map is only read, so it skips the self-map check."""
+    point to the origin with :func:`~lfmsemi.maps.ball_automorphism`;
+    returns (classification, map, chain).  The centred map is only read,
+    so it skips the self-map check, and its translation must vanish."""
     cls = _classified(f, cls)
     if not cls.interior_fixed_points:
         raise DomainError("map has no interior fixed point")
     z0 = cls.interior_fixed_points[0]
     if np.linalg.norm(z0) < 1e-12:
-        return cls, f, []
-    mover = _change_of_variable(*_automorphism_fields(z0))
-    return cls, conjugate(f, mover, checked=False), [mover]
+        g, chain = f, []
+    else:
+        mover = ball_automorphism(z0).to_proj()
+        g, chain = conjugate(f, mover, checked=False), [mover]
+    _require(float(np.linalg.norm(g.B)), SNAP_TOL, "residual translation after centering")
+    return cls, g, chain
 
 
 def elliptic_split(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
@@ -200,7 +205,6 @@ def elliptic_split(f: BallMap, cls: Optional[Classification] = None) -> NormalFo
     u = cls.unitary_index
     if u == 0:
         raise WrongFormError("unitary index is 0; use elliptic_u0 instead")
-    _require(float(np.linalg.norm(g.B)), SNAP_TOL, "residual translation after centering")
     _require(float(np.linalg.norm(g.C)), SNAP_TOL,
              "denominator part of a unitary-index >= 1 elliptic map")
     form, lam, a1 = _unimodular_split(g.A)
@@ -232,7 +236,6 @@ def elliptic_u0(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     cls, g, chain = _centered(f, cls)
     if cls.unitary_index > 0:
         raise WrongFormError("unitary index is positive; use elliptic_split instead")
-    _require(float(np.linalg.norm(g.B)), SNAP_TOL, "residual translation after centering")
     v = np.linalg.solve(g.A.conj().T - np.eye(f.dim), g.C)
     delta = float(np.linalg.norm(v))
     if delta > 1.0 + 1e-9:

@@ -17,7 +17,6 @@ from lfmsemi import cli, embedding as emb, linalg, maps, normal_forms, verify
 from lfmsemi.embedding import (
     EMBEDDABLE,
     build_semigroup,
-    embed_automorphism,
     embed_dim2,
     embed_elliptic_split,
     embed_elliptic_u0,
@@ -324,7 +323,10 @@ def _corpus(rng):
                           math.sqrt(lam) * np.diag([np.exp(1j * rng.uniform(0.2, 6.0))]),
                           np.zeros(1))
             f = cayley_to_ball(g)
-        yield "automorphism", embed_automorphism(f)
+        assert emb.is_automorphism(f)
+        cert = embed_map(f)
+        assert cert.verdict == EMBEDDABLE, cert.notes  # automorphisms always embed
+        yield "automorphism", cert
 
 
 def test_criterion_6_semigroup_constructor_corpus():

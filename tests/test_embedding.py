@@ -11,7 +11,6 @@ from lfmsemi.embedding import (
     EMBEDDABLE,
     INCONCLUSIVE,
     build_semigroup,
-    embed_automorphism,
     embed_dim2,
     embed_elliptic_split,
     embed_elliptic_u0,
@@ -19,6 +18,7 @@ from lfmsemi.embedding import (
     embed_map,
     embed_parabolic,
     generator,
+    is_automorphism,
     log_candidates,
 )
 from lfmsemi.errors import DomainError
@@ -475,12 +475,15 @@ class TestEmbedDim2:
 
 
 class TestEmbedAutomorphism:
+    """Automorphisms always embed: ``embed_map`` on one of each class."""
+
     def test_unitary(self):
         rng = np.random.default_rng(19)
         q, _ = np.linalg.qr(random_complex(rng, 2, 2))
         q = q * (np.diag(np.linalg.qr(random_complex(rng, 2, 2))[1]) / 1).real ** 0
         f = unitary_ball_map(q)
-        cert = embed_automorphism(f)
+        assert is_automorphism(f)
+        cert = embed_map(f)
         assert cert.verdict == EMBEDDABLE
         sg = build_semigroup(cert)
         zs = sample_ball_points(2, 50)
@@ -490,7 +493,8 @@ class TestEmbedAutomorphism:
         gamma = np.array([0.3])
         g = heisenberg_map(gamma, 1j * 0.09 + 0.4)
         f = cayley_to_ball(g)
-        cert = embed_automorphism(f)
+        assert is_automorphism(f)
+        cert = embed_map(f)
         assert cert.verdict == EMBEDDABLE
         sg = build_semigroup(cert)
         zs = sample_siegel_points(2, 40)
@@ -501,15 +505,12 @@ class TestEmbedAutomorphism:
 
     def test_disk_hyperbolic_automorphism(self):
         f = BallMap([[1.0]], [0.5], [0.5], 1.0)
-        cert = embed_automorphism(f)
+        assert is_automorphism(f)
+        cert = embed_map(f)
         assert cert.verdict == EMBEDDABLE
         sg = build_semigroup(cert)
         zs = sample_siegel_points(1, 50)
         assert pointwise_distance(sg.at(1.0), cert.target, zs) < 1e-8
-
-    def test_non_automorphism_rejected(self):
-        with pytest.raises(DomainError):
-            embed_automorphism(linear_ball_map(np.eye(2) / 2))
 
 
 class TestBuildSemigroup:

@@ -27,7 +27,6 @@ from lfmsemi.maps import (
     heisenberg_map,
     sample_ball_points,
     siegel_map_from_proj,
-    siegel_unitary_map,
     unitary_ball_map,
 )
 from lfmsemi.normal_forms import (
@@ -421,7 +420,8 @@ def two_move_hyperbolic_normal_form(f):
     sq = np.sqrt(lam)
     w, p, q, r, d_diag, a_block = _split_blocks(s.M / sq)
     if s.M.shape[0]:
-        s, chain = _moved(s, chain, siegel_unitary_map(w))
+        k = len(w)
+        s, chain = _moved(s, chain, SiegelMap(1.0, np.zeros(k), 0.0, w, np.zeros(k)))
     gamma = np.zeros(p + q + r, dtype=complex)
     if p:
         gamma[:p] = s.c[:p] / (sq - 1.0)

@@ -3,10 +3,11 @@
 Every ball map the library hands out passes the exact self-map test of
 :class:`~lfmsemi.maps.BallMap`.  Four kinds of map skip it, built by
 ``maps._trusted_ball_map``.  The automorphisms of ``ball_automorphism``,
-built from their closed form.  The intermediate maps of a reduction, which
-the library only reads or evaluates: a change of variable built to
-conjugate by and to record in a chain (a unitary, or the automorphism that
-centres a fixed point), kept as a ``ProjMap``, and a map conjugated by one.
+built from their closed form, among them the one that centres a fixed
+point in a reduction.  The intermediate maps of a reduction, which the
+library only reads or evaluates: a unitary built to conjugate by and to
+record in a chain, kept as a ``ProjMap``, and a map conjugated by a change
+of variable.
 The split normal map, whose reducer proves |Lambda_j| = 1 and
 ||A1|| <= 1 + 1e-10.  And the maps of a ball family whose generator has a
 flow margin >= 0, self-maps by Nagumo's theorem; a margin within the
@@ -42,7 +43,8 @@ GOLDEN_SPECS = sorted(p for p in (ROOT / "tests" / "golden").rglob("*.json")
                       if not p.name.endswith(".report.json"))
 
 #: the sites that build a trusted map, by the name of the calling function
-SITES = {"_change_of_variable", "conjugate", "_ball_flow", "split_normal_map"}
+SITES = {"ball_automorphism", "_change_of_variable", "conjugate", "_ball_flow",
+         "split_normal_map"}
 
 
 def _fields(f):
