@@ -349,16 +349,18 @@ def _exit_status(report) -> int:
 
 def emit_trajectory(sg, z0, t_grid) -> list:
     """Rows [t, re_1, im_1, ...] of at(t)(z0) as lists of Python floats;
-    t must be non-decreasing and >= 0.  The family is built on the whole
-    grid with one ``at_many``, whose call checks z0 once (its dimension
+    t must be non-decreasing and >= 0.  The grid is read once, into a 1-d
+    array for one ``at_many``, whose call checks z0 once (its dimension
     first, then the domain) and the denominator at every time."""
     try:
-        if _natural_dtype(t_grid).kind not in REAL_KINDS:  # float() takes a string or a bool
+        if _natural_dtype(t_grid).kind not in REAL_KINDS:  # np.array takes a string or a bool
             raise TypeError
-        ts = [float(t) for t in t_grid]
+        ts = np.array(t_grid, dtype=float)
+        if ts.ndim != 1:
+            raise TypeError
     except (TypeError, ValueError):
         raise SpecError(f"trajectory time grid must be a list of numbers, got {t_grid!r}") from None
-    if any(b < a for a, b in zip(ts, ts[1:])):
+    if np.any(ts[1:] < ts[:-1]):
         raise SpecError("trajectory time grid must be non-decreasing")
     images = np.ascontiguousarray(sg.at_many(ts)(z0), dtype=complex)
     return np.column_stack([ts, images.view(np.float64)]).tolist()

@@ -159,7 +159,7 @@ def test_array_spec_number_is_an_input_error(d, echo):
     assert report["exit_status"] == EXIT_INPUT_ERROR
 
 
-@pytest.mark.parametrize("t_grid", ["abc", None, [0.0, "x"], [0.0, [1.0]]])
+@pytest.mark.parametrize("t_grid", ["abc", None, [0.0, "x"], [0.0, [1.0]], [[1, 2]], 1.0])
 def test_malformed_time_grid_is_a_semigroup_stage_error(t_grid):
     report = run_pipeline(SPEC, t_grid=t_grid)
     assert report["stages"]["semigroup"] == {

@@ -20,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from lfmsemi import cli, embedding as emb, maps
+from lfmsemi import cli, embedding as emb, linalg, maps
 from lfmsemi.cli import emit_trajectory, run_pipeline
 from lfmsemi.embedding import SemigroupFamily
 from lfmsemi.errors import DimensionError, DomainError
@@ -242,6 +242,24 @@ def test_trajectory_rows_keep_the_bits(case):
     ts = GRID[::4].tolist()
     _same_rows(emit_trajectory(sg, z0, ts), _rows_one_by_one(sg, z0, ts))
     assert emit_trajectory(sg, z0, []) == []
+
+
+def test_trajectory_grid_is_scanned_once(monkeypatch):
+    """The rows read the grid into one array: the grid's one list scan is
+    the dtype test of ``emit_trajectory``, and ``at_many`` gets the array,
+    whose dtype test is O(1)."""
+    scans = []
+
+    def counted(a):
+        if not isinstance(a, np.ndarray):
+            scans.append(len(a))
+        return linalg._natural_dtype(a)
+
+    for module in (cli, emb):
+        monkeypatch.setattr(module, "_natural_dtype", counted)
+    sg = _family("parabolic", 2, np.random.default_rng(7))
+    rows = emit_trajectory(sg, cli._default_start(sg), GRID.tolist())
+    assert len(rows) == len(GRID) and scans == [len(GRID)]
 
 
 class _SignedZeros:
