@@ -26,7 +26,7 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 def _defaulted_parameters(args: ast.arguments) -> list:
     positional = args.posonlyargs + args.args
-    with_default = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    with_default = positional[len(positional) - len(args.defaults):]
     return with_default + [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
 
 
