@@ -297,7 +297,7 @@ class _Eigenbasis:
         return self.vecs @ (self.core + np.diag(shift)) @ self.inv_vecs
 
 
-def _lattice_shifts(eig: _Eigenbasis, l0: np.ndarray, tol: float, delta: float = 0.0):
+def _lattice_shifts(eig: _Eigenbasis, l0: np.ndarray, tol: float, delta: float):
     """Branch shifts k (one entry per cluster), one per class of primary
     logarithms with equal Herm L(k) and, for delta != 0, equal
     delta L(k)^H e1, whose class can hold a logarithm that passes the

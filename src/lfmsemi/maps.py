@@ -20,17 +20,19 @@ The exact self-map test of a ball map runs in the :class:`BallMap`
 constructor, so every ball map the library hands out gets it: those of the
 public builders, :func:`compose`, :func:`inverse`, :func:`conjugate` and
 :func:`cayley_to_ball` (for a Siegel spec that call is the input check, as
-:class:`SiegelMap` checks no self-map property).  Four kinds of map skip
-it, built by :func:`_trusted_ball_map` with the constructor's bits.  The
-automorphisms of :func:`ball_automorphism`, from their closed form: near
-the sphere the test's relative margin is rounding alone; a reduction
-centres a fixed point with one.  The intermediate maps of a reduction,
-which the library only reads or evaluates: a unitary change of variable
-kept as a :class:`ProjMap` (:func:`_change_of_variable`), and a map
-conjugated by a change of variable (:func:`conjugate` with
-``checked=False``).  The split normal map, which its reducer proves a self-map
-(:func:`~lfmsemi.normal_forms.split_normal_map`).  And the maps of a ball
-family whose generator proves them all (:func:`_require_ball_flow`).
+:class:`SiegelMap` checks no self-map property).  :func:`inverse` and
+:func:`conjugate` share one rule: a BallMap or SiegelMap gives a checked
+map, a ProjMap a ProjMap.  Four kinds of map skip the test, built by
+:func:`_trusted_ball_map` with the constructor's bits.  The automorphisms
+of :func:`ball_automorphism`, from their closed form: near the sphere the
+test's relative margin is rounding alone; a reduction centres a fixed
+point with one.  The intermediate maps of a reduction, which the library
+only reads or evaluates: a unitary change of variable kept as a
+:class:`ProjMap` (:func:`_change_of_variable`), and a map conjugated by a
+change of variable (:func:`conjugate` on its ProjMap, read back by
+:func:`_read_unchecked`).  The split normal map, which its reducer proves
+a self-map (:func:`~lfmsemi.normal_forms.split_normal_map`).  And the maps
+of a ball family whose generator proves them all (:func:`_require_ball_flow`).
 
 Inner products are hermitian with conjugation on the second slot:
 <z, c> = sum_j z_j * conj(c_j).
@@ -735,19 +737,23 @@ def compose(f: Map, g: Map) -> Map:
 
 def inverse(f: Map) -> Map:
     p = to_proj(f).inverse()
-    if isinstance(f, (BallMap, SiegelMap)):
-        return _wrap_like(p)
-    return p
+    return p if isinstance(f, ProjMap) else _wrap_like(p)
 
 
-def conjugate(f: Map, s: Map, *, checked: bool = True) -> Map:
-    """s o f o s^-1 (transports f along the change of variable s).  With
-    ``checked=False`` a ball result skips the self-map check of the
-    :class:`BallMap` constructor and keeps its bits: for a map that the
-    caller only reads or evaluates and never hands out."""
+def conjugate(f: Map, s: Map) -> Map:
+    """s o f o s^-1 (transports f along the change of variable s).  As
+    with :func:`inverse`, a BallMap or SiegelMap f gives a checked map
+    (:func:`_wrap_like`), and a ProjMap f a ProjMap."""
     sp = to_proj(s)
     p = sp.inverse().then(to_proj(f)).then(sp)
-    if not checked and p.domain == p.codomain == BALL:
+    return p if isinstance(f, ProjMap) else _wrap_like(p)
+
+
+def _read_unchecked(p: ProjMap) -> Map:
+    """:func:`_wrap_like` for a map that the library only reads or
+    evaluates, except that a ball self-map skips the self-map check of the
+    :class:`BallMap` constructor and keeps its bits."""
+    if p.domain == p.codomain == BALL:
         return _trusted_ball_map(*_proj_fields(p.mat))
     return _wrap_like(p)
 
@@ -797,7 +803,7 @@ def _siegel_chain(f: BallMap, dw_point: np.ndarray):
     if np.linalg.norm(rot - np.eye(f.dim)) < 1e-9:
         rot = np.eye(f.dim)
     rot_p = _change_of_variable(rot)  # a Householder reflection
-    rotated = conjugate(f, rot_p, checked=False)  # only transported
+    rotated = _read_unchecked(conjugate(to_proj(f), rot_p))  # only transported
     sigma, sigma_inv = _cayley_pair(f.dim)
     return siegel_map_from_proj(sigma_inv.then(to_proj(rotated)).then(sigma)), [rot_p, sigma]
 

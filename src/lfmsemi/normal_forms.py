@@ -8,16 +8,17 @@ composition s (first element applied first) satisfies
 ``normal_map = s o f o s^-1`` pointwise.
 
 There are four cases, one per ``FORM_*`` kind.  :func:`normal_form` is
-the one place that branches on a :class:`~lfmsemi.maps.Classification`
-to pick the reducer; the reducers take the caller's classification,
-with its unitary index, instead of classifying again.  The two elliptic
-reducers centre the map with :func:`~lfmsemi.maps.ball_automorphism`
-(:func:`_centered`).  Each case builds its normal map with one builder
-(:func:`split_normal_map`, unchecked as its reducer proves it a
-self-map, :func:`u0_normal_map`, checked, :func:`siegel_normal_map`);
-the semigroup families of :mod:`lfmsemi.embedding` are built from their
-generators instead.  A fifth case adds its reducer and builder here, its
-branch in :func:`normal_form`, and its row in ``embedding._CASES``.
+the one place that classifies and the one place that branches on a
+:class:`~lfmsemi.maps.Classification` to pick the reducer; each reducer
+takes that classification, with its fixed points and multipliers, as a
+required argument.  The two elliptic reducers centre the map with
+:func:`~lfmsemi.maps.ball_automorphism` (:func:`_centered`).  Each case
+builds its normal map with one builder (:func:`split_normal_map`,
+unchecked as its reducer proves it a self-map, :func:`u0_normal_map`,
+checked, :func:`siegel_normal_map`); the semigroup families of
+:mod:`lfmsemi.embedding` are built from their generators instead.  A fifth
+case adds its reducer and builder here, its branch in :func:`normal_form`,
+and its row in ``embedding._CASES``.
 
 Block conventions on the Siegel side: the w-coordinates of an affine
 self-map split into a u-block (block matrix eigenvalue 1), a v-block
@@ -28,7 +29,7 @@ reduction with one Heisenberg move (:func:`_affine_normal_form`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,6 +52,7 @@ from .maps import (
     ProjMap,
     SiegelMap,
     _change_of_variable,
+    _read_unchecked,
     _siegel_chain,
     _siegel_proj,
     _trusted_ball_map,
@@ -120,7 +122,7 @@ def conjugation_residual(nf: NormalForm, f: BallMap) -> float:
     g, sampler = f, sample_ball_points
     if nf.conjugations:
         total = chain_map(nf.conjugations)
-        g = conjugate(f, total, checked=False)  # only evaluated
+        g = _read_unchecked(conjugate(to_proj(f), total))  # only evaluated
         sampler = sample_ball_points if total.codomain == "ball" else sample_siegel_points
     return pointwise_distance(g, nf.normal_map, sampler(f.dim, 100))
 
@@ -132,12 +134,13 @@ def _require(value: float, tol: float, what: str) -> None:
 
 def normal_form(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
     """Reduce f to the normal form of its case, classifying it first
-    unless the caller passes its classification.
+    unless the caller passes its classification: the one place that
+    classifies for a reduction, as the reducers take theirs.
 
     Elliptic maps split on the unitary index the classification carries:
     at least 1 gives the unitary split, 0 the (Ahat, delta) form.
     """
-    cls = _classified(f, cls)
+    cls = classify(f) if cls is None else cls
     if cls.kind == ELLIPTIC:
         if cls.unitary_index >= 1:
             return elliptic_split(f, cls)
@@ -170,22 +173,11 @@ def u0_normal_map(ahat: np.ndarray, delta: float) -> BallMap:
     return BallMap(ahat, np.zeros(n, dtype=complex), delta * (ahat[0].conj() - np.eye(n)[0]))
 
 
-def _classified(f: BallMap, cls: Optional[Classification]) -> Classification:
-    """classify(f) unless the caller passes cls.  An elliptic cls built
-    without multipliers gets those of the differential at its first
-    interior fixed point."""
-    cls = classify(f) if cls is None else cls
-    if cls.kind == ELLIPTIC and cls.multipliers is None and (points := cls.interior_fixed_points):
-        cls = replace(cls, multipliers=np.linalg.eigvals(f.differential(points[0])))
-    return cls
-
-
-def _centered(f: BallMap, cls: Optional[Classification]):
-    """Classify f unless the caller has, and move its first interior fixed
-    point to the origin with :func:`~lfmsemi.maps.ball_automorphism`;
-    returns (classification, map, chain).  The centred map is only read,
-    so it skips the self-map check, and its translation must vanish."""
-    cls = _classified(f, cls)
+def _centered(f: BallMap, cls: Classification):
+    """Move the first interior fixed point of f's classification to the
+    origin with :func:`~lfmsemi.maps.ball_automorphism`; returns
+    (map, chain).  The centred map is only read, so it skips the self-map
+    check, and its translation must vanish."""
     if not cls.interior_fixed_points:
         raise DomainError("map has no interior fixed point")
     z0 = cls.interior_fixed_points[0]
@@ -193,15 +185,15 @@ def _centered(f: BallMap, cls: Optional[Classification]):
         g, chain = f, []
     else:
         mover = ball_automorphism(z0).to_proj()
-        g, chain = conjugate(f, mover, checked=False), [mover]
+        g, chain = _read_unchecked(conjugate(to_proj(f), mover)), [mover]
     _require(float(np.linalg.norm(g.B)), SNAP_TOL, "residual translation after centering")
-    return cls, g, chain
+    return g, chain
 
 
-def elliptic_split(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
+def elliptic_split(f: BallMap, cls: Classification) -> NormalForm:
     """Reduce an elliptic map with unitary index >= 1 to its linear
     (diagonal-unitary, contraction) block form."""
-    cls, g, chain = _centered(f, cls)
+    g, chain = _centered(f, cls)
     u = cls.unitary_index
     if u == 0:
         raise WrongFormError("unitary index is 0; use elliptic_u0 instead")
@@ -228,12 +220,12 @@ def elliptic_split(f: BallMap, cls: Optional[Classification] = None) -> NormalFo
                       chain + [_change_of_variable(unitary)], {"Lambda": lam, "A1": a1, "u": u})
 
 
-def elliptic_u0(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
+def elliptic_u0(f: BallMap, cls: Classification) -> NormalForm:
     """Reduce an elliptic map with unique fixed point and unitary index 0
     to the (Ahat, delta) denominator form.  Unitary index 0 says that no
     multiplier lies within UNIMODULAR_TOL of the unit circle, so none
     within it of 1, and I - A^H is invertible."""
-    cls, g, chain = _centered(f, cls)
+    g, chain = _centered(f, cls)
     if cls.unitary_index > 0:
         raise WrongFormError("unitary index is positive; use elliptic_split instead")
     v = np.linalg.solve(g.A.conj().T - np.eye(f.dim), g.C)
@@ -335,13 +327,13 @@ def siegel_normal_map(lam, a, d, w_block, c, c_res, b, scale) -> SiegelMap:
                      np.concatenate([a, zeros, c_res], dtype=complex))
 
 
-def parabolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
+def parabolic_normal_form(f: BallMap, cls: Classification) -> NormalForm:
     """Reduce a parabolic map to
     (z + 2i<u,a> + 2i<w,c> + b, u + a, D v, A w)."""
     return _affine_normal_form(f, cls, PARABOLIC)
 
 
-def hyperbolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> NormalForm:
+def hyperbolic_normal_form(f: BallMap, cls: Classification) -> NormalForm:
     """Reduce a hyperbolic map to
     (lam z + 2i<w,c> + b, sqrt(lam) u, sqrt(lam) D v, sqrt(lam) A w [+ c_res]).
 
@@ -354,7 +346,7 @@ def hyperbolic_normal_form(f: BallMap, cls: Optional[Classification] = None) -> 
     return _affine_normal_form(f, cls, HYPERBOLIC)
 
 
-def _affine_normal_form(f: BallMap, cls: Optional[Classification], kind: str) -> NormalForm:
+def _affine_normal_form(f: BallMap, cls: Classification, kind: str) -> NormalForm:
     """The one reduction of both Siegel cases; the parabolic form is the
     hyperbolic one at lam = 1.  Take the affine Siegel form, with
     s = sqrt(lam), move the w-part to s blockdiag(I_p, D, A) by a unitary,
@@ -363,7 +355,6 @@ def _affine_normal_form(f: BallMap, cls: Optional[Classification], kind: str) ->
     always, and the w-block except on the resonant entries of a diagonal
     A, where gamma removes the z-row coefficient instead.  The move sends
     c to c - (M - I) gamma and a to a - (lam - M^H) gamma."""
-    cls = classify(f) if cls is None else cls
     if cls.kind != kind:
         raise DomainError(f"{kind}_normal_form expects a {kind} map, got {cls.kind}")
     s, chain = _siegel_chain(f, cls.dw_point)

@@ -252,7 +252,7 @@ def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=(0.25, 0.5, 1.0, 
     return reports
 
 
-def _family_self_map(sg, t_grid, cfg: SamplerCfg, tol: float = TOL_SELF_MAP) -> CheckReport:
+def _family_self_map(sg, t_grid, cfg: SamplerCfg, tol: float) -> CheckReport:
     """Worst domain margin of at(t)(z) over the grid: these are also the
     intermediate points of the semigroup law on the same grid."""
     t_grid = [float(t) for t in t_grid]

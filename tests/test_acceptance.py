@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from lfmsemi import cli, embedding as emb, linalg, maps, normal_forms, verify
+from lfmsemi import embedding as emb, linalg, maps, normal_forms
 from lfmsemi.embedding import (
     EMBEDDABLE,
     build_semigroup,

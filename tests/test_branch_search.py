@@ -189,7 +189,7 @@ def brute_force_tops(a, bound=5):
 
 def lattice_shifts(a1):
     eig = emb._Eigenbasis.of(a1)
-    return emb._lattice_shifts(eig, eig.log([0] * len(eig.clusters)), emb._DISSIPATIVE_TOL)
+    return emb._lattice_shifts(eig, eig.log([0] * len(eig.clusters)), emb._DISSIPATIVE_TOL, 0.0)
 
 
 def contraction_block(basis, vals):

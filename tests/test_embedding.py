@@ -26,9 +26,8 @@ from lfmsemi.linalg import hermitian_part, mat_exp
 from lfmsemi.maps import (
     BallMap,
     SiegelMap,
-    ball_automorphism,
     cayley_to_ball,
-    conjugate,
+    classify,
     heisenberg_map,
     pointwise_distance,
     sample_ball_points,
@@ -41,7 +40,6 @@ from lfmsemi.normal_forms import (
     FORM_HYPERBOLIC,
     FORM_PARABOLIC,
     NormalForm,
-    elliptic_split,
     elliptic_u0,
     siegel_conditions,
 )
@@ -308,7 +306,7 @@ class TestEmbedEllipticU0:
     @pytest.mark.parametrize("delta", [0.0, 0.3, 0.7, 1.0])
     def test_scalar_matches_dense_sampling(self, delta):
         f = BallMap([[0.5]], [0.0], [delta * (0.5 - 1.0)], 1.0)
-        nf = elliptic_u0(f)
+        nf = elliptic_u0(f, classify(f))
         assert nf.parameters["delta"] == pytest.approx(delta, abs=1e-10)
         cert = embed_elliptic_u0(nf)
         m = -np.log(2)
@@ -574,7 +572,7 @@ class TestGenerator:
 
     def test_elliptic_u0_fd(self):
         f = BallMap([[0.5]], [0.0], [0.35 * (0.5 - 1.0)], 1.0)
-        cert = embed_elliptic_u0(elliptic_u0(f))
+        cert = embed_elliptic_u0(elliptic_u0(f, classify(f)))
         assert cert.verdict == EMBEDDABLE
         sg = build_semigroup(cert)
         gen = generator(sg)

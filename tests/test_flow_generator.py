@@ -21,7 +21,6 @@ flow invariance of H_N under G.  These tests pin that:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys

@@ -22,7 +22,6 @@ from lfmsemi.maps import (
     fixed_points,
     heisenberg_map,
     identity_ball_map,
-    identity_siegel_map,
     inverse,
     pointwise_distance,
     sample_ball_points,

@@ -13,9 +13,7 @@ from lfmsemi.cli import run_pipeline
 from lfmsemi.errors import DomainError, FormError, WrongFormError
 from lfmsemi.linalg import pinv, spectral_norm, spectral_radius
 from lfmsemi.maps import (
-    ELLIPTIC,
     BallMap,
-    Classification,
     ProjMap,
     SiegelMap,
     ball_automorphism,
@@ -25,7 +23,6 @@ from lfmsemi.maps import (
     classify,
     conjugate,
     heisenberg_map,
-    sample_ball_points,
     siegel_map_from_proj,
     unitary_ball_map,
 )
@@ -33,7 +30,6 @@ from lfmsemi.normal_forms import (
     FORM_ELLIPTIC_SPLIT,
     FORM_ELLIPTIC_U0,
     FORM_HYPERBOLIC,
-    FORM_PARABOLIC,
     RESONANCE_TOL,
     SNAP_TOL,
     NormalForm,
@@ -45,7 +41,6 @@ from lfmsemi.normal_forms import (
     elliptic_u0,
     hyperbolic_conditions,
     hyperbolic_normal_form,
-    normal_form,
     parabolic_conditions,
     parabolic_normal_form,
     siegel_conditions,
@@ -72,7 +67,7 @@ class TestEllipticSplit:
     def test_plain_block_diagonal(self):
         theta = 0.7
         f = linear_ball_map(np.diag([np.exp(1j * theta), 0.5]))
-        nf = elliptic_split(f)
+        nf = elliptic_split(f, classify(f))
         assert nf.form_kind == FORM_ELLIPTIC_SPLIT
         assert nf.parameters["u"] == 1
         assert nf.parameters["Lambda"][0] == pytest.approx(np.exp(1j * theta), abs=1e-10)
@@ -85,7 +80,7 @@ class TestEllipticSplit:
         base = np.diag([np.exp(1j * theta), 0.5])
         u = random_unitary(rng, 2)
         f = conjugate(linear_ball_map(base), unitary_ball_map(u))
-        nf = elliptic_split(f)
+        nf = elliptic_split(f, classify(f))
         assert nf.parameters["u"] == 1
         assert nf.parameters["Lambda"][0] == pytest.approx(np.exp(1j * theta), abs=1e-9)
         a1 = nf.parameters["A1"]
@@ -97,21 +92,22 @@ class TestEllipticSplit:
         base = np.diag([np.exp(0.4j), 0.3])
         center = np.array([0.2, -0.1 + 0.2j])
         f = conjugate(linear_ball_map(base), ball_automorphism(center))
-        nf = elliptic_split(f)
+        nf = elliptic_split(f, classify(f))
         assert sorted(np.angle(nf.parameters["Lambda"])) == pytest.approx([0.4], abs=1e-8)
         assert conjugation_residual(nf, f) < 1e-8
 
     def test_full_unitary(self):
         rng = np.random.default_rng(31)
         f = linear_ball_map(random_unitary(rng, 3))
-        nf = elliptic_split(f)
+        nf = elliptic_split(f, classify(f))
         assert nf.parameters["u"] == 3
         assert nf.parameters["A1"].size == 0
         assert np.allclose(np.abs(nf.parameters["Lambda"]), 1.0)
 
     def test_u0_rejected(self):
+        f = linear_ball_map(np.eye(2) / 2)
         with pytest.raises(WrongFormError):
-            elliptic_split(linear_ball_map(np.eye(2) / 2))
+            elliptic_split(f, classify(f))
 
     def test_contraction_blocks_certified(self):
         rng = np.random.default_rng(37)
@@ -121,7 +117,7 @@ class TestEllipticSplit:
         base[0, 0] = np.exp(2.0j)
         base[1:, 1:] = a1
         f = conjugate(linear_ball_map(base), unitary_ball_map(random_unitary(rng, 3)))
-        nf = elliptic_split(f)
+        nf = elliptic_split(f, classify(f))
         assert spectral_radius(nf.parameters["A1"]) < 1 - 1e-9
         assert spectral_norm(nf.parameters["A1"]) <= 1 + 1e-10
 
@@ -177,25 +173,11 @@ class TestEllipticSplit:
         assert abs(base[0, 2] - 0.5) <= 1e-14
         assert worst <= 1e-13
 
-    def test_caller_classification_without_multipliers(self):
-        # a hand-built elliptic Classification gets its multipliers from the
-        # differential at its fixed point
-        theta = 0.7
-        f = linear_ball_map(np.diag([np.exp(1j * theta), 0.5]))
-        cls = Classification(ELLIPTIC, [np.zeros(2)], [])
-        nf = normal_form(f, cls)
-        assert nf.form_kind == FORM_ELLIPTIC_SPLIT and nf.parameters["u"] == 1
-        assert np.allclose(nf.parameters["Lambda"], [np.exp(1j * theta)], atol=1e-12)
-        g = linear_ball_map(np.diag([0.5, -0.25]))
-        nf = normal_form(g, Classification(ELLIPTIC, [np.zeros(2)], []))
-        assert nf.form_kind == FORM_ELLIPTIC_U0
-        assert normal_form(g).parameters["Ahat"].tolist() == nf.parameters["Ahat"].tolist()
-
 
 class TestEllipticU0:
     def test_linear_contraction(self):
         f = linear_ball_map(np.eye(2) / 2)
-        nf = elliptic_u0(f)
+        nf = elliptic_u0(f, classify(f))
         assert nf.form_kind == FORM_ELLIPTIC_U0
         assert nf.parameters["delta"] == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(nf.parameters["Ahat"], np.eye(2) / 2, atol=1e-12)
@@ -205,7 +187,7 @@ class TestEllipticU0:
         # gives delta = |C| / |1/2 - 1| = 2|c|
         c = 0.1 - 0.05j
         f = BallMap([[0.5]], [0.0], [np.conj(c)], 1.0)
-        nf = elliptic_u0(f)
+        nf = elliptic_u0(f, classify(f))
         assert nf.parameters["delta"] == pytest.approx(2 * abs(c), abs=1e-10)
         assert conjugation_residual(nf, f) < 1e-8
 
@@ -214,7 +196,7 @@ class TestEllipticU0:
         base = BallMap([[0.5, 0.1], [0.0, 0.4j]], np.zeros(2),
                        [0.05, 0.02 - 0.01j], 1.0)
         f = conjugate(base, ball_automorphism([0.1, 0.05 + 0.1j]))
-        nf = elliptic_u0(f)
+        nf = elliptic_u0(f, classify(f))
         assert conjugation_residual(nf, f) < 1e-8
         assert 0.0 <= nf.parameters["delta"] <= 1.0
 
@@ -222,7 +204,7 @@ class TestEllipticU0:
         # delta |(Ahat^n)^H e1 - e1| <= 1 must hold for all n
         c = 0.12
         f = BallMap([[0.5]], [0.0], [c], 1.0)
-        nf = elliptic_u0(f)
+        nf = elliptic_u0(f, classify(f))
         ahat, delta = nf.parameters["Ahat"], nf.parameters["delta"]
         e1 = np.zeros(ahat.shape[0])
         e1[0] = 1.0
@@ -234,7 +216,7 @@ class TestEllipticU0:
     def test_split_case_rejected(self):
         f = linear_ball_map(np.diag([np.exp(0.3j), 0.5]))
         with pytest.raises(WrongFormError):
-            elliptic_u0(f)
+            elliptic_u0(f, classify(f))
 
 
 class TestSiegelReduce:
@@ -274,7 +256,7 @@ class TestParabolicNormalForm:
     def test_disk_automorphism(self):
         g = heisenberg_map(np.zeros(0), 1.0)  # z + 1 upstairs
         f = cayley_to_ball(g)
-        nf = parabolic_normal_form(f)
+        nf = parabolic_normal_form(f, classify(f))
         p, q, r = nf.parameters["block_split"]
         assert (p, q, r) == (0, 0, 0)
         assert nf.parameters["b"].imag >= -1e-10
@@ -284,7 +266,7 @@ class TestParabolicNormalForm:
         gamma = np.array([0.3 + 0.1j])
         g = heisenberg_map(gamma, 1j * float(np.vdot(gamma, gamma).real) + 0.7)
         f = cayley_to_ball(g)
-        nf = parabolic_normal_form(f)
+        nf = parabolic_normal_form(f, classify(f))
         p, q, r = nf.parameters["block_split"]
         assert p == 1 and r == 0
         a = nf.parameters["a"]
@@ -295,7 +277,7 @@ class TestParabolicNormalForm:
     def test_b2_contraction_with_budget(self):
         g = SiegelMap(1.0, np.array([0.5]), 0.5j, np.diag([0.5]), np.zeros(1))
         f = cayley_to_ball(g)
-        nf = parabolic_normal_form(f)
+        nf = parabolic_normal_form(f, classify(f))
         p, q, r = nf.parameters["block_split"]
         assert (p, q, r) == (0, 0, 1)
         conds = parabolic_conditions(nf)
@@ -309,7 +291,7 @@ class TestParabolicNormalForm:
         # w-translation present upstream; the normal form must remove it
         g = SiegelMap(1.0, np.zeros(1), 1.0 + 2.0j, np.diag([0.4]), np.array([0.3]))
         f = cayley_to_ball(g)
-        nf = parabolic_normal_form(f)
+        nf = parabolic_normal_form(f, classify(f))
         assert np.allclose(nf.normal_map.c, 0.0)
         assert conjugation_residual(nf, f) < 1e-8
 
@@ -317,7 +299,7 @@ class TestParabolicNormalForm:
         g = SiegelMap(1.0, np.zeros(2), 1.5j,
                       np.diag([np.exp(0.9j), 0.5]), np.zeros(2))
         f = cayley_to_ball(g)
-        nf = parabolic_normal_form(f)
+        nf = parabolic_normal_form(f, classify(f))
         d = np.atleast_1d(nf.parameters["D"])
         assert np.min(np.abs(d - 1.0)) > 1e-9
         assert parabolic_conditions(nf)[0].passed
@@ -325,7 +307,7 @@ class TestParabolicNormalForm:
     def test_perturbed_chain_has_large_residual(self):
         # the residual sees a chain step that does not carry f onto the normal map
         f = cayley_to_ball(heisenberg_map(np.array([0.3]), 1j * 0.09 + 0.4))
-        nf = parabolic_normal_form(f)
+        nf = parabolic_normal_form(f, classify(f))
         assert conjugation_residual(nf, f) < 1e-8
         step = nf.conjugations[-1]
         bad = ProjMap(step.mat + 1e-3, step.domain, step.codomain)
@@ -333,14 +315,15 @@ class TestParabolicNormalForm:
         assert conjugation_residual(dataclasses.replace(nf, conjugations=chain), f) > 1e-4
 
     def test_non_parabolic_rejected(self):
+        f = linear_ball_map(np.eye(2) / 2)
         with pytest.raises(DomainError):
-            parabolic_normal_form(linear_ball_map(np.eye(2) / 2))
+            parabolic_normal_form(f, classify(f))
 
 
 class TestHyperbolicNormalForm:
     def test_disk_automorphism(self):
         f = BallMap([[1.0]], [0.5], [0.5], 1.0)
-        nf = hyperbolic_normal_form(f)
+        nf = hyperbolic_normal_form(f, classify(f))
         assert nf.parameters["lam"] == pytest.approx(3.0, abs=1e-8)
         assert abs(nf.parameters["b"]) < 1e-8
         assert conjugation_residual(nf, f) < 1e-8
@@ -350,7 +333,7 @@ class TestHyperbolicNormalForm:
         g = SiegelMap(lam, np.zeros(1), 0.3, np.sqrt(lam) * np.diag([np.exp(0.8j)]),
                       np.zeros(1))
         f = cayley_to_ball(g)
-        nf = hyperbolic_normal_form(f)
+        nf = hyperbolic_normal_form(f, classify(f))
         p, q, r = nf.parameters["block_split"]
         assert r == 0 and q == 1
         assert abs(nf.parameters["b"].imag) < 1e-8  # real b for automorphisms
@@ -363,7 +346,7 @@ class TestHyperbolicNormalForm:
         g = SiegelMap(lam, np.array([1.0]), 1.0j, np.sqrt(lam) * np.diag([0.4]),
                       np.zeros(1))
         f = cayley_to_ball(g)
-        nf = hyperbolic_normal_form(f)
+        nf = hyperbolic_normal_form(f, classify(f))
         p, q, r = nf.parameters["block_split"]
         assert (p, q, r) == (0, 0, 1)
         assert abs(nf.parameters["c"][0]) > 0.1
@@ -378,7 +361,7 @@ class TestHyperbolicNormalForm:
         g = SiegelMap(lam, np.zeros(1), 2.0j, np.sqrt(lam) * np.diag([0.4]),
                       np.array([0.5]))
         f = cayley_to_ball(g)
-        nf = hyperbolic_normal_form(f)
+        nf = hyperbolic_normal_form(f, classify(f))
         assert np.allclose(nf.normal_map.c, 0.0)
         assert conjugation_residual(nf, f) < 1e-8
 
@@ -386,7 +369,7 @@ class TestHyperbolicNormalForm:
         lam = float(np.exp(2.0))
         g = SiegelMap(lam, np.zeros(1), 0.5j, np.eye(1), np.array([0.3]))
         f = cayley_to_ball(g)
-        nf = hyperbolic_normal_form(f)
+        nf = hyperbolic_normal_form(f, classify(f))
         assert abs(nf.parameters["c_res"][0]) == pytest.approx(0.3, abs=1e-7)
         assert np.allclose(nf.parameters["c"], 0.0)
         assert conjugation_residual(nf, f) < 1e-8
@@ -404,8 +387,9 @@ class TestHyperbolicNormalForm:
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_non_hyperbolic_rejected(self):
+        f = linear_ball_map(np.eye(2) / 2)
         with pytest.raises(DomainError):
-            hyperbolic_normal_form(linear_ball_map(np.eye(2) / 2))
+            hyperbolic_normal_form(f, classify(f))
 
 
 def two_move_hyperbolic_normal_form(f):
@@ -508,7 +492,7 @@ class TestOneHeisenbergMove:
 
     @pytest.mark.parametrize("blocks, triangular, resonant, f", _one_move_corpus())
     def test_matches_the_two_move_reduction(self, blocks, triangular, resonant, f):
-        nf, ref = hyperbolic_normal_form(f), two_move_hyperbolic_normal_form(f)
+        nf, ref = hyperbolic_normal_form(f, classify(f)), two_move_hyperbolic_normal_form(f)
         assert nf.form_kind == ref.form_kind == FORM_HYPERBOLIC
         assert nf.parameters["block_split"] == ref.parameters["block_split"] == blocks
         assert _is_diagonal(nf.parameters["A"]) is not triangular

@@ -7,7 +7,8 @@ built from their closed form, among them the one that centres a fixed
 point in a reduction.  The intermediate maps of a reduction, which the
 library only reads or evaluates: a unitary built to conjugate by and to
 record in a chain, kept as a ``ProjMap``, and a map conjugated by a change
-of variable.
+of variable (``conjugate`` of its ``ProjMap``, read back by
+``maps._read_unchecked``).
 The split normal map, whose reducer proves |Lambda_j| = 1 and
 ||A1|| <= 1 + 1e-10.  And the maps of a ball family whose generator has a
 flow margin >= 0, self-maps by Nagumo's theorem; a margin within the
@@ -18,10 +19,11 @@ two seeded cycles of the four cases in dims 1-8 passes
 ``maps._self_map_margins`` with the self-map slack, and its fields have
 the bits of the checked constructor's.  The other public builders
 (``compose``, ``inverse``, ``conjugate``) keep the check, also on maps that
-sit inside the slack.  The sign of the generator gate near 0 is
+sit inside the slack, and ``conjugate`` has no switch that skips it.  The sign of the generator gate near 0 is
 held to an mpmath pencil at 50 digits.
 """
 
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -43,7 +45,7 @@ GOLDEN_SPECS = sorted(p for p in (ROOT / "tests" / "golden").rglob("*.json")
                       if not p.name.endswith(".report.json"))
 
 #: the sites that build a trusted map, by the name of the calling function
-SITES = {"ball_automorphism", "_change_of_variable", "conjugate", "_ball_flow",
+SITES = {"ball_automorphism", "_change_of_variable", "_read_unchecked", "_ball_flow",
          "split_normal_map"}
 
 
@@ -188,6 +190,19 @@ def test_conjugation_by_a_non_automorphism_keeps_the_check(trusted):
     # a conjugation by a non-automorphism that stays in the ball is checked and kept
     g = conjugate(f, ProjMap(np.diag([0.5, 0.5, 1.0])))
     assert not trusted and np.allclose(g.B, [0.2, 0.0])
+
+
+def test_conjugate_hands_out_no_unchecked_ball_map(trusted):
+    # s = diag(3, 1) sends f = (0.5 z1 + 0.4, 0.5 z2) to a map with
+    # 0 -> (1.2, 0): a BallMap f gives a checked BallMap, so the call raises,
+    # and a ProjMap f gives a ProjMap, which claims no self-map property
+    f = BallMap(0.5 * np.eye(2), np.array([0.4, 0.0]), np.zeros(2))
+    s = ProjMap(np.diag([3.0, 1.0, 1.0]))
+    assert _error_of(lambda: conjugate(f, s)) == "not a self-map of the ball (margin -9.511e-01)"
+    p = conjugate(to_proj(f), s)
+    assert type(p) is ProjMap and np.allclose(p(np.zeros(2)), [1.2, 0.0])
+    assert "checked" not in inspect.signature(conjugate).parameters
+    assert not trusted
 
 
 def test_public_builders_run_the_check_once(monkeypatch):

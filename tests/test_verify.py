@@ -6,11 +6,10 @@ import pytest
 from lfmsemi import embedding as emb, verify
 from lfmsemi.cli import TOL_PROFILES
 from lfmsemi.embedding import build_semigroup, embed_hyperbolic, embed_parabolic
-from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, identity_ball_map
+from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, classify, identity_ball_map
 
 from lfmsemi.verify import (
     DEFAULT_TOLS,
-    CheckReport,
     SamplerCfg,
     check_generator,
     check_identity_at_zero,
@@ -116,7 +115,7 @@ class TestGenerator:
         from lfmsemi.normal_forms import elliptic_u0
 
         f = BallMap([[0.5]], [0.0], [0.3 * (0.5 - 1.0)], 1.0)
-        cert = emb.embed_elliptic_u0(elliptic_u0(f))
+        cert = emb.embed_elliptic_u0(elliptic_u0(f, classify(f)))
         sg = build_semigroup(cert)
         rep = check_generator(sg, SamplerCfg(count=30))
         assert rep.passed
