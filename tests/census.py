@@ -43,16 +43,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from lfmsemi import ball_automorphism  # noqa: E402
-from lfmsemi.cli import run_pipeline  # noqa: E402
+from lfmsemi.cli import run_pipeline, to_jsonable  # noqa: E402
 
 #: a decimal or exponent number, the measured values of an error message
 _NUMBER = re.compile(r"[-+]?\d+(\.\d*(e[-+]?\d+)?|e[-+]?\d+)")
-
-
-def _pairs(x) -> list:
-    """A complex scalar, vector or matrix as the spec's [re, im] pairs."""
-    x = np.asarray(x, dtype=complex)
-    return np.stack([x.real, x.imag], axis=-1).tolist()
 
 
 def automorphisms() -> list:
@@ -66,8 +60,9 @@ def automorphisms() -> list:
                 u = specs.random_unitary(rng, n)
                 direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 phi = ball_automorphism(radius * direction / np.linalg.norm(direction))
-                out.append({"dimension": n, "domain": "ball", "A": _pairs(u @ phi.A),
-                            "B": _pairs(u @ phi.B), "C": _pairs(phi.C), "D": _pairs(1.0)})
+                out.append({"dimension": n, "domain": "ball", "A": to_jsonable(u @ phi.A),
+                            "B": to_jsonable(u @ phi.B), "C": to_jsonable(phi.C),
+                            "D": to_jsonable(phi.D)})
     return out
 
 

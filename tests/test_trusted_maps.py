@@ -19,8 +19,8 @@ two seeded cycles of the four cases in dims 1-8 passes
 ``maps._self_map_margins`` with the self-map slack, and its fields have
 the bits of the checked constructor's.  The other public builders
 (``compose``, ``inverse``, ``conjugate``) keep the check, also on maps that
-sit inside the slack, and ``conjugate`` has no switch that skips it.  The sign of the generator gate near 0 is
-held to an mpmath pencil at 50 digits.
+sit inside the slack, and ``conjugate`` has no switch that skips it.  The
+sign of the generator gate near 0 is held to an mpmath pencil at 50 digits.
 """
 
 import inspect
