@@ -14,7 +14,7 @@ read one map (``to_proj``, ``differential``, ``denominator``) raise
 TypeError on a stack.  The
 self-map and identity tests are exact, on the homogeneous matrix, and
 :func:`classify` reads everything it reports off one Schur form of it; the
-seeded samples drawn here serve verification and the conjugation residual.
+seeded samples drawn here serve verification alone.
 
 The exact self-map test of a ball map runs in the :class:`BallMap`
 constructor, so every ball map the library hands out gets it: those of the
@@ -28,11 +28,11 @@ of :func:`ball_automorphism`, from their closed form: near the sphere the
 test's relative margin is rounding alone; a reduction centres a fixed
 point with one.  The intermediate maps of a reduction, which the library
 only reads or evaluates: a unitary change of variable kept as a
-:class:`ProjMap` (:func:`_change_of_variable`), and a map conjugated by a
-change of variable (:func:`conjugate` on its ProjMap, read back by
-:func:`_read_unchecked`).  The split normal map, which its reducer proves
-a self-map (:func:`~lfmsemi.normal_forms.split_normal_map`).  And the maps
-of a ball family whose generator proves them all (:func:`_require_ball_flow`).
+:class:`ProjMap` (:func:`_change_of_variable`), and a ball map conjugated
+by a change of variable (:func:`conjugate` on its ProjMap, read back as a
+BallMap by :func:`_read_unchecked`).  The split normal map, which its
+reducer proves a self-map (:func:`~lfmsemi.normal_forms.split_normal_map`).
+And the maps of a ball family whose generator proves them all (:func:`_require_ball_flow`).
 
 Inner products are hermitian with conjugation on the second slot:
 <z, c> = sum_j z_j * conj(c_j).
@@ -749,13 +749,11 @@ def conjugate(f: Map, s: Map) -> Map:
     return p if isinstance(f, ProjMap) else _wrap_like(p)
 
 
-def _read_unchecked(p: ProjMap) -> Map:
-    """:func:`_wrap_like` for a map that the library only reads or
-    evaluates, except that a ball self-map skips the self-map check of the
+def _read_unchecked(p: ProjMap) -> BallMap:
+    """The ball map of the ball-to-ball ProjMap p, which the library only
+    reads or transports: it skips the self-map check of the
     :class:`BallMap` constructor and keeps its bits."""
-    if p.domain == p.codomain == BALL:
-        return _trusted_ball_map(*_proj_fields(p.mat))
-    return _wrap_like(p)
+    return _trusted_ball_map(*_proj_fields(p.mat))
 
 
 def pointwise_distance(f: Map, g: Map, points: np.ndarray) -> float:

@@ -5,7 +5,8 @@ map, the named parameters the embedding criteria consume, and the
 explicit conjugation chain that transports the input onto the normal
 map.  Chains are lists of :class:`~lfmsemi.maps.ProjMap`; their
 composition s (first element applied first) satisfies
-``normal_map = s o f o s^-1`` pointwise.
+``normal_map = s o f o s^-1`` projectively, as homogeneous matrices up to
+a nonzero scalar, which :func:`conjugation_residual` measures.
 
 There are four cases, one per ``FORM_*`` kind.  :func:`normal_form` is
 the one place that classifies and the one place that branches on a
@@ -59,9 +60,6 @@ from .maps import (
     ball_automorphism,
     classify,
     conjugate,
-    pointwise_distance,
-    sample_ball_points,
-    sample_siegel_points,
     siegel_map_from_proj,
     to_proj,
 )
@@ -117,14 +115,13 @@ def chain_map(conjugations: list) -> ProjMap:
 
 
 def conjugation_residual(nf: NormalForm, f: BallMap) -> float:
-    """Pointwise distance between chain o f o chain^-1 and the normal map,
-    over 100 sample points of the normal map's domain."""
-    g, sampler = f, sample_ball_points
-    if nf.conjugations:
-        total = chain_map(nf.conjugations)
-        g = _read_unchecked(conjugate(to_proj(f), total))  # only evaluated
-        sampler = sample_ball_points if total.codomain == "ball" else sample_siegel_points
-    return pointwise_distance(g, nf.normal_map, sampler(f.dim, 100))
+    """The projective residual ||X - c Y||_F / ||Y||_F, c = <Y, X> / <Y, Y>
+    (the least over c), of X, the matrix of chain o f o chain^-1 (of f for
+    an empty chain), and Y, the matrix of the normal map."""
+    x = conjugate(to_proj(f), chain_map(nf.conjugations)) if nf.conjugations else to_proj(f)
+    x, y = x.mat.ravel(), to_proj(nf.normal_map).mat.ravel()
+    scale = complex(np.vdot(y, x)) / float(np.vdot(y, y).real)
+    return float(np.linalg.norm(x - scale * y) / np.linalg.norm(y))
 
 
 def _require(value: float, tol: float, what: str) -> None:

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lfmsemi.cli import run_pipeline
+from lfmsemi import maps
+from lfmsemi.cli import parse_map_spec, run_pipeline
 from lfmsemi.errors import DomainError, FormError, WrongFormError
 from lfmsemi.linalg import pinv, spectral_norm, spectral_radius
 from lfmsemi.maps import (
@@ -36,11 +37,13 @@ from lfmsemi.normal_forms import (
     _is_diagonal,
     _moved,
     _split_blocks,
+    chain_map,
     conjugation_residual,
     elliptic_split,
     elliptic_u0,
     hyperbolic_conditions,
     hyperbolic_normal_form,
+    normal_form,
     parabolic_conditions,
     parabolic_normal_form,
     siegel_conditions,
@@ -508,3 +511,64 @@ class TestOneHeisenbergMove:
         assert np.allclose(step.a, step.c)
         assert step.b.imag == pytest.approx(np.vdot(step.c, step.c).real)
         assert conjugation_residual(nf, f) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the chain residual: one projective matrix identity, no sample points
+
+GOLDEN_SPECS = sorted(p for p in (Path(__file__).parent / "golden").glob("**/*.json")
+                      if not p.name.endswith(".report.json"))
+
+
+def _golden_reduction(path):
+    """The ball map of a golden spec and its normal form."""
+    f = parse_map_spec(json.loads(path.read_text()))
+    f = cayley_to_ball(f) if isinstance(f, SiegelMap) else f
+    return f, normal_form(f)
+
+
+def _lstsq_residual(nf, f):
+    """min_c ||X - c Y||_F / ||Y||_F by least squares on the raveled
+    matrices: X of chain o f o chain^-1, Y of the normal map."""
+    x = conjugate(f.to_proj(), chain_map(nf.conjugations)).mat.ravel()
+    y = nf.normal_map.to_proj().mat
+    c = np.linalg.lstsq(y.reshape(-1, 1), x, rcond=None)[0]
+    return np.linalg.norm(x - c * y.ravel()) / np.linalg.norm(y)
+
+
+def test_normal_form_stage_draws_no_samples(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sample was drawn before verification")
+
+    for path in GOLDEN_SPECS:
+        spec = json.loads(path.read_text())
+        want = run_pipeline(spec, stop_after="embed")
+        with monkeypatch.context() as patch:
+            patch.setattr(maps, "_ball_sample_cached", refuse)
+            patch.setattr(maps, "_siegel_sample_cached", refuse)
+            assert run_pipeline(spec, stop_after="embed") == want, path.name
+
+
+@pytest.mark.parametrize("path", GOLDEN_SPECS, ids=lambda p: p.stem)
+def test_chain_residual_is_the_least_squares_residual(path):
+    # on the reduction's chain the residual is rounding, and both read it
+    # relative to ||Y||_F; on a chain whose last step is off by 1e-3 it is
+    # not, and the two agree to 1e-12 of it
+    f, nf = _golden_reduction(path)
+    assert conjugation_residual(nf, f) == pytest.approx(_lstsq_residual(nf, f), abs=1e-12)
+    step = nf.conjugations[-1]
+    bad = dataclasses.replace(nf, conjugations=nf.conjugations[:-1] + [
+        ProjMap(step.mat + 1e-3, step.domain, step.codomain)])
+    want = _lstsq_residual(bad, f)
+    assert want > 1e-5
+    assert conjugation_residual(bad, f) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("f", [
+    linear_ball_map(np.diag([np.exp(0.7j), 0.5])),
+    ball_automorphism(np.array([0.3, -0.2j])),
+    BallMap(np.array([[0.4, 0.1j], [0.0, 0.3]]), np.array([0.1, 0.2j]),
+            np.array([0.05j, 0.1]), 1.0),
+], ids=["linear", "automorphism", "general"])
+def test_empty_chain_onto_itself_is_exactly_zero(f):
+    assert conjugation_residual(NormalForm(FORM_ELLIPTIC_SPLIT, f, [], {}), f) == 0.0
