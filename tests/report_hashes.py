@@ -18,8 +18,10 @@ Run from anywhere, with the checkout's ``src`` importable::
     python tests/report_hashes.py --write-goldens  # re-store every golden report
 
 ``--check`` compares each regenerated golden report with its stored file,
-lists the files that differ and exits 1 if any does (after printing the
-hashes).  It is not a CI step: a BLAS build that rounds differently moves
+lists the files that differ, each with the first JSON path at which it
+differs (keys in sorted order, list items by index, as in
+``stages.normal_form.chain_residual``), and exits 1 if any does (after
+printing the hashes).  It is not a CI step: a BLAS build that rounds differently moves
 the last digits, which ``tests/test_golden.py`` allows for with a
 tolerance.  ``--write-goldens`` rewrites each
 ``tests/golden/**/*.report.json`` with the regenerated text and then
@@ -64,6 +66,27 @@ def benchmark_reports() -> list:
             for seed in BENCH_SEEDS for i in range(len(w.cycle))]
 
 
+_MISSING = object()
+
+
+def first_difference(a, b, path: str = ""):
+    """The first JSON path at which the parsed reports a and b differ, in
+    sorted key order; None when they are equal.  A key that one side lacks,
+    or a list whose length differs, is a difference at its own path."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        pairs = [(f"{path}.{key}" if path else key, a.get(key, _MISSING), b.get(key, _MISSING))
+                 for key in sorted(a.keys() | b.keys())]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
+    else:
+        return None if type(a) is type(b) and a == b else path or "(the whole report)"
+    for at, x, y in pairs:
+        where = first_difference(x, y, at)
+        if where is not None:
+            return where
+    return None
+
+
 def digest(texts) -> str:
     h = hashlib.sha256()
     for text in texts:
@@ -90,7 +113,8 @@ def main(argv=None) -> int:
         return 0
     differ = [path for path, text in goldens.items() if path.read_bytes() != text.encode()]
     for path in differ:
-        print(f"differs: {path.relative_to(ROOT)}")
+        where = first_difference(json.loads(path.read_text()), json.loads(goldens[path]))
+        print(f"differs: {path.relative_to(ROOT)} at {where or 'no JSON path (bytes only)'}")
     print(f"{len(goldens) - len(differ)} of {len(goldens)} stored golden reports match")
     return 1 if differ else 0
 
