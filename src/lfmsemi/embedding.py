@@ -713,7 +713,9 @@ def _ball_flow(g: np.ndarray, ts: np.ndarray) -> BallMap:
     and a flow margin >= 0 proves every exp(t G) a self-map, so the maps
     skip the per-map check of the :class:`~lfmsemi.maps.BallMap`
     constructor.  A margin within the slack below 0 proves none for a
-    large t, and those maps get that check."""
+    large t, and those maps get that check.  Any other form of G is refused."""
+    if np.any(g[:, -1]):
+        raise DomainError("the generator's last column is not zero; the ball flow ignores it")
     margin = _require_ball_flow(g)
     k, r = g[:-1, :-1], g[-1, :-1]
     e = _ball_exp(k, ts)
@@ -730,10 +732,12 @@ def _siegel_flow(g: np.ndarray, ts: np.ndarray) -> SiegelMap:
     of exp(t G) are divided differences of s -> e^{ts} at its diagonal
     (Higham, Functions of Matrices, Thm 4.11): the z-row e^{tx},
     q DD1(x, l) and beta DD1(x, 0) + sum_j q_j gamma_j DD2(x, l_j, 0), the
-    w-block diag(e^{tl}) and gamma DD1(l, 0)."""
+    w-block diag(e^{tl}) and gamma DD1(l, 0).  Any other form of G is refused."""
     x, q, beta = complex(g[0, 0]), g[0, 1:-1], complex(g[0, -1])
     l_block, gamma = g[1:-1, 1:-1], g[1:-1, -1]
     l_diag = np.diag(l_block)
+    if np.any(g[1:, 0]) or np.any(g[-1]):
+        raise DomainError("the generator's first column below the z-row or last row is not zero")
     if np.any(l_block != np.diag(l_diag)):
         raise DomainError("the generator's w-block is not diagonal; the affine flow "
                           "is built for a diagonal block only")

@@ -6,7 +6,9 @@ digits at coincident points, at gaps from 1e-3 down to 1e-12 and at
 separated points.  The ball builder solves K^T h = r once per family; an
 elliptic u0 family with cond(M) = 6.9e7 still matches the normal-map
 builder applied to exp(t M) within 1e-12.  A generator whose w-block is
-not diagonal is refused.
+not diagonal is refused, and so is one with a nonzero entry that its
+builder does not read: the ball flow's last column, the Siegel flow's
+first column below the z-row and its last row.
 
 The ball builder reads exp(t K) off one eigendecomposition K = V diag(l)
 V^-1 while cond(V) <= 1e2.  On a sweep of cond(V) up to that cut, against
@@ -25,7 +27,7 @@ from lfmsemi import embedding as emb
 from lfmsemi.embedding import SemigroupFamily
 from lfmsemi.errors import DomainError
 from lfmsemi.linalg import mat_exp, mat_log_principal
-from lfmsemi.maps import BALL, SIEGEL
+from lfmsemi.maps import BALL, SIEGEL, ProjMap
 from lfmsemi.normal_forms import u0_normal_map
 
 TS = np.array([0.0, 1e-6, 0.3, 1.0, 2.0, 7.5])
@@ -135,6 +137,41 @@ def test_non_diagonal_w_block_is_refused():
         sg.at_many([0.5, 1.0])
     g[1, 2] = 0.0
     assert len(SemigroupFamily("parabolic", g, SIEGEL).at_many([0.5, 1.0])) == 2
+
+
+def test_ball_generator_with_a_last_column_is_refused():
+    # z -> (e^-1 z + 0.3 (1 - e^-1)) is exp(G) at 0.2+0.1i: 0.2632+0.0368i,
+    # where a builder reading only K and r gave e^-1 z = 0.0736+0.0368i
+    z = np.array([0.2 + 0.1j])
+    g = np.array([[-1.0, 0.3], [0.0, 0.0]], dtype=complex)
+    want = ProjMap(mat_exp(g))(z)
+    assert np.allclose(want, [0.26321206 + 0.03678794j])
+    for corner in (0.0, 0.5):
+        g[1, 1] = corner
+        with pytest.raises(DomainError, match="last column is not zero"):
+            SemigroupFamily("x", g, BALL).at(1.0)
+    g[:, -1] = 0.0
+    assert np.allclose(SemigroupFamily("x", g, BALL).at(1.0)(z), ProjMap(mat_exp(g))(z),
+                       atol=1e-15)
+
+
+@pytest.mark.parametrize("entry", [(2, 2), (1, 0)], ids=["last_row", "first_column"])
+def test_siegel_generator_outside_the_affine_form_is_refused(entry):
+    # on H_2, at (0.1+2i, 0.3): a builder that did not read G[2, 2] = 0.4 or
+    # G[1, 0] = 0.3 gave (0.1649+3.4272i, 0.2456) both times, where exp(G)
+    # gives (0.1105+2.3155i, 0.1646) and (0.1649+3.4272i, 0.2812+0.7282i)
+    p = np.array([0.1 + 2.0j, 0.3])
+    g = np.zeros((3, 3), dtype=complex)
+    g[0, 0], g[1, 1], g[0, 2] = 0.5, -0.2, 0.1j
+    affine = ProjMap(mat_exp(g), SIEGEL, SIEGEL)(p)
+    assert np.allclose(SemigroupFamily("x", g, SIEGEL).at(1.0)(p), affine, atol=1e-14)
+    assert np.allclose(affine, [0.16487213 + 3.4271868j, 0.24561923])
+    g[entry] = {(2, 2): 0.4, (1, 0): 0.3}[entry]
+    want = {(2, 2): [0.11051709 + 2.31551275j, 0.16464349],
+            (1, 0): [0.16487213 + 3.4271868j, 0.28119025 + 0.72818171j]}[entry]
+    assert np.allclose(ProjMap(mat_exp(g), SIEGEL, SIEGEL)(p), want)
+    with pytest.raises(DomainError, match="below the z-row or last row is not zero"):
+        SemigroupFamily("x", g, SIEGEL).at_many([0.5, 1.0])
 
 
 #: the times of the ball-flow sweep: t |K| from 0 to about 40
