@@ -1,4 +1,4 @@
-"""Print what the pipeline makes of three seeded corpora of maps, one table
+"""Print what the pipeline makes of five seeded corpora of maps, one table
 per corpus.
 
 - ``automorphisms``: 200 ball automorphisms U o phi_a, from
@@ -12,13 +12,26 @@ per corpus.
   with dilation 1 + 10^-k, k = 1..14, contraction block only, in dims 1-4,
   each drawn from ``np.random.default_rng([n, k])``.  Every one of them
   embeds; the small k lie in the dead band of the classifier.
+- ``lambda_sweep``: the half-plane dilations z -> lam z + 0.3 of dim 1,
+  then (z, w) -> (lam z + 0.3, sqrt(lam) w) of dim 2, for lam in (2, 5, 8,
+  10, 20, 50, 100, 200, 500, 1000).  Every one of them is an automorphism
+  and embeds.
+- ``conjugates``: every spec under ``tests/golden``, sorted by path, carried
+  to the ball (``cayley_to_ball`` for a Siegel spec) and conjugated six
+  times by psi = U o phi_a, with psi's homogeneous matrix Psi, the spec
+  fields read off Psi T Psi^-1.  The draws come from
+  ``np.random.default_rng(1)``: for each map, U by
+  ``perfbench/specs.random_unitary``, then a = 0.3 d / |d| for a complex
+  normal direction d.  A verdict belongs to the map, not to its
+  coordinates, so each conjugate should have its golden's verdict.
 
 Each map runs through ``cli.run_pipeline`` with its defaults.  A table
 counts the maps of each (class, verdict, exit status, first failure),
 where the first failure is the input or stage error, with its decimal
 numbers replaced by ``#``, or else the first verify check that failed.  Below it
-stand the worst wall time of one run and the largest report, in bytes of
-the text ``lfmsemi report`` writes.
+stand the worst wall time of one run, the largest report, in bytes of
+the text ``lfmsemi report`` writes, and the largest ``chain_residual`` of
+the normal-form stage.
 
 Run from anywhere, with the checkout's ``src`` importable::
 
@@ -42,8 +55,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from lfmsemi import ball_automorphism  # noqa: E402
-from lfmsemi.cli import run_pipeline, to_jsonable  # noqa: E402
+from lfmsemi import SiegelMap, ball_automorphism, cayley_to_ball, conjugate  # noqa: E402
+from lfmsemi.cli import parse_map_spec, run_pipeline, to_jsonable  # noqa: E402
+from lfmsemi.maps import ProjMap  # noqa: E402
 
 #: a decimal or exponent number, the measured values of an error message
 _NUMBER = re.compile(r"[-+]?\d+(\.\d*(e[-+]?\d+)?|e[-+]?\d+)")
@@ -79,8 +93,40 @@ def dead_band() -> list:
             for k in range(1, 15) for n in range(1, 5)]
 
 
+def lambda_sweep() -> list:
+    lams = (2, 5, 8, 10, 20, 50, 100, 200, 500, 1000)
+    line = [{"domain": "siegel", "dimension": 1, "lambda": [float(lam), 0.0], "b": [0.3, 0.0]}
+            for lam in lams]
+    return line + [{"domain": "siegel", "dimension": 2, "lambda": [float(lam), 0.0],
+                    "b": [0.3, 0.0], "M": [[[float(np.sqrt(lam)), 0.0]]], "a": [[0.0, 0.0]],
+                    "c": [[0.0, 0.0]]} for lam in lams]
+
+
+def conjugates() -> list:
+    import specs
+
+    rng = np.random.default_rng(1)
+    out = []
+    for path in sorted(p for p in (ROOT / "tests" / "golden").glob("**/*.json")
+                       if not p.name.endswith(".report.json")):
+        f = parse_map_spec(json.loads(path.read_text()))
+        t = (cayley_to_ball(f) if isinstance(f, SiegelMap) else f).to_proj()
+        n = t.dim
+        for _ in range(6):
+            u = np.eye(n + 1, dtype=complex)
+            u[:n, :n] = specs.random_unitary(rng, n)
+            direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            psi = ball_automorphism(0.3 * direction / np.linalg.norm(direction)).to_proj()
+            m = conjugate(t, psi.then(ProjMap(u))).mat
+            m = m / m[n, n]
+            out.append({"dimension": n, "domain": "ball", "A": to_jsonable(m[:n, :n]),
+                        "B": to_jsonable(m[:n, n]), "C": to_jsonable(np.conj(m[n, :n])),
+                        "D": [1.0, 0.0]})
+    return out
+
+
 CORPORA = {"automorphisms": automorphisms, "siegel_dilation": siegel_dilation,
-           "dead_band": dead_band}
+           "dead_band": dead_band, "lambda_sweep": lambda_sweep, "conjugates": conjugates}
 
 
 def outcome(report: dict) -> tuple:
@@ -105,24 +151,29 @@ def outcome(report: dict) -> tuple:
 
 
 def tally(spec_list) -> tuple:
-    """(Counter of outcomes, worst wall time in s, largest report in bytes)."""
-    counts, worst, largest = Counter(), 0.0, 0
+    """(Counter of outcomes, worst wall time in s, largest report in bytes,
+    largest chain residual or None where no normal form was reached)."""
+    counts, worst, largest, residual = Counter(), 0.0, 0, None
     for spec in spec_list:
         start = time.perf_counter()
         report = run_pipeline(spec)
         worst = max(worst, time.perf_counter() - start)
         counts[outcome(report)] += 1
         largest = max(largest, len(json.dumps(report, sort_keys=True, indent=2)) + 1)
-    return counts, worst, largest
+        found = report["stages"].get("normal_form", {}).get("chain_residual")
+        if found is not None:
+            residual = found if residual is None else max(residual, found)
+    return counts, worst, largest, residual
 
 
-def table(name: str, counts: Counter, worst: float, largest: int) -> list:
+def table(name: str, counts: Counter, worst: float, largest: int, residual) -> list:
     rows = [f"{name} ({sum(counts.values())} maps)",
             f"  {'count':>5}  {'class':<10}  {'verdict':<15}  exit  first failure"]
     for (kind, verdict, status, first), count in sorted(counts.items(),
                                                         key=lambda item: (item[0][2], item[0])):
         rows.append(f"  {count:>5}  {kind:<10}  {verdict:<15}  {status:>4}  {first}")
-    rows.append(f"  worst wall time {worst:.3f} s, largest report {largest} bytes")
+    rows.append(f"  worst wall time {worst:.3f} s, largest report {largest} bytes, "
+                "largest chain residual " + ("-" if residual is None else f"{residual:.3e}"))
     return rows
 
 

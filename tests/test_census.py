@@ -1,16 +1,25 @@
 """The census corpora of ``tests/census.py`` are seeded: two runs, each
-drawing its maps anew, give the same table of outcomes and the same
-largest report."""
+drawing its maps anew, give the same table of outcomes, the same largest
+report and the same largest chain residual."""
 
 import census
 
 
-def _run():
-    counts, _, largest = census.tally(census.siegel_dilation() + census.automorphisms()[:20])
-    return counts, largest
+def _twice(build):
+    """The table of two runs of the corpus *build* draws, each drawn anew:
+    (counts, largest report, largest chain residual)."""
+    runs = [census.tally(build()) for _ in range(2)]
+    return [(counts, largest, residual) for counts, _, largest, residual in runs]
 
 
 def test_census_is_deterministic():
-    (counts, largest), (again, largest_again) = _run(), _run()
-    assert sum(counts.values()) == 37
-    assert counts == again and largest == largest_again
+    first, again = _twice(lambda: census.siegel_dilation() + census.automorphisms()[:20])
+    assert sum(first[0].values()) == 37
+    assert first == again
+
+
+def test_conjugates_are_deterministic():
+    # the six conjugates of each of the first two goldens, sorted by path
+    first, again = _twice(lambda: census.conjugates()[:12])
+    assert sum(first[0].values()) == 12
+    assert first == again
