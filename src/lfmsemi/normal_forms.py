@@ -120,7 +120,7 @@ def conjugation_residual(nf: NormalForm, f: BallMap) -> float:
     an empty chain), and Y, the matrix of the normal map."""
     x = conjugate(to_proj(f), chain_map(nf.conjugations)) if nf.conjugations else to_proj(f)
     x, y = x.mat.ravel(), to_proj(nf.normal_map).mat.ravel()
-    scale = complex(np.vdot(y, x)) / float(np.vdot(y, y).real)
+    scale = complex(np.vdot(y, x)) / float(np.vdot(y, y).real)  # part by part: 1 if x is y
     return float(np.linalg.norm(x - scale * y) / np.linalg.norm(y))
 
 

@@ -95,9 +95,9 @@ def dead_band() -> list:
 
 def lambda_sweep() -> list:
     lams = (2, 5, 8, 10, 20, 50, 100, 200, 500, 1000)
-    line = [{"domain": "siegel", "dimension": 1, "lambda": [float(lam), 0.0], "b": [0.3, 0.0]}
+    dim1 = [{"domain": "siegel", "dimension": 1, "lambda": [float(lam), 0.0], "b": [0.3, 0.0]}
             for lam in lams]
-    return line + [{"domain": "siegel", "dimension": 2, "lambda": [float(lam), 0.0],
+    return dim1 + [{"domain": "siegel", "dimension": 2, "lambda": [float(lam), 0.0],
                     "b": [0.3, 0.0], "M": [[[float(np.sqrt(lam)), 0.0]]], "a": [[0.0, 0.0]],
                     "c": [[0.0, 0.0]]} for lam in lams]
 

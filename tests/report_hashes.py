@@ -21,9 +21,9 @@ Run from anywhere, with the checkout's ``src`` importable::
 lists the files that differ, each with the first JSON path at which it
 differs (keys in sorted order, list items by index, as in
 ``stages.normal_form.chain_residual``), and exits 1 if any does (after
-printing the hashes).  It is not a CI step: a BLAS build that rounds differently moves
-the last digits, which ``tests/test_golden.py`` allows for with a
-tolerance.  ``--write-goldens`` rewrites each
+printing the hashes).  It is not a CI step: a BLAS build that rounds
+differently moves the last digits, which ``tests/test_golden.py`` allows
+for with a tolerance.  ``--write-goldens`` rewrites each
 ``tests/golden/**/*.report.json`` with the regenerated text and then
 prints the hashes.  Pytest does not collect this file; it reads
 ``perfbench/`` and writes nothing there.
