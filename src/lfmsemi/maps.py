@@ -22,17 +22,15 @@ public builders, :func:`compose`, :func:`inverse`, :func:`conjugate` and
 :func:`cayley_to_ball` (for a Siegel spec that call is the input check, as
 :class:`SiegelMap` checks no self-map property).  :func:`inverse` and
 :func:`conjugate` share one rule: a BallMap or SiegelMap gives a checked
-map, a ProjMap a ProjMap.  Four kinds of map skip the test, built by
-:func:`_trusted_ball_map` with the constructor's bits.  The automorphisms
-of :func:`ball_automorphism`, from their closed form: near the sphere the
-test's relative margin is rounding alone; a reduction centres a fixed
-point with one.  The intermediate maps of a reduction, which the library
-only reads or evaluates: a unitary change of variable kept as a
-:class:`ProjMap` (:func:`_change_of_variable`), and a ball map conjugated
-by a change of variable (:func:`conjugate` on its ProjMap, read back as a
-BallMap by :func:`_read_unchecked`).  The split normal map, which its
-reducer proves a self-map (:func:`~lfmsemi.normal_forms.split_normal_map`).
-And the maps of a ball family whose generator proves them all (:func:`_require_ball_flow`).
+map, a ProjMap a ProjMap.  Three builders skip the test, through
+:func:`_trusted_ball_map` with the constructor's bits, each with its own
+proof: :func:`ball_automorphism`, from the closed form (near the sphere the
+test's relative margin is rounding alone); the split normal map, which its
+reducer proves a self-map (:func:`~lfmsemi.normal_forms.split_normal_map`);
+and the maps of a ball family, whose generator proves them all
+(:func:`_require_ball_flow`).  A reduction's intermediates are homogeneous
+matrices: a change of variable (:func:`_change_of_variable`), a centring
+automorphism, and a map conjugated by them (:func:`_corner_one`).
 
 Inner products are hermitian with conjugation on the second slot:
 <z, c> = sum_j z_j * conj(c_j).
@@ -406,8 +404,8 @@ class BallMap:
     1e-9); a stack gets these checks for every map, with one batched
     eigenvalue computation.  Item i of a stack is map i, with the bits of
     ``BallMap(A[i], B[i], C[i])`` and without a second check.  Every
-    ball map the library hands out passes this check, except the kinds of
-    map of the module docstring.
+    ball map the library hands out passes this check, except those of the
+    three builders of the module docstring.
     """
 
     A: np.ndarray
@@ -505,12 +503,12 @@ def _normalized(a, b, c, d: complex) -> tuple:
     return a / d, b / d, c / np.conj(d)
 
 
-def _trusted_ball_map(a, b, c, d=1.0) -> BallMap:
-    """``BallMap(a, b, c, d)`` without the constructor's checks, for the
-    kinds of map of the module docstring: the constructor's
-    :func:`_normalized`, so the fields have the bits of the checked map."""
+def _trusted_ball_map(a, b, c) -> BallMap:
+    """``BallMap(a, b, c)`` without the constructor's checks, for the three
+    builders of the module docstring: the constructor's :func:`_normalized`
+    by D = 1, so the fields have the bits of the checked map."""
     a, b, c = (np.asarray(x, dtype=complex) for x in (a, b, c))
-    return _ball_map_of(*_normalized(a, b, c, complex(d)))
+    return _ball_map_of(*_normalized(a, b, c, 1.0 + 0.0j))
 
 
 def _proj_fields(m: np.ndarray) -> tuple:
@@ -555,13 +553,11 @@ def ball_automorphism(a) -> BallMap:
 
 
 def _change_of_variable(u) -> ProjMap:
-    """The homogeneous matrix of the unitary map ``BallMap(u, 0, 0)``, with
-    its bits and without its self-map check.  It serves the unitaries the
-    library builds only to conjugate by and to record in a conjugation
-    chain: a :class:`ProjMap` claims no self-map property, so there is
-    nothing to check."""
+    """The homogeneous matrix blockdiag(u, 1) of a unitary change of
+    variable z -> u z, to conjugate by and to record in a chain: a
+    :class:`ProjMap` claims no self-map property, so nothing is checked."""
     zeros = np.zeros(len(u))
-    return _trusted_ball_map(u, zeros, zeros).to_proj()
+    return _ball_proj(u, zeros, zeros, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -749,11 +745,12 @@ def conjugate(f: Map, s: Map) -> Map:
     return p if isinstance(f, ProjMap) else _wrap_like(p)
 
 
-def _read_unchecked(p: ProjMap) -> BallMap:
-    """The ball map of the ball-to-ball ProjMap p, which the library only
-    reads or transports: it skips the self-map check of the
-    :class:`BallMap` constructor and keeps its bits."""
-    return _trusted_ball_map(*_proj_fields(p.mat))
+def _corner_one(p: ProjMap) -> np.ndarray:
+    """p's matrix over its corner entry, set to exactly 1: that of the unchecked
+    ``BallMap(*_proj_fields(p.mat))``, bit for bit up to the sign of a zero."""
+    m = p.mat / p.mat[-1, -1]
+    m[-1, -1] = 1.0
+    return m
 
 
 def pointwise_distance(f: Map, g: Map, points: np.ndarray) -> float:
@@ -801,9 +798,9 @@ def _siegel_chain(f: BallMap, dw_point: np.ndarray):
     if np.linalg.norm(rot - np.eye(f.dim)) < 1e-9:
         rot = np.eye(f.dim)
     rot_p = _change_of_variable(rot)  # a Householder reflection
-    rotated = _read_unchecked(conjugate(to_proj(f), rot_p))  # only transported
+    rotated = _proj_of(_corner_one(conjugate(to_proj(f), rot_p)), BALL, BALL)
     sigma, sigma_inv = _cayley_pair(f.dim)
-    return siegel_map_from_proj(sigma_inv.then(to_proj(rotated)).then(sigma)), [rot_p, sigma]
+    return siegel_map_from_proj(sigma_inv.then(rotated).then(sigma)), [rot_p, sigma]
 
 
 # ---------------------------------------------------------------------------

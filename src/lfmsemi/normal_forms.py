@@ -8,18 +8,19 @@ composition s (first element applied first) satisfies
 ``normal_map = s o f o s^-1`` projectively, as homogeneous matrices up to
 a nonzero scalar, which :func:`conjugation_residual` measures.
 
-There are four cases, one per ``FORM_*`` kind.  :func:`normal_form` is
-the one place that classifies and the one place that branches on a
+There are four cases, one per ``FORM_*`` kind.  :func:`normal_form` is the
+one place that classifies and the one place that branches on a
 :class:`~lfmsemi.maps.Classification` to pick the reducer; each reducer
 takes that classification, with its fixed points and multipliers, as a
-required argument.  The two elliptic reducers centre the map with
-:func:`~lfmsemi.maps.ball_automorphism` (:func:`_centered`).  Each case
-builds its normal map with one builder (:func:`split_normal_map`,
-unchecked as its reducer proves it a self-map, :func:`u0_normal_map`,
-checked, :func:`siegel_normal_map`); the semigroup families of
-:mod:`lfmsemi.embedding` are built from their generators instead.  A fifth
-case adds its reducer and builder here, its branch in :func:`normal_form`,
-and its row in ``embedding._CASES``.
+required argument.  The two elliptic reducers centre the map by the
+automorphism exchanging 0 and its fixed point (:func:`_centered`).  Every
+intermediate of a reduction is a homogeneous matrix or a Siegel view of
+one, and each case builds one map, its normal map, with one builder
+(:func:`split_normal_map`, unchecked as its reducer proves it a self-map,
+:func:`u0_normal_map`, checked, :func:`siegel_normal_map`); the semigroup
+families of :mod:`lfmsemi.embedding` are built from their generators
+instead.  A fifth case adds its reducer and builder here, its branch in
+:func:`normal_form`, and its row in ``embedding._CASES``.
 
 Block conventions on the Siegel side: the w-coordinates of an affine
 self-map split into a u-block (block matrix eigenvalue 1), a v-block
@@ -52,12 +53,14 @@ from .maps import (
     PARABOLIC,
     ProjMap,
     SiegelMap,
+    _automorphism_fields,
+    _ball_proj,
     _change_of_variable,
-    _read_unchecked,
+    _corner_one,
+    _proj_fields,
     _siegel_chain,
     _siegel_proj,
     _trusted_ball_map,
-    ball_automorphism,
     classify,
     conjugate,
     siegel_map_from_proj,
@@ -172,31 +175,31 @@ def u0_normal_map(ahat: np.ndarray, delta: float) -> BallMap:
 
 def _centered(f: BallMap, cls: Classification):
     """Move the first interior fixed point of f's classification to the
-    origin with :func:`~lfmsemi.maps.ball_automorphism`; returns
-    (map, chain).  The centred map is only read, so it skips the self-map
-    check, and its translation must vanish."""
+    origin by the matrix of the automorphism exchanging it and 0; returns
+    A, C and the chain of the centred map, read off its matrix over its
+    corner entry (:func:`~lfmsemi.maps._corner_one`), whose B must vanish."""
     if not cls.interior_fixed_points:
         raise DomainError("map has no interior fixed point")
     z0 = cls.interior_fixed_points[0]
     if np.linalg.norm(z0) < 1e-12:
-        g, chain = f, []
+        (a, b, c), chain = (f.A, f.B, f.C), []
     else:
-        mover = ball_automorphism(z0).to_proj()
-        g, chain = _read_unchecked(conjugate(to_proj(f), mover)), [mover]
-    _require(float(np.linalg.norm(g.B)), SNAP_TOL, "residual translation after centering")
-    return g, chain
+        mover = _ball_proj(*_automorphism_fields(z0), 1.0)
+        (a, b, c, _), chain = _proj_fields(_corner_one(conjugate(to_proj(f), mover))), [mover]
+    _require(float(np.linalg.norm(b)), SNAP_TOL, "residual translation after centering")
+    return a, c, chain
 
 
 def elliptic_split(f: BallMap, cls: Classification) -> NormalForm:
     """Reduce an elliptic map with unitary index >= 1 to its linear
     (diagonal-unitary, contraction) block form."""
-    g, chain = _centered(f, cls)
+    a, c, chain = _centered(f, cls)
     u = cls.unitary_index
     if u == 0:
         raise WrongFormError("unitary index is 0; use elliptic_u0 instead")
-    _require(float(np.linalg.norm(g.C)), SNAP_TOL,
+    _require(float(np.linalg.norm(c)), SNAP_TOL,
              "denominator part of a unitary-index >= 1 elliptic map")
-    form, lam, a1 = _unimodular_split(g.A)
+    form, lam, a1 = _unimodular_split(a)
     if len(lam) != u:
         raise NumericError(f"unitary index {u}, but {len(lam)} on the Schur diagonal")
     norm = spectral_norm(a1) if a1.size else 0.0
@@ -222,16 +225,16 @@ def elliptic_u0(f: BallMap, cls: Classification) -> NormalForm:
     to the (Ahat, delta) denominator form.  Unitary index 0 says that no
     multiplier lies within UNIMODULAR_TOL of the unit circle, so none
     within it of 1, and I - A^H is invertible."""
-    g, chain = _centered(f, cls)
+    a, c, chain = _centered(f, cls)
     if cls.unitary_index > 0:
         raise WrongFormError("unitary index is positive; use elliptic_split instead")
-    v = np.linalg.solve(g.A.conj().T - np.eye(f.dim), g.C)
+    v = np.linalg.solve(a.conj().T - np.eye(f.dim), c)
     delta = float(np.linalg.norm(v))
     if delta > 1.0 + 1e-9:
         raise NumericError(f"normal-form delta = {delta} exceeds 1")
     rot_mat = np.eye(f.dim) if delta < 1e-12 else unitary_with_first_column(v).conj().T
     delta = 0.0 if delta < 1e-12 else min(delta, 1.0)
-    ahat = rot_mat @ g.A @ rot_mat.conj().T  # similar to A: its eigenvalues are the multipliers
+    ahat = rot_mat @ a @ rot_mat.conj().T  # similar to A: its eigenvalues are the multipliers
     if np.max(np.abs(cls.multipliers)) >= 1.0 - CONTRACTION_TOL:
         raise NumericError("contraction matrix has spectral radius too close to 1")
     return NormalForm(FORM_ELLIPTIC_U0, u0_normal_map(ahat, delta),

@@ -1,19 +1,16 @@
 """Ball maps that skip the constructor's self-map check.
 
 Every ball map the library hands out passes the exact self-map test of
-:class:`~lfmsemi.maps.BallMap`.  Four kinds of map skip it, built by
-``maps._trusted_ball_map``.  The automorphisms of ``ball_automorphism``,
-built from their closed form, among them the one that centres a fixed
-point in a reduction.  The intermediate maps of a reduction, which the
-library only reads or evaluates: a unitary built to conjugate by and to
-record in a chain, kept as a ``ProjMap``, and a map conjugated by a change
-of variable (``conjugate`` of its ``ProjMap``, read back by
-``maps._read_unchecked``).
-The split normal map, whose reducer proves |Lambda_j| = 1 and
+:class:`~lfmsemi.maps.BallMap`.  Three builders skip it, through
+``maps._trusted_ball_map``, each with a proof of its own.  The
+automorphisms of ``ball_automorphism``, built from their closed form.  The
+split normal map, whose reducer proves |Lambda_j| = 1 and
 ||A1|| <= 1 + 1e-10.  And the maps of a ball family whose generator has a
 flow margin >= 0, self-maps by Nagumo's theorem; a margin within the
 slack below 0 proves nothing for a large t, and those maps get the per-map
-check.  The old
+check.  A reduction's intermediates (a change of variable, the centring
+automorphism, a centred or rotated map) are homogeneous matrices, so the
+pipelines build trusted maps at the last two sites only.  The old
 check is the oracle here: every trusted map of the golden pipelines and of
 two seeded cycles of the four cases in dims 1-8 passes
 ``maps._self_map_margins`` with the self-map slack, and its fields have
@@ -45,8 +42,7 @@ GOLDEN_SPECS = sorted(p for p in (ROOT / "tests" / "golden").rglob("*.json")
                       if not p.name.endswith(".report.json"))
 
 #: the sites that build a trusted map, by the name of the calling function
-SITES = {"ball_automorphism", "_change_of_variable", "_read_unchecked", "_ball_flow",
-         "split_normal_map"}
+SITES = {"_ball_flow", "split_normal_map"}
 
 
 def _fields(f):
