@@ -61,7 +61,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BranchError, DomainError, NumericError
+from .errors import BranchError, DimensionError, DomainError, NumericError
 from .linalg import (
     REAL_KINDS,
     _complex_array,
@@ -132,6 +132,10 @@ class SemigroupFamily:
     domain: str
     target: Optional[object] = None
 
+    def __post_init__(self):
+        if self.domain not in _FLOWS:
+            raise DomainError(f"unknown domain {self.domain!r}")
+
     @property
     def dim(self) -> int:
         return self.G.shape[0] - 1
@@ -143,18 +147,27 @@ class SemigroupFamily:
         """The maps at the times ts (each finite and >= 0), built together:
         a stack of T = len(ts) maps, a :class:`~lfmsemi.maps.BallMap` or
         :class:`~lfmsemi.maps.SiegelMap` whose item i is the map at ts[i]."""
-        try:
-            if _natural_dtype(ts).kind not in REAL_KINDS:  # np.array takes a string or a bool
-                raise TypeError
-            ts = np.array(ts, dtype=float, ndmin=1)
-        except (TypeError, ValueError):
-            raise DomainError(f"times must be real numbers, got {ts!r}") from None
-        outside = ts[~((ts >= 0.0) & (ts < np.inf))]
-        if outside.size:
-            raise DomainError(f"time {float(outside[0])!r} lies outside 0 <= t < inf, "
-                              "where the semigroup is defined")
-        flow = _ball_flow if self.domain == BALL else _siegel_flow
-        return flow(self.G, ts)
+        return _FLOWS[self.domain](self.G, _time_grid(ts))
+
+
+def _time_grid(ts) -> np.ndarray:
+    """The times ts, a scalar or a 1-d grid, as a 1-d float array, each time
+    finite and >= 0; anything else raises :class:`DomainError`.  The reader
+    of :meth:`SemigroupFamily.at_many` and of the grids of
+    :mod:`lfmsemi.verify`."""
+    try:
+        if _natural_dtype(ts).kind not in REAL_KINDS:  # np.array takes a string or a bool
+            raise TypeError
+        ts = np.array(ts, dtype=float, ndmin=1)
+    except (TypeError, ValueError):
+        raise DomainError(f"times must be real numbers, got {ts!r}") from None
+    if ts.ndim != 1:
+        raise DomainError(f"times must be a scalar or a 1-d grid, got shape {ts.shape}")
+    outside = ts[~((ts >= 0.0) & (ts < np.inf))]
+    if outside.size:
+        raise DomainError(f"time {float(outside[0])!r} lies outside 0 <= t < inf, "
+                          "where the semigroup is defined")
+    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +777,10 @@ def _siegel_flow(g: np.ndarray, ts: np.ndarray) -> SiegelMap:
     return SiegelMap(lam_t, 0.5j * np.conj(q_dd), b_t, m_t, gamma * dd[:, k + 1:])
 
 
+#: the builder of a family's maps on each domain (:meth:`SemigroupFamily.at_many`)
+_FLOWS = {BALL: _ball_flow, SIEGEL: _siegel_flow}
+
+
 def _affine_dds(x: complex, l_diag: np.ndarray, coupled: np.ndarray, ts: np.ndarray):
     """The divided differences in the entries of exp(t G), one row per time
     of ts: DD1 at (x, 0), at (x, l_j) and at (l_j, 0) as columns of one
@@ -881,12 +898,15 @@ def build_semigroup(cert: EmbeddingCertificate) -> SemigroupFamily:
 def generator(sg: SemigroupFamily):
     """Infinitesimal generator of the family, d(phi_t)/dt = G o phi_t: the
     vector field z -> (Gx)[:N] - (Gx)[N] z, x = (z, 1), of the
-    family's homogeneous generator G.  It takes one point or a (K, N) array
-    of rows."""
+    family's homogeneous generator G.  It takes one point or an array of
+    points along its last axis, such as a (K, N) array of rows; a point of
+    another width raises :class:`DimensionError`."""
     g = sg.G
 
     def field(z):
         z = _complex_array(z)
+        if z.shape[-1:] != (sg.dim,):
+            raise DimensionError(f"points must have {sg.dim} coordinates, got shape {z.shape}")
         gx = z @ g[:, :-1].T + g[:, -1]
         return gx[..., :-1] - gx[..., -1:] * z
 
