@@ -21,12 +21,15 @@ the negated worst deviation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .embedding import _time_grid, generator
 from .errors import DimensionError, DomainError
+from .linalg import REAL_KINDS, _natural_dtype
 from .maps import (
     BALL,
     DEFAULT_SAMPLE_SEED,
@@ -148,6 +151,30 @@ def _sampled(sg, cfg: SamplerCfg, times, target=None) -> _Sampled:
     return _Sampled(sg, zs, maps, maps.eval_many(zs), {t: i for i, t in enumerate(ts)})
 
 
+def _grid(t_grid) -> list:
+    """The times of the grid *t_grid* (:func:`~lfmsemi.embedding._time_grid`),
+    read before any map is built; an empty grid, or one that reader refuses,
+    raises :class:`DomainError` naming the argument."""
+    try:
+        ts = _time_grid(t_grid)
+    except DomainError as exc:
+        raise DomainError(f"t_grid: {exc}") from None
+    if not ts.size:
+        raise DomainError("t_grid: the grid holds no time")
+    return ts.tolist()
+
+
+def _number(x, what: str, positive: bool) -> float:
+    """x as a float, a finite real number >= 0, or > 0 if *positive*; else
+    :class:`DomainError` naming *what*."""
+    if np.ndim(x) == 0 and _natural_dtype(x).kind in REAL_KINDS:
+        value = float(x)
+        if math.isfinite(value) and (value > 0.0 if positive else value >= 0.0):
+            return value
+    raise DomainError(f"{what} must be a finite number {'>' if positive else '>='} 0, "
+                      f"got {x!r}")
+
+
 def _deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise distance between two (..., K, N) image arrays."""
     return np.linalg.norm(a - b, axis=-1)
@@ -164,7 +191,7 @@ def check_self_map(f, cfg: SamplerCfg, tol: float = TOL_SELF_MAP) -> CheckReport
 def _law_times(t_grid) -> tuple:
     """The pairs (s, t) of the grid, and the times the law reads: s+t, t, s
     for each pair."""
-    t_grid = [float(t) for t in t_grid]
+    t_grid = _grid(t_grid)
     pairs = [(s, t) for s in t_grid for t in t_grid]
     return pairs, [u for s, t in pairs for u in (s + t, t, s)]
 
@@ -183,6 +210,8 @@ def check_semigroup_law(sg, t_grid, cfg: SamplerCfg, tol: float = TOL_LAW) -> Ch
 
 def check_time_one(sg, target_map, cfg: SamplerCfg, tol: float = TOL_TIME_ONE) -> CheckReport:
     """Worst deviation of at(1) from the target map."""
+    if target_map is None:
+        raise DomainError("target_map: a map is required, got None")
     ev = _sampled(sg, cfg, [1.0], target_map)
     margins = -_deviation(ev.images_at([1.0]), target_map.eval_many(ev.zs))
     return _report("time_one", margins, ev.zs, tol)
@@ -212,11 +241,11 @@ def check_generator(sg, cfg: SamplerCfg, h: Optional[float] = None,
     """Central finite-difference residual of the generator field against
     the family's maps.  The step *h* defaults to 1e-4, times (5 / rho)^(3/2)
     where rho = max |eig G| exceeds 5, so that the truncation error
-    h^2 rho^3 / 6 stays at its size at rho = 5."""
-    from .embedding import generator
-
+    h^2 rho^3 / 6 stays at its size at rho = 5; a step that is not a finite
+    number > 0 raises :class:`DomainError`."""
     family = sg.family if isinstance(sg, _Sampled) else sg
-    h, centres, times = _fd_times(family, h, t_grid)
+    h = None if h is None else _number(h, "h", True)
+    h, centres, times = _fd_times(family, h, _grid(t_grid))
     ev = _sampled(sg, cfg, times)
     slope = (ev.images_at([t + h for t in centres])
              - ev.images_at([t - h for t in centres])) / (2.0 * h)
@@ -231,15 +260,17 @@ def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=(0.25, 0.5, 1.0, 
 
     *cfg* defaults to VERIFY_SAMPLE_COUNT points of the family's domain with
     the default seed; *tols* overrides tolerances of :data:`DEFAULT_TOLS` by
-    key.
+    key, each a finite number >= 0.  The grid and *tols* are read before any
+    map is built; a bad one, or an empty grid, raises :class:`DomainError`.
     The family is built once, by one ``at_many`` over every check's
     times, and evaluated once on one sample; each check reads its rows.
     """
+    t_grid = _grid(t_grid)
+    tol = {**DEFAULT_TOLS, **_tolerances(tols)}
     if cfg is None:
         cfg = SamplerCfg(domain=sg.domain)
-    tol = {**DEFAULT_TOLS, **(tols or {})}
     h, _, stencil = _fd_times(sg, None, _FD_GRID)
-    times = [0.0, *_law_times(t_grid)[1], *map(float, t_grid), 1.0, *stencil]
+    times = [0.0, *_law_times(t_grid)[1], *t_grid, 1.0, *stencil]
     ev = _sampled(sg, cfg, times, sg.target)
     reports = [
         check_identity_at_zero(ev, cfg, tol["identity"]),
@@ -252,9 +283,23 @@ def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=(0.25, 0.5, 1.0, 
     return reports
 
 
-def _family_self_map(sg, t_grid, cfg: SamplerCfg, tol: float) -> CheckReport:
-    """Worst domain margin of at(t)(z) over the grid: these are also the
-    intermediate points of the semigroup law on the same grid."""
-    t_grid = [float(t) for t in t_grid]
+def _tolerances(tols) -> dict:
+    """The overrides *tols* of :data:`DEFAULT_TOLS` (None for none): each key
+    one of its keys, each value a finite number >= 0."""
+    if tols is None:
+        return {}
+    if not isinstance(tols, dict):
+        raise DomainError(f"tols must be a dict, got {tols!r}")
+    unknown = [key for key in tols if key not in DEFAULT_TOLS]
+    if unknown:
+        raise DomainError(f"tols: unknown key {unknown[0]!r}, expected one of "
+                          f"{sorted(DEFAULT_TOLS)}")
+    return {key: _number(value, f"tols[{key!r}]", False) for key, value in tols.items()}
+
+
+def _family_self_map(sg, t_grid: list, cfg: SamplerCfg, tol: float) -> CheckReport:
+    """Worst domain margin of at(t)(z) over the grid of
+    :func:`verify_family`: these are also the intermediate points of the
+    semigroup law on the same grid."""
     ev = _sampled(sg, cfg, t_grid)
     return _report("self_map", domain_margin(ev.images_at(t_grid), cfg.domain), ev.zs, tol)
