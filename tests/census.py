@@ -1,4 +1,4 @@
-"""Print what the pipeline makes of five seeded corpora of maps, one table
+"""Print what the pipeline makes of six seeded corpora of maps, one table
 per corpus.
 
 - ``automorphisms``: 200 ball automorphisms U o phi_a, from
@@ -24,6 +24,16 @@ per corpus.
   ``perfbench/specs.random_unitary``, then a = 0.3 d / |d| for a complex
   normal direction d.  A verdict belongs to the map, not to its
   coordinates, so each conjugate should have its golden's verdict.
+- ``perturbed_hyperbolic``: six maps from ``np.random.default_rng(0)``,
+  each ``tests/golden/hyperbolic_ball_n2.json`` with every [re, im] pair
+  moved by 1e-8 N(0, 1) (real part, then imaginary part; keys A, B, C, D,
+  row-major).  The perturbation moves the boundary fixed points off the
+  sphere: some maps leave the ball, the others get an interior fixed
+  point near the sphere, and their reduction a badly conditioned chain.
+  Below its table stands the largest miss of S^-1 exp(G) S against f over
+  ``sample_ball_points(2, 2000)``, S = ``chain_map(nf.conjugations).mat``,
+  over the maps that embed: the family's map at t = 1 carried back to the
+  user's coordinates, which should be f (ROADMAP item 3).
 
 Each map runs through ``cli.run_pipeline`` with its defaults.  A table
 counts the maps of each (class, verdict, exit status, first failure),
@@ -57,7 +67,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from lfmsemi import SiegelMap, ball_automorphism, cayley_to_ball, conjugate  # noqa: E402
 from lfmsemi.cli import parse_map_spec, run_pipeline, to_jsonable  # noqa: E402
-from lfmsemi.maps import ProjMap  # noqa: E402
+from lfmsemi.embedding import certify  # noqa: E402
+from lfmsemi.errors import LfmError  # noqa: E402
+from lfmsemi.linalg import mat_exp  # noqa: E402
+from lfmsemi.maps import ProjMap, sample_ball_points  # noqa: E402
+from lfmsemi.normal_forms import chain_map, normal_form  # noqa: E402
 
 #: a decimal or exponent number, the measured values of an error message
 _NUMBER = re.compile(r"[-+]?\d+(\.\d*(e[-+]?\d+)?|e[-+]?\d+)")
@@ -125,8 +139,46 @@ def conjugates() -> list:
     return out
 
 
+def perturbed_hyperbolic() -> list:
+    spec = json.loads((ROOT / "tests" / "golden" / "hyperbolic_ball_n2.json").read_text())
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(6):
+        drawn = dict(spec)
+        for key in "ABCD":  # each [re, im] pair in row-major order, re first
+            pairs = np.array(spec[key], dtype=float)
+            drawn[key] = (pairs + 1e-8 * rng.standard_normal(pairs.shape)).tolist()
+        out.append(drawn)
+    return out
+
+
+def user_miss(spec_list) -> tuple:
+    """(largest miss, number of maps) over the ball specs of *spec_list*
+    that embed: the miss of a map f is the largest distance between
+    S^-1 exp(G) S and f on ``sample_ball_points(N, 2000)``, with G its
+    certificate's generator and S = ``chain_map(nf.conjugations).mat``."""
+    worst, count = None, 0
+    for spec in spec_list:
+        try:
+            f = parse_map_spec(spec)
+            nf = normal_form(f)
+            cert = certify(nf)
+        except LfmError:
+            continue
+        if cert.G is None:
+            continue
+        s = chain_map(nf.conjugations).mat
+        family_at_one = ProjMap(np.linalg.solve(s, mat_exp(cert.G) @ s))
+        zs = sample_ball_points(f.dim, 2000)
+        miss = float(np.max(np.linalg.norm(family_at_one.eval_many(zs) - f.eval_many(zs),
+                                           axis=1)))
+        worst, count = miss if worst is None else max(worst, miss), count + 1
+    return worst, count
+
+
 CORPORA = {"automorphisms": automorphisms, "siegel_dilation": siegel_dilation,
-           "dead_band": dead_band, "lambda_sweep": lambda_sweep, "conjugates": conjugates}
+           "dead_band": dead_band, "lambda_sweep": lambda_sweep, "conjugates": conjugates,
+           "perturbed_hyperbolic": perturbed_hyperbolic}
 
 
 def outcome(report: dict) -> tuple:
@@ -179,7 +231,12 @@ def table(name: str, counts: Counter, worst: float, largest: int, residual) -> l
 
 def main() -> int:
     for name, build in CORPORA.items():
-        print("\n".join(table(name, *tally(build()))))
+        spec_list = build()
+        print("\n".join(table(name, *tally(spec_list))))
+        if name == "perturbed_hyperbolic":
+            worst, count = user_miss(spec_list)
+            print("  largest user-coordinate miss of S^-1 exp(G) S against f: "
+                  + ("-" if worst is None else f"{worst:.3e}") + f" ({count} maps embed)")
     return 0
 
 

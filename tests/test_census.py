@@ -1,6 +1,7 @@
 """The census corpora of ``tests/census.py`` are seeded: two runs, each
 drawing its maps anew, give the same table of outcomes, the same largest
-report and the same largest chain residual."""
+report and the same largest chain residual (and, for
+``perturbed_hyperbolic``, the same largest user-coordinate miss)."""
 
 import census
 
@@ -23,3 +24,11 @@ def test_conjugates_are_deterministic():
     first, again = _twice(lambda: census.conjugates()[:12])
     assert sum(first[0].values()) == 12
     assert first == again
+
+
+def test_perturbed_hyperbolic_is_deterministic():
+    first, again = _twice(census.perturbed_hyperbolic)
+    assert sum(first[0].values()) == 6
+    assert first == again
+    misses = [census.user_miss(census.perturbed_hyperbolic()) for _ in range(2)]
+    assert misses[0] == misses[1] and misses[0][1] >= 1
