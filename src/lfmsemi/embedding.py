@@ -72,7 +72,7 @@ from .linalg import (
     mat_log_principal,
     schur_margins,
 )
-from .maps import (BALL, SIEGEL, BallMap, SiegelMap, _require_ball_flow,
+from .maps import (BALL, SIEGEL, BallMap, SiegelMap, _krein_j, _require_ball_flow,
                    _trusted_ball_map, flow_form, pencil_margins, pullback_form)
 from .normal_forms import (
     FORM_ELLIPTIC_SPLIT,
@@ -659,9 +659,8 @@ def is_automorphism(f: BallMap) -> bool:
     """Automorphism test on the homogeneous matrix T: T^H J T = c J with
     c > 0 (J = diag(I_N, -1)), to within 1e-8 relative to ||T^H J T||_F."""
     s = pullback_form(f.to_proj().mat)
-    j = np.diag(np.append(np.ones(f.dim), -1.0))
     c = -float(s[-1, -1].real)
-    return bool(c > 0 and np.linalg.norm(s - c * j) <= 1e-8 * np.linalg.norm(s))
+    return bool(c > 0 and np.linalg.norm(s - c * _krein_j(f.dim + 1)) <= 1e-8 * np.linalg.norm(s))
 
 
 def embed_map(f: BallMap) -> EmbeddingCertificate:

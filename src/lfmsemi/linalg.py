@@ -6,21 +6,27 @@ plain ``numpy`` arrays of ``complex128``; the wrappers here add input
 validation, the decomposition result types, and the matrix-analytic
 predicates the rest of the package relies on.
 
+Only numpy is imported with the module.  The Schur form calls the
+``zgees`` of the OpenBLAS that numpy's wheels ship and have loaded
+already, and falls back to scipy's where numpy's build has none;
+``scipy.linalg`` is imported by the first matrix exponential or
+logarithm, which only an elliptic map needs.
+
 Its tolerances are the named constants below, the literals of the checks
 (each stated in its docstring), and the ``rank_tol`` of :func:`pinv`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import zgees
 
 from .errors import BranchError, DimensionError, DomainError, NumericError
 
@@ -150,12 +156,19 @@ def schur_form(a, sort=None) -> SchurForm:
     it, so with its bits, but with the workspace size cached per n and
     without its second finiteness check.
 
+    The ``zgees`` is numpy's own (:data:`_BUNDLED_ZGEES`), called through
+    ``ctypes``, so a Schur form imports no scipy; where numpy's build
+    ships no OpenBLAS with that symbol it is ``scipy.linalg.lapack``'s.
+    Both give the bits of ``scipy.linalg.schur``.  A process that also
+    takes a matrix exponential or logarithm then holds two OpenBLAS
+    copies, numpy's and scipy's.
+
     Parameters
     ----------
     a : array_like, square
     sort : callable, optional
         Predicate on eigenvalues; selected ones are moved to the
-        leading block of T.
+        leading block of T.  An exception it raises reaches the caller.
 
     Returns
     -------
@@ -165,19 +178,93 @@ def schur_form(a, sort=None) -> SchurForm:
     """
     a = as_matrix(a, square=True)
     n = len(a)
-    result = zgees(_unsorted if sort is None else sort, a, lwork=_zgees_lwork(n),
-                   sort_t=int(sort is not None))
-    info = result[-1]
+    t, vs, info, _ = _zgees(a, sort, _zgees_lwork(n, _BUNDLED_ZGEES is not None))
     if info != 0:
         what = {n + 1: "eigenvalues could not be separated for reordering",
                 n + 2: "leading eigenvalues do not satisfy the sort condition"}.get(
             info, "QR iteration did not converge" if info > 0 else f"illegal argument {-info}")
         raise NumericError(f"Schur iteration failed: {what}")
-    form = SchurForm(unitary=result[-3].conj().T, upper_triangular=result[0])
+    form = SchurForm(unitary=vs.conj().T, upper_triangular=t)
     residual = _frobenius(form.reconstruct() - a)
     if residual > 1e-10 * max(1.0, _frobenius(a)):
         raise NumericError(f"Schur reconstruction residual {residual:.3e}")
     return form
+
+
+#: ``LOGICAL SELECT(COMPLEX*16 W)``, the eigenvalue predicate of ``zgees``
+_SELECT = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.POINTER(ctypes.c_double))
+
+
+def _load_bundled_zgees():
+    """The ILP64 ``zgees`` of the OpenBLAS in numpy's wheel (in
+    ``numpy.libs/`` on Linux and Windows, ``numpy/.dylibs/`` on macOS),
+    which numpy has loaded already; None when there is no such library
+    or symbol, as in a numpy built against a system BLAS."""
+    package = Path(np.__file__).parent
+    for path in sorted(chain(package.parent.glob("numpy.libs/*scipy_openblas64_*"),
+                             package.glob(".dylibs/*scipy_openblas64_*"))):
+        try:
+            zgees = ctypes.CDLL(str(path)).scipy_zgees_64_
+        except (OSError, AttributeError):
+            continue
+        # JOBVS, SORT, SELECT, N, A, LDA, SDIM, W, VS, LDVS, WORK, LWORK,
+        # RWORK, BWORK, INFO, then the two hidden lengths of JOBVS and SORT
+        zgees.argtypes = ([ctypes.c_char_p] * 2 + [_SELECT] + [ctypes.c_void_p] * 12
+                          + [ctypes.c_size_t] * 2)
+        zgees.restype = None
+        return zgees
+    return None
+
+
+#: the path :func:`schur_form` takes, chosen once: numpy's ``zgees``, or
+#: None for scipy's
+_BUNDLED_ZGEES = _load_bundled_zgees()
+
+#: the predicate of an unsorted Schur form, which ``zgees`` never calls
+_NO_SELECT = _SELECT(lambda w: 0)
+
+
+def _zgees(a: np.ndarray, sort, lwork: int):
+    """``zgees`` of *a* with Schur vectors, sorted by the predicate *sort*
+    unless it is None, on the chosen path: (T, VS, info, first work
+    entry), T and VS in Fortran order as scipy's wrapper returns them.
+    Every buffer is the call's own, so calls may run at once."""
+    zgees = _BUNDLED_ZGEES
+    if zgees is None:
+        from scipy.linalg.lapack import zgees
+        t, _, _, vs, work, info = zgees(_unsorted if sort is None else sort, a, lwork=lwork,
+                                        sort_t=int(sort is not None))
+        return t, vs, info, work[0]
+    n = len(a)
+    nn, lw = n * n, max(lwork, 1)
+    # ctypes buffers, whose addresses are cheaper to read than an array's:
+    # T, VS, W, WORK as complex, then RWORK; N, LDA, LDVS, LWORK, SDIM,
+    # INFO, BWORK as 64-bit integers
+    reals = (ctypes.c_double * (2 * (2 * nn + n + lw) + n))()
+    ints = (ctypes.c_int64 * (6 + n))(n, n, n, lwork)
+    t = np.ndarray((n, n), complex, reals, order="F")
+    t[...] = a
+    errors = []
+    if sort is None:
+        select = _NO_SELECT
+    else:
+        def pick(w):
+            if errors:
+                return 0
+            try:
+                return 1 if sort(complex(w[0], w[1])) else 0
+            except BaseException as exc:  # ctypes would print and swallow it
+                errors.append(exc)
+                return 0
+        select = _SELECT(pick)
+    at, it = ctypes.addressof(reals), ctypes.addressof(ints)
+    zgees(b"V", b"N" if sort is None else b"S", select, it, at, it + 8, it + 32,
+          at + 32 * nn, at + 16 * nn, it + 16, at + 16 * (2 * nn + n), it + 24,
+          at + 16 * (2 * nn + n + lw), it + 48, it + 40, 1, 1)
+    if errors:
+        raise errors[0]
+    vs = np.ndarray((n, n), complex, reals, 16 * nn, order="F")
+    return t, vs, ints[5], reals[2 * (2 * nn + n)]
 
 
 def _unsorted(lam):
@@ -186,10 +273,11 @@ def _unsorted(lam):
 
 
 @lru_cache(maxsize=None)
-def _zgees_lwork(n: int) -> int:
-    """The workspace size that ``zgees`` asks for at size n, which
-    ``scipy.linalg.schur`` queries on every call: it depends on n alone."""
-    return int(zgees(_unsorted, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
+def _zgees_lwork(n: int, bundled: bool) -> int:
+    """The workspace size that ``zgees`` asks for at size n, on the path
+    that *bundled* names, which ``scipy.linalg.schur`` queries on every
+    call: it depends on n alone."""
+    return int(_zgees(np.zeros((n, n), dtype=complex), None, -1)[-1].real)
 
 
 @dataclass(frozen=True)
@@ -286,6 +374,8 @@ def mat_exp(m) -> np.ndarray:
         raise DimensionError(f"expected a stack of square matrices, got shape {m.shape}")
     elif not np.all(np.isfinite(m)):
         raise DomainError("matrix entries must be finite")
+    import scipy.linalg
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         result = scipy.linalg.expm(m)
     if not np.isfinite(result).all():
@@ -312,6 +402,8 @@ def mat_log_principal(a) -> np.ndarray:
                 f"eigenvalue {lam} lies on the negative real axis; "
                 "principal branch undefined"
             )
+    import scipy.linalg
+
     result = scipy.linalg.logm(a)
     if not np.all(np.isfinite(result)):
         raise NumericError("matrix logarithm did not converge")

@@ -285,12 +285,21 @@ def _ball_parts(zs: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     return num, (zs @ np.conj(c)[..., None])[..., 0] + 1.0
 
 
+@lru_cache(maxsize=16)
+def _krein_j(size: int) -> np.ndarray:
+    """J = diag(I_N, -1) of the given size N + 1, the form whose cone
+    x^H J x < 0 is the ball in homogeneous coordinates: a read-only array,
+    built once per size."""
+    j = np.diag(np.append(np.ones(size - 1), -1.0))
+    j.setflags(write=False)
+    return j
+
+
 def pullback_form(t: np.ndarray) -> np.ndarray:
     """S = T^H J T, J = diag(I_N, -1), for a homogeneous matrix T or a stack:
     (z, 1)^H S (z, 1) = |Az + B|^2 - |<z, C> + D|^2.  The map is an
     automorphism of B_N exactly when S = c J with c > 0."""
-    j = np.append(np.ones(t.shape[-1] - 1), -1.0)
-    return np.conj(np.swapaxes(t, -1, -2)) @ (j[:, None] * t)
+    return np.conj(np.swapaxes(t, -1, -2)) @ (_krein_j(t.shape[-1]).diagonal()[:, None] * t)
 
 
 def pencil_margins(s: np.ndarray) -> np.ndarray:
@@ -301,7 +310,7 @@ def pencil_margins(s: np.ndarray) -> np.ndarray:
     some mu proves it whenever it holds, and those mu are the interval
     between the two eigenvalues, as mu J - S >= 0 puts the one J-negative
     eigenvalue above the N J-positive ones (Cowen and MacCluer 2000)."""
-    j = np.diag(np.append(np.ones(s.shape[-1] - 1), -1.0))
+    j = _krein_j(s.shape[-1])
     top = np.sort(np.linalg.eigvals(j @ s).real, axis=-1)[:, -2:]
     mu = 0.5 * (top[:, 0] + top[:, 1])
     return np.linalg.eigvalsh(mu[:, None, None] * j - s)[:, 0]
@@ -328,7 +337,7 @@ def _self_map_margins(a, b, c) -> np.ndarray:
 def flow_form(g: np.ndarray) -> np.ndarray:
     """X = J G + G^H J of a homogeneous generator G, J = diag(I_N, -1):
     along x' = G x, d/dt x^H J x = x^H X x."""
-    jg = np.append(np.ones(len(g) - 1), -1.0)[:, None] * g
+    jg = _krein_j(len(g)).diagonal()[:, None] * g
     return jg + jg.conj().T
 
 

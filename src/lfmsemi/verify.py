@@ -175,6 +175,19 @@ def _number(x, what: str, positive: bool) -> float:
                       f"got {x!r}")
 
 
+def _require_sampler(cfg) -> None:
+    """*cfg* must be a :class:`SamplerCfg`; else :class:`DomainError`."""
+    if not isinstance(cfg, SamplerCfg):
+        raise DomainError(f"cfg must be a SamplerCfg, got {cfg!r}")
+
+
+def _tol(tol, cfg) -> float:
+    """The tolerance of a public check, read as :func:`_number` reads it,
+    once *cfg* is a :class:`SamplerCfg`."""
+    _require_sampler(cfg)
+    return _number(tol, "tol", False)
+
+
 def _deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise distance between two (..., K, N) image arrays."""
     return np.linalg.norm(a - b, axis=-1)
@@ -183,6 +196,7 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def check_self_map(f, cfg: SamplerCfg, tol: float = TOL_SELF_MAP) -> CheckReport:
     """Worst domain margin of the image: 1 - |f(z)| on the ball,
     Im w1 - |w'|^2 on the half-plane."""
+    tol = _tol(tol, cfg)
     _require_domain(cfg, ("map", f.domain))
     zs = cfg.points(f.dim)
     return _report("self_map", domain_margin(f.eval_many(zs), cfg.domain), zs, tol)
@@ -201,6 +215,7 @@ def check_semigroup_law(sg, t_grid, cfg: SamplerCfg, tol: float = TOL_LAW) -> Ch
 
     The intermediate images at(t)(z) are not tested for domain membership
     here; :func:`verify_family` runs the self-map check on them."""
+    tol = _tol(tol, cfg)
     pairs, times = _law_times(t_grid)
     ev = _sampled(sg, cfg, times)
     composed = ev.apply([s for s, _ in pairs], ev.images_at([t for _, t in pairs]))
@@ -210,6 +225,7 @@ def check_semigroup_law(sg, t_grid, cfg: SamplerCfg, tol: float = TOL_LAW) -> Ch
 
 def check_time_one(sg, target_map, cfg: SamplerCfg, tol: float = TOL_TIME_ONE) -> CheckReport:
     """Worst deviation of at(1) from the target map."""
+    tol = _tol(tol, cfg)
     if target_map is None:
         raise DomainError("target_map: a map is required, got None")
     ev = _sampled(sg, cfg, [1.0], target_map)
@@ -218,6 +234,7 @@ def check_time_one(sg, target_map, cfg: SamplerCfg, tol: float = TOL_TIME_ONE) -
 
 
 def check_identity_at_zero(sg, cfg: SamplerCfg, tol: float = TOL_IDENTITY) -> CheckReport:
+    tol = _tol(tol, cfg)
     ev = _sampled(sg, cfg, [0.0])
     return _report("identity_at_zero", -_deviation(ev.images_at([0.0]), ev.zs), ev.zs, tol)
 
@@ -243,6 +260,7 @@ def check_generator(sg, cfg: SamplerCfg, h: Optional[float] = None,
     where rho = max |eig G| exceeds 5, so that the truncation error
     h^2 rho^3 / 6 stays at its size at rho = 5; a step that is not a finite
     number > 0 raises :class:`DomainError`."""
+    tol = _tol(tol, cfg)
     family = sg.family if isinstance(sg, _Sampled) else sg
     h = None if h is None else _number(h, "h", True)
     h, centres, times = _fd_times(family, h, _grid(t_grid))
@@ -269,6 +287,7 @@ def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=(0.25, 0.5, 1.0, 
     tol = {**DEFAULT_TOLS, **_tolerances(tols)}
     if cfg is None:
         cfg = SamplerCfg(domain=sg.domain)
+    _require_sampler(cfg)
     h, _, stencil = _fd_times(sg, None, _FD_GRID)
     times = [0.0, *_law_times(t_grid)[1], *t_grid, 1.0, *stencil]
     ev = _sampled(sg, cfg, times, sg.target)

@@ -9,7 +9,9 @@ silently ignored value.
   their grid through the reader of ``at_many`` before any map is built and
   refuse an empty one; ``check_generator`` needs a finite step ``h > 0``,
   ``check_time_one`` a target map, and the ``tols`` of ``verify_family``
-  name tolerances of ``DEFAULT_TOLS``, each a finite number >= 0.
+  name tolerances of ``DEFAULT_TOLS``, each a finite number >= 0;
+- every public check reads its ``tol`` as ``verify_family`` reads its
+  ``tols``, and takes a ``SamplerCfg`` only, before any map is built.
 """
 
 import re
@@ -22,8 +24,8 @@ from lfmsemi import embedding as emb
 from lfmsemi.embedding import SemigroupFamily, build_semigroup, embed_map, generator
 from lfmsemi.errors import DimensionError, DomainError
 from lfmsemi.maps import BallMap
-from lfmsemi.verify import (DEFAULT_TOLS, SamplerCfg, check_generator, check_semigroup_law,
-                            check_time_one, verify_family)
+from lfmsemi.verify import (DEFAULT_TOLS, SamplerCfg, check_generator, check_identity_at_zero,
+                            check_self_map, check_semigroup_law, check_time_one, verify_family)
 
 
 def _ball_family():
@@ -145,3 +147,43 @@ def test_verify_family_reads_its_grid_and_tolerances(family):
     assert by_id["semigroup_law"] == 1e-3 and by_id["self_map"] == DEFAULT_TOLS["self_map"]
     zeros = {key: 0 for key in DEFAULT_TOLS}
     assert all(r.tolerance == 0.0 for r in verify_family(family, tols=zeros))
+
+
+# the four calls that raised TypeError or AttributeError, or reported an
+# exact identity as FAIL, when tol and cfg were read unchecked
+
+
+def test_check_semigroup_law_refuses_a_tolerance_that_is_no_number(family, monkeypatch):
+    cfg = _cfg(family)
+    monkeypatch.setattr(SemigroupFamily, "at_many", lambda *args: pytest.fail("a map was built"))
+    _refused(lambda: check_semigroup_law(family, (0.5,), cfg, tol="x"),
+             r"^tol must be a finite number >= 0, got 'x'$")
+
+
+def test_check_identity_at_zero_refuses_a_negative_tolerance(family):
+    cfg = _cfg(family)
+    _refused(lambda: check_identity_at_zero(family, cfg, tol=-1.0),
+             r"^tol must be a finite number >= 0, got -1\.0$")
+    report = check_identity_at_zero(family, cfg, tol=0)  # at(0) is the identity exactly
+    assert report.passed and report.worst_margin == 0.0 and report.tolerance == 0.0
+
+
+def test_check_self_map_refuses_a_nan_tolerance(family):
+    cfg = _cfg(family)
+    _refused(lambda: check_self_map(family.at(0.5), cfg, tol=float("nan")),
+             r"^tol must be a finite number >= 0, got nan$")
+    assert check_self_map(family.at(0.5), cfg, tol=np.float64(1e-9)).passed
+
+
+@pytest.mark.parametrize("cfg", [None, "ball", {"seed": 0}])
+def test_checks_refuse_a_sampler_that_is_no_sampler_cfg(family, monkeypatch, cfg):
+    f = family.at(0.5)
+    monkeypatch.setattr(SemigroupFamily, "at_many", lambda *args: pytest.fail("a map was built"))
+    pattern = "^cfg must be a SamplerCfg, got " + re.escape(repr(cfg)) + "$"
+    _refused(lambda: check_self_map(f, cfg), pattern)
+    _refused(lambda: check_semigroup_law(family, (0.5,), cfg), pattern)
+    _refused(lambda: check_identity_at_zero(family, cfg), pattern)
+    _refused(lambda: check_time_one(family, family.target, cfg), pattern)
+    _refused(lambda: check_generator(family, cfg), pattern)
+    if cfg is not None:  # verify_family's default sampler
+        _refused(lambda: verify_family(family, cfg), pattern)

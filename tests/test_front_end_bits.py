@@ -4,7 +4,10 @@ Each kernel that was rewritten to cut its dispatch cost is checked against
 the code it replaced, kept here as the reference:
 
 - ``linalg.schur_form`` calls LAPACK's ``zgees`` directly, with its
-  workspace size cached per n; the reference is ``scipy.linalg.schur``;
+  workspace size cached per n, on either path: numpy's bundled OpenBLAS
+  through ``ctypes``, or scipy's wrapper; the reference is
+  ``scipy.linalg.schur``.  A parabolic or hyperbolic run imports no scipy;
+  an elliptic one imports it for its first exponential or logarithm;
 - ``maps.fixed_points`` does its cluster bookkeeping on Python lists; the
   reference is the array version of :func:`reference_fixed_points`;
 - the spec parser reads every field, ``--z0`` too, with one scan, one
@@ -23,7 +26,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +47,7 @@ from lfmsemi.normal_forms import normal_form
 from lfmsemi.verify import SamplerCfg, check_self_map
 
 from test_fixed_points import WRONG_CLUSTER_MAPS, _ball_map, _linear, _workload_specs
+from test_golden import _mismatches
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -82,10 +88,25 @@ def _schur_cases():
 
 UNIMODULAR = lambda lam: abs(abs(lam) - 1) <= UNIMODULAR_TOL  # noqa: E731 (as _unimodular_split)
 
+NO_BUNDLED_ZGEES = "numpy's build ships no OpenBLAS with scipy_zgees_64_"
 
-@pytest.mark.parametrize("sort", [None, UNIMODULAR, lambda lam: abs(lam) < 0.6],
-                         ids=["unsorted", "unimodular_first", "inside_0.6_first"])
-def test_schur_form_has_the_bits_of_scipy_schur(sort):
+
+@pytest.fixture(params=["bundled", "scipy"])
+def lapack_path(request, monkeypatch):
+    """Each path of ``schur_form``: the one chosen at import where it is
+    numpy's ``zgees``, and scipy's fallback."""
+    if request.param == "bundled" and linalg._BUNDLED_ZGEES is None:
+        pytest.skip(NO_BUNDLED_ZGEES)
+    if request.param == "scipy":
+        monkeypatch.setattr(linalg, "_BUNDLED_ZGEES", None)
+    return request.param
+
+
+@pytest.mark.parametrize("sort", [None, UNIMODULAR, lambda lam: abs(lam) < 0.6,
+                                  lambda lam: lam.imag > 0],
+                         ids=["unsorted", "unimodular_first", "inside_0.6_first",
+                              "upper_half_plane_first"])
+def test_schur_form_has_the_bits_of_scipy_schur(lapack_path, sort):
     for a in _schur_cases():
         form = schur_form(a, sort=sort)
         if sort is None:
@@ -96,11 +117,82 @@ def test_schur_form_has_the_bits_of_scipy_schur(sort):
         assert _bits(form.unitary) == _bits(z.conj().T)
 
 
-def test_schur_form_workspace_is_queried_once_per_size():
+def test_schur_form_workspace_is_queried_once_per_size(lapack_path):
     linalg._zgees_lwork.cache_clear()
     for n in (3, 3, 5, 3):
         schur_form(np.eye(n) + 0.1j * np.eye(n, k=1))
     assert linalg._zgees_lwork.cache_info().misses == 2
+
+
+def test_an_exception_of_the_sort_predicate_reaches_the_caller(lapack_path, capfd):
+    calls = []
+
+    def predicate(lam):
+        calls.append(lam)
+        raise KeyError("predicate")
+
+    a = np.diag([0.5, 1.0, 2.0]).astype(complex) + np.eye(3, k=1)
+    with pytest.raises(KeyError, match="predicate"):
+        schur_form(a, sort=predicate)
+    if lapack_path == "bundled":  # raised once, neither printed nor swallowed
+        assert len(calls) == 1 and capfd.readouterr().err == ""
+    form = schur_form(a, sort=UNIMODULAR)  # the next call is unharmed
+    assert form.eigenvalues[0] == 1.0
+
+
+def test_schur_form_is_reentrant(lapack_path):
+    """A predicate may take a Schur form itself, and threads may take them at
+    once: every call owns its buffers."""
+    cases = _schur_cases()
+    want = [_bits(schur_form(a, sort=UNIMODULAR).unitary) for a in cases]
+
+    def nested(lam):
+        schur_form(cases[-1], sort=UNIMODULAR)
+        return UNIMODULAR(lam)
+
+    assert [_bits(schur_form(a, sort=nested).unitary) for a in cases] == want
+    with ThreadPoolExecutor(2) as pool:
+        got = pool.map(lambda a: _bits(schur_form(a, sort=UNIMODULAR).unitary), cases * 4)
+        assert list(got) == want * 4
+
+
+def _run_goldens(names) -> dict:
+    """The reports of the golden specs *names* from a fresh interpreter that
+    imports ``lfmsemi.cli``, with the scipy modules it held after the
+    import and after the runs."""
+    code = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from lfmsemi import cli\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "imported, reports = scipy(), {}\n"
+        "for name in sys.argv[1:]:\n"
+        "    stored = json.loads(Path(name + '.report.json').read_text())\n"
+        "    reports[name] = cli.run_pipeline(json.loads(Path(name + '.json').read_text()),\n"
+        "                                     seed=stored['seed'],\n"
+        "                                     tol_profile=stored['tol_profile'])\n"
+        "print(json.dumps({'imported': imported, 'ran': scipy(), 'reports': reports}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *(str(GOLDEN / n) for n in names)],
+                         capture_output=True, text=True, check=True).stdout
+    result = json.loads(out)
+    for name in names:
+        stored = json.loads((GOLDEN / f"{name}.report.json").read_text())
+        assert _mismatches(result["reports"][str(GOLDEN / name)], stored) == [], name
+    return result
+
+
+def test_a_parabolic_or_hyperbolic_run_imports_no_scipy():
+    if linalg._BUNDLED_ZGEES is None:
+        pytest.skip(NO_BUNDLED_ZGEES)
+    result = _run_goldens(["hyperbolic_ball_n2", "parabolic_siegel_n2"])
+    assert result["imported"] == [] and result["ran"] == []
+
+
+def test_an_elliptic_run_imports_scipy_when_it_needs_it():
+    result = _run_goldens(["elliptic_u0_ball_n2"])
+    assert result["imported"] == []
+    assert "scipy.linalg" in result["ran"]
 
 
 def test_frobenius_has_the_bits_of_numpy_norm():
