@@ -151,7 +151,7 @@ def test_schur_form_is_reentrant(lapack_path):
         return UNIMODULAR(lam)
 
     assert [_bits(schur_form(a, sort=nested).unitary) for a in cases] == want
-    with ThreadPoolExecutor(2) as pool:
+    with ThreadPoolExecutor(4) as pool:
         got = pool.map(lambda a: _bits(schur_form(a, sort=UNIMODULAR).unitary), cases * 4)
         assert list(got) == want * 4
 
