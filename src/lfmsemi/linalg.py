@@ -10,7 +10,8 @@ Only numpy is imported with the module.  The Schur form calls the
 ``zgees`` of the OpenBLAS that numpy's wheels ship and have loaded
 already, and falls back to scipy's where numpy's build has none;
 ``scipy.linalg`` is imported by the first matrix exponential or
-logarithm, which only an elliptic map needs.
+logarithm, which only an elliptic map needs.  The one sorted Schur form
+puts the unimodular eigenvalues first, with one select per path, built once.
 
 Its tolerances are the named constants below, the literals of the checks
 (each stated in its docstring), and the ``rank_tol`` of :func:`pinv`.
@@ -150,7 +151,7 @@ class SchurForm:
         return np.diag(self.upper_triangular).copy()
 
 
-def schur_form(a, sort=None) -> SchurForm:
+def schur_form(a, unimodular_first: bool = False) -> SchurForm:
     """Complex Schur decomposition: LAPACK's ``zgees`` (Anderson et al.,
     *LAPACK Users' Guide*, 1999), called as ``scipy.linalg.schur`` calls
     it, so with its bits, but with the workspace size cached per n and
@@ -166,9 +167,10 @@ def schur_form(a, sort=None) -> SchurForm:
     Parameters
     ----------
     a : array_like, square
-    sort : callable, optional
-        Predicate on eigenvalues; selected ones are moved to the
-        leading block of T.  An exception it raises reaches the caller.
+    unimodular_first : bool
+        Move the eigenvalues that :func:`unimodular_count` counts, those
+        within UNIMODULAR_TOL of modulus 1, to the leading block of T:
+        the only ordering, with no caller predicate.
 
     Returns
     -------
@@ -176,9 +178,11 @@ def schur_form(a, sort=None) -> SchurForm:
         With ``unitary^H @ T @ unitary == a`` to working precision and
         the diagonal of T enumerating the spectrum with multiplicity.
     """
+    if not isinstance(unimodular_first, bool):
+        raise DomainError(f"unimodular_first must be a bool, got {type(unimodular_first).__name__}")
     a = as_matrix(a, square=True)
     n = len(a)
-    t, vs, info, _ = _zgees(a, sort, _zgees_lwork(n, _BUNDLED_ZGEES is not None))
+    t, vs, info, _ = _zgees(a, unimodular_first, _zgees_lwork(n, _BUNDLED_ZGEES is not None))
     if info != 0:
         what = {n + 1: "eigenvalues could not be separated for reordering",
                 n + 2: "leading eigenvalues do not satisfy the sort condition"}.get(
@@ -189,6 +193,11 @@ def schur_form(a, sort=None) -> SchurForm:
     if residual > 1e-10 * max(1.0, _frobenius(a)):
         raise NumericError(f"Schur reconstruction residual {residual:.3e}")
     return form
+
+
+def _is_unimodular(lam: complex) -> bool:
+    """The select of a unimodular-first Schur form: :func:`unimodular_count`'s test."""
+    return abs(abs(lam) - 1.0) <= UNIMODULAR_TOL
 
 
 #: ``LOGICAL SELECT(COMPLEX*16 W)``, the eigenvalue predicate of ``zgees``
@@ -220,20 +229,20 @@ def _load_bundled_zgees():
 #: None for scipy's
 _BUNDLED_ZGEES = _load_bundled_zgees()
 
-#: the predicate of an unsorted Schur form, which ``zgees`` never calls
-_NO_SELECT = _SELECT(lambda w: 0)
+#: :func:`_is_unimodular` as the bundled path's select, built once; an unsorted call skips it
+_UNIMODULAR_SELECT = _SELECT(lambda w: _is_unimodular(complex(w[0], w[1])))
 
 
-def _zgees(a: np.ndarray, sort, lwork: int):
-    """``zgees`` of *a* with Schur vectors, sorted by the predicate *sort*
-    unless it is None, on the chosen path: (T, VS, info, first work
-    entry), T and VS in Fortran order as scipy's wrapper returns them.
-    Every buffer is the call's own, so calls may run at once."""
+def _zgees(a: np.ndarray, unimodular_first: bool, lwork: int):
+    """``zgees`` of *a* with Schur vectors, unimodular eigenvalues first if
+    asked, on the chosen path: (T, VS, info, first work entry), T and VS
+    in Fortran order as scipy's wrapper returns them.  Every buffer is the
+    call's own, so calls may run at once."""
     zgees = _BUNDLED_ZGEES
     if zgees is None:
         from scipy.linalg.lapack import zgees
-        t, _, _, vs, work, info = zgees(_unsorted if sort is None else sort, a, lwork=lwork,
-                                        sort_t=int(sort is not None))
+        t, _, _, vs, work, info = zgees(_is_unimodular, a, lwork=lwork,
+                                        sort_t=int(unimodular_first))
         return t, vs, info, work[0]
     n = len(a)
     nn, lw = n * n, max(lwork, 1)
@@ -244,32 +253,12 @@ def _zgees(a: np.ndarray, sort, lwork: int):
     ints = (ctypes.c_int64 * (6 + n))(n, n, n, lwork)
     t = np.ndarray((n, n), complex, reals, order="F")
     t[...] = a
-    errors = []
-    if sort is None:
-        select = _NO_SELECT
-    else:
-        def pick(w):
-            if errors:
-                return 0
-            try:
-                return 1 if sort(complex(w[0], w[1])) else 0
-            except BaseException as exc:  # ctypes would print and swallow it
-                errors.append(exc)
-                return 0
-        select = _SELECT(pick)
     at, it = ctypes.addressof(reals), ctypes.addressof(ints)
-    zgees(b"V", b"N" if sort is None else b"S", select, it, at, it + 8, it + 32,
-          at + 32 * nn, at + 16 * nn, it + 16, at + 16 * (2 * nn + n), it + 24,
+    zgees(b"V", b"S" if unimodular_first else b"N", _UNIMODULAR_SELECT, it, at, it + 8,
+          it + 32, at + 32 * nn, at + 16 * nn, it + 16, at + 16 * (2 * nn + n), it + 24,
           at + 16 * (2 * nn + n + lw), it + 48, it + 40, 1, 1)
-    if errors:
-        raise errors[0]
     vs = np.ndarray((n, n), complex, reals, 16 * nn, order="F")
     return t, vs, ints[5], reals[2 * (2 * nn + n)]
-
-
-def _unsorted(lam):
-    """The selection callback of an unsorted Schur form; ``gees`` never
-    calls it."""
 
 
 @lru_cache(maxsize=None)
@@ -277,7 +266,7 @@ def _zgees_lwork(n: int, bundled: bool) -> int:
     """The workspace size that ``zgees`` asks for at size n, on the path
     that *bundled* names, which ``scipy.linalg.schur`` queries on every
     call: it depends on n alone."""
-    return int(_zgees(np.zeros((n, n), dtype=complex), None, -1)[-1].real)
+    return int(_zgees(np.zeros((n, n), dtype=complex), False, -1)[-1].real)
 
 
 @dataclass(frozen=True)

@@ -279,7 +279,7 @@ def _unimodular_split(m: np.ndarray):
     uncoupled from the rest up to SNAP_TOL), and the contraction block,
     whose eigenvalues must stay below 1 - CONTRACTION_TOL in modulus.  Returns
     (form, lam, a1)."""
-    form = schur_form(m, sort=lambda lam: abs(abs(lam) - 1) <= UNIMODULAR_TOL)
+    form = schur_form(m, unimodular_first=True)
     t = form.upper_triangular
     u = unimodular_count(np.diag(t))
     _require(float(np.max(np.abs(t[:u, u:]), initial=0.0)), SNAP_TOL,

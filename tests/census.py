@@ -1,4 +1,4 @@
-"""Print what the pipeline makes of six seeded corpora of maps, one table
+"""Print what the pipeline makes of seven seeded corpora of maps, one table
 per corpus.
 
 - ``automorphisms``: 200 ball automorphisms U o phi_a, from
@@ -34,6 +34,11 @@ per corpus.
   ``sample_ball_points(2, 2000)``, S = ``chain_map(nf.conjugations).mat``,
   over the maps that embed: the family's map at t = 1 carried back to the
   user's coordinates, which should be f (ROADMAP item 3).
+- ``nonnormal_blocks``: ``tests/golden/parabolic_nonnormal_inconclusive_siegel_n3.json``
+  with lambda 1 (parabolic), then 2 (hyperbolic), and its w-block
+  off-diagonal entry 0.3 scaled by 10^-k, k = 0..12.  While that entry
+  is large enough for the normality gate to see, the verdict is
+  ``inconclusive``; below, the map embeds.
 
 Each map runs through ``cli.run_pipeline`` with its defaults.  A table
 counts the maps of each (class, verdict, exit status, first failure),
@@ -152,6 +157,18 @@ def perturbed_hyperbolic() -> list:
     return out
 
 
+def nonnormal_blocks() -> list:
+    spec = json.loads((ROOT / "tests" / "golden"
+                       / "parabolic_nonnormal_inconclusive_siegel_n3.json").read_text())
+    out = []
+    for lam in (1.0, 2.0):
+        for k in range(13):
+            m = [[list(pair) for pair in row] for row in spec["M"]]
+            m[0][1] = [0.3 * 10.0 ** -k, 0.0]
+            out.append(dict(spec, M=m, **{"lambda": [lam, 0.0]}))
+    return out
+
+
 def user_miss(spec_list) -> tuple:
     """(largest miss, number of maps) over the ball specs of *spec_list*
     that embed: the miss of a map f is the largest distance between
@@ -178,7 +195,7 @@ def user_miss(spec_list) -> tuple:
 
 CORPORA = {"automorphisms": automorphisms, "siegel_dilation": siegel_dilation,
            "dead_band": dead_band, "lambda_sweep": lambda_sweep, "conjugates": conjugates,
-           "perturbed_hyperbolic": perturbed_hyperbolic}
+           "perturbed_hyperbolic": perturbed_hyperbolic, "nonnormal_blocks": nonnormal_blocks}
 
 
 def outcome(report: dict) -> tuple:

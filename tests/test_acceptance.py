@@ -128,7 +128,7 @@ def test_criterion_3_unimodular_row_decoupling():
             [np.array([[np.exp(1j * theta)]]), np.zeros((1, n - 1))],
             [np.zeros((n - 1, 1)), b],
         ]) @ u
-        form = linalg.schur_form(a, sort=lambda lam: abs(abs(lam) - 1) <= 1e-9)
+        form = linalg.schur_form(a, unimodular_first=True)
         worst = max(worst, float(np.max(np.abs(form.upper_triangular[0, 1:]))))
     _line(3, "planted unimodular eigenvalue decouples its Schur row",
           worst <= 1e-8, f"worst coupling {worst:.2e}")

@@ -32,3 +32,9 @@ def test_perturbed_hyperbolic_is_deterministic():
     assert first == again
     misses = [census.user_miss(census.perturbed_hyperbolic()) for _ in range(2)]
     assert misses[0] == misses[1] and misses[0][1] >= 1
+
+
+def test_nonnormal_blocks_are_deterministic():
+    first, again = _twice(census.nonnormal_blocks)
+    assert sum(first[0].values()) == 26
+    assert first == again

@@ -6,7 +6,8 @@ the code it replaced, kept here as the reference:
 - ``linalg.schur_form`` calls LAPACK's ``zgees`` directly, with its
   workspace size cached per n, on either path: numpy's bundled OpenBLAS
   through ``ctypes``, or scipy's wrapper; the reference is
-  ``scipy.linalg.schur``.  A parabolic or hyperbolic run imports no scipy;
+  ``scipy.linalg.schur``, unsorted or with the unimodular eigenvalues
+  first.  A parabolic or hyperbolic run imports no scipy;
   an elliptic one imports it for its first exponential or logarithm;
 - ``maps.fixed_points`` does its cluster bookkeeping on Python lists; the
   reference is the array version of :func:`reference_fixed_points`;
@@ -86,7 +87,7 @@ def _schur_cases():
     return cases
 
 
-UNIMODULAR = lambda lam: abs(abs(lam) - 1) <= UNIMODULAR_TOL  # noqa: E731 (as _unimodular_split)
+UNIMODULAR = lambda lam: abs(abs(lam) - 1) <= UNIMODULAR_TOL  # noqa: E731 (scipy's sort)
 
 NO_BUNDLED_ZGEES = "numpy's build ships no OpenBLAS with scipy_zgees_64_"
 
@@ -102,17 +103,14 @@ def lapack_path(request, monkeypatch):
     return request.param
 
 
-@pytest.mark.parametrize("sort", [None, UNIMODULAR, lambda lam: abs(lam) < 0.6,
-                                  lambda lam: lam.imag > 0],
-                         ids=["unsorted", "unimodular_first", "inside_0.6_first",
-                              "upper_half_plane_first"])
-def test_schur_form_has_the_bits_of_scipy_schur(lapack_path, sort):
+@pytest.mark.parametrize("unimodular_first", [False, True], ids=["unsorted", "unimodular_first"])
+def test_schur_form_has_the_bits_of_scipy_schur(lapack_path, unimodular_first):
     for a in _schur_cases():
-        form = schur_form(a, sort=sort)
-        if sort is None:
-            t, z = scipy.linalg.schur(a, output="complex")
+        form = schur_form(a, unimodular_first=unimodular_first)
+        if unimodular_first:
+            t, z, _ = scipy.linalg.schur(a, output="complex", sort=UNIMODULAR)
         else:
-            t, z, _ = scipy.linalg.schur(a, output="complex", sort=sort)
+            t, z = scipy.linalg.schur(a, output="complex")
         assert _bits(form.upper_triangular) == _bits(t)
         assert _bits(form.unitary) == _bits(z.conj().T)
 
@@ -124,35 +122,31 @@ def test_schur_form_workspace_is_queried_once_per_size(lapack_path):
     assert linalg._zgees_lwork.cache_info().misses == 2
 
 
-def test_an_exception_of_the_sort_predicate_reaches_the_caller(lapack_path, capfd):
-    calls = []
+def test_unimodular_first_and_unimodular_count_make_one_decision(lapack_path):
+    """Moduli just inside and just outside UNIMODULAR_TOL of 1: the leading
+    block of the sorted form is exactly what ``unimodular_count`` counts."""
+    eigs = np.array([(1 + 2e-9) * np.exp(0.3j), 1 - 0.5e-9, (1 - 2e-9) * np.exp(2j), 1.0,
+                     (1 + 0.5e-9) * np.exp(-1j), np.exp(0.4j)])
+    q = _unitary(np.random.default_rng(35), len(eigs))
+    for a in (np.diag(eigs), q @ np.diag(eigs) @ q.conj().T):
+        lead = np.diag(schur_form(a, unimodular_first=True).upper_triangular)
+        u = linalg.unimodular_count(lead)
+        assert u == 4
+        assert [linalg._is_unimodular(lam) for lam in lead] == [True] * u + [False] * 2
 
-    def predicate(lam):
-        calls.append(lam)
-        raise KeyError("predicate")
 
-    a = np.diag([0.5, 1.0, 2.0]).astype(complex) + np.eye(3, k=1)
-    with pytest.raises(KeyError, match="predicate"):
-        schur_form(a, sort=predicate)
-    if lapack_path == "bundled":  # raised once, neither printed nor swallowed
-        assert len(calls) == 1 and capfd.readouterr().err == ""
-    form = schur_form(a, sort=UNIMODULAR)  # the next call is unharmed
-    assert form.eigenvalues[0] == 1.0
+@pytest.mark.parametrize("flag", [UNIMODULAR, 1], ids=["callable", "int"])
+def test_a_unimodular_first_that_is_not_a_bool_is_a_domain_error(flag):
+    with pytest.raises(DomainError, match="unimodular_first must be a bool"):
+        schur_form(np.eye(2), flag)
 
 
 def test_schur_form_is_reentrant(lapack_path):
-    """A predicate may take a Schur form itself, and threads may take them at
-    once: every call owns its buffers."""
+    """Threads may take Schur forms at once: every call owns its buffers."""
     cases = _schur_cases()
-    want = [_bits(schur_form(a, sort=UNIMODULAR).unitary) for a in cases]
-
-    def nested(lam):
-        schur_form(cases[-1], sort=UNIMODULAR)
-        return UNIMODULAR(lam)
-
-    assert [_bits(schur_form(a, sort=nested).unitary) for a in cases] == want
+    want = [_bits(schur_form(a, unimodular_first=True).unitary) for a in cases]
     with ThreadPoolExecutor(4) as pool:
-        got = pool.map(lambda a: _bits(schur_form(a, sort=UNIMODULAR).unitary), cases * 4)
+        got = pool.map(lambda a: _bits(schur_form(a, unimodular_first=True).unitary), cases * 4)
         assert list(got) == want * 4
 
 

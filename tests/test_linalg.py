@@ -108,7 +108,7 @@ class TestSchur:
 
     def test_sorting(self):
         a = np.diag([0.3, 1.0, 0.5, np.exp(0.4j)])
-        form = linalg.schur_form(a, sort=lambda lam: abs(abs(lam) - 1) <= 1e-9)
+        form = linalg.schur_form(a, unimodular_first=True)
         lead = np.abs(np.diag(form.upper_triangular)[:2])
         assert np.allclose(lead, 1.0, atol=1e-12)
 
@@ -466,7 +466,7 @@ class TestModuleProperties:
                 [np.array([[np.exp(1j * theta)]]), np.zeros((1, n - 1))],
                 [np.zeros((n - 1, 1)), b],
             ]) @ u
-            form = linalg.schur_form(a, sort=lambda lam: abs(abs(lam) - 1) <= 1e-9)
+            form = linalg.schur_form(a, unimodular_first=True)
             t = form.upper_triangular
             assert np.max(np.abs(t[0, 1:])) < 1e-8
 
