@@ -21,10 +21,13 @@ hand).  The elliptic criteria test the
 principal logarithm, then one logarithm per class that they cannot tell
 apart (the hermitian part; for u0 also delta M^H e1) inside an ellipsoid
 that holds every passing class (see "the lattice of primary logarithms"
-below).  A class whose logarithm fails its exponentiation check, an
-ellipsoid too large to enumerate, or an ill-conditioned eigenbasis (cond
-V >= 1e8) with several eigenvalue clusters makes the verdict
-``inconclusive``.  The parabolic and hyperbolic criteria are one
+below), each checked by exponentiation through the eigenbasis that built
+it.  A class whose logarithm fails that check, an ellipsoid too large to
+enumerate, or an ill-conditioned eigenbasis (cond V >= 1e8) with several
+eigenvalue clusters makes the verdict ``inconclusive``; so does a failed
+search on a derogatory matrix (an eigenvalue in several Jordan blocks),
+whose non-primary logarithms form a continuum and are not searched.  The
+parabolic and hyperbolic criteria are one
 function (:func:`_half_plane_criterion`) with one generator: the
 principal logarithm of the normal map's homogeneous matrix, read off its
 entries by divided differences of exp (:func:`_siegel_log`, the inverse
@@ -34,8 +37,6 @@ all branches, tested by the Schur complement of
 :func:`~lfmsemi.linalg.schur_margins`, the kernel of the Siegel
 normal-form conditions too.  A block that is not normal (the triangular
 Schur factor of the reduction, normal iff diagonal) is ``inconclusive``.
-(Non-primary logarithms of a derogatory matrix, an eigenvalue with
-several Jordan blocks, form a continuum and are not searched.)
 
 The case table ``_CASES``, keyed by ``NormalForm.form_kind``, holds for
 each of the four normal-form cases its checked conditions, its embedding
@@ -254,25 +255,29 @@ class _Singular(DomainError):
     """A criterion met an exactly zero eigenvalue: the map is not injective."""
 
 
-def _verified(m: np.ndarray, a: np.ndarray) -> bool:
-    """exp(m) reproduces a to within 1e-8 max(1, |a|)."""
-    return float(np.linalg.norm(mat_exp(m) - a)) <= 1e-8 * max(1.0, float(np.linalg.norm(a)))
+def _verified(eig: "_Eigenbasis", combo, a: np.ndarray) -> bool:
+    """exp(L(combo)) of eig (:meth:`_Eigenbasis.exp`) reproduces a to
+    within 1e-8 max(1, |a|)."""
+    return float(np.linalg.norm(eig.exp(combo) - a)) <= 1e-8 * max(1.0, float(np.linalg.norm(a)))
 
 
 @dataclass(frozen=True)
 class _Eigenbasis:
     """The primary logarithms L(k) = V (D + 2 pi i diag(k_j on cluster j))
-    V^-1 of a (``log(k)``), k one integer per cluster of eigenvalues equal
-    to within 1e-8 relative, in order of first appearance.  With a
-    well-conditioned eigenbasis (cond V < 1e8) D = diag(log lam);
+    V^-1 of a (``log(k)``) and their exponentials (``exp(k)``), k one
+    integer per cluster of eigenvalues equal to within 1e-8 relative, in
+    order of first appearance; ``vals`` are the eigenvalues of a.  With a
+    well-conditioned eigenbasis (cond V < 1e8) D = diag(log lam), and
+    exp(L(k)) = V diag(exp(d_j + 2 pi i k_j)) V^-1 is one product;
     otherwise (``conditioned`` False) V = I and D = mat_log_principal(a),
     whose shifts are all the primary logarithms only when a has one
-    cluster."""
+    cluster, and exp(L(k)) is :func:`~lfmsemi.linalg.mat_exp`'s."""
 
     vecs: np.ndarray
     inv_vecs: np.ndarray
     core: np.ndarray
     clusters: list
+    vals: np.ndarray
     conditioned: bool = True
 
     @classmethod
@@ -281,6 +286,7 @@ class _Eigenbasis:
         principal logarithm.  Raises :class:`_Singular` when an eigenvalue
         is exactly 0, and DomainError when the least eigenvalue modulus is
         nonzero but at most 1e-12 max(1, largest)."""
+        a = np.asarray(a, dtype=complex)
         vals, vecs = np.linalg.eig(a)
         mods = np.abs(vals)
         if np.min(mods) <= 1e-12 * max(1.0, float(np.max(mods))):
@@ -295,19 +301,54 @@ class _Eigenbasis:
             assigned[members] = len(clusters)
             clusters.append(members)
         if np.linalg.cond(vecs) < 1e8:
-            return cls(vecs, np.linalg.inv(vecs), np.diag(np.log(vals)), clusters)
+            return cls(vecs, np.linalg.inv(vecs), np.diag(np.log(vals)), clusters, vals)
         try:
             principal = mat_log_principal(a)
         except BranchError:
             return None
         eye = np.eye(len(vals), dtype=complex)
-        return cls(eye, eye, principal, clusters, conditioned=False)
+        return cls(eye, eye, principal, clusters, vals, conditioned=False)
 
-    def log(self, combo) -> np.ndarray:
+    def _shift(self, combo) -> np.ndarray:
+        """2 pi i k_j on the diagonal entries of cluster j."""
         shift = np.zeros(len(self.core), dtype=complex)
         for cluster, k in zip(self.clusters, combo):
             shift[cluster] = 2j * np.pi * k
-        return self.vecs @ (self.core + np.diag(shift)) @ self.inv_vecs
+        return shift
+
+    def log(self, combo) -> np.ndarray:
+        return self.vecs @ (self.core + np.diag(self._shift(combo))) @ self.inv_vecs
+
+    def exp(self, combo) -> np.ndarray:
+        if not self.conditioned:
+            return mat_exp(self.log(combo))
+        return (self.vecs * np.exp(np.diag(self.core) + self._shift(combo))) @ self.inv_vecs
+
+    def decays(self, m: np.ndarray) -> bool:
+        """Every eigenvalue of the logarithm m = L(k) has real part < 0: for
+        a conditioned basis they are d_j + 2 pi i k_j, read off D; otherwise
+        they are computed."""
+        if self.conditioned:
+            return float(np.max(np.diag(self.core).real)) < 0
+        return float(np.max(np.linalg.eigvals(m).real)) < 0
+
+    def derogatory(self, a: np.ndarray):
+        """(eigenvalue, size, eigenvectors) of the first cluster with more
+        than one eigenvector, the eigenvalue the mean of the cluster's; None
+        when there is none.  With a conditioned basis each of the cluster's
+        eigenvalues has its own eigenvector; otherwise the eigenvectors are
+        counted as n - rank(a - lam I), with singular values at or below
+        1e-8 max(1, |a|) counted as zero."""
+        n = len(a)
+        for idx in self.clusters:
+            if len(idx) < 2:
+                continue
+            lam = complex(np.mean(self.vals[idx]))
+            count = len(idx) if self.conditioned else n - int(np.linalg.matrix_rank(
+                a - lam * np.eye(n), tol=1e-8 * max(1.0, float(np.linalg.norm(a)))))
+            if count > 1:
+                return lam, len(idx), count
+        return None
 
 
 def _lattice_shifts(eig: _Eigenbasis, l0: np.ndarray, tol: float, delta: float):
@@ -406,16 +447,25 @@ def _ellipsoid_points(q: np.ndarray, b: np.ndarray, r2: float, limit: int):
 
 @dataclass
 class _LatticeWalk:
-    """What a lattice search met: ``classes`` classes inside the ellipsoid
-    (k = 0 included), ``unverified`` of them with a logarithm that
-    exponentiation did not confirm, ``overflow`` when the enumeration gave
-    up, and ``ill_conditioned`` when an ill-conditioned eigenbasis with
-    several clusters left only L0 to test."""
+    """What a lattice search over the logarithms of ``basis`` (None when
+    the matrix has no verifiable logarithm) met: ``classes`` classes inside
+    the ellipsoid (k = 0 included), ``unverified`` of them with a logarithm
+    that exponentiation did not confirm, ``overflow`` when the enumeration
+    gave up, and the ``derogatory`` cluster of
+    :meth:`_Eigenbasis.derogatory`, whose non-primary logarithms it did
+    not search."""
 
+    basis: Optional[_Eigenbasis]
     classes: int = 1
     unverified: int = 0
     overflow: bool = False
-    ill_conditioned: bool = False
+    derogatory: Optional[tuple] = None
+
+    @property
+    def ill_conditioned(self) -> bool:
+        """An ill-conditioned eigenbasis with several clusters left only L0
+        to test."""
+        return not self.basis.conditioned and len(self.basis.clusters) > 1
 
     def failed(self, notes: str, kind: str, ellipsoid: str):
         """Verdict and notes when none of the tested logarithms passed:
@@ -433,31 +483,38 @@ class _LatticeWalk:
         if self.unverified:
             return INCONCLUSIVE, (f"{notes}; {self.unverified} of {self.classes} classes "
                                   "had no logarithm verified by exponentiation")
+        if self.derogatory:
+            lam, size, count = self.derogatory
+            return INCONCLUSIVE, (f"{notes}; the eigenvalue {lam:.6g} is derogatory, a cluster "
+                                  f"of {size} with {count} eigenvectors, and its non-primary "
+                                  "logarithms were not searched")
         return CONDITION_FAILS, notes
 
 
 def _lattice_logs(a: np.ndarray, walk: _LatticeWalk, delta: float = 0.0):
-    """L0, then one primary logarithm per further class of
+    """From the eigenbasis of a that *walk* holds: L0, then one primary
+    logarithm per further class of
     :func:`_lattice_shifts` (delta as there), each verified by
-    exponentiation; the lattice is set up only when the caller asks for
-    more than L0.  Raises NumericError when no logarithm is verified."""
+    exponentiation through its eigenbasis (:func:`_verified`); the lattice
+    is set up only when the caller asks for more than L0.  Raises
+    NumericError when no logarithm is verified."""
     a = np.asarray(a, dtype=complex)
-    eig = _Eigenbasis.of(a)
+    eig = walk.basis
     if eig is None:
         raise NumericError("no verifiable logarithm candidate found")
-    l0 = eig.log([0] * len(eig.clusters))
-    if _verified(l0, a):
+    zero = [0] * len(eig.clusters)
+    l0 = eig.log(zero)
+    if _verified(eig, zero, a):
         yield l0
     else:
         walk.unverified += 1
-    walk.ill_conditioned = not eig.conditioned and len(eig.clusters) > 1
     shifts = [] if walk.ill_conditioned else _lattice_shifts(eig, l0, _DISSIPATIVE_TOL, delta)
     walk.overflow = shifts is None
     walk.classes += len(shifts or [])
+    walk.derogatory = None if walk.ill_conditioned else eig.derogatory(a)
     for k in shifts or []:
-        m = eig.log(k)
-        if _verified(m, a):
-            yield m
+        if _verified(eig, k, a):
+            yield eig.log(k)
         else:
             walk.unverified += 1
     if walk.unverified == walk.classes:
@@ -468,9 +525,10 @@ def log_candidates(a: np.ndarray):
     """The logarithms of *a* that the split criterion tests when none
     passes: the principal logarithm L0 first, then one primary logarithm
     per further hermitian class inside the dissipativity ellipsoid
-    (:func:`_lattice_shifts`), each verified by exponentiation.  An
-    ill-conditioned eigenbasis (cond V >= 1e8) gives L0 alone."""
-    return list(_lattice_logs(a, _LatticeWalk()))
+    (:func:`_lattice_shifts`), each verified by exponentiation through
+    its eigenbasis (:meth:`_Eigenbasis.exp`).  An ill-conditioned
+    eigenbasis (cond V >= 1e8) gives L0 alone."""
+    return list(_lattice_logs(a, _LatticeWalk(_Eigenbasis.of(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +552,13 @@ def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
         return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log",
                             [Condition("unitary_part", 0.0, True)],
                             _split_matrix(theta, a1))
-    lattice = _LatticeWalk()
+    lattice = _LatticeWalk(_Eigenbasis.of(a1))
     margins = []
     for idx, m in enumerate(_lattice_logs(a1, lattice)):
         res = is_dissipative(m)
         margins.append(Condition(f"dissipativity[candidate {idx}]", -res.margin,
                                  res.margin <= _DISSIPATIVE_TOL))
-        if res.margin <= _DISSIPATIVE_TOL and float(np.max(np.linalg.eigvals(m).real)) < 0:
+        if res.margin <= _DISSIPATIVE_TOL and lattice.basis.decays(m):
             return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log", margins,
                                 _split_matrix(theta, m),
                                 notes=f"dissipative logarithm found (candidate {idx})")
@@ -535,7 +593,7 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
     _expect_form(nf, FORM_ELLIPTIC_U0)
     ahat = nf.parameters["Ahat"]
     delta = float(nf.parameters["delta"])
-    lattice = _LatticeWalk()
+    lattice = _LatticeWalk(_Eigenbasis.of(ahat))
     margins = []
     for idx, m in enumerate(_lattice_logs(ahat, lattice, delta)):
         g = _u0_matrix(m, delta)

@@ -10,8 +10,12 @@ Only numpy is imported with the module.  The Schur form calls the
 ``zgees`` of the OpenBLAS that numpy's wheels ship and have loaded
 already, and falls back to scipy's where numpy's build has none;
 ``scipy.linalg`` is imported by the first matrix exponential or
-logarithm, which only an elliptic map needs.  The one sorted Schur form
-puts the unimodular eigenvalues first, with one select per path, built once.
+logarithm.  The pipeline takes one only where an eigenbasis is
+ill-conditioned: for the logarithm of an elliptic contraction block with
+cond V >= 1e8 (the embedding criteria check every other logarithm
+through its eigenbasis) and for the flow of a ball generator with
+cond V > 1e2.  The one sorted Schur form puts the unimodular eigenvalues
+first, with one select per path, built once.
 
 Its tolerances are the named constants below, the literals of the checks
 (each stated in its docstring), and the ``rank_tol`` of :func:`pinv`.
@@ -119,7 +123,11 @@ def _frobenius(x: np.ndarray) -> float:
 
 def hermitian_part(m) -> np.ndarray:
     """(M + M^H) / 2."""
-    m = as_matrix(m, square=True)
+    return _hermitian(as_matrix(m, square=True))
+
+
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2 of a checked square matrix."""
     return (m + m.conj().T) / 2.0
 
 
@@ -417,8 +425,7 @@ def is_dissipative(m) -> DissipativeResult:
     On failure the eigenvector of the largest eigenvalue is returned as a
     witness.
     """
-    m = as_matrix(m, square=True)
-    w, v = np.linalg.eigh(hermitian_part(m))
+    w, v = np.linalg.eigh(_hermitian(as_matrix(m, square=True)))
     top = float(w[-1])
     if top <= 0.0:
         return DissipativeResult(True, top, None)

@@ -43,7 +43,8 @@ per corpus.
 Each map runs through ``cli.run_pipeline`` with its defaults.  A table
 counts the maps of each (class, verdict, exit status, first failure),
 where the first failure is the input or stage error, with its decimal
-numbers replaced by ``#``, or else the first verify check that failed.  Below it
+numbers replaced by ``#``, or else the first verify check that failed, or,
+where verify did not run, the first embedding margin that failed.  Below it
 stand the worst wall time of one run, the largest report, in bytes of
 the text ``lfmsemi report`` writes, and the largest ``chain_residual`` of
 the normal-form stage.
@@ -211,8 +212,11 @@ def outcome(report: dict) -> tuple:
                 first = f"{name} error: {entry['error']}"
                 break
         else:
-            failed = [c["check_id"] for c in stages.get("verify", {}).get("checks", [])
-                      if not c["passed"]]
+            if stages.get("verify", {}).get("status") == "ok":
+                failed = [c["check_id"] for c in stages["verify"]["checks"] if not c["passed"]]
+            else:
+                failed = [m["name"] for m in stages.get("embed", {}).get("margins", [])
+                          if not m["passed"]]
             first = failed[0] if failed else "-"
     return (stages.get("classify", {}).get("kind") or "-",
             stages.get("embed", {}).get("verdict") or "-",

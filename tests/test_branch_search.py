@@ -198,20 +198,32 @@ def contraction_block(basis, vals):
     return a * min(1.0, 0.95 / np.linalg.norm(a, 2))
 
 
+def _count_checks(monkeypatch) -> list:
+    """Record (eigenbasis, branch shift k) of every exponentiation check
+    (``embedding._verified``) and refuse any call of ``mat_exp``: a
+    conditioned eigenbasis checks its logarithms through itself."""
+    verified, calls = emb._verified, []
+
+    def counting(eig, combo, a):
+        calls.append((eig, tuple(combo)))
+        return verified(eig, combo, a)
+
+    def refused(m):
+        raise AssertionError("a logarithm of a conditioned eigenbasis was checked by mat_exp")
+
+    monkeypatch.setattr(emb, "_verified", counting)
+    monkeypatch.setattr(emb, "mat_exp", refused)
+    return calls
+
+
 def test_embeddable_dim8_verifies_one_candidate(monkeypatch):
     rng = np.random.default_rng(8)
     nf = split_form(split_spec(rng, 4, [normal_contraction(rng, 4, 4)]))
-    calls = []
-
-    def counting(m):
-        calls.append(m)
-        return mat_exp(m)
-
-    monkeypatch.setattr(emb, "mat_exp", counting)
+    calls = _count_checks(monkeypatch)
     cert = emb.embed_elliptic_split(nf)
     assert cert.verdict == EMBEDDABLE
     assert len(cert.margins) == 1
-    assert len(calls) == 1
+    assert [k for _, k in calls] == [(0, 0, 0, 0)]
 
 
 def test_condition_fails_counts_every_candidate():
@@ -311,15 +323,26 @@ def test_lattice_verdict_matches_mpmath_brute_force():
                 shift = [k[j] - k[order[0]] for j in order]
                 assert tuple(shift) in classes
         cert = emb.embed_elliptic_split(nf)
-        assert cert.verdict == (EMBEDDABLE if min(tops.values()) <= 1e-10 else CONDITION_FAILS)
+        # a failed search is condition_fails unless a cluster holds several
+        # eigenvalues (each with its own eigenvector in these diagonalizable
+        # blocks): then it is derogatory and the verdict inconclusive
+        failed = INCONCLUSIVE if len(eigenvalues) < len(a1) else CONDITION_FAILS
+        assert cert.verdict == (EMBEDDABLE if min(tops.values()) <= 1e-10 else failed)
+        if cert.verdict == INCONCLUSIVE:
+            assert "is derogatory, a cluster of 2 with 2 eigenvectors" in cert.notes
         if cert.verdict == EMBEDDABLE:
             m = closed_form_data(nf, cert.G)["M"]
             assert float(np.linalg.eigvalsh(hermitian_part(m))[-1]) <= 1e-10
             assert np.linalg.norm(mat_exp(m) - a1) <= 1e-8
         outcomes.append("candidate 0" if cert.margins[0].passed else cert.verdict)
-    # every path is exercised: L0 passes, a shifted class passes, none passes
-    assert {outcomes.count(o) > 0 for o in ("candidate 0", EMBEDDABLE, CONDITION_FAILS)} \
-        == {True}
+    # every path is exercised: L0 passes, a shifted class passes, none
+    # passes on distinct eigenvalues, none passes on a derogatory block
+    assert {outcomes.count(o) > 0
+            for o in ("candidate 0", EMBEDDABLE, CONDITION_FAILS, INCONCLUSIVE)} == {True}
+
+
+#: a coupled pair that fails at every branch beside a third eigenvalue
+FAR_BLOCK = np.array([[0.3, 0.8, 0.02], [0.0, 0.33, 0.0], [0.0, 0.0, 0.6 * np.exp(-2j)]])
 
 
 def test_ellipsoid_reaches_past_the_old_box():
@@ -327,8 +350,7 @@ def test_ellipsoid_reaches_past_the_old_box():
     # third eigenspace leans on the pair's by a cosine of about 0.02, so
     # the bound reaches classes whose shifts spread over more than 6,
     # which no shift with |k_j| <= 3 represents
-    a1 = np.array([[0.3, 0.8, 0.02], [0.0, 0.33, 0.0], [0.0, 0.0, 0.6 * np.exp(-2j)]])
-    nf = split_form(split_spec(np.random.default_rng(3), 1, [a1]))
+    nf = split_form(split_spec(np.random.default_rng(3), 1, [FAR_BLOCK]))
     shifts = lattice_shifts(nf.parameters["A1"])
     far = [k for k in shifts if max(k) - min(k) > 6]
     assert len(shifts) + 1 == 24 and len(far) == 11
@@ -343,18 +365,14 @@ def test_each_tested_class_verified_once(monkeypatch):
     vals = np.array([0.6 * np.exp(-2.9j), 0.7 * np.exp(2.95j)])
     block = contraction_block(np.array([[1.0, 0.5], [0.0, 1.0]]), vals)
     nf = split_form(split_spec(np.random.default_rng(5), 1, [block]))
-    calls = []
-
-    def counting(m):
-        calls.append(m)
-        return mat_exp(m)
-
-    monkeypatch.setattr(emb, "mat_exp", counting)
+    calls = _count_checks(monkeypatch)
     cert = emb.embed_elliptic_split(nf)
     assert cert.verdict == EMBEDDABLE
     assert not cert.margins[0].passed and cert.margins[-1].passed
     assert len(calls) == len(cert.margins) > 1
-    assert np.array_equal(calls[-1], closed_form_data(nf, cert.G)["M"])
+    assert len(set(k for _, k in calls)) == len(calls)
+    eig, last = calls[-1]
+    assert np.array_equal(eig.log(last), closed_form_data(nf, cert.G)["M"])
 
 
 def test_lattice_waits_for_candidate_zero(monkeypatch):
@@ -369,17 +387,113 @@ def test_lattice_waits_for_candidate_zero(monkeypatch):
 
 def test_unverified_class_is_inconclusive(monkeypatch):
     # a failed exponentiation check leaves its class undecided
-    block = np.array([[0.3, 0.8, 0.02], [0.0, 0.33, 0.0], [0.0, 0.0, 0.6 * np.exp(-2j)]])
-    nf = split_form(split_spec(np.random.default_rng(3), 1, [block]))
+    nf = split_form(split_spec(np.random.default_rng(3), 1, [FAR_BLOCK]))
     verified = emb._verified
     # refuse every logarithm whose trace the shifts moved off L0's
     principal = float(np.sum(np.angle(np.linalg.eigvals(nf.parameters["A1"]))))
-    monkeypatch.setattr(emb, "_verified", lambda m, a: verified(m, a) and
-                        abs(np.trace(m).imag - principal) < 1.0)
+    monkeypatch.setattr(emb, "_verified", lambda eig, k, a: verified(eig, k, a) and
+                        abs(np.trace(eig.log(k)).imag - principal) < 1.0)
     cert = emb.embed_elliptic_split(nf)
     assert cert.verdict == INCONCLUSIVE
     assert re.search(r"; \d+ of 24 classes had no logarithm verified", cert.notes)
     assert 1 <= len(cert.margins) < 24
+
+
+def _expm_verified(m, a) -> bool:
+    """The exponentiation check of earlier versions: scipy's expm of the
+    logarithm m reproduces a to within 1e-8 max(1, |a|)."""
+    return float(np.linalg.norm(mat_exp(m) - a)) <= 1e-8 * max(1.0, float(np.linalg.norm(a)))
+
+
+def test_eigenbasis_check_agrees_with_expm(monkeypatch):
+    # every logarithm the criteria test on the goldens and on this file's
+    # corpora: the eigenbasis check and the expm check give one answer
+    verified, seen = emb._verified, []
+
+    def both(eig, combo, a):
+        got = verified(eig, combo, a)
+        seen.append((eig.conditioned, got, _expm_verified(eig.log(combo), a)))
+        return got
+
+    monkeypatch.setattr(emb, "_verified", both)
+    for path in sorted(GOLDEN.parent.rglob("*.json")):
+        if not path.name.endswith(".report.json"):
+            run_pipeline(json.loads(path.read_text()), stop_after="embed")
+    rng = np.random.default_rng(2024)
+    for trial in range(24):
+        block = _random_block(rng, trial % 2 == 1)
+        emb.embed_elliptic_split(split_form(split_spec(rng, 1, [block])))
+    rng = np.random.default_rng(400)
+    for _ in range(150):
+        emb.embed_elliptic_u0(u0_form(*_random_u0(rng)))
+    for ahat, delta, _ in U0_SHIFTED:
+        emb.embed_elliptic_u0(u0_form(ahat, delta))
+    emb.embed_elliptic_split(split_form(split_spec(np.random.default_rng(3), 1, [FAR_BLOCK])))
+    assert len(seen) >= 400
+    assert all(new == old for _, new, old in seen)
+    assert all(conditioned and new for conditioned, new, _ in seen)
+
+
+def test_a_wrong_matrix_is_refused_and_its_class_unverified(monkeypatch):
+    nf = split_form(split_spec(np.random.default_rng(3), 1, [FAR_BLOCK]))
+    a1 = nf.parameters["A1"]
+    eig = emb._Eigenbasis.of(a1)
+    shifts = lattice_shifts(a1)
+    rng = np.random.default_rng(11)
+    turn = rng.standard_normal(a1.shape) + 1j * rng.standard_normal(a1.shape)
+    wrong = a1 + 1e-6 * np.linalg.norm(a1) * turn / np.linalg.norm(turn)
+    for k in [(0,) * len(eig.clusters)] + shifts:
+        assert emb._verified(eig, k, a1) and _expm_verified(eig.log(k), a1)
+        assert not emb._verified(eig, k, wrong) and not _expm_verified(eig.log(k), wrong)
+    # the first shifted class checked against the wrong matrix: unverified,
+    # so the failed search is inconclusive
+    verified = emb._verified
+    monkeypatch.setattr(emb, "_verified", lambda e, k, a: verified(
+        e, k, wrong if tuple(k) == shifts[0] else a))
+    cert = emb.embed_elliptic_split(nf)
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.notes.endswith("; 1 of 24 classes had no logarithm verified by exponentiation")
+    assert len(cert.margins) == 23
+
+
+#: z -> blockdiag(e^{0.7i}, A) z with the eigenvalue 0.3 of A derogatory:
+#: two eigenvectors, e1 and e3 (ROADMAP item 15)
+DEROGATORY = np.array([[0.3, 0.75, 0.0], [0.0, 0.33, 0.0], [0.0, 0.0, 0.3]])
+
+
+def test_a_derogatory_block_that_fails_is_inconclusive():
+    a = np.zeros((4, 4), dtype=complex)
+    a[0, 0], a[1:, 1:] = np.exp(0.7j), DEROGATORY
+    spec = {"name": "derogatory", "dimension": 4, "domain": "ball",
+            "A": [[[z.real, z.imag] for z in row] for row in a],
+            "B": [[0.0, 0.0]] * 4, "C": [[0.0, 0.0]] * 4, "D": [1.0, 0.0]}
+    report = run_pipeline(spec, stop_after="embed")
+    embed = report["stages"]["embed"]
+    assert embed["verdict"] == INCONCLUSIVE and report["exit_status"] == EXIT_INCONCLUSIVE
+    assert [m["name"] for m in embed["margins"]] == ["dissipativity[candidate 0]"]
+    assert embed["margins"][0]["margin"] == pytest.approx(-0.036, abs=5e-4)
+    assert re.fullmatch(r"no dissipative logarithm among 1 candidates, one per hermitian class "
+                        r"of primary logarithms inside the dissipativity ellipsoid; the "
+                        r"eigenvalue 0\.3[-+]\d.*j is derogatory, a cluster of 2 with 2 "
+                        r"eigenvectors, and its non-primary logarithms were not searched",
+                        embed["notes"]), embed["notes"]
+    # its u0 twin fails every class too
+    cert = emb.embed_elliptic_u0(u0_form(DEROGATORY, 0.3))
+    assert cert.verdict == INCONCLUSIVE and not any(m.passed for m in cert.margins)
+    assert "is derogatory, a cluster of 2 with 2 eigenvectors" in cert.notes
+
+
+def test_a_derogatory_jordan_fallback_is_inconclusive():
+    # 0.7 in a Jordan block of size 2 and one of size 1: the eigenbasis is
+    # singular, one cluster, and n - rank(a - 0.7 I) = 2 eigenvectors
+    a1 = np.array([[0.7, 0.51, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 0.7]], dtype=complex)
+    eig = emb._Eigenbasis.of(a1)
+    assert not eig.conditioned and len(eig.clusters) == 1
+    cert = emb.embed_elliptic_split(NormalForm(FORM_ELLIPTIC_SPLIT, None, [],
+                                               {"Lambda": np.ones(1, dtype=complex), "A1": a1}))
+    assert cert.verdict == INCONCLUSIVE
+    assert "the eigenvalue 0.7+0j is derogatory, a cluster of 3 with 2 eigenvectors" \
+        in cert.notes
 
 
 def test_nearly_orthogonal_eigenspaces_are_inconclusive():
@@ -531,7 +645,13 @@ def check_u0_against_brute_force(a, delta):
         assert any(np.linalg.norm(h - h2) + np.linalg.norm(b - b2) <= 1e-8
                    for h2, b2 in listed), k
     cert = emb.embed_elliptic_u0(u0_form(a, delta))
-    assert cert.verdict == (EMBEDDABLE if passing else CONDITION_FAILS)
+    # a repeated eigenvalue of these diagonalizable blocks is derogatory, and
+    # a failed search on it inconclusive
+    vals = np.linalg.eigvals(a)
+    repeated = any(abs(x - y) <= 1e-8 * max(1.0, abs(x))
+                   for x, y in itertools.combinations(vals, 2))
+    assert cert.verdict == (EMBEDDABLE if passing else INCONCLUSIVE if repeated
+                            else CONDITION_FAILS)
     if cert.verdict == EMBEDDABLE:
         m = cert.G[:-1, :-1]
         assert emb._u0_margin(emb._u0_matrix(m, delta)) >= -1e-10
@@ -565,18 +685,22 @@ def test_u0_lattice_matches_brute_force():
     for _ in range(150):
         cert, _ = check_u0_against_brute_force(*_random_u0(rng))
         outcomes.append("candidate 0" if cert.margins[0].passed else cert.verdict)
-    # every path is exercised: L0 passes, a shifted class passes, none passes
-    assert {outcomes.count(o) > 0 for o in ("candidate 0", EMBEDDABLE, CONDITION_FAILS)} \
-        == {True}
+    # every path is exercised: L0 passes, a shifted class passes, none
+    # passes on distinct eigenvalues, none passes on a derogatory block
+    assert {outcomes.count(o) > 0
+            for o in ("candidate 0", EMBEDDABLE, CONDITION_FAILS, INCONCLUSIVE)} == {True}
 
 
-@pytest.mark.parametrize("ahat,delta,shift", [
+U0_SHIFTED = [
     # two clusters in one group: only L(0, -1) passes
     ([[-0.363 - 0.201j, 0.004 + 0.019j], [-0.022 + 0.046j, -0.548 + 0.172j]], 0.3, (0, -1)),
     # only L(-1, 0) passes: it shifts the first cluster, which the split
     # lattice pins to 0, and L(0, 1), with the same hermitian part, fails
     ([[-0.268 - 0.067j, 0.0], [-0.065 + 0.241j, -0.149 + 0.057j]], 0.3, (-1, 0)),
-])
+]
+
+
+@pytest.mark.parametrize("ahat,delta,shift", U0_SHIFTED)
 def test_u0_passes_only_on_a_shifted_class(ahat, delta, shift):
     a = np.array(ahat, dtype=complex)
     cert, passing = check_u0_against_brute_force(a, delta)

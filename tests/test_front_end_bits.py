@@ -7,8 +7,9 @@ the code it replaced, kept here as the reference:
   workspace size cached per n, on either path: numpy's bundled OpenBLAS
   through ``ctypes``, or scipy's wrapper; the reference is
   ``scipy.linalg.schur``, unsorted or with the unimodular eigenvalues
-  first.  A parabolic or hyperbolic run imports no scipy;
-  an elliptic one imports it for its first exponential or logarithm;
+  first.  No run of a top-level golden imports scipy; an elliptic map
+  whose contraction block has an ill-conditioned eigenbasis imports it
+  for its logarithm;
 - ``maps.fixed_points`` does its cluster bookkeeping on Python lists; the
   reference is the array version of :func:`reference_fixed_points`;
 - the spec parser reads every field, ``--z0`` too, with one scan, one
@@ -150,29 +151,34 @@ def test_schur_form_is_reentrant(lapack_path):
         assert list(got) == want * 4
 
 
-def _run_goldens(names) -> dict:
-    """The reports of the golden specs *names* from a fresh interpreter that
-    imports ``lfmsemi.cli``, with the scipy modules it held after the
-    import and after the runs."""
+def _fresh_runs(runs) -> dict:
+    """The reports of ``run_pipeline(spec, **options)`` for each (spec,
+    options) of *runs* from a fresh interpreter that imports
+    ``lfmsemi.cli``, with the scipy modules it held after the import and
+    after the runs."""
     code = (
         "import json, sys\n"
-        "from pathlib import Path\n"
         "from lfmsemi import cli\n"
         "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "imported, reports = scipy(), {}\n"
-        "for name in sys.argv[1:]:\n"
-        "    stored = json.loads(Path(name + '.report.json').read_text())\n"
-        "    reports[name] = cli.run_pipeline(json.loads(Path(name + '.json').read_text()),\n"
-        "                                     seed=stored['seed'],\n"
-        "                                     tol_profile=stored['tol_profile'])\n"
+        "imported = scipy()\n"
+        "reports = [cli.run_pipeline(spec, **options) for spec, options in json.load(sys.stdin)]\n"
         "print(json.dumps({'imported': imported, 'ran': scipy(), 'reports': reports}))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code, *(str(GOLDEN / n) for n in names)],
+    out = subprocess.run([sys.executable, "-c", code], input=json.dumps(runs),
                          capture_output=True, text=True, check=True).stdout
-    result = json.loads(out)
-    for name in names:
-        stored = json.loads((GOLDEN / f"{name}.report.json").read_text())
-        assert _mismatches(result["reports"][str(GOLDEN / name)], stored) == [], name
+    return json.loads(out)
+
+
+def _run_goldens(names) -> dict:
+    """:func:`_fresh_runs` of the golden specs *names*, each with its stored
+    report's seed and tolerance profile, and each report checked against
+    the stored one."""
+    stored = [json.loads((GOLDEN / f"{name}.report.json").read_text()) for name in names]
+    result = _fresh_runs([(json.loads((GOLDEN / f"{name}.json").read_text()),
+                           {"seed": want["seed"], "tol_profile": want["tol_profile"]})
+                          for name, want in zip(names, stored)])
+    for name, got, want in zip(names, result["reports"], stored):
+        assert _mismatches(got, want) == [], name
     return result
 
 
@@ -183,10 +189,33 @@ def test_a_parabolic_or_hyperbolic_run_imports_no_scipy():
     assert result["imported"] == [] and result["ran"] == []
 
 
-def test_an_elliptic_run_imports_scipy_when_it_needs_it():
-    result = _run_goldens(["elliptic_u0_ball_n2"])
+def test_the_elliptic_goldens_import_no_scipy():
+    # every logarithm of their contraction blocks has a conditioned
+    # eigenbasis, which checks it without scipy's expm
+    if linalg._BUNDLED_ZGEES is None:
+        pytest.skip(NO_BUNDLED_ZGEES)
+    names = sorted(p.name[: -len(".json")] for p in GOLDEN.glob("elliptic*.json")
+                   if not p.name.endswith(".report.json"))
+    assert len(names) == 14
+    result = _run_goldens(names)
+    assert result["imported"] == [] and result["ran"] == []
+
+
+def test_a_jordan_block_imports_scipy_for_its_logarithm():
+    # z -> diag(e^{0.5i}, [[0.7, 0.51], [0, 0.7]]) z: the contraction block's
+    # eigenbasis is singular, so its principal logarithm is scipy's logm,
+    # checked by scipy's expm
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 0], a[1:, 1:] = np.exp(0.5j), [[0.7, 0.51], [0.0, 0.7]]
+    spec = {"dimension": 3, "domain": "ball", "A": to_jsonable(a), "B": [[0.0, 0.0]] * 3,
+            "C": [[0.0, 0.0]] * 3, "D": [1.0, 0.0]}
+    result = _fresh_runs([(spec, {"stop_after": "embed"})])
     assert result["imported"] == []
     assert "scipy.linalg" in result["ran"]
+    [report] = result["reports"]
+    assert report["stages"]["embed"]["verdict"] == "condition_fails"
+    assert report["stages"]["embed"]["margins"][0]["margin"] == pytest.approx(
+        -0.00761077034698, abs=1e-12)
 
 
 def test_frobenius_has_the_bits_of_numpy_norm():
