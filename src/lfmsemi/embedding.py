@@ -22,11 +22,13 @@ principal logarithm, then one logarithm per class that they cannot tell
 apart (the hermitian part; for u0 also delta M^H e1) inside an ellipsoid
 that holds every passing class (see "the lattice of primary logarithms"
 below), each checked by exponentiation through the eigenbasis that built
-it.  A class whose logarithm fails that check, an ellipsoid too large to
-enumerate, or an ill-conditioned eigenbasis (cond V >= 1e8) with several
-eigenvalue clusters makes the verdict ``inconclusive``; so does a failed
-search on a derogatory matrix (an eigenvalue in several Jordan blocks),
-whose non-primary logarithms form a continuum and are not searched.  The
+it; one :class:`_Logarithms` of the block holds that eigenbasis, walks
+the lattice and reads the verdict of a failed search.  A class whose
+logarithm fails that check, an ellipsoid too large to enumerate, or an
+ill-conditioned eigenbasis (cond V >= 1e8) with several eigenvalue
+clusters makes the verdict ``inconclusive``; so does a failed search on a
+derogatory matrix (an eigenvalue in several Jordan blocks), whose
+non-primary logarithms form a continuum and are not searched.  The
 parabolic and hyperbolic criteria are one
 function (:func:`_half_plane_criterion`) with one generator: the
 principal logarithm of the normal map's homogeneous matrix, read off its
@@ -66,8 +68,8 @@ from .errors import BranchError, DimensionError, DomainError, NumericError
 from .linalg import (
     REAL_KINDS,
     _complex_array,
+    _hermitian,
     _natural_dtype,
-    hermitian_part,
     is_dissipative,
     mat_exp,
     mat_log_principal,
@@ -255,38 +257,44 @@ class _Singular(DomainError):
     """A criterion met an exactly zero eigenvalue: the map is not injective."""
 
 
-def _verified(eig: "_Eigenbasis", combo, a: np.ndarray) -> bool:
-    """exp(L(combo)) of eig (:meth:`_Eigenbasis.exp`) reproduces a to
+def _verified(logs: "_Logarithms", combo, a: np.ndarray) -> bool:
+    """exp(L(combo)) of logs (:meth:`_Logarithms.exp`) reproduces a to
     within 1e-8 max(1, |a|)."""
-    return float(np.linalg.norm(eig.exp(combo) - a)) <= 1e-8 * max(1.0, float(np.linalg.norm(a)))
+    return float(np.linalg.norm(logs.exp(combo) - a)) <= 1e-8 * max(1.0, float(np.linalg.norm(a)))
 
 
-@dataclass(frozen=True)
-class _Eigenbasis:
+class _Logarithms:
     """The primary logarithms L(k) = V (D + 2 pi i diag(k_j on cluster j))
-    V^-1 of a (``log(k)``) and their exponentials (``exp(k)``), k one
-    integer per cluster of eigenvalues equal to within 1e-8 relative, in
-    order of first appearance; ``vals`` are the eigenvalues of a.  With a
-    well-conditioned eigenbasis (cond V < 1e8) D = diag(log lam), and
+    V^-1 of a (``log(k)``, with L0 = L(0) as ``l0``) and their
+    exponentials (``exp(k)``), k one integer per cluster of eigenvalues
+    equal to within 1e-8 relative, in order of first appearance; ``vals``
+    are the eigenvalues of a.  With a well-conditioned eigenbasis
+    (cond V < 1e8) D = diag(log lam), and
     exp(L(k)) = V diag(exp(d_j + 2 pi i k_j)) V^-1 is one product;
     otherwise (``conditioned`` False) V = I and D = mat_log_principal(a),
     whose shifts are all the primary logarithms only when a has one
-    cluster, and exp(L(k)) is :func:`~lfmsemi.linalg.mat_exp`'s."""
+    cluster, and exp(L(k)) is :func:`~lfmsemi.linalg.mat_exp`'s.
 
-    vecs: np.ndarray
-    inv_vecs: np.ndarray
-    core: np.ndarray
-    clusters: list
-    vals: np.ndarray
-    conditioned: bool = True
+    Iterating yields L0, then one primary logarithm per further class of
+    :func:`_lattice_shifts` for *delta* (the split criterion at 0, the u0
+    criterion otherwise), each verified by exponentiation through the
+    eigenbasis (:func:`_verified`); the lattice is set up only when the
+    caller asks for more than L0.  The search records ``classes`` classes
+    inside the ellipsoid (k = 0 included), ``unverified`` of them with a
+    logarithm that exponentiation did not confirm, ``overflow`` when the
+    enumeration gave up, and the ``derogatory`` cluster, whose
+    non-primary logarithms it did not search; :meth:`failed` reads the
+    verdict off them.
 
-    @classmethod
-    def of(cls, a: np.ndarray) -> Optional["_Eigenbasis"]:
-        """None when the eigenbasis is ill-conditioned and a has no
-        principal logarithm.  Raises :class:`_Singular` when an eigenvalue
-        is exactly 0, and DomainError when the least eigenvalue modulus is
-        nonzero but at most 1e-12 max(1, largest)."""
-        a = np.asarray(a, dtype=complex)
+    Raises :class:`_Singular` when an eigenvalue is exactly 0, DomainError
+    when the least eigenvalue modulus is nonzero but at most
+    1e-12 max(1, largest), and NumericError when the eigenbasis is
+    ill-conditioned and a has no principal logarithm, or when the search
+    verifies no logarithm."""
+
+    def __init__(self, a: np.ndarray, delta: float = 0.0):
+        self.a = a = np.asarray(a, dtype=complex)
+        self.delta = delta
         vals, vecs = np.linalg.eig(a)
         mods = np.abs(vals)
         if np.min(mods) <= 1e-12 * max(1.0, float(np.max(mods))):
@@ -300,14 +308,18 @@ class _Eigenbasis:
             members = np.nonzero(np.abs(vals - vals[i]) <= 1e-8 * max(1.0, abs(vals[i])))[0]
             assigned[members] = len(clusters)
             clusters.append(members)
-        if np.linalg.cond(vecs) < 1e8:
-            return cls(vecs, np.linalg.inv(vecs), np.diag(np.log(vals)), clusters, vals)
-        try:
-            principal = mat_log_principal(a)
-        except BranchError:
-            return None
-        eye = np.eye(len(vals), dtype=complex)
-        return cls(eye, eye, principal, clusters, vals, conditioned=False)
+        self.vals, self.clusters = vals, clusters
+        self.conditioned = bool(np.linalg.cond(vecs) < 1e8)
+        if self.conditioned:
+            self.vecs, self.inv_vecs, self.core = vecs, np.linalg.inv(vecs), np.diag(np.log(vals))
+        else:
+            try:
+                self.core = mat_log_principal(a)
+            except BranchError:
+                raise NumericError("no verifiable logarithm candidate found") from None
+            self.vecs = self.inv_vecs = np.eye(len(vals), dtype=complex)
+        self.l0 = self.log([0] * len(clusters))
+        self.classes, self.unverified, self.overflow, self.derogatory = 1, 0, False, None
 
     def _shift(self, combo) -> np.ndarray:
         """2 pi i k_j on the diagonal entries of cluster j."""
@@ -332,14 +344,38 @@ class _Eigenbasis:
             return float(np.max(np.diag(self.core).real)) < 0
         return float(np.max(np.linalg.eigvals(m).real)) < 0
 
-    def derogatory(self, a: np.ndarray):
+    @property
+    def ill_conditioned(self) -> bool:
+        """An ill-conditioned eigenbasis with several clusters leaves only L0
+        to test."""
+        return not self.conditioned and len(self.clusters) > 1
+
+    def __iter__(self):
+        zero = [0] * len(self.clusters)
+        if _verified(self, zero, self.a):
+            yield self.l0
+        else:
+            self.unverified += 1
+        shifts = [] if self.ill_conditioned else _lattice_shifts(self)
+        self.overflow = shifts is None
+        self.classes += len(shifts or [])
+        self.derogatory = None if self.ill_conditioned else self._derogatory_cluster()
+        for k in shifts or []:
+            if _verified(self, k, self.a):
+                yield self.log(k)
+            else:
+                self.unverified += 1
+        if self.unverified == self.classes:
+            raise NumericError("no verifiable logarithm candidate found")
+
+    def _derogatory_cluster(self):
         """(eigenvalue, size, eigenvectors) of the first cluster with more
         than one eigenvector, the eigenvalue the mean of the cluster's; None
         when there is none.  With a conditioned basis each of the cluster's
         eigenvalues has its own eigenvector; otherwise the eigenvectors are
         counted as n - rank(a - lam I), with singular values at or below
         1e-8 max(1, |a|) counted as zero."""
-        n = len(a)
+        a, n = self.a, len(self.a)
         for idx in self.clusters:
             if len(idx) < 2:
                 continue
@@ -350,21 +386,45 @@ class _Eigenbasis:
                 return lam, len(idx), count
         return None
 
+    def failed(self, notes: str, kind: str, ellipsoid: str):
+        """Verdict and notes when none of the tested logarithms passed:
+        *notes* says so, and the classes were one per *kind* inside the
+        *ellipsoid* ellipsoid."""
+        if self.ill_conditioned:
+            return INCONCLUSIVE, (f"{notes}; the eigenbasis has condition number >= 1e8 "
+                                  "and several eigenvalue clusters, so only the principal "
+                                  "logarithm was tested")
+        if self.overflow:
+            return INCONCLUSIVE, (f"{notes}; the {ellipsoid} ellipsoid holds more than "
+                                  f"{_LATTICE_NODES} enumeration nodes, so its classes "
+                                  "were not searched")
+        notes += f", one per {kind} of primary logarithms inside the {ellipsoid} ellipsoid"
+        if self.unverified:
+            return INCONCLUSIVE, (f"{notes}; {self.unverified} of {self.classes} classes "
+                                  "had no logarithm verified by exponentiation")
+        if self.derogatory:
+            lam, size, count = self.derogatory
+            return INCONCLUSIVE, (f"{notes}; the eigenvalue {lam:.6g} is derogatory, a cluster "
+                                  f"of {size} with {count} eigenvectors, and its non-primary "
+                                  "logarithms were not searched")
+        return CONDITION_FAILS, notes
 
-def _lattice_shifts(eig: _Eigenbasis, l0: np.ndarray, tol: float, delta: float):
-    """Branch shifts k (one entry per cluster), one per class of primary
-    logarithms with equal Herm L(k) and, for delta != 0, equal
-    delta L(k)^H e1, whose class can hold a logarithm that passes the
-    criterion with tolerance tol (the split criterion at delta = 0, the u0
-    criterion otherwise), in the order 0, -1, 1, -2, ... per cluster after
-    k = 0, which is left out; None when the ellipsoid holds more than
-    ``_LATTICE_NODES`` enumeration nodes."""
-    count = len(eig.clusters)
+
+def _lattice_shifts(logs: _Logarithms):
+    """Branch shifts k (one entry per cluster), one per class of the primary
+    logarithms of *logs* with equal Herm L(k) and, for logs.delta != 0,
+    equal delta L(k)^H e1, whose class can hold a logarithm that passes the
+    criterion with tolerance ``_DISSIPATIVE_TOL`` (the split criterion at
+    delta = 0, the u0 criterion otherwise), in the order 0, -1, 1, -2, ...
+    per cluster after k = 0, which is left out; None when the ellipsoid
+    holds more than ``_LATTICE_NODES`` enumeration nodes."""
+    l0, delta = logs.l0, logs.delta
+    count = len(logs.clusters)
     n = l0.shape[0]
-    projectors = [eig.vecs[:, idx] @ eig.inv_vecs[idx, :] for idx in eig.clusters]
-    gs = np.array([hermitian_part(2j * np.pi * p) for p in projectors]).reshape(count, -1)
+    projectors = [logs.vecs[:, idx] @ logs.inv_vecs[idx, :] for idx in logs.clusters]
+    gs = np.array([_hermitian(2j * np.pi * p) for p in projectors]).reshape(count, -1)
     # groups of clusters: join two whose eigenspaces are not orthogonal
-    bases = [np.linalg.qr(eig.vecs[:, idx])[0] for idx in eig.clusters]
+    bases = [np.linalg.qr(logs.vecs[:, idx])[0] for idx in logs.clusters]
     group = list(range(count))
     for i, j in itertools.combinations(range(count), 2):
         if np.linalg.norm(bases[i].conj().T @ bases[j], 2) > _ORTHOGONAL_TOL:
@@ -374,11 +434,11 @@ def _lattice_shifts(eig: _Eigenbasis, l0: np.ndarray, tol: float, delta: float):
     moves = np.array([p[0].conj() for p in projectors])
     free = [j for j in range(count) if group[j] != j or delta and np.linalg.norm(
         sum(moves[i] for i in range(count) if group[i] == j)) > _ORTHOGONAL_TOL]
-    h0 = hermitian_part(l0)
+    h0 = _hermitian(l0)
     tau = float(np.trace(h0).real)
     b0 = delta * l0[0].conj()
     traceless2 = float(np.linalg.norm(h0)) ** 2 - tau * tau / n
-    radius = abs(tau) + n * tol
+    radius = abs(tau) + n * _DISSIPATIVE_TOL
     # rounding slack, relative to the scale of the terms
     slack = 1e-8 * (abs(tau) + float(np.linalg.norm(h0)) + float(np.linalg.norm(b0))) ** 2
     q = (gs[free].conj() @ gs[free].T).real
@@ -445,90 +505,14 @@ def _ellipsoid_points(q: np.ndarray, b: np.ndarray, r2: float, limit: int):
     return points if descend(d - 1, rem) else None
 
 
-@dataclass
-class _LatticeWalk:
-    """What a lattice search over the logarithms of ``basis`` (None when
-    the matrix has no verifiable logarithm) met: ``classes`` classes inside
-    the ellipsoid (k = 0 included), ``unverified`` of them with a logarithm
-    that exponentiation did not confirm, ``overflow`` when the enumeration
-    gave up, and the ``derogatory`` cluster of
-    :meth:`_Eigenbasis.derogatory`, whose non-primary logarithms it did
-    not search."""
-
-    basis: Optional[_Eigenbasis]
-    classes: int = 1
-    unverified: int = 0
-    overflow: bool = False
-    derogatory: Optional[tuple] = None
-
-    @property
-    def ill_conditioned(self) -> bool:
-        """An ill-conditioned eigenbasis with several clusters left only L0
-        to test."""
-        return not self.basis.conditioned and len(self.basis.clusters) > 1
-
-    def failed(self, notes: str, kind: str, ellipsoid: str):
-        """Verdict and notes when none of the tested logarithms passed:
-        *notes* says so, and the classes were one per *kind* inside the
-        *ellipsoid* ellipsoid."""
-        if self.ill_conditioned:
-            return INCONCLUSIVE, (f"{notes}; the eigenbasis has condition number >= 1e8 "
-                                  "and several eigenvalue clusters, so only the principal "
-                                  "logarithm was tested")
-        if self.overflow:
-            return INCONCLUSIVE, (f"{notes}; the {ellipsoid} ellipsoid holds more than "
-                                  f"{_LATTICE_NODES} enumeration nodes, so its classes "
-                                  "were not searched")
-        notes += f", one per {kind} of primary logarithms inside the {ellipsoid} ellipsoid"
-        if self.unverified:
-            return INCONCLUSIVE, (f"{notes}; {self.unverified} of {self.classes} classes "
-                                  "had no logarithm verified by exponentiation")
-        if self.derogatory:
-            lam, size, count = self.derogatory
-            return INCONCLUSIVE, (f"{notes}; the eigenvalue {lam:.6g} is derogatory, a cluster "
-                                  f"of {size} with {count} eigenvectors, and its non-primary "
-                                  "logarithms were not searched")
-        return CONDITION_FAILS, notes
-
-
-def _lattice_logs(a: np.ndarray, walk: _LatticeWalk, delta: float = 0.0):
-    """From the eigenbasis of a that *walk* holds: L0, then one primary
-    logarithm per further class of
-    :func:`_lattice_shifts` (delta as there), each verified by
-    exponentiation through its eigenbasis (:func:`_verified`); the lattice
-    is set up only when the caller asks for more than L0.  Raises
-    NumericError when no logarithm is verified."""
-    a = np.asarray(a, dtype=complex)
-    eig = walk.basis
-    if eig is None:
-        raise NumericError("no verifiable logarithm candidate found")
-    zero = [0] * len(eig.clusters)
-    l0 = eig.log(zero)
-    if _verified(eig, zero, a):
-        yield l0
-    else:
-        walk.unverified += 1
-    shifts = [] if walk.ill_conditioned else _lattice_shifts(eig, l0, _DISSIPATIVE_TOL, delta)
-    walk.overflow = shifts is None
-    walk.classes += len(shifts or [])
-    walk.derogatory = None if walk.ill_conditioned else eig.derogatory(a)
-    for k in shifts or []:
-        if _verified(eig, k, a):
-            yield eig.log(k)
-        else:
-            walk.unverified += 1
-    if walk.unverified == walk.classes:
-        raise NumericError("no verifiable logarithm candidate found")
-
-
 def log_candidates(a: np.ndarray):
     """The logarithms of *a* that the split criterion tests when none
     passes: the principal logarithm L0 first, then one primary logarithm
     per further hermitian class inside the dissipativity ellipsoid
     (:func:`_lattice_shifts`), each verified by exponentiation through
-    its eigenbasis (:meth:`_Eigenbasis.exp`).  An ill-conditioned
+    its eigenbasis (:meth:`_Logarithms.exp`).  An ill-conditioned
     eigenbasis (cond V >= 1e8) gives L0 alone."""
-    return list(_lattice_logs(a, _LatticeWalk(_Eigenbasis.of(a))))
+    return list(_Logarithms(a))
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +536,18 @@ def embed_elliptic_split(nf: NormalForm) -> EmbeddingCertificate:
         return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log",
                             [Condition("unitary_part", 0.0, True)],
                             _split_matrix(theta, a1))
-    lattice = _LatticeWalk(_Eigenbasis.of(a1))
+    logs = _Logarithms(a1)
     margins = []
-    for idx, m in enumerate(_lattice_logs(a1, lattice)):
+    for idx, m in enumerate(logs):
         res = is_dissipative(m)
         margins.append(Condition(f"dissipativity[candidate {idx}]", -res.margin,
                                  res.margin <= _DISSIPATIVE_TOL))
-        if res.margin <= _DISSIPATIVE_TOL and lattice.basis.decays(m):
+        if res.margin <= _DISSIPATIVE_TOL and logs.decays(m):
             return _certificate(nf, EMBEDDABLE, "elliptic_split_dissipative_log", margins,
                                 _split_matrix(theta, m),
                                 notes=f"dissipative logarithm found (candidate {idx})")
-    verdict, notes = lattice.failed(f"no dissipative logarithm among {len(margins)} candidates",
-                                    "hermitian class", "dissipativity")
+    verdict, notes = logs.failed(f"no dissipative logarithm among {len(margins)} candidates",
+                                 "hermitian class", "dissipativity")
     return _certificate(nf, verdict, "elliptic_split_dissipative_log", margins, notes=notes)
 
 
@@ -593,9 +577,9 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
     _expect_form(nf, FORM_ELLIPTIC_U0)
     ahat = nf.parameters["Ahat"]
     delta = float(nf.parameters["delta"])
-    lattice = _LatticeWalk(_Eigenbasis.of(ahat))
+    logs = _Logarithms(ahat, delta)
     margins = []
-    for idx, m in enumerate(_lattice_logs(ahat, lattice, delta)):
+    for idx, m in enumerate(logs):
         g = _u0_matrix(m, delta)
         margin = _u0_margin(g)
         margins.append(Condition(f"generator_positivity[candidate {idx}]", margin,
@@ -603,7 +587,7 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
         if margin >= -_DISSIPATIVE_TOL:
             return _certificate(nf, EMBEDDABLE, "elliptic_u0_generator_positivity", margins, g,
                                 notes=f"candidate {idx}: min condition margin {margin:.3e}")
-    verdict, notes = lattice.failed(
+    verdict, notes = logs.failed(
         f"all {len(margins)} logarithm candidates violate the condition",
         "(Herm M, delta M^H e1) class", "positivity")
     return _certificate(nf, verdict, "elliptic_u0_generator_positivity", margins,

@@ -49,16 +49,27 @@ stand the worst wall time of one run, the largest report, in bytes of
 the text ``lfmsemi report`` writes, and the largest ``chain_residual`` of
 the normal-form stage.
 
+The counts are the ledger, stored in ``tests/census.json``: one list per
+corpus of its outcomes, each with its count, in table order.  The wall
+times, report sizes, residuals and misses vary by host and are printed
+only.
+
 Run from anywhere, with the checkout's ``src`` importable::
 
-    python tests/census.py
+    python tests/census.py          # print the tables
+    python tests/census.py --json   # ... and store their counts in tests/census.json
+    python tests/census.py --check  # ... and compare their counts with the stored ones
 
-Pytest does not collect this file; it reads ``perfbench/`` and writes
-nothing there.
+``--check`` names the first (corpus, outcome) whose count differs from the
+stored ledger, corpora in stored order and outcomes in table order, and
+exits 1 if there is one.  A change that moves a count re-stores the ledger
+with ``--json``.  Pytest does not collect this file; it reads
+``perfbench/`` and writes nothing there.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import sys
@@ -69,6 +80,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+LEDGER = ROOT / "tests" / "census.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from lfmsemi import SiegelMap, ball_automorphism, cayley_to_ball, conjugate  # noqa: E402
@@ -239,25 +251,78 @@ def tally(spec_list) -> tuple:
     return counts, worst, largest, residual
 
 
+def _table_order(outcome: tuple) -> tuple:
+    """Outcomes sort by exit status, then by (class, verdict, first failure)."""
+    return outcome[2], outcome
+
+
 def table(name: str, counts: Counter, worst: float, largest: int, residual) -> list:
     rows = [f"{name} ({sum(counts.values())} maps)",
             f"  {'count':>5}  {'class':<10}  {'verdict':<15}  exit  first failure"]
-    for (kind, verdict, status, first), count in sorted(counts.items(),
-                                                        key=lambda item: (item[0][2], item[0])):
-        rows.append(f"  {count:>5}  {kind:<10}  {verdict:<15}  {status:>4}  {first}")
+    for outcome in sorted(counts, key=_table_order):
+        kind, verdict, status, first = outcome
+        rows.append(f"  {counts[outcome]:>5}  {kind:<10}  {verdict:<15}  {status:>4}  {first}")
     rows.append(f"  worst wall time {worst:.3f} s, largest report {largest} bytes, "
                 "largest chain residual " + ("-" if residual is None else f"{residual:.3e}"))
     return rows
 
 
-def main() -> int:
+_FIELDS = ("class", "verdict", "exit", "first_failure")
+
+
+def to_ledger(counts: dict) -> dict:
+    """The JSON form of corpus -> Counter of outcomes: corpus -> rows in
+    table order, each row its outcome's fields and its count."""
+    return {name: [dict(zip(_FIELDS, outcome), count=c[outcome])
+                   for outcome in sorted(c, key=_table_order)] for name, c in counts.items()}
+
+
+def from_ledger(ledger: dict) -> dict:
+    """corpus -> Counter of outcomes, read off the JSON form."""
+    return {name: Counter({tuple(row[f] for f in _FIELDS): row["count"] for row in rows})
+            for name, rows in ledger.items()}
+
+
+def first_moved(stored: dict, counted: dict):
+    """(corpus, outcome, stored count, counted count) of the first count that
+    differs between two corpus -> Counter maps, corpora in stored order
+    (then the corpora only counted) and outcomes in table order; an absent
+    outcome or corpus counts 0.  None when every count agrees."""
+    for name in list(stored) + [name for name in counted if name not in stored]:
+        was, now = stored.get(name, Counter()), counted.get(name, Counter())
+        for outcome in sorted(was.keys() | now.keys(), key=_table_order):
+            if was[outcome] != now[outcome]:
+                return name, outcome, was[outcome], now[outcome]
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--json", action="store_true", help=f"store the counts in {LEDGER.name}")
+    mode.add_argument("--check", action="store_true",
+                      help=f"compare the counts with {LEDGER.name}; exit 1 when one moved")
+    args = parser.parse_args(argv)
+    counted = {}
     for name, build in CORPORA.items():
         spec_list = build()
-        print("\n".join(table(name, *tally(spec_list))))
+        counts, *measures = tally(spec_list)
+        counted[name] = counts
+        print("\n".join(table(name, counts, *measures)))
         if name == "perturbed_hyperbolic":
             worst, count = user_miss(spec_list)
             print("  largest user-coordinate miss of S^-1 exp(G) S against f: "
                   + ("-" if worst is None else f"{worst:.3e}") + f" ({count} maps embed)")
+    if args.json:
+        LEDGER.write_text(json.dumps(to_ledger(counted), indent=2) + "\n")
+        print(f"stored the counts of {len(counted)} corpora in {LEDGER}")
+    if args.check:
+        moved = first_moved(from_ledger(json.loads(LEDGER.read_text())), counted)
+        if moved:
+            name, outcome, was, now = moved
+            print(f"{name}: {outcome} counts {now}, stored {was}")
+            return 1
+        print(f"the counts of {len(counted)} corpora match {LEDGER.name}")
     return 0
 
 

@@ -188,8 +188,7 @@ def brute_force_tops(a, bound=5):
 
 
 def lattice_shifts(a1):
-    eig = emb._Eigenbasis.of(a1)
-    return emb._lattice_shifts(eig, eig.log([0] * len(eig.clusters)), emb._DISSIPATIVE_TOL, 0.0)
+    return emb._lattice_shifts(emb._Logarithms(a1))
 
 
 def contraction_block(basis, vals):
@@ -259,6 +258,31 @@ def test_no_candidate_error_unchanged():
             search(a)
 
 
+def _elliptic_forms(block):
+    """The split form (Lambda = 1, A1 = block) and the u0 form
+    (Ahat = block, delta = 0.3) of one contraction block."""
+    block = np.asarray(block, dtype=complex)
+    split = NormalForm(FORM_ELLIPTIC_SPLIT, None, [],
+                       {"Lambda": np.ones(1, dtype=complex), "A1": block})
+    return split, u0_form(block, 0.3)
+
+
+def test_no_candidate_error_of_both_criteria():
+    # the block of test_no_candidate_error_unchanged, met by each criterion
+    split, u0 = _elliptic_forms([[-0.5, 1.0], [0.0, -0.5]])
+    with pytest.raises(NumericError, match="^no verifiable logarithm candidate found$"):
+        emb.embed_elliptic_split(split)
+    with pytest.raises(NumericError, match="^no verifiable logarithm candidate found$"):
+        emb.embed_elliptic_u0(u0)
+
+
+def test_an_exact_zero_eigenvalue_fails_invertibility():
+    for nf in _elliptic_forms(np.diag([0.5, 0.0])):
+        cert = emb.certify(nf)
+        assert (cert.verdict, cert.criterion_id) == (CONDITION_FAILS, "invertibility")
+        assert [(m.name, m.passed) for m in cert.margins] == [("invertible", False)]
+
+
 def test_five_cluster_search_is_complete():
     # five distinct contraction eigenvalues: 7^5 = 16807 branch combinations
     # in the |k| <= 3 box, more than the box walk verified before its
@@ -313,7 +337,7 @@ def test_lattice_verdict_matches_mpmath_brute_force():
         # every dissipative shift of the brute force lies in a class of the
         # lattice: the clusters are all joined here, so a class is k up to
         # a common integer, and the lattice puts k = 0 on its first cluster
-        eig = emb._Eigenbasis.of(a1)
+        eig = emb._Logarithms(a1)
         assert len(eig.clusters) == len(eigenvalues)
         order = [int(np.argmin(np.abs(np.array(eigenvalues) - np.exp(np.diag(eig.core)[c[0]]))))
                  for c in eig.clusters]
@@ -437,7 +461,7 @@ def test_eigenbasis_check_agrees_with_expm(monkeypatch):
 def test_a_wrong_matrix_is_refused_and_its_class_unverified(monkeypatch):
     nf = split_form(split_spec(np.random.default_rng(3), 1, [FAR_BLOCK]))
     a1 = nf.parameters["A1"]
-    eig = emb._Eigenbasis.of(a1)
+    eig = emb._Logarithms(a1)
     shifts = lattice_shifts(a1)
     rng = np.random.default_rng(11)
     turn = rng.standard_normal(a1.shape) + 1j * rng.standard_normal(a1.shape)
@@ -487,7 +511,7 @@ def test_a_derogatory_jordan_fallback_is_inconclusive():
     # 0.7 in a Jordan block of size 2 and one of size 1: the eigenbasis is
     # singular, one cluster, and n - rank(a - 0.7 I) = 2 eigenvectors
     a1 = np.array([[0.7, 0.51, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 0.7]], dtype=complex)
-    eig = emb._Eigenbasis.of(a1)
+    eig = emb._Logarithms(a1)
     assert not eig.conditioned and len(eig.clusters) == 1
     cert = emb.embed_elliptic_split(NormalForm(FORM_ELLIPTIC_SPLIT, None, [],
                                                {"Lambda": np.ones(1, dtype=complex), "A1": a1}))
@@ -635,12 +659,11 @@ def check_u0_against_brute_force(a, delta):
     and the passing shifts."""
     passing, closest = u0_brute_force(a, delta)
     assert closest > 1e-6  # rounding cannot decide a verdict
-    eig = emb._Eigenbasis.of(a)
-    l0 = eig.log([0] * len(eig.clusters))
-    shifts = emb._lattice_shifts(eig, l0, emb._DISSIPATIVE_TOL, delta)
+    eig = emb._Logarithms(a, delta)
+    shifts = emb._lattice_shifts(eig)
     assert shifts is not None
     listed = [(hermitian_part(m), delta * m[0].conj())
-              for m in [l0] + [eig.log(k) for k in shifts]]
+              for m in [eig.l0] + [eig.log(k) for k in shifts]]
     for k, (h, b) in passing.items():
         assert any(np.linalg.norm(h - h2) + np.linalg.norm(b - b2) <= 1e-8
                    for h2, b2 in listed), k
@@ -706,7 +729,7 @@ def test_u0_passes_only_on_a_shifted_class(ahat, delta, shift):
     cert, passing = check_u0_against_brute_force(a, delta)
     assert list(passing) == [shift]
     assert cert.verdict == EMBEDDABLE and not cert.margins[0].passed
-    eig = emb._Eigenbasis.of(a)
+    eig = emb._Logarithms(a)
     assert np.array_equal(cert.G[:-1, :-1], eig.log(shift))
 
 
