@@ -6,6 +6,12 @@ two-element [re, im] arrays).  The machine-readable report is emitted
 with sorted keys and shortest round-trip floats, so identical inputs
 and seeds produce byte-identical bytes.
 
+A run that goes on to ``verify`` builds its family once: the semigroup
+stage's one ``at_many`` holds the verify battery's times and then the
+trajectory times they lack, the trajectory rows are read off that stack
+and the battery reads its own rows.  If that build fails, each stage
+builds its own maps, so an error stays with its stage.
+
 Exit codes: 0 embeddable and verified, 1 criterion definitively fails,
 2 inconclusive (or verification failed), 3 input error (a usage error, a
 negative seed, an unwritable ``--output`` or ``--csv`` path) or stage
@@ -31,7 +37,7 @@ from .embedding import (
     is_automorphism,
 )
 from .errors import LfmError
-from .linalg import REAL_KINDS, _natural_dtype
+from .linalg import REAL_KINDS, _natural_array
 from .maps import (
     BALL,
     DEFAULT_SAMPLE_SEED,
@@ -43,7 +49,7 @@ from .maps import (
     classify,
 )
 from .normal_forms import conjugation_residual, normal_form
-from .verify import DEFAULT_TOLS, SamplerCfg, verify_family
+from .verify import DEFAULT_TOLS, SamplerCfg, battery_stack, verify_family
 
 SCHEMA_VERSION = 2
 
@@ -238,7 +244,8 @@ def run_pipeline(spec_obj: dict, seed: int = DEFAULT_SAMPLE_SEED, tol_profile: s
     except LfmError as exc:
         report["error"] = str(exc)
     else:
-        entries = _stage_entries(f, seed, TOL_PROFILES[tol_profile], t_grid, z0)
+        entries = _stage_entries(f, seed, TOL_PROFILES[tol_profile], t_grid, z0,
+                                 "verify" in stages)
         for stage in stages:
             try:
                 report["stages"][stage] = next(entries)
@@ -251,9 +258,13 @@ def run_pipeline(spec_obj: dict, seed: int = DEFAULT_SAMPLE_SEED, tol_profile: s
     return report
 
 
-def _stage_entries(f, seed, tols, t_grid, z0):
+def _stage_entries(f, seed, tols, t_grid, z0, verifying: bool):
     """The report entry of each stage of STAGES in turn, computed when it
-    is asked for; a stage error propagates from the ``next`` that asked."""
+    is asked for; a stage error propagates from the ``next`` that asked.
+    When *verifying*, the semigroup stage builds one stack for both stages
+    (:func:`~lfmsemi.verify.battery_stack`): the battery's times, then the
+    trajectory's that it lacks.  If that build fails, each stage builds its
+    own maps, so each error stays with the stage it belongs to."""
     cls = classify(f)
     entry = {
         "status": "ok",
@@ -291,7 +302,9 @@ def _stage_entries(f, seed, tols, t_grid, z0):
         return
     sg = build_semigroup(cert)
     start = z0 if z0 is not None else _default_start(sg)
-    rows = emit_trajectory(sg, start, t_grid)
+    ts = _trajectory_times(t_grid)
+    built = _shared_stack(sg, ts) if verifying else sg
+    rows = emit_trajectory(built, start, ts)
     entry = to_jsonable({
         "status": "ok",
         "case_kind": sg.case_kind,
@@ -300,12 +313,21 @@ def _stage_entries(f, seed, tols, t_grid, z0):
     })
     entry["trajectory"] = rows          # already JSON-safe floats
     yield entry
-    reports = verify_family(sg, SamplerCfg(seed=seed, domain=sg.domain), tols=tols)
+    reports = verify_family(built, SamplerCfg(seed=seed, domain=sg.domain), tols=tols)
     yield to_jsonable({
         "status": "ok",
         "checks": [_check_entry(r) for r in reports],
         "all_passed": all(r.passed for r in reports),
     })
+
+
+def _shared_stack(sg, ts):
+    """The record of :func:`~lfmsemi.verify.battery_stack` for the family
+    *sg* and the trajectory times ts, or *sg* itself if that build fails."""
+    try:
+        return battery_stack(sg, ts)
+    except LfmError:
+        return sg
 
 
 def _check_entry(r):
@@ -349,21 +371,32 @@ def _exit_status(report) -> int:
 
 def emit_trajectory(sg, z0, t_grid) -> list:
     """Rows [t, re_1, im_1, ...] of at(t)(z0) as lists of Python floats;
-    t must be non-decreasing and >= 0.  The grid is read once, into a 1-d
-    array for one ``at_many``, whose call checks z0 once (its dimension
-    first, then the domain) and the denominator at every time."""
+    t must be non-decreasing and >= 0.  The grid is read once
+    (:func:`_trajectory_times`), into a 1-d array for one ``at_many``,
+    whose call checks z0 once (its dimension first, then the domain) and
+    the denominator at every time.  *sg* is a family or a record of
+    :func:`~lfmsemi.verify.battery_stack` that holds the grid's times."""
+    ts = _trajectory_times(t_grid)
+    images = np.ascontiguousarray(sg.at_many(ts)(z0), dtype=complex)
+    return np.column_stack([ts, images.view(np.float64)]).tolist()
+
+
+def _trajectory_times(t_grid) -> np.ndarray:
+    """The trajectory's grid as a 1-d float array, from one conversion (none
+    for a float array); a grid that is not a non-decreasing list of numbers
+    raises :class:`SpecError`."""
     try:
-        if _natural_dtype(t_grid).kind not in REAL_KINDS:  # np.array takes a string or a bool
+        ts, dtype = _natural_array(t_grid)
+        if dtype.kind not in REAL_KINDS:  # np.asarray takes a string or a bool
             raise TypeError
-        ts = np.array(t_grid, dtype=float)
+        ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1:
             raise TypeError
     except (TypeError, ValueError):
         raise SpecError(f"trajectory time grid must be a list of numbers, got {t_grid!r}") from None
     if np.any(ts[1:] < ts[:-1]):
         raise SpecError("trajectory time grid must be non-decreasing")
-    images = np.ascontiguousarray(sg.at_many(ts)(z0), dtype=complex)
-    return np.column_stack([ts, images.view(np.float64)]).tolist()
+    return ts
 
 
 def trajectory_csv(rows, dim: int) -> str:

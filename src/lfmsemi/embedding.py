@@ -161,7 +161,7 @@ def _time_grid(ts) -> np.ndarray:
     try:
         if _natural_dtype(ts).kind not in REAL_KINDS:  # np.array takes a string or a bool
             raise TypeError
-        ts = np.array(ts, dtype=float, ndmin=1)
+        ts = np.array(ts, dtype=float, ndmin=1, copy=None)  # a float grid is not copied
     except (TypeError, ValueError):
         raise DomainError(f"times must be real numbers, got {ts!r}") from None
     if ts.ndim != 1:
@@ -742,16 +742,20 @@ _EIGEN_FLOW_COND = 1e2
 def _ball_exp(k: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """exp(t K) for every time of ts, a (T, n, n) stack: V diag(e^{t l}) V^-1
     from one eigendecomposition (the eigenvector method of Moler & Van Loan,
-    SIAM Review 45, 2003), the identity exactly at t = 0; for a K whose
+    SIAM Review 45, 2003), every time's V diag(e^{t l}) stacked into one
+    (T n, n) product with V^-1, whose rows have the bits of one time's
+    product, and the identity exactly at t = 0; for a K whose
     eigenbasis is ill-conditioned or singular (a Jordan block),
     :func:`~lfmsemi.linalg.mat_exp` of each t K.  Either way an overflow is
     a :class:`NumericError`, as in ``mat_exp``."""
     lam, v = np.linalg.eig(k)
     if not np.linalg.cond(v) <= _EIGEN_FLOW_COND:
         return mat_exp(ts[:, None, None] * k)
+    n = len(k)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = (v * np.exp(np.multiply.outer(ts, lam))[:, None, :]) @ np.linalg.inv(v)
-    e[ts == 0.0] = np.eye(len(k))  # V V^-1 is I only up to rounding
+        scaled = v * np.exp(np.multiply.outer(ts, lam))[:, None, :]
+        e = (scaled.reshape(-1, n) @ np.linalg.inv(v)).reshape(len(ts), n, n)
+    e[ts == 0.0] = np.eye(n)  # V V^-1 is I only up to rounding
     if not np.isfinite(e).all():
         raise NumericError("matrix exponential overflowed")
     return e
@@ -865,9 +869,10 @@ def _dd2(a: complex, b: complex, c: complex, ts: np.ndarray) -> np.ndarray:
     out = np.empty(len(ts), dtype=complex)
     near = np.abs(ts * w) <= 1.0
     t = ts[near]
+    ta, tc = t * (a - b), t * (c - b)
     h, total, scale = np.ones(len(t), dtype=complex), 0.5, 2.0
     for k in range(1, _DD2_TERMS + 1):
-        h = t * (a - b) * h + (t * (c - b)) ** k
+        h = ta * h + tc ** k
         scale *= k + 2
         total = total + h / scale
     out[near] = t * t * np.exp(t * b) * total

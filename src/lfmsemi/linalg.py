@@ -55,21 +55,25 @@ def _natural_dtype(a) -> np.dtype:
     have dtype bool, though numpy reads ``[True, 0.5]`` as floats: each
     level's set of types is tested once, and at the level where the scan
     stops, a bool array among the entries makes the dtype bool too."""
-    if isinstance(a, np.ndarray):
-        return a.dtype
-    dtype = np.asarray(a).dtype
+    return a.dtype if isinstance(a, np.ndarray) else _natural_array(a)[1]
+
+
+def _natural_array(a) -> tuple:
+    """``np.asarray(a)`` and the dtype of :func:`_natural_dtype`, from one
+    conversion of *a*."""
+    arr = np.asarray(a)
     level = a if isinstance(a, (list, tuple)) else ()
     while level:
         types = set(map(type, level))
         if bool in types or np.bool_ in types:
-            return np.dtype(bool)
+            return arr, np.dtype(bool)
         if not all(issubclass(t, (list, tuple)) for t in types):
             if any(issubclass(t, np.ndarray) for t in types) and any(
                     isinstance(x, np.ndarray) and x.dtype.kind == "b" for x in level):
-                return np.dtype(bool)
+                return arr, np.dtype(bool)
             break
         level = list(chain.from_iterable(level))
-    return dtype
+    return arr, arr.dtype
 
 
 def _complex_array(a) -> np.ndarray:

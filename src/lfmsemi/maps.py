@@ -282,7 +282,14 @@ def _ball_parts(zs: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     gets the bits of its own product."""
     num = zs @ np.swapaxes(a, -1, -2)
     num += b[..., None, :]
-    return num, (zs @ np.conj(c)[..., None])[..., 0] + 1.0
+    return num, _ball_denominators(zs, c)
+
+
+def _ball_denominators(zs: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The denominators <z, c> + 1 (..., K) of :func:`_ball_parts`: one
+    product per map of a stack, which a one-call form would round
+    differently."""
+    return (zs @ np.conj(c)[..., None])[..., 0] + 1.0
 
 
 @lru_cache(maxsize=16)
@@ -462,12 +469,15 @@ class BallMap:
     def __call__(self, z) -> np.ndarray:
         """The image of one ball point, (N,), or its images under every map
         of a stack, (T, N): the point is checked once, the denominator of
-        every map."""
+        every map.  The numerators of a stack are one (T N, N) product with
+        the point, whose rows have the bits of each map's own."""
         z = _checked_point(z, self.dim, BALL)
-        num, den = _ball_parts(z[None], self.A, self.B, self.C)
+        num = (self.A.reshape(-1, len(z)) @ z).reshape(self.B.shape)
+        num += self.B
+        den = _ball_denominators(z[None], self.C)
         if np.any(np.abs(den) < _POLE_TOL):
             raise PoleError(f"denominator vanished at {z}")
-        return (num / den[..., None])[..., 0, :]
+        return num / den
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on a (K, N) array of points: (K, N) images,
@@ -616,13 +626,21 @@ class SiegelMap:
 
     def __getitem__(self, i: int) -> "SiegelMap":
         _stack_size(self.M)  # a single map has no items
-        return SiegelMap(self.lam[i], self.a[i], self.b[i], self.M[i], self.c[i])
+        lam, b = self.lam[i], self.b[i]
+        if not np.ndim(lam):  # one map holds lam and b as the constructor does
+            lam, b = complex(lam), complex(b)
+        return _siegel_map_of(lam, self.a[i], b, self.M[i], self.c[i])
 
     def __call__(self, z) -> np.ndarray:
         """The image of one half-plane point, (N,), or its images under every
-        map of a stack, (T, N); the point is checked once."""
+        map of a stack, (T, N); the point is checked once.  The w-blocks of a
+        stack are one (T k, k) product with the point's w, whose rows have
+        the bits of each map's own."""
         z = _checked_point(z, self.dim, SIEGEL)
-        return _siegel_images(z[None], self.lam, self.a, self.b, self.M, self.c)[..., 0, :]
+        k = len(z) - 1
+        top = _siegel_top(z[None], self.lam, self.a, self.b)
+        w = self.c if not k else (self.M.reshape(-1, k) @ z[1:]).reshape(self.c.shape) + self.c
+        return np.concatenate([top, w], axis=-1)
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on a (K, N) array of points: (K, N) images,
@@ -674,10 +692,14 @@ def siegel_map_from_proj(p: ProjMap) -> SiegelMap:
         )
     if not np.isfinite(m).all():
         raise DomainError("matrix entries must be finite")
-    # the fields of SiegelMap(lam, a, b, M, c) without its conversions and checks
+    return _siegel_map_of(complex(m[0, 0]), np.conj(m[0, 1:n] / 2j), complex(m[0, n]),
+                          m[1:n, 1:n], m[1:n, n])
+
+
+def _siegel_map_of(lam, a, b, m, c) -> SiegelMap:
+    """The SiegelMap with these fields, as given: no conversion, no check."""
     g = object.__new__(SiegelMap)
-    g.__dict__.update(lam=complex(m[0, 0]), a=np.conj(m[0, 1:n] / 2j), b=complex(m[0, n]),
-                      M=m[1:n, 1:n], c=m[1:n, n])
+    g.__dict__.update(lam=lam, a=a, b=b, M=m, c=c)
     return g
 
 
@@ -702,11 +724,16 @@ def _siegel_images(zs, lam, a, b, m, c) -> np.ndarray:
     them (lam and b (T,), a and c (T, k), m (T, k, k)); zs is one (K, N)
     array for every map or, for a stack, one per map (T, K, N).  Every
     map of a stack gets the bits of its own product."""
-    w = zs[..., 1:]
-    top = np.asarray(lam)[..., None] * zs[..., 0] + 2j * (w @ np.conj(a)[..., None])[..., 0] \
-        + np.asarray(b)[..., None]
-    return np.concatenate([top[..., None], w @ np.swapaxes(m, -1, -2) + c[..., None, :]],
-                          axis=-1)
+    return np.concatenate([_siegel_top(zs, lam, a, b)[..., None],
+                           zs[..., 1:] @ np.swapaxes(m, -1, -2) + c[..., None, :]], axis=-1)
+
+
+def _siegel_top(zs, lam, a, b) -> np.ndarray:
+    """The first coordinates (..., K) of :func:`_siegel_images`, whose
+    products <w, a> are one per map of a stack: a one-call form would round
+    them differently."""
+    return np.asarray(lam)[..., None] * zs[..., 0] \
+        + 2j * (zs[..., 1:] @ np.conj(a)[..., None])[..., 0] + np.asarray(b)[..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 All checks draw their sample points from a :class:`SamplerCfg`, so a
 fixed seed gives bit-identical reports regardless of execution order.
-The battery :func:`verify_family` draws one (K, N) sample, builds the
-family once with one ``at_many`` over the distinct times of all its
-checks, evaluates that stack once with ``eval_many`` and hands each
-check the evaluated sample, whose rows it reads by time.  A check run on
-its own does the same over its own times; item i of a stack has the bits
-of ``at(t_i)``, so its report has the bits of the battery's.  No point
+The battery :func:`verify_family` reads its grid, tolerances and sampler
+once, draws one (K, N) sample, builds the family once with one
+``at_many`` over the distinct times of all its checks, evaluates that
+stack once with ``eval_many`` and hands each check the evaluated sample,
+whose rows it reads by time and whose arguments it does not read again.
+A check run on its own does the same over its own times; item i of a
+stack has the bits of ``at(t_i)``, so its report has the bits of the
+battery's.  :func:`battery_stack` builds that stack ahead of the battery,
+with further times after the battery's, for a caller that reads those
+maps too (the CLI's trajectory); the battery then evaluates its sample
+on its own rows only, the stack's first.  No point
 is tested for domain membership, so the sampler's domain must match the
 family's or the map's (a mismatch raises :class:`DomainError`), and the
 ``self_map`` check of :func:`verify_family` covers the intermediate
@@ -112,6 +117,42 @@ def _require_domain(cfg: SamplerCfg, *sources) -> None:
             )
 
 
+#: the grid of the semigroup law and per-t self-map checks of :func:`verify_family`
+BATTERY_GRID = (0.25, 0.5, 1.0, 1.75)
+
+
+@dataclass(frozen=True)
+class _Stacked:
+    """A family built by one ``at_many`` at the distinct times *times*
+    (a 1-d float array), in order, and the step h of its generator check:
+    :func:`battery_stack`'s record."""
+
+    family: object
+    h: float
+    times: np.ndarray
+    maps: object
+
+    def at_many(self, ts):
+        """The maps at the times ts, each one of :attr:`times` bit for bit,
+        read off the stack."""
+        rows = dict(zip(self.times.view(np.int64).tolist(), range(len(self.times))))
+        bits = np.ascontiguousarray(ts, dtype=float).view(np.int64)
+        return self.maps[[rows[t] for t in bits.tolist()]]
+
+
+def battery_stack(sg, ts) -> _Stacked:
+    """The family *sg* built by one ``at_many``: at the times that
+    :func:`verify_family` reads on its default grid, in its order, then at
+    the times of ts (a 1-d float array) that those lack, their bits
+    compared, so that -0.0 gets its own map.  :func:`verify_family` takes
+    the record in place of *sg* and reads its rows; its ``at_many`` reads
+    the maps at any of these times.  An error of the build propagates."""
+    h, battery = _battery(sg, None, list(BATTERY_GRID))
+    bits = np.concatenate([battery, ts]).view(np.int64).tolist()
+    times = np.array(list(dict.fromkeys(bits)), dtype=np.int64).view(float)
+    return _Stacked(sg, h, times, sg.at_many(times))
+
+
 @dataclass(frozen=True)
 class _Sampled:
     """A family evaluated on one sample: its maps at distinct times, an
@@ -137,18 +178,24 @@ class _Sampled:
 def _sampled(sg, cfg: SamplerCfg, times, target=None) -> _Sampled:
     """*sg* itself if it is already sampled; else the family at the
     distinct *times* in order of first appearance, from one ``at_many``,
-    evaluated on the sample of *cfg*, whose domain must be the family's and
-    the target map's (checked before any map is built)."""
+    or from the stack of a :class:`_Stacked` whose times begin with them,
+    evaluated on the sample of *cfg* at those times only.  The sample's
+    domain must be the family's and the target map's (checked before any
+    map is built)."""
     if isinstance(sg, _Sampled):
         return sg
-    sources = [("family", sg.domain)]
+    family = sg.family if isinstance(sg, _Stacked) else sg
+    sources = [("family", family.domain)]
     if target is not None:
         sources.append(("target", target.domain))
     _require_domain(cfg, *sources)
     ts = list(dict.fromkeys(times))
-    maps = sg.at_many(ts)
+    if isinstance(sg, _Stacked) and sg.times[:len(ts)].tolist() == ts:
+        maps = sg.maps[:len(ts)]
+    else:
+        maps = family.at_many(ts)
     zs = cfg.points(maps.dim)
-    return _Sampled(sg, zs, maps, maps.eval_many(zs), {t: i for i, t in enumerate(ts)})
+    return _Sampled(family, zs, maps, maps.eval_many(zs), {t: i for i, t in enumerate(ts)})
 
 
 def _grid(t_grid) -> list:
@@ -181,9 +228,12 @@ def _require_sampler(cfg) -> None:
         raise DomainError(f"cfg must be a SamplerCfg, got {cfg!r}")
 
 
-def _tol(tol, cfg) -> float:
+def _tol(sg, tol, cfg) -> float:
     """The tolerance of a public check, read as :func:`_number` reads it,
-    once *cfg* is a :class:`SamplerCfg`."""
+    once *cfg* is a :class:`SamplerCfg`; as it is for a sampled *sg*,
+    whose maker (:func:`verify_family`) read both."""
+    if isinstance(sg, _Sampled):
+        return tol
     _require_sampler(cfg)
     return _number(tol, "tol", False)
 
@@ -196,16 +246,15 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def check_self_map(f, cfg: SamplerCfg, tol: float = TOL_SELF_MAP) -> CheckReport:
     """Worst domain margin of the image: 1 - |f(z)| on the ball,
     Im w1 - |w'|^2 on the half-plane."""
-    tol = _tol(tol, cfg)
+    tol = _tol(f, tol, cfg)
     _require_domain(cfg, ("map", f.domain))
     zs = cfg.points(f.dim)
     return _report("self_map", domain_margin(f.eval_many(zs), cfg.domain), zs, tol)
 
 
-def _law_times(t_grid) -> tuple:
-    """The pairs (s, t) of the grid, and the times the law reads: s+t, t, s
-    for each pair."""
-    t_grid = _grid(t_grid)
+def _law_times(t_grid: list) -> tuple:
+    """The pairs (s, t) of the read grid, and the times the law reads: s+t,
+    t, s for each pair."""
     pairs = [(s, t) for s in t_grid for t in t_grid]
     return pairs, [u for s, t in pairs for u in (s + t, t, s)]
 
@@ -215,8 +264,8 @@ def check_semigroup_law(sg, t_grid, cfg: SamplerCfg, tol: float = TOL_LAW) -> Ch
 
     The intermediate images at(t)(z) are not tested for domain membership
     here; :func:`verify_family` runs the self-map check on them."""
-    tol = _tol(tol, cfg)
-    pairs, times = _law_times(t_grid)
+    tol = _tol(sg, tol, cfg)
+    pairs, times = _law_times(t_grid if isinstance(sg, _Sampled) else _grid(t_grid))
     ev = _sampled(sg, cfg, times)
     composed = ev.apply([s for s, _ in pairs], ev.images_at([t for _, t in pairs]))
     margins = -_deviation(ev.images_at([s + t for s, t in pairs]), composed)
@@ -225,7 +274,7 @@ def check_semigroup_law(sg, t_grid, cfg: SamplerCfg, tol: float = TOL_LAW) -> Ch
 
 def check_time_one(sg, target_map, cfg: SamplerCfg, tol: float = TOL_TIME_ONE) -> CheckReport:
     """Worst deviation of at(1) from the target map."""
-    tol = _tol(tol, cfg)
+    tol = _tol(sg, tol, cfg)
     if target_map is None:
         raise DomainError("target_map: a map is required, got None")
     ev = _sampled(sg, cfg, [1.0], target_map)
@@ -234,7 +283,7 @@ def check_time_one(sg, target_map, cfg: SamplerCfg, tol: float = TOL_TIME_ONE) -
 
 
 def check_identity_at_zero(sg, cfg: SamplerCfg, tol: float = TOL_IDENTITY) -> CheckReport:
-    tol = _tol(tol, cfg)
+    tol = _tol(sg, tol, cfg)
     ev = _sampled(sg, cfg, [0.0])
     return _report("identity_at_zero", -_deviation(ev.images_at([0.0]), ev.zs), ev.zs, tol)
 
@@ -260,10 +309,13 @@ def check_generator(sg, cfg: SamplerCfg, h: Optional[float] = None,
     where rho = max |eig G| exceeds 5, so that the truncation error
     h^2 rho^3 / 6 stays at its size at rho = 5; a step that is not a finite
     number > 0 raises :class:`DomainError`."""
-    tol = _tol(tol, cfg)
-    family = sg.family if isinstance(sg, _Sampled) else sg
-    h = None if h is None else _number(h, "h", True)
-    h, centres, times = _fd_times(family, h, _grid(t_grid))
+    tol = _tol(sg, tol, cfg)
+    if isinstance(sg, _Sampled):  # its maker read h and the grid
+        family = sg.family
+    else:
+        family, t_grid = sg, _grid(t_grid)
+        h = None if h is None else _number(h, "h", True)
+    h, centres, times = _fd_times(family, h, t_grid)
     ev = _sampled(sg, cfg, times)
     slope = (ev.images_at([t + h for t in centres])
              - ev.images_at([t - h for t in centres])) / (2.0 * h)
@@ -271,33 +323,44 @@ def check_generator(sg, cfg: SamplerCfg, h: Optional[float] = None,
     return _report("generator_fd", margins, ev.zs, tol)
 
 
-def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=(0.25, 0.5, 1.0, 1.75),
+def _battery(sg, h: Optional[float], t_grid: list) -> tuple:
+    """The step h of the generator check (computed where it is None) and
+    the distinct times that :func:`verify_family` reads on the read grid
+    t_grid, in order of first reading."""
+    h, _, stencil = _fd_times(sg, h, _FD_GRID)
+    return h, list(dict.fromkeys([0.0, *_law_times(t_grid)[1], *t_grid, 1.0, *stencil]))
+
+
+def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=BATTERY_GRID,
                   tols: Optional[dict] = None) -> list:
     """The full battery for a built semigroup family: identity at 0,
     semigroup law, per-t self-map, time-one match, generator residual.
 
     *cfg* defaults to VERIFY_SAMPLE_COUNT points of the family's domain with
     the default seed; *tols* overrides tolerances of :data:`DEFAULT_TOLS` by
-    key, each a finite number >= 0.  The grid and *tols* are read before any
-    map is built; a bad one, or an empty grid, raises :class:`DomainError`.
-    The family is built once, by one ``at_many`` over every check's
-    times, and evaluated once on one sample; each check reads its rows.
+    key, each a finite number >= 0.  The grid, *tols* and *cfg* are read
+    once, before any map is built; a bad one, or an empty grid, raises
+    :class:`DomainError`.  The family is built once, by one ``at_many``
+    over every check's times, and evaluated once on one sample; each check
+    reads its rows.  *sg* may be the record of :func:`battery_stack`
+    instead, whose stack begins with those times on the default grid: the
+    sample is then evaluated on those rows only.
     """
+    family, h = (sg.family, sg.h) if isinstance(sg, _Stacked) else (sg, None)
     t_grid = _grid(t_grid)
     tol = {**DEFAULT_TOLS, **_tolerances(tols)}
     if cfg is None:
-        cfg = SamplerCfg(domain=sg.domain)
+        cfg = SamplerCfg(domain=family.domain)
     _require_sampler(cfg)
-    h, _, stencil = _fd_times(sg, None, _FD_GRID)
-    times = [0.0, *_law_times(t_grid)[1], *t_grid, 1.0, *stencil]
-    ev = _sampled(sg, cfg, times, sg.target)
+    h, times = _battery(family, h, t_grid)
+    ev = _sampled(sg, cfg, times, family.target)
     reports = [
         check_identity_at_zero(ev, cfg, tol["identity"]),
         check_semigroup_law(ev, t_grid, cfg, tol["law"]),
         _family_self_map(ev, t_grid, cfg, tol["self_map"]),
     ]
-    if sg.target is not None:
-        reports.append(check_time_one(ev, sg.target, cfg, tol["time_one"]))
+    if family.target is not None:
+        reports.append(check_time_one(ev, family.target, cfg, tol["time_one"]))
     reports.append(check_generator(ev, cfg, h, tol["generator"]))
     return reports
 

@@ -126,6 +126,19 @@ def test_direct_stack_checks_once(case, monkeypatch):
     assert calls == [len(TIMES)]
 
 
+def test_siegel_items_are_not_checked_again(monkeypatch):
+    stack = _family("hyperbolic", 4, np.random.default_rng(4)).at_many(TIMES)
+    built = []
+    init = SiegelMap.__post_init__
+    monkeypatch.setattr(SiegelMap, "__post_init__", lambda self: built.append(1) or init(self))
+    items = list(stack) + [stack[3:7], stack[[0, 40]]]
+    assert built == [] and len(items[-2]) == 4 and len(items[-1]) == 2
+    for i, f in enumerate(stack):
+        assert type(f.lam) is complex and type(f.b) is complex
+        _same_bits(f, SiegelMap(stack.lam[i], stack.a[i], stack.b[i], stack.M[i], stack.c[i]))
+    _same_bits(items[-1][1], stack[40])
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_at_many_of_no_times_is_empty(case):
     sg = _family(case, 3, np.random.default_rng(1))

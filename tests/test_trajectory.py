@@ -36,9 +36,13 @@ GRID = np.arange(401) / 200.0
 
 
 def _dissipative(rng, n, shift=0.6):
-    """A random n x n matrix with hermitian part <= -shift/2."""
+    """A random n x n matrix with hermitian part <= -shift/2: the noise is
+    shifted by shift, and further where its hermitian part is large (the
+    larger n, the likelier)."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.15 * g - shift * np.eye(n)
+    m = 0.15 * g - shift * np.eye(n)
+    top = np.linalg.eigvalsh(0.5 * (m + m.conj().T)).max(initial=-shift)
+    return m if top <= -shift / 2 else m - (top + shift / 2) * np.eye(n)
 
 
 def _family_data(case, n, rng):
@@ -88,8 +92,10 @@ def _same_bits(f, g):
 CASES = ("elliptic_split", "elliptic_u0", "parabolic", "hyperbolic")
 
 
-# dimension 6 gives the Siegel families a w-block of two entries
-@pytest.mark.parametrize("case,n", [(case, n) for case in CASES for n in (1, 2, 3, 4)]
+# dimension 6 gives the Siegel families a w-block of two entries; at
+# dimension 8 a ball grid's one (401 n, n) product of exp(t K) and a
+# Siegel grid's w-blocks of five entries keep every time's bits too
+@pytest.mark.parametrize("case,n", [(case, n) for case in CASES for n in (1, 2, 3, 4, 8)]
                          + [("parabolic", 6), ("hyperbolic", 6)])
 def test_at_many_items_are_at(case, n):
     sg = _family(case, n, np.random.default_rng([n, CASES.index(case)]))
@@ -244,22 +250,51 @@ def test_trajectory_rows_keep_the_bits(case):
     assert emit_trajectory(sg, z0, []) == []
 
 
-def test_trajectory_grid_is_scanned_once(monkeypatch):
-    """The rows read the grid into one array: the grid's one list scan is
-    the dtype test of ``emit_trajectory``, and ``at_many`` gets the array,
-    whose dtype test is O(1)."""
+def _grid_scans(monkeypatch, grid) -> list:
+    """The length of every grid that a trajectory on *grid* converts from a
+    list or tuple, in the trajectory's read or in ``at_many``'s."""
     scans = []
 
-    def counted(a):
-        if not isinstance(a, np.ndarray):
-            scans.append(len(a))
-        return linalg._natural_dtype(a)
+    def counted(read):
+        def wrapper(a):
+            if not isinstance(a, np.ndarray):
+                scans.append(len(a))
+            return read(a)
+        return wrapper
 
-    for module in (cli, emb):
-        monkeypatch.setattr(module, "_natural_dtype", counted)
+    monkeypatch.setattr(cli, "_natural_array", counted(linalg._natural_array))
+    monkeypatch.setattr(emb, "_natural_dtype", counted(linalg._natural_dtype))
     sg = _family("parabolic", 2, np.random.default_rng(7))
-    rows = emit_trajectory(sg, cli._default_start(sg), GRID.tolist())
-    assert len(rows) == len(GRID) and scans == [len(GRID)]
+    rows = emit_trajectory(sg, cli._default_start(sg), grid)
+    assert len(rows) == len(GRID)
+    return scans
+
+
+def test_trajectory_grid_is_scanned_once(monkeypatch):
+    """The rows read the grid into one array: the grid's one conversion and
+    list scan is the read of ``emit_trajectory``, and ``at_many`` gets the
+    array, whose dtype test is O(1)."""
+    assert _grid_scans(monkeypatch, GRID.tolist()) == [len(GRID)]
+
+
+def test_tuple_trajectory_grid_is_converted_once(monkeypatch):
+    # a conversion: np.array or np.asarray of the tuple, or a copy of an array
+    # of its length
+    converted = []
+
+    def counted(convert):
+        def wrapper(a, *args, **kwargs):
+            out = convert(a, *args, **kwargs)
+            if isinstance(a, tuple) or isinstance(a, np.ndarray) and out is not a \
+                    and np.ndim(a) == 1 and len(a) == len(GRID):
+                converted.append(type(a).__name__)
+            return out
+        return wrapper
+
+    for name in ("array", "asarray"):
+        monkeypatch.setattr(np, name, counted(getattr(np, name)))
+    assert _grid_scans(monkeypatch, tuple(GRID.tolist())) == [len(GRID)]
+    assert converted == ["tuple"]
 
 
 class _SignedZeros:
