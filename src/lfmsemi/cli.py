@@ -49,7 +49,7 @@ from .maps import (
     classify,
 )
 from .normal_forms import conjugation_residual, normal_form
-from .verify import DEFAULT_TOLS, SamplerCfg, battery_stack, verify_family
+from .verify import DEFAULT_TOLS, SamplerCfg, _battery_stack, verify_family
 
 SCHEMA_VERSION = 2
 
@@ -262,7 +262,7 @@ def _stage_entries(f, seed, tols, t_grid, z0, verifying: bool):
     """The report entry of each stage of STAGES in turn, computed when it
     is asked for; a stage error propagates from the ``next`` that asked.
     When *verifying*, the semigroup stage builds one stack for both stages
-    (:func:`~lfmsemi.verify.battery_stack`): the battery's times, then the
+    (:func:`~lfmsemi.verify._battery_stack`): the battery's times, then the
     trajectory's that it lacks.  If that build fails, each stage builds its
     own maps, so each error stays with the stage it belongs to."""
     cls = classify(f)
@@ -304,7 +304,7 @@ def _stage_entries(f, seed, tols, t_grid, z0, verifying: bool):
     start = z0 if z0 is not None else _default_start(sg)
     ts = _trajectory_times(t_grid)
     built = _shared_stack(sg, ts) if verifying else sg
-    rows = emit_trajectory(built, start, ts)
+    rows = _trajectory_rows(built, start, ts)
     entry = to_jsonable({
         "status": "ok",
         "case_kind": sg.case_kind,
@@ -322,10 +322,10 @@ def _stage_entries(f, seed, tols, t_grid, z0, verifying: bool):
 
 
 def _shared_stack(sg, ts):
-    """The record of :func:`~lfmsemi.verify.battery_stack` for the family
+    """The record of :func:`~lfmsemi.verify._battery_stack` for the family
     *sg* and the trajectory times ts, or *sg* itself if that build fails."""
     try:
-        return battery_stack(sg, ts)
+        return _battery_stack(sg, ts)
     except LfmError:
         return sg
 
@@ -374,9 +374,14 @@ def emit_trajectory(sg, z0, t_grid) -> list:
     t must be non-decreasing and >= 0.  The grid is read once
     (:func:`_trajectory_times`), into a 1-d array for one ``at_many``,
     whose call checks z0 once (its dimension first, then the domain) and
-    the denominator at every time.  *sg* is a family or a record of
-    :func:`~lfmsemi.verify.battery_stack` that holds the grid's times."""
-    ts = _trajectory_times(t_grid)
+    the denominator at every time."""
+    return _trajectory_rows(sg, z0, _trajectory_times(t_grid))
+
+
+def _trajectory_rows(sg, z0, ts: np.ndarray) -> list:
+    """The rows of :func:`emit_trajectory` at the read grid ts; *sg* is a
+    family or a record of :func:`~lfmsemi.verify._battery_stack` that holds
+    the grid's times."""
     images = np.ascontiguousarray(sg.at_many(ts)(z0), dtype=complex)
     return np.column_stack([ts, images.view(np.float64)]).tolist()
 

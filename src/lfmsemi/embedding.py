@@ -159,9 +159,9 @@ def _time_grid(ts) -> np.ndarray:
     of :meth:`SemigroupFamily.at_many` and of the grids of
     :mod:`lfmsemi.verify`."""
     try:
-        if _natural_dtype(ts).kind not in REAL_KINDS:  # np.array takes a string or a bool
+        if _natural_dtype(ts).kind not in REAL_KINDS:  # np.asarray takes a string or a bool
             raise TypeError
-        ts = np.array(ts, dtype=float, ndmin=1, copy=None)  # a float grid is not copied
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))  # a float grid is not copied
     except (TypeError, ValueError):
         raise DomainError(f"times must be real numbers, got {ts!r}") from None
     if ts.ndim != 1:

@@ -469,12 +469,18 @@ class BallMap:
     def __call__(self, z) -> np.ndarray:
         """The image of one ball point, (N,), or its images under every map
         of a stack, (T, N): the point is checked once, the denominator of
-        every map.  The numerators of a stack are one (T N, N) product with
-        the point, whose rows have the bits of each map's own."""
+        every map.  One map takes the products of its ``eval_many`` row, so
+        its bits; the numerators of a stack are one (T N, N) product with
+        the point, whose rows had the bits of each map's own on the BLAS
+        the tests ran on (see ``tests/test_map_stacks.py``)."""
         z = _checked_point(z, self.dim, BALL)
-        num = (self.A.reshape(-1, len(z)) @ z).reshape(self.B.shape)
-        num += self.B
-        den = _ball_denominators(z[None], self.C)
+        if self.A.ndim == 2:
+            num, den = _ball_parts(z[None], self.A, self.B, self.C)
+            num = num[0]
+        else:
+            num = (self.A.reshape(-1, len(z)) @ z).reshape(self.B.shape)
+            num += self.B
+            den = _ball_denominators(z[None], self.C)
         if np.any(np.abs(den) < _POLE_TOL):
             raise PoleError(f"denominator vanished at {z}")
         return num / den
@@ -633,10 +639,14 @@ class SiegelMap:
 
     def __call__(self, z) -> np.ndarray:
         """The image of one half-plane point, (N,), or its images under every
-        map of a stack, (T, N); the point is checked once.  The w-blocks of a
-        stack are one (T k, k) product with the point's w, whose rows have
-        the bits of each map's own."""
+        map of a stack, (T, N); the point is checked once.  One map takes
+        the products of its ``eval_many`` row, so its bits; the w-blocks of
+        a stack are one (T k, k) product with the point's w, whose rows had
+        the bits of each map's own on the BLAS the tests ran on (see
+        ``tests/test_map_stacks.py``)."""
         z = _checked_point(z, self.dim, SIEGEL)
+        if self.M.ndim == 2:
+            return _siegel_images(z[None], self.lam, self.a, self.b, self.M, self.c)[0]
         k = len(z) - 1
         top = _siegel_top(z[None], self.lam, self.a, self.b)
         w = self.c if not k else (self.M.reshape(-1, k) @ z[1:]).reshape(self.c.shape) + self.c

@@ -2,17 +2,15 @@
 
 All checks draw their sample points from a :class:`SamplerCfg`, so a
 fixed seed gives bit-identical reports regardless of execution order.
-The battery :func:`verify_family` reads its grid, tolerances and sampler
-once, draws one (K, N) sample, builds the family once with one
-``at_many`` over the distinct times of all its checks, evaluates that
-stack once with ``eval_many`` and hands each check the evaluated sample,
-whose rows it reads by time and whose arguments it does not read again.
-A check run on its own does the same over its own times; item i of a
-stack has the bits of ``at(t_i)``, so its report has the bits of the
-battery's.  :func:`battery_stack` builds that stack ahead of the battery,
-with further times after the battery's, for a caller that reads those
-maps too (the CLI's trajectory); the battery then evaluates its sample
-on its own rows only, the stack's first.  No point
+The battery :func:`verify_family` draws one (K, N) sample, builds the
+family once with one ``at_many`` over the distinct times of all its
+checks, evaluates that stack once with ``eval_many`` and hands each
+check the evaluated sample, whose rows it reads by time.  A check run on
+its own does the same over its own times; item i of a stack has the bits
+of ``at(t_i)``, so its report has the bits of the battery's.  The CLI
+builds that stack ahead of the battery (:func:`_battery_stack`), with its
+trajectory's times after the battery's; the battery then evaluates its
+sample on its own rows only, the stack's first.  No point
 is tested for domain membership, so the sampler's domain must match the
 family's or the map's (a mismatch raises :class:`DomainError`), and the
 ``self_map`` check of :func:`verify_family` covers the intermediate
@@ -125,7 +123,7 @@ BATTERY_GRID = (0.25, 0.5, 1.0, 1.75)
 class _Stacked:
     """A family built by one ``at_many`` at the distinct times *times*
     (a 1-d float array), in order, and the step h of its generator check:
-    :func:`battery_stack`'s record."""
+    :func:`_battery_stack`'s record."""
 
     family: object
     h: float
@@ -140,7 +138,7 @@ class _Stacked:
         return self.maps[[rows[t] for t in bits.tolist()]]
 
 
-def battery_stack(sg, ts) -> _Stacked:
+def _battery_stack(sg, ts) -> _Stacked:
     """The family *sg* built by one ``at_many``: at the times that
     :func:`verify_family` reads on its default grid, in its order, then at
     the times of ts (a 1-d float array) that those lack, their bits
@@ -228,12 +226,9 @@ def _require_sampler(cfg) -> None:
         raise DomainError(f"cfg must be a SamplerCfg, got {cfg!r}")
 
 
-def _tol(sg, tol, cfg) -> float:
+def _tol(tol, cfg) -> float:
     """The tolerance of a public check, read as :func:`_number` reads it,
-    once *cfg* is a :class:`SamplerCfg`; as it is for a sampled *sg*,
-    whose maker (:func:`verify_family`) read both."""
-    if isinstance(sg, _Sampled):
-        return tol
+    once *cfg* is a :class:`SamplerCfg`."""
     _require_sampler(cfg)
     return _number(tol, "tol", False)
 
@@ -246,15 +241,16 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def check_self_map(f, cfg: SamplerCfg, tol: float = TOL_SELF_MAP) -> CheckReport:
     """Worst domain margin of the image: 1 - |f(z)| on the ball,
     Im w1 - |w'|^2 on the half-plane."""
-    tol = _tol(f, tol, cfg)
+    tol = _tol(tol, cfg)
     _require_domain(cfg, ("map", f.domain))
     zs = cfg.points(f.dim)
     return _report("self_map", domain_margin(f.eval_many(zs), cfg.domain), zs, tol)
 
 
-def _law_times(t_grid: list) -> tuple:
-    """The pairs (s, t) of the read grid, and the times the law reads: s+t,
-    t, s for each pair."""
+def _law_times(t_grid) -> tuple:
+    """The pairs (s, t) of the grid, and the times the law reads: s+t, t, s
+    for each pair."""
+    t_grid = _grid(t_grid)
     pairs = [(s, t) for s in t_grid for t in t_grid]
     return pairs, [u for s, t in pairs for u in (s + t, t, s)]
 
@@ -264,8 +260,8 @@ def check_semigroup_law(sg, t_grid, cfg: SamplerCfg, tol: float = TOL_LAW) -> Ch
 
     The intermediate images at(t)(z) are not tested for domain membership
     here; :func:`verify_family` runs the self-map check on them."""
-    tol = _tol(sg, tol, cfg)
-    pairs, times = _law_times(t_grid if isinstance(sg, _Sampled) else _grid(t_grid))
+    tol = _tol(tol, cfg)
+    pairs, times = _law_times(t_grid)
     ev = _sampled(sg, cfg, times)
     composed = ev.apply([s for s, _ in pairs], ev.images_at([t for _, t in pairs]))
     margins = -_deviation(ev.images_at([s + t for s, t in pairs]), composed)
@@ -274,7 +270,7 @@ def check_semigroup_law(sg, t_grid, cfg: SamplerCfg, tol: float = TOL_LAW) -> Ch
 
 def check_time_one(sg, target_map, cfg: SamplerCfg, tol: float = TOL_TIME_ONE) -> CheckReport:
     """Worst deviation of at(1) from the target map."""
-    tol = _tol(sg, tol, cfg)
+    tol = _tol(tol, cfg)
     if target_map is None:
         raise DomainError("target_map: a map is required, got None")
     ev = _sampled(sg, cfg, [1.0], target_map)
@@ -283,7 +279,7 @@ def check_time_one(sg, target_map, cfg: SamplerCfg, tol: float = TOL_TIME_ONE) -
 
 
 def check_identity_at_zero(sg, cfg: SamplerCfg, tol: float = TOL_IDENTITY) -> CheckReport:
-    tol = _tol(sg, tol, cfg)
+    tol = _tol(tol, cfg)
     ev = _sampled(sg, cfg, [0.0])
     return _report("identity_at_zero", -_deviation(ev.images_at([0.0]), ev.zs), ev.zs, tol)
 
@@ -309,13 +305,10 @@ def check_generator(sg, cfg: SamplerCfg, h: Optional[float] = None,
     where rho = max |eig G| exceeds 5, so that the truncation error
     h^2 rho^3 / 6 stays at its size at rho = 5; a step that is not a finite
     number > 0 raises :class:`DomainError`."""
-    tol = _tol(sg, tol, cfg)
-    if isinstance(sg, _Sampled):  # its maker read h and the grid
-        family = sg.family
-    else:
-        family, t_grid = sg, _grid(t_grid)
-        h = None if h is None else _number(h, "h", True)
-    h, centres, times = _fd_times(family, h, t_grid)
+    tol = _tol(tol, cfg)
+    family = sg.family if isinstance(sg, _Sampled) else sg
+    h = None if h is None else _number(h, "h", True)
+    h, centres, times = _fd_times(family, h, _grid(t_grid))
     ev = _sampled(sg, cfg, times)
     slope = (ev.images_at([t + h for t in centres])
              - ev.images_at([t - h for t in centres])) / (2.0 * h)
@@ -325,8 +318,8 @@ def check_generator(sg, cfg: SamplerCfg, h: Optional[float] = None,
 
 def _battery(sg, h: Optional[float], t_grid: list) -> tuple:
     """The step h of the generator check (computed where it is None) and
-    the distinct times that :func:`verify_family` reads on the read grid
-    t_grid, in order of first reading."""
+    the distinct times that :func:`verify_family` reads on the grid t_grid,
+    in order of first reading."""
     h, _, stencil = _fd_times(sg, h, _FD_GRID)
     return h, list(dict.fromkeys([0.0, *_law_times(t_grid)[1], *t_grid, 1.0, *stencil]))
 
@@ -338,13 +331,13 @@ def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=BATTERY_GRID,
 
     *cfg* defaults to VERIFY_SAMPLE_COUNT points of the family's domain with
     the default seed; *tols* overrides tolerances of :data:`DEFAULT_TOLS` by
-    key, each a finite number >= 0.  The grid, *tols* and *cfg* are read
-    once, before any map is built; a bad one, or an empty grid, raises
-    :class:`DomainError`.  The family is built once, by one ``at_many``
-    over every check's times, and evaluated once on one sample; each check
-    reads its rows.  *sg* may be the record of :func:`battery_stack`
-    instead, whose stack begins with those times on the default grid: the
-    sample is then evaluated on those rows only.
+    key, each a finite number >= 0.  The grid and *tols* are read before any
+    map is built; a bad one, or an empty grid, raises :class:`DomainError`.
+    The family is built once, by one ``at_many`` over every check's
+    times, and evaluated once on one sample; each check reads its rows.
+    *sg* may be the record of :func:`_battery_stack` instead, whose stack
+    begins with those times on the default grid: the sample is then
+    evaluated on those rows only.
     """
     family, h = (sg.family, sg.h) if isinstance(sg, _Stacked) else (sg, None)
     t_grid = _grid(t_grid)

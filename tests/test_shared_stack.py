@@ -3,7 +3,7 @@ the maps of one ``at_many``.
 
 When a run goes on to ``verify``, the semigroup stage builds the family at
 the battery's times and then at the trajectory times the battery lacks
-(``verify.battery_stack``); the trajectory rows are read off that stack and
+(``verify._battery_stack``); the trajectory rows are read off that stack and
 the battery evaluates its sample on its own rows, the stack's first.  These
 tests pin that such a report has the bytes of one assembled from separate
 ``emit_trajectory`` and ``verify_family`` calls (on a grid disjoint from the
@@ -184,7 +184,7 @@ def test_a_family_failing_at_a_trajectory_time_fails_semigroup(monkeypatch):
 def test_a_negative_zero_time_gets_its_own_map():
     sg = _family(SIEGEL_SPEC)
     grid = (-0.0, 0.0, 0.5)
-    stacked = verify.battery_stack(sg, np.array(grid))
+    stacked = verify._battery_stack(sg, np.array(grid))
     assert len(stacked.times) == len(_battery_times(sg)) + 1
     assert np.signbit(stacked.times[-1]) and stacked.times[-1] == 0.0
     start = cli._default_start(sg)

@@ -205,20 +205,6 @@ class TestOneBuild:
                 assert [r.check_id for r in got] == [r.check_id for r in want]
                 assert all(map(same_report, got, want)), (label, profile)
 
-    def test_arguments_are_read_once(self, monkeypatch):
-        # the grid, each tolerance and the sampler once, by verify_family:
-        # the checks run on its sampled record do not read them again
-        sg = build_semigroup(embed_hyperbolic(
-            hyperbolic_nf(4.0, [np.exp(0.5j)], [0.4], [0.5], [], 1.0j)))
-        calls = []
-        for name in ("_grid", "_number", "_require_sampler"):
-            monkeypatch.setattr(verify, name, recorded(calls, name, getattr(verify, name)))
-        assert len(verify_family(sg, tols=TOL_PROFILES["strict"])) == 5
-        assert sorted(calls) == ["_grid"] + ["_number"] * 5 + ["_require_sampler"]
-        calls.clear()
-        check_generator(sg, SamplerCfg(domain=SIEGEL), h=1e-4)
-        assert sorted(calls) == ["_grid", "_number", "_number", "_require_sampler"]
-
     def test_checks_run_inside_the_battery(self, monkeypatch):
         # a tracer finds every check under its module-level name
         names = ["check_identity_at_zero", "check_semigroup_law", "_family_self_map",
