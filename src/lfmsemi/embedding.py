@@ -68,6 +68,7 @@ from .errors import BranchError, DimensionError, DomainError, NumericError
 from .linalg import (
     REAL_KINDS,
     _complex_array,
+    _frobenius,
     _hermitian,
     _natural_dtype,
     is_dissipative,
@@ -260,7 +261,7 @@ class _Singular(DomainError):
 def _verified(logs: "_Logarithms", combo, a: np.ndarray) -> bool:
     """exp(L(combo)) of logs (:meth:`_Logarithms.exp`) reproduces a to
     within 1e-8 max(1, |a|)."""
-    return float(np.linalg.norm(logs.exp(combo) - a)) <= 1e-8 * max(1.0, float(np.linalg.norm(a)))
+    return _frobenius(logs.exp(combo) - a) <= 1e-8 * max(1.0, _frobenius(a))
 
 
 class _Logarithms:
@@ -658,9 +659,9 @@ def _half_plane_criterion(nf: NormalForm, kind: str) -> EmbeddingCertificate:
     criterion_id, name = (("hyperbolic_generator_invariance", "coefficient_budget") if hyperbolic
                           else ("parabolic_generator_invariance", "translation_budget"))
     a = nf.parameters["A"]
-    scale = max(1.0, float(np.linalg.norm(a)))
+    scale = max(1.0, _frobenius(a))
     if (np.max(np.abs(a - np.diag(np.diag(a))), initial=0.0) > 1e-8 * scale
-            or np.linalg.norm(a @ a.conj().T - a.conj().T @ a) > 1e-10 * scale ** 2):
+            or _frobenius(a @ a.conj().T - a.conj().T @ a) > 1e-10 * scale ** 2):
         return _certificate(nf, INCONCLUSIVE, criterion_id,
                             [Condition("contraction_block_normal", -1.0, False)], notes=(
                                 "contraction block is not normal; the diagonal generator "
@@ -702,7 +703,7 @@ def is_automorphism(f: BallMap) -> bool:
     c > 0 (J = diag(I_N, -1)), to within 1e-8 relative to ||T^H J T||_F."""
     s = pullback_form(f.to_proj().mat)
     c = -float(s[-1, -1].real)
-    return bool(c > 0 and np.linalg.norm(s - c * _krein_j(f.dim + 1)) <= 1e-8 * np.linalg.norm(s))
+    return bool(c > 0 and _frobenius(s - c * _krein_j(f.dim + 1)) <= 1e-8 * _frobenius(s))
 
 
 def embed_map(f: BallMap) -> EmbeddingCertificate:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -53,8 +53,8 @@ from .errors import (
     NumericError,
     PoleError,
 )
-from .linalg import (_complex_array, _frobenius, as_matrix, as_vector, schur_form,
-                     unimodular_count, unitary_with_first_column)
+from .linalg import (_complex_array, _frobenius, _schur_eigenvectors, as_matrix, as_vector,
+                     schur_form, unimodular_count, unitary_with_first_column)
 
 BALL = "ball"
 SIEGEL = "siegel"
@@ -82,6 +82,12 @@ _AFFINE_FORM_TOL = 1e-8
 
 #: the constant c of the Jordan split (c eps scale)^(1/k) of :func:`fixed_points`
 _JORDAN_SPLIT_FACTOR = 1e3
+
+#: the least number of matrix entries in the SVD rows that the eigenvector
+#: filter of :func:`fixed_points` could drop for it to run: about what the
+#: filter costs (the SVD rows of two 4 x 4 matrices), so it never runs for
+#: N = 1 or 2
+_FILTER_ENTRIES = 32
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +339,18 @@ def _self_map_margins(a, b, c) -> np.ndarray:
     t[:, :n, :n], t[:, :n, n] = a, b
     t[:, n, :n], t[:, n, n] = np.conj(c), 1.0
     s = pullback_form(t)
+    if np.isfinite(s).all():
+        return _relative_margins(s)
     ok = np.isfinite(s).all(axis=(-2, -1))
-    s = s[ok]
-    norm = np.linalg.norm(s, axis=(-2, -1))
     margins = np.full(len(a), np.nan)
-    margins[ok] = pencil_margins(s) / np.where(norm > 0, norm, 1.0)  # S = 0 gives 0
+    margins[ok] = _relative_margins(s[ok])
     return margins
+
+
+def _relative_margins(s: np.ndarray) -> np.ndarray:
+    """The :func:`pencil_margins` of a finite stack, each over its ||S||_F."""
+    norm = np.linalg.norm(s, axis=(-2, -1))
+    return pencil_margins(s) / np.where(norm > 0, norm, 1.0)  # S = 0 gives 0
 
 
 def flow_form(g: np.ndarray) -> np.ndarray:
@@ -364,7 +376,7 @@ def _flow_margin(g: np.ndarray) -> float:
     x = flow_form(g)
     if not np.isfinite(x).all():
         return float("nan")
-    return float(pencil_margins(x[None])[0]) / max(1.0, float(np.linalg.norm(x)))
+    return float(pencil_margins(x[None])[0]) / max(1.0, _frobenius(x))
 
 
 def _require_ball_flow(g: np.ndarray) -> float:
@@ -841,7 +853,7 @@ def _siegel_chain(f: BallMap, dw_point: np.ndarray):
     the conjugating maps [rotation, cayley] whose composition s satisfies
     form = s o f o s^-1; returns (form, chain)."""
     rot = unitary_with_first_column(as_vector(dw_point)).conj().T
-    if np.linalg.norm(rot - np.eye(f.dim)) < 1e-9:
+    if _frobenius(rot - np.eye(f.dim)) < 1e-9:
         rot = np.eye(f.dim)
     rot_p = _change_of_variable(rot)  # a Householder reflection
     rotated = _proj_of(_corner_one(conjugate(to_proj(f), rot_p)), BALL, BALL)
@@ -866,9 +878,10 @@ class Classification:
     delta: Optional[float] = None
     multipliers: Optional[np.ndarray] = None
 
-    @property
+    @cached_property
     def unitary_index(self) -> Optional[int]:
-        """The number of unimodular multipliers (UNIMODULAR_TOL)."""
+        """The number of unimodular multipliers (UNIMODULAR_TOL), counted
+        once per classification."""
         return None if self.multipliers is None else unimodular_count(self.multipliers)
 
 
@@ -907,7 +920,18 @@ def fixed_points(f: BallMap) -> FixedPoints:
     anchor's sizes stop at its stop index, the position of the first such
     earlier anchor in its order.  The tried (anchor, size) pairs, in
     ascending anchor order and largest size first, go through one stacked
-    SVD.  One pass over its rows takes each anchor's first singular row
+    SVD, less the rows of isolated simple eigenvalues (whose only row is
+    their singleton and that no tried cluster holds) whose point lies
+    beyond |p| = 1.01 or at infinity: their eigenvectors (v, tau), from
+    one ``ztrevc`` on the Schur form
+    (:func:`~lfmsemi.linalg._schur_eigenvectors`), have
+    |v|^2 > 1.0201 |tau|^2.  A simple eigenvalue's SVD kernel vector
+    agrees with its eigenvector to about eps times its condition number,
+    so the row would give a point that the closed-ball test discards.
+    This filter runs when those rows, less one of an eigenvalue of largest
+    modulus, hold at least ``_FILTER_ENTRIES`` matrix entries, and not at
+    all without a bundled ``ztrevc``; the points come from the SVD alone
+    either way.  One pass over its rows takes each anchor's first singular row
     whose prefix holds no used eigenvalue as the cluster, and its kernel
     as the eigenvectors; an anchor whose size-1 row, always its last,
     fails is used alone.  One pass over the candidate points keeps those
@@ -916,7 +940,8 @@ def fixed_points(f: BallMap) -> FixedPoints:
     """
     proj = to_proj(f)
     m, n = proj.mat, len(proj.mat)
-    eigs = schur_form(m).eigenvalues
+    form = schur_form(m)
+    eigs = form.eigenvalues
     moduli = np.abs(eigs).tolist()
     scale = max(moduli)
     inverse = 1.0 / np.arange(1, n + 1)  # 1 / k for the sizes k = 1..n
@@ -930,11 +955,29 @@ def fixed_points(f: BallMap) -> FixedPoints:
     # the tried (anchor, size) pairs: sizes up to the stop index whose
     # farthest member lies within the Jordan split, largest first
     settled = [r > 1e-12 * scale and values.count(v) == 1 for r, v in zip(moduli, values)]
-    tried = []
+    tried, lone, clustered = [], [], set()
     for a, i in enumerate(anchors):
         near = order[a]
         stop = next((k for k, j in enumerate(near) if settled[j] and j < i), n)
-        tried.extend((a, k) for k in range(stop, 0, -1) if dist[a][near[k - 1]] <= split[k - 1])
+        sizes = [k for k in range(stop, 0, -1) if dist[a][near[k - 1]] <= split[k - 1]]
+        tried.extend((a, k) for k in sizes)
+        if sizes[0] > 1:
+            clustered.update(near[:sizes[0]])
+        elif settled[i]:
+            lone.append(i)
+    # a simple eigenvalue whose only row is its singleton and that no tried
+    # cluster holds: its row goes when its eigenvector lies beyond 1.01.
+    # An eigenvalue of largest modulus belongs to the interior or the
+    # Denjoy-Wolff fixed point (no multiplier exceeds 1 in modulus), so the
+    # gate does not count one such row as droppable
+    lone = [i for i in lone if i not in clustered]
+    droppable = len(lone) - (moduli.index(scale) in lone)
+    vecs = _schur_eigenvectors(form) if droppable * n * n >= _FILTER_ENTRIES else None
+    if vecs is not None:
+        sq = np.abs(vecs) ** 2
+        far = (sq[:-1].sum(axis=0) > 1.0201 * sq[-1]).tolist()
+        drop = {i for i in lone if far[i]}
+        tried = [(a, k) for a, k in tried if anchors[a] not in drop]
     shifts = eigs[[anchors[a] for a, _ in tried]]
     for r, (a, k) in enumerate(tried):
         if k > 1:

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import DomainError, NumericError, WrongFormError
 from .linalg import (
     UNIMODULAR_TOL,
+    _frobenius,
     schur_form,
     schur_margins,
     spectral_norm,
@@ -124,7 +125,7 @@ def conjugation_residual(nf: NormalForm, f: BallMap) -> float:
     x = conjugate(to_proj(f), chain_map(nf.conjugations)) if nf.conjugations else to_proj(f)
     x, y = x.mat.ravel(), to_proj(nf.normal_map).mat.ravel()
     scale = complex(np.vdot(y, x)) / float(np.vdot(y, y).real)  # part by part: 1 if x is y
-    return float(np.linalg.norm(x - scale * y) / np.linalg.norm(y))
+    return _frobenius(x - scale * y) / _frobenius(y)
 
 
 def _require(value: float, tol: float, what: str) -> None:
@@ -181,12 +182,12 @@ def _centered(f: BallMap, cls: Classification):
     if not cls.interior_fixed_points:
         raise DomainError("map has no interior fixed point")
     z0 = cls.interior_fixed_points[0]
-    if np.linalg.norm(z0) < 1e-12:
+    if _frobenius(z0) < 1e-12:
         (a, b, c), chain = (f.A, f.B, f.C), []
     else:
         mover = _ball_proj(*_automorphism_fields(z0), 1.0)
         (a, b, c, _), chain = _proj_fields(_corner_one(conjugate(to_proj(f), mover))), [mover]
-    _require(float(np.linalg.norm(b)), SNAP_TOL, "residual translation after centering")
+    _require(_frobenius(b), SNAP_TOL, "residual translation after centering")
     return a, c, chain
 
 
@@ -197,7 +198,7 @@ def elliptic_split(f: BallMap, cls: Classification) -> NormalForm:
     u = cls.unitary_index
     if u == 0:
         raise WrongFormError("unitary index is 0; use elliptic_u0 instead")
-    _require(float(np.linalg.norm(c)), SNAP_TOL,
+    _require(_frobenius(c), SNAP_TOL,
              "denominator part of a unitary-index >= 1 elliptic map")
     form, lam, a1 = _unimodular_split(a)
     if len(lam) != u:
@@ -229,7 +230,7 @@ def elliptic_u0(f: BallMap, cls: Classification) -> NormalForm:
     if cls.unitary_index > 0:
         raise WrongFormError("unitary index is positive; use elliptic_split instead")
     v = np.linalg.solve(a.conj().T - np.eye(f.dim), c)
-    delta = float(np.linalg.norm(v))
+    delta = _frobenius(v)
     if delta > 1.0 + 1e-9:
         raise NumericError(f"normal-form delta = {delta} exceeds 1")
     rot_mat = np.eye(f.dim) if delta < 1e-12 else unitary_with_first_column(v).conj().T

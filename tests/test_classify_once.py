@@ -9,7 +9,8 @@ unitary index.  The pipeline to the normal form makes one Schur form of T,
 evaluates a map at a point inside ``classify`` only where ``fixed_points``
 checks its candidates (the boundary points are not checked again), and
 checks a ball map only at the input and for the u0 normal map, which
-nothing in its reducer proves a self-map.
+nothing in its reducer proves a self-map.  The unitary index is counted
+once per classification.
 """
 
 import json
@@ -161,3 +162,16 @@ def test_one_schur_form_of_t_and_no_rechecks(path, counts):
     stage = report["stages"]["normal_form"]
     u0 = stage["status"] == "ok" and stage["form_kind"] == FORM_ELLIPTIC_U0
     assert counts.ball_checks == 1 + u0
+
+
+@pytest.mark.parametrize("path", [p for p in GOLDEN_SPECS if p.stem.startswith("elliptic")],
+                         ids=lambda p: p.stem)
+def test_unitary_index_is_counted_once(path, monkeypatch):
+    """The CLI's classify stage, ``normal_form`` and the reducer each read
+    ``Classification.unitary_index``; the multipliers are counted once."""
+    calls = []
+    monkeypatch.setattr(maps, "unimodular_count",
+                        lambda eigs: calls.append(len(eigs)) or unimodular_count(eigs))
+    report = run_pipeline(json.loads(path.read_text()), stop_after="normal_form")
+    assert report["stages"]["classify"]["kind"] == ELLIPTIC
+    assert len(calls) == 1

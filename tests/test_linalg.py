@@ -42,6 +42,21 @@ def power_iteration_norm(a, rng, iters=500):
     return np.linalg.norm(a @ x)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_frobenius_has_the_bits_of_numpy_norm(dtype):
+    """``linalg._frobenius`` is ``np.linalg.norm`` without an axis, bit for
+    bit, on real and complex arrays: 1-d, 2-d, transposed, empty."""
+    rng = np.random.default_rng(12)
+    for shape in [(0,), (1,), (7,), (0, 3), (3, 0), (1, 1), (4, 4), (9, 9), (5, 3)]:
+        for scale in (1e-200, 1e-8, 1.0, 1e150):
+            x = scale * rng.standard_normal(shape)
+            if dtype is complex:
+                x = x + 1j * scale * rng.standard_normal(shape)
+            for a in (x, x.T):
+                got, want = linalg._frobenius(a), np.linalg.norm(a)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (shape, scale)
+
+
 class TestSpectralNorm:
     def test_identity(self):
         assert linalg.spectral_norm(np.eye(3)) == pytest.approx(1.0)
