@@ -33,7 +33,7 @@ parabolic and hyperbolic criteria are one
 function (:func:`_half_plane_criterion`) with one generator: the
 principal logarithm of the normal map's homogeneous matrix, read off its
 entries by divided differences of exp (:func:`_siegel_log`, the inverse
-of :func:`_siegel_flow` at t = 1).  Its branch, the principal logarithm
+of :class:`_SiegelFlow` at t = 1).  Its branch, the principal logarithm
 of each eigenvalue of the contraction block, has the largest margin of
 all branches, tested by the Schur complement of
 :func:`~lfmsemi.linalg.schur_margins`, the kernel of the Siegel
@@ -46,12 +46,14 @@ criterion (the two Siegel rows call the one half-plane criterion through
 its two public names), and the family name of its certificates.
 :func:`certify` looks the case up there, so a fifth case adds one row (and
 its reducer in ``normal_forms``); a family acts on its target's domain.
-:meth:`SemigroupFamily.at_many` reads only G, through one builder per
-domain that uses its structure: on the ball G = [[K, 0], [r^T, 0]] and
-exp(t G) needs exp(t K) alone, for the whole grid off one
-eigendecomposition of K (:func:`_ball_flow`); on H_N G is affine with a
-diagonal w-block, and the entries of exp(t G) are divided differences of
-s -> e^{ts} (:func:`_siegel_flow`).
+:meth:`SemigroupFamily.at_many` reads only G, through one flow per domain
+that uses its structure.  The part of the flow that reads G alone (the
+checks of G and its factorization) is computed at the family's first
+build and kept on it, so every build does only the work of its grid: on
+the ball G = [[K, 0], [r^T, 0]] and exp(t G) needs exp(t K) alone, for
+every grid off one eigendecomposition of K (:class:`_BallFlow`); on H_N
+G is affine with a diagonal w-block, and the entries of exp(t G) are
+divided differences of s -> e^{ts} (:class:`_SiegelFlow`).
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -129,7 +132,10 @@ def _certificate(nf: NormalForm, verdict: str, criterion_id: str, margins: list,
 class SemigroupFamily:
     """The one-parameter family exp(t G) of the homogeneous generator G,
     acting on *domain*; ``at_many(ts)`` materializes the maps on a grid of
-    times, ``at(t)`` one of them."""
+    times, ``at(t)`` one of them.  G is read at the first build: the part
+    of the flow that reads G alone (its checks and factorization) is
+    computed then and kept on the family, so every later build does only
+    the work of its grid.  A built family pickles and copies with it."""
 
     case_kind: str
     G: np.ndarray
@@ -147,11 +153,22 @@ class SemigroupFamily:
     def at(self, t: float):
         return self.at_many([t])[0]
 
+    @cached_property
+    def _flow(self):
+        """The part of the flow that reads G alone, a :class:`_BallFlow` or
+        :class:`_SiegelFlow` of arrays read off a copy of G; a G with an
+        entry that is not finite raises :class:`DomainError`."""
+        g = np.array(self.G)
+        if not np.isfinite(g).all():
+            raise DomainError("the generator's entries must be finite")
+        return _FLOWS[self.domain].of(g)
+
     def at_many(self, ts):
         """The maps at the times ts (each finite and >= 0), built together:
         a stack of T = len(ts) maps, a :class:`~lfmsemi.maps.BallMap` or
         :class:`~lfmsemi.maps.SiegelMap` whose item i is the map at ts[i]."""
-        return _FLOWS[self.domain](self.G, _time_grid(ts))
+        ts = _time_grid(ts)
+        return self._flow.maps(ts)
 
 
 def _time_grid(ts) -> np.ndarray:
@@ -602,7 +619,7 @@ def embed_elliptic_u0(nf: NormalForm) -> EmbeddingCertificate:
 def _siegel_log(f: SiegelMap) -> np.ndarray:
     """The principal logarithm G of the homogeneous matrix
     T = [[lam, 2i conj(a), b], [0, diag(mu), c], [0, 0, 1]] of an affine map
-    f with a diagonal w-block: :func:`_siegel_flow` at t = 1 inverted entry
+    f with a diagonal w-block: :class:`_SiegelFlow` at t = 1 inverted entry
     by entry.  With x = log lam and l = log mu on the principal branch,
     G = [[x, q, beta], [0, diag(l), gamma], [0, 0, 0]] where
     q = 2i conj(a) / DD1(x, l), gamma = c / DD1(l, 0) and
@@ -732,99 +749,146 @@ def conditions_for(nf: NormalForm) -> list:
 
 # ---------------------------------------------------------------------------
 # semigroup families: at_many(ts) is exp(t G), built from the structure of G
-# by one builder per domain
+# by one flow per domain, whose part that reads G alone is computed once
 
 
-#: largest cond(V) at which :func:`_ball_exp` reads exp(t K) off K = V diag(l) V^-1;
+#: largest cond(V) at which :class:`_EigenExp` reads exp(t K) off K = V diag(l) V^-1;
 #: every ball generator of the goldens and benchmark families has cond(V) <= 3.66
 _EIGEN_FLOW_COND = 1e2
 
 
-def _ball_exp(k: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """exp(t K) for every time of ts, a (T, n, n) stack: V diag(e^{t l}) V^-1
-    from one eigendecomposition (the eigenvector method of Moler & Van Loan,
-    SIAM Review 45, 2003), every time's V diag(e^{t l}) stacked into one
-    (T n, n) product with V^-1, whose rows have the bits of one time's
-    product, and the identity exactly at t = 0; for a K whose
-    eigenbasis is ill-conditioned or singular (a Jordan block),
-    :func:`~lfmsemi.linalg.mat_exp` of each t K.  Either way an overflow is
-    a :class:`NumericError`, as in ``mat_exp``."""
-    lam, v = np.linalg.eig(k)
-    if not np.linalg.cond(v) <= _EIGEN_FLOW_COND:
-        return mat_exp(ts[:, None, None] * k)
-    n = len(k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = v * np.exp(np.multiply.outer(ts, lam))[:, None, :]
-        e = (scaled.reshape(-1, n) @ np.linalg.inv(v)).reshape(len(ts), n, n)
-    e[ts == 0.0] = np.eye(n)  # V V^-1 is I only up to rounding
-    if not np.isfinite(e).all():
-        raise NumericError("matrix exponential overflowed")
-    return e
+@dataclass(frozen=True)
+class _EigenExp:
+    """exp(t K) on grids of times t.  Where cond(V) <= _EIGEN_FLOW_COND it
+    keeps K = V diag(lam) V^-1 from one eigendecomposition (the eigenvector
+    method of Moler & Van Loan, SIAM Review 45, 2003); for a K whose
+    eigenbasis is ill-conditioned or singular (a Jordan block), lam, V and
+    V^-1 are None and each t K takes :func:`~lfmsemi.linalg.mat_exp`."""
+
+    k: np.ndarray
+    lam: Optional[np.ndarray]
+    v: Optional[np.ndarray]
+    v_inv: Optional[np.ndarray]
+
+    @classmethod
+    def of(cls, k: np.ndarray) -> "_EigenExp":
+        lam, v = np.linalg.eig(k)
+        if not np.linalg.cond(v) <= _EIGEN_FLOW_COND:
+            return cls(k, None, None, None)
+        return cls(k, lam, v, np.linalg.inv(v))
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        """exp(t K) for every time of ts, a (T, n, n) stack: every time's
+        V diag(e^{t lam}) stacked into one (T n, n) product with V^-1, whose
+        rows have the bits of one time's product, and the identity exactly
+        at t = 0; or ``mat_exp`` of each t K.  Either way an overflow is a
+        :class:`NumericError`, as in ``mat_exp``."""
+        if self.v is None:
+            return mat_exp(ts[:, None, None] * self.k)
+        n = len(self.k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = self.v * np.exp(np.multiply.outer(ts, self.lam))[:, None, :]
+            e = (scaled.reshape(-1, n) @ self.v_inv).reshape(len(ts), n, n)
+        e[ts == 0.0] = np.eye(n)  # V V^-1 is I only up to rounding
+        if not np.isfinite(e).all():
+            raise NumericError("matrix exponential overflowed")
+        return e
 
 
-def _ball_flow(g: np.ndarray, ts: np.ndarray) -> BallMap:
-    """The maps exp(t G) of a ball generator G = [[K, 0], [r^T, 0]]:
-    exp(t G) = [[E, 0], [h^T (E - I), 1]] with E = exp(t K) for the whole
-    grid (:func:`_ball_exp`) and K^T h = r solved once,
-    so z -> E z / (<z, conj(h^T (E - I))> + 1).  The family is checked
-    once, by G (:func:`~lfmsemi.maps._require_ball_flow`): a G whose flow
-    leaves the ball raises :class:`DomainError` before any map is built,
-    and a flow margin >= 0 proves every exp(t G) a self-map, so the maps
-    skip the per-map check of the :class:`~lfmsemi.maps.BallMap`
-    constructor.  A margin within the slack below 0 proves none for a
-    large t, and those maps get that check.  Any other form of G is refused."""
-    if np.any(g[:, -1]):
-        raise DomainError("the generator's last column is not zero; the ball flow ignores it")
-    margin = _require_ball_flow(g)
-    k, r = g[:-1, :-1], g[-1, :-1]
-    e = _ball_exp(k, ts)
-    zeros = np.zeros(e.shape[:-1], dtype=complex)
-    c = np.conj(np.linalg.solve(k.T, r) @ (e - np.eye(len(k)))) if np.any(r) else zeros
-    if not np.isfinite(c).all():
-        raise DomainError("entries of A, B and C must be finite")
-    return (_trusted_ball_map if margin >= 0 else BallMap)(e, zeros, c)
+@dataclass(frozen=True)
+class _BallFlow:
+    """What the flow of a ball generator G = [[K, 0], [r^T, 0]] reads of G
+    alone: exp(t K) (:class:`_EigenExp`), h of K^T h = r (None where
+    r = 0) and the flow margin of G."""
+
+    exp: _EigenExp
+    h: Optional[np.ndarray]
+    margin: float
+
+    @classmethod
+    def of(cls, g: np.ndarray) -> "_BallFlow":
+        """G's part of the flow.  The family is checked once, by G
+        (:func:`~lfmsemi.maps._require_ball_flow`): a G whose flow leaves
+        the ball raises :class:`DomainError`, and so does any other form of G."""
+        if np.any(g[:, -1]):
+            raise DomainError("the generator's last column is not zero; the ball flow ignores it")
+        margin = _require_ball_flow(g)
+        k, r = g[:-1, :-1], g[-1, :-1]
+        return cls(_EigenExp.of(k), np.linalg.solve(k.T, r) if np.any(r) else None, margin)
+
+    def maps(self, ts: np.ndarray) -> BallMap:
+        """The maps exp(t G) = [[E, 0], [h^T (E - I), 1]] with E = exp(t K),
+        so z -> E z / (<z, conj(h^T (E - I))> + 1).  A flow margin >= 0
+        proves every exp(t G) a self-map, so the maps skip the per-map
+        check of the :class:`~lfmsemi.maps.BallMap` constructor.  A margin
+        within the slack below 0 proves none for a large t, and those maps
+        get that check."""
+        e = self.exp(ts)
+        zeros = np.zeros(e.shape[:-1], dtype=complex)
+        c = zeros if self.h is None else np.conj(self.h @ (e - np.eye(len(self.h))))
+        if not np.isfinite(c).all():
+            raise DomainError("entries of A, B and C must be finite")
+        return (_trusted_ball_map if self.margin >= 0 else BallMap)(e, zeros, c)
 
 
-def _siegel_flow(g: np.ndarray, ts: np.ndarray) -> SiegelMap:
-    """The maps exp(t G) of an affine generator G = [[x, q, beta],
-    [0, diag(l), gamma], [0, 0, 0]].  G is upper triangular, so the entries
-    of exp(t G) are divided differences of s -> e^{ts} at its diagonal
-    (Higham, Functions of Matrices, Thm 4.11): the z-row e^{tx},
-    q DD1(x, l) and beta DD1(x, 0) + sum_j q_j gamma_j DD2(x, l_j, 0), the
-    w-block diag(e^{tl}) and gamma DD1(l, 0).  Any other form of G is refused."""
-    x, q, beta = complex(g[0, 0]), g[0, 1:-1], complex(g[0, -1])
-    l_block, gamma = g[1:-1, 1:-1], g[1:-1, -1]
-    l_diag = np.diag(l_block)
-    if np.any(g[1:, 0]) or np.any(g[-1]):
-        raise DomainError("the generator's first column below the z-row or last row is not zero")
-    if np.any(l_block != np.diag(l_diag)):
-        raise DomainError("the generator's w-block is not diagonal; the affine flow "
-                          "is built for a diagonal block only")
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam_t = np.exp(ts * x)
-    beyond = ts[~np.isfinite(lam_t)]
-    if beyond.size:
-        t = float(beyond[0])
-        raise NumericError(f"time {t!r}: t*log(lam) = {t * x.real:.6g} > 709, "
-                           "so lam^t overflows a double")
-    k = len(l_diag)
-    coupled = np.flatnonzero(q * gamma)
-    dd, dd2 = _affine_dds(x, l_diag, coupled, ts)
-    b_t = beta * dd[:, 0]
-    for j, d in zip(coupled, dd2):
-        b_t = b_t + q[j] * gamma[j] * d
-    m_t = np.zeros((len(ts), k, k), dtype=complex)
-    m_t[:, range(k), range(k)] = np.exp(ts[:, None] * l_diag)
-    # q DD1(x, l) in real arithmetic: numpy's complex multiply rounds
-    # differently in its loop for a grid than in its loop for one time, and
-    # at_many(ts)[i] must have the bits of at(ts[i])
-    d_re, d_im = dd[:, 1:k + 1].real, dd[:, 1:k + 1].imag
-    q_dd = (q.real * d_re - q.imag * d_im) + 1j * (q.real * d_im + q.imag * d_re)
-    return SiegelMap(lam_t, 0.5j * np.conj(q_dd), b_t, m_t, gamma * dd[:, k + 1:])
+@dataclass(frozen=True)
+class _SiegelFlow:
+    """What the flow of an affine generator G = [[x, q, beta],
+    [0, diag(l), gamma], [0, 0, 0]] reads of G alone: its entries, and the
+    indices j where q_j gamma_j != 0 (*coupled*)."""
+
+    x: complex
+    q: np.ndarray
+    beta: complex
+    l_diag: np.ndarray
+    gamma: np.ndarray
+    coupled: np.ndarray
+
+    @classmethod
+    def of(cls, g: np.ndarray) -> "_SiegelFlow":
+        """G's part of the flow; any other form of G is refused."""
+        if np.any(g[1:, 0]) or np.any(g[-1]):
+            raise DomainError("the generator's first column below the z-row or last row is not zero")
+        l_block = g[1:-1, 1:-1]
+        l_diag = np.diag(l_block)
+        if np.any(l_block != np.diag(l_diag)):
+            raise DomainError("the generator's w-block is not diagonal; the affine flow "
+                              "is built for a diagonal block only")
+        q, gamma = g[0, 1:-1], g[1:-1, -1]
+        return cls(complex(g[0, 0]), q, complex(g[0, -1]), l_diag, gamma,
+                   np.flatnonzero(q * gamma))
+
+    def maps(self, ts: np.ndarray) -> SiegelMap:
+        """The maps exp(t G).  G is upper triangular, so the entries of
+        exp(t G) are divided differences of s -> e^{ts} at its diagonal
+        (Higham, Functions of Matrices, Thm 4.11): the z-row e^{tx},
+        q DD1(x, l) and beta DD1(x, 0) + sum_j q_j gamma_j DD2(x, l_j, 0),
+        the w-block diag(e^{tl}) and gamma DD1(l, 0)."""
+        x, q, gamma, l_diag = self.x, self.q, self.gamma, self.l_diag
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam_t = np.exp(ts * x)
+        beyond = ts[~np.isfinite(lam_t)]
+        if beyond.size:
+            t = float(beyond[0])
+            raise NumericError(f"time {t!r}: t*log(lam) = {t * x.real:.6g} > 709, "
+                               "so lam^t overflows a double")
+        k = len(l_diag)
+        dd, dd2 = _affine_dds(x, l_diag, self.coupled, ts)
+        b_t = self.beta * dd[:, 0]
+        for j, d in zip(self.coupled, dd2):
+            b_t = b_t + q[j] * gamma[j] * d
+        m_t = np.zeros((len(ts), k, k), dtype=complex)
+        m_t[:, range(k), range(k)] = np.exp(ts[:, None] * l_diag)
+        # q DD1(x, l) in real arithmetic: numpy's complex multiply rounds
+        # differently in its loop for a grid than in its loop for one time, and
+        # at_many(ts)[i] must have the bits of at(ts[i])
+        d_re, d_im = dd[:, 1:k + 1].real, dd[:, 1:k + 1].imag
+        q_dd = (q.real * d_re - q.imag * d_im) + 1j * (q.real * d_im + q.imag * d_re)
+        return SiegelMap(lam_t, 0.5j * np.conj(q_dd), b_t, m_t, gamma * dd[:, k + 1:])
 
 
-#: the builder of a family's maps on each domain (:meth:`SemigroupFamily.at_many`)
-_FLOWS = {BALL: _ball_flow, SIEGEL: _siegel_flow}
+#: the flow of a family's generator on each domain (:meth:`SemigroupFamily.at_many`)
+_FLOWS = {BALL: _BallFlow, SIEGEL: _SiegelFlow}
 
 
 def _affine_dds(x: complex, l_diag: np.ndarray, coupled: np.ndarray, ts: np.ndarray):

@@ -367,8 +367,8 @@ def pinv(a, rank_tol: float = PINV_RANK_TOL) -> np.ndarray:
     The result satisfies the four Penrose identities to ~1e-9 on
     well-scaled input.
     """
-    if rank_tol <= 0:
-        raise DomainError("rank_tol must be positive")
+    if not rank_tol > 0:  # NaN too, which would zero every singular value
+        raise DomainError(f"rank_tol must be positive, got {rank_tol!r}")
     a = as_matrix(a)
     u, s, vh = np.linalg.svd(a)
     if s.size == 0 or s[0] == 0.0:

@@ -7,10 +7,10 @@ family once with one ``at_many`` over the distinct times of all its
 checks, evaluates that stack once with ``eval_many`` and hands each
 check the evaluated sample, whose rows it reads by time.  A check run on
 its own does the same over its own times; item i of a stack has the bits
-of ``at(t_i)``, so its report has the bits of the battery's.  The CLI
-builds that stack ahead of the battery (:func:`_battery_stack`), with its
-trajectory's times after the battery's; the battery then evaluates its
-sample on its own rows only, the stack's first.  No point
+of ``at(t_i)``, so its report has the bits of the battery's.  The family
+keeps the part of its flow that reads G alone from its first build, so a
+battery run after the CLI's trajectory repeats only the work of its own
+grid.  No point
 is tested for domain membership, so the sampler's domain must match the
 family's or the map's (a mismatch raises :class:`DomainError`), and the
 ``self_map`` check of :func:`verify_family` covers the intermediate
@@ -120,38 +120,6 @@ BATTERY_GRID = (0.25, 0.5, 1.0, 1.75)
 
 
 @dataclass(frozen=True)
-class _Stacked:
-    """A family built by one ``at_many`` at the distinct times *times*
-    (a 1-d float array), in order, and the step h of its generator check:
-    :func:`_battery_stack`'s record."""
-
-    family: object
-    h: float
-    times: np.ndarray
-    maps: object
-
-    def at_many(self, ts):
-        """The maps at the times ts, each one of :attr:`times` bit for bit,
-        read off the stack."""
-        rows = dict(zip(self.times.view(np.int64).tolist(), range(len(self.times))))
-        bits = np.ascontiguousarray(ts, dtype=float).view(np.int64)
-        return self.maps[[rows[t] for t in bits.tolist()]]
-
-
-def _battery_stack(sg, ts) -> _Stacked:
-    """The family *sg* built by one ``at_many``: at the times that
-    :func:`verify_family` reads on its default grid, in its order, then at
-    the times of ts (a 1-d float array) that those lack, their bits
-    compared, so that -0.0 gets its own map.  :func:`verify_family` takes
-    the record in place of *sg* and reads its rows; its ``at_many`` reads
-    the maps at any of these times.  An error of the build propagates."""
-    h, battery = _battery(sg, None, list(BATTERY_GRID))
-    bits = np.concatenate([battery, ts]).view(np.int64).tolist()
-    times = np.array(list(dict.fromkeys(bits)), dtype=np.int64).view(float)
-    return _Stacked(sg, h, times, sg.at_many(times))
-
-
-@dataclass(frozen=True)
 class _Sampled:
     """A family evaluated on one sample: its maps at distinct times, an
     ``at_many`` stack, and their images (T, K, N) of the (K, N) sample
@@ -176,24 +144,18 @@ class _Sampled:
 def _sampled(sg, cfg: SamplerCfg, times, target=None) -> _Sampled:
     """*sg* itself if it is already sampled; else the family at the
     distinct *times* in order of first appearance, from one ``at_many``,
-    or from the stack of a :class:`_Stacked` whose times begin with them,
-    evaluated on the sample of *cfg* at those times only.  The sample's
-    domain must be the family's and the target map's (checked before any
-    map is built)."""
+    evaluated on the sample of *cfg*, whose domain must be the family's and
+    the target map's (checked before any map is built)."""
     if isinstance(sg, _Sampled):
         return sg
-    family = sg.family if isinstance(sg, _Stacked) else sg
-    sources = [("family", family.domain)]
+    sources = [("family", sg.domain)]
     if target is not None:
         sources.append(("target", target.domain))
     _require_domain(cfg, *sources)
     ts = list(dict.fromkeys(times))
-    if isinstance(sg, _Stacked) and sg.times[:len(ts)].tolist() == ts:
-        maps = sg.maps[:len(ts)]
-    else:
-        maps = family.at_many(ts)
+    maps = sg.at_many(ts)
     zs = cfg.points(maps.dim)
-    return _Sampled(family, zs, maps, maps.eval_many(zs), {t: i for i, t in enumerate(ts)})
+    return _Sampled(sg, zs, maps, maps.eval_many(zs), {t: i for i, t in enumerate(ts)})
 
 
 def _grid(t_grid) -> list:
@@ -316,14 +278,6 @@ def check_generator(sg, cfg: SamplerCfg, h: Optional[float] = None,
     return _report("generator_fd", margins, ev.zs, tol)
 
 
-def _battery(sg, h: Optional[float], t_grid: list) -> tuple:
-    """The step h of the generator check (computed where it is None) and
-    the distinct times that :func:`verify_family` reads on the grid t_grid,
-    in order of first reading."""
-    h, _, stencil = _fd_times(sg, h, _FD_GRID)
-    return h, list(dict.fromkeys([0.0, *_law_times(t_grid)[1], *t_grid, 1.0, *stencil]))
-
-
 def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=BATTERY_GRID,
                   tols: Optional[dict] = None) -> list:
     """The full battery for a built semigroup family: identity at 0,
@@ -335,25 +289,22 @@ def verify_family(sg, cfg: Optional[SamplerCfg] = None, t_grid=BATTERY_GRID,
     map is built; a bad one, or an empty grid, raises :class:`DomainError`.
     The family is built once, by one ``at_many`` over every check's
     times, and evaluated once on one sample; each check reads its rows.
-    *sg* may be the record of :func:`_battery_stack` instead, whose stack
-    begins with those times on the default grid: the sample is then
-    evaluated on those rows only.
     """
-    family, h = (sg.family, sg.h) if isinstance(sg, _Stacked) else (sg, None)
     t_grid = _grid(t_grid)
     tol = {**DEFAULT_TOLS, **_tolerances(tols)}
     if cfg is None:
-        cfg = SamplerCfg(domain=family.domain)
+        cfg = SamplerCfg(domain=sg.domain)
     _require_sampler(cfg)
-    h, times = _battery(family, h, t_grid)
-    ev = _sampled(sg, cfg, times, family.target)
+    h, _, stencil = _fd_times(sg, None, _FD_GRID)
+    times = [0.0, *_law_times(t_grid)[1], *t_grid, 1.0, *stencil]
+    ev = _sampled(sg, cfg, times, sg.target)
     reports = [
         check_identity_at_zero(ev, cfg, tol["identity"]),
         check_semigroup_law(ev, t_grid, cfg, tol["law"]),
         _family_self_map(ev, t_grid, cfg, tol["self_map"]),
     ]
-    if family.target is not None:
-        reports.append(check_time_one(ev, family.target, cfg, tol["time_one"]))
+    if sg.target is not None:
+        reports.append(check_time_one(ev, sg.target, cfg, tol["time_one"]))
     reports.append(check_generator(ev, cfg, h, tol["generator"]))
     return reports
 

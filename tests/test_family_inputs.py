@@ -3,7 +3,8 @@ an LfmError naming what is wrong, not a bare numpy error, a warning or a
 silently ignored value.
 
 - ``SemigroupFamily`` takes the domains ``"ball"`` and ``"siegel"`` only,
-  and ``at_many`` takes a scalar or a 1-d grid of times;
+  ``at_many`` takes a scalar or a 1-d grid of times, and the first build
+  refuses a generator with an entry that is not finite;
 - the field of ``generator`` refuses a point of another width;
 - ``verify_family``, ``check_semigroup_law`` and ``check_generator`` read
   their grid through the reader of ``at_many`` before any map is built and
@@ -54,9 +55,25 @@ def test_family_refuses_an_unknown_domain(domain):
 
 
 def test_each_domain_has_one_builder():
-    assert emb._FLOWS == {"ball": emb._ball_flow, "siegel": emb._siegel_flow}
+    assert emb._FLOWS == {"ball": emb._BallFlow, "siegel": emb._SiegelFlow}
     g = _ball_family().G
     assert isinstance(SemigroupFamily("x", g, "ball").at_many([0.5]), BallMap)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_a_generator_with_a_non_finite_entry_is_refused(family, value):
+    """Each entry of G in turn: one DomainError from the part of the flow
+    that reads G alone, at any grid, the empty one too, and no warning; not
+    an overflow of lam^t (a NaN x of a Siegel G), a warning at t = 0 (an
+    infinite beta) or a flow margin of NaN (a ball G)."""
+    n = len(family.G)
+    for i, j in np.ndindex(n, n):
+        g = family.G.copy()
+        g[i, j] = value
+        sg = SemigroupFamily(family.case_kind, g, family.domain)
+        for ts in ([0.0, 0.5, 1.0], []):
+            _refused(lambda: sg.at_many(ts), r"^the generator's entries must be finite$")
+        assert "_flow" not in vars(sg)  # a refused step is not kept
 
 
 @pytest.mark.parametrize("ts", [[[0.5, 1.0]], np.zeros((2, 2)), np.zeros((1, 1, 1))])

@@ -211,7 +211,7 @@ def test_eigen_flow_sweep_against_mpmath(cond, monkeypatch):
             assert cond_v == pytest.approx(cond, rel=1e-6) and cond_v <= emb._EIGEN_FLOW_COND
             with monkeypatch.context() as patch:
                 patch.setattr(emb, "mat_exp", _refuse_mat_exp)
-                got = emb._ball_exp(k, SWEEP_TIMES)
+                got = emb._EigenExp.of(k)(SWEEP_TIMES)
             assert np.array_equal(got[0], np.eye(n))
             by_mat_exp = mat_exp(SWEEP_TIMES[:, None, None] * k)
             for t, e, m in zip(SWEEP_TIMES.tolist(), got, by_mat_exp):

@@ -196,6 +196,13 @@ class TestPinv:
         with pytest.raises(DomainError):
             linalg.pinv(np.eye(2), rank_tol=0.0)
 
+    @pytest.mark.parametrize("rank_tol", [float("nan"), -1e-10, -np.inf])
+    def test_tol_that_is_not_above_zero(self, rank_tol):
+        # a NaN cut is not <= 0, and s > NaN would zero every singular
+        # value, so that pinv(I) would be the zero matrix
+        with pytest.raises(DomainError, match=r"^rank_tol must be positive, got "):
+            linalg.pinv(np.eye(2), rank_tol=rank_tol)
+
 
 def bordered_reference(q, x, s):
     """lambda_min(Q), s - x^H Q^+ x and -|Q Q^+ x - x| with numpy's own

@@ -1,30 +1,33 @@
-"""One stack per report: the semigroup stage and the verify battery read
-the maps of one ``at_many``.
+"""One factorization per family: the semigroup stage and the verify battery
+each build their own maps off the part of the flow that reads G alone.
 
-When a run goes on to ``verify``, the semigroup stage builds the family at
-the battery's times and then at the trajectory times the battery lacks
-(``verify._battery_stack``); the trajectory rows are read off that stack and
-the battery evaluates its sample on its own rows, the stack's first.  These
-tests pin that such a report has the bytes of one assembled from separate
-``emit_trajectory`` and ``verify_family`` calls (on a grid disjoint from the
-battery's times and on a 401-time grid), that the battery's ``eval_many``
-sees only its own rows, that a report builds its family once, and that an
-error stays with its stage: a family whose build fails beyond t = 2 keeps
-its trajectory and fails ``verify``, and one whose build fails only at a
-trajectory time fails ``semigroup``, each with the error of that stage's
-own build.
+A family computes that part (the checks of G, and the eigendecomposition
+of K or the entries of an affine G) at its first ``at_many`` and keeps it
+as arrays; the trajectory and the battery each build their own grid from
+it.  These tests pin that a report has the bytes of one assembled from
+separate ``emit_trajectory`` and ``verify_family`` calls on fresh families
+(on a grid disjoint from the battery's times and on a 401-time grid), that
+the battery's ``eval_many`` sees only its own rows, that a run computes the
+G-only part of its family once though it builds twice, that a built family
+pickles and copies with the bits of its maps, and that an error stays with
+its stage: a family whose build fails beyond t = 2 keeps its trajectory and
+fails ``verify``, and one whose build fails only at a trajectory time fails
+``semigroup``, each with the error of that stage's own build.
 """
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 
-from lfmsemi import cli, verify
+from lfmsemi import cli
+from lfmsemi import embedding as emb
 from lfmsemi.cli import TOL_PROFILES, emit_trajectory, parse_map_spec, run_pipeline
 from lfmsemi.embedding import SemigroupFamily, build_semigroup, certify
 from lfmsemi.errors import NumericError
-from lfmsemi.maps import SIEGEL, BallMap, SiegelMap, cayley_to_ball
+from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, cayley_to_ball
 from lfmsemi.normal_forms import normal_form
 from lfmsemi.verify import SamplerCfg, verify_family
 
@@ -53,9 +56,21 @@ def _family(spec):
                                                else f)))
 
 
+class _Times(Exception):
+    """The times of a refused ``at_many`` call."""
+
+
 def _battery_times(sg) -> list:
-    """The distinct times of ``verify_family``'s battery on its default grid."""
-    return verify._battery(sg, None, list(verify.BATTERY_GRID))[1]
+    """The distinct times of ``verify_family``'s battery on its default grid,
+    as its one ``at_many`` call receives them; no map is built."""
+    def refuse(self, ts):
+        raise _Times(list(ts))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SemigroupFamily, "at_many", refuse)
+        with pytest.raises(_Times) as times:
+            verify_family(sg)
+    return times.value.args[0]
 
 
 def _text(report) -> str:
@@ -122,16 +137,47 @@ def _recording(sizes, eval_many):
 
 
 @pytest.mark.parametrize("stop_after", ["verify", "semigroup"])
-def test_a_report_builds_its_family_once(stop_after, monkeypatch):
-    builds = []
+def test_a_run_factors_each_generator_once(stop_after, monkeypatch):
+    """A ``report`` run builds its family twice, for the trajectory and for
+    the battery, and a ``semigroup`` run once; either computes the part of
+    the flow that reads G alone once, on ball and Siegel goldens alike."""
+    builds, factored = [], []
     at_many = SemigroupFamily.at_many
     monkeypatch.setattr(SemigroupFamily, "at_many",
                         lambda self, ts: builds.append(len(ts)) or at_many(self, ts))
+    for flow in (emb._BallFlow, emb._SiegelFlow):
+        monkeypatch.setattr(flow, "of", lambda g, of=flow.of: factored.append(of(g))
+                            or factored[-1])
+    domains = set()
     for path in EMBEDDABLE[::3]:
         builds.clear()
+        factored.clear()
         report = run_pipeline(_spec(path), stop_after=stop_after)
         assert report["stages"][stop_after]["status"] == "ok"
-        assert len(builds) == 1, path.name
+        assert len(builds) == (2 if stop_after == "verify" else 1), path.name
+        assert len(factored) == 1, path.name
+        domains.add(report["stages"]["semigroup"]["trajectory_domain"])
+    assert domains == {BALL, SIEGEL}
+
+
+@pytest.mark.parametrize("domain", [BALL, SIEGEL])
+def test_a_built_family_pickles_and_copies(domain):
+    """The G-only part is kept as arrays, so a built family pickles and
+    deep-copies, and the copy builds the maps with the same bits; G is read
+    at the first build, so a write into G after it changes no map."""
+    path = max((p for p in EMBEDDABLE if _family(_spec(p)).domain == domain),
+               key=lambda p: _spec(p)["dimension"])
+    sg = _family(_spec(path))
+    ts = np.array(DISJOINT_GRID)
+    want = sg.at_many(ts)
+    twins = [pickle.loads(pickle.dumps(sg)), copy.deepcopy(sg)]
+    sg.G[:] = np.nan
+    for twin in twins + [sg]:
+        assert "_flow" in vars(twin)  # each keeps the computed part
+        got = twin.at_many(ts)
+        for name in ("A", "B", "C", "D") if domain == BALL else ("lam", "a", "b", "M", "c"):
+            x, y = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), (path.name, name)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +230,10 @@ def test_a_family_failing_at_a_trajectory_time_fails_semigroup(monkeypatch):
 def test_a_negative_zero_time_gets_its_own_map():
     sg = _family(SIEGEL_SPEC)
     grid = (-0.0, 0.0, 0.5)
-    stacked = verify._battery_stack(sg, np.array(grid))
-    assert len(stacked.times) == len(_battery_times(sg)) + 1
-    assert np.signbit(stacked.times[-1]) and stacked.times[-1] == 0.0
+    assert 0.0 in _battery_times(sg)
+    report = run_pipeline(SIEGEL_SPEC, t_grid=grid)
+    rows = report["stages"]["semigroup"]["trajectory"]
+    assert np.signbit(rows[0][0]) and not np.signbit(rows[1][0])
     start = cli._default_start(sg)
-    assert emit_trajectory(stacked, start, grid) == emit_trajectory(sg, start, grid)
+    assert rows == emit_trajectory(sg, start, grid)
+    assert rows[0][1:] == emit_trajectory(sg, start, [-0.0])[0][1:]

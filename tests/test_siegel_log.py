@@ -1,7 +1,7 @@
 """One divided-difference logarithm builds every parabolic and hyperbolic
 generator.
 
-``embedding._siegel_log`` inverts the affine flow of ``_siegel_flow`` at
+``embedding._siegel_log`` inverts the affine flow of ``_SiegelFlow`` at
 t = 1: it reads the principal logarithm G of the normal map's homogeneous
 matrix T off T's entries.  These tests pin that:
 
@@ -289,7 +289,7 @@ def test_large_hyperbolic_lam_embeds(lam):
     g = cert.G
     assert _relative(g, _mp_logm(cert.target)) <= 1e-15
     assert _relative(mat_exp(g), _homogeneous(cert.target)) <= 1e-14
-    f1 = emb._siegel_flow(g, np.ones(1))
+    f1 = emb._SiegelFlow.of(g).maps(np.ones(1))
     assert _relative(_homogeneous(SiegelMap(f1.lam[0], f1.a[0], f1.b[0], f1.M[0], f1.c[0])),
                      _homogeneous(cert.target)) <= 1e-14
 

@@ -41,8 +41,9 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_SPECS = sorted(p for p in (ROOT / "tests" / "golden").rglob("*.json")
                       if not p.name.endswith(".report.json"))
 
-#: the sites that build a trusted map, by the name of the calling function
-SITES = {"_ball_flow", "split_normal_map"}
+#: the sites that build a trusted map, by the name of the calling function,
+#: a method's prefixed by the name of its class
+SITES = {"_BallFlow.maps", "split_normal_map"}
 
 
 def _fields(f):
@@ -69,7 +70,10 @@ def trusted(monkeypatch):
 
     def record(*args):
         f = original(*args)
-        built.append((sys._getframe(1).f_code.co_name, args, f))
+        caller = sys._getframe(1)
+        owner = caller.f_locals.get("self")
+        site = caller.f_code.co_name
+        built.append((site if owner is None else f"{type(owner).__name__}.{site}", args, f))
         return f
 
     monkeypatch.setattr(maps, "_trusted_ball_map", record)
@@ -316,4 +320,7 @@ def test_gate_refuses_a_generator_with_a_nan_entry():
     assert np.isnan(maps._flow_margin(g))
     with pytest.raises(DomainError, match=r"^the flow of the generator leaves the ball "
                                           r"\(margin nan\)$"):
+        maps._require_ball_flow(g)
+    # the family refuses the entry itself, before its flow margin
+    with pytest.raises(DomainError, match=r"^the generator's entries must be finite$"):
         family.at_many([0.0, 1.0])
