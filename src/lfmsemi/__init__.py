@@ -59,11 +59,7 @@ from .maps import (
     compose,
     conjugate,
     fixed_points,
-    heisenberg_map,
-    identity_ball_map,
-    identity_siegel_map,
     inverse,
-    unitary_ball_map,
     unitary_index,
 )
 from .normal_forms import (

@@ -709,10 +709,21 @@ def embed_dim2(f: BallMap) -> EmbeddingCertificate:
         raise DomainError("embed_dim2 expects a map of the two-dimensional ball")
     nf = normal_form(f)
     cert = certify(nf)
-    label = _case(nf.form_kind).dim2_label
+    label = {FORM_PARABOLIC: _parabolic_dim2_label,
+             FORM_HYPERBOLIC: _hyperbolic_dim2_label}.get(nf.form_kind)
     if label is None:
         return cert
     return dataclasses.replace(cert, criterion_id=label(nf.parameters))
+
+
+def _parabolic_dim2_label(prm: dict) -> str:
+    _, q, r = prm["block_split"]
+    return "dim2_parabolic_psi" + ("1" if r == 1 else "2" if q == 1 else "3")
+
+
+def _hyperbolic_dim2_label(prm: dict) -> str:
+    psi2 = prm["block_split"][2] == 1 and abs(prm["c_res"][0]) > 0
+    return "dim2_hyperbolic_psi2" if psi2 else "dim2_hyperbolic_psi1"
 
 
 def is_automorphism(f: BallMap) -> bool:
@@ -946,16 +957,6 @@ def _dd2(a: complex, b: complex, c: complex, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parabolic_dim2_label(prm: dict) -> str:
-    _, q, r = prm["block_split"]
-    return "dim2_parabolic_psi" + ("1" if r == 1 else "2" if q == 1 else "3")
-
-
-def _hyperbolic_dim2_label(prm: dict) -> str:
-    psi2 = prm["block_split"][2] == 1 and abs(prm["c_res"][0]) > 0
-    return "dim2_hyperbolic_psi2" if psi2 else "dim2_hyperbolic_psi1"
-
-
 # ---------------------------------------------------------------------------
 # the case table
 
@@ -971,7 +972,6 @@ class _Case:
     family: str  # SemigroupFamily.case_kind of the case's certificates
     conditions: Callable  # NormalForm -> checked normal-form conditions
     criterion: Callable  # NormalForm -> EmbeddingCertificate
-    dim2_label: Optional[Callable] = None  # parameters -> dimension-2 catalogue name
 
 
 _CASES = {
@@ -980,11 +980,9 @@ _CASES = {
     FORM_ELLIPTIC_U0: _Case("elliptic_u0", lambda nf: [],
                             lambda nf: embed_elliptic_u0(nf)),
     FORM_PARABOLIC: _Case("parabolic", lambda nf: parabolic_conditions(nf),
-                          lambda nf: embed_parabolic(nf),
-                          _parabolic_dim2_label),
+                          lambda nf: embed_parabolic(nf)),
     FORM_HYPERBOLIC: _Case("hyperbolic", lambda nf: hyperbolic_conditions(nf),
-                           lambda nf: embed_hyperbolic(nf),
-                           _hyperbolic_dim2_label),
+                           lambda nf: embed_hyperbolic(nf)),
 }
 
 

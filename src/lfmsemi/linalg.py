@@ -132,11 +132,6 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def hermitian_part(m) -> np.ndarray:
-    """(M + M^H) / 2."""
-    return _hermitian(as_matrix(m, square=True))
-
-
 def _hermitian(m: np.ndarray) -> np.ndarray:
     """(M + M^H) / 2 of a checked square matrix."""
     return (m + m.conj().T) / 2.0

@@ -83,12 +83,6 @@ _AFFINE_FORM_TOL = 1e-8
 #: the constant c of the Jordan split (c eps scale)^(1/k) of :func:`fixed_points`
 _JORDAN_SPLIT_FACTOR = 1e3
 
-#: the least number of matrix entries in the SVD rows that the eigenvector
-#: filter of :func:`fixed_points` could drop for it to run: about what the
-#: filter costs (the SVD rows of two 4 x 4 matrices), so it never runs for
-#: N = 1 or 2
-_FILTER_ENTRIES = 32
-
 
 # ---------------------------------------------------------------------------
 # sampling
@@ -560,16 +554,6 @@ def ball_map_from_proj(p: ProjMap) -> BallMap:
     return BallMap(*_proj_fields(p.mat))
 
 
-def identity_ball_map(dim: int) -> BallMap:
-    return BallMap(np.eye(dim), np.zeros(dim), np.zeros(dim), 1.0)
-
-
-def unitary_ball_map(u) -> BallMap:
-    u = as_matrix(u, square=True)
-    n = u.shape[0]
-    return BallMap(u, np.zeros(n), np.zeros(n), 1.0)
-
-
 def _automorphism_fields(a) -> tuple:
     """A, B and C of the involutive automorphism of B_N exchanging 0 and a."""
     a = as_vector(a)
@@ -723,21 +707,6 @@ def _siegel_map_of(lam, a, b, m, c) -> SiegelMap:
     g = object.__new__(SiegelMap)
     g.__dict__.update(lam=lam, a=a, b=b, M=m, c=c)
     return g
-
-
-def identity_siegel_map(dim: int) -> SiegelMap:
-    k = dim - 1
-    return SiegelMap(1.0, np.zeros(k), 0.0, np.eye(k), np.zeros(k))
-
-
-def heisenberg_map(gamma, beta) -> SiegelMap:
-    """(z, w) -> (z + 2i <w, gamma> + beta, w + gamma).
-
-    An automorphism of H^N exactly when Im beta = |gamma|^2.
-    """
-    gamma = as_vector(gamma)
-    k = len(gamma)
-    return SiegelMap(1.0, gamma.copy(), beta, np.eye(k), gamma.copy())
 
 
 def _siegel_images(zs, lam, a, b, m, c) -> np.ndarray:
@@ -928,10 +897,9 @@ def fixed_points(f: BallMap) -> FixedPoints:
     |v|^2 > 1.0201 |tau|^2.  A simple eigenvalue's SVD kernel vector
     agrees with its eigenvector to about eps times its condition number,
     so the row would give a point that the closed-ball test discards.
-    This filter runs when those rows, less one of an eigenvalue of largest
-    modulus, hold at least ``_FILTER_ENTRIES`` matrix entries, and not at
-    all without a bundled ``ztrevc``; the points come from the SVD alone
-    either way.  One pass over its rows takes each anchor's first singular row
+    This filter runs on every map with such a row, and not at all without
+    a bundled ``ztrevc``; the points come from the SVD alone either way.
+    One pass over its rows takes each anchor's first singular row
     whose prefix holds no used eigenvalue as the cluster, and its kernel
     as the eigenvectors; an anchor whose size-1 row, always its last,
     fails is used alone.  One pass over the candidate points keeps those
@@ -966,13 +934,9 @@ def fixed_points(f: BallMap) -> FixedPoints:
         elif settled[i]:
             lone.append(i)
     # a simple eigenvalue whose only row is its singleton and that no tried
-    # cluster holds: its row goes when its eigenvector lies beyond 1.01.
-    # An eigenvalue of largest modulus belongs to the interior or the
-    # Denjoy-Wolff fixed point (no multiplier exceeds 1 in modulus), so the
-    # gate does not count one such row as droppable
+    # cluster holds: its row goes when its eigenvector lies beyond 1.01
     lone = [i for i in lone if i not in clustered]
-    droppable = len(lone) - (moduli.index(scale) in lone)
-    vecs = _schur_eigenvectors(form) if droppable * n * n >= _FILTER_ENTRIES else None
+    vecs = _schur_eigenvectors(form) if lone else None
     if vecs is not None:
         sq = np.abs(vecs) ** 2
         far = (sq[:-1].sum(axis=0) > 1.0201 * sq[-1]).tolist()

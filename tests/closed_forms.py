@@ -10,6 +10,13 @@ the cocycle rate eps / (e^eps - 1) of the translations
 (:func:`parabolic_matrix`, :func:`hyperbolic_matrix`).  :func:`closed_form_data`
 rebuilds from a normal form the data each certificate carried next to G,
 for tests that compare a family with the closed forms of its case.
+
+It also holds the closed-form maps the tests build as oracles, each through
+the checked public constructor: the identity of the ball
+(:func:`identity_ball_map`) and of the half-plane (:func:`identity_siegel_map`),
+a unitary map of the ball (:func:`unitary_ball_map`), a Heisenberg
+translation of the half-plane (:func:`heisenberg_map`), and the hermitian
+part of a matrix (:func:`hermitian_part`).
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ import math
 import numpy as np
 
 from lfmsemi.errors import DomainError
+from lfmsemi.linalg import as_matrix, as_vector
+from lfmsemi.maps import BallMap, SiegelMap
 from lfmsemi.normal_forms import FORM_ELLIPTIC_SPLIT, FORM_ELLIPTIC_U0, FORM_PARABOLIC
 
 
@@ -124,3 +133,34 @@ def closed_form_data(nf, g: np.ndarray) -> dict:
     if nf.form_kind == FORM_ELLIPTIC_U0:
         return {"M": g[:-1, :-1], "delta": float(nf.parameters["delta"])}
     return siegel_data(nf)
+
+
+def identity_ball_map(dim: int) -> BallMap:
+    return BallMap(np.eye(dim), np.zeros(dim), np.zeros(dim), 1.0)
+
+
+def unitary_ball_map(u) -> BallMap:
+    u = as_matrix(u, square=True)
+    n = u.shape[0]
+    return BallMap(u, np.zeros(n), np.zeros(n), 1.0)
+
+
+def identity_siegel_map(dim: int) -> SiegelMap:
+    k = dim - 1
+    return SiegelMap(1.0, np.zeros(k), 0.0, np.eye(k), np.zeros(k))
+
+
+def heisenberg_map(gamma, beta) -> SiegelMap:
+    """(z, w) -> (z + 2i <w, gamma> + beta, w + gamma).
+
+    An automorphism of H^N exactly when Im beta = |gamma|^2.
+    """
+    gamma = as_vector(gamma)
+    k = len(gamma)
+    return SiegelMap(1.0, gamma.copy(), beta, np.eye(k), gamma.copy())
+
+
+def hermitian_part(m) -> np.ndarray:
+    """(M + M^H) / 2."""
+    m = as_matrix(m, square=True)
+    return (m + m.conj().T) / 2.0

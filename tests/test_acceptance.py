@@ -25,11 +25,11 @@ from lfmsemi.embedding import (
     embed_parabolic,
 )
 from lfmsemi.maps import BallMap, SiegelMap, ball_automorphism, cayley_to_ball, \
-    classify, compose, conjugate, heisenberg_map, unitary_ball_map
+    classify, compose, conjugate
 from lfmsemi.normal_forms import NormalForm
 from lfmsemi.verify import SamplerCfg, check_generator, verify_family
 
-from closed_forms import hyperbolic_matrix
+from closed_forms import heisenberg_map, hyperbolic_matrix, unitary_ball_map
 from paper_budgets import (
     resonant_translation_weight,
     scalar_h_hyperbolic,

@@ -28,11 +28,11 @@ from lfmsemi import embedding as emb
 from lfmsemi.cli import EXIT_CONDITION_FAILS, EXIT_INCONCLUSIVE, parse_map_spec, run_pipeline
 from lfmsemi.embedding import CONDITION_FAILS, EMBEDDABLE, INCONCLUSIVE, log_candidates
 from lfmsemi.errors import BranchError, DomainError, NumericError
-from lfmsemi.linalg import hermitian_part, mat_exp, mat_log_principal, schur_form
+from lfmsemi.linalg import mat_exp, mat_log_principal, schur_form
 from lfmsemi.normal_forms import (FORM_ELLIPTIC_SPLIT, FORM_ELLIPTIC_U0, NormalForm,
                                   normal_form)
 
-from closed_forms import closed_form_data
+from closed_forms import closed_form_data, hermitian_part
 from test_golden import _mismatches
 
 GOLDEN = Path(__file__).parent / "golden" / "branch_search"

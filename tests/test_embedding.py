@@ -22,17 +22,15 @@ from lfmsemi.embedding import (
     log_candidates,
 )
 from lfmsemi.errors import DomainError
-from lfmsemi.linalg import hermitian_part, mat_exp
+from lfmsemi.linalg import mat_exp
 from lfmsemi.maps import (
     BallMap,
     SiegelMap,
     cayley_to_ball,
     classify,
-    heisenberg_map,
     pointwise_distance,
     sample_ball_points,
     sample_siegel_points,
-    unitary_ball_map,
 )
 from lfmsemi.normal_forms import (
     FORM_ELLIPTIC_SPLIT,
@@ -44,7 +42,8 @@ from lfmsemi.normal_forms import (
     siegel_conditions,
 )
 
-from closed_forms import parabolic_matrix, siegel_data
+from closed_forms import (hermitian_part, heisenberg_map, parabolic_matrix, siegel_data,
+                          unitary_ball_map)
 from paper_budgets import (
     resonant_translation_weight,
     scalar_h_hyperbolic,

@@ -28,7 +28,6 @@ from lfmsemi.maps import (
     cayley_to_ball,
     cayley_transform,
     compose,
-    heisenberg_map,
     sample_ball_points,
     sample_siegel_points,
 )
@@ -41,6 +40,8 @@ from lfmsemi.verify import (
     check_time_one,
     verify_family,
 )
+
+from closed_forms import heisenberg_map
 
 GOLDEN = Path(__file__).parent / "golden"
 

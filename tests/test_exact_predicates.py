@@ -23,7 +23,6 @@ from lfmsemi import cli, maps
 from lfmsemi import embedding as emb
 from lfmsemi.embedding import is_automorphism
 from lfmsemi.errors import DomainError
-from lfmsemi.linalg import hermitian_part
 from lfmsemi.maps import (
     BallMap,
     ProjMap,
@@ -31,13 +30,12 @@ from lfmsemi.maps import (
     ball_automorphism,
     cayley_to_ball,
     compose,
-    heisenberg_map,
-    identity_ball_map,
-    identity_siegel_map,
     is_identity,
-    unitary_ball_map,
 )
 from lfmsemi.normal_forms import FORM_ELLIPTIC_U0, NormalForm, normal_form, siegel_conditions
+
+from closed_forms import (hermitian_part, heisenberg_map, identity_ball_map, identity_siegel_map,
+                          unitary_ball_map)
 
 
 def _unitary(rng, n):

@@ -65,14 +65,18 @@ def test_a_generator_with_a_non_finite_entry_is_refused(family, value):
     """Each entry of G in turn: one DomainError from the part of the flow
     that reads G alone, at any grid, the empty one too, and no warning; not
     an overflow of lam^t (a NaN x of a Siegel G), a warning at t = 0 (an
-    infinite beta) or a flow margin of NaN (a ball G)."""
+    infinite beta) or a flow margin of NaN (a ball G).  ``verify_family``
+    and ``check_generator`` with its default step raise the same error, not
+    numpy's LinAlgError from the spectral radius of G that sets the step."""
     n = len(family.G)
     for i, j in np.ndindex(n, n):
         g = family.G.copy()
         g[i, j] = value
         sg = SemigroupFamily(family.case_kind, g, family.domain)
-        for ts in ([0.0, 0.5, 1.0], []):
-            _refused(lambda: sg.at_many(ts), r"^the generator's entries must be finite$")
+        for call in (lambda: sg.at_many([0.0, 0.5, 1.0]), lambda: sg.at_many([]),
+                     lambda: verify_family(sg),
+                     lambda: check_generator(sg, SamplerCfg(domain=sg.domain))):
+            _refused(call, r"^the generator's entries must be finite$")
         assert "_flow" not in vars(sg)  # a refused step is not kept
 
 

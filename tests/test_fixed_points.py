@@ -32,7 +32,9 @@ from lfmsemi.cli import EXIT_EMBEDDABLE, parse_map_spec
 from lfmsemi.errors import LfmError, NumericError
 from lfmsemi.linalg import schur_form
 from lfmsemi.maps import (ELLIPTIC, HYPERBOLIC, PARABOLIC, BallMap, SiegelMap, ball_automorphism,
-                          cayley_to_ball, classify, fixed_points, heisenberg_map, to_proj)
+                          cayley_to_ball, classify, fixed_points, to_proj)
+
+from closed_forms import heisenberg_map
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_SPECS = sorted(p for p in (ROOT / "tests" / "golden").rglob("*.json")
@@ -190,18 +192,14 @@ def _dropped_rows(f) -> int:
     """The number of rows the eigenvector filter of ``fixed_points`` leaves
     out of the stacked SVD of f, found with ``np.linalg.eig``: the lone
     singletons are those of settled anchors with no other prefix that no
-    prefix of size >= 2 holds; when they, less the first eigenvalue of
-    largest modulus, hold at least ``maps._FILTER_ENTRIES`` matrix
-    entries, those whose eigenvector (v, tau) has |v|^2 > 1.0201 |tau|^2
-    (a point beyond |p| = 1.01 or at infinity) go."""
+    prefix of size >= 2 holds, and those whose eigenvector (v, tau) has
+    |v|^2 > 1.0201 |tau|^2 (a point beyond |p| = 1.01 or at infinity) go."""
     eigs, settled, prefixes = _tried_prefixes(f)
-    n = len(eigs)
     rows = Counter(i for i, _ in prefixes)
     held = {j for _, prefix in prefixes if len(prefix) > 1 for j in prefix}
     lone = [i for i, prefix in prefixes
             if len(prefix) == 1 and rows[i] == 1 and settled[i] and i not in held]
-    droppable = len(lone) - (int(np.argmax(np.abs(eigs))) in lone)
-    if linalg._BUNDLED_ZTREVC is None or droppable * n * n < maps._FILTER_ENTRIES:
+    if linalg._BUNDLED_ZTREVC is None:
         return 0
     w, vecs = np.linalg.eig(to_proj(f).mat)
     far = 0
@@ -256,16 +254,14 @@ def _fixed_point_bits(f):
 
 def _filter_on_and_off(monkeypatch, fs) -> tuple:
     """For each map of *fs*: the :func:`_fixed_point_bits` with the filter
-    on every map with a lone singleton (``_FILTER_ENTRIES`` 0) and with it
-    off (no ``ztrevc``), and the stacked SVDs of both."""
+    on, as ``fixed_points`` runs it, and off (no ``ztrevc``), and the
+    stacked SVDs of both."""
     stacks = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: stacks.append(a)
                         or svd(a, *args, **kw))
-    with monkeypatch.context() as patch:
-        patch.setattr(maps, "_FILTER_ENTRIES", 0)
-        on = [_fixed_point_bits(f) for f in fs]
-        on_stacks, stacks[:] = stacks[:], []
+    on = [_fixed_point_bits(f) for f in fs]
+    on_stacks, stacks[:] = stacks[:], []
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "_BUNDLED_ZTREVC", None)
         off = [_fixed_point_bits(f) for f in fs]
@@ -442,7 +438,6 @@ def test_a_failed_ztrevc_leaves_the_whole_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(len(a))
                         or svd(a, *args, **kw))
     monkeypatch.setattr(linalg, "_BUNDLED_ZTREVC", failing)
-    monkeypatch.setattr(maps, "_FILTER_ENTRIES", 0)
     assert linalg._schur_eigenvectors(schur_form(np.eye(3))) is None
     assert [_fixed_point_bits(f) for f in fs] == want
     assert calls == [_stacked_prefixes(f) for f in fs]
@@ -461,9 +456,8 @@ def test_schur_eigenvectors_are_reentrant():
         assert list(got) == want * 4
 
 
-def test_fixed_points_is_reentrant(monkeypatch):
-    """Threads may find fixed points at once, the filter on every map."""
-    monkeypatch.setattr(maps, "_FILTER_ENTRIES", 0)
+def test_fixed_points_is_reentrant():
+    """Threads may find fixed points at once, with the filter on."""
     fs = [_ball_map(spec) for spec in _workload_specs()[:40]]
     want = [_fixed_point_bits(f) for f in fs]
     with ThreadPoolExecutor(4) as pool:

@@ -43,11 +43,12 @@ from lfmsemi.embedding import build_semigroup, certify
 from lfmsemi.errors import DomainError
 from lfmsemi.linalg import UNIMODULAR_TOL, schur_form
 from lfmsemi.maps import (BALL, SIEGEL, BallMap, SiegelMap, cayley_to_ball, fixed_points,
-                          heisenberg_map, sample_ball_points, sample_siegel_points,
+                          sample_ball_points, sample_siegel_points,
                           siegel_map_from_proj, to_proj)
 from lfmsemi.normal_forms import normal_form
 from lfmsemi.verify import SamplerCfg, check_self_map
 
+from closed_forms import heisenberg_map
 from test_fixed_points import WRONG_CLUSTER_MAPS, _ball_map, _linear, _workload_specs
 from test_golden import _mismatches
 

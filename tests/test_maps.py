@@ -20,14 +20,13 @@ from lfmsemi.maps import (
     compose,
     conjugate,
     fixed_points,
-    heisenberg_map,
-    identity_ball_map,
     inverse,
     pointwise_distance,
     sample_ball_points,
-    unitary_ball_map,
     unitary_index,
 )
+
+from closed_forms import heisenberg_map, identity_ball_map, unitary_ball_map
 
 
 def random_complex(rng, *shape):

@@ -23,9 +23,7 @@ from lfmsemi.maps import (
     cayley_to_siegel,
     classify,
     conjugate,
-    heisenberg_map,
     siegel_map_from_proj,
-    unitary_ball_map,
 )
 from lfmsemi.normal_forms import (
     FORM_ELLIPTIC_SPLIT,
@@ -49,6 +47,8 @@ from lfmsemi.normal_forms import (
     siegel_conditions,
     siegel_normal_map,
 )
+
+from closed_forms import heisenberg_map, unitary_ball_map
 
 
 def random_complex(rng, *shape):

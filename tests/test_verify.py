@@ -6,7 +6,7 @@ import pytest
 from lfmsemi import embedding as emb, verify
 from lfmsemi.cli import TOL_PROFILES
 from lfmsemi.embedding import build_semigroup, embed_hyperbolic, embed_parabolic
-from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, classify, identity_ball_map
+from lfmsemi.maps import BALL, SIEGEL, BallMap, SiegelMap, classify
 
 from lfmsemi.verify import (
     DEFAULT_TOLS,
@@ -20,6 +20,7 @@ from lfmsemi.verify import (
     _family_self_map,
 )
 
+from closed_forms import identity_ball_map
 from test_embedding import hyperbolic_nf, parabolic_nf, split_nf
 from test_flow_generator import _benchmark_families, _golden_families
 
