@@ -773,11 +773,12 @@ class _EigenExp:
     """exp(t K) on grids of times t.  Where cond(V) <= _EIGEN_FLOW_COND it
     keeps K = V diag(lam) V^-1 from one eigendecomposition (the eigenvector
     method of Moler & Van Loan, SIAM Review 45, 2003); for a K whose
-    eigenbasis is ill-conditioned or singular (a Jordan block), lam, V and
-    V^-1 are None and each t K takes :func:`~lfmsemi.linalg.mat_exp`."""
+    eigenbasis is ill-conditioned or singular (a Jordan block), V and V^-1
+    are None and each t K takes :func:`~lfmsemi.linalg.mat_exp`.  The
+    eigenvalues lam are kept either way."""
 
     k: np.ndarray
-    lam: Optional[np.ndarray]
+    lam: np.ndarray
     v: Optional[np.ndarray]
     v_inv: Optional[np.ndarray]
 
@@ -785,7 +786,7 @@ class _EigenExp:
     def of(cls, k: np.ndarray) -> "_EigenExp":
         lam, v = np.linalg.eig(k)
         if not np.linalg.cond(v) <= _EIGEN_FLOW_COND:
-            return cls(k, None, None, None)
+            return cls(k, lam, None, None)
         return cls(k, lam, v, np.linalg.inv(v))
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
@@ -810,11 +811,13 @@ class _EigenExp:
 class _BallFlow:
     """What the flow of a ball generator G = [[K, 0], [r^T, 0]] reads of G
     alone: exp(t K) (:class:`_EigenExp`), h of K^T h = r (None where
-    r = 0) and the flow margin of G."""
+    r = 0), the flow margin of G and its spectral radius, that of
+    eig K and 0."""
 
     exp: _EigenExp
     h: Optional[np.ndarray]
     margin: float
+    rho: float
 
     @classmethod
     def of(cls, g: np.ndarray) -> "_BallFlow":
@@ -825,7 +828,9 @@ class _BallFlow:
             raise DomainError("the generator's last column is not zero; the ball flow ignores it")
         margin = _require_ball_flow(g)
         k, r = g[:-1, :-1], g[-1, :-1]
-        return cls(_EigenExp.of(k), np.linalg.solve(k.T, r) if np.any(r) else None, margin)
+        exp = _EigenExp.of(k)
+        return cls(exp, np.linalg.solve(k.T, r) if np.any(r) else None, margin,
+                   float(np.max(np.abs(exp.lam), initial=0.0)))
 
     def maps(self, ts: np.ndarray) -> BallMap:
         """The maps exp(t G) = [[E, 0], [h^T (E - I), 1]] with E = exp(t K),
@@ -845,8 +850,9 @@ class _BallFlow:
 @dataclass(frozen=True)
 class _SiegelFlow:
     """What the flow of an affine generator G = [[x, q, beta],
-    [0, diag(l), gamma], [0, 0, 0]] reads of G alone: its entries, and the
-    indices j where q_j gamma_j != 0 (*coupled*)."""
+    [0, diag(l), gamma], [0, 0, 0]] reads of G alone: its entries, the
+    indices j where q_j gamma_j != 0 (*coupled*), and its spectral radius,
+    the largest of |x|, |l_j| and 0."""
 
     x: complex
     q: np.ndarray
@@ -854,6 +860,7 @@ class _SiegelFlow:
     l_diag: np.ndarray
     gamma: np.ndarray
     coupled: np.ndarray
+    rho: float
 
     @classmethod
     def of(cls, g: np.ndarray) -> "_SiegelFlow":
@@ -867,7 +874,7 @@ class _SiegelFlow:
                               "is built for a diagonal block only")
         q, gamma = g[0, 1:-1], g[1:-1, -1]
         return cls(complex(g[0, 0]), q, complex(g[0, -1]), l_diag, gamma,
-                   np.flatnonzero(q * gamma))
+                   np.flatnonzero(q * gamma), float(np.abs(np.diag(g)).max()))
 
     def maps(self, ts: np.ndarray) -> SiegelMap:
         """The maps exp(t G).  G is upper triangular, so the entries of

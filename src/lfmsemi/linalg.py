@@ -15,10 +15,7 @@ ill-conditioned: for the logarithm of an elliptic contraction block with
 cond V >= 1e8 (the embedding criteria check every other logarithm
 through its eigenbasis) and for the flow of a ball generator with
 cond V > 1e2.  The one sorted Schur form puts the unimodular eigenvalues
-first, with one select per path, built once.  The eigenvectors of a Schur
-form come from the ``ztrevc`` of the same library, looked up with its
-``zgees``; where it has none there are none, and no scipy is imported
-for them.
+first, with one select per path, built once.
 
 Its tolerances are the named constants below, the literals of the checks
 (each stated in its docstring), and the ``rank_tol`` of :func:`pinv`.
@@ -218,13 +215,11 @@ def _is_unimodular(lam: complex) -> bool:
 _SELECT = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.POINTER(ctypes.c_double))
 
 
-def _load_bundled_lapack():
-    """The ILP64 ``zgees`` and ``ztrevc`` of the OpenBLAS in numpy's wheel
-    (in ``numpy.libs/`` on Linux and Windows, ``numpy/.dylibs/`` on
-    macOS), which numpy has loaded already, from one library: (zgees,
-    ztrevc), both None when there is no such library with ``zgees``, as
-    in a numpy built against a system BLAS, and ztrevc None where that
-    library lacks it."""
+def _load_bundled_zgees():
+    """The ILP64 ``zgees`` of the OpenBLAS in numpy's wheel (in
+    ``numpy.libs/`` on Linux and Windows, ``numpy/.dylibs/`` on macOS),
+    which numpy has loaded already; None when there is no such library
+    with ``zgees``, as in a numpy built against a system BLAS."""
     package = Path(np.__file__).parent
     for path in sorted(chain(package.parent.glob("numpy.libs/*scipy_openblas64_*"),
                              package.glob(".dylibs/*scipy_openblas64_*"))):
@@ -238,21 +233,13 @@ def _load_bundled_lapack():
         zgees.argtypes = ([ctypes.c_char_p] * 2 + [_SELECT] + [ctypes.c_void_p] * 12
                           + [ctypes.c_size_t] * 2)
         zgees.restype = None
-        ztrevc = getattr(lapack, "scipy_ztrevc_64_", None)
-        if ztrevc is not None:
-            # SIDE, HOWMNY, SELECT, N, T, LDT, VL, LDVL, VR, LDVR, MM, M,
-            # WORK, RWORK, INFO, then the two hidden lengths of SIDE and HOWMNY
-            ztrevc.argtypes = ([ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 13
-                               + [ctypes.c_size_t] * 2)
-            ztrevc.restype = None
-        return zgees, ztrevc
-    return None, None
+        return zgees
+    return None
 
 
 #: the path :func:`schur_form` takes, chosen once: numpy's ``zgees``, or
-#: None for scipy's; and numpy's ``ztrevc`` for :func:`_schur_eigenvectors`,
-#: or None for none
-_BUNDLED_ZGEES, _BUNDLED_ZTREVC = _load_bundled_lapack()
+#: None for scipy's
+_BUNDLED_ZGEES = _load_bundled_zgees()
 
 #: :func:`_is_unimodular` as the bundled path's select, built once; an unsorted call skips it
 _UNIMODULAR_SELECT = _SELECT(lambda w: _is_unimodular(complex(w[0], w[1])))
@@ -284,37 +271,6 @@ def _zgees(a: np.ndarray, unimodular_first: bool, lwork: int):
           at + 16 * (2 * nn + n + lw), it + 48, it + 40, 1, 1)
     vs = np.ndarray((n, n), complex, reals, 16 * nn, order="F")
     return t, vs, ints[5], reals[2 * (2 * nn + n)]
-
-
-def _schur_eigenvectors(form: SchurForm) -> Optional[np.ndarray]:
-    """The right eigenvectors of the matrix of a Schur form, column j that
-    of the j-th diagonal entry of T, each scaled so that its largest entry
-    has |Re| + |Im| = 1; None where numpy's OpenBLAS has no ``ztrevc``
-    (:data:`_BUNDLED_ZTREVC`) or the call fails.
-
-    LAPACK's ``ztrevc`` (``SIDE='R'``, ``HOWMNY='B'``): back substitution
-    in T, back-transformed by the Schur vectors.  An eigenvector of a
-    cluster of close eigenvalues is rounding; one of a simple, isolated
-    eigenvalue is accurate to about eps times its condition number.  Every
-    buffer is the call's own, so calls may run at once; no scipy is
-    imported."""
-    ztrevc = _BUNDLED_ZTREVC
-    if ztrevc is None:
-        return None
-    n = len(form.upper_triangular)
-    nn = n * n
-    # ctypes buffers, as in _zgees: T, VR, WORK as complex, then RWORK;
-    # N, LDT, LDVL, LDVR, MM, M, INFO, SELECT as 64-bit integers
-    reals = (ctypes.c_double * (4 * nn + 5 * n))()
-    ints = (ctypes.c_int64 * 8)(n, n, 1, n, n)
-    np.ndarray((n, n), complex, reals, order="F")[...] = form.upper_triangular
-    vr = np.ndarray((n, n), complex, reals, 16 * nn, order="F")
-    np.conjugate(form.unitary.T, out=vr)  # the Schur vectors, back-transformed in place
-    at, it = ctypes.addressof(reals), ctypes.addressof(ints)
-    # VL is not referenced for SIDE = 'R', nor SELECT for HOWMNY = 'B'
-    ztrevc(b"R", b"B", it + 56, it, at, it + 8, at + 16 * nn, it + 16, at + 16 * nn, it + 24,
-           it + 32, it + 40, at + 32 * nn, at + 32 * nn + 32 * n, it + 48, 1, 1)
-    return vr if ints[6] == 0 else None
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,8 @@ a point, a stack gives its image under every map, and the methods that
 read one map (``to_proj``, ``differential``, ``denominator``) raise
 TypeError on a stack.  The
 self-map and identity tests are exact, on the homogeneous matrix, and
-:func:`classify` reads everything it reports off one Schur form of it; the
-seeded samples drawn here serve verification alone.
+:func:`classify` reads everything it reports off one eigendecomposition of
+it; the seeded samples drawn here serve verification alone.
 
 The exact self-map test of a ball map runs in the :class:`BallMap`
 constructor, so every ball map the library hands out gets it: those of the
@@ -53,8 +53,8 @@ from .errors import (
     NumericError,
     PoleError,
 )
-from .linalg import (_complex_array, _frobenius, _schur_eigenvectors, as_matrix, as_vector,
-                     schur_form, unimodular_count, unitary_with_first_column)
+from .linalg import (_complex_array, _frobenius, as_matrix, as_vector, unimodular_count,
+                     unitary_with_first_column)
 
 BALL = "ball"
 SIEGEL = "siegel"
@@ -857,7 +857,7 @@ class Classification:
 class FixedPoints(tuple):
     """The pair (interior, boundary) of :func:`fixed_points`, with what the
     points were read off: ``proj``, the map's :class:`ProjMap`, and
-    ``eigenvalues``, the diagonal of the Schur form of its matrix."""
+    ``eigenvalues``, the eigenvalues of its matrix from ``np.linalg.eig``."""
 
     def __new__(cls, interior: list, boundary: list, proj: ProjMap, eigenvalues):
         found = super().__new__(cls, (interior, boundary))
@@ -875,7 +875,9 @@ def fixed_points(f: BallMap) -> FixedPoints:
     project to fixed points v / tau; they are grouped by eigenvalue
     cluster so defective (parabolic-type) eigenvalues still produce one
     accurate representative.  Returns (interior, boundary) lists, as a
-    :class:`FixedPoints` pair.
+    :class:`FixedPoints` pair.  The eigenvalues and eigenvectors come from
+    one ``np.linalg.eig``; a failure, or a residual ||m V - V diag(lam)||_F
+    above 1e-10 max(1, ||m||_F), raises :class:`NumericError`.
 
     A Jordan block of size k splits in floating point into k eigenvalues
     within about (eps scale)^(1/k) of each other (Moro, Burke and
@@ -887,29 +889,28 @@ def fixed_points(f: BallMap) -> FixedPoints:
     candidate clusters; a singleton is shifted by its own eigenvalue.  An
     anchor without an exact twin is used by the end of its turn, so each
     anchor's sizes stop at its stop index, the position of the first such
-    earlier anchor in its order.  The tried (anchor, size) pairs, in
-    ascending anchor order and largest size first, go through one stacked
-    SVD, less the rows of isolated simple eigenvalues (whose only row is
-    their singleton and that no tried cluster holds) whose point lies
-    beyond |p| = 1.01 or at infinity: their eigenvectors (v, tau), from
-    one ``ztrevc`` on the Schur form
-    (:func:`~lfmsemi.linalg._schur_eigenvectors`), have
-    |v|^2 > 1.0201 |tau|^2.  A simple eigenvalue's SVD kernel vector
-    agrees with its eigenvector to about eps times its condition number,
-    so the row would give a point that the closed-ball test discards.
-    This filter runs on every map with such a row, and not at all without
-    a bundled ``ztrevc``; the points come from the SVD alone either way.
-    One pass over its rows takes each anchor's first singular row
-    whose prefix holds no used eigenvalue as the cluster, and its kernel
-    as the eigenvectors; an anchor whose size-1 row, always its last,
-    fails is used alone.  One pass over the candidate points keeps those
-    in the closed ball with |f(p) - p| <= 1e-9 (``_FIXED_POINT_TOL``) that
+    earlier anchor in its order.  An isolated simple eigenvalue, one
+    without an exact twin whose only candidate is its singleton and that
+    no candidate cluster holds, gives its eigenvector, which is accurate
+    to about eps times its condition number.  The other tried (anchor,
+    size) pairs, in ascending anchor order and largest size first, go
+    through one stacked SVD, and none when there are none.  One pass over
+    its rows takes each anchor's first singular row whose prefix holds no
+    used eigenvalue as the cluster, and its kernel as the eigenvectors;
+    an anchor whose size-1 row, always its last, fails is used alone.
+    One pass over the candidate points, in anchor order, keeps those in
+    the closed ball with |f(p) - p| <= 1e-9 (``_FIXED_POINT_TOL``) that
     lie more than 1e-7 from every point kept before.
     """
     proj = to_proj(f)
     m, n = proj.mat, len(proj.mat)
-    form = schur_form(m)
-    eigs = form.eigenvalues
+    try:
+        eigs, vecs = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from None
+    residual = _frobenius(m @ vecs - vecs * eigs)
+    if not residual <= 1e-10 * max(1.0, _frobenius(m)):
+        raise NumericError(f"eigendecomposition residual {residual:.3e}")
     moduli = np.abs(eigs).tolist()
     scale = max(moduli)
     inverse = 1.0 / np.arange(1, n + 1)  # 1 / k for the sizes k = 1..n
@@ -932,40 +933,37 @@ def fixed_points(f: BallMap) -> FixedPoints:
         if sizes[0] > 1:
             clustered.update(near[:sizes[0]])
         elif settled[i]:
-            lone.append(i)
-    # a simple eigenvalue whose only row is its singleton and that no tried
-    # cluster holds: its row goes when its eigenvector lies beyond 1.01
-    lone = [i for i in lone if i not in clustered]
-    vecs = _schur_eigenvectors(form) if lone else None
-    if vecs is not None:
-        sq = np.abs(vecs) ** 2
-        far = (sq[:-1].sum(axis=0) > 1.0201 * sq[-1]).tolist()
-        drop = {i for i in lone if far[i]}
-        tried = [(a, k) for a, k in tried if anchors[a] not in drop]
-    shifts = eigs[[anchors[a] for a, _ in tried]]
-    for r, (a, k) in enumerate(tried):
-        if k > 1:
-            shifts[r] = eigs[order[a][:k]].sum() / k  # np.mean's own sum and divide
-    _, svals, vh = np.linalg.svd(m - shifts[:, None, None] * np.eye(n))
-    blocks = [np.zeros((0, n), dtype=complex)]
+            lone.append(a)
+    # candidates per anchor: an isolated simple eigenvalue's eigenvector,
+    # the kernels of the stacked SVD's rows for the others
+    found = {a: [vecs[:, anchors[a]]] for a in lone if anchors[a] not in clustered}
+    tried = [(a, k) for a, k in tried if a not in found]
+    if tried:
+        shifts = eigs[[anchors[a] for a, _ in tried]]
+        for r, (a, k) in enumerate(tried):
+            if k > 1:
+                shifts[r] = eigs[order[a][:k]].sum() / k  # np.mean's own sum and divide
+        _, svals, vh = np.linalg.svd(m - shifts[:, None, None] * np.eye(n))
+        svals = svals.tolist()
     used, done = set(), None  # done: the anchor whose cluster was taken last
-    for r, ((a, k), sv) in enumerate(zip(tried, svals.tolist())):
+    for r, (a, k) in enumerate(tried):
         if a == done or anchors[a] in used:
             continue
-        cluster = order[a][:k]
+        cluster, sv = order[a][:k], svals[r]
         if sv[-1] <= 1e-10 * max(1.0, sv[0]) and used.isdisjoint(cluster):
             done = a
             used.update(cluster)
             # the singular values descend, so those in the kernel are a suffix
             cut = 1e-8 * max(1.0, sv[0])
-            blocks.append(vh[r, n - sum(s <= cut for s in sv):].conj())
-            if len(blocks[-1]) >= 2:
-                rep = _nearest_kernel_point(np.ascontiguousarray(blocks[-1].T))  # kernel columns
+            kernel = vh[r, n - sum(s <= cut for s in sv):].conj()
+            found[a] = list(kernel)
+            if len(kernel) >= 2:
+                rep = _nearest_kernel_point(np.ascontiguousarray(kernel.T))  # kernel columns
                 if rep is not None:
-                    blocks.append(rep[None])
+                    found[a].append(rep)
         elif k == 1:  # the anchor's last row: it is used alone
             used.add(anchors[a])
-    v = np.concatenate(blocks)
+    v = np.array([x for a in sorted(found) for x in found[a]]).reshape(-1, n)
     tau = v[:, -1]
     finite = np.abs(tau) > 1e-9 * np.abs(v).max(axis=1, initial=0.0)  # else at infinity
     points = v[finite, :-1] / tau[finite, None]
@@ -999,7 +997,7 @@ def _nearest_kernel_point(basis: np.ndarray):
 
 def classify(f: BallMap) -> Classification:
     """Denjoy-Wolff classification of a non-identity ball self-map, read
-    off the one Schur form of its homogeneous matrix T that
+    off the one eigendecomposition of its homogeneous matrix T that
     :func:`fixed_points` computes.
 
     A map with an interior fixed point p is elliptic.  T (p, 1) =

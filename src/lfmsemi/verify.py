@@ -253,12 +253,10 @@ _FD_GRID = (0.0, 0.5, 1.0, 2.0)
 def _fd_times(sg, h: Optional[float], t_grid) -> tuple:
     """The step h (see :func:`check_generator`), the stencil centres, and
     the times the stencil reads: t+h, t-h, t for each centre.  The default
-    step reads the family's flow first, so a G with an entry that is not
-    finite is the family's :class:`DomainError`."""
+    step reads the spectral radius of G off the family's flow, so a G with
+    an entry that is not finite is the family's :class:`DomainError`."""
     if h is None:
-        sg._flow  # the family checks G here, and keeps its flow for the builds
-        rho = float(np.max(np.abs(np.linalg.eigvals(sg.G))))
-        h = 1e-4 * (5.0 / max(rho, 5.0)) ** 1.5
+        h = 1e-4 * (5.0 / max(sg._flow.rho, 5.0)) ** 1.5
     centres = [max(float(t), h) for t in t_grid]  # keep the central stencil inside t >= 0
     return h, centres, [u for t in centres for u in (t + h, t - h, t)]
 

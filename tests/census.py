@@ -1,4 +1,4 @@
-"""Print what the pipeline makes of seven seeded corpora of maps, one table
+"""Print what the pipeline makes of eight seeded corpora of maps, one table
 per corpus.
 
 - ``automorphisms``: 200 ball automorphisms U o phi_a, from
@@ -39,6 +39,13 @@ per corpus.
   off-diagonal entry 0.3 scaled by 10^-k, k = 0..12.  While that entry
   is large enough for the normality gate to see, the verdict is
   ``inconclusive``; below, the map embeds.
+- ``small_spectrum``: the elliptic maps of :func:`stress_elliptic` with the
+  "simple" pattern, from ``np.random.default_rng(seed)``, seed 0-4, in
+  dims 1-8, with the interior fixed point at |a| = 1 - 1e-5, then at
+  1 - 1e-6, as ball specs.  Every eigenvalue of the unit-RMS homogeneous
+  matrix is small (5e-6 to 2e-5 at 1 - 1e-5), below the absolute Jordan
+  split, so ``fixed_points`` takes the distinct eigenvalues for one
+  cluster and finds no fixed point on most of them (ROADMAP item 19).
 
 Each map runs through ``cli.run_pipeline`` with its defaults.  A table
 counts the maps of each (class, verdict, exit status, first failure),
@@ -206,9 +213,54 @@ def user_miss(spec_list) -> tuple:
     return worst, count
 
 
+def stress_elliptic(rng, n: int, pattern: str, radius: float) -> np.ndarray:
+    """The homogeneous matrix, corner 1, of z -> A z moved to the interior
+    fixed point a, |a| = radius, by the automorphism exchanging 0 and a;
+    A = Q (D + N) Q^H with |D| <= 1/2 and N strictly upper triangular of
+    spectral norm up to 1/2, so ||A|| <= 1.  *pattern* sets D and N:
+    "simple" draws D and N freely; "gaps" puts pairs of eigenvalues 1e-6
+    to 1e-2 apart, "jordan" repeats one eigenvalue k times over a
+    bidiagonal coupling, "derogatory" repeats it with N = 0 (a normal A)."""
+    d = 0.5 * rng.uniform(0.05, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    k = int(rng.integers(2, n + 1)) if n >= 2 else 1
+    if pattern == "gaps":
+        d[1::2] = d[: n - n % 2: 2] + 10.0 ** rng.uniform(-6, -2, n // 2) * np.exp(
+            2j * np.pi * rng.uniform(size=n // 2))
+    elif pattern in ("jordan", "derogatory"):
+        d[:k] = d[0]
+    coupling = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    if pattern == "jordan":
+        coupling[range(k - 1), range(1, k)] += 3.0
+    if pattern == "derogatory" or n == 1:
+        coupling[:] = 0.0
+    else:
+        coupling *= rng.uniform(0.05, 0.5) / np.linalg.norm(coupling, 2)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    hom = np.eye(n + 1, dtype=complex)
+    hom[:n, :n] = q @ (np.diag(d) + coupling) @ q.conj().T
+    if radius > 0:
+        direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        mover = ball_automorphism(radius * direction / np.linalg.norm(direction)).to_proj().mat
+        hom = mover @ hom @ np.linalg.inv(mover)
+    return hom / hom[n, n]
+
+
+def small_spectrum() -> list:
+    out = []
+    for radius in (1 - 1e-5, 1 - 1e-6):
+        for seed in range(5):
+            for n in range(1, 9):
+                hom = stress_elliptic(np.random.default_rng(seed), n, "simple", radius)
+                out.append({"dimension": n, "domain": "ball", "A": to_jsonable(hom[:n, :n]),
+                            "B": to_jsonable(hom[:n, n]), "C": to_jsonable(np.conj(hom[n, :n])),
+                            "D": [1.0, 0.0]})
+    return out
+
+
 CORPORA = {"automorphisms": automorphisms, "siegel_dilation": siegel_dilation,
            "dead_band": dead_band, "lambda_sweep": lambda_sweep, "conjugates": conjugates,
-           "perturbed_hyperbolic": perturbed_hyperbolic, "nonnormal_blocks": nonnormal_blocks}
+           "perturbed_hyperbolic": perturbed_hyperbolic, "nonnormal_blocks": nonnormal_blocks,
+           "small_spectrum": small_spectrum}
 
 
 def outcome(report: dict) -> tuple:

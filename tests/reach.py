@@ -7,7 +7,7 @@ before ``lfmsemi`` is imported:
   seed and tolerance profile its stored report names (``cli.main``);
 - one ``lfmsemi report`` with ``--t``, ``--z0``, ``--csv`` and
   ``--output -``, and one without a spec (a usage error);
-- the seven corpora of ``tests/census.py``, as its ``main`` runs them;
+- the eight corpora of ``tests/census.py``, as its ``main`` runs them;
 - one cycle of every benchmark workload at seeds 1 and 2, as
   ``tests/report_hashes.py`` runs them;
 - the library example of README.

@@ -1,12 +1,13 @@
-"""Classification read off one Schur form of the homogeneous matrix.
+"""Classification read off one eigendecomposition of the homogeneous matrix.
 
 ``maps.classify`` takes the multipliers of an elliptic map, the eigenvalues
-of its differential at the interior fixed point p, from the Schur form that
-``maps.fixed_points`` computes: T (p, 1) = mu_p (p, 1), and the other
-eigenvalues of T over mu_p are the multipliers.  The oracle is the
-differential itself: its eigenvalues, and their unimodular count, the
-unitary index.  The pipeline to the normal form makes one Schur form of T,
-evaluates a map at a point inside ``classify`` only where ``fixed_points``
+of its differential at the interior fixed point p, from the
+``np.linalg.eig`` that ``maps.fixed_points`` takes: T (p, 1) = mu_p (p, 1),
+and the other eigenvalues of T over mu_p are the multipliers.  The oracle
+is the differential itself: its eigenvalues, and their unimodular count,
+the unitary index.  Classification takes one ``eig`` of T and no Schur
+form (the normal-form reducers take theirs); the pipeline to the normal
+form evaluates a map at a point inside ``classify`` only where ``fixed_points``
 checks its candidates (the boundary points are not checked again), and
 checks a ball map only at the input and for the u0 normal map, which
 nothing in its reducer proves a self-map.  The unitary index is counted
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from lfmsemi import cli, maps, normal_forms
+from lfmsemi import cli, linalg, maps, normal_forms
 from lfmsemi.cli import run_pipeline
 from lfmsemi.linalg import unimodular_count
 from lfmsemi.maps import ELLIPTIC, BallMap, ball_automorphism, classify, compose
@@ -104,6 +105,7 @@ class _Counts:
     def __init__(self):
         self.in_classify = self.in_fixed_points = False
         self.schur_shapes = []
+        self.eig_shapes = []
         self.calls_in_classify = 0
         self.ball_checks = 0
 
@@ -111,9 +113,9 @@ class _Counts:
 @pytest.fixture
 def counts(monkeypatch):
     c = _Counts()
-    classify_, fixed_points, schur, call, init = (
-        maps.classify, maps.fixed_points, maps.schur_form, BallMap.__call__,
-        BallMap.__post_init__)
+    classify_, fixed_points, schur, eig, call, init = (
+        maps.classify, maps.fixed_points, normal_forms.schur_form, np.linalg.eig,
+        BallMap.__call__, BallMap.__post_init__)
 
     def counted_classify(f):
         c.in_classify = True
@@ -134,6 +136,11 @@ def counts(monkeypatch):
             c.schur_shapes.append(np.shape(a))
         return schur(a, *args, **kwargs)
 
+    def counted_eig(a):
+        if c.in_classify:
+            c.eig_shapes.append(np.shape(a))
+        return eig(a)
+
     def counted_call(self, z):
         c.calls_in_classify += c.in_classify and not c.in_fixed_points
         return call(self, z)
@@ -144,8 +151,9 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(cli, "classify", counted_classify)
     monkeypatch.setattr(maps, "fixed_points", counted_fixed_points)
-    for module in (maps, normal_forms):
-        monkeypatch.setattr(module, "schur_form", counted_schur)
+    for module in (linalg, maps, normal_forms):
+        monkeypatch.setattr(module, "schur_form", counted_schur, raising=False)
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
     monkeypatch.setattr(BallMap, "__call__", counted_call)
     monkeypatch.setattr(BallMap, "__post_init__", counted_init)
     return c
@@ -153,11 +161,15 @@ def counts(monkeypatch):
 
 @pytest.mark.parametrize("path", GOLDEN_SPECS, ids=lambda p: p.stem)
 def test_one_schur_form_of_t_and_no_rechecks(path, counts):
+    """Named for the Schur form of T that classification took before it
+    read T's eigenvalues and eigenvectors off one ``np.linalg.eig``: one
+    ``eig`` of T, no Schur form, and no map rechecked."""
     spec = json.loads(path.read_text())
     report = run_pipeline(spec, stop_after="normal_form")
     n = spec["dimension"]
     assert report["stages"]["classify"]["status"] == "ok"
-    assert counts.schur_shapes == [(n + 1, n + 1)]
+    assert counts.eig_shapes == [(n + 1, n + 1)]
+    assert counts.schur_shapes == []
     assert counts.calls_in_classify == 0
     stage = report["stages"]["normal_form"]
     u0 = stage["status"] == "ok" and stage["form_kind"] == FORM_ELLIPTIC_U0

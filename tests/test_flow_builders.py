@@ -17,18 +17,27 @@ first-order bound 8 cond(V) (1 + t |K|) eps (and t = 0 gives the identity
 exactly), and near the cut (cond(V) 30 and 99) the worst error of the
 sweep is below that of ``mat_exp``.  A Jordan block, whose eigenbasis is
 singular, takes ``mat_exp(t K)`` and has its bits.
+
+Each flow keeps the spectral radius of G, which sets the default step of
+the generator check: eig K and 0 for the ball, |x|, |l_j| and 0 for the
+Siegel flow.  On the families of the goldens and on an ill-conditioned K it
+is max |eigvals(G)| to within rounding.
 """
+
+import json
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 from lfmsemi import embedding as emb
-from lfmsemi.embedding import SemigroupFamily
+from lfmsemi.cli import parse_map_spec
+from lfmsemi.embedding import EMBEDDABLE, SemigroupFamily, build_semigroup, certify
 from lfmsemi.errors import DomainError
 from lfmsemi.linalg import mat_exp, mat_log_principal
-from lfmsemi.maps import BALL, SIEGEL, ProjMap
-from lfmsemi.normal_forms import u0_normal_map
+from lfmsemi.maps import BALL, SIEGEL, ProjMap, cayley_to_ball
+from lfmsemi.normal_forms import normal_form, u0_normal_map
 
 TS = np.array([0.0, 1e-6, 0.3, 1.0, 2.0, 7.5])
 GAPS = [1e-3, 1e-5, 1e-7, 1e-9, 1e-12]
@@ -234,3 +243,52 @@ def test_jordan_block_takes_mat_exp():
     stack = sg.at_many(ts)
     assert stack.A.tobytes() == mat_exp(ts[:, None, None] * k).tobytes()
     assert np.array_equal(stack.A[0], np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# the spectral radius each flow keeps for the generator check's step
+
+
+def _golden_families() -> list:
+    """The family of every embeddable golden spec."""
+    out = []
+    for path in sorted((Path(__file__).parent / "golden").rglob("*.json")):
+        if path.name.endswith(".report.json"):
+            continue
+        f = parse_map_spec(json.loads(path.read_text()))
+        if f.domain == SIEGEL:
+            f = cayley_to_ball(f)
+        cert = certify(normal_form(f))
+        if cert.verdict == EMBEDDABLE:
+            out.append(build_semigroup(cert))
+    return out
+
+
+def _assert_rho(sg):
+    want = float(np.max(np.abs(np.linalg.eigvals(sg.G))))
+    assert sg._flow.rho == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_flow_rho_is_the_spectral_radius_of_g():
+    families = _golden_families()
+    assert {sg.domain for sg in families} == {BALL, SIEGEL} and len(families) >= 20
+    for sg in families:
+        _assert_rho(sg)
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e3])
+def test_flow_rho_on_ball_generators(cond):
+    """K with cond(V) = 1 and 1e3 (whose flow takes ``mat_exp``), shifted
+    to a strict contraction, and a Jordan block (a singular eigenbasis);
+    with and without a last row."""
+    rng = np.random.default_rng(int(cond))
+    k = _with_eigenbasis_cond(3, cond, rng)
+    ks = [k - (np.linalg.norm(k, 2) + 1.0) * np.eye(3),
+          mat_log_principal(np.array([[0.5, 0.1], [0.0, 0.5]]))]
+    for k in ks:
+        for r in (np.zeros(len(k)), np.full(len(k), 0.05)):
+            g = emb._split_matrix(np.zeros(0), k)
+            g[-1, :-1] = r
+            sg = SemigroupFamily("elliptic_split", g, BALL)
+            _assert_rho(sg)
+            assert (sg._flow.exp.v is None) == (cond > emb._EIGEN_FLOW_COND or len(k) == 2)

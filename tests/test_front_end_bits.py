@@ -11,7 +11,8 @@ the code it replaced, kept here as the reference:
   whose contraction block has an ill-conditioned eigenbasis imports it
   for its logarithm;
 - ``maps.fixed_points`` does its cluster bookkeeping on Python lists; the
-  reference is the array version of :func:`reference_fixed_points`;
+  reference is the array version of :func:`reference_fixed_points`, on the
+  same ``np.linalg.eig``;
 - the spec parser reads every field, ``--z0`` too, with one scan, one
   test and one ``np.array``; the reference is its former per-entry
   reader, :func:`reference_pairs`, whose bits and messages it keeps;
@@ -236,15 +237,17 @@ def test_frobenius_has_the_bits_of_numpy_norm():
 
 def reference_fixed_points(f: BallMap):
     """``maps.fixed_points`` before its bookkeeping moved to Python lists:
-    the same clusters, on arrays, from scipy's Schur form and the homogeneous
-    matrix built and normalized with ``np.linalg.norm``.  Returns
-    (interior, boundary, eigenvalues, matrix)."""
+    the same clusters, on arrays, from ``np.linalg.eig`` of the homogeneous
+    matrix built and normalized with ``np.linalg.norm``.  An isolated
+    simple eigenvalue (settled, its only row its singleton, in no row of
+    size >= 2) gives its eigenvector, the other rows go through one stacked
+    SVD.  Returns (interior, boundary, eigenvalues, matrix)."""
     n = f.dim
     m = np.zeros((n + 1, n + 1), dtype=complex)
     m[:n, :n], m[:n, n], m[n, :n], m[n, n] = f.A, f.B, np.conj(f.C), f.D
     m = m / (np.linalg.norm(m) / np.sqrt(m.shape[0]))
     n = len(m)
-    eigs = np.diag(scipy.linalg.schur(m, output="complex")[0]).copy()
+    eigs, vecs = np.linalg.eig(m)
     scale = float(np.max(np.abs(eigs)))
     nonzero = np.abs(eigs) > 1e-12 * scale
     anchors = np.flatnonzero(nonzero)
@@ -258,6 +261,13 @@ def reference_fixed_points(f: BallMap):
     holds_settled = np.logical_or.accumulate(settled[order] & (order < anchors[:, None]), axis=1)
     rows, cols = np.nonzero(((reach <= split) & ~holds_settled)[:, ::-1])
     ks = n - cols
+    held = np.zeros(n, dtype=bool)
+    for r in np.flatnonzero(ks > 1).tolist():
+        held[order[rows[r], :ks[r]]] = True
+    lone = settled[anchors] & (np.bincount(rows, minlength=len(anchors)) == 1) \
+        & ~held[anchors]
+    kept = ~lone[rows]
+    rows, ks = rows[kept], ks[kept]
     shifts = eigs[anchors[rows]]
     for r in np.flatnonzero(ks > 1).tolist():
         shifts[r] = np.mean(eigs[order[rows[r], :ks[r]]])
@@ -270,6 +280,9 @@ def reference_fixed_points(f: BallMap):
     blocks = [np.zeros((0, n), dtype=complex)]
     used = set()
     for a, i in enumerate(anchors.tolist()):
+        if lone[a]:
+            blocks.append(vecs[:, i][None])
+            continue
         if i in used:
             continue
         r = next((r for r in range(first[a], first[a + 1])
