@@ -112,11 +112,12 @@ def _perfbench(name: str):
         sys.path.remove(str(ROOT / "perfbench"))
 
 
-def _workload_specs():
-    """The maps of every benchmark workload's cycle at seeds 1 and 2."""
+def _workload_specs(names=None):
+    """The maps of the cycle of every benchmark workload, or of those in
+    *names*, at seeds 1 and 2."""
     workloads = _perfbench("workloads")
     return [json.loads(w.case(seed, i).spec_text)
-            for _, w in sorted(workloads.WORKLOADS.items())
+            for name, w in sorted(workloads.WORKLOADS.items()) if names is None or name in names
             for seed in (1, 2) for i in range(len(w.cycle))]
 
 
@@ -192,7 +193,8 @@ def _stacked_prefixes(f) -> int:
 def test_one_stacked_svd(monkeypatch):
     """At most one SVD per map, whose stack holds exactly the prefixes of
     :func:`_stacked_prefixes`, and none when every eigenvalue is isolated
-    and simple: on the goldens and workload cycles, many maps take none."""
+    and simple: on the goldens and workload cycles, many maps take none,
+    every map of ``branch_search`` among them."""
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a.shape)
@@ -208,22 +210,8 @@ def test_one_stacked_svd(monkeypatch):
         assert calls[before:] == ([(rows, n, n)] if rows else [])
         without += not rows
     assert without >= 60
-
-
-def test_isolated_simple_eigenvalues_take_no_svd(monkeypatch):
-    """Every map of ``branch_search``, and a diagonal map with distinct
-    entries, has only isolated simple eigenvalues: fixed_points runs no SVD."""
-    def no_svd(*args, **kwargs):
-        raise AssertionError("np.linalg.svd was called")
-
-    workloads = _perfbench("workloads")
-    w = workloads.WORKLOADS["branch_search"]
-    fs = [_ball_map(json.loads(w.case(seed, i).spec_text))
-          for seed in (1, 2) for i in range(len(w.cycle))]
-    fs.append(_linear(np.diag([0.5, -0.25j, 0.1])))
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    for f in fs:
-        assert len(fixed_points(f)[0]) == 1
+    assert all(_stacked_prefixes(_ball_map(spec)) == 0
+               for spec in _workload_specs({"branch_search"}))
 
 
 def _raising_eig(a):
