@@ -43,9 +43,11 @@ per corpus.
   "simple" pattern, from ``np.random.default_rng(seed)``, seed 0-4, in
   dims 1-8, with the interior fixed point at |a| = 1 - 1e-5, then at
   1 - 1e-6, as ball specs.  Every eigenvalue of the unit-RMS homogeneous
-  matrix is small (5e-6 to 2e-5 at 1 - 1e-5), below the absolute Jordan
-  split, so ``fixed_points`` takes the distinct eigenvalues for one
-  cluster and finds no fixed point on most of them (ROADMAP item 19).
+  matrix has modulus below 4e-5 (below 4e-6 at 1 - 1e-6).  The Jordan
+  split is absolute below modulus 1, and that of four eigenvalues spans
+  them all, so in dims 3-8 ``fixed_points`` takes distinct eigenvalues
+  for one cluster and finds no fixed point on any of these maps (ROADMAP
+  item 19).
 
 Each map runs through ``cli.run_pipeline`` with its defaults.  A table
 counts the maps of each (class, verdict, exit status, first failure),
